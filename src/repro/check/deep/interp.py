@@ -237,6 +237,9 @@ _NP_ELEMENTWISE = {"minimum", "maximum", "add", "subtract", "multiply",
 #: ufunc ``.at``-style scatter names that write their first argument
 _SCATTER_AT_OPS = {"add", "minimum", "maximum", "subtract", "multiply",
                    "bitwise_or", "bitwise_and", "logical_or", "logical_and"}
+#: ``repro.core.operators`` keyed reductions ``f(keys, values, out)``: the
+#: hooks' scatter writes go through these instead of a bare ``ufunc.at``
+KEYED_SCATTER_FUNCS = {"segment_reduce_min", "segment_reduce_sum"}
 
 
 class _HookInterp:
@@ -497,6 +500,9 @@ class _HookInterp:
                 return _BOOL_SCALAR
             if name in self.module_functions:
                 return self._eval_helper_call(name, node, args)
+            if name in KEYED_SCATTER_FUNCS and len(args) > 2:
+                # scatter write of args[1] into args[2], like np.<op>.at
+                self._check_array_write(node.args[2], args[2], args[1], node)
             return _TOP
         return _TOP
 

@@ -71,6 +71,7 @@ from .certify import (
     declared_combiners,
 )
 from .interp import (
+    KEYED_SCATTER_FUNCS,
     _NON_HOT_METHODS,
     _HookInterp,
     _Special,
@@ -335,6 +336,8 @@ class _EffectInterp(_HookInterp):
             return self._pending[0]
         if isinstance(site, ast.Call):
             f = site.func
+            if isinstance(f, ast.Name) and f.id in KEYED_SCATTER_FUNCS:
+                return self._t(site.args[1])
             if isinstance(f, ast.Attribute):
                 if f.attr == "at" and len(site.args) > 2:
                     return self._t(site.args[2])

@@ -12,7 +12,8 @@ Allocations are fine when they sit in the no-workspace fallback branch
 and the zero-length empty-frontier sentinel (``np.empty(0, ...)``) is
 exempt as always.  Results that must outlive the call (message payloads,
 frontiers) should be built with non-alloc constructors (``np.repeat``,
-boolean indexing, ``np.unique``) which this rule deliberately ignores.
+boolean indexing, ``np.flatnonzero``) which this rule deliberately
+ignores.
 """
 
 from __future__ import annotations

@@ -83,8 +83,11 @@ def split_frontier(
     hosts = sub.host_of_local[frontier]
     local = frontier[hosts == sub.gpu_id]
     remote: Dict[int, np.ndarray] = {}
-    for peer in np.unique(hosts[hosts != sub.gpu_id]):
-        remote[int(peer)] = frontier[hosts == peer]
+    # which of the few GPUs own something here: one counting pass over
+    # the small owner domain, not a sort of the frontier-length array
+    for peer in np.flatnonzero(np.bincount(hosts)):
+        if peer != sub.gpu_id:
+            remote[int(peer)] = frontier[hosts == peer]
     stats = OpStats(
         name="split",
         input_size=int(frontier.size),

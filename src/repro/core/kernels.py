@@ -25,10 +25,10 @@ The compiled functions below mirror the NumPy semantics exactly:
   the first frontier hit (``np.minimum.reduceat`` over masked
   positions interpreted), counting only scanned edges;
 * ``filter_unvisited`` sorts and deduplicates the unvisited survivors
-  (``np.unique`` interpreted);
+  (the flag pass of ``operators.compute.dedup`` interpreted);
 * ``fused`` records, per surviving vertex, the witness of its *first*
-  discovery in gather order (stable argsort + ``searchsorted``
-  interpreted).
+  discovery in gather order (the min-scatter of
+  ``operators.compute.segment_first`` interpreted).
 
 Enabling is process-global (``repro.core.kernels.enable()``, the
 ``--kernels`` CLI flag, or ``REPRO_KERNELS=1``); worker processes of the

@@ -1,7 +1,13 @@
 """Gunrock-style frontier operators: advance, filter, compute, fusion."""
 
 from .advance import advance_pull, advance_push, gather_neighbors
-from .compute import compute_op, segment_reduce_min, segment_reduce_sum
+from .compute import (
+    compute_op,
+    dedup,
+    segment_first,
+    segment_reduce_min,
+    segment_reduce_sum,
+)
 from .filter import filter_predicate, filter_unvisited, unique_vertices
 from .fused import fused_advance_filter
 
@@ -14,6 +20,8 @@ __all__ = [
     "unique_vertices",
     "fused_advance_filter",
     "compute_op",
+    "dedup",
     "segment_reduce_min",
     "segment_reduce_sum",
+    "segment_first",
 ]

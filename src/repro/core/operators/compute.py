@@ -1,20 +1,39 @@
-"""Compute operator: apply an elementwise operation to a frontier.
+"""Compute operator and the linear-time keyed kernels beneath it.
 
 "Computation executes an operation on all elements in the current
 frontier.  This can be combined for efficiency with advance or filter."
 (Section II-B.)  Primitives pass vectorized callables; the stats charge
 one read-modify-write per element.
+
+The keyed kernels (:func:`dedup`, :func:`segment_reduce_min`,
+:func:`segment_reduce_sum`, :func:`segment_first`) are what operators
+and hooks use wherever *m* edge-length items are keyed by vertex IDs of
+a subgraph with *n* vertices: one scatter into a length-*n* scratch is
+O(n + m) with no comparison sort and no hash table — Gunrock's bitmask
+culling rather than a sort-based filter (docs/performance.md,
+"Linear-time keyed kernels").  They charge nothing: cost accounting
+stays with the operator entry points that call them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ..stats import OpStats
+from ..workspace import Workspace
 
-__all__ = ["compute_op", "segment_reduce_min", "segment_reduce_sum"]
+__all__ = [
+    "compute_op",
+    "mark_scratch",
+    "dedup",
+    "segment_reduce_min",
+    "segment_reduce_sum",
+    "segment_first",
+]
+
+_BIG = np.iinfo(np.int64).max
 
 
 def compute_op(
@@ -47,29 +66,90 @@ def compute_op(
     return frontier, stats
 
 
+def mark_scratch(
+    num_vertices: int, ws: Optional[Workspace] = None
+) -> np.ndarray:
+    """An all-False flag per vertex: the workspace's persistent scratch
+    (the borrower clears what it sets) or, detached, a fresh array."""
+    if ws is None:
+        return np.zeros(num_vertices, dtype=bool)
+    return ws.flags(num_vertices)
+
+
+def dedup(
+    ids: np.ndarray, num_vertices: int, ws: Optional[Workspace] = None
+) -> np.ndarray:
+    """The distinct values of ``ids``, ascending — ``np.unique(ids)`` for
+    IDs in ``[0, num_vertices)``.
+
+    Marks a boolean flag per ID and reads the set flags back in index
+    order: the deterministic stand-in for the GPU filter's atomic claim.
+    The workspace's flag scratch is all-False on entry and is restored
+    before returning (only the marked entries are cleared).
+    """
+    flags = mark_scratch(num_vertices, ws)
+    flags[ids] = True
+    out = np.flatnonzero(flags)
+    flags[out] = False
+    return out
+
+
 def segment_reduce_min(
     keys: np.ndarray, values: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """``out[k] = min(out[k], min of values with key k)`` — vectorized.
+    """``out[k] = min(out[k], min of values with key k)``.
 
-    This is the deterministic equivalent of the GPU's ``atomicMin`` loop
-    in the paper's ``Expand_Incoming_Kernel`` (Appendix A): when one GPU
-    receives updates for the same vertex from several peers, the combiner
-    keeps the minimum.
+    The deterministic equivalent of the GPU's ``atomicMin`` loop (the
+    paper's ``Expand_Incoming_Kernel``, Appendix A, and SSSP's
+    relaxation).  Only the items that beat the current ``out[k]`` are
+    scattered — the others cannot change the minimum — and their keys
+    (duplicates included) are returned: exactly the vertices whose value
+    dropped.
     """
     keys = np.asarray(keys, dtype=np.int64)
-    if keys.size == 0:
-        return out
-    np.minimum.at(out, keys, values)
-    return out
+    better = values < out[keys]
+    keys = keys[better]
+    np.minimum.at(out, keys, values[better])
+    return keys
 
 
 def segment_reduce_sum(
-    keys: np.ndarray, values: np.ndarray, out: np.ndarray
+    keys: np.ndarray, values: np.ndarray, out: np.ndarray,
+    zeroed: bool = False,
+) -> None:
+    """``out[k] += sum of values with key k`` — the atomicAdd combiner.
+
+    ``zeroed=True`` is the caller's promise that ``out`` is all zeros
+    (PR resets its accumulator before every push).  Then the sum is one
+    ``np.bincount``, which like ``np.add.at`` adds each key's values in
+    input order starting from 0.0, so the float64 result is
+    bit-identical; onto a non-zero target the two differ in rounding
+    (``(out + a) + b`` against ``out + (a + b)``), so that case keeps
+    ``np.add.at``.  Either way the write lands through ``out`` itself,
+    where the sanitizer's shadow arrays attribute it.
+    """
+    if zeroed and out.dtype == np.float64:
+        out[...] = np.bincount(keys, weights=values, minlength=out.size)
+    else:
+        np.add.at(out, keys, values)
+
+
+def segment_first(
+    keys: np.ndarray, ranks: np.ndarray, targets: np.ndarray,
+    num_vertices: int, ws: Optional[Workspace] = None,
 ) -> np.ndarray:
-    """``out[k] += sum of values with key k`` — PR's atomicAdd combiner."""
-    keys = np.asarray(keys, dtype=np.int64)
-    if keys.size == 0:
-        return out
-    np.add.at(out, keys, values)
-    return out
+    """For each target key, the lowest rank among the items carrying it.
+
+    ``keys``/``ranks`` are parallel; items whose key is no target are
+    ignored, and every target must occur among the keys.  One min-scatter replaces a stable sort of the items: with positions
+    as ranks this is "first occurrence", the deterministic stand-in for
+    which thread wins the GPU's discovery race.
+    """
+    if ws is None:
+        lowest = np.empty(num_vertices, dtype=np.int64)
+    else:
+        lowest = ws.take("first.lowest", num_vertices, np.int64)
+    # only the targets' slots are ever read, so only they are initialized
+    lowest[targets] = _BIG
+    np.minimum.at(lowest, keys, ranks)
+    return lowest[targets]

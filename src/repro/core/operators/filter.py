@@ -9,12 +9,14 @@ probe per candidate, atomic claim per survivor) is what BFS/SSSP charge.
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ..kernels import active as _kernels_active, plain_arrays as _plain
 from ..stats import OpStats
+from ..workspace import Workspace
+from .compute import dedup
 
 __all__ = ["filter_predicate", "filter_unvisited", "unique_vertices"]
 
@@ -71,13 +73,15 @@ def filter_unvisited(
     labels: np.ndarray,
     invalid_label,
     ids_bytes: int = 4,
+    ws: Optional[Workspace] = None,
     tracer=None,
 ) -> Tuple[np.ndarray, OpStats]:
     """Traversal filter: deduplicate and keep vertices with no label yet.
 
     Mirrors the GPU idiom: probe the label array, attempt an atomic claim,
-    survivors enter the new frontier exactly once.  Deterministic here:
-    ``np.unique`` plays the role the atomic CAS race plays on hardware.
+    survivors enter the new frontier exactly once, in ascending order.
+    Deterministic here: the flag pass of :func:`~.compute.dedup` plays
+    the role the atomic CAS race plays on hardware.
     """
     _wall0 = tracer.wall() if tracer is not None else 0.0
     candidates = np.asarray(candidates, dtype=np.int64)
@@ -87,7 +91,7 @@ def filter_unvisited(
             out = kernels.filter_unvisited(candidates, labels, invalid_label)
         else:
             unvisited = candidates[labels[candidates] == invalid_label]
-            out = np.unique(unvisited)
+            out = dedup(unvisited, labels.shape[0], ws)
     else:
         out = candidates
     stats = _unvisited_stats(int(candidates.size), int(out.size), ids_bytes)
@@ -97,11 +101,18 @@ def filter_unvisited(
 
 
 def unique_vertices(
-    candidates: np.ndarray, ids_bytes: int = 4
+    candidates: np.ndarray,
+    ids_bytes: int = 4,
+    num_vertices: Optional[int] = None,
+    ws: Optional[Workspace] = None,
 ) -> Tuple[np.ndarray, OpStats]:
-    """Deduplicate a vertex list (the paper's split/merge helper)."""
+    """Deduplicate a vertex list (the paper's split/merge helper);
+    ascending output.  ``num_vertices`` bounds the IDs (default: derived
+    from ``candidates``)."""
     candidates = np.asarray(candidates, dtype=np.int64)
-    out = np.unique(candidates)
+    if num_vertices is None:
+        num_vertices = int(candidates.max()) + 1 if candidates.size else 0
+    out = dedup(candidates, num_vertices, ws)
     stats = OpStats(
         name="unique",
         input_size=int(candidates.size),

@@ -26,6 +26,7 @@ from ..kernels import active as _kernels_active, plain_arrays as _plain
 from ..stats import OpStats
 from ..workspace import Workspace
 from .advance import _frontier64, _push_stats, advance_push
+from .compute import mark_scratch, segment_first
 from .filter import _unvisited_stats, filter_unvisited
 
 __all__ = ["fused_advance_filter", "first_witness"]
@@ -36,18 +37,28 @@ def first_witness(
     sources: np.ndarray,
     edge_idx: np.ndarray,
     survivors: np.ndarray,
+    num_vertices: Optional[int] = None,
+    ws: Optional[Workspace] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """For each survivor, the (source, edge) of its first discovery.
 
-    "First" is by lowest edge index — a deterministic stand-in for the
-    GPU's atomic race, used for predecessor marking.
+    "First" is the lowest position in the gathered neighbor list — a
+    deterministic stand-in for the GPU's atomic race, used for
+    predecessor marking.  ``survivors`` is the filter's output (distinct
+    IDs); only the candidates that survived enter the min-scatter.
+    ``num_vertices`` bounds every neighbor ID (default: derived from
+    ``neighbors``).
     """
     if survivors.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
-    order = np.argsort(neighbors, kind="stable")
-    sorted_nbrs = neighbors[order]
-    first_pos = order[np.searchsorted(sorted_nbrs, survivors, side="left")]
+    if num_vertices is None:
+        num_vertices = int(neighbors.max()) + 1
+    flags = mark_scratch(num_vertices, ws)
+    flags[survivors] = True
+    pos = np.flatnonzero(flags[neighbors])
+    flags[survivors] = False
+    first_pos = segment_first(neighbors[pos], pos, survivors, num_vertices, ws)
     return sources[first_pos], edge_idx[first_pos]
 
 
@@ -59,14 +70,17 @@ def fused_advance_filter(
     ids_bytes: int = 4,
     ws: Optional[Workspace] = None,
     tracer=None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, OpStats]:
+    witness: bool = True,
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], OpStats]:
     """Advance then unvisited-filter as one fused kernel.
 
     Returns ``(survivors, their_sources, their_edge_indices, stats)`` where
     sources/edge indices correspond to the first edge that discovered each
-    surviving vertex (deterministic: lowest edge index wins, matching the
-    serialized-atomics tie-break of a GPU run re-executed for
-    reproducibility).
+    surviving vertex (deterministic: first in gather order wins, matching
+    the serialized-atomics tie-break of a GPU run re-executed for
+    reproducibility).  A caller that marks no predecessors passes
+    ``witness=False`` and gets ``None`` for both: the witness is not
+    computed.
     """
     # the inner calls are NOT traced individually: one fused kernel means
     # one wall-clock sample under the fused name
@@ -98,10 +112,14 @@ def fused_advance_filter(
         csr, frontier, ids_bytes=ids_bytes, ws=ws
     )
     survivors, f_stats = filter_unvisited(
-        neighbors, labels, invalid_label, ids_bytes=ids_bytes
+        neighbors, labels, invalid_label, ids_bytes=ids_bytes, ws=ws
     )
     # recover one (source, edge) witness per survivor: first occurrence
-    w_sources, w_edges = first_witness(neighbors, sources, edge_idx, survivors)
+    w_sources = w_edges = None
+    if witness:
+        w_sources, w_edges = first_witness(
+            neighbors, sources, edge_idx, survivors, labels.shape[0], ws
+        )
 
     stats = a_stats.merged_with(f_stats, fused=True)
     stats.name = "advance+filter(fused)"

@@ -171,6 +171,16 @@ class ProblemBase:
         hardware is gone; the host-side arrays exist only so indexing
         stays uniform — with an empty hosted set they carry no results).
         """
+        #: per GPU, the ascending local IDs of the vertices it hosts —
+        #: fixed between repartitions, so hooks read it instead of
+        #: rescanning ``host_of_local`` every superstep (read-only: hooks
+        #: hand these out as frontiers)
+        self.hosted_frontiers: List[np.ndarray] = [
+            np.flatnonzero(sub.host_of_local == sub.gpu_id)
+            for sub in self.subgraphs
+        ]
+        for hosted in self.hosted_frontiers:
+            hosted.setflags(write=False)
         self.data_slices = []
         for gpu in range(self.num_gpus):
             charge = self.charge_memory and gpu not in dead
@@ -216,7 +226,7 @@ class ProblemBase:
         for gpu in range(self.num_gpus):
             sub = self.subgraphs[gpu]
             arr = self.data_slices[gpu][name]
-            hosted_local = np.flatnonzero(sub.host_of_local == gpu)
+            hosted_local = self.hosted_frontiers[gpu]
             hosted_global = sub.local_to_global[hosted_local]
             out[hosted_global] = arr[hosted_local]
         return out

@@ -17,7 +17,11 @@ grow-only buffers:
   :class:`~repro.sim.memory.JustEnough`-governed frontiers) when needed;
 * :meth:`iota` returns a prefix view of a cached ``arange`` — the
   flattened-CSR-offset computation in advance needs ``0..total`` every
-  call and the prefix never changes, so it is computed only on growth.
+  call and the prefix never changes, so it is computed only on growth;
+* :meth:`flags` returns a boolean view that is **all False** — the mark
+  array of the linear-time keyed kernels (``operators.compute.dedup``).
+  The borrower sets flags, reads them back, and clears exactly the ones
+  it set before returning, so the next borrower needs no O(n) fill.
 
 Workspaces are **per GPU and never shared**: the enactor builds one per
 virtual device, so the ``threads`` backend's workers touch disjoint
@@ -34,7 +38,7 @@ through ``OpStats``; charging it to the :class:`~repro.sim.memory
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +56,7 @@ class Workspace:
         self.initial_items = int(initial_items)
         self._bufs: Dict[Tuple[str, object], np.ndarray] = {}
         self._iota: Optional[np.ndarray] = None
+        self._flags: Optional[np.ndarray] = None
         #: satisfied take() calls — each one is an allocation avoided
         #: once the buffer exists
         self.takes = 0
@@ -72,9 +77,7 @@ class Workspace:
         buf = self._bufs.get(key)
         self.takes += 1
         if buf is None or buf.size < size:
-            cap = max(size, int((0 if buf is None else buf.size) * _GROWTH),
-                      self.initial_items, 1)
-            buf = np.empty(cap, dtype=dt)
+            buf = np.empty(self._grown(buf, size), dtype=dt)
             self._bufs[key] = buf
             self.grows += 1
         return buf[:size]
@@ -83,29 +86,48 @@ class Workspace:
         """A read-only view of ``arange(size)`` from the cached prefix."""
         cur = self._iota
         if cur is None or cur.size < size:
-            cap = max(size, int((0 if cur is None else cur.size) * _GROWTH),
-                      self.initial_items, 1)
-            cur = np.arange(cap, dtype=np.int64)
+            cur = np.arange(self._grown(cur, size), dtype=np.int64)
             cur.setflags(write=False)
             self._iota = cur
             self.grows += 1
         return cur[:size]
 
+    def flags(self, size: int) -> np.ndarray:
+        """An all-False boolean view of length ``size``.
+
+        Contract: the caller restores every flag it sets to False before
+        returning (property-tested over every operator and hook in
+        ``tests/core/test_workspace.py``).
+        """
+        cur = self._flags
+        if cur is None or cur.size < size:
+            cur = np.zeros(self._grown(cur, size), dtype=bool)
+            self._flags = cur
+            self.grows += 1
+        return cur[:size]
+
     # ------------------------------------------------------------------
+    def _grown(self, cur: Optional[np.ndarray], size: int) -> int:
+        """Capacity for a buffer that must now hold ``size`` items."""
+        return max(size, int((0 if cur is None else cur.size) * _GROWTH),
+                   self.initial_items, 1)
+
+    def _buffers(self) -> List[np.ndarray]:
+        """Every buffer the arena currently holds."""
+        fixed = [b for b in (self._iota, self._flags) if b is not None]
+        return [*self._bufs.values(), *fixed]
+
     @property
     def nbytes(self) -> int:
         """Bytes currently held by the arena."""
-        total = sum(b.nbytes for b in self._bufs.values())
-        if self._iota is not None:
-            total += self._iota.nbytes
-        return int(total)
+        return int(sum(b.nbytes for b in self._buffers()))
 
     def stats(self) -> dict:
         """Counters for the bench harness's allocation accounting."""
         return {
             "takes": self.takes,
             "grows": self.grows,
-            "buffers": len(self._bufs) + (self._iota is not None),
+            "buffers": len(self._buffers()),
             "nbytes": self.nbytes,
         }
 
@@ -115,10 +137,7 @@ class Workspace:
 
     def owns(self, arr: np.ndarray) -> bool:
         """Whether ``arr`` shares memory with any buffer of this arena."""
-        for buf in self._bufs.values():
-            if np.shares_memory(arr, buf):
-                return True
-        return self._iota is not None and np.shares_memory(arr, self._iota)
+        return any(np.shares_memory(arr, buf) for buf in self._buffers())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -29,6 +29,7 @@ from ..core import combine
 from ..core.comm import BROADCAST, SELECTIVE, Message
 from ..core.iteration import GpuContext, IterationBase
 from ..core.operators.advance import advance_push
+from ..core.operators.compute import dedup, segment_reduce_sum
 from ..core.problem import DataSlice, ProblemBase
 from ..core.stats import OpStats
 from ..partition.duplication import DUPLICATE_ALL, SubGraph
@@ -114,11 +115,11 @@ class BCIteration(IterationBase):
         if nbrs.size == 0:
             return np.empty(0, dtype=np.int64), [a_stats]
         unvisited = labels[nbrs] == -1
-        survivors = np.unique(nbrs[unvisited])
+        survivors = dedup(nbrs[unvisited], labels.shape[0], ctx.workspace)
         labels[survivors] = label_val
         # sigma accumulation along every shortest-path edge of this level
         on_level = labels[nbrs] == label_val
-        np.add.at(sigma, nbrs[on_level], sigma[srcs[on_level]])
+        segment_reduce_sum(nbrs[on_level], sigma[srcs[on_level]], sigma)
         s_stats = OpStats(
             name="sigma-accumulate",
             input_size=int(nbrs.size),
@@ -133,7 +134,7 @@ class BCIteration(IterationBase):
 
     def _sync_core(self, ctx: GpuContext):
         """Broadcast every hosted vertex's (depth, sigma)."""
-        hosted = np.flatnonzero(ctx.sub.host_of_local == ctx.gpu.device_id)
+        hosted = self.problem.hosted_frontiers[ctx.gpu.device_id]
         stats = OpStats(
             name="sync-package",
             input_size=int(hosted.size),
@@ -149,7 +150,7 @@ class BCIteration(IterationBase):
         ds = ctx.slice
         labels, sigma, delta = ds["labels"], ds["sigma"], ds["delta"]
         level = problem.level
-        hosted = np.flatnonzero(ctx.sub.host_of_local == ctx.gpu.device_id)
+        hosted = problem.hosted_frontiers[ctx.gpu.device_id]
         cand = hosted[labels[hosted] == level]
         if cand.size == 0:
             return np.empty(0, dtype=np.int64), []
@@ -164,7 +165,7 @@ class BCIteration(IterationBase):
                 / np.maximum(sigma[nbrs[succ]], 1e-300)
                 * (1.0 + delta[nbrs[succ]])
             )
-            np.add.at(delta, srcs[succ], contrib)
+            segment_reduce_sum(srcs[succ], contrib, delta)
         d_stats = OpStats(
             name="delta-accumulate",
             input_size=int(nbrs.size),
@@ -217,7 +218,7 @@ class BCIteration(IterationBase):
             # add sigma contributions for every vertex whose (possibly just
             # set) label matches this level; stale discoveries are dropped
             valid = labels[verts] == level
-            np.add.at(sigma, verts[valid], values_in[valid])
+            segment_reduce_sum(verts[valid], values_in[valid], sigma)
             stats.output_size = int(fresh.size)
             return fresh, [stats]
         if problem.phase in (_SYNC, _SYNC_WAIT):

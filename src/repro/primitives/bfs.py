@@ -94,10 +94,13 @@ class BFSIteration(IterationBase):
         csr = ctx.sub.csr
         if frontier.size == 0:
             return np.empty(0, dtype=np.int64), []
+        # the discovery witness is only computed for predecessor marking
+        witness = problem.mark_predecessors
         if ctx.fused:
             survivors, w_src, _w_edge, stats = fused_advance_filter(
                 csr, frontier, labels, INVALID_LABEL,
                 ids_bytes=ctx.ids_bytes, ws=ctx.workspace, tracer=ctx.tracer,
+                witness=witness,
             )
             stats_list = [stats]
         else:
@@ -107,12 +110,16 @@ class BFSIteration(IterationBase):
             )
             survivors, f_stats = filter_unvisited(
                 nbrs, labels, INVALID_LABEL, ids_bytes=ctx.ids_bytes,
-                tracer=ctx.tracer,
+                ws=ctx.workspace, tracer=ctx.tracer,
             )
-            w_src, _w_edge = first_witness(nbrs, srcs, eidx, survivors)
+            if witness:
+                w_src, _w_edge = first_witness(
+                    nbrs, srcs, eidx, survivors, labels.shape[0],
+                    ctx.workspace,
+                )
             stats_list = [a_stats, f_stats]
         labels[survivors] = label_val
-        if problem.mark_predecessors and survivors.size:
+        if witness and survivors.size:
             ctx.slice["preds"][survivors] = ctx.sub.local_to_global[w_src]
         return survivors, stats_list
 

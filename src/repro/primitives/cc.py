@@ -22,6 +22,7 @@ import numpy as np
 from ..core import combine
 from ..core.comm import BROADCAST, Message
 from ..core.iteration import GpuContext, IterationBase
+from ..core.operators.compute import segment_reduce_min
 from ..core.problem import DataSlice, ProblemBase
 from ..core.stats import OpStats
 from ..partition.duplication import DUPLICATE_ALL, SubGraph
@@ -107,8 +108,8 @@ class CCIteration(IterationBase):
             snapshot = comp.copy()
             # hooking: each edge pulls its endpoint onto the smaller ID
             if src.size:
-                np.minimum.at(comp, dst, comp[src])
-                np.minimum.at(comp, src, comp[dst])
+                segment_reduce_min(dst, comp[src], comp)
+                segment_reduce_min(src, comp[dst], comp)
             # pointer jumping to full compression
             jumps = 0
             while True:

@@ -175,11 +175,13 @@ class DOBFSIteration(IterationBase):
             # mirrored remote copies have zero local out-edges anyway, so
             # restricting the frontier is a cheap workload filter.
             hosted = frontier[ctx.sub.is_hosted(frontier)]
+            # the discovery witness is only computed for predecessor marking
+            witness = problem.mark_predecessors
             if ctx.fused:
                 survivors, w_src, _w, stats = fused_advance_filter(
                     csr, hosted, labels, INVALID_LABEL,
                     ids_bytes=ctx.ids_bytes, ws=ctx.workspace,
-                    tracer=ctx.tracer,
+                    tracer=ctx.tracer, witness=witness,
                 )
                 stats_list.append(stats)
             else:
@@ -189,9 +191,13 @@ class DOBFSIteration(IterationBase):
                 )
                 survivors, f_stats = filter_unvisited(
                     nbrs, labels, INVALID_LABEL, ids_bytes=ctx.ids_bytes,
-                    tracer=ctx.tracer,
+                    ws=ctx.workspace, tracer=ctx.tracer,
                 )
-                w_src, _w = first_witness(nbrs, srcs, eidx, survivors)
+                if witness:
+                    w_src, _w = first_witness(
+                        nbrs, srcs, eidx, survivors, labels.shape[0],
+                        ctx.workspace,
+                    )
                 stats_list.extend([a_stats, f_stats])
         else:
             # backward (pull): unvisited *hosted* vertices look for a
@@ -206,9 +212,7 @@ class DOBFSIteration(IterationBase):
             if frontier.size:
                 bitmap[frontier] = True
             self._prev_in_frontier[ctx.gpu.device_id] = frontier.copy()
-            hosted_all = np.flatnonzero(
-                ctx.sub.host_of_local == ctx.gpu.device_id
-            )
+            hosted_all = problem.hosted_frontiers[ctx.gpu.device_id]
             candidates = hosted_all[labels[hosted_all] == INVALID_LABEL]
             # every backward iteration rebuilds the unvisited candidate
             # list (a label scan) and the frontier bitmap — an O(|Vi|)

@@ -26,6 +26,8 @@ import numpy as np
 from ..core import combine
 from ..core.comm import SELECTIVE, Message
 from ..core.iteration import GpuContext, IterationBase
+from ..core.operators.advance import gather_neighbors
+from ..core.operators.compute import dedup, segment_reduce_sum
 from ..core.problem import DataSlice, ProblemBase
 from ..core.stats import OpStats
 from ..partition.duplication import DUPLICATE_ALL, SubGraph
@@ -74,18 +76,31 @@ class PRProblem(ProblemBase):
         """Fixed per-GPU sub-frontiers, computed once (paper: "we get all
         these sub-frontiers during the initialization step"):
 
-        - hosted: the vertices this GPU updates every iteration;
+        - hosted (``ProblemBase.hosted_frontiers``): the vertices this
+          GPU updates every iteration;
         - border: proxy vertices with local in-edges, whose accumulated
-          contributions are pushed to their hosting GPUs.
+          contributions are pushed to their hosting GPUs;
+        - push plan ``(pushers, counts, nbrs)``: the hosted vertices with
+          out-edges, their degrees, and the flattened targets of their
+          edges — the advance kernel's loop-invariant gather.  ``nbrs``
+          is ``None`` when the pushers' rows are the whole column array
+          (always, while proxies keep no out-edges): the hook then reads
+          ``csr.cols64`` itself, so no second copy of the columns exists.
         """
-        self.hosted_frontiers: List[np.ndarray] = []
         self.border_frontiers: List[np.ndarray] = []
-        for sub in self.subgraphs:
-            hosted = np.flatnonzero(sub.host_of_local == sub.gpu_id)
-            targets = np.unique(sub.csr.cols64)
+        self.push_plans: List[tuple] = []
+        for sub, hosted in zip(self.subgraphs, self.hosted_frontiers):
+            csr = sub.csr
+            targets = dedup(csr.cols64, sub.num_vertices)
             border = targets[sub.host_of_local[targets] != sub.gpu_id]
-            self.hosted_frontiers.append(hosted)
             self.border_frontiers.append(border)
+            counts = csr.offsets64[hosted + 1] - csr.offsets64[hosted]
+            nonzero = counts > 0
+            pushers, counts = hosted[nonzero], counts[nonzero]
+            nbrs = None
+            if int(counts.sum()) != csr.cols64.size:
+                nbrs = gather_neighbors(csr, pushers)[0]
+            self.push_plans.append((pushers, counts, nbrs))
 
     def on_repartition(self, dead=frozenset()) -> None:
         """Recompute the fixed sub-frontiers for the new assignment, and
@@ -164,6 +179,7 @@ class PRIteration(IterationBase):
         sub = ctx.sub
         hosted = problem.hosted_frontiers[gpu]
         border = problem.border_frontiers[gpu]
+        pushers, p_counts, nbrs = problem.push_plans[gpu]
         rank, acc, degree = ds["rank"], ds["acc"], ds["degree"]
         stats: List[OpStats] = []
 
@@ -194,30 +210,14 @@ class PRIteration(IterationBase):
 
         # advance kernel: every hosted vertex pushes its share along its
         # out-edges (local ones land in acc; border entries travel later)
-        csr = sub.csr
-        offsets = csr.offsets64
-        counts = offsets[hosted + 1] - offsets[hosted]
-        nonzero = counts > 0
-        pushers = hosted[nonzero]
         if pushers.size:
             share = problem.damping * rank[pushers] / degree[pushers]
-            p_counts = counts[nonzero]
-            total = int(p_counts.sum())
-            seg_base = np.repeat(
-                offsets[pushers] + p_counts - np.cumsum(p_counts), p_counts
+            if nbrs is None:
+                nbrs = sub.csr.cols64
+            total = int(nbrs.size)
+            segment_reduce_sum(
+                nbrs, np.repeat(share, p_counts), acc, zeroed=True
             )
-            ws = ctx.workspace
-            if ws is None:
-                edge_idx = seg_base + np.arange(total, dtype=np.int64)
-                nbrs = csr.cols64[edge_idx]
-            else:
-                edge_idx = ws.take("pr.edge_idx", total, np.int64)
-                np.add(seg_base, ws.iota(total), out=edge_idx)
-                nbrs = np.take(
-                    csr.cols64, edge_idx,
-                    out=ws.take("pr.nbrs", total, np.int64),
-                )
-            np.add.at(acc, nbrs, np.repeat(share, p_counts))
             stats.append(
                 OpStats(
                     name="pr-advance",
@@ -246,7 +246,7 @@ class PRIteration(IterationBase):
         verts = np.asarray(msg.vertices, dtype=np.int64)
         contrib = np.asarray(msg.value_associates[0], dtype=np.float64)
         # atomicAdd combine (Algorithm 3)
-        np.add.at(acc, verts, contrib)
+        segment_reduce_sum(verts, contrib, acc)
         stats = OpStats(
             name="expand_incoming",
             input_size=int(verts.size),

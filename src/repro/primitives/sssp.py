@@ -27,6 +27,11 @@ from ..core import combine
 from ..core.comm import SELECTIVE, Message
 from ..core.iteration import GpuContext, IterationBase
 from ..core.operators.advance import advance_push
+from ..core.operators.compute import (
+    dedup,
+    segment_first,
+    segment_reduce_min,
+)
 from ..core.problem import DataSlice, ProblemBase
 from ..core.stats import OpStats
 from ..errors import GraphFormatError
@@ -101,11 +106,13 @@ class SSSPIteration(IterationBase):
         if nbrs.size == 0:
             return np.empty(0, dtype=np.int64), [a_stats]
         cand = dist[srcs] + csr.values[eidx]
-        # deterministic atomicMin: per-neighbor minimum candidate
-        old = dist[nbrs].copy()
-        np.minimum.at(dist, nbrs, cand)
-        improved_mask = dist[nbrs] < old
-        improved = np.unique(nbrs[improved_mask])
+        num_vertices = ctx.sub.num_vertices
+        # deterministic atomicMin: per-neighbor minimum candidate; the
+        # targets of the relaxations that beat the current distance are
+        # exactly the vertices whose distance drops
+        improved = dedup(
+            segment_reduce_min(nbrs, cand, dist), num_vertices, ctx.workspace
+        )
         relax_stats = OpStats(
             name="relax",
             input_size=int(nbrs.size),
@@ -119,18 +126,14 @@ class SSSPIteration(IterationBase):
         if problem.mark_predecessors and improved.size:
             # winner edge per improved vertex: the candidate equal to the
             # final distance with the smallest edge index.  Each improved
-            # vertex's final distance IS its minimum candidate, so every
-            # segment of the (nbr, eidx)-sorted relaxations contains at
-            # least one hit and the first hit at/after the segment start
-            # lies inside the segment — one searchsorted finds them all.
-            order = np.lexsort((eidx, nbrs))
-            s_nbrs, s_cand, s_srcs = nbrs[order], cand[order], srcs[order]
-            pos = np.searchsorted(s_nbrs, improved, side="left")
-            preds = ctx.slice["preds"]
-            l2g = ctx.sub.local_to_global
-            hits = np.flatnonzero(s_cand <= dist[s_nbrs] + 1e-12)
-            winners = hits[np.searchsorted(hits, pos)]
-            preds[improved] = l2g[s_srcs[winners]]
+            # vertex's final distance IS its minimum candidate, so it has
+            # at least one hit; an edge's source is the CSR row holding it.
+            hits = np.flatnonzero(cand <= dist[nbrs] + 1e-12)
+            win_edge = segment_first(
+                nbrs[hits], eidx[hits], improved, num_vertices, ctx.workspace
+            )
+            win_src = np.searchsorted(csr.offsets64, win_edge, "right") - 1
+            ctx.slice["preds"][improved] = ctx.sub.local_to_global[win_src]
         return improved, [a_stats, relax_stats]
 
     def expand_incoming(

@@ -192,3 +192,71 @@ class TestRecoverySemantics:
         assert np.array_equal(labels_a, labels_b)
         assert metrics_a.elapsed == metrics_b.elapsed
         assert metrics_a.comm_retries == metrics_b.comm_retries
+
+
+class TestPartitionCachesSurviveGpuLoss:
+    """PR's push plan and every primitive's hosted sets are computed
+    once per partition; a GPU loss repartitions mid-run, so they must be
+    rebuilt before the replay or the survivors push along the dead
+    partition's edges.  The fault plan is the benchmark's
+    ``rmat_recovery`` one: two transient link faults out of GPU 0, then
+    GPU 3 lost for good mid-run, checkpoints every 2 supersteps."""
+
+    CASES = {
+        # primitive -> (problem kwargs, enact kwargs, result, loss superstep)
+        "pr": ({"max_iter": 10}, {}, "ranks", 5),
+        "bc": ({}, {"src": 0}, "bc_values", 3),
+    }
+
+    @staticmethod
+    def _run(primitive, graph, backend, faulted):
+        from repro import primitives
+        from repro.core.enactor import Enactor
+
+        pkw, ekw, result, loss_at = (
+            TestPartitionCachesSurviveGpuLoss.CASES[primitive]
+        )
+        machine = Machine(4)
+        kwargs = {}
+        if faulted:
+            machine.arm_faults(FaultPlan([
+                FaultSpec(TRANSIENT_COMM, gpu=0, iteration=1, count=2),
+                FaultSpec(GPU_LOSS, gpu=3, iteration=loss_at),
+            ]))
+            kwargs["checkpoint_every"] = 2
+        prefix = primitive.upper()
+        problem = getattr(primitives, prefix + "Problem")(
+            graph, machine, **pkw
+        )
+        iteration_cls = getattr(primitives, prefix + "Iteration")
+        with Enactor(problem, iteration_cls, backend=backend,
+                     **kwargs) as enactor:
+            metrics = enactor.enact(**ekw)
+        return getattr(problem, result)(), metrics, problem
+
+    @pytest.mark.parametrize("backend", ["serial", "processes:2"])
+    @pytest.mark.parametrize("primitive", sorted(CASES))
+    def test_recovered_equals_fault_free(self, primitive, backend,
+                                         small_rmat):
+        want, _, _ = self._run(primitive, small_rmat, "serial", False)
+        got, metrics, problem = self._run(
+            primitive, small_rmat, backend, True
+        )
+        assert metrics.rollbacks == 1 and metrics.degraded_gpus == [3]
+        assert metrics.comm_retries == 2
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        # the caches describe the degraded partition, not the original
+        hosted = problem.hosted_frontiers
+        assert hosted[3].size == 0
+        assert sum(h.size for h in hosted) == small_rmat.num_vertices
+        for sub, h in zip(problem.subgraphs, hosted):
+            np.testing.assert_array_equal(
+                h, np.flatnonzero(sub.host_of_local == sub.gpu_id)
+            )
+        if primitive == "pr":
+            for sub, (pushers, counts, nbrs) in zip(
+                problem.subgraphs, problem.push_plans
+            ):
+                assert nbrs is None  # the column array itself, no copy
+                assert int(counts.sum()) == sub.num_edges
+                assert sub.is_hosted(pushers).all()

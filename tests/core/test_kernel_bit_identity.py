@@ -1,0 +1,142 @@
+"""Bit-identity regression for the linear-time keyed kernels.
+
+The dense-domain kernels in ``repro.core.operators.compute`` replaced
+every sort / hash / whole-list ``ufunc.at`` idiom on the superstep hot
+path.  They are pure wall-clock optimizations: result arrays and the
+whole ``RunMetrics.to_dict()`` tree must equal what the sorting
+formulations produced.  ``kernel_digests.json`` holds SHA-256 digests
+captured from the commit *before* the kernels landed (PR 13, 319d4fe);
+running this file as a script regenerates it from whatever ``repro`` is
+on ``PYTHONPATH``::
+
+    PYTHONPATH=<checkout>/src python tests/core/test_kernel_bit_identity.py
+
+Six primitives x {1, 4} GPUs x {serial, processes:2} x predecessor
+marking on/off where the primitive has it, on a small R-MAT and a small
+road grid.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro import primitives
+from repro.core.enactor import Enactor
+from repro.graph.build import add_random_weights
+from repro.graph.generators import generate_rmat, generate_road
+from repro.partition import make_partitioner
+from repro.sim import FixedPrealloc, Machine
+
+DIGEST_FILE = Path(__file__).with_name("kernel_digests.json")
+BACKENDS = ("serial", "processes:2")
+
+#: variant -> (problem class, iteration class, problem kwargs,
+#:             enact kwargs, result accessors, enactor kwargs)
+VARIANTS = {
+    "bfs": (primitives.BFSProblem, primitives.BFSIteration,
+            {}, {"src": 3}, ("labels",), {}),
+    "bfs+preds": (primitives.BFSProblem, primitives.BFSIteration,
+                  {"mark_predecessors": True}, {"src": 3},
+                  ("labels", "predecessors"), {}),
+    "dobfs": (primitives.DOBFSProblem, primitives.DOBFSIteration,
+              {}, {"src": 3}, ("labels",),
+              {"overlap_communication": True}),
+    "dobfs+preds": (primitives.DOBFSProblem, primitives.DOBFSIteration,
+                    {"mark_predecessors": True}, {"src": 3},
+                    ("labels",), {"overlap_communication": True}),
+    "sssp": (primitives.SSSPProblem, primitives.SSSPIteration,
+             {}, {"src": 3}, ("distances",), {}),
+    "sssp+preds": (primitives.SSSPProblem, primitives.SSSPIteration,
+                   {"mark_predecessors": True}, {"src": 3},
+                   ("distances", "predecessors"), {}),
+    "cc": (primitives.CCProblem, primitives.CCIteration,
+           {}, {}, ("components",), {"fixed": True}),
+    "bc": (primitives.BCProblem, primitives.BCIteration,
+           {}, {"src": 3}, ("bc_values", "sigmas", "depths"), {}),
+    "pr": (primitives.PRProblem, primitives.PRIteration,
+           {"max_iter": 12}, {}, ("ranks",), {"fixed": True}),
+}
+GRAPHS = ("rmat", "road")
+GPU_COUNTS = (1, 4)
+
+
+def _graphs():
+    rmat = generate_rmat(9, 8, seed=11)
+    road = generate_road(20, 20, seed=5)
+    return {
+        "rmat": (rmat, add_random_weights(rmat, 1, 64, seed=3)),
+        "road": (road, add_random_weights(road, 1, 64, seed=3)),
+    }
+
+
+def _digest(arrays, metrics) -> dict:
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        h.update(str((arr.dtype.str, arr.shape)).encode())
+        h.update(arr.tobytes())
+    return {
+        "result": h.hexdigest(),
+        "metrics": hashlib.sha256(
+            json.dumps(metrics.to_dict()).encode()
+        ).hexdigest(),
+    }
+
+
+def run_case(graphs, graph_name, variant, num_gpus, backend) -> dict:
+    problem_cls, iteration_cls, pkw, ekw, accessors, opts = VARIANTS[variant]
+    plain, weighted = graphs[graph_name]
+    graph = weighted if variant.startswith("sssp") else plain
+    problem = problem_cls(
+        graph, Machine(num_gpus),
+        partitioner=make_partitioner("random", seed=5), **pkw,
+    )
+    opts = dict(opts)
+    if opts.pop("fixed", False):
+        opts["scheme"] = FixedPrealloc(frontier_factor=1.05)
+    with Enactor(problem, iteration_cls, backend=backend, **opts) as enactor:
+        metrics = enactor.enact(**ekw)
+    return _digest([getattr(problem, a)() for a in accessors], metrics)
+
+
+def case_key(graph_name, variant, num_gpus) -> str:
+    return f"{graph_name}/{variant}/{num_gpus}gpu"
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    return _graphs()
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return json.loads(DIGEST_FILE.read_text())
+
+
+@pytest.mark.parametrize("num_gpus", GPU_COUNTS)
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("graph_name", GRAPHS)
+def test_equals_parent_commit_digest(graphs, digests, graph_name, variant,
+                                     num_gpus):
+    want = digests[case_key(graph_name, variant, num_gpus)]
+    for backend in BACKENDS:
+        got = run_case(graphs, graph_name, variant, num_gpus, backend)
+        assert got == want, (backend, got, want)
+
+
+if __name__ == "__main__":
+    all_graphs = _graphs()
+    table = {}
+    for g in GRAPHS:
+        for v in sorted(VARIANTS):
+            for n in GPU_COUNTS:
+                per_backend = [
+                    run_case(all_graphs, g, v, n, b) for b in BACKENDS
+                ]
+                assert per_backend[0] == per_backend[1], (g, v, n)
+                table[case_key(g, v, n)] = per_backend[0]
+    DIGEST_FILE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(table)} digests to {DIGEST_FILE}")

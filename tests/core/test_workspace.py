@@ -149,3 +149,106 @@ def test_enactor_workspace_opt_out(small_rmat):
     assert all(ws is None for ws in enactor.workspaces)
     enactor.enact(src=0)  # hot paths must tolerate ws=None
     enactor.release()
+
+
+# -- the all-False flag scratch -------------------------------------------
+
+def test_flags_counted_in_accounting():
+    ws = Workspace(0)
+    before = ws.nbytes
+    f = ws.flags(64)
+    assert f.dtype == np.bool_ and f.size == 64 and not f.any()
+    assert ws.owns(f) and ws.owns(f[3:9])
+    assert ws.nbytes == before + 64
+    assert ws.stats()["buffers"] == 1 and ws.grows == 1
+    assert np.shares_memory(ws.flags(10), f) and ws.grows == 1  # reused
+    assert not Workspace(1).owns(f)
+
+
+def _scratch_clean(ws) -> bool:
+    return ws is None or ws._flags is None or not ws._flags.any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    frontier=st.lists(st.integers(0, 1023), max_size=40),
+    visited=st.lists(st.integers(0, 1023), max_size=200),
+    use_ws=st.booleans(),
+)
+def test_flag_scratch_all_false_after_every_operator(
+    small_rmat, frontier, visited, use_ws
+):
+    """The flag contract, operator by operator — empty frontiers and the
+    allocating ``ws is None`` fallback included."""
+    from repro.core.operators import (
+        advance_push,
+        filter_unvisited,
+        fused_advance_filter,
+        unique_vertices,
+    )
+    from repro.core.operators.fused import first_witness
+
+    ws = Workspace(0) if use_ws else None
+    n = small_rmat.num_vertices
+    frontier = np.array(frontier, dtype=np.int64)
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[np.array(visited, dtype=np.int64)] = 0
+    for witness in (True, False):
+        fused_advance_filter(small_rmat, frontier, labels, -1, ws=ws,
+                             witness=witness)
+        assert _scratch_clean(ws)
+    nbrs, srcs, eidx, _ = advance_push(small_rmat, frontier, ws=ws)
+    survivors, _ = filter_unvisited(nbrs, labels, -1, ws=ws)
+    assert _scratch_clean(ws)
+    first_witness(nbrs, srcs, eidx, survivors, n, ws)
+    assert _scratch_clean(ws)
+    unique_vertices(nbrs, num_vertices=n, ws=ws)
+    assert _scratch_clean(ws)
+
+
+@pytest.mark.parametrize("use_workspace", [True, False])
+@pytest.mark.parametrize(
+    "primitive", ["bfs", "bfs+preds", "dobfs", "sssp", "sssp+preds", "cc",
+                  "bc", "pr"]
+)
+def test_flag_scratch_all_false_after_every_hook(
+    primitive, use_workspace, small_rmat, weighted_rmat
+):
+    """Wrap both hooks of every primitive: after each call the GPU's
+    flag scratch is all False again (frontiers drain to empty on the
+    way, so empty inputs are covered)."""
+    from repro import primitives
+    from repro.core.enactor import Enactor
+    from repro.sim.machine import Machine
+
+    name, _, preds = primitive.partition("+")
+    prefix = {"pr": "PR"}.get(name, name.upper())
+    problem_cls = getattr(primitives, prefix + "Problem")
+    iteration_cls = getattr(primitives, prefix + "Iteration")
+    calls = {"core": 0, "expand": 0}
+
+    class Checked(iteration_cls):
+        def full_queue_core(self, ctx, frontier):
+            out = super().full_queue_core(ctx, frontier)
+            assert _scratch_clean(ctx.workspace)
+            calls["core"] += 1
+            return out
+
+        def expand_incoming(self, ctx, msg):
+            out = super().expand_incoming(ctx, msg)
+            assert _scratch_clean(ctx.workspace)
+            calls["expand"] += 1
+            return out
+
+    graph = weighted_rmat if name == "sssp" else small_rmat
+    kwargs = {"mark_predecessors": True} if preds else {}
+    if name == "pr":
+        kwargs["max_iter"] = 5
+    problem = problem_cls(graph, Machine(3), **kwargs)
+    enact_kwargs = {} if name in ("cc", "pr") else {"src": 0}
+    with Enactor(problem, Checked, use_workspace=use_workspace) as enactor:
+        enactor.enact(**enact_kwargs)
+        assert calls["core"] > 0 and calls["expand"] > 0
+        for ws in enactor.workspaces:
+            assert (ws is None) == (not use_workspace)
+            assert _scratch_clean(ws)
