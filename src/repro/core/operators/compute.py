@@ -114,24 +114,14 @@ def segment_reduce_min(
 
 
 def segment_reduce_sum(
-    keys: np.ndarray, values: np.ndarray, out: np.ndarray,
-    zeroed: bool = False,
+    keys: np.ndarray, values: np.ndarray, out: np.ndarray
 ) -> None:
     """``out[k] += sum of values with key k`` — the atomicAdd combiner.
 
-    ``zeroed=True`` is the caller's promise that ``out`` is all zeros
-    (PR resets its accumulator before every push).  Then the sum is one
-    ``np.bincount``, which like ``np.add.at`` adds each key's values in
-    input order starting from 0.0, so the float64 result is
-    bit-identical; onto a non-zero target the two differ in rounding
-    (``(out + a) + b`` against ``out + (a + b)``), so that case keeps
-    ``np.add.at``.  Either way the write lands through ``out`` itself,
-    where the sanitizer's shadow arrays attribute it.
+    Each key's values are added in input order, the serialized-atomics
+    order of a GPU run re-executed for reproducibility.
     """
-    if zeroed and out.dtype == np.float64:
-        out[...] = np.bincount(keys, weights=values, minlength=out.size)
-    else:
-        np.add.at(out, keys, values)
+    np.add.at(out, keys, values)
 
 
 def segment_first(
@@ -140,16 +130,18 @@ def segment_first(
 ) -> np.ndarray:
     """For each target key, the lowest rank among the items carrying it.
 
-    ``keys``/``ranks`` are parallel; items whose key is no target are
-    ignored, and every target must occur among the keys.  One min-scatter replaces a stable sort of the items: with positions
-    as ranks this is "first occurrence", the deterministic stand-in for
+    ``keys``/``ranks`` are parallel.  Every key must be a target (the
+    caller drops the other items first) and every target must occur
+    among the keys, so the scatter touches the targets' slots only.  One
+    min-scatter replaces a stable sort of the items: with positions as
+    ranks this is "first occurrence", the deterministic stand-in for
     which thread wins the GPU's discovery race.
     """
     if ws is None:
         lowest = np.empty(num_vertices, dtype=np.int64)
     else:
         lowest = ws.take("first.lowest", num_vertices, np.int64)
-    # only the targets' slots are ever read, so only they are initialized
+    # only the targets' slots are touched, so only they are initialized
     lowest[targets] = _BIG
     np.minimum.at(lowest, keys, ranks)
     return lowest[targets]

@@ -101,18 +101,12 @@ def filter_unvisited(
 
 
 def unique_vertices(
-    candidates: np.ndarray,
-    ids_bytes: int = 4,
-    num_vertices: Optional[int] = None,
-    ws: Optional[Workspace] = None,
+    candidates: np.ndarray, num_vertices: int, ids_bytes: int = 4
 ) -> Tuple[np.ndarray, OpStats]:
-    """Deduplicate a vertex list (the paper's split/merge helper);
-    ascending output.  ``num_vertices`` bounds the IDs (default: derived
-    from ``candidates``)."""
+    """Deduplicate a vertex list of IDs below ``num_vertices`` (the
+    paper's split/merge helper); ascending output."""
     candidates = np.asarray(candidates, dtype=np.int64)
-    if num_vertices is None:
-        num_vertices = int(candidates.max()) + 1 if candidates.size else 0
-    out = dedup(candidates, num_vertices, ws)
+    out = dedup(candidates, num_vertices)
     stats = OpStats(
         name="unique",
         input_size=int(candidates.size),

@@ -37,7 +37,7 @@ def first_witness(
     sources: np.ndarray,
     edge_idx: np.ndarray,
     survivors: np.ndarray,
-    num_vertices: Optional[int] = None,
+    num_vertices: int,
     ws: Optional[Workspace] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """For each survivor, the (source, edge) of its first discovery.
@@ -46,14 +46,11 @@ def first_witness(
     deterministic stand-in for the GPU's atomic race, used for
     predecessor marking.  ``survivors`` is the filter's output (distinct
     IDs); only the candidates that survived enter the min-scatter.
-    ``num_vertices`` bounds every neighbor ID (default: derived from
-    ``neighbors``).
+    ``num_vertices`` bounds every neighbor ID.
     """
     if survivors.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
-    if num_vertices is None:
-        num_vertices = int(neighbors.max()) + 1
     flags = mark_scratch(num_vertices, ws)
     flags[survivors] = True
     pos = np.flatnonzero(flags[neighbors])

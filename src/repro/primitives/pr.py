@@ -215,9 +215,7 @@ class PRIteration(IterationBase):
             if nbrs is None:
                 nbrs = sub.csr.cols64
             total = int(nbrs.size)
-            segment_reduce_sum(
-                nbrs, np.repeat(share, p_counts), acc, zeroed=True
-            )
+            segment_reduce_sum(nbrs, np.repeat(share, p_counts), acc)
             stats.append(
                 OpStats(
                     name="pr-advance",

@@ -29,6 +29,7 @@ from ..core.iteration import GpuContext, IterationBase
 from ..core.operators.advance import advance_push
 from ..core.operators.compute import (
     dedup,
+    mark_scratch,
     segment_first,
     segment_reduce_min,
 )
@@ -128,7 +129,12 @@ class SSSPIteration(IterationBase):
             # final distance with the smallest edge index.  Each improved
             # vertex's final distance IS its minimum candidate, so it has
             # at least one hit; an edge's source is the CSR row holding it.
-            hits = np.flatnonzero(cand <= dist[nbrs] + 1e-12)
+            flags = mark_scratch(num_vertices, ctx.workspace)
+            flags[improved] = True
+            hits = np.flatnonzero(
+                flags[nbrs] & (cand <= dist[nbrs] + 1e-12)
+            )
+            flags[improved] = False
             win_edge = segment_first(
                 nbrs[hits], eidx[hits], improved, num_vertices, ctx.workspace
             )

@@ -138,7 +138,7 @@ class TestFilters:
             filter_predicate(np.array([1, 2]), lambda v: np.array([True]))
 
     def test_unique(self):
-        out, st = unique_vertices(np.array([3, 1, 3, 2, 1]))
+        out, st = unique_vertices(np.array([3, 1, 3, 2, 1]), 4)
         assert out.tolist() == [1, 2, 3]
 
 
@@ -177,13 +177,14 @@ class TestFusion:
         srcs = np.array([1, 2, 3])
         eidx = np.array([10, 7, 20])
         # stable sort by neighbor keeps input order; first occurrence = srcs[0]
-        w_src, w_edge = first_witness(nbrs, srcs, eidx, np.array([5]))
+        w_src, w_edge = first_witness(nbrs, srcs, eidx, np.array([5]), 6)
         assert w_src.tolist() == [1]
         assert w_edge.tolist() == [10]
 
     def test_first_witness_empty(self):
         w_src, w_edge = first_witness(
-            np.array([1]), np.array([0]), np.array([0]), np.array([], np.int64)
+            np.array([1]), np.array([0]), np.array([0]), np.array([], np.int64),
+            2,
         )
         assert w_src.size == 0
 

@@ -184,7 +184,6 @@ def test_flag_scratch_all_false_after_every_operator(
         advance_push,
         filter_unvisited,
         fused_advance_filter,
-        unique_vertices,
     )
     from repro.core.operators.fused import first_witness
 
@@ -201,8 +200,6 @@ def test_flag_scratch_all_false_after_every_operator(
     survivors, _ = filter_unvisited(nbrs, labels, -1, ws=ws)
     assert _scratch_clean(ws)
     first_witness(nbrs, srcs, eidx, survivors, n, ws)
-    assert _scratch_clean(ws)
-    unique_vertices(nbrs, num_vertices=n, ws=ws)
     assert _scratch_clean(ws)
 
 
