@@ -14,15 +14,19 @@ pluggable policy:
   NumPy kernels that dominate a superstep release the GIL, so per-GPU
   work overlaps on a multi-core host — but anything interpreter-bound
   stays GIL-serialized;
-* :class:`ProcessesBackend` — one persistent forked worker per virtual
-  GPU.  CSR structure and slice arrays live in shared-memory segments
+* :class:`ProcessesBackend` — a forked worker pool, one worker per
+  virtual GPU by default, that lives as long as its enactor.  CSR
+  structure and slice arrays live in shared-memory segments
   (:mod:`repro.core.shm`), so reads are zero-copy across workers and a
-  worker's slice writes are immediately visible to the parent;
-  everything else a superstep produces ships back as a pickled
-  :class:`GpuStepEffects` plus a small sidecar (stream horizons, memory
-  accounting, fault consumption, staged tracer/sanitizer records,
-  declared per-GPU attribute mutations) that the parent replays at the
-  barrier.  No GIL: true per-core scaling of the superstep work.
+  worker's slice writes are immediately visible to the parent.  What a
+  superstep *produces* — the next frontier and the outgoing messages'
+  arrays — is written to the GPU's exchange segment and crosses the
+  pipe as descriptors; the rest of its :class:`GpuStepEffects` travels
+  as a flat tuple with a small sidecar (stream horizons, memory
+  accounting when it changed, fault consumption, staged
+  tracer/sanitizer records, declared per-GPU attribute mutations) that
+  the parent replays at the barrier.  No GIL: true per-core scaling of
+  the superstep work.
 
 **Determinism contract.**  A backend only chooses *where* each superstep
 runs; it must return the results in GPU-index order.  The enactor keeps
@@ -37,23 +41,57 @@ superstep code and the same merge, so results,
 reports are identical bit for bit (asserted in
 ``tests/core/test_backend_determinism.py``).
 
-**Worker affinity.**  The processes backend pins each GPU to one worker
-for the pool's lifetime, so per-GPU private mutable state (streams,
-pools, workspace arenas, operator caches) evolves in exactly one
-address space between barriers.  Workers are re-forked at the start of
-every run and after any rollback/repartition (:meth:`begin_run` /
-:meth:`invalidate`), which is also when the shared-memory manifest is
-(re)built.
+**Worker affinity and lifetime.**  The processes backend pins each GPU
+to one worker for the pool's lifetime, so per-GPU private mutable state
+(streams, pools, workspace arenas, operator caches) evolves in exactly
+one address space between barriers.  The pool is forked at an enactor's
+first multi-GPU dispatch — which is also when the shared-memory
+manifest and the exchange segments are built — and serves every later
+``enact()``: :meth:`~ProcessesBackend.begin_run` sends each worker one
+acknowledged ``begin_run`` message that re-establishes what a fresh
+fork used to inherit from the just-reset parent (reset machine and
+re-armed fault plan, a fresh iteration object, the parent's memory-pool
+accounting and frontier capacities, empty tracer/sanitizer stages).
+Warm workers keep their page tables, heap arenas and mappings — a fresh
+fork paid for all three again in its first supersteps.  Workers are
+re-forked only where that is required: after a rollback/repartition
+(:meth:`~ProcessesBackend.invalidate`, pool resized to the survivors),
+for a supervised respawn-and-replay, after a worker error, and when
+:func:`_fork_token` shows that something a worker captured at fork time
+and no message re-ships — fault plan, tracer, sanitizer, recorder,
+supervisor, recovery policy — differs from what the parent now holds.
+
+**Step protocol.**  Per superstep and worker, one request
+``("step", iteration, guarded, generations, attrs, jobs)`` and one
+reply ``("ok", sidecars)``.  A job is ``(gpu, stream horizons, frontier
+descriptor, inbox)`` with every array given as an
+:data:`~repro.core.shm.Descriptor`; ``generations`` tells the worker
+which generation of each exchange half to read; ``attrs`` is the
+pickled ``CHECKPOINT_ATTRS`` snapshot, or None when the worker already
+holds it.  Superstep ``k`` reads exchange half ``(k - 1) % 2`` and
+writes half ``k % 2``, so a GPU's own next frontier never crosses the
+pipe and a replayed superstep finds its inputs intact.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import pickle
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import astuple, dataclass, field, fields
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -63,7 +101,8 @@ from ..errors import (
     WorkerCrashError,
     WorkerHangError,
 )
-from .shm import SliceManifest, _rewrap_like
+from .comm import Message
+from .shm import ExchangeSegment, SliceManifest, _rewrap_like
 from .supervise import (
     reap_worker,
     slice_checksum,
@@ -93,8 +132,10 @@ class GpuStepEffects:
     race on shared structures.  The enactor applies these in GPU-index
     order at the barrier, reproducing exactly the mutation order of the
     serial loop — including dict key-insertion order, which JSON traces
-    observe.  The dataclass is picklable by design: the processes
-    backend ships it across the worker pipe verbatim.
+    observe.  The processes backend ships it across the worker pipe as
+    the flat tuple of its fields, with every array (the frontier, the
+    messages' vertex and associate arrays) replaced by a descriptor
+    into the GPU's exchange segment.
     """
 
     gpu: int
@@ -141,10 +182,10 @@ class ExecutionBackend:
     def bind(self, enactor) -> None:
         """Called once by the owning enactor after construction."""
 
-    def begin_run(self) -> None:
-        """Called at the start of every ``enact()`` (after problem and
-        machine reset): backends with per-run worker state refresh it
-        here."""
+    def begin_run(self, enactor) -> None:
+        """Called at the start of every ``enact()`` (after problem,
+        machine and observer reset): backends with per-run worker state
+        refresh it here."""
 
     def invalidate(self) -> None:
         """Called after rollback/repartition: any cached view of the
@@ -260,6 +301,11 @@ class ThreadsBackend(ExecutionBackend):
 # processes backend
 # ---------------------------------------------------------------------------
 
+_EFF_FIELDS = tuple(f.name for f in fields(GpuStepEffects))
+_EFF_FRONTIER = _EFF_FIELDS.index("frontier")
+_EFF_SENDS = _EFF_FIELDS.index("sends")
+
+
 def _heartbeat_loop(heartbeat, interval: float) -> None:
     """Daemon-thread body: bump the shared heartbeat slot forever.
 
@@ -271,28 +317,72 @@ def _heartbeat_loop(heartbeat, interval: float) -> None:
         time.sleep(interval)
 
 
-def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest,
-                 heartbeat=None, sup_cfg=None):
-    """Body of one forked worker: serve superstep requests until "stop".
+def _fork_token(enactor, supervisor) -> tuple:
+    """What a forked worker captures that no protocol message re-ships.
+
+    A worker keeps the fault plan, the observers and the policies it
+    was forked with for as long as it lives; ``begin_run`` compares this
+    token with the one taken at the fork and re-forks on any difference
+    (a plan armed or edited, a tracer / sanitizer / recorder attached,
+    supervision or the recovery policy changed between two ``enact()``).
+    """
+    machine = enactor.machine
+    inj = machine.faults
+    return (
+        inj, None if inj is None else inj.plan.to_json(),
+        machine.tracer, enactor.tracer, enactor.sanitizer, enactor.recorder,
+        supervisor,
+        None if supervisor is None else astuple(supervisor.config),
+        astuple(enactor.recovery),
+    )
+
+
+def _accounting(enactor, gpu_index: int) -> tuple:
+    """One GPU's memory-pool state and frontier capacities: the part of
+    a superstep's outcome that rarely changes, shipped only when it
+    did."""
+    fin = enactor.frontiers_in[gpu_index]
+    fout = enactor.frontiers_out[gpu_index]
+    return (
+        enactor.machine.gpus[gpu_index].memory.export_state(),
+        fin.capacity, fin.grow_events, fout.capacity, fout.grow_events,
+    )
+
+
+def _apply_accounting(enactor, gpu_index: int, acct: tuple) -> None:
+    pool, fin_cap, fin_grow, fout_cap, fout_grow = acct
+    enactor.machine.gpus[gpu_index].memory.apply_state(pool)
+    fin = enactor.frontiers_in[gpu_index]
+    fout = enactor.frontiers_out[gpu_index]
+    fin.capacity, fin.grow_events = fin_cap, fin_grow
+    fout.capacity, fout.grow_events = fout_cap, fout_grow
+
+
+def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest, exchange,
+                 parent_pid, heartbeat=None, sup_cfg=None):
+    """Body of one forked worker: serve requests until "stop".
 
     The worker owns ``gpu_ids`` for the pool's lifetime (GPU affinity:
     per-GPU mutable state — streams, pools, workspace arenas, operator
-    caches — evolves only here between barriers).  Slice arrays are
-    re-attached through the shared-memory registry by *name*, proving
-    the manifest layer; CSR segments are reached through the inherited
-    fork mappings, which alias the same physical pages.
+    caches — evolves only here between barriers), across every
+    ``enact()`` of its enactor.  Slice arrays are re-attached through
+    the shared-memory registry by *name*, proving the manifest layer;
+    CSR and exchange segments are reached through the inherited fork
+    mappings, which alias the same physical pages.
+
+    Two requests: ``begin_run`` re-establishes the per-run private
+    state a fresh fork would have inherited from the just-reset parent
+    and is acknowledged; ``step`` runs one superstep per owned GPU.
 
     Under supervision (``heartbeat``/``sup_cfg`` set) the worker also
-    runs a heartbeat thread and checksums its slice windows into each
-    effects sidecar.
+    runs a heartbeat thread and digests its slice windows and exchange
+    payload into each sidecar.
     """
     problem = enactor.problem
     for gpu, name, arr in manifest.attach_slices():
         old = problem.data_slices[gpu].arrays.get(name)
         if old is not None and old.shape == arr.shape:
             problem.data_slices[gpu].arrays[name] = _rewrap_like(old, arr)
-    machine = enactor.machine
-    tracer = enactor.tracer
     checksums = sup_cfg is not None and sup_cfg.shm_checksums
     if heartbeat is not None:
         interval = sup_cfg.heartbeat_interval if sup_cfg else 0.05
@@ -300,100 +390,211 @@ def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest,
             target=_heartbeat_loop, args=(heartbeat, interval),
             daemon=True, name="repro-heartbeat",
         ).start()
+    #: gpu -> the accounting the parent is known to hold
+    shipped: Dict[int, tuple] = {}
     while True:
         try:
-            msg = worker_recv(conn)
+            msg = worker_recv(conn, parent_pid)
         except (EOFError, OSError):
             break
         if msg[0] == "stop":
             break
-        _, iteration, jobs, attrs, stream_times, guarded = msg
-        if attrs:
-            problem.restore_attrs(attrs)
-        replies = []
-        error = None
-        for gpu_index, frontier, inbox in jobs:
-            gpu = machine.gpus[gpu_index]
-            for sname, t in stream_times[gpu_index].items():
-                gpu.streams[sname].available_at = t
-            inj = machine.faults
-            fault_snap = (
-                inj.snapshot_consumption() if inj is not None else None
-            )
-            try:
-                eff = enactor._gpu_superstep(
-                    gpu_index, iteration, iteration_obj, frontier, inbox
-                )
-            except DeviceLostError as exc:
-                if not guarded:
-                    error = (gpu_index, exc)
-                    break
-                eff = exc
-            except BaseException as exc:  # ships to the parent to re-raise
-                error = (gpu_index, exc)
-                break
-            replies.append(
-                _build_sidecar(enactor, gpu_index, eff, fault_snap,
-                               checksum=checksums)
-            )
-        if error is not None:
-            gpu_index, exc = error
-            try:
-                conn.send(("error", gpu_index, exc))
-            except Exception as send_err:  # unpicklable exception
-                conn.send(("error", gpu_index, SimulationError(
-                    f"{type(exc).__name__}: {exc} "
-                    f"(original not picklable: {send_err})",
-                    gpu_id=gpu_index,
-                )))
-        else:
-            conn.send(("ok", replies))
+        try:
+            if msg[0] == "begin_run":
+                iteration_obj = _worker_begin_run(enactor, msg[1], shipped)
+                reply = ("ok",)
+            else:
+                reply = ("ok", _worker_step(
+                    enactor, iteration_obj, exchange, msg, shipped, checksums
+                ))
+        except BaseException as exc:  # ships to the parent to re-raise
+            reply = ("error", exc)
+        try:
+            conn.send(reply)
+        except OSError:  # the parent is gone
+            break
+        except Exception as send_err:  # an exception that does not pickle
+            conn.send(("error", SimulationError(
+                f"{type(reply[-1]).__name__}: {reply[-1]} "
+                f"(original not picklable: {send_err})"
+            )))
     manifest.detach()
     conn.close()
 
 
-def _build_sidecar(enactor, gpu_index, eff, fault_snap,
-                   checksum: bool = False) -> dict:
-    """Everything beyond slice-array writes that a worker's superstep
-    changed and the parent must replay: stream horizons, pool
-    accounting, frontier capacities, fault consumption, staged
-    tracer/sanitizer records, and declared per-GPU attribute
-    mutations (``ProblemBase.PER_GPU_MUTABLE_ATTRS``).  With
-    ``checksum=True`` the sidecar also carries an adler32 digest of the
-    GPU's slice windows for the parent's per-barrier integrity check."""
+def _worker_begin_run(enactor, accounts, shipped):
+    """Start a new run on a live worker: what ``enact()`` did to the
+    parent between two runs, repeated here.  Returns the run's fresh
+    iteration object (``CHECKPOINT_ATTRS`` arrive with the first step,
+    the slice arrays were refilled in place by ``problem.reset()``)."""
+    machine = enactor.machine
+    machine.reset()  # clock, streams, and the fault plan re-armed
+    for gpu_index, acct in accounts:
+        _apply_accounting(enactor, gpu_index, acct)
+        machine.gpus[gpu_index].memory.reset_peak()
+        shipped[gpu_index] = _accounting(enactor, gpu_index)
+    if enactor.tracer is not None:
+        enactor.tracer.drop_staged()
+    if enactor.sanitizer is not None:
+        enactor.sanitizer.start_run()
+    return enactor.iteration_cls(enactor.problem)
+
+
+def _worker_step(enactor, iteration_obj, exchange, msg, shipped, checksums):
+    """Run one superstep for each of this worker's dispatched GPUs;
+    returns their sidecars.  With ``guarded`` a DeviceLostError is a
+    GPU's result value; any other exception ends the step."""
+    _, iteration, guarded, generations, attrs, jobs = msg
+    problem = enactor.problem
+    machine = enactor.machine
+    if attrs is not None:
+        problem.restore_attrs(pickle.loads(attrs))
+    for seg, gens in zip(exchange, generations):
+        if seg is not None:
+            seg.sync(0, gens[0])
+            seg.sync(1, gens[1])
+
+    def view(desc):
+        return exchange[desc[0]].view(desc)
+
+    write = iteration % 2
+    replies = []
+    for gpu_index, stream_times, frontier, inbox in jobs:
+        gpu = machine.gpus[gpu_index]
+        for stream, t in zip(gpu.streams.values(), stream_times):
+            stream.available_at = t
+        seg = exchange[gpu_index]
+        seg.begin(write)
+        inj = machine.faults
+        fault_snap = inj.snapshot_consumption() if inj is not None else None
+        try:
+            eff = enactor._gpu_superstep(
+                gpu_index, iteration, iteration_obj, view(frontier),
+                [(arrival, _unpack_message(packed, view))
+                 for arrival, packed in inbox],
+            )
+        except DeviceLostError as exc:
+            if not guarded:
+                raise
+            eff = exc
+        replies.append(_build_sidecar(
+            enactor, gpu_index, eff, fault_snap, seg, write, shipped,
+            checksums,
+        ))
+    return replies
+
+
+def _pack_message(msg, describe) -> tuple:
+    return (
+        msg.src_gpu, msg.dst_gpu, describe(msg.vertices),
+        [describe(a) for a in msg.vertex_associates],
+        [describe(a) for a in msg.value_associates],
+    )
+
+
+def _unpack_message(packed, view) -> Message:
+    src, dst, vertices, vertex_assoc, value_assoc = packed
+    return Message(
+        src, dst, view(vertices),
+        [view(a) for a in vertex_assoc], [view(a) for a in value_assoc],
+    )
+
+
+def _pack_effects(eff: GpuStepEffects, seg, parity: int) -> tuple:
+    """Flatten one GPU's effects with every array written to its
+    exchange segment and replaced by a descriptor.  A broadcast's n-1
+    messages share their arrays, which are written once."""
+    written: Dict[int, tuple] = {}
+
+    def describe(arr):
+        desc = written.get(id(arr))
+        if desc is None:
+            desc = written[id(arr)] = seg.put(parity, arr)
+        return desc
+
+    fields = [getattr(eff, name) for name in _EFF_FIELDS]
+    fields[_EFF_FRONTIER] = describe(eff.frontier)
+    fields[_EFF_SENDS] = [
+        (dst, arrival, _pack_message(msg, describe))
+        for dst, arrival, msg in eff.sends
+    ]
+    return tuple(fields)
+
+
+class _Sidecar(NamedTuple):
+    """Everything beyond slice-array writes that one GPU's superstep
+    changed in its worker and the parent must replay."""
+
+    gpu: int
+    #: the packed :class:`GpuStepEffects` (:func:`_pack_effects`), or
+    #: the DeviceLostError a guarded superstep ended in
+    eff: object
+    #: ``available_at`` of each of the GPU's streams
+    streams: tuple
+    #: generation and fill mark of the exchange half the step wrote
+    generation: int
+    used: int
+    #: :func:`_accounting`, or None when unchanged since last shipped
+    acct: Optional[tuple]
+    faults: Optional[dict]
+    trace: Optional[list]
+    san: object
+    #: entry ``[gpu]`` of each ``ProblemBase.PER_GPU_MUTABLE_ATTRS``
+    attrs: Optional[dict]
+    #: :func:`_slot_digest`, with ``shm_checksums`` on
+    digest: Optional[int]
+
+
+def _slot_digest(problem, seg, gpu_index: int, parity: int, used: int) -> int:
+    """The per-barrier integrity digest of one GPU: its slice windows,
+    then the exchange payload its superstep wrote."""
+    return seg.digest(
+        parity, used, slice_checksum(problem.data_slices[gpu_index])
+    )
+
+
+def _build_sidecar(enactor, gpu_index, eff, fault_snap, seg, parity,
+                   shipped, checksum: bool = False) -> _Sidecar:
+    """Collect one finished superstep's :class:`_Sidecar` in its
+    worker, writing the effects' arrays to the exchange segment."""
     machine = enactor.machine
     gpu = machine.gpus[gpu_index]
     tracer = enactor.tracer
     problem = enactor.problem
-    return {
-        "shmsum": (
-            slice_checksum(problem.data_slices[gpu_index])
-            if checksum else None
-        ),
-        "gpu": gpu_index,
-        "eff": eff,
-        "streams": {n: s.available_at for n, s in gpu.streams.items()},
-        "pool": gpu.memory.export_state(),
-        "fin": (enactor.frontiers_in[gpu_index].capacity,
-                enactor.frontiers_in[gpu_index].grow_events),
-        "fout": (enactor.frontiers_out[gpu_index].capacity,
-                 enactor.frontiers_out[gpu_index].grow_events),
-        "faults": (
+    if isinstance(eff, GpuStepEffects):
+        eff = _pack_effects(eff, seg, parity)
+    acct = _accounting(enactor, gpu_index)
+    if shipped.get(gpu_index) == acct:
+        acct = None
+    else:
+        shipped[gpu_index] = acct
+    mutable = type(problem).PER_GPU_MUTABLE_ATTRS
+    used = seg.used(parity)
+    return _Sidecar(
+        gpu=gpu_index,
+        eff=eff,
+        streams=tuple(s.available_at for s in gpu.streams.values()),
+        generation=seg.generations()[parity],
+        used=used,
+        acct=acct,
+        faults=(
             machine.faults.consumption_delta(fault_snap)
             if fault_snap is not None else None
         ),
-        "trace": (
-            tracer.take_staged(gpu_index) if tracer is not None else None
-        ),
-        "san": (
+        trace=tracer.take_staged(gpu_index) if tracer is not None else None,
+        san=(
             enactor.sanitizer.take_stage(gpu_index)
             if enactor.sanitizer is not None else None
         ),
-        "attrs": {
-            name: getattr(problem, name)[gpu_index]
-            for name in type(problem).PER_GPU_MUTABLE_ATTRS
-        },
-    }
+        attrs=(
+            {name: getattr(problem, name)[gpu_index] for name in mutable}
+            if mutable else None
+        ),
+        digest=(
+            _slot_digest(problem, seg, gpu_index, parity, used)
+            if checksum else None
+        ),
+    )
 
 
 class ProcessesBackend(ExecutionBackend):
@@ -416,29 +617,95 @@ class ProcessesBackend(ExecutionBackend):
         self._workers: Optional[List[Optional[tuple]]] = None
         self._owner: Dict[int, int] = {}
         self._manifest: Optional[SliceManifest] = None
+        #: per GPU, its exchange segment (None for a GPU lost before the
+        #: pool was built); lives and dies with the manifest
+        self._exchange: Optional[List[Optional[ExchangeSegment]]] = None
+        #: closed exchange segments with a mapping some array still views
+        self._unmapped: List[ExchangeSegment] = []
         #: attached WorkerSupervisor, or None (set by the enactor when
         #: supervision is enabled); consulted at every dispatch
         self.supervisor = None
         self._heartbeats: Optional[List] = None
         self._buckets: List[List[int]] = []
+        #: :func:`_fork_token` at the time the pool was forked
+        self._token: Optional[tuple] = None
+        #: id(array or Message) -> (the object, its descriptor form) for
+        #: what the last barrier handed the enactor: the next dispatch
+        #: sends these back as descriptors.  Holding the object keeps
+        #: its id from being reused.
+        self._described: Dict[int, tuple] = {}
+        #: whether this run's first dispatch has emptied the read halves
+        self._primed = False
+        #: per worker, the pickled CHECKPOINT_ATTRS it last received
+        self._sent_attrs: List[Optional[bytes]] = []
 
     # -- lifecycle -------------------------------------------------------
-    def begin_run(self) -> None:
-        # per-run state (iteration object, reset streams/faults) is
-        # captured at fork time, so each enact() gets a fresh pool; the
-        # manifest survives — reset() refills the same shm arrays
-        self._teardown_workers()
+    def begin_run(self, enactor) -> None:
+        """Keep the pool; tell each worker a new run starts.
+
+        One ``begin_run`` message per worker carries the parent's pool
+        accounting and frontier capacities; the worker resets its
+        machine, builds a fresh iteration object and acknowledges
+        before the first step is sent.  The pool is re-forked (lazily,
+        at the next dispatch) only when it cannot be trusted to match
+        the parent: a slot was retired, the fork token changed, or a
+        worker fails to acknowledge.
+        """
+        self._described.clear()
+        self._primed = False
+        if self._workers is None:
+            return
+        if (any(entry is None for entry in self._workers)
+                or _fork_token(enactor, self.supervisor) != self._token):
+            self._teardown_workers()
+            return
+        sent_at: Dict[int, float] = {}
+        for w, bucket in enumerate(self._buckets):
+            self._send(w, (
+                "begin_run",
+                [(g, _accounting(enactor, g)) for g in bucket],
+            ))
+            sent_at[w] = time.monotonic()
+        for w in range(len(self._workers)):
+            try:
+                msg = self._wait(w, sent_at[w])
+            except (WorkerCrashError, WorkerHangError) as exc:
+                msg = ("error", exc)
+            if msg[0] != "ok":
+                # died, wedged or failed between two runs: nothing is in
+                # flight, so the next dispatch simply forks a new pool
+                self._teardown_workers()
+                return
+        self._sent_attrs = [None] * len(self._workers)
 
     def invalidate(self) -> None:
-        # rollback/repartition rebuilt the slice arrays: both the forks
-        # and the shm segments describe dead objects
+        # rollback/repartition rebuilt the slice arrays: the forks, the
+        # shm segments and the exchange all describe dead objects
         self._teardown_workers()
+        self._described.clear()
+        self._close_exchange()
         if self._manifest is not None:
             self._manifest.release()
             self._manifest = None
 
     def close(self) -> None:
         self.invalidate()
+
+    def _close_exchange(self) -> None:
+        """Destroy the exchange segments.  During a rollback the
+        enactor still holds views of the aborted superstep's arrays;
+        those mappings are closed on a later call, once the views are
+        dead."""
+        closing = self._unmapped + [
+            seg for seg in self._exchange or () if seg is not None
+        ]
+        self._unmapped = [seg for seg in closing if not seg.close()]
+        self._exchange = None
+
+    def _reap_timeout(self) -> float:
+        if self.supervisor is not None:
+            return self.supervisor.config.teardown_timeout
+        return 10.0
 
     def _teardown_workers(self) -> None:
         """Reap the whole pool with bounded, escalating waits.
@@ -447,25 +714,31 @@ class ProcessesBackend(ExecutionBackend):
         workers are resumed/killed rather than joined forever, and
         retired slots (None) are skipped.  Idempotent.
         """
-        if not self._workers:
-            self._workers = None
-            self._heartbeats = None
-            self._owner = {}
-            return
-        timeout = 10.0
-        if self.supervisor is not None:
-            timeout = self.supervisor.config.teardown_timeout
-        for entry in self._workers:
+        for entry in self._workers or ():
             if entry is not None:
-                reap_worker(entry[0], entry[1], timeout=timeout)
+                reap_worker(entry[0], entry[1], timeout=self._reap_timeout())
         self._workers = None
         self._heartbeats = None
         self._owner = {}
 
     def _spawn(self, enactor, iteration_obj, gpu_indices) -> None:
+        problem = enactor.problem
         if self._manifest is None:
             self._manifest = SliceManifest()
-            self._manifest.migrate(enactor.problem)
+            self._manifest.migrate(problem)
+        if self._exchange is None:
+            # sized from the bounded vertex domain: a frontier and the
+            # packaged remote part each hold at most every local vertex
+            # once, so regrowth is left to duplicate-carrying frontiers
+            # and to messages re-routed after a rollback
+            columns = (2 + problem.NUM_VERTEX_ASSOCIATES
+                       + problem.NUM_VALUE_ASSOCIATES)
+            self._exchange = [
+                ExchangeSegment(
+                    g, 8 * columns * problem.subgraphs[g].num_vertices + 4096
+                ) if g in gpu_indices else None
+                for g in range(enactor.machine.num_gpus)
+            ]
         n = len(gpu_indices)
         width = max(1, min(self.max_workers or n, n))
         buckets: List[List[int]] = [[] for _ in range(width)]
@@ -476,6 +749,10 @@ class ProcessesBackend(ExecutionBackend):
         self._buckets = buckets
         self._workers = []
         self._heartbeats = []
+        self._sent_attrs = [None] * width
+        self._token = _fork_token(enactor, self.supervisor)
+        self._described.clear()
+        self._primed = False
         for w in range(width):
             self._workers.append(None)
             self._heartbeats.append(None)
@@ -486,7 +763,8 @@ class ProcessesBackend(ExecutionBackend):
 
         Used both by the initial spawn and by supervised respawn: the
         new fork inherits the parent's pre-superstep state (sidecars
-        are only applied after all replies arrive) and re-attaches the
+        are only applied after all replies arrive), the run's iteration
+        object and the exchange mappings, and re-attaches the
         shared-memory slices by name, so a replayed superstep runs
         bit-identically to the first attempt.
         """
@@ -499,8 +777,9 @@ class ProcessesBackend(ExecutionBackend):
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
             target=_worker_loop,
-            args=(child_conn, enactor, iteration_obj,
-                  self._buckets[w], self._manifest, heartbeat, sup_cfg),
+            args=(child_conn, enactor, iteration_obj, self._buckets[w],
+                  self._manifest, self._exchange, os.getpid(),
+                  heartbeat, sup_cfg),
             daemon=True,
             name=f"repro-gpu-proc-{w}",
         )
@@ -508,15 +787,15 @@ class ProcessesBackend(ExecutionBackend):
         child_conn.close()
         self._workers[w] = (proc, parent_conn)
         self._heartbeats[w] = heartbeat
+        # the fork knows the parent's CHECKPOINT_ATTRS as of now; the
+        # next step re-sends them regardless
+        self._sent_attrs[w] = None
 
     def _reap_slot(self, w: int) -> None:
         """Reap worker slot ``w`` with bounded waits; idempotent."""
         entry = self._workers[w]
         if entry is not None:
-            timeout = 10.0
-            if self.supervisor is not None:
-                timeout = self.supervisor.config.teardown_timeout
-            reap_worker(entry[0], entry[1], timeout=timeout)
+            reap_worker(entry[0], entry[1], timeout=self._reap_timeout())
             self._workers[w] = None
 
     def _respawn_worker(self, w: int, enactor, iteration_obj) -> bool:
@@ -553,6 +832,47 @@ class ProcessesBackend(ExecutionBackend):
         return ages
 
     # -- dispatch --------------------------------------------------------
+    def _describe(self, gpu_index: int, parity: int, arr) -> tuple:
+        """Descriptor of one input array: the one it came back with at
+        the last barrier, or — for a heap array (initial frontiers,
+        state re-routed by a rollback) — where it now sits after being
+        appended to the consuming GPU's read half."""
+        known = self._described.get(id(arr))
+        if known is not None:
+            return known[1]
+        return self._exchange[gpu_index].put(parity, arr)
+
+    def _describe_inbox(self, gpu_index: int, parity: int, inbox) -> list:
+        out = []
+        for arrival, msg in inbox:
+            known = self._described.get(id(msg))
+            packed = known[1] if known is not None else _pack_message(
+                msg, lambda arr: self._describe(gpu_index, parity, arr)
+            )
+            out.append((arrival, packed))
+        return out
+
+    def _unpack_effects(self, packed: tuple) -> GpuStepEffects:
+        """Rebuild a worker's effects with zero-copy views for arrays,
+        remembering each view's descriptor for the next dispatch."""
+        exchange = self._exchange
+        described = self._described
+
+        def view(desc):
+            return exchange[desc[0]].view(desc)
+
+        fields = list(packed)
+        frontier = view(packed[_EFF_FRONTIER])
+        described[id(frontier)] = (frontier, packed[_EFF_FRONTIER])
+        fields[_EFF_FRONTIER] = frontier
+        sends = []
+        for dst, arrival, packed_msg in packed[_EFF_SENDS]:
+            msg = _unpack_message(packed_msg, view)
+            described[id(msg)] = (msg, packed_msg)
+            sends.append((dst, arrival, msg))
+        fields[_EFF_SENDS] = sends
+        return GpuStepEffects(*fields)
+
     def run_iteration(self, enactor, iteration, iteration_obj,
                       frontiers, inboxes, gpu_indices, guarded=False):
         gpu_indices = list(gpu_indices)
@@ -569,17 +889,35 @@ class ProcessesBackend(ExecutionBackend):
             self._teardown_workers()
             self._spawn(enactor, iteration_obj, gpu_indices)
         machine = enactor.machine
+        problem = enactor.problem
+        exchange = self._exchange
+        # superstep k reads half (k - 1) % 2 and writes half k % 2
+        read, write = (iteration + 1) % 2, iteration % 2
+        if not self._primed:
+            # a run's first inputs are heap arrays: nothing live is in
+            # the read halves, start them empty
+            for g in gpu_indices:
+                exchange[g].begin(read)
+            self._primed = True
         jobs: List[List[tuple]] = [[] for _ in self._workers]
-        stream_times = {
-            g: {
-                n: s.available_at
-                for n, s in machine.gpus[g].streams.items()
-            }
-            for g in gpu_indices
-        }
         for g in gpu_indices:
-            jobs[self._owner[g]].append((g, frontiers[g], inboxes[g]))
-        attrs = enactor.problem.snapshot_attrs()
+            jobs[self._owner[g]].append((
+                g,
+                tuple(s.available_at
+                      for s in machine.gpus[g].streams.values()),
+                self._describe(g, read, frontiers[g]),
+                self._describe_inbox(g, read, inboxes[g]),
+            ))
+        self._described.clear()
+        generations = tuple(
+            seg.generations() if seg is not None else None
+            for seg in exchange
+        )
+        attrs = None
+        if type(problem).CHECKPOINT_ATTRS:
+            attrs = pickle.dumps(
+                problem.snapshot_attrs(), pickle.HIGHEST_PROTOCOL
+            )
         if self.tracer is not None:
             self.tracer.instant(
                 "backend.dispatch", backend=self.name,
@@ -588,21 +926,24 @@ class ProcessesBackend(ExecutionBackend):
         payloads: Dict[int, tuple] = {}
         for w in range(len(self._workers)):
             if jobs[w]:
+                # CHECKPOINT_ATTRS travel only when they differ from
+                # what this worker last received
+                changed = attrs != self._sent_attrs[w]
+                self._sent_attrs[w] = attrs
                 payloads[w] = (
-                    "step", iteration, jobs[w], attrs,
-                    {g: stream_times[g] for g, _f, _i in jobs[w]},
-                    guarded,
+                    "step", iteration, guarded, generations,
+                    attrs if changed else None, jobs[w],
                 )
         sup = self.supervisor
         shadow = None
         if sup is not None:
             sup.deliver_due_host_faults(self, enactor, iteration)
-            shadow = sup.capture_shadow(enactor.problem, gpu_indices)
+            shadow = sup.capture_shadow(problem, gpu_indices)
         sent_at: Dict[int, float] = {}
         for w, payload in payloads.items():
             self._send(w, payload)
             sent_at[w] = time.monotonic()
-        replies: Dict[int, dict] = {}
+        replies: Dict[int, _Sidecar] = {}
         lost: Dict[int, DeviceLostError] = {}
         for w in payloads:
             msg = self._collect(
@@ -612,17 +953,22 @@ class ProcessesBackend(ExecutionBackend):
             if msg is None:  # worker escalated to the rollback path
                 continue
             if msg[0] == "error":
-                _, g, exc = msg
                 self._teardown_workers()
-                if isinstance(exc, BaseException):
-                    raise exc
-                raise SimulationError(str(exc), gpu_id=g)
+                raise msg[1]
             for side in msg[1]:
-                replies[side["gpu"]] = side
+                replies[side.gpu] = side
+        for g, side in replies.items():
+            # map what the worker wrote (a regrown half has a new name)
+            exchange[g].sync(write, side.generation, side.used)
         if sup is not None:
-            sup.deliver_pending_corruption(enactor.problem)
-            for g in sup.verify_replies(enactor.problem, replies,
-                                        iteration):
+            sup.deliver_pending_corruption(problem)
+            bad = sup.verify_digests(
+                {g: side.digest for g, side in replies.items()},
+                lambda g: _slot_digest(
+                    problem, exchange[g], g, write, replies[g].used
+                ),
+            )
+            for g in bad:
                 err = sup.integrity_error(g, iteration)
                 if not guarded:
                     self._teardown_workers()
@@ -646,11 +992,14 @@ class ProcessesBackend(ExecutionBackend):
                 continue
             side = replies[g]
             self._apply_sidecar(enactor, g, side)
-            results.append(side["eff"])
+            eff = side.eff
+            if isinstance(eff, tuple):
+                eff = self._unpack_effects(eff)
+            results.append(eff)
         return results
 
     def _send(self, w: int, payload: tuple) -> None:
-        """Ship one step request; a broken pipe (the worker is already
+        """Ship one request; a broken pipe (the worker is already
         dead) is left for the bounded receive to detect and classify."""
         entry = self._workers[w]
         if entry is None:  # pragma: no cover - defensive
@@ -659,6 +1008,25 @@ class ProcessesBackend(ExecutionBackend):
             entry[1].send(payload)
         except (BrokenPipeError, OSError):
             pass
+
+    def _wait(self, w: int, sent_at: float):
+        """One bounded receive from worker ``w``.
+
+        Unsupervised, liveness alone bounds it — a dead worker raises
+        WorkerCrashError instead of deadlocking; supervised, the
+        adaptive deadline and heartbeat staleness apply as well.
+        """
+        sup = self.supervisor
+        proc, conn = self._workers[w]
+        if sup is None:
+            return wait_for_reply(conn, proc, timeout=None, poll_interval=0.05)
+        return wait_for_reply(
+            conn, proc,
+            timeout=max(0.1, sup.deadline() - (time.monotonic() - sent_at)),
+            poll_interval=sup.config.poll_interval,
+            heartbeat=self._heartbeats[w],
+            stale_after=sup.config.stale_after,
+        )
 
     def _collect(self, enactor, iteration, iteration_obj, w, payload,
                  wjobs, shadow, sent_at, guarded, lost):
@@ -673,23 +1041,8 @@ class ProcessesBackend(ExecutionBackend):
         sup = self.supervisor
         machine = enactor.machine
         while True:
-            proc, conn = self._workers[w]
-            heartbeat = self._heartbeats[w] if sup is not None else None
-            timeout = None
-            stale_after = None
-            poll = 0.05
-            if sup is not None:
-                poll = sup.config.poll_interval
-                stale_after = sup.config.stale_after
-                timeout = max(
-                    0.1,
-                    sup.deadline() - (time.monotonic() - sent_at[w]),
-                )
             try:
-                msg = wait_for_reply(
-                    conn, proc, timeout=timeout, poll_interval=poll,
-                    heartbeat=heartbeat, stale_after=stale_after,
-                )
+                msg = self._wait(w, sent_at[w])
             except WorkerCrashError as exc:
                 if sup is None:
                     self._teardown_workers()
@@ -731,7 +1084,7 @@ class ProcessesBackend(ExecutionBackend):
         machine = enactor.machine
         t0 = time.perf_counter()
         sup.record_failure(iteration, w)
-        wgpus = [g for g, _f, _i in wjobs]
+        wgpus = [job[0] for job in wjobs]
         escalate = sup.should_escalate(iteration, w)
         if not escalate:
             # respawn path: make sure the old process is dead *before*
@@ -739,7 +1092,9 @@ class ProcessesBackend(ExecutionBackend):
             # resumes during reaping and could scribble afterwards),
             # then restore this worker's windows to their
             # pre-superstep shadow (a dying worker may have written
-            # half a window), re-fork, replay the in-flight superstep
+            # half a window), re-fork, replay the in-flight superstep.
+            # The payload is re-sent as is: its descriptors point into
+            # the exchange halves this superstep only reads
             self._reap_slot(w)
             sup.restore_shadow(enactor.problem, shadow, wgpus)
             if self._respawn_worker(w, enactor, iteration_obj):
@@ -790,20 +1145,19 @@ class ProcessesBackend(ExecutionBackend):
     def _apply_sidecar(self, enactor, g, side) -> None:
         machine = enactor.machine
         gpu = machine.gpus[g]
-        for sname, t in side["streams"].items():
-            gpu.streams[sname].available_at = t
-        gpu.memory.apply_state(side["pool"])
-        fin, fout = enactor.frontiers_in[g], enactor.frontiers_out[g]
-        fin.capacity, fin.grow_events = side["fin"]
-        fout.capacity, fout.grow_events = side["fout"]
-        if side["faults"] is not None and machine.faults is not None:
-            machine.faults.apply_consumption_delta(side["faults"])
-        if self.tracer is not None and side["trace"] is not None:
-            self.tracer.adopt_staged(g, side["trace"])
-        if side["san"] is not None and enactor.sanitizer is not None:
-            enactor.sanitizer.adopt_stage(g, side["san"])
-        for name, value in side["attrs"].items():
-            getattr(enactor.problem, name)[g] = value
+        for stream, t in zip(gpu.streams.values(), side.streams):
+            stream.available_at = t
+        if side.acct is not None:
+            _apply_accounting(enactor, g, side.acct)
+        if side.faults is not None and machine.faults is not None:
+            machine.faults.apply_consumption_delta(side.faults)
+        if self.tracer is not None and side.trace is not None:
+            self.tracer.adopt_staged(g, side.trace)
+        if side.san is not None and enactor.sanitizer is not None:
+            enactor.sanitizer.adopt_stage(g, side.san)
+        if side.attrs is not None:
+            for name, value in side.attrs.items():
+                getattr(enactor.problem, name)[g] = value
 
     def map_supersteps(self, fns):
         # arbitrary closures cannot cross a process boundary; the

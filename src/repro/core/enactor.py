@@ -931,7 +931,6 @@ class Enactor:
             )
         init_frontiers = problem.reset(**reset_kwargs)
         machine.reset()
-        self.backend.begin_run()
         if self.supervisor is not None:
             self.supervisor.begin_run()
         tracer = self.tracer
@@ -941,6 +940,9 @@ class Enactor:
             sanitizer.start_run()
         for g in machine.gpus:
             g.memory.reset_peak()
+        # last: a backend with live workers ships them the per-run
+        # state as it stands after every reset above
+        self.backend.begin_run(self)
 
         frontiers: List[np.ndarray] = [
             np.asarray(f, dtype=np.int64) for f in init_frontiers

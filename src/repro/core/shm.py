@@ -1,12 +1,16 @@
-"""Shared-memory slice manifest for the ``processes`` backend.
+"""Shared memory for the ``processes`` backend: slice manifest and
+frontier/message exchange segments.
 
-The processes backend forks one persistent worker per virtual GPU.  Fork
-gives workers copy-on-write *reads* of the whole problem for free, but a
-worker's superstep also **writes** its GPU's slice arrays (labels,
-ranks, bitmaps, ...), and those writes must land where the parent — and
-the next run's workers — can see them.  :class:`SliceManifest` migrates
-every :class:`~repro.core.problem.DataSlice` array and every subgraph's
-CSR structure (the int64 ``offsets64``/``cols64`` views the operators
+The processes backend forks a worker pool once per enactor; the workers
+live until ``close()`` (or until a rollback, a worker failure or a
+changed observer forces a re-fork) and each owns a fixed subset of the
+virtual GPUs.  Fork gives workers copy-on-write *reads* of the whole
+problem for free, but a worker's superstep also **writes** its GPU's
+slice arrays (labels, ranks, bitmaps, ...), and those writes must land
+where the parent — and every later run on the same workers — can see
+them.  :class:`SliceManifest` migrates every
+:class:`~repro.core.problem.DataSlice` array and every subgraph's CSR
+structure (the int64 ``offsets64``/``cols64`` views the operators
 traverse, plus the raw arrays and edge values) into named
 ``multiprocessing.shared_memory`` segments *before* the fork:
 
@@ -20,16 +24,26 @@ traverse, plus the raw arrays and edge values) into named
   the layer a ``spawn``-style backend would need, and what the
   round-trip unit test exercises.
 
+What a superstep *produces* — each GPU's next frontier and the vertex /
+associate arrays of its outgoing messages — travels through one
+:class:`ExchangeSegment` per GPU: the worker writes the arrays there
+and the pipe carries only ``(segment, parity, offset, dtype, length)``
+descriptors, which the parent (and, one superstep later, the consuming
+worker) turns back into zero-copy ndarray views.
+
 Sanitizer interop: migration preserves ``ShadowArray`` wrappers by
 re-wrapping the shm-backed replacement with the original's sanitizer
 attribution (duck-typed through ``type(arr).wrap`` — no import cycle).
 
-Lifecycle: segments are created by :meth:`migrate`; :meth:`release`
-copies live bindings back to ordinary heap arrays (so the problem
-remains usable after the backend is closed), closes what can be closed,
-and **unlinks every segment** — the backend-test leak check asserts
-``/dev/shm`` holds nothing of ours afterwards.  An ``atexit`` hook
-unlinks anything a crashed run left behind.
+Lifecycle: slice/CSR segments are created by :meth:`SliceManifest.migrate`;
+:meth:`SliceManifest.release` copies live bindings back to ordinary heap
+arrays (so the problem remains usable after the backend is closed),
+closes what can be closed, and **unlinks every segment** — the
+backend-test leak check asserts ``/dev/shm`` holds nothing of ours
+afterwards.  Exchange segments are created by the parent before the
+fork and unlinked by :meth:`ExchangeSegment.close`, including any
+regrown generation a worker created.  Only the creating process ever
+unlinks; an ``atexit`` hook unlinks anything a crashed run left behind.
 """
 
 from __future__ import annotations
@@ -38,12 +52,13 @@ import atexit
 import os
 import secrets
 import weakref
+import zlib
 from multiprocessing import shared_memory
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["SliceManifest", "SHM_PREFIX"]
+__all__ = ["SliceManifest", "ExchangeSegment", "SHM_PREFIX"]
 
 #: every segment name starts with this (plus the owning pid), so leak
 #: checks and the atexit sweeper can identify ours
@@ -97,16 +112,37 @@ def _rewrap_like(original: np.ndarray, replacement: np.ndarray) -> np.ndarray:
     return replacement
 
 
-_LIVE_MANIFESTS: "weakref.WeakSet[SliceManifest]" = weakref.WeakSet()
+#: every live SliceManifest / ExchangeSegment, for the exit-time sweep
+_LIVE_OWNERS: "weakref.WeakSet" = weakref.WeakSet()
 _ATEXIT_ARMED = False
 
 
 def _sweep_at_exit() -> None:  # pragma: no cover - exit-time safety net
-    for manifest in list(_LIVE_MANIFESTS):
+    for owner in list(_LIVE_OWNERS):
         try:
-            manifest.unlink()
+            owner.unlink()
         except (OSError, ValueError):
             pass
+
+
+def _register_owner(owner) -> None:
+    """Put a segment owner under the exit-time sweep."""
+    global _ATEXIT_ARMED
+    _LIVE_OWNERS.add(owner)
+    if not _ATEXIT_ARMED:
+        atexit.register(_sweep_at_exit)
+        _ATEXIT_ARMED = True
+
+
+def _close_mapping(seg) -> bool:
+    """Close one segment handle; False while an ndarray still views its
+    buffer (the mapping then lives until the view dies or the process
+    exits — the *name* is a separate matter, see the unlink helpers)."""
+    try:
+        seg.close()
+    except BufferError:
+        return False
+    return True
 
 
 class SliceManifest:
@@ -127,11 +163,7 @@ class SliceManifest:
         #: copy of this object and must never destroy the parent's
         #: segments on their way out
         self._owner_pid = os.getpid()
-        global _ATEXIT_ARMED
-        _LIVE_MANIFESTS.add(self)
-        if not _ATEXIT_ARMED:
-            atexit.register(_sweep_at_exit)
-            _ATEXIT_ARMED = True
+        _register_owner(self)
 
     # -- creation --------------------------------------------------------
     def _new_segment(self, key: tuple, arr: np.ndarray) -> np.ndarray:
@@ -287,12 +319,9 @@ class SliceManifest:
                 _unlink_untracked(seg)
             except FileNotFoundError:
                 pass
-            try:
-                seg.close()
-            except BufferError:
-                # an array still references the buffer; the mapping dies
-                # with the process, the name is already gone
-                pass
+            # where an array still references the buffer the mapping dies
+            # with the process; the name is already gone
+            _close_mapping(seg)
         self._segments = {}
 
     def __len__(self) -> int:
@@ -306,4 +335,242 @@ class SliceManifest:
             self.unlink()
         except (OSError, ValueError, AttributeError, TypeError):
             # interpreter shutdown may have torn down module globals
+            pass
+
+
+# ---------------------------------------------------------------------------
+# frontier / message exchange
+# ---------------------------------------------------------------------------
+
+#: ``(segment key, parity, byte offset, dtype string, length)`` — where
+#: one 1-D array sits in an exchange segment.  Position only: which
+#: *generation* of the half holds it is synchronised separately
+#: (:meth:`ExchangeSegment.sync`), so a descriptor issued before a
+#: regrowth stays valid after it.
+Descriptor = Tuple[int, int, int, str, int]
+
+_ALIGN = 8
+
+
+def _aligned(nbytes: int) -> int:
+    """``nbytes`` rounded up to the allocation alignment."""
+    return -(-nbytes // _ALIGN) * _ALIGN
+
+
+class ExchangeSegment:
+    """One GPU's double-buffered, grow-only array exchange area.
+
+    **Layout.**  Two *halves*, parity 0 and 1, each a shared-memory
+    segment named ``<base>-<parity>-<generation>``.  A half is a bump
+    allocator: :meth:`begin` empties it, :meth:`put` copies one array
+    in at the next 8-byte-aligned offset and returns its
+    :data:`Descriptor`, :meth:`view` maps a descriptor back to a
+    read-only ndarray over the same bytes — no copy, in any process
+    that holds this object (workers inherit it through the fork).
+
+    **Parity rule.**  Superstep ``k`` writes half ``k % 2`` and reads
+    what superstep ``k - 1`` wrote in the other half.  A superstep's
+    inputs are therefore never overwritten while it runs, so a
+    respawned worker can replay it from intact inputs; a half is only
+    emptied two supersteps after it was filled, when every view of its
+    contents is dead.
+
+    **Regrowth.**  When a ``put`` does not fit, the writer — parent or
+    worker — creates generation ``g + 1`` of that half at twice the
+    size needed (and at least twice the old one), copies the bytes
+    already written to the same offsets (descriptors issued so far stay
+    valid) and continues there.
+    The old generation's mapping is kept until nothing views it, so
+    views taken before the regrowth stay readable.  Other processes
+    learn the new generation number from the step protocol and
+    :meth:`sync` to it by name.  Capacities only grow, and the initial
+    one is sized from the GPU's vertex count, so regrowth is rare.
+
+    **Ownership.**  The creating process owns every name: it unlinks a
+    superseded generation when it syncs past it and everything —
+    including generations a crashed worker created and never reported —
+    in :meth:`close`.  Other processes only map and unmap.
+    """
+
+    def __init__(self, key: int, capacity: int):
+        self.key = int(key)
+        self._owner_pid = os.getpid()
+        self._base = (
+            f"{SHM_PREFIX}-{self._owner_pid}-x{self.key}-"
+            f"{secrets.token_hex(4)}"
+        )
+        capacity = max(int(capacity), 1)
+        self._gens = [0, 0]
+        self._used = [0, 0]
+        self._segs = [self._create(0, 0, capacity),
+                      self._create(1, 0, capacity)]
+        #: superseded mappings some ndarray may still view
+        self._retired: List[shared_memory.SharedMemory] = []
+        self._closed = False
+        _register_owner(self)
+
+    # -- naming ----------------------------------------------------------
+    def _name(self, parity: int, generation: int) -> str:
+        return f"{self._base}-{parity}-{generation}"
+
+    def _create(self, parity: int, generation: int, capacity: int):
+        name = self._name(parity, generation)
+        # a multiple of the alignment, so the aligned fill mark of a
+        # full half never points past its end
+        capacity = _aligned(capacity)
+        try:
+            return _open_untracked(create=True, size=capacity, name=name)
+        except FileExistsError:
+            # each half has one writer at a time, so a name this process
+            # does not know belongs to a writer that died mid-superstep
+            self._unlink_name(name)
+            return _open_untracked(create=True, size=capacity, name=name)
+
+    @staticmethod
+    def _unlink_name(name: str) -> bool:
+        """Unlink a generation known only by name; False if absent."""
+        try:
+            seg = _open_untracked(name=name)
+        except FileNotFoundError:
+            return False
+        _unlink_untracked(seg)
+        seg.close()
+        return True
+
+    # -- state shared through the step protocol --------------------------
+    def generations(self) -> Tuple[int, int]:
+        """Current generation of each half, as this process knows it."""
+        return self._gens[0], self._gens[1]
+
+    def used(self, parity: int) -> int:
+        """Bytes written to a half since its last :meth:`begin`."""
+        return self._used[parity]
+
+    def capacity(self, parity: int) -> int:
+        """Bytes a half holds before it has to regrow."""
+        return self._segs[parity].size
+
+    def sync(self, parity: int, generation: int,
+             used: Optional[int] = None) -> None:
+        """Adopt another process's view of one half: map ``generation``
+        by name if it is not the one mapped here, and take over its
+        fill mark (so a later :meth:`put` appends after it)."""
+        current = self._gens[parity]
+        if generation != current:
+            seg = _open_untracked(name=self._name(parity, generation))
+            self._retire(parity)
+            if os.getpid() == self._owner_pid:
+                # generations between the two were created and outgrown
+                # within one superstep of the writer
+                for stale in range(current + 1, generation):
+                    self._unlink_name(self._name(parity, stale))
+            self._segs[parity] = seg
+            self._gens[parity] = generation
+        if used is not None:
+            self._used[parity] = used
+
+    def _retire(self, parity: int) -> None:
+        """Drop the mapped generation of a half: unlink its name (owner
+        only) and close the mapping once nothing views it."""
+        seg = self._segs[parity]
+        if os.getpid() == self._owner_pid:
+            try:
+                _unlink_untracked(seg)
+            except FileNotFoundError:
+                pass
+        self._retired.append(seg)
+        self._close_retired()
+
+    def _close_retired(self) -> None:
+        self._retired = [s for s in self._retired if not _close_mapping(s)]
+
+    # -- writing ---------------------------------------------------------
+    def begin(self, parity: int) -> None:
+        """Empty one half for a new superstep's output."""
+        self._used[parity] = 0
+        if self._retired:
+            self._close_retired()
+
+    def put(self, parity: int, arr) -> Descriptor:
+        """Copy a 1-D array into the half; return where it sits."""
+        arr = np.ascontiguousarray(arr).reshape(-1)
+        if arr.size == 0:
+            return (self.key, parity, 0, arr.dtype.str, 0)
+        start = self._used[parity]
+        end = start + arr.nbytes
+        if end > self._segs[parity].size:
+            self._grow(parity, end)
+        np.ndarray(
+            arr.shape, dtype=arr.dtype,
+            buffer=self._segs[parity].buf, offset=start,
+        )[...] = arr
+        self._used[parity] = _aligned(end)
+        return (self.key, parity, start, arr.dtype.str, arr.size)
+
+    def _grow(self, parity: int, needed: int) -> None:
+        old = self._segs[parity]
+        new = self._create(
+            parity, self._gens[parity] + 1, 2 * max(old.size, needed)
+        )
+        used = self._used[parity]
+        new.buf[:used] = old.buf[:used]
+        self._retire(parity)
+        self._segs[parity] = new
+        self._gens[parity] += 1
+
+    # -- reading ---------------------------------------------------------
+    def view(self, desc: Descriptor) -> np.ndarray:
+        """Zero-copy, read-only ndarray over a descriptor's bytes.
+
+        Built through ``np.asarray(memoryview)``: that path keeps the
+        memoryview — and with it a buffer export on the mapping — as
+        the array's base, so closing the mapping under a live view
+        raises ``BufferError`` instead of leaving the view dangling
+        (``np.ndarray(buffer=...)`` keeps no export).
+        """
+        _key, parity, offset, dtype, length = desc
+        dtype = np.dtype(dtype)
+        window = self._segs[parity].buf[offset:offset + length * dtype.itemsize]
+        arr = np.asarray(window).view(dtype)
+        arr.setflags(write=False)
+        return arr
+
+    def digest(self, parity: int, used: int, start: int = 1) -> int:
+        """adler32 over the first ``used`` bytes of a half, continuing
+        from ``start`` — the exchange payload's share of the per-barrier
+        integrity digest."""
+        return zlib.adler32(self._segs[parity].buf[:used], start)
+
+    # -- teardown --------------------------------------------------------
+    def unlink(self) -> None:
+        """Destroy every generation of both halves (owner only;
+        idempotent).  Probes past the known generation: a worker that
+        died mid-superstep may have regrown a half without reporting."""
+        if self._closed or os.getpid() != self._owner_pid:
+            return
+        self._closed = True
+        for parity, seg in enumerate(self._segs):
+            try:
+                _unlink_untracked(seg)
+            except FileNotFoundError:
+                pass
+            generation = self._gens[parity] + 1
+            while self._unlink_name(self._name(parity, generation)):
+                generation += 1
+
+    def close(self) -> bool:
+        """Unlink (owner) and unmap everything.  Returns whether every
+        mapping is closed: one that an ndarray still views cannot be
+        yet — keep the object and call again once the view is gone.
+        The names are gone either way."""
+        self.unlink()
+        self._retired.extend(self._segs)
+        self._segs = []
+        self._close_retired()
+        return not self._retired
+
+    def __del__(self):  # pragma: no cover - GC timing dependent
+        try:
+            self.unlink()
+        except (OSError, ValueError, AttributeError, TypeError):
             pass

@@ -21,9 +21,10 @@ hung worker stalled every superstep with no detection.
   non-None ``exitcode``, and heartbeat staleness, surfaced as the typed
   errors :class:`~repro.errors.WorkerCrashError` /
   :class:`~repro.errors.WorkerHangError`;
-* **shm integrity** — each worker checksums its GPU's slice windows at
-  superstep end (``zlib.adler32``); the parent recomputes from its own
-  mapping at the barrier and raises
+* **shm integrity** — each worker checksums its GPU's slice windows and
+  the exchange payload it wrote (next frontier, outgoing message
+  arrays) at superstep end (``zlib.adler32``); the parent recomputes
+  from its own mappings at the barrier and raises
   :class:`~repro.errors.ShmIntegrityError` on mismatch.
 
 Escalation policy (see ``docs/robustness.md``): first failure of a
@@ -31,15 +32,19 @@ superstep → kill + respawn the worker, re-attach the shared-memory
 slices by name, restore the pre-superstep **replay shadow** (a copy of
 the dispatched GPUs' slice arrays — a crashed worker may have written
 half its window, so naive re-execution would start from torn state),
-and replay the in-flight superstep.  Because the parent's own Python
-state (streams, pools, fault consumption, frontiers) is only mutated
-when sidecars are applied *after* all replies arrive, a replayed
-superstep re-executes bit-identically — the run completes with results
-identical to a fault-free run.  If the respawn fails or the same
-superstep dies twice, the failure converts into the existing
-``DeviceLostError``-as-value path so the proven rollback + repartition
-+ checkpoint-restore recovery takes over, with the replacement worker
-pool resized to the survivor set.
+and replay the in-flight superstep.  The superstep's *inputs* need no
+shadow: they sit in the exchange half the superstep does not write
+(:class:`~repro.core.shm.ExchangeSegment`'s parity rule).  Because the
+parent's own Python state (streams, pools, fault consumption,
+frontiers) is only mutated when sidecars are applied *after* all
+replies arrive, a replayed superstep re-executes bit-identically — the
+run completes with results identical to a fault-free run.  The pool,
+heartbeat threads included, outlives ``enact()``: a worker that fails
+in a later run of the same enactor is respawned the same way.  If the
+respawn fails or the same superstep dies twice, the failure converts
+into the existing ``DeviceLostError``-as-value path so the proven
+rollback + repartition + checkpoint-restore recovery takes over, with
+the replacement worker pool resized to the survivor set.
 
 The module-level helpers (:func:`wait_for_reply`, :func:`worker_recv`,
 :func:`reap_worker`) are used by the backend even when supervision is
@@ -179,18 +184,21 @@ def wait_for_reply(
                 )
 
 
-def worker_recv(conn, poll_interval: float = 1.0):
+def worker_recv(conn, parent_pid: int, poll_interval: float = 1.0):
     """Worker-side bounded request wait.
 
     Polls instead of blocking so an orphaned worker (parent died
-    without sending "stop") notices its re-parenting to init and exits
-    rather than lingering forever holding shm mappings.
+    without sending "stop") notices and exits rather than lingering
+    forever holding shm mappings.  ``parent_pid`` is the pid recorded
+    at fork: an orphan is re-parented to *some* reaper — pid 1, a
+    subreaper, or a container init that is not pid 1 — so the test is
+    "my parent is no longer the process that forked me".
     """
     while True:
         if conn.poll(poll_interval):
             # repro-check: disable=REP118 -- poll() above bounds this recv
             return conn.recv()
-        if os.getppid() == 1:
+        if os.getppid() != parent_pid:
             raise EOFError("parent process exited")
 
 
@@ -345,23 +353,24 @@ class WorkerSupervisor:
         self.overhead_seconds += time.perf_counter() - t0
 
     # -- shm integrity ---------------------------------------------------
-    def verify_replies(self, problem, replies: Dict[int, dict],
-                       iteration: int) -> List[int]:
-        """Recompute slice checksums against the workers' digests.
+    def verify_digests(self, reported: Dict[int, Optional[int]],
+                       recompute) -> List[int]:
+        """Check the workers' per-barrier digests against the parent's
+        own mappings.
 
-        Returns the GPU indices whose windows fail verification (empty
-        when clean or checksums are disabled).
+        ``reported`` maps GPU -> the digest its worker computed over
+        the GPU's slice windows and exchange payload; ``recompute(gpu)``
+        computes the same from the parent's side.  Returns the GPU
+        indices that fail verification (empty when clean or checksums
+        are disabled).
         """
         if not self.config.shm_checksums:
             return []
         t0 = time.perf_counter()
-        bad: List[int] = []
-        for g, side in sorted(replies.items()):
-            want = side.get("shmsum")
-            if want is None:
-                continue
-            if slice_checksum(problem.data_slices[g]) != want:
-                bad.append(g)
+        bad = [
+            g for g, want in sorted(reported.items())
+            if want is not None and recompute(g) != want
+        ]
         self.overhead_seconds += time.perf_counter() - t0
         return bad
 

@@ -283,8 +283,9 @@ def run_bc(graph, machine, src: int = 0, partitioner=None, scheme=None,
     from ..core.enactor import Enactor
 
     problem = BCProblem(graph, machine, partitioner=partitioner)
-    enactor = Enactor(problem, BCIteration, scheme=scheme, **enactor_kwargs)
-    metrics = enactor.enact(src=src)
+    with Enactor(problem, BCIteration, scheme=scheme,
+                 **enactor_kwargs) as enactor:
+        metrics = enactor.enact(src=src)
     return problem.bc_values(), metrics, problem
 
 
@@ -318,18 +319,19 @@ def run_full_bc(graph, machine, sources=None, partitioner=None, scheme=None,
     from ..sim.metrics import RunMetrics
 
     problem = BCProblem(graph, machine, partitioner=partitioner)
-    enactor = Enactor(problem, BCIteration, scheme=scheme, **enactor_kwargs)
     if sources is None:
         sources = range(graph.num_vertices)
     total = RunMetrics(num_gpus=machine.num_gpus, primitive="bc-full")
     total.scale = machine.scale
     bc = np.zeros(graph.num_vertices)
-    for src in sources:
-        metrics = enactor.enact(src=int(src))
-        bc += problem.bc_values()
-        total.elapsed += metrics.elapsed
-        total.iterations.extend(metrics.iterations)
-        total.num_reallocs += metrics.num_reallocs
-        for g, peak in metrics.peak_memory.items():
-            total.peak_memory[g] = max(total.peak_memory.get(g, 0), peak)
+    with Enactor(problem, BCIteration, scheme=scheme,
+                 **enactor_kwargs) as enactor:
+        for src in sources:
+            metrics = enactor.enact(src=int(src))
+            bc += problem.bc_values()
+            total.elapsed += metrics.elapsed
+            total.iterations.extend(metrics.iterations)
+            total.num_reallocs += metrics.num_reallocs
+            for g, peak in metrics.peak_memory.items():
+                total.peak_memory[g] = max(total.peak_memory.get(g, 0), peak)
     return bc, total, problem

@@ -175,8 +175,11 @@ def run_bfs(
         graph, machine, partitioner=partitioner,
         mark_predecessors=mark_predecessors,
     )
-    enactor = Enactor(problem, BFSIteration, scheme=scheme, **enactor_kwargs)
-    metrics = enactor.enact(src=src)
+    # closing releases the backend's workers and shared memory; the
+    # results stay readable through ``problem``
+    with Enactor(problem, BFSIteration, scheme=scheme,
+                 **enactor_kwargs) as enactor:
+        metrics = enactor.enact(src=src)
     metrics.dataset = getattr(graph, "dataset_name", "")
     return problem.labels(), metrics, problem
 
@@ -203,11 +206,12 @@ def run_bfs_batch(
     from ..core.enactor import Enactor
 
     problem = BFSProblem(graph, machine, partitioner=partitioner)
-    enactor = Enactor(problem, BFSIteration, scheme=scheme, **enactor_kwargs)
     all_labels = []
     all_metrics = []
-    for src in sources:
-        metrics = enactor.enact(src=int(src))
-        all_labels.append(problem.labels())
-        all_metrics.append(metrics)
+    with Enactor(problem, BFSIteration, scheme=scheme,
+                 **enactor_kwargs) as enactor:
+        for src in sources:
+            metrics = enactor.enact(src=int(src))
+            all_labels.append(problem.labels())
+            all_metrics.append(metrics)
     return all_labels, all_metrics, problem

@@ -166,11 +166,11 @@ def run_cc(graph, machine, partitioner=None, scheme=None, **enactor_kwargs):
 
     problem = CCProblem(graph, machine, partitioner=partitioner)
     # the paper uses fixed preallocation for CC (memory needs are known)
-    enactor = Enactor(
+    with Enactor(
         problem,
         CCIteration,
         scheme=scheme or FixedPrealloc(frontier_factor=1.05),
         **enactor_kwargs,
-    )
-    metrics = enactor.enact()
+    ) as enactor:
+        metrics = enactor.enact()
     return problem.components(), metrics, problem

@@ -297,6 +297,7 @@ def run_dobfs(
         graph, machine, partitioner=partitioner, do_a=do_a, do_b=do_b
     )
     enactor_kwargs.setdefault("overlap_communication", True)
-    enactor = Enactor(problem, DOBFSIteration, scheme=scheme, **enactor_kwargs)
-    metrics = enactor.enact(src=src)
+    with Enactor(problem, DOBFSIteration, scheme=scheme,
+                 **enactor_kwargs) as enactor:
+        metrics = enactor.enact(src=src)
     return problem.labels(), metrics, problem

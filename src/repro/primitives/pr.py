@@ -301,11 +301,11 @@ def run_pagerank(
     )
     # the paper uses fixed preallocation for PR, whose memory needs are
     # known exactly beforehand: frontier = hosted + border, no intermediate
-    enactor = Enactor(
+    with Enactor(
         problem,
         PRIteration,
         scheme=scheme or FixedPrealloc(frontier_factor=1.05),
         **enactor_kwargs,
-    )
-    metrics = enactor.enact()
+    ) as enactor:
+        metrics = enactor.enact()
     return problem.ranks(), metrics, problem

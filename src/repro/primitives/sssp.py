@@ -181,6 +181,7 @@ def run_sssp(graph, machine, src: int = 0, partitioner=None, scheme=None,
     from ..core.enactor import Enactor
 
     problem = SSSPProblem(graph, machine, partitioner=partitioner)
-    enactor = Enactor(problem, SSSPIteration, scheme=scheme, **enactor_kwargs)
-    metrics = enactor.enact(src=src)
+    with Enactor(problem, SSSPIteration, scheme=scheme,
+                 **enactor_kwargs) as enactor:
+        metrics = enactor.enact(src=src)
     return problem.distances(), metrics, problem

@@ -335,9 +335,16 @@ class TestEnactorLifecycle:
         enactor = self._enactor(small_rmat, backend="processes")
         m1 = enactor.enact(src=0)
         manifest = enactor.backend._manifest
+        exchange = enactor.backend._exchange
+        workers = list(enactor.backend._workers)
         m2 = enactor.enact(src=1)
         m3 = enactor.enact(src=0)
         assert enactor.backend._manifest is manifest
+        # ... and the pool: same exchange segments, same live processes
+        assert enactor.backend._exchange is exchange
+        assert enactor.backend._workers == workers
+        assert all(proc.is_alive() for proc, _conn in workers)
+        assert json.dumps(m1.to_dict()) == json.dumps(m3.to_dict())
         assert m1.supersteps == m3.supersteps
         assert m2.supersteps  # ran to completion from the other source
         enactor.close()

@@ -19,6 +19,7 @@ import json
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.core.supervise import (
     WorkerSupervisor,
     reap_worker,
     wait_for_reply,
+    worker_recv,
 )
 from repro.errors import SimulationError, WorkerCrashError, WorkerHangError
 from repro.obs import EventBus, Tracer
@@ -337,6 +339,28 @@ class TestWaitPrimitives:
         reap_worker(proc, conn, timeout=0.2)
         assert time.monotonic() - t0 < 5.0
         assert not proc.is_alive()
+
+    def test_worker_recv_detects_orphaning_by_recorded_parent(
+        self, monkeypatch
+    ):
+        """An orphan is re-parented to whatever reaps orphans here —
+        pid 1, a subreaper, a container init — so the worker compares
+        against the pid recorded at fork, not against 1."""
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe()
+        try:
+            # re-parented to a subreaper that is not pid 1
+            monkeypatch.setattr(os, "getppid", lambda: 4242)
+            with pytest.raises(EOFError):
+                worker_recv(theirs, 1000, poll_interval=0.01)
+            # a live parent that happens to BE pid 1 (container init)
+            # is not an orphaning: the request still arrives
+            monkeypatch.setattr(os, "getppid", lambda: 1)
+            threading.Timer(0.05, ours.send, args=(("stop",),)).start()
+            assert worker_recv(theirs, 1, poll_interval=0.01) == ("stop",)
+        finally:
+            ours.close()
+            theirs.close()
 
     def test_deadline_adapts_to_observed_supersteps(self):
         sup = WorkerSupervisor(SupervisionConfig(
