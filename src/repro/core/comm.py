@@ -26,8 +26,9 @@ from ..partition.duplication import SubGraph
 from ..types import IdConfig
 from .stats import OpStats
 
-__all__ = ["Message", "split_frontier", "make_selective_messages",
-           "make_broadcast_messages", "SELECTIVE", "BROADCAST"]
+__all__ = ["Message", "split_frontier", "route_empty_frontier",
+           "make_selective_messages", "make_broadcast_messages",
+           "SELECTIVE", "BROADCAST"]
 
 SELECTIVE = "selective"
 BROADCAST = "broadcast"
@@ -81,13 +82,19 @@ def split_frontier(
         # callers (tests, baselines) pay this copy
         frontier = frontier.astype(np.int64)
     hosts = sub.host_of_local[frontier]
-    local = frontier[hosts == sub.gpu_id]
+    is_local = hosts == sub.gpu_id
     remote: Dict[int, np.ndarray] = {}
-    # which of the few GPUs own something here: one counting pass over
-    # the small owner domain, not a sort of the frontier-length array
-    for peer in np.flatnonzero(np.bincount(hosts)):
-        if peer != sub.gpu_id:
-            remote[int(peer)] = frontier[hosts == peer]
+    if np.count_nonzero(is_local) == frontier.size:
+        # interior (or empty) frontier: nothing to route, no per-peer pass
+        local = frontier
+    else:
+        local = frontier[is_local]
+        # which of the few GPUs own something here: one counting pass
+        # over the small owner domain, not a sort of the frontier-length
+        # array
+        for peer in np.bincount(hosts).nonzero()[0]:
+            if peer != sub.gpu_id:
+                remote[int(peer)] = frontier[hosts == peer]
     stats = OpStats(
         name="split",
         input_size=int(frontier.size),
@@ -104,6 +111,30 @@ def split_frontier(
             peers=len(remote),
         )
     return local, remote, stats
+
+
+#: what splitting and packaging an empty frontier is charged: the split
+#: kernel still launches, packaging does not.  Shared and never mutated —
+#: the enactor only prices them.
+_EMPTY_SPLIT = OpStats(name="split", launches=1)
+_EMPTY_PACKAGE = OpStats(name="package", launches=0)
+
+
+def route_empty_frontier(
+    sub: SubGraph, num_associates: int, tracer=None
+) -> List[OpStats]:
+    """:func:`split_frontier` + :func:`make_selective_messages` for an
+    empty frontier, without the array work: their ``[split, package]``
+    stats (no local part, no messages) and, traced, their two events."""
+    if tracer is not None:
+        tracer.instant(
+            "comm.split", gpu=sub.gpu_id, items=0, local=0, peers=0,
+        )
+        tracer.instant(
+            "comm.package", gpu=sub.gpu_id, items=0, messages=0,
+            associates=num_associates,
+        )
+    return [_EMPTY_SPLIT, _EMPTY_PACKAGE]
 
 
 def make_selective_messages(

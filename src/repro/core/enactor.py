@@ -55,6 +55,7 @@ from .comm import (
     BROADCAST,
     make_broadcast_messages,
     make_selective_messages,
+    route_empty_frontier,
     split_frontier,
 )
 from .frontier import Frontier
@@ -90,6 +91,75 @@ def _dump_on_repro_error(fn):
             raise
 
     return wrapper
+
+
+class _ChargeLedger:
+    """One GPU-superstep's charges to its compute stream.
+
+    A charge is priced when it is made (``compute_seconds`` adds up in
+    program order) and reaches the stream at :meth:`flush`: one
+    ``Stream.launch_many`` over the ledger, in the order the charges
+    were made, leaving the horizon where a launch per charge would
+    have.  The superstep flushes once, before timing its sends; whatever
+    reads the horizon earlier flushes first.  A traced span needs its
+    op's start time, so with a tracer every charge is applied as it is
+    made — a traced ledger is empty between calls.
+    """
+
+    __slots__ = ("gpu_index", "stream", "op_seconds", "tracer", "pending")
+
+    def __init__(self, gpu_index: int, stream, kernel_model, tracer):
+        self.gpu_index = gpu_index
+        self.stream = stream
+        self.op_seconds = kernel_model.op_seconds
+        self.tracer = tracer
+        self.pending: List[tuple] = []  # (duration, earliest_start, label)
+
+    def add(self, duration: float, label: str, **span_args) -> float:
+        """Charge framework work (bookkeeping, reallocation)."""
+        self.pending.append((duration, 0.0, label))
+        if self.tracer is not None:
+            end = self.flush()[-1]
+            self.tracer.span(
+                "op", label, end - duration, duration,
+                track=self.gpu_index, **span_args,
+            )
+        return duration
+
+    def charge(self, stats: Sequence[OpStats], earliest_start: float = 0.0,
+               scale: float = 1.0) -> float:
+        """Charge operator stats; return their seconds.  ``scale`` is an
+        injected-straggler slowdown (1.0 with no fault plan armed)."""
+        op_seconds = self.op_seconds
+        pending = self.pending
+        total = 0.0
+        for s in stats:
+            dur = op_seconds(
+                s.streaming_bytes, s.random_bytes, s.launches, s.atomic_ops
+            ) * scale
+            pending.append((dur, earliest_start, s.name))
+            total += dur
+        if self.tracer is not None:
+            for s, op, end in zip(stats, pending, self.flush()):
+                self.tracer.op_span(self.gpu_index, s, end - op[0], op[0])
+        return total
+
+    def flush(self) -> List[float]:
+        """Apply the pending charges; return their completion times."""
+        pending = self.pending
+        if not pending:
+            return pending
+        self.pending = []
+        return self.stream.launch_many(pending)
+
+    def trace_oom_regrow(self, buffer: str) -> None:
+        """The traced instant of an exact-fit regrowth, at the horizon."""
+        if self.tracer is not None:
+            self.flush()  # the instant reads the horizon
+            self.tracer.instant(
+                "recovery.oom-regrow", vt=self.stream.available_at,
+                gpu=self.gpu_index, buffer=buffer,
+            )
 
 
 class Enactor:
@@ -154,10 +224,12 @@ class Enactor:
         structured event stream.  A pure observer — traced runs are
         bit-identical (results and metrics) to untraced runs on both
         backends.  ``None`` (the default) costs one pointer check per
-        hook site, the ``sim/faults.py`` discipline (lint rule REP109).
+        hook site, the ``sim/faults.py`` discipline (lint rule REP109);
+        attached, it also makes the superstep's charge ledger apply
+        every charge as it is made (a span needs its op's start time).
     relaxed_barriers:
         Opt in to the (future) relaxed-barrier execution mode (ROADMAP
-        item 5).  Gated by a **two-tier certification precondition**
+        item 7).  Gated by a **two-tier certification precondition**
         (docs/static_analysis.md, "relaxed-barrier certificate
         contract"):
 
@@ -367,6 +439,21 @@ class Enactor:
         self.frontiers_in: List[Frontier] = []
         self.frontiers_out: List[Frontier] = []
         self._intermediate_names: List[str] = []
+        #: what GPU i's hooks see: all but the superstep number and the
+        #: tracer (set per superstep) changes only with the subgraphs
+        self._contexts: List[GpuContext] = [
+            GpuContext(
+                gpu=self.machine.gpus[i],
+                sub=problem.subgraphs[i],
+                slice=problem.data_slices[i],
+                kernel_model=self.machine.kernel_model,
+                fused=self.scheme.fused,
+                iteration=0,
+                num_gpus=n,
+                workspace=self.workspaces[i],
+            )
+            for i in range(n)
+        ]
         prefix = getattr(problem, "alloc_prefix", problem.name)
         for i in range(n):
             sub = problem.subgraphs[i]
@@ -396,62 +483,25 @@ class Enactor:
                 pool.alloc(f"{prefix}.comm", 2 * cap * vb * assoc)
 
     # ------------------------------------------------------------------
-    def _charge(
-        self,
-        gpu_index: int,
-        stats: Sequence[OpStats],
-        earliest_start: float = 0.0,
-        scale: float = 1.0,
+    def _charge_frontier_growth(
+        self, ledger: _ChargeLedger, grown_items: int, item_bytes: int
     ) -> float:
-        """Charge operator stats on a GPU's compute stream; return seconds.
-
-        ``scale`` is an injected-straggler slowdown multiplier (1.0 when
-        no fault plan is armed).
-        """
-        gpu = self.machine.gpus[gpu_index]
-        km = self.machine.kernel_model
-        tracer = self.tracer
-        total = 0.0
-        for s in stats:
-            cost = km.kernel_time(
-                streaming_bytes=s.streaming_bytes,
-                random_bytes=s.random_bytes,
-                launches=s.launches,
-                atomic_ops=s.atomic_ops,
-            )
-            dur = cost.total * scale
-            ev = gpu.compute.launch(
-                dur, earliest_start=earliest_start, label=s.name
-            )
-            total += dur
-            if tracer is not None:
-                tracer.op_span(gpu_index, s, ev.timestamp - dur, dur)
-        return total
-
-    def _charge_frontier_growth(self, gpu_index: int, grown_items: int, item_bytes: int) -> float:
-        """Reallocation cost: cudaMalloc + copy (just-enough's price)."""
-        if grown_items <= 0:
-            return 0.0
+        """Reallocation cost of ``grown_items`` (> 0) new slots:
+        cudaMalloc + copy (just-enough's price)."""
         km = self.machine.kernel_model
         t = km.memcpy_time(grown_items * item_bytes) + 50e-6  # cudaMalloc sync
-        ev = self.machine.gpus[gpu_index].compute.launch(t, label="realloc")
-        if self.tracer is not None:
-            self.tracer.span(
-                "op", "realloc", ev.timestamp - t, t,
-                track=gpu_index, items=int(grown_items),
-            )
-        return t
+        return ledger.add(t, "realloc", items=int(grown_items))
 
     def _ensure_intermediate(
-        self,
-        gpu_index: int,
-        stats: Sequence[OpStats],
-        eff: Optional[GpuStepEffects] = None,
+        self, ledger: _ChargeLedger, stats: Sequence[OpStats],
+        eff: GpuStepEffects,
     ) -> None:
-        """Size the unfused advance-output buffer (just-enough growth)."""
+        """Size the unfused advance-output buffer of a GPU that has one
+        (just-enough growth; non-growing schemes keep it as a guard —
+        Section VI-B: "to prevent illegal memory access, although this
+        only happens rarely")."""
+        gpu_index = ledger.gpu_index
         name = self._intermediate_names[gpu_index]
-        if not name:
-            return
         needed = max(
             (s.output_size for s in stats if s.name.startswith("advance")),
             default=0,
@@ -461,30 +511,19 @@ class Enactor:
         vb = sub.csr.ids.vertex_bytes
         current = pool.size_of(name) or 0
         if needed * vb > current:
-            if not self.scheme.grows_on_demand:
-                # non-growing schemes keep just-enough as a guard
-                # (Section VI-B: "to prevent illegal memory access,
-                # although this only happens rarely")
-                pass
             try:
                 pool.realloc(name, int(needed * vb * 1.1), preserve=False)
             except DeviceMemoryError:
-                if (eff is None or self.machine.faults is None
-                        or not self.recovery.retry_oom):
+                if self.machine.faults is None or not self.recovery.retry_oom:
                     raise
                 # transient allocation failure: retry at exact fit
                 pool.realloc(name, max(needed * vb, 1), preserve=False)
                 eff.oom_recoveries += 1
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "recovery.oom-regrow",
-                        vt=self.machine.gpus[gpu_index].compute.available_at,
-                        gpu=gpu_index, buffer=name,
-                    )
-            self._charge_frontier_growth(gpu_index, needed, vb)
+                ledger.trace_oom_regrow(name)
+            self._charge_frontier_growth(ledger, needed, vb)
 
     def _set_frontier(
-        self, gpu_index: int, frontier_obj: Frontier,
+        self, ledger: _ChargeLedger, frontier_obj: Frontier,
         data: np.ndarray, eff: GpuStepEffects,
     ) -> int:
         """:meth:`Frontier.set` with injected-OOM recovery.
@@ -511,12 +550,7 @@ class Enactor:
             frontier_obj.grow_events += 1
             frontier_obj.set(data)
             eff.oom_recoveries += 1
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "recovery.oom-regrow",
-                    vt=self.machine.gpus[gpu_index].compute.available_at,
-                    gpu=gpu_index, buffer=frontier_obj.name,
-                )
+            ledger.trace_oom_regrow(frontier_obj.name)
             return grown
 
     # ------------------------------------------------------------------
@@ -541,27 +575,20 @@ class Enactor:
         machine = self.machine
         problem = self.problem
         n = machine.num_gpus
-        gpu = machine.gpus[i]
-        sub = problem.subgraphs[i]
         sanitizer = self.sanitizer
         tracer = self.tracer
+        ctx = self._contexts[i]
+        ctx.iteration = iteration
+        ctx.tracer = tracer
+        gpu = ctx.gpu
+        sub = ctx.sub
+        compute = gpu.compute
         eff = GpuStepEffects(gpu=i)
-        ctx = GpuContext(
-            gpu=gpu,
-            sub=sub,
-            slice=problem.data_slices[i],
-            kernel_model=machine.kernel_model,
-            fused=self.scheme.fused,
-            iteration=iteration,
-            num_gpus=n,
-            workspace=self.workspaces[i],
-            tracer=tracer,
-        )
         if sanitizer is not None:
             sanitizer.begin_gpu(i, iteration)
         if tracer is not None:
             tracer.begin_gpu(i, iteration)
-            _vt0 = gpu.compute.available_at
+            _vt0 = compute.available_at
             _wall0 = tracer.wall()
             tracer.instant(
                 "superstep.begin", vt=_vt0, gpu=i, iteration=iteration,
@@ -573,26 +600,20 @@ class Enactor:
             inj.check_gpu_loss(i, iteration)
             inj.begin_superstep(i, iteration)
             straggle = inj.straggler_factor(i, iteration)
-        compute_seconds = 0.0
+        ledger = _ChargeLedger(i, compute, machine.kernel_model, tracer)
         # per-iteration framework overhead (bookkeeping kernels,
         # driver API calls) — the 1-GPU part of Section V-B's l
-        overhead = gpu.spec.iteration_overhead * straggle
-        fev = gpu.compute.launch(overhead, label="framework")
-        compute_seconds += overhead
-        if tracer is not None:
-            tracer.span(
-                "op", "framework", fev.timestamp - overhead, overhead,
-                track=i,
-            )
+        compute_seconds = ledger.add(
+            gpu.spec.iteration_overhead * straggle, "framework"
+        )
 
         # --- 1. combine incoming messages ----------------------
         extra_parts: List[np.ndarray] = []
         combined_items = 0
         for arrival, msg in inbox:
             verts, stats = iteration_obj.expand_incoming(ctx, msg)
-            compute_seconds += self._charge(
-                i, stats, earliest_start=arrival, scale=straggle
-            )
+            if stats:
+                compute_seconds += ledger.charge(stats, arrival, straggle)
             combined_items += msg.num_items
             if tracer is not None:
                 tracer.instant(
@@ -612,65 +633,85 @@ class Enactor:
         else:
             frontier = np.concatenate([frontier_in] + extra_parts)
         eff.frontier_size = int(frontier.size)
+        fin = self.frontiers_in[i]
         if inj is None:
-            grown = self.frontiers_in[i].set(frontier)
+            grown = fin.set(frontier)
         else:
-            grown = self._set_frontier(i, self.frontiers_in[i], frontier, eff)
-        compute_seconds += self._charge_frontier_growth(
-            i, grown, self.frontiers_in[i].item_bytes
-        )
+            grown = self._set_frontier(ledger, fin, frontier, eff)
+        if grown > 0:
+            compute_seconds += self._charge_frontier_growth(
+                ledger, grown, fin.item_bytes
+            )
 
         # --- 2. single-GPU core --------------------------------
         out, core_stats = iteration_obj.full_queue_core(ctx, frontier)
         out = np.asarray(out, dtype=np.int64)
-        compute_seconds += self._charge(i, core_stats, scale=straggle)
-        self._ensure_intermediate(i, core_stats, eff)
-        eff.edges_visited = sum(s.edges_visited for s in core_stats)
-        eff.vertices_processed = sum(s.vertices_processed for s in core_stats)
+        if core_stats:
+            compute_seconds += ledger.charge(core_stats, 0.0, straggle)
+            if self._intermediate_names[i]:
+                self._ensure_intermediate(ledger, core_stats, eff)
+            edges = vertices = 0
+            for s in core_stats:
+                edges += s.edges_visited
+                vertices += s.vertices_processed
+            eff.edges_visited = edges
+            eff.vertices_processed = vertices
+        fout = self.frontiers_out[i]
         if inj is None:
-            grown = self.frontiers_out[i].set(out)
+            grown = fout.set(out)
         else:
-            grown = self._set_frontier(i, self.frontiers_out[i], out, eff)
-        compute_seconds += self._charge_frontier_growth(
-            i, grown, self.frontiers_out[i].item_bytes
-        )
+            grown = self._set_frontier(ledger, fout, out, eff)
+        if grown > 0:
+            compute_seconds += self._charge_frontier_growth(
+                ledger, grown, fout.item_bytes
+            )
         eff.direction = iteration_obj.direction_of(i)
 
         # --- 3. split / package / push -------------------------
-        comm_seconds = 0.0
+        msgs: Sequence = ()
+        local_part = out
         if n > 1 and iteration_obj.communicates_this_iteration(iteration):
-            va = list(iteration_obj.vertex_associate_arrays(ctx))
-            la = list(iteration_obj.value_associate_arrays(ctx))
+            ids_bytes = ctx.ids_bytes
+            va = iteration_obj.vertex_associate_arrays(ctx)
+            la = iteration_obj.value_associate_arrays(ctx)
             if problem.communication == BROADCAST:
                 msgs, pstats = make_broadcast_messages(
-                    sub, out, n, va, la, ids_bytes=ctx.ids_bytes,
+                    sub, out, n, va, la, ids_bytes=ids_bytes,
                     skip=machine.lost_gpus, tracer=tracer,
                 )
-                local_part = out
-                compute_seconds += self._charge(i, [pstats], scale=straggle)
-            else:
+                route_stats = [pstats]
+            elif out.size:
                 local_part, remote, sstats = split_frontier(
-                    sub, out, ids_bytes=ctx.ids_bytes, tracer=tracer
+                    sub, out, ids_bytes=ids_bytes, tracer=tracer
                 )
                 msgs, pstats = make_selective_messages(
-                    sub, remote, va, la, ids_bytes=ctx.ids_bytes,
-                    tracer=tracer,
+                    sub, remote, va, la, ids_bytes=ids_bytes, tracer=tracer,
                 )
-                compute_seconds += self._charge(
-                    i, [sstats, pstats], scale=straggle
+                route_stats = [sstats, pstats]
+            else:
+                route_stats = route_empty_frontier(
+                    sub, len(va) + len(la), tracer
                 )
-            send_ready = gpu.compute.record_event()
+            compute_seconds += ledger.charge(route_stats, 0.0, straggle)
+        # the superstep's compute-stream charges, applied in the order
+        # they were made; sends start when the stream has drained
+        ledger.flush()
+        send_ready = compute.available_at
+        comm_seconds = 0.0
+        if msgs:
             # empty sub-frontiers send no payload; the
             # frontier-length handshake is part of the barrier's
             # synchronization latency, not a tracked message
+            lost = machine.lost_gpus
             msgs = [
                 m for m in msgs
-                if m.num_items > 0 and m.dst_gpu not in machine.lost_gpus
+                if m.vertices.size > 0 and m.dst_gpu not in lost
             ]
             ids = problem.graph.ids
+            comm = gpu.comm
             for msg in msgs:
                 nbytes = int(msg.nbytes(ids) * self.comm_volume_scale)
-                start_at = send_ready.timestamp
+                start_at = send_ready
                 if inj is None:
                     dur = machine.interconnect.transfer_cost(
                         i,
@@ -702,7 +743,7 @@ class Enactor:
                                 * (2 ** (attempt - 1)),
                                 self.recovery.comm_backoff_cap,
                             )
-                            bev = gpu.comm.launch(
+                            bev = comm.launch(
                                 backoff,
                                 earliest_start=start_at,
                                 label=f"retry->{msg.dst_gpu}",
@@ -717,7 +758,7 @@ class Enactor:
                                     gpu=i, dst=msg.dst_gpu,
                                     attempt=attempt, backoff=backoff,
                                 )
-                ev = gpu.comm.launch(
+                ev = comm.launch(
                     dur,
                     earliest_start=start_at,
                     label=f"send->{msg.dst_gpu}",
@@ -733,14 +774,12 @@ class Enactor:
                 eff.transfer_nbytes.append(nbytes)
                 eff.items_sent += msg.num_items
                 eff.bytes_sent += nbytes
-            eff.frontier = local_part
-        else:
-            eff.frontier = out
+        eff.frontier = local_part
 
         eff.compute_seconds = compute_seconds
         eff.comm_seconds = comm_seconds
         if tracer is not None:
-            _vt1 = gpu.compute.available_at
+            _vt1 = compute.available_at
             tracer.span(
                 "superstep", f"superstep {iteration}", _vt0, _vt1 - _vt0,
                 track=i, wall_start=_wall0, wall_dur=tracer.wall() - _wall0,
@@ -1067,7 +1106,7 @@ class Enactor:
                 recorder.on_superstep(iteration, machine.clock.now, rec)
             iteration_obj.on_iteration_end(iteration)
 
-            in_flight = sum(len(box) for box in inboxes)
+            in_flight = sum(map(len, inboxes))
             if iteration_obj.should_stop(
                 iteration, [f.size for f in frontiers], in_flight
             ):

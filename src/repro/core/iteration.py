@@ -8,7 +8,7 @@ framework owns everything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,10 +42,12 @@ class GpuContext:
     #: attached obs.Tracer, or None (the common, zero-overhead case);
     #: primitives forward it to operator calls for wall-clock sampling
     tracer: Optional[object] = None
+    #: vertex-ID width of the subgraph in bytes, read once here because
+    #: hooks and operators consult it on every call
+    ids_bytes: int = field(init=False)
 
-    @property
-    def ids_bytes(self) -> int:
-        return self.sub.csr.ids.vertex_bytes
+    def __post_init__(self) -> None:
+        self.ids_bytes = self.sub.csr.ids.vertex_bytes
 
 
 class IterationBase:

@@ -99,14 +99,17 @@ def _frontier64(frontier: np.ndarray) -> np.ndarray:
 
 
 def gather_neighbors(
-    csr: CsrGraph, frontier: np.ndarray, ws: Optional[Workspace] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    csr: CsrGraph, frontier: np.ndarray, ws: Optional[Workspace] = None,
+    need_sources: bool = True,
+) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
     """Gather all out-neighbors of ``frontier``.
 
     Returns ``(neighbors, sources, edge_indices)``, each of length equal
     to the total degree of the frontier.  ``sources[k]`` is the frontier
     vertex whose edge produced ``neighbors[k]`` and ``edge_indices[k]`` is
-    that edge's position in ``csr.col_indices`` (for weight lookup).
+    that edge's position in ``csr.col_indices`` (for weight lookup).  A
+    caller that never reads ``sources`` passes ``need_sources=False`` and
+    gets ``None``: the edge-length repeat is not materialised.
 
     With a workspace, ``neighbors`` and ``edge_indices`` are views into
     the arena — valid until the next gather on the same GPU; callers must
@@ -122,7 +125,7 @@ def gather_neighbors(
     total = int(counts.sum())
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
+        return empty, empty.copy() if need_sources else None, empty.copy()
     # flattened edge indices: repeat(start - exclusive_prefix) + arange
     seg_base = np.repeat(starts + counts - np.cumsum(counts), counts)
     if ws is None:
@@ -134,7 +137,7 @@ def gather_neighbors(
         neighbors = np.take(
             csr.cols64, edge_idx, out=ws.take("advance.neighbors", total, np.int64)
         )
-    sources = np.repeat(frontier, counts)
+    sources = np.repeat(frontier, counts) if need_sources else None
     return neighbors, sources, edge_idx
 
 
@@ -144,10 +147,12 @@ def advance_push(
     ids_bytes: int = 4,
     ws: Optional[Workspace] = None,
     tracer=None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, OpStats]:
+    need_sources: bool = True,
+) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray, OpStats]:
     """Per-edge parallel advance (the standard forward traversal).
 
-    Returns ``(neighbors, sources, edge_indices, stats)``.
+    Returns ``(neighbors, sources, edge_indices, stats)``; ``sources`` is
+    ``None`` with ``need_sources=False`` (see :func:`gather_neighbors`).
 
     Traffic model: frontier read + output write are streaming; offset
     lookups and neighbor-list gathers are random.  Per traversed edge the
@@ -159,7 +164,9 @@ def advance_push(
     per-operator profile; it never changes results.
     """
     _wall0 = tracer.wall() if tracer is not None else 0.0
-    neighbors, sources, edge_idx = gather_neighbors(csr, frontier, ws=ws)
+    neighbors, sources, edge_idx = gather_neighbors(
+        csr, frontier, ws=ws, need_sources=need_sources
+    )
     edges = int(neighbors.size)
     nf = int(np.asarray(frontier).size)
     stats = _push_stats(nf, edges, ids_bytes, csr.ids.size_bytes)

@@ -105,8 +105,9 @@ def fused_advance_filter(
                     "advance+filter(fused)", tracer.wall() - _wall0
                 )
             return survivors, w_sources, w_edges, stats
+    # only the witness reads the per-edge source array
     neighbors, sources, edge_idx, a_stats = advance_push(
-        csr, frontier, ids_bytes=ids_bytes, ws=ws
+        csr, frontier, ids_bytes=ids_bytes, ws=ws, need_sources=witness
     )
     survivors, f_stats = filter_unvisited(
         neighbors, labels, invalid_label, ids_bytes=ids_bytes, ws=ws

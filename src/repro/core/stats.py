@@ -10,7 +10,7 @@ BSP counts (Table I).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 __all__ = ["OpStats", "combine_stats"]
@@ -49,24 +49,6 @@ class OpStats:
             random_bytes=self.random_bytes + other.random_bytes,
             atomic_ops=self.atomic_ops + other.atomic_ops,
         )
-
-
-@dataclass
-class StatsList:
-    """Accumulates the operator stats of one iteration on one GPU."""
-
-    items: List[OpStats] = field(default_factory=list)
-
-    def add(self, s: OpStats) -> None:
-        self.items.append(s)
-
-    @property
-    def edges_visited(self) -> int:
-        return sum(s.edges_visited for s in self.items)
-
-    @property
-    def vertices_processed(self) -> int:
-        return sum(s.vertices_processed for s in self.items)
 
 
 def combine_stats(stats: List[OpStats]) -> OpStats:

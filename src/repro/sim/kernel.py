@@ -38,6 +38,26 @@ class KernelModel:
     def __init__(self, spec: DeviceSpec, scale: float = 1.0):
         self.spec = spec
         self.scale = float(scale)
+        # constants of the (frozen) spec, read on every charge
+        self._launch_overhead = spec.kernel_launch_overhead
+        self._streaming_bw = spec.effective_bandwidth(False)
+        self._random_bw = spec.effective_bandwidth(True)
+
+    def op_seconds(self, streaming_bytes: float, random_bytes: float,
+                   launches: int, atomic_ops: float) -> float:
+        """``kernel_time(...).total`` as a bare float: the one place the
+        cost formula lives.  The enactor prices every ``OpStats`` through
+        this positional form (no ``KernelCost`` per call) and
+        :meth:`kernel_time` reads its traffic term from it."""
+        t = 0.0
+        if streaming_bytes > 0:
+            t += (streaming_bytes * self.scale) / self._streaming_bw
+        if random_bytes > 0:
+            t += (random_bytes * self.scale) / self._random_bw
+        if atomic_ops > 0:
+            # model atomics as 8-byte random accesses at 1/4 efficiency
+            t += (atomic_ops * 8 * self.scale) / (self._random_bw * 0.25)
+        return launches * self._launch_overhead + t
 
     def kernel_time(
         self,
@@ -62,24 +82,17 @@ class KernelModel:
             the cost that limits Bisson et al.'s atomic-heavy BFS,
             Section II-A).
         """
-        launch = launches * self.spec.kernel_launch_overhead
-        t = 0.0
-        if streaming_bytes > 0:
-            t += (streaming_bytes * self.scale) / self.spec.effective_bandwidth(False)
-        if random_bytes > 0:
-            t += (random_bytes * self.scale) / self.spec.effective_bandwidth(True)
-        if atomic_ops > 0:
-            # model atomics as 8-byte random accesses at 1/4 efficiency
-            t += (atomic_ops * 8 * self.scale) / (
-                self.spec.effective_bandwidth(True) * 0.25
-            )
-        return KernelCost(launch=launch, traffic=t)
+        return KernelCost(
+            launch=launches * self._launch_overhead,
+            # zero launches leave exactly the traffic term (0.0 + t == t)
+            traffic=self.op_seconds(streaming_bytes, random_bytes, 0, atomic_ops),
+        )
 
     def memcpy_time(self, nbytes: float) -> float:
         """Device-local copy (used by reallocation's malloc+copy)."""
         if nbytes <= 0:
-            return self.spec.kernel_launch_overhead
+            return self._launch_overhead
         return (
-            self.spec.kernel_launch_overhead
-            + (2 * nbytes * self.scale) / self.spec.effective_bandwidth(False)
+            self._launch_overhead
+            + (2 * nbytes * self.scale) / self._streaming_bw
         )

@@ -176,21 +176,22 @@ class Machine:
 
         Returns the post-barrier time.
         """
-        if self.lost_gpus:
-            gpus = [g for i, g in enumerate(self.gpus)
-                    if i not in self.lost_gpus]
-        else:
-            gpus = self.gpus
+        lost = self.lost_gpus
+        gpus = (
+            [g for i, g in enumerate(self.gpus) if i not in lost]
+            if lost else self.gpus
+        )
+        # every participating stream, once: found, then raised to t
         if compute_only:
-            t = max((g.compute.available_at for g in gpus), default=0.0)
+            streams = [g.streams["compute"] for g in gpus]
         else:
-            t = max((g.busy_until() for g in gpus), default=0.0)
+            streams = [s for g in gpus for s in g.streams.values()]
+        t = max([s.available_at for s in streams], default=0.0)
         sync = self.interconnect.sync_latency(len(gpus)) if extra_latency else 0.0
         t += sync
-        for g in gpus:
-            streams = [g.compute] if compute_only else list(g.streams.values())
-            for s in streams:
-                s.available_at = max(s.available_at, t)
+        for s in streams:
+            if s.available_at < t:
+                s.available_at = t
         self.clock.advance_to(t)
         if self.tracer is not None:
             self.tracer.instant(

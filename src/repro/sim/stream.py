@@ -16,7 +16,7 @@ scheduling discipline on virtual time:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from ..errors import SimulationError
 
@@ -49,14 +49,27 @@ class Stream:
         transfer); the work cannot begin before both the stream is free and
         the dependency is satisfied.
         """
-        if duration < 0:
-            raise SimulationError(f"negative duration: {duration}")
-        start = max(self.available_at, earliest_start)
-        end = start + duration
-        self.available_at = end
-        if self.record_history:
-            self.history.append((start, end, label))
+        end = self.launch_many(((duration, earliest_start, label),))[0]
         return Event(end, label)
+
+    def launch_many(
+        self, ops: Sequence[Tuple[float, float, str]]
+    ) -> List[float]:
+        """:meth:`launch` for a ledger of ``(duration, earliest_start,
+        label)`` ops, in order; returns their completion times.  A
+        negative duration raises where a sequence of launches would
+        have: the ops before it stay applied."""
+        horizon = self.available_at
+        ends = [0.0] * len(ops)
+        for k, (duration, earliest_start, label) in enumerate(ops):
+            if duration < 0:
+                raise SimulationError(f"negative duration: {duration}")
+            # max(horizon, earliest_start)
+            start = earliest_start if earliest_start > horizon else horizon
+            self.available_at = horizon = ends[k] = start + duration
+            if self.record_history:
+                self.history.append((start, horizon, label))
+        return ends
 
     def wait_event(self, event: Event) -> None:
         """``cudaStreamWaitEvent``: future work waits for ``event``."""

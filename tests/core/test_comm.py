@@ -1,21 +1,28 @@
 """Communication: split, package, broadcast, message sizing."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.comm import (
     Message,
     make_broadcast_messages,
     make_selective_messages,
+    route_empty_frontier,
     split_frontier,
 )
+from repro.core.stats import OpStats
 from repro.graph.build import from_edges
+from repro.graph.generators import generate_road
+from repro.obs import Tracer
 from repro.partition import (
     DUPLICATE_1HOP,
     DUPLICATE_ALL,
     build_subgraphs,
 )
-from repro.partition.base import PartitionResult
+from repro.partition.base import PartitionResult, reassign_onto_survivors
 from repro.types import ID32, ID64
 
 
@@ -49,6 +56,103 @@ class TestSplit:
         local, remote, st = split_frontier(subs[0], np.array([], np.int64))
         assert local.size == 0
         assert remote == {}
+
+
+def _general_split(sub, frontier, ids_bytes):
+    """The split with no shortcut for frontiers that route nothing: a
+    mask per owner found by sorting — the reference the empty and
+    interior early-outs must equal."""
+    hosts = sub.host_of_local[frontier]
+    local = frontier[hosts == sub.gpu_id]
+    remote = {
+        int(peer): frontier[hosts == peer]
+        for peer in np.unique(hosts) if peer != sub.gpu_id
+    }
+    stats = OpStats(
+        name="split",
+        input_size=int(frontier.size),
+        output_size=int(frontier.size),
+        vertices_processed=int(frontier.size),
+        launches=1,
+        streaming_bytes=2 * frontier.size * ids_bytes,
+        random_bytes=frontier.size * 4,
+    )
+    return local, remote, stats
+
+
+@pytest.fixture(scope="module")
+def road_subgraphs():
+    """Blocks of a road grid — most vertices are interior to their part
+    — as partitioned, and as rebuilt after GPU 2 is lost."""
+    graph = generate_road(12, 12, seed=3)
+    table = np.arange(graph.num_vertices) * 4 // graph.num_vertices
+    degraded = reassign_onto_survivors(table, {2}, 4)
+    return {
+        (name, dup): build_subgraphs(
+            graph, PartitionResult.from_assignment(assignment, 4), dup
+        )
+        for name, assignment in (("intact", table), ("degraded", degraded))
+        for dup in (DUPLICATE_ALL, DUPLICATE_1HOP)
+    }
+
+
+class TestSplitEarlyOuts:
+    """Empty and all-local frontiers take no per-peer pass; what they
+    return must be what the general pass returns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_general_split(self, road_subgraphs, data):
+        subs = road_subgraphs[
+            data.draw(st.sampled_from(sorted(road_subgraphs)))
+        ]
+        sub = subs[data.draw(st.sampled_from([0, 1, 3]))]
+        hosted = np.flatnonzero(sub.host_of_local == sub.gpu_id)
+        kind = data.draw(st.sampled_from(["empty", "interior", "any"]))
+        pool = {
+            "empty": np.empty(0, dtype=np.int64),
+            "interior": hosted,
+            "any": np.arange(sub.num_vertices),
+        }[kind]
+        frontier = (
+            pool[data.draw(st.lists(st.integers(0, pool.size - 1),
+                                    max_size=40))]
+            if pool.size else pool
+        ).astype(np.int64)
+        ids_bytes = data.draw(st.sampled_from([4, 8]))
+        local, remote, stats = split_frontier(sub, frontier, ids_bytes)
+        w_local, w_remote, w_stats = _general_split(sub, frontier, ids_bytes)
+        np.testing.assert_array_equal(local, w_local)
+        assert local.dtype == w_local.dtype
+        assert list(remote) == list(w_remote)
+        for peer, part in w_remote.items():
+            np.testing.assert_array_equal(remote[peer], part)
+        assert asdict(stats) == asdict(w_stats)
+        if kind != "any":
+            assert remote == {}
+
+    @pytest.mark.parametrize("num_associates", [0, 1, 2])
+    def test_route_empty_frontier_equals_split_then_package(
+        self, road_subgraphs, num_associates
+    ):
+        sub = road_subgraphs[("degraded", DUPLICATE_ALL)][1]
+        empty = np.empty(0, dtype=np.int64)
+        assoc = [np.zeros(sub.num_vertices)] * num_associates
+        want_tracer, got_tracer = Tracer(), Tracer()
+        local, remote, s_stats = split_frontier(
+            sub, empty, ids_bytes=8, tracer=want_tracer
+        )
+        msgs, p_stats = make_selective_messages(
+            sub, remote, assoc[:1], assoc[1:], ids_bytes=8,
+            tracer=want_tracer,
+        )
+        assert local.size == 0 and msgs == []
+        got = route_empty_frontier(sub, num_associates, got_tracer)
+        assert [asdict(s) for s in got] == [asdict(s_stats), asdict(p_stats)]
+        assert got_tracer.events == want_tracer.events
+        assert len(got_tracer.events) == 2
+        # untraced, it records nothing and prices the same
+        assert route_empty_frontier(sub, num_associates) == got
 
 
 class TestSelectiveMessages:

@@ -86,3 +86,74 @@ def test_enact_makes_no_sort_or_hash_call(case, small_rmat, weighted_rmat):
     assert not SORTS_AND_HASHES & set(seen), {
         name: seen[name] for name in SORTS_AND_HASHES & set(seen)
     }
+
+
+# -- the per-superstep fixed cost --------------------------------------------
+#
+# A road grid is the workload of fixed costs: hundreds of supersteps of
+# frontiers a few vertices long, so what a GPU-superstep pays before it
+# does any work is most of the run.  The charge ledger prices every
+# OpStats through ``KernelModel.op_seconds`` and reaches the compute
+# stream once per GPU per superstep; empty frontiers are neither split
+# nor packaged.  The budgets sit ~15 % above what this run measures:
+# 386 calls per 4-GPU superstep and, per GPU-superstep, 3.1 ``op_seconds``
+# and 1.5 ``launch_many`` (one flush, plus one per message sent).  The
+# loop before the ledger made 641 calls, and 4.6 ``Stream.launch`` per
+# GPU-superstep under its 3.1 ``kernel_time``.
+
+PY_CALLS_PER_SUPERSTEP = 444
+COST_MODEL_CALLS_PER_GPU_SUPERSTEP = 3.6
+STREAM_CALLS_PER_GPU_SUPERSTEP = 1.75
+
+
+def _calls_by_function(fn):
+    """``call`` + ``c_call`` events while ``fn`` runs, in total and per
+    Python function ``(file stem, name)``."""
+    by_function: Counter = Counter()
+    total = 0
+
+    def profiler(frame, event, _arg):
+        nonlocal total
+        if event == "call":
+            code = frame.f_code
+            stem = code.co_filename.rsplit("/", 1)[-1].removesuffix(".py")
+            by_function[(stem, code.co_name)] += 1
+            total += 1
+        elif event == "c_call":
+            total += 1
+
+    sys.setprofile(profiler)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, total, by_function
+
+
+def test_superstep_fixed_cost_stays_within_budget():
+    from repro.graph.generators import generate_road
+    from repro.partition import make_partitioner
+
+    graph = generate_road(32, 32, delete_fraction=0.1,
+                          shortcut_fraction=0.0, seed=1)
+    problem = BFSProblem(
+        graph, Machine(4), partitioner=make_partitioner("metis", seed=1)
+    )
+    with Enactor(problem, BFSIteration) as enactor:
+        enactor.enact(src=0)  # warm: lazy caches, arena growth
+        metrics, total, by_function = _calls_by_function(
+            lambda: enactor.enact(src=0)
+        )
+    supersteps = len(metrics.iterations)
+    gpu_supersteps = 4 * supersteps
+    assert supersteps > 40, "not the many-small-supersteps regime"
+    assert by_function[("enactor", "_gpu_superstep")] == gpu_supersteps
+    assert total / supersteps <= PY_CALLS_PER_SUPERSTEP
+    # every OpStats is priced once (``kernel_time`` runs ``op_seconds``
+    # too, so this counts pricings through either entry)
+    cost_model = by_function[("kernel", "op_seconds")]
+    assert 0 < cost_model / gpu_supersteps <= COST_MODEL_CALLS_PER_GPU_SUPERSTEP
+    # the stream is reached by one flush per GPU-superstep, plus one
+    # launch per message sent (``launch`` runs ``launch_many``'s loop)
+    stream = by_function[("stream", "launch_many")]
+    assert 1 <= stream / gpu_supersteps <= STREAM_CALLS_PER_GPU_SUPERSTEP

@@ -14,6 +14,14 @@ on ``PYTHONPATH``::
 Six primitives x {1, 4} GPUs x {serial, processes:2} x predecessor
 marking on/off where the primitive has it, on a small R-MAT and a small
 road grid.
+
+The ``traced/...`` cases (BFS, SSSP, DOBFS at 4 GPUs) add a third
+digest over the attached tracer's record stream as the event bus
+delivers it — spans and events interleaved, in commit order, with
+names, ``vt``, ``dur`` and args — so a change to *when* the enactor
+charges the cost model cannot move, drop or reorder a traced op.  They
+were captured from the commit before the per-superstep charge ledger
+(PR 15, 0bc1a84).
 """
 
 import hashlib
@@ -27,6 +35,7 @@ from repro import primitives
 from repro.core.enactor import Enactor
 from repro.graph.build import add_random_weights
 from repro.graph.generators import generate_rmat, generate_road
+from repro.obs import EventBus, Tracer
 from repro.partition import make_partitioner
 from repro.sim import FixedPrealloc, Machine
 
@@ -61,6 +70,9 @@ VARIANTS = {
 }
 GRAPHS = ("rmat", "road")
 GPU_COUNTS = (1, 4)
+TRACED_VARIANTS = ("bfs", "sssp", "dobfs")
+#: wall-clock readings and what names the backend, not the run
+_UNTRACED_FIELDS = {"wall", "wall_dur", "thread", "backend", "workers"}
 
 
 def _graphs():
@@ -86,7 +98,22 @@ def _digest(arrays, metrics) -> dict:
     }
 
 
-def run_case(graphs, graph_name, variant, num_gpus, backend) -> dict:
+def _stream_digest(records) -> str:
+    """Digest of the tracer's record stream, in delivery order."""
+    def strip(value):
+        if isinstance(value, dict):
+            return {k: strip(v) for k, v in value.items()
+                    if k not in _UNTRACED_FIELDS}
+        return value
+
+    kept = [strip(r) for r in records if r["type"] != "backend.dispatch"]
+    return hashlib.sha256(
+        json.dumps(kept, sort_keys=True).encode()
+    ).hexdigest()
+
+
+def run_case(graphs, graph_name, variant, num_gpus, backend,
+             traced=False) -> dict:
     problem_cls, iteration_cls, pkw, ekw, accessors, opts = VARIANTS[variant]
     plain, weighted = graphs[graph_name]
     graph = weighted if variant.startswith("sssp") else plain
@@ -97,13 +124,22 @@ def run_case(graphs, graph_name, variant, num_gpus, backend) -> dict:
     opts = dict(opts)
     if opts.pop("fixed", False):
         opts["scheme"] = FixedPrealloc(frontier_factor=1.05)
+    records = []
+    if traced:
+        bus = EventBus()
+        bus.subscribe(records.append)
+        opts["tracer"] = Tracer(bus=bus)
     with Enactor(problem, iteration_cls, backend=backend, **opts) as enactor:
         metrics = enactor.enact(**ekw)
-    return _digest([getattr(problem, a)() for a in accessors], metrics)
+    digest = _digest([getattr(problem, a)() for a in accessors], metrics)
+    if traced:
+        digest["trace"] = _stream_digest(records)
+    return digest
 
 
-def case_key(graph_name, variant, num_gpus) -> str:
-    return f"{graph_name}/{variant}/{num_gpus}gpu"
+def case_key(graph_name, variant, num_gpus, traced=False) -> str:
+    prefix = "traced/" if traced else ""
+    return f"{prefix}{graph_name}/{variant}/{num_gpus}gpu"
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +163,19 @@ def test_equals_parent_commit_digest(graphs, digests, graph_name, variant,
         assert got == want, (backend, got, want)
 
 
+@pytest.mark.parametrize("variant", TRACED_VARIANTS)
+@pytest.mark.parametrize("graph_name", GRAPHS)
+def test_traced_stream_equals_parent_commit_digest(graphs, digests,
+                                                   graph_name, variant):
+    want = digests[case_key(graph_name, variant, 4, traced=True)]
+    # tracing is a pure observer: same result and metrics as untraced
+    plain = digests[case_key(graph_name, variant, 4)]
+    assert {k: want[k] for k in plain} == plain
+    for backend in BACKENDS:
+        got = run_case(graphs, graph_name, variant, 4, backend, traced=True)
+        assert got == want, (backend, got, want)
+
+
 if __name__ == "__main__":
     all_graphs = _graphs()
     table = {}
@@ -138,5 +187,12 @@ if __name__ == "__main__":
                 ]
                 assert per_backend[0] == per_backend[1], (g, v, n)
                 table[case_key(g, v, n)] = per_backend[0]
+        for v in TRACED_VARIANTS:
+            per_backend = [
+                run_case(all_graphs, g, v, 4, b, traced=True)
+                for b in BACKENDS
+            ]
+            assert per_backend[0] == per_backend[1], (g, v)
+            table[case_key(g, v, 4, traced=True)] = per_backend[0]
     DIGEST_FILE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} digests to {DIGEST_FILE}")

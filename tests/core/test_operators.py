@@ -54,6 +54,16 @@ class TestGather:
         nbrs, _, _ = gather_neighbors(diamond, np.array([0, 0]))
         assert nbrs.size == 4
 
+    @pytest.mark.parametrize("frontier", [[0, 3], [1, 1, 2], []])
+    def test_sources_skipped_on_request(self, diamond, frontier):
+        """A caller that reads no sources gets none built; neighbors and
+        edge indices are what they were."""
+        frontier = np.array(frontier, np.int64)
+        nbrs, srcs, eidx = gather_neighbors(diamond, frontier)
+        n2, none, e2 = gather_neighbors(diamond, frontier, need_sources=False)
+        assert none is None and srcs is not None
+        assert np.array_equal(n2, nbrs) and np.array_equal(e2, eidx)
+
 
 class TestAdvancePush:
     def test_output_and_stats(self, diamond):
@@ -161,6 +171,32 @@ class TestFusion:
         )
         assert np.all(srcs == 0)
         assert np.array_equal(diamond.col_indices[eidx], out)
+
+    def test_no_witness_same_survivors_and_stats(self, diamond, monkeypatch):
+        """``witness=False`` (BFS without predecessors) asks the advance
+        for no per-edge source array and changes nothing else."""
+        from repro.core.operators import fused as fused_mod
+
+        asked = []
+        real = fused_mod.advance_push
+
+        def spy(*args, **kwargs):
+            asked.append(kwargs.get("need_sources", True))
+            out = real(*args, **kwargs)
+            assert (out[1] is None) == (not asked[-1])
+            return out
+
+        monkeypatch.setattr(fused_mod, "advance_push", spy)
+        labels = np.full(4, -1, np.int64)
+        labels[0] = 0
+        with_w = fused_advance_filter(diamond, np.array([0, 0]), labels, -1)
+        without = fused_advance_filter(
+            diamond, np.array([0, 0]), labels, -1, witness=False
+        )
+        assert asked == [True, False]
+        assert np.array_equal(without[0], with_w[0])
+        assert without[1] is None and without[2] is None
+        assert without[3] == with_w[3]
 
     def test_fewer_launches_and_bytes(self, diamond):
         labels = np.full(4, -1, np.int64)

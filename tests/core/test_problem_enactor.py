@@ -153,6 +153,47 @@ class TestEnactorMechanics:
         with pytest.raises(ConvergenceError):
             Enactor(prob, NeverStops).enact(src=0)
 
+    def test_hooks_see_one_context_per_gpu(self, chain, machine2):
+        """The enactor hands each GPU's hooks the same GpuContext every
+        superstep and every run, with the superstep number current."""
+        seen = []
+
+        class Watching(BFSIteration):
+            def full_queue_core(self, ctx, frontier):
+                seen.append((ctx.gpu.device_id, id(ctx), ctx.iteration))
+                return super().full_queue_core(ctx, frontier)
+
+        prob = BFSProblem(chain, machine2)
+        en = Enactor(prob, Watching)
+        first = en.enact(src=0)
+        en.enact(src=0)
+        assert len({ident for _, ident, _ in seen}) == 2
+        per_gpu = [it for gpu, _, it in seen if gpu == 0]
+        assert per_gpu == 2 * list(range(first.supersteps))
+        for i, ctx in enumerate(en._contexts):
+            assert ctx.sub is prob.subgraphs[i]
+            assert ctx.slice is prob.data_slices[i]
+            assert ctx.ids_bytes == prob.subgraphs[i].csr.ids.vertex_bytes
+
+    def test_contexts_follow_a_repartition(self, small_rmat):
+        """A GPU loss rebuilds subgraphs and slices; the contexts are
+        rebuilt with them (a stale one would read the old partition)."""
+        from repro.sim.faults import GPU_LOSS, FaultPlan, FaultSpec
+
+        machine = Machine(4)
+        machine.arm_faults(
+            FaultPlan([FaultSpec(GPU_LOSS, gpu=3, iteration=1)])
+        )
+        prob = BFSProblem(small_rmat, machine)
+        en = Enactor(prob, BFSIteration)
+        before = list(en._contexts)
+        metrics = en.enact(src=0)
+        assert metrics.rollbacks == 1
+        for i, ctx in enumerate(en._contexts):
+            assert ctx is not before[i]
+            assert ctx.sub is prob.subgraphs[i]
+            assert ctx.slice is prob.data_slices[i]
+
     def test_release_frees_buffers(self, chain, machine2):
         prob = BFSProblem(chain, machine2)
         en = Enactor(prob, BFSIteration)
