@@ -4,7 +4,7 @@ Compiles each primitive's hot hooks into per-GPU **effect summaries**
 and exhaustively explores their interleavings across 2–3 virtual GPUs
 (:mod:`repro.check.deep.schedules`), under both the strict barrier-merge
 order and the relaxed model where a GPU consumes partial remote data
-for superstep i+1 (ROADMAP item 5).
+for superstep i+1 (ROADMAP item 7).
 
 Effect extraction piggybacks on the REP110–112 abstract interpreter: a
 :class:`_EffectInterp` subclass of :class:`interp._HookInterp` keeps two

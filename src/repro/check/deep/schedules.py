@@ -39,7 +39,7 @@ Schedule models
                phases are only interleaved when a program writes peer
                or message state (REP111/REP106 territory), which is
                what REP116 flags.
-``relaxed``  — ROADMAP item 5: each message may additionally be merged
+``relaxed``  — ROADMAP item 7: each message may additionally be merged
                *late* (after the receiver already ran superstep k+1 on
                partial data) and may be merged *twice* (at-least-once
                re-delivery when a straggler merge races the catch-up

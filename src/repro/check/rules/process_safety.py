@@ -1,9 +1,13 @@
-"""REP115 ``process-unsafe-state``: hot hooks must survive a fork.
+"""REP115 ``process-unsafe-state``: hooks must survive a fork.
 
 The ``processes`` execution backend runs every hot hook inside a forked
 worker and ships only ``GpuStepEffects`` (plus the declared per-GPU
-attrs) back to the parent.  That contract breaks when a hook creates or
-captures *process-local* state:
+attrs) back to the parent.  Where its workers run ahead of the parent
+(``core/backend.py``, "Run protocol") the barrier's control hooks —
+``should_stop``, ``on_iteration_end``, ``communicates_this_iteration``,
+``direction_of`` — run in every worker *and*, on replay, in the parent,
+and all of them have to decide the same thing.  That contract breaks
+when a hook creates or captures *process-local* state:
 
 * **open file handles** — a handle created in a worker vanishes with it,
   and a handle captured before the fork shares one file offset across
@@ -14,14 +18,18 @@ captures *process-local* state:
 * **RNG instances** (``random.Random``, ``np.random.RandomState``,
   ``np.random.default_rng``) — each worker advances its own copy of the
   captured state, so results depend on which process ran the hook and
-  the serial/threads/processes bit-identical guarantee is gone.
+  the serial/threads/processes bit-identical guarantee is gone; in a
+  control hook the workers' stop decisions part ways and the run ends
+  in the backend's divergence error.
 
 The rule flags (a) calls to such constructors (and ``open``) directly
-inside a hot hook, and (b) hot-hook reads of a ``self.X`` attribute that
+inside such a hook, and (b) reads there of a ``self.X`` attribute that
 *any* method of the class assigns from one of them — the capture case.
-Deterministic derived state (arrays, scalars) is what hooks may keep;
-randomness belongs in graph generation, and synchronization belongs to
-the enactor's barrier.
+Deterministic derived state (arrays, scalars) is what hot hooks may
+keep; control hooks keep theirs on the problem, in ``CHECKPOINT_ATTRS``
+/ ``PER_GPU_MUTABLE_ATTRS``, which is what travels between the replicas
+(an attribute on the iteration object does not).  Randomness belongs in
+graph generation, and synchronization belongs to the enactor's barrier.
 """
 
 from __future__ import annotations
@@ -32,7 +40,16 @@ from typing import Dict, Iterator, Optional, Tuple
 from ..findings import Finding
 from .base import HOT_HOOKS, ModuleContext, Rule
 
-__all__ = ["ProcessUnsafeStateRule"]
+__all__ = ["ProcessUnsafeStateRule", "FORKED_HOOKS"]
+
+#: every hook a ``processes`` worker runs: the superstep's, and the
+#: barrier's control hooks (``max_iterations`` stays with the parent)
+FORKED_HOOKS = HOT_HOOKS | {
+    "should_stop",
+    "on_iteration_end",
+    "communicates_this_iteration",
+    "direction_of",
+}
 
 #: module-attribute constructors of process-local state:
 #: {module alias: {attribute names}}
@@ -114,23 +131,24 @@ def _self_attr_stores(
 
 
 class ProcessUnsafeStateRule(Rule):
-    """Flag hot hooks that create, or read ``self`` attributes assigned
-    from, process-local constructs (files, locks, RNG instances)."""
+    """Flag hooks run in forked workers that create, or read ``self``
+    attributes assigned from, process-local constructs (files, locks,
+    RNG instances)."""
 
     rule_id = "REP115"
     name = "process-unsafe-state"
     description = (
-        "hot hooks run inside forked workers of the processes backend "
-        "and must not create or capture process-local state (open file "
-        "handles, threading/multiprocessing primitives, Random/"
-        "RandomState instances)"
+        "hot hooks and the barrier's control hooks run inside forked "
+        "workers of the processes backend and must not create or "
+        "capture process-local state (open file handles, threading/"
+        "multiprocessing primitives, Random/RandomState instances)"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for cls in ctx.iteration_classes + ctx.problem_classes:
             captured = _self_attr_stores(cls)
             for method in ctx.methods(cls):
-                if method.name not in HOT_HOOKS:
+                if method.name not in FORKED_HOOKS:
                     continue
                 for node in ast.walk(method):
                     if isinstance(node, ast.Call):
@@ -140,9 +158,9 @@ class ProcessUnsafeStateRule(Rule):
                                 ctx, node,
                                 f"{cls.name}.{method.name} creates "
                                 f"process-unsafe state ({desc}) inside a "
-                                "hot hook; forked workers each get their "
-                                "own copy and the backend bit-identical "
-                                "contract breaks",
+                                "hook that runs in forked workers; each "
+                                "gets its own copy and the backend "
+                                "bit-identical contract breaks",
                                 cls=cls.name, method=method.name,
                                 construct=desc,
                             )

@@ -61,16 +61,43 @@ for a supervised respawn-and-replay, after a worker error, and when
 and no message re-ships — fault plan, tracer, sanitizer, recorder,
 supervisor, recovery policy — differs from what the parent now holds.
 
-**Step protocol.**  Per superstep and worker, one request
-``("step", iteration, guarded, generations, attrs, jobs)`` and one
-reply ``("ok", sidecars)``.  A job is ``(gpu, stream horizons, frontier
-descriptor, inbox)`` with every array given as an
+**Run protocol.**  The parent does not lead every superstep: it grants
+each worker an *epoch*, ``("run", first, horizon, generations, attrs,
+jobs)``, and gets one reply per epoch, ``(status, error, blobs)`` with
+one pickled sidecar list per superstep run.  A job is ``(gpu, stream
+horizons, frontier descriptor, inbox)`` with every array given as an
 :data:`~repro.core.shm.Descriptor`; ``generations`` tells the worker
-which generation of each exchange half to read; ``attrs`` is the
-pickled ``CHECKPOINT_ATTRS`` snapshot, or None when the worker already
-holds it.  Superstep ``k`` reads exchange half ``(k - 1) % 2`` and
-writes half ``k % 2``, so a GPU's own next frontier never crosses the
-pipe and a replayed superstep finds its inputs intact.
+which generation of each exchange half to read; ``attrs`` is the pickled
+``CHECKPOINT_ATTRS`` snapshot, or None when the worker already holds it.
+Superstep ``first`` takes its inputs from ``jobs``.  Each superstep
+``k < horizon`` the workers close among themselves: a worker posts its
+sidecars to its mailbox half ``k % 2`` in the pool's
+:class:`~repro.core.shm.ControlBlock`, arrives, waits for its peers
+(:func:`~repro.core.supervise.wait_for_peers`), reads their mailboxes,
+applies their stream horizons and per-GPU attributes to its own copy of
+the machine and problem, and runs ``Enactor.barrier`` — the function the
+parent's loop runs, in the same GPU-index order — for its GPUs' next
+inboxes and the stop decision.  The epoch ends at ``horizon``, or
+earlier when ``should_stop`` says so, a worker raises (it sets the abort
+word, which releases its peers) or a peer never arrives.  The parent
+then *follows*: ``run_iteration(k)`` serves superstep ``k`` from the log
+and the enactor replays it through its usual merge, reading only the
+*sizes* of intermediate frontiers and messages (their halves have been
+reused; the last superstep's are intact), and fails the run if its own
+stop decision differs from the workers'.
+
+The horizon is ``first`` — lockstep: one superstep per request, no
+mailbox, no barrier — when something the parent owns needs every
+barrier: guarded dispatch (rollback, respawn-and-replay and digests work
+superstep by superstep) or an attached tracer or sanitizer (staged
+entries merge at the parent's barrier).  Otherwise it is the next
+superstep a checkpoint is due at, or ``max_iterations()``.
+
+Superstep ``k`` reads exchange half ``(k - 1) % 2`` and writes half
+``k % 2``, so a GPU's own next frontier never crosses the pipe and a
+replayed superstep finds its inputs intact; a worker starts superstep
+``k + 1`` only past barrier ``k``, which every reader of the half it is
+about to rewrite has reached.
 """
 
 from __future__ import annotations
@@ -80,6 +107,7 @@ import os
 import pickle
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from typing import (
@@ -102,10 +130,11 @@ from ..errors import (
     WorkerHangError,
 )
 from .comm import Message
-from .shm import ExchangeSegment, SliceManifest, _rewrap_like
+from .shm import ControlBlock, ExchangeSegment, SliceManifest, _rewrap_like
 from .supervise import (
     reap_worker,
     slice_checksum,
+    wait_for_peers,
     wait_for_reply,
     worker_recv,
 )
@@ -186,6 +215,11 @@ class ExecutionBackend:
         """Called at the start of every ``enact()`` (after problem,
         machine and observer reset): backends with per-run worker state
         refresh it here."""
+
+    def end_run(self, iteration: int) -> None:
+        """Called when ``should_stop`` ended the run after superstep
+        ``iteration``: a backend whose workers run ahead checks that
+        they stopped there too."""
 
     def invalidate(self) -> None:
         """Called after rollback/repartition: any cached view of the
@@ -359,7 +393,7 @@ def _apply_accounting(enactor, gpu_index: int, acct: tuple) -> None:
 
 
 def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest, exchange,
-                 parent_pid, heartbeat=None, sup_cfg=None):
+                 barrier, heartbeat=None, sup_cfg=None):
     """Body of one forked worker: serve requests until "stop".
 
     The worker owns ``gpu_ids`` for the pool's lifetime (GPU affinity:
@@ -367,23 +401,30 @@ def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest, exchange,
     caches — evolves only here between barriers), across every
     ``enact()`` of its enactor.  Slice arrays are re-attached through
     the shared-memory registry by *name*, proving the manifest layer;
-    CSR and exchange segments are reached through the inherited fork
-    mappings, which alias the same physical pages.
+    CSR, exchange and control segments are reached through the inherited
+    fork mappings, which alias the same physical pages.
 
     Two requests: ``begin_run`` re-establishes the per-run private
-    state a fresh fork would have inherited from the just-reset parent
-    and is acknowledged; ``step`` runs one superstep per owned GPU.
+    state a fresh fork would have inherited from the just-reset parent;
+    ``run`` runs an epoch of supersteps for the owned GPUs (module
+    docs, "Run protocol").  Both are answered ``(status, error,
+    blobs)``; a worker that raised sets the abort word first, which
+    releases any peer waiting for it at a barrier.  ``barrier`` is
+    ``(control block, this worker's slot, whether to spin, parent pid)``.
 
     Under supervision (``heartbeat``/``sup_cfg`` set) the worker also
     runs a heartbeat thread and digests its slice windows and exchange
     payload into each sidecar.
     """
     problem = enactor.problem
+    control, parent_pid = barrier[0], barrier[3]
     for gpu, name, arr in manifest.attach_slices():
         old = problem.data_slices[gpu].arrays.get(name)
         if old is not None and old.shape == arr.shape:
             problem.data_slices[gpu].arrays[name] = _rewrap_like(old, arr)
     checksums = sup_cfg is not None and sup_cfg.shm_checksums
+    # the enactor's own rule for returning device losses as values
+    guarded = enactor.machine.faults is not None or sup_cfg is not None
     if heartbeat is not None:
         interval = sup_cfg.heartbeat_interval if sup_cfg else 0.05
         threading.Thread(
@@ -399,25 +440,27 @@ def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest, exchange,
             break
         if msg[0] == "stop":
             break
+        #: one pickled sidecar list per superstep completed
+        blobs: List[bytes] = []
         try:
             if msg[0] == "begin_run":
                 iteration_obj = _worker_begin_run(enactor, msg[1], shipped)
-                reply = ("ok",)
             else:
-                reply = ("ok", _worker_step(
-                    enactor, iteration_obj, exchange, msg, shipped, checksums
-                ))
+                _worker_run(enactor, iteration_obj, exchange, barrier, msg,
+                            shipped, checksums, guarded, blobs)
+            reply = ("ok", None, blobs)
         except BaseException as exc:  # ships to the parent to re-raise
-            reply = ("error", exc)
+            control.abort()
+            reply = ("error", exc, blobs)
         try:
             conn.send(reply)
         except OSError:  # the parent is gone
             break
         except Exception as send_err:  # an exception that does not pickle
             conn.send(("error", SimulationError(
-                f"{type(reply[-1]).__name__}: {reply[-1]} "
+                f"{type(reply[1]).__name__}: {reply[1]} "
                 f"(original not picklable: {send_err})"
-            )))
+            ), blobs))
     manifest.detach()
     conn.close()
 
@@ -440,11 +483,16 @@ def _worker_begin_run(enactor, accounts, shipped):
     return enactor.iteration_cls(enactor.problem)
 
 
-def _worker_step(enactor, iteration_obj, exchange, msg, shipped, checksums):
-    """Run one superstep for each of this worker's dispatched GPUs;
-    returns their sidecars.  With ``guarded`` a DeviceLostError is a
-    GPU's result value; any other exception ends the step."""
-    _, iteration, guarded, generations, attrs, jobs = msg
+def _worker_run(enactor, iteration_obj, exchange, barrier, msg, shipped,
+                checksums, guarded, blobs) -> None:
+    """Serve one ``run`` request (module docs, "Run protocol"):
+    supersteps ``first`` … ``horizon`` for this worker's GPUs.  Each
+    superstep's pickled sidecars are appended to ``blobs`` as it
+    completes, so a failure leaves the supersteps before it in the
+    reply.  With ``guarded`` a DeviceLostError is a GPU's result value;
+    any other exception ends the run."""
+    _, iteration, horizon, generations, attrs, jobs = msg
+    control, slot, spin, parent_pid = barrier
     problem = enactor.problem
     machine = enactor.machine
     if attrs is not None:
@@ -457,31 +505,69 @@ def _worker_step(enactor, iteration_obj, exchange, msg, shipped, checksums):
     def view(desc):
         return exchange[desc[0]].view(desc)
 
-    write = iteration % 2
-    replies = []
-    for gpu_index, stream_times, frontier, inbox in jobs:
-        gpu = machine.gpus[gpu_index]
-        for stream, t in zip(gpu.streams.values(), stream_times):
+    if spin and horizon > iteration:
+        # spinning presumes a core per worker, but the sync wake-up that
+        # starts an epoch tends to leave every worker on the parent's
+        # core, and two workers trading one core at barrier rate stay
+        # "cache-hot" to the load balancer for seconds.  Step onto this
+        # worker's own core once; the full mask is back at once, so the
+        # scheduler stays free to move it
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[(parent_pid + slot) % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    n = machine.num_gpus
+    frontiers: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
+    inboxes: List[list] = [[] for _ in range(n)]
+    for g, stream_times, frontier, inbox in jobs:
+        for stream, t in zip(machine.gpus[g].streams.values(), stream_times):
             stream.available_at = t
-        seg = exchange[gpu_index]
-        seg.begin(write)
-        inj = machine.faults
-        fault_snap = inj.snapshot_consumption() if inj is not None else None
-        try:
-            eff = enactor._gpu_superstep(
-                gpu_index, iteration, iteration_obj, view(frontier),
-                [(arrival, _unpack_message(packed, view))
-                 for arrival, packed in inbox],
-            )
-        except DeviceLostError as exc:
-            if not guarded:
-                raise
-            eff = exc
-        replies.append(_build_sidecar(
-            enactor, gpu_index, eff, fault_snap, seg, write, shipped,
-            checksums,
-        ))
-    return replies
+        frontiers[g] = view(frontier)
+        inboxes[g] = [(arrival, _unpack_message(packed, view))
+                      for arrival, packed in inbox]
+    mine = [job[0] for job in jobs]
+    inj = machine.faults
+    while True:
+        write = iteration % 2
+        sidecars = []
+        for g in mine:
+            seg = exchange[g]
+            seg.begin(write)
+            fault_snap = inj.snapshot_consumption() if inj is not None else None
+            try:
+                eff = enactor._gpu_superstep(
+                    g, iteration, iteration_obj, frontiers[g], inboxes[g]
+                )
+            except DeviceLostError as exc:
+                if not guarded:
+                    raise
+                eff = exc
+            sidecars.append(_build_sidecar(
+                enactor, g, eff, fault_snap, seg, write, shipped, checksums,
+            ))
+        blob = pickle.dumps(sidecars, pickle.HIGHEST_PROTOCOL)
+        blobs.append(blob)
+        if iteration == horizon:
+            return
+        # close the superstep with the peers, not through the parent
+        arrived = control.post(slot, write, blob)
+        if not wait_for_peers(control, slot, arrived, parent_pid, spin):
+            return  # a peer aborted the epoch; its reply says why
+        sides = {side.gpu: side for side in sidecars}
+        for peer in range(control.workers):
+            if peer != slot:
+                for side in pickle.loads(control.read(peer, write)):
+                    sides[side.gpu] = side
+                    _apply_horizons(enactor, side)
+                    # a regrown half has a new name
+                    exchange[side.gpu].sync(write, side.generation)
+        inboxes, stop = enactor.barrier(
+            iteration, iteration_obj,
+            [_unpack_effects(sides[g].eff, exchange) for g in sorted(sides)],
+            frontiers,
+        )
+        if stop:
+            return
+        iteration += 1
 
 
 def _pack_message(msg, describe) -> tuple:
@@ -519,6 +605,27 @@ def _pack_effects(eff: GpuStepEffects, seg, parity: int) -> tuple:
         for dst, arrival, msg in eff.sends
     ]
     return tuple(fields)
+
+
+def _unpack_effects(packed: tuple, exchange, described=None) -> GpuStepEffects:
+    """Rebuild packed effects with zero-copy views for arrays.  The
+    parent passes ``described`` to remember each view's descriptor for
+    the next dispatch."""
+
+    def view(desc):
+        return exchange[desc[0]].view(desc)
+
+    fields = list(packed)
+    frontier = fields[_EFF_FRONTIER] = view(packed[_EFF_FRONTIER])
+    sends = fields[_EFF_SENDS] = []
+    for dst, arrival, packed_msg in packed[_EFF_SENDS]:
+        msg = _unpack_message(packed_msg, view)
+        sends.append((dst, arrival, msg))
+        if described is not None:
+            described[id(msg)] = (msg, packed_msg)
+    if described is not None:
+        described[id(frontier)] = (frontier, packed[_EFF_FRONTIER])
+    return GpuStepEffects(*fields)
 
 
 class _Sidecar(NamedTuple):
@@ -597,6 +704,18 @@ def _build_sidecar(enactor, gpu_index, eff, fault_snap, seg, parity,
     )
 
 
+def _apply_horizons(enactor, side: _Sidecar) -> None:
+    """The part of a sidecar every replica of the machine and problem
+    needs at a barrier: the GPU's stream horizons and its entries of
+    the declared per-GPU attributes."""
+    gpu = enactor.machine.gpus[side.gpu]
+    for stream, t in zip(gpu.streams.values(), side.streams):
+        stream.available_at = t
+    if side.attrs is not None:
+        for name, value in side.attrs.items():
+            getattr(enactor.problem, name)[side.gpu] = value
+
+
 class ProcessesBackend(ExecutionBackend):
     """Forked worker pool with shared-memory slices (see module docs).
 
@@ -638,6 +757,15 @@ class ProcessesBackend(ExecutionBackend):
         self._primed = False
         #: per worker, the pickled CHECKPOINT_ATTRS it last received
         self._sent_attrs: List[Optional[bytes]] = []
+        #: the pool's barrier words and mailboxes; lives and dies with it
+        self._control: Optional[ControlBlock] = None
+        #: supersteps received and not yet served, oldest first: (the
+        #: workers' sidecar blobs, GPUs a supervisor gave up on)
+        self._log: deque = deque()
+        #: last superstep of the epoch being served (-1: none open)
+        self._horizon = -1
+        #: what ended the epoch early, raised once the log is served
+        self._failure: Optional[BaseException] = None
 
     # -- lifecycle -------------------------------------------------------
     def begin_run(self, enactor) -> None:
@@ -653,6 +781,7 @@ class ProcessesBackend(ExecutionBackend):
         """
         self._described.clear()
         self._primed = False
+        self._forget_epoch()
         if self._workers is None:
             return
         if (any(entry is None for entry in self._workers)
@@ -677,6 +806,27 @@ class ProcessesBackend(ExecutionBackend):
                 self._teardown_workers()
                 return
         self._sent_attrs = [None] * len(self._workers)
+
+    def _forget_epoch(self) -> None:
+        self._log.clear()
+        self._horizon = -1
+        self._failure = None
+
+    def _diverged(self, iteration, here, there) -> SimulationError:
+        """The parent's replay and the workers' log stop in different
+        supersteps: nothing either side holds is a result."""
+        self._forget_epoch()
+        self._teardown_workers()
+        return SimulationError(
+            f"processes backend: should_stop ended the epoch in {here} "
+            f"but not in {there} — control hooks must decide from "
+            "CHECKPOINT_ATTRS / PER_GPU_MUTABLE_ATTRS state alone",
+            iteration=iteration, site="backend.processes",
+        )
+
+    def end_run(self, iteration: int) -> None:
+        if self._log or self._failure is not None:
+            raise self._diverged(iteration, "the parent", "the workers")
 
     def invalidate(self) -> None:
         # rollback/repartition rebuilt the slice arrays: the forks, the
@@ -714,9 +864,14 @@ class ProcessesBackend(ExecutionBackend):
         workers are resumed/killed rather than joined forever, and
         retired slots (None) are skipped.  Idempotent.
         """
+        if self._control is not None:
+            self._control.abort()  # nobody keeps waiting at a barrier
         for entry in self._workers or ():
             if entry is not None:
                 reap_worker(entry[0], entry[1], timeout=self._reap_timeout())
+        if self._control is not None:
+            self._control.close()
+            self._control = None
         self._workers = None
         self._heartbeats = None
         self._owner = {}
@@ -753,6 +908,8 @@ class ProcessesBackend(ExecutionBackend):
         self._token = _fork_token(enactor, self.supervisor)
         self._described.clear()
         self._primed = False
+        self._forget_epoch()
+        self._control = ControlBlock(width)
         for w in range(width):
             self._workers.append(None)
             self._heartbeats.append(None)
@@ -777,8 +934,13 @@ class ProcessesBackend(ExecutionBackend):
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
             target=_worker_loop,
+            # spinning at a barrier pays only where no worker has to
+            # share its core with the one it is waiting for
             args=(child_conn, enactor, iteration_obj, self._buckets[w],
-                  self._manifest, self._exchange, os.getpid(),
+                  self._manifest, self._exchange,
+                  (self._control, w,
+                   len(self._buckets) <= len(os.sched_getaffinity(0)),
+                   os.getpid()),
                   heartbeat, sup_cfg),
             daemon=True,
             name=f"repro-gpu-proc-{w}",
@@ -852,27 +1014,6 @@ class ProcessesBackend(ExecutionBackend):
             out.append((arrival, packed))
         return out
 
-    def _unpack_effects(self, packed: tuple) -> GpuStepEffects:
-        """Rebuild a worker's effects with zero-copy views for arrays,
-        remembering each view's descriptor for the next dispatch."""
-        exchange = self._exchange
-        described = self._described
-
-        def view(desc):
-            return exchange[desc[0]].view(desc)
-
-        fields = list(packed)
-        frontier = view(packed[_EFF_FRONTIER])
-        described[id(frontier)] = (frontier, packed[_EFF_FRONTIER])
-        fields[_EFF_FRONTIER] = frontier
-        sends = []
-        for dst, arrival, packed_msg in packed[_EFF_SENDS]:
-            msg = _unpack_message(packed_msg, view)
-            described[id(msg)] = (msg, packed_msg)
-            sends.append((dst, arrival, msg))
-        fields[_EFF_SENDS] = sends
-        return GpuStepEffects(*fields)
-
     def run_iteration(self, enactor, iteration, iteration_obj,
                       frontiers, inboxes, gpu_indices, guarded=False):
         gpu_indices = list(gpu_indices)
@@ -883,6 +1024,22 @@ class ProcessesBackend(ExecutionBackend):
                 enactor, iteration, iteration_obj,
                 frontiers, inboxes, gpu_indices, guarded=guarded,
             )
+        if not self._log and self._failure is None:
+            if iteration <= self._horizon:
+                raise self._diverged(iteration, "the workers", "the parent")
+            self._dispatch(enactor, iteration, iteration_obj,
+                           frontiers, inboxes, gpu_indices, guarded)
+        if not self._log:
+            try:  # no local: a frame in the traceback would hold it
+                raise self._failure
+            finally:
+                self._forget_epoch()
+        return self._serve(enactor, iteration, gpu_indices, guarded)
+
+    def _dispatch(self, enactor, iteration, iteration_obj,
+                  frontiers, inboxes, gpu_indices, guarded) -> None:
+        """Grant the workers an epoch starting at ``iteration`` and log
+        what they send back (module docs, "Run protocol")."""
         if self._workers is None or any(
             g not in self._owner for g in gpu_indices
         ):
@@ -892,7 +1049,7 @@ class ProcessesBackend(ExecutionBackend):
         problem = enactor.problem
         exchange = self._exchange
         # superstep k reads half (k - 1) % 2 and writes half k % 2
-        read, write = (iteration + 1) % 2, iteration % 2
+        read = (iteration + 1) % 2
         if not self._primed:
             # a run's first inputs are heap arrays: nothing live is in
             # the read halves, start them empty
@@ -908,7 +1065,6 @@ class ProcessesBackend(ExecutionBackend):
                 self._describe(g, read, frontiers[g]),
                 self._describe_inbox(g, read, inboxes[g]),
             ))
-        self._described.clear()
         generations = tuple(
             seg.generations() if seg is not None else None
             for seg in exchange
@@ -918,6 +1074,17 @@ class ProcessesBackend(ExecutionBackend):
             attrs = pickle.dumps(
                 problem.snapshot_attrs(), pickle.HIGHEST_PROTOCOL
             )
+        # the parent leads every superstep where something it owns
+        # needs each barrier; otherwise the workers run ahead to the
+        # next superstep a checkpoint is due at
+        horizon = iteration
+        if not (guarded or self.tracer is not None
+                or machine.tracer is not None
+                or enactor.sanitizer is not None):
+            horizon = iteration_obj.max_iterations()
+            every = enactor.checkpoint_every
+            if every is not None:
+                horizon = min(horizon, iteration - iteration % every + every - 1)
         if self.tracer is not None:
             self.tracer.instant(
                 "backend.dispatch", backend=self.name,
@@ -927,11 +1094,12 @@ class ProcessesBackend(ExecutionBackend):
         for w in range(len(self._workers)):
             if jobs[w]:
                 # CHECKPOINT_ATTRS travel only when they differ from
-                # what this worker last received
+                # what this worker last received — or last computed
+                # itself, running ahead
                 changed = attrs != self._sent_attrs[w]
-                self._sent_attrs[w] = attrs
+                self._sent_attrs[w] = attrs if horizon == iteration else None
                 payloads[w] = (
-                    "step", iteration, guarded, generations,
+                    "run", iteration, horizon, generations,
                     attrs if changed else None, jobs[w],
                 )
         sup = self.supervisor
@@ -943,7 +1111,7 @@ class ProcessesBackend(ExecutionBackend):
         for w, payload in payloads.items():
             self._send(w, payload)
             sent_at[w] = time.monotonic()
-        replies: Dict[int, _Sidecar] = {}
+        blobs: List[List[bytes]] = []
         lost: Dict[int, DeviceLostError] = {}
         for w in payloads:
             msg = self._collect(
@@ -952,14 +1120,34 @@ class ProcessesBackend(ExecutionBackend):
             )
             if msg is None:  # worker escalated to the rollback path
                 continue
-            if msg[0] == "error":
-                self._teardown_workers()
-                raise msg[1]
-            for side in msg[1]:
-                replies[side.gpu] = side
+            blobs.append(msg[2])
+            if msg[0] == "error" and self._failure is None:
+                self._failure = msg[1]
+        if self._failure is not None:
+            self._teardown_workers()
+        # an epoch is logged as far as every worker got; with every
+        # worker escalated the one superstep consists of ``lost`` alone
+        for j in range(min(map(len, blobs), default=1)):
+            self._log.append(([b[j] for b in blobs], lost))
+        self._horizon = horizon
+
+    def _serve(self, enactor, iteration, gpu_indices, guarded):
+        """The logged superstep ``iteration`` as the enactor's merge
+        input: sidecars applied, effects as views."""
+        blobs, lost = self._log.popleft()
+        if iteration >= self._horizon:
+            self._horizon = -1
+        machine = enactor.machine
+        problem = enactor.problem
+        exchange = self._exchange
+        write = iteration % 2
+        replies: Dict[int, _Sidecar] = {
+            side.gpu: side for blob in blobs for side in pickle.loads(blob)
+        }
         for g, side in replies.items():
             # map what the worker wrote (a regrown half has a new name)
             exchange[g].sync(write, side.generation, side.used)
+        sup = self.supervisor
         if sup is not None:
             sup.deliver_pending_corruption(problem)
             bad = sup.verify_digests(
@@ -985,6 +1173,8 @@ class ProcessesBackend(ExecutionBackend):
                     str(err), gpu_id=g, iteration=iteration,
                     site="supervise.checksum",
                 )
+        # only the superstep being served is known by descriptor
+        self._described.clear()
         results = []
         for g in gpu_indices:
             if g in lost:
@@ -994,7 +1184,7 @@ class ProcessesBackend(ExecutionBackend):
             self._apply_sidecar(enactor, g, side)
             eff = side.eff
             if isinstance(eff, tuple):
-                eff = self._unpack_effects(eff)
+                eff = _unpack_effects(eff, exchange, self._described)
             results.append(eff)
         return results
 
@@ -1019,7 +1209,8 @@ class ProcessesBackend(ExecutionBackend):
         sup = self.supervisor
         proc, conn = self._workers[w]
         if sup is None:
-            return wait_for_reply(conn, proc, timeout=None, poll_interval=0.05)
+            return wait_for_reply(conn, proc, timeout=None,
+                                  poll_interval=0.05, aborted=self._aborted)
         return wait_for_reply(
             conn, proc,
             timeout=max(0.1, sup.deadline() - (time.monotonic() - sent_at)),
@@ -1028,39 +1219,47 @@ class ProcessesBackend(ExecutionBackend):
             stale_after=sup.config.stale_after,
         )
 
+    def _aborted(self) -> bool:
+        """Polled while the parent waits on a silent worker of an
+        unsupervised pool.  A peer that died will never arrive at the
+        barrier: set the abort word for it, so whoever waits there
+        answers instead of sitting out its deadline."""
+        control = self._control
+        if not control.aborted and any(
+            entry is not None and entry[0].exitcode is not None
+            for entry in self._workers
+        ):
+            control.abort()
+        return control.aborted
+
     def _collect(self, enactor, iteration, iteration_obj, w, payload,
                  wjobs, shadow, sent_at, guarded, lost):
         """Bounded receive from worker ``w`` with escalation.
 
         Returns the worker's reply message, or None after escalating
         every GPU of the worker into ``lost`` (guarded dispatch only).
-        Unsupervised, liveness is still bounded — a dead worker raises
-        SimulationError instead of deadlocking — but there is no
-        deadline, respawn, or replay.
+        Unsupervised, liveness is still bounded — a dead worker, or one
+        that outstays an aborted epoch, raises SimulationError instead
+        of deadlocking — but there is no respawn or replay.
         """
         sup = self.supervisor
         machine = enactor.machine
         while True:
             try:
                 msg = self._wait(w, sent_at[w])
-            except WorkerCrashError as exc:
+            except (WorkerCrashError, WorkerHangError) as exc:
                 if sup is None:
                     self._teardown_workers()
                     raise SimulationError(
-                        f"processes backend: worker {w} died "
-                        f"mid-superstep (exitcode={exc.exitcode})",
+                        f"processes backend: worker {w} lost mid-superstep "
+                        f"({type(exc).__name__}: {exc})",
                         iteration=iteration, site="backend.processes",
                     ) from exc
-                if self._handle_failure(enactor, iteration, iteration_obj,
-                                        w, payload, wjobs, shadow,
-                                        sent_at, guarded, lost, exc):
-                    continue
-                return None
-            except WorkerHangError as exc:
-                sup.hang_detections += 1
-                sup.emit("heartbeat.stale", vt=machine.clock.now,
-                         worker=w, iteration=iteration,
-                         stale=bool(exc.stale))
+                if isinstance(exc, WorkerHangError):
+                    sup.hang_detections += 1
+                    sup.emit("heartbeat.stale", vt=machine.clock.now,
+                             worker=w, iteration=iteration,
+                             stale=bool(exc.stale))
                 if self._handle_failure(enactor, iteration, iteration_obj,
                                         w, payload, wjobs, shadow,
                                         sent_at, guarded, lost, exc):
@@ -1144,9 +1343,7 @@ class ProcessesBackend(ExecutionBackend):
 
     def _apply_sidecar(self, enactor, g, side) -> None:
         machine = enactor.machine
-        gpu = machine.gpus[g]
-        for stream, t in zip(gpu.streams.values(), side.streams):
-            stream.available_at = t
+        _apply_horizons(enactor, side)
         if side.acct is not None:
             _apply_accounting(enactor, g, side.acct)
         if side.faults is not None and machine.faults is not None:
@@ -1155,9 +1352,6 @@ class ProcessesBackend(ExecutionBackend):
             self.tracer.adopt_staged(g, side.trace)
         if side.san is not None and enactor.sanitizer is not None:
             enactor.sanitizer.adopt_stage(g, side.san)
-        if side.attrs is not None:
-            for name, value in side.attrs.items():
-                getattr(enactor.problem, name)[g] = value
 
     def map_supersteps(self, fns):
         # arbitrary closures cannot cross a process boundary; the

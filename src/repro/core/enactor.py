@@ -940,6 +940,35 @@ class Enactor:
         return ckpt.iteration + 1, frontiers, inboxes
 
     # ------------------------------------------------------------------
+    def barrier(self, iteration: int, iteration_obj: IterationBase,
+                results: Sequence[GpuStepEffects],
+                frontiers: List[np.ndarray]):
+        """Close superstep ``iteration``: everything that decides the
+        next superstep's inputs, in the one order every executor of the
+        loop must follow.
+
+        ``results`` (GPU-index order) are routed — each GPU's next
+        frontier into ``frontiers``, its sends into the receivers' next
+        inboxes in sender order — the machine synchronizes, and the
+        control hooks run.  ``enact()`` calls this once per superstep;
+        so does every ``processes`` worker that runs ahead of the
+        parent (:mod:`repro.core.backend`, "Run protocol"), on its own
+        copy of the machine and problem — which is why the hooks may
+        read frontier and message *sizes* only.  Returns
+        ``(next inboxes, should_stop)``.
+        """
+        inboxes: List[List[tuple]] = [[] for _ in frontiers]
+        for eff in results:
+            for dst, arrival, msg in eff.sends:
+                inboxes[dst].append((arrival, msg))
+            frontiers[eff.gpu] = eff.frontier
+        self.machine.barrier(compute_only=self.overlap_communication)
+        iteration_obj.on_iteration_end(iteration)
+        return inboxes, iteration_obj.should_stop(
+            iteration, [f.size for f in frontiers], sum(map(len, inboxes))
+        )
+
+    # ------------------------------------------------------------------
     @_dump_on_repro_error
     def enact(self, **reset_kwargs) -> RunMetrics:
         """Run the primitive to convergence; returns the run's metrics."""
@@ -1015,7 +1044,6 @@ class Enactor:
                 )
             rec = IterationRecord(iteration)
             iter_start = machine.clock.now
-            next_inboxes: List[List[tuple]] = [[] for _ in range(n)]
 
             if machine.faults is None and self.supervisor is None:
                 results = self.backend.run_iteration(
@@ -1064,23 +1092,21 @@ class Enactor:
                 if eff.sends:
                     rec.items_sent[i] = eff.items_sent
                     rec.bytes_sent[i] = eff.bytes_sent
-                for dst, arrival, msg in eff.sends:
-                    next_inboxes[dst].append((arrival, msg))
                 for nbytes in eff.transfer_nbytes:
                     machine.interconnect.record_transfer(nbytes)
-                frontiers[i] = eff.frontier
                 rec.compute_time[i] = eff.compute_seconds
                 rec.comm_time[i] = eff.comm_seconds
                 metrics.comm_retries += eff.comm_retries
                 metrics.retry_seconds += eff.retry_seconds
                 metrics.oom_recoveries += eff.oom_recoveries
 
-            inboxes = next_inboxes
             if tracer is not None:
                 # merge staged spans/events in GPU-index order *before*
                 # the barrier instant so the stream reads chronologically
                 tracer.on_barrier(iteration)
-            machine.barrier(compute_only=self.overlap_communication)
+            inboxes, stop = self.barrier(
+                iteration, iteration_obj, results, frontiers
+            )
             if tracer is not None:
                 for g, before, after in switches:
                     tracer.instant(
@@ -1104,12 +1130,8 @@ class Enactor:
             metrics.iterations.append(rec)
             if recorder is not None:
                 recorder.on_superstep(iteration, machine.clock.now, rec)
-            iteration_obj.on_iteration_end(iteration)
-
-            in_flight = sum(map(len, inboxes))
-            if iteration_obj.should_stop(
-                iteration, [f.size for f in frontiers], in_flight
-            ):
+            if stop:
+                self.backend.end_run(iteration)
                 break
             # the snapshot must include should_stop's effects (BC's phase
             # transitions happen there), so checkpoint after it — but only

@@ -1,5 +1,5 @@
-"""Shared memory for the ``processes`` backend: slice manifest and
-frontier/message exchange segments.
+"""Shared memory for the ``processes`` backend: slice manifest,
+frontier/message exchange segments and the superstep control block.
 
 The processes backend forks a worker pool once per enactor; the workers
 live until ``close()`` (or until a rollback, a worker failure or a
@@ -42,8 +42,10 @@ closes what can be closed, and **unlinks every segment** — the
 backend-test leak check asserts ``/dev/shm`` holds nothing of ours
 afterwards.  Exchange segments are created by the parent before the
 fork and unlinked by :meth:`ExchangeSegment.close`, including any
-regrown generation a worker created.  Only the creating process ever
-unlinks; an ``atexit`` hook unlinks anything a crashed run left behind.
+regrown generation a worker created.  The pool's :class:`ControlBlock`
+— barrier words, and mailboxes that are exchange segments themselves —
+follows the same rules.  Only the creating process ever unlinks; an
+``atexit`` hook unlinks anything a crashed run left behind.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["SliceManifest", "ExchangeSegment", "SHM_PREFIX"]
+__all__ = ["SliceManifest", "ExchangeSegment", "ControlBlock", "SHM_PREFIX"]
 
 #: every segment name starts with this (plus the owning pid), so leak
 #: checks and the atexit sweeper can identify ours
@@ -382,7 +384,7 @@ class ExchangeSegment:
     valid) and continues there.
     The old generation's mapping is kept until nothing views it, so
     views taken before the regrowth stay readable.  Other processes
-    learn the new generation number from the step protocol and
+    learn the new generation number from the run protocol and
     :meth:`sync` to it by name.  Capacities only grow, and the initial
     one is sized from the GPU's vertex count, so regrowth is rare.
 
@@ -437,7 +439,7 @@ class ExchangeSegment:
         seg.close()
         return True
 
-    # -- state shared through the step protocol --------------------------
+    # -- state shared through the run protocol ---------------------------
     def generations(self) -> Tuple[int, int]:
         """Current generation of each half, as this process knows it."""
         return self._gens[0], self._gens[1]
@@ -568,6 +570,117 @@ class ExchangeSegment:
         self._segs = []
         self._close_retired()
         return not self._retired
+
+    def __del__(self):  # pragma: no cover - GC timing dependent
+        try:
+            self.unlink()
+        except (OSError, ValueError, AttributeError, TypeError):
+            pass
+
+
+# ---------------------------------------------------------------------------
+# superstep control block
+# ---------------------------------------------------------------------------
+
+#: int64 words per 64-byte cache line
+_LINE = 8
+#: initial size of one mailbox half; a sidecar list is a few hundred
+#: bytes per GPU, and a half that is too small regrows
+_MAILBOX_BYTES = 4096
+
+
+class ControlBlock:
+    """One worker pool's barrier words and sidecar mailboxes.
+
+    **Layout.**  One small segment of int64 words in 64-byte lines.
+    Line 0 holds the *abort word*.  Line ``1 + w`` belongs to worker
+    ``w`` alone: word 0 is its *arrival counter* — how many of the
+    pool's barriers it has reached — and words 1–4 are the generation
+    and byte length of its mailbox halves 0 and 1.  One writer per
+    line: arriving never contends with a peer's arrival.
+
+    **Mailboxes.**  Per worker an :class:`ExchangeSegment` (grow-only
+    halves; same naming, ownership, unlink and ``atexit`` rules) for
+    the pickled sidecars of its GPUs: superstep ``k`` goes to half
+    ``k % 2``, which is rewritten only after a further barrier that
+    every reader of the old contents has to have reached.
+
+    **Publication.**  :meth:`post` writes the payload, then generation
+    and length, then the arrival counter; a peer that sees the counter
+    sees the rest.  Like the heartbeat word this leans on aligned
+    8-byte stores being atomic and visible in program order (x86-TSO;
+    elsewhere the interpreter's own synchronization is the fence).
+    """
+
+    def __init__(self, workers: int):
+        self.workers = int(workers)
+        self._owner_pid = os.getpid()
+        self._seg = _open_untracked(
+            create=True, size=8 * _LINE * (self.workers + 1),
+            name=f"{SHM_PREFIX}-{self._owner_pid}-ctl-{secrets.token_hex(4)}",
+        )
+        self._words = self._seg.buf.cast("q")  # zero-filled by the OS
+        self.mail = [
+            ExchangeSegment(w, _MAILBOX_BYTES) for w in range(self.workers)
+        ]
+        self._closed = False
+        _register_owner(self)
+
+    @property
+    def aborted(self) -> bool:
+        return self._words[0] != 0
+
+    def abort(self) -> None:
+        """End the epoch for everyone: whoever waits at a barrier leaves
+        it.  Never cleared — an aborted pool is torn down."""
+        self._words[0] = 1
+
+    def arrived(self, worker: int) -> int:
+        """How many barriers ``worker`` has reached."""
+        return self._words[_LINE * (worker + 1)]
+
+    def post(self, worker: int, parity: int, payload: bytes) -> int:
+        """Publish ``worker``'s mail for this superstep and arrive;
+        returns the number of the barrier arrived at."""
+        mail = self.mail[worker]
+        mail.begin(parity)
+        mail.put(parity, np.frombuffer(payload, dtype=np.uint8))
+        line = _LINE * (worker + 1)
+        words = self._words
+        words[line + 1 + 2 * parity] = mail.generations()[parity]
+        words[line + 2 + 2 * parity] = len(payload)
+        words[line] += 1
+        return words[line]
+
+    def read(self, worker: int, parity: int) -> np.ndarray:
+        """The bytes ``worker`` last posted to mailbox half ``parity``
+        (a zero-copy view: drop it before the next barrier)."""
+        line = _LINE * (worker + 1)
+        mail = self.mail[worker]
+        mail.sync(parity, self._words[line + 1 + 2 * parity])
+        return mail.view(
+            (worker, parity, 0, "|u1", self._words[line + 2 + 2 * parity])
+        )
+
+    # -- teardown --------------------------------------------------------
+    def unlink(self) -> None:
+        """Destroy the block's name (owner only; idempotent).  The
+        mailboxes are segment owners in their own right."""
+        if self._closed or os.getpid() != self._owner_pid:
+            return
+        self._closed = True
+        try:
+            _unlink_untracked(self._seg)
+        except FileNotFoundError:
+            pass
+
+    def close(self) -> None:
+        """Unlink (owner) and unmap."""
+        self.unlink()
+        for mail in self.mail:
+            mail.close()
+        self._words.release()
+        _close_mapping(self._seg)
 
     def __del__(self):  # pragma: no cover - GC timing dependent
         try:

@@ -8,7 +8,7 @@ by the OOM killer or segfaulted inside a compiled kernel used to leave
 the enactor blocked forever on an unbounded ``conn.recv()``, and a
 hung worker stalled every superstep with no detection.
 
-:class:`WorkerSupervisor` wraps the duplex-pipe step protocol with
+:class:`WorkerSupervisor` wraps the duplex-pipe run protocol with
 
 * **heartbeats** — each worker runs a daemon thread bumping a shared
   ``multiprocessing.Value('d')`` with ``time.monotonic()`` every
@@ -47,9 +47,10 @@ rollback + repartition + checkpoint-restore recovery takes over, with
 the replacement worker pool resized to the survivor set.
 
 The module-level helpers (:func:`wait_for_reply`, :func:`worker_recv`,
-:func:`reap_worker`) are used by the backend even when supervision is
-off, so *unsupervised* runs can no longer deadlock on a dead worker
-either — they just lack deadlines, respawn, and checksums.
+:func:`wait_for_peers`, :func:`reap_worker`) are used by the backend
+even when supervision is off, so *unsupervised* runs can no longer
+deadlock on a dead worker either — they just lack adaptive deadlines,
+respawn, and checksums.
 """
 
 from __future__ import annotations
@@ -60,23 +61,40 @@ import time
 import zlib
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ShmIntegrityError, WorkerCrashError, WorkerHangError
+from ..errors import (
+    ShmIntegrityError,
+    SimulationError,
+    WorkerCrashError,
+    WorkerHangError,
+)
 
 __all__ = [
     "SupervisionConfig",
     "WorkerSupervisor",
     "wait_for_reply",
     "worker_recv",
+    "wait_for_peers",
     "reap_worker",
+    "BARRIER_TIMEOUT",
     "slice_checksum",
 ]
 
 #: how often the bounded waits wake up to run liveness checks
 _POLL_INTERVAL = 0.05
+#: how long a worker may keep its peers waiting at a superstep barrier
+#: (and the parent, once the epoch is aborted) before it counts as
+#: wedged.  Generous: it has to cover the slowest superstep's lead over
+#: the fastest, not a handshake.
+BARRIER_TIMEOUT = 60.0
+#: barrier wait: poll this long without sleeping (two workers of one
+#: superstep rarely finish further apart), then sleep between polls — a
+#: quarter of the time already waited, at most the nap
+_BARRIER_SPIN = 200e-6
+_BARRIER_NAP = 1e-3
 
 
 @dataclass
@@ -128,6 +146,7 @@ def wait_for_reply(
     poll_interval: float = _POLL_INTERVAL,
     heartbeat=None,
     stale_after: Optional[float] = None,
+    aborted: Optional[Callable[[], bool]] = None,
 ):
     """Receive one message from ``conn``, bounded by liveness checks.
 
@@ -138,7 +157,20 @@ def wait_for_reply(
     add staleness detection (``WorkerHangError`` with ``stale=True``).
     With all three None/absent the wait is unbounded in *time* but
     still bounded by worker liveness — the unsupervised guarantee.
+    ``aborted`` (polled at every wake-up) reports that the pool's
+    superstep epoch was aborted: a healthy worker then leaves its
+    barrier and replies, so from that moment a wait without a deadline
+    gets one, :data:`BARRIER_TIMEOUT`.
+
+    A reply that is already buffered — the usual case once replies come
+    in chunks — is returned without any of that machinery.
     """
+    if conn.poll(0):
+        try:
+            # repro-check: disable=REP118 -- poll(0) above bounds this recv
+            return conn.recv()
+        except (EOFError, OSError):
+            pass  # closed mid-reply: the slow path classifies the death
     start = time.monotonic()
     while True:
         step = poll_interval
@@ -182,6 +214,8 @@ def wait_for_reply(
                     f"(threshold {stale_after:.2f}s)",
                     stale=True, site="supervise.heartbeat",
                 )
+        if timeout is None and aborted is not None and aborted():
+            timeout = time.monotonic() - start + BARRIER_TIMEOUT
 
 
 def worker_recv(conn, parent_pid: int, poll_interval: float = 1.0):
@@ -200,6 +234,51 @@ def worker_recv(conn, parent_pid: int, poll_interval: float = 1.0):
             return conn.recv()
         if os.getppid() != parent_pid:
             raise EOFError("parent process exited")
+
+
+def wait_for_peers(control, worker: int, barrier: int, parent_pid: int,
+                   spin: bool, timeout: Optional[float] = None) -> bool:
+    """Worker-side barrier wait: True once every peer of ``worker`` has
+    arrived at barrier number ``barrier`` of ``control`` (a
+    :class:`~repro.core.shm.ControlBlock`), False as soon as its abort
+    word is set.
+
+    Polls the peers' arrival counters for :data:`_BARRIER_SPIN` without
+    sleeping — busily when ``spin`` (the caller's "every live worker
+    has a core of its own"), else with ``os.sched_yield()`` between
+    polls, because spinning on a shared core only delays the peer being
+    waited for.  After that it sleeps between polls, a quarter of the
+    time already waited and at most :data:`_BARRIER_NAP`, so a long
+    wait costs wake-ups, not a core.  The sleeping phase also watches
+    for a changed parent pid (``EOFError``, as :func:`worker_recv`) and
+    for ``timeout`` (default :data:`BARRIER_TIMEOUT`; ``SimulationError``
+    — what an unsupervised pool makes of any lost worker), so a dead or
+    wedged peer ends the wait instead of leaving a spinning orphan.
+    """
+    if timeout is None:
+        timeout = BARRIER_TIMEOUT
+    waiting = [w for w in range(control.workers) if w != worker]
+    start = time.monotonic()
+    while True:
+        waiting = [w for w in waiting if control.arrived(w) < barrier]
+        if not waiting:
+            return True
+        if control.aborted:
+            return False
+        waited = time.monotonic() - start
+        if waited < _BARRIER_SPIN:
+            if not spin:
+                os.sched_yield()
+            continue
+        if waited > timeout:
+            raise SimulationError(
+                f"processes backend: worker(s) {waiting} did not reach "
+                f"superstep barrier {barrier} within {timeout:.2f}s",
+                site="supervise.barrier",
+            )
+        if os.getppid() != parent_pid:
+            raise EOFError("parent process exited")
+        time.sleep(min(waited / 4, _BARRIER_NAP))
 
 
 def reap_worker(proc, conn, timeout: float = 5.0) -> None:

@@ -7,7 +7,7 @@ chain serially on the virtual clock, the barrier joins them, and the
 superstep ends when the *slowest* chain ends.  The critical path of the
 run is therefore the concatenation of each superstep's longest chain
 plus the barrier sync latency — everything else is slack, and every
-second of slack is a second a faster schedule (ROADMAP item 5) could
+second of slack is a second a faster schedule (ROADMAP item 7) could
 recover.
 
 For every superstep the analyzer reports the critical GPU, the length

@@ -40,6 +40,10 @@ class BrokenIteration(IterationBase):
             out[v] = 1.0
         self.problem.data_slices[0]["dist"][0] = 0.0        # REP106
         return out, []
+
+    def should_stop(self, iteration, sizes, in_flight):
+        import random
+        return random.Random().random() < 0.5               # REP115
 '''
 
 
@@ -50,7 +54,8 @@ class TestLinterFlagsBrokenPrimitive:
 
     @pytest.mark.parametrize(
         "rule_id",
-        ["REP101", "REP102", "REP103", "REP104", "REP105", "REP106"],
+        ["REP101", "REP102", "REP103", "REP104", "REP105", "REP106",
+         "REP115"],
     )
     def test_rule_fires(self, findings, rule_id):
         assert rule_id in {f.rule_id for f in findings}

@@ -1,11 +1,15 @@
-"""REP115 process-unsafe-state: hot hooks must survive a fork.
+"""REP115 process-unsafe-state: hooks must survive a fork.
 
-The processes backend runs hot hooks inside forked workers; state that
-is process-local (file handles, threading primitives, RNG instances)
-either diverges per worker or silently stops synchronizing.  The rule
-flags both creating such state inside a hot hook and *capturing* it via
-a ``self.X`` attribute assigned anywhere in the class.
+The processes backend runs hot hooks — and, where its workers run ahead
+of the parent, the barrier's control hooks — inside forked workers;
+state that is process-local (file handles, threading primitives, RNG
+instances) either diverges per worker or silently stops synchronizing.
+The rule flags both creating such state inside such a hook and
+*capturing* it via a ``self.X`` attribute assigned anywhere in the
+class.
 """
+
+import pytest
 
 from repro.check import lint_source
 
@@ -86,21 +90,65 @@ class ToyIteration(IterationBase):
         assert {"rng", "lock"} <= attrs
 
     def test_capture_outside_hot_hook_unflagged(self):
-        # creating the state is fine as long as no hot hook touches it
-        # (e.g. debugging helpers used only from control hooks)
+        # creating the state is fine as long as no hook a worker runs
+        # touches it (e.g. debugging helpers, parent-only hooks)
         src = PREAMBLE + '''
 class ToyIteration(IterationBase):
     def __init__(self, problem):
         super().__init__(problem)
         self.rng = random.Random(0)
 
-    def should_stop(self, iteration, sizes, in_flight):
-        return self.rng.random() < 0.01
+    def sample_for_debugging(self, frontier):
+        return frontier[: self.rng.randrange(3)]
+
+    def max_iterations(self):
+        return 100 + self.rng.randrange(3)
 
     def full_queue_core(self, ctx, frontier):
         return frontier, []
 '''
         assert "REP115" not in ids_of(lint_source(src, "t.py"))
+
+    @pytest.mark.parametrize("hook, args, body", [
+        ("should_stop", "iteration, sizes, in_flight",
+         "return self.rng.random() < 0.01"),
+        ("on_iteration_end", "iteration",
+         "self.problem.noise = self.rng.random()"),
+        ("communicates_this_iteration", "iteration",
+         "return self.rng.random() < 0.5"),
+        ("direction_of", "gpu", "return 'fwd' if self.rng.random() else ''"),
+    ])
+    def test_control_hooks_run_in_workers_too(self, hook, args, body):
+        # the barrier's control hooks run in every forked worker and, on
+        # replay, in the parent: an RNG there makes them disagree
+        src = PREAMBLE + f'''
+class ToyIteration(IterationBase):
+    def __init__(self, problem):
+        super().__init__(problem)
+        self.rng = random.Random(0)
+
+    def {hook}(self, {args}):
+        {body}
+
+    def full_queue_core(self, ctx, frontier):
+        return frontier, []
+'''
+        findings = [f for f in lint_source(src, "t.py")
+                    if f.rule_id == "REP115"]
+        assert [f.extra.get("method") for f in findings] == [hook]
+
+    def test_state_created_inside_should_stop_flagged(self):
+        src = PREAMBLE + '''
+class ToyIteration(IterationBase):
+    def should_stop(self, iteration, sizes, in_flight):
+        return random.Random().random() < 0.01
+
+    def full_queue_core(self, ctx, frontier):
+        return frontier, []
+'''
+        findings = lint_source(src, "t.py")
+        assert "REP115" in ids_of(findings)
+        assert any("random.Random()" in f.message for f in findings)
 
     def test_deterministic_hot_hook_clean(self):
         src = PREAMBLE + '''

@@ -349,3 +349,143 @@ class TestEnactorLifecycle:
         assert m2.supersteps  # ran to completion from the other source
         enactor.close()
         assert _shm_leaks() == []
+
+
+# -- peer-to-peer supersteps --------------------------------------------------
+#
+# Unguarded and unobserved, the workers run whole epochs among themselves
+# (backend.py, "Run protocol") and the parent replays their log.  The
+# cases above already run that way at one worker per GPU; these pin the
+# rest: fewer workers than GPUs, the barrier variants, epochs cut by
+# checkpoints, and regrowth in the middle of an epoch.  (A warm pool's
+# later runs against serial: test_pool_lifecycle.test_pool_survives_enact.)
+
+_SERIAL = {}
+
+
+def _serial(name, graph, **kwargs):
+    """The 4-GPU serial run of a primitive, computed once."""
+    key = (name, tuple(sorted(kwargs.items())))
+    if key not in _SERIAL:
+        result, metrics = _run(name, graph, 4, backend="serial", **kwargs)
+        _SERIAL[key] = (result, json.dumps(metrics.to_dict()))
+    return _SERIAL[key]
+
+
+def _count_dispatches(monkeypatch):
+    """Record ``(first superstep, log length)`` of every grant."""
+    grants = []
+    dispatch = ProcessesBackend._dispatch
+
+    def counted(self, enactor, iteration, *args):
+        dispatch(self, enactor, iteration, *args)
+        grants.append((iteration, len(self._log)))
+
+    monkeypatch.setattr(ProcessesBackend, "_dispatch", counted)
+    return grants
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("primitive", sorted(RUNNERS))
+def test_epochs_bit_identical_to_serial(
+    primitive, workers, small_rmat, weighted_rmat, monkeypatch
+):
+    """Four GPUs on two and three workers (four: the case above), one
+    grant per run.  BC changes phase — and selective to broadcast —
+    inside the replicated ``should_stop``; PR's needs every GPU's
+    ``max_delta`` in every worker."""
+    graph = _graph_for(primitive, small_rmat, weighted_rmat)
+    want, want_m = _serial(primitive, graph)
+    grants = _count_dispatches(monkeypatch)
+    got, got_m = _run(primitive, graph, 4, backend=f"processes:{workers}")
+    np.testing.assert_array_equal(want, got)
+    assert want_m == json.dumps(got_m.to_dict())
+    assert grants == [(0, got_m.supersteps)]
+    assert _shm_leaks() == []
+
+
+@pytest.mark.parametrize("primitive", ["dobfs", "pr"])
+def test_epochs_with_compute_only_barrier(primitive, small_rmat, monkeypatch):
+    """``overlap_communication``: the workers' barrier leaves the comm
+    streams draining, as the parent's does (on this graph that moves
+    PR's clock and not DOBFS's)."""
+    want, want_m = _serial(primitive, small_rmat, overlap_communication=True)
+    grants = _count_dispatches(monkeypatch)
+    got, got_m = _run(primitive, small_rmat, 4, backend="processes:2",
+                      overlap_communication=True)
+    np.testing.assert_array_equal(want, got)
+    assert want_m == json.dumps(got_m.to_dict())
+    assert len(grants) == 1
+    if primitive == "pr":
+        assert want_m != _serial(primitive, small_rmat)[1]
+
+
+def test_epochs_end_where_a_checkpoint_is_due(small_rmat, monkeypatch):
+    """``checkpoint_every=3``: each grant ends on a due superstep, whose
+    frontiers and messages the checkpoint finds intact."""
+    from repro.core.enactor import Enactor
+    from repro.primitives import BFSIteration, BFSProblem
+
+    taken = {}
+    take = Enactor._take_checkpoint
+
+    def spy(self, iteration, iteration_obj, frontiers, inboxes, metrics):
+        take(self, iteration, iteration_obj, frontiers, inboxes, metrics)
+        ckpt = self._last_checkpoint
+        taken.setdefault(self.backend.name, []).append((
+            iteration,
+            [f.tolist() for f in ckpt.frontiers],
+            [(m.src_gpu, m.dst_gpu, m.vertices.tolist()) for m in ckpt.messages],
+            {k: v.tolist() for k, v in ckpt.arrays.items()},
+        ))
+
+    monkeypatch.setattr(Enactor, "_take_checkpoint", spy)
+    grants = _count_dispatches(monkeypatch)
+    out = {}
+    for backend in ("serial", "processes:2"):
+        problem = BFSProblem(small_rmat, Machine(4))
+        with Enactor(problem, BFSIteration, backend=backend,
+                     checkpoint_every=3) as enactor:
+            metrics = enactor.enact(src=0)
+            out[backend] = (problem.labels().copy(), metrics)
+    np.testing.assert_array_equal(out["serial"][0], out["processes:2"][0])
+    metrics = out["processes:2"][1]
+    assert json.dumps(out["serial"][1].to_dict()) == json.dumps(metrics.to_dict())
+    assert metrics.checkpoints_taken == len(taken["serial"]) > 1
+    assert taken["serial"] == taken["processes"]
+    # epochs: supersteps 0-2, 3-5, ... — never past a due superstep
+    assert [first for first, _ in grants] == list(range(0, metrics.supersteps, 3))
+    assert all(length <= 3 for _, length in grants)
+    assert _shm_leaks() == []
+
+
+def test_exchange_and_mailbox_regrow_mid_epoch(small_rmat, monkeypatch):
+    """Halves that start far too small regrow while the parent is not
+    looking: peers and parent follow the generations the sidecars and
+    the control block publish.  The warm second run then finds every
+    half already large enough."""
+    from repro.core import backend as backend_mod
+    from repro.core import shm
+    from repro.core.enactor import Enactor
+    from repro.primitives import BFSIteration, BFSProblem
+
+    monkeypatch.setattr(
+        backend_mod, "ExchangeSegment",
+        lambda key, capacity: shm.ExchangeSegment(key, 64),
+    )
+    monkeypatch.setattr(shm, "_MAILBOX_BYTES", 64)
+    want, want_m = _serial("bfs", small_rmat)
+    grants = _count_dispatches(monkeypatch)
+    problem = BFSProblem(small_rmat, Machine(4))
+    with Enactor(problem, BFSIteration, backend="processes:2") as enactor:
+        for _ in range(2):
+            metrics = enactor.enact(src=0)
+            np.testing.assert_array_equal(want, problem.labels())
+            assert want_m == json.dumps(metrics.to_dict())
+        generations = [seg.generations() for seg in enactor.backend._exchange]
+        control = enactor.backend._control
+        mail = [control._words[8 * (w + 1) + 1] for w in range(2)]
+    assert len(grants) == 2
+    assert all(max(gens) > 0 for gens in generations)
+    assert all(generation > 0 for generation in mail)
+    assert _shm_leaks() == []

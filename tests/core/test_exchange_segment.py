@@ -20,10 +20,11 @@ from repro.core.backend import (
     GpuStepEffects,
     ProcessesBackend,
     _pack_effects,
+    _unpack_effects,
 )
 from repro.core.comm import Message
 from repro.core.enactor import Enactor
-from repro.core.shm import SHM_PREFIX, ExchangeSegment
+from repro.core.shm import SHM_PREFIX, ControlBlock, ExchangeSegment
 from repro.core.supervise import SupervisionConfig
 from repro.primitives import BFSIteration, BFSProblem, run_bfs
 from repro.sim.faults import SHM_CORRUPT, FaultPlan, FaultSpec
@@ -97,7 +98,7 @@ def test_empty_superstep_round_trips_through_the_protocol():
         eff = GpuStepEffects(gpu=2, frontier_size=7, direction="fwd")
         packed = _pack_effects(eff, seg, 1)
         assert seg.used(1) == 0
-        back = backend._unpack_effects(packed)
+        back = _unpack_effects(packed, backend._exchange, backend._described)
         assert back.frontier.size == 0 and back.frontier.dtype == np.int64
         assert back.sends == []
         assert (back.gpu, back.frontier_size, back.direction) == (2, 7, "fwd")
@@ -128,7 +129,7 @@ def test_effects_with_messages_round_trip():
         packed = _pack_effects(eff, seg, 0)
         # 3 * 8 + 100 * (8 + 4 + 8) bytes, once, not three times
         assert seg.used(0) == 24 + 800 + 400 + 800
-        back = backend._unpack_effects(packed)
+        back = _unpack_effects(packed, backend._exchange, backend._described)
         np.testing.assert_array_equal(back.frontier, eff.frontier)
         assert [(d, t) for d, t, _ in back.sends] == [
             (d, t) for d, t, _ in eff.sends
@@ -238,6 +239,55 @@ def test_close_sweeps_a_generation_nobody_reported():
     assert seg.generations() == (0, 1)
     assert seg.close() is True
     assert _mine() == []
+
+
+def _child_posts(control, conn):
+    """Worker 1: three barriers' worth of mail, the last two outgrowing
+    the half they go to."""
+    arrivals = [
+        control.post(1, parity, payload)
+        for parity, payload in ((0, b"first"), (1, b"y" * 5000),
+                                (0, b"z" * 20000))
+    ]
+    conn.send(arrivals)
+    conn.close()
+
+
+def test_control_block_round_trip_across_regrowth():
+    """Mail posted by a forked worker is read back by generation and
+    length from the control words alone — also from a half the writer
+    regrew; arrival counters count barriers; the abort word sticks; and
+    close() leaves none of the block's or the mailboxes' names."""
+    def ours():
+        return glob.glob(f"/dev/shm/{SHM_PREFIX}-{os.getpid()}-*")
+
+    control = ControlBlock(2)
+    assert len(ours()) == 1 + 2 * 2  # the block, two halves per worker
+    assert [control.arrived(w) for w in range(2)] == [0, 0]
+    assert not control.aborted
+    assert control.post(0, 0, b"hello") == 1
+    assert bytes(control.read(0, 0)) == b"hello"
+    ctx = multiprocessing.get_context("fork")
+    mine, theirs = ctx.Pipe()
+    proc = ctx.Process(target=_child_posts, args=(control, theirs))
+    proc.start()
+    assert mine.poll(30)
+    assert mine.recv() == [1, 2, 3]
+    proc.join(30)
+    assert proc.exitcode == 0
+    assert (control.arrived(0), control.arrived(1)) == (1, 3)
+    # half 1 regrew once, half 0 after it: the reader maps each by name
+    assert control.mail[1].generations() == (0, 0)
+    assert bytes(control.read(1, 1)) == b"y" * 5000
+    assert bytes(control.read(1, 0)) == b"z" * 20000
+    assert min(control.mail[1].generations()) >= 1
+    # worker 0's mail is untouched by its peer's
+    assert bytes(control.read(0, 0)) == b"hello"
+    control.abort()
+    assert control.aborted
+    control.close()
+    control.close()
+    assert ours() == []
 
 
 def test_digest_covers_exactly_the_written_bytes(segment):

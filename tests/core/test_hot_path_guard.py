@@ -157,3 +157,42 @@ def test_superstep_fixed_cost_stays_within_budget():
     # launch per message sent (``launch`` runs ``launch_many``'s loop)
     stream = by_function[("stream", "launch_many")]
     assert 1 <= stream / gpu_supersteps <= STREAM_CALLS_PER_GPU_SUPERSTEP
+
+
+# -- the parent's share of a ``processes`` superstep ---------------------------
+#
+# Unguarded and unobserved, the workers close supersteps among
+# themselves and the parent exchanges one request and one reply per
+# worker per *epoch* (backend.py, "Run protocol").  The step protocol
+# before it cost two sends and two receives per superstep at two
+# workers: 4.0 on this run.
+
+PIPE_MSGS_PER_SUPERSTEP = 0.5
+
+
+def test_parent_pipe_messages_stay_within_budget(monkeypatch):
+    from multiprocessing.connection import Connection
+
+    from repro.graph.generators import generate_road
+    from repro.partition import make_partitioner
+
+    calls = Counter()
+    for name in ("send", "recv"):
+        def counted(conn, *args, _name=name, _fn=getattr(Connection, name)):
+            calls[_name] += 1
+            return _fn(conn, *args)
+
+        monkeypatch.setattr(Connection, name, counted)
+    graph = generate_road(32, 32, delete_fraction=0.1,
+                          shortcut_fraction=0.0, seed=1)
+    problem = BFSProblem(
+        graph, Machine(4), partitioner=make_partitioner("metis", seed=1)
+    )
+    with Enactor(problem, BFSIteration, backend="processes:2") as enactor:
+        enactor.enact(src=0)  # forks the pool
+        calls.clear()
+        metrics = enactor.enact(src=0)
+        # begin_run and the one epoch: a request and a reply per worker
+        assert calls == {"send": 4, "recv": 4}
+    assert len(metrics.iterations) > 40
+    assert sum(calls.values()) / len(metrics.iterations) <= PIPE_MSGS_PER_SUPERSTEP
