@@ -15,10 +15,12 @@ pluggable policy:
   work overlaps on a multi-core host — but anything interpreter-bound
   stays GIL-serialized;
 * :class:`ProcessesBackend` — a forked worker pool, one worker per
-  virtual GPU by default, that lives as long as its enactor.  CSR
-  structure and slice arrays live in shared-memory segments
-  (:mod:`repro.core.shm`), so reads are zero-copy across workers and a
-  worker's slice writes are immediately visible to the parent.  What a
+  virtual GPU by default, that lives as long as its enactor.  The
+  read-only graph structure (the problem's ``PartitionedGraph``) is
+  read through the fork's copy-on-write pages; the slice arrays a
+  worker writes live in shared-memory segments
+  (:mod:`repro.core.shm`), so those writes are immediately visible to
+  the parent.  What a
   superstep *produces* — the next frontier and the outgoing messages'
   arrays — is written to the GPU's exchange segment and crosses the
   pipe as descriptors; the rest of its :class:`GpuStepEffects` travels
@@ -401,8 +403,9 @@ def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest, exchange,
     caches — evolves only here between barriers), across every
     ``enact()`` of its enactor.  Slice arrays are re-attached through
     the shared-memory registry by *name*, proving the manifest layer;
-    CSR, exchange and control segments are reached through the inherited
-    fork mappings, which alias the same physical pages.
+    exchange and control segments are reached through the inherited
+    fork mappings, which alias the same physical pages, and the
+    sub-graph structure through the fork's copy-on-write heap.
 
     Two requests: ``begin_run`` re-establishes the per-run private
     state a fresh fork would have inherited from the just-reset parent;

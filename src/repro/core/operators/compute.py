@@ -105,6 +105,13 @@ def segment_reduce_min(
     scattered — the others cannot change the minimum — and their keys
     (duplicates included) are returned: exactly the vertices whose value
     dropped.
+
+    Contract against ``np.minimum.at(out, keys, values)`` over all
+    items: ``out`` is equal under ``==`` and the returned keys are the
+    ones whose value dropped.  It is not always the same *bits*: a value
+    that merely equals ``out[k]`` is never stored, so ``-0.0`` offered to
+    a slot holding ``+0.0`` leaves ``+0.0`` where ``minimum.at`` stores
+    ``-0.0``.
     """
     keys = np.asarray(keys, dtype=np.int64)
     better = values < out[keys]

@@ -1,8 +1,10 @@
 """Problem base: per-GPU data slices (the paper's ``ProblemBase``).
 
-A Problem owns everything that persists across traversals: the partitioned
-subgraphs, the per-GPU ``DataSlice`` arrays, and their device-memory
-accounting.  Programmers subclass it and specify (Section III-B):
+A Problem owns what persists across traversals *of one primitive*: the
+per-GPU ``DataSlice`` arrays and their device-memory accounting.  The
+partitioned sub-graphs it runs on are a shared, read-only
+:class:`~repro.partition.partitioned.PartitionedGraph`.  Programmers
+subclass it and specify (Section III-B):
 
 * ``NUM_VERTEX_ASSOCIATES`` / ``NUM_VALUE_ASSOCIATES`` — how many
   per-vertex IDs/values accompany each communicated vertex;
@@ -14,14 +16,15 @@ accounting.  Programmers subclass it and specify (Section III-B):
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import PartitionError
 from ..graph.csr import CsrGraph
 from ..partition.base import Partitioner
-from ..partition.duplication import DUPLICATE_ALL, SubGraph, build_subgraphs
+from ..partition.duplication import DUPLICATE_ALL, SubGraph
+from ..partition.partitioned import PartitionedGraph
 from ..partition.random_part import RandomPartitioner
 from ..sim.machine import Machine
 from .combine import Combiner
@@ -152,17 +155,24 @@ class ProblemBase:
                 "duplicate-1-hop renumbers vertices per GPU, so a single "
                 "broadcast payload cannot be valid on every receiver"
             )
-        partitioner = partitioner or RandomPartitioner()
         self.charge_memory = charge_memory
-        self.partition = partitioner.partition(graph, self.num_gpus)
-        self.subgraphs: List[SubGraph] = build_subgraphs(
-            graph, self.partition, self.duplication
-        )
+        self._bind(PartitionedGraph.of(
+            graph, partitioner or RandomPartitioner(), self.num_gpus,
+            self.duplication,
+        ))
         # unique allocation prefix so several problems can share a machine
         seq = getattr(machine, "_problem_seq", 0)
         machine._problem_seq = seq + 1
         self.alloc_prefix = f"{self.name}#{seq}"
         self._build_data_slices(dead=frozenset())
+
+    def _bind(self, partitioned: PartitionedGraph) -> None:
+        """Run on ``partitioned`` from now on.  Its fields are bound as
+        plain attributes: hooks read them every superstep."""
+        self.partitioned = partitioned
+        self.partition = partitioned.partition
+        self.subgraphs: Tuple[SubGraph, ...] = partitioned.subgraphs
+        self.hosted_frontiers = partitioned.hosted_frontiers
 
     def _build_data_slices(self, dead: frozenset) -> None:
         """(Re)create per-GPU data slices for the current subgraphs.
@@ -171,16 +181,6 @@ class ProblemBase:
         hardware is gone; the host-side arrays exist only so indexing
         stays uniform — with an empty hosted set they carry no results).
         """
-        #: per GPU, the ascending local IDs of the vertices it hosts —
-        #: fixed between repartitions, so hooks read it instead of
-        #: rescanning ``host_of_local`` every superstep (read-only: hooks
-        #: hand these out as frontiers)
-        self.hosted_frontiers: List[np.ndarray] = [
-            np.flatnonzero(sub.host_of_local == sub.gpu_id)
-            for sub in self.subgraphs
-        ]
-        for hosted in self.hosted_frontiers:
-            hosted.setflags(write=False)
         self.data_slices = []
         for gpu in range(self.num_gpus):
             charge = self.charge_memory and gpu not in dead
@@ -304,25 +304,12 @@ class ProblemBase:
         1-hop proxy); a miss means the caller routed state to the wrong
         GPU and raises :class:`~repro.errors.PartitionError`.
         """
-        ids = np.asarray(global_ids, dtype=np.int64)
-        if self.duplication == DUPLICATE_ALL:
-            return ids
-        sub = self.subgraphs[gpu]
-        inverse = np.full(self.graph.num_vertices, -1, dtype=np.int64)
-        inverse[sub.local_to_global] = np.arange(
-            sub.num_vertices, dtype=np.int64
-        )
-        out = inverse[ids]
-        if out.size and out.min() < 0:
-            missing = ids[out < 0][:4]
-            raise PartitionError(
-                f"vertices {missing.tolist()} are not present on GPU {gpu}",
-                gpu_id=gpu, site="problem.global_to_local",
-            )
-        return out
+        return self.partitioned.global_to_local(gpu, global_ids)
 
     def repartition(self, assignment: np.ndarray, dead=frozenset()) -> None:
-        """Rebuild subgraphs and slices for a new vertex assignment.
+        """Rebind to a fresh partition of a new vertex assignment and
+        rebuild the slices.  The partition in use until now, which other
+        problems may share, is left as it is.
 
         Used by degraded-mode recovery: after a permanent GPU loss the
         enactor reassigns the dead GPU's vertices onto survivors and
@@ -343,21 +330,10 @@ class ProblemBase:
                 "new assignment routes vertices to a lost GPU",
                 site="problem.repartition",
             )
-        from ..partition.base import PartitionResult
-
-        for ds in self.data_slices:
-            pool = ds.pool
-            ds.release()
-            if pool is not None and pool.size_of(
-                f"{self.alloc_prefix}.subgraph"
-            ) is not None:
-                pool.free(f"{self.alloc_prefix}.subgraph")
-        self.partition = PartitionResult.from_assignment(
-            assignment, self.num_gpus
-        )
-        self.subgraphs = build_subgraphs(
-            self.graph, self.partition, self.duplication
-        )
+        self.release()
+        self._bind(PartitionedGraph.from_assignment(
+            self.graph, assignment, self.num_gpus, self.duplication
+        ))
         self._build_data_slices(dead=dead)
 
     def on_repartition(self, dead=frozenset()) -> None:

@@ -5,24 +5,25 @@ The processes backend forks a worker pool once per enactor; the workers
 live until ``close()`` (or until a rollback, a worker failure or a
 changed observer forces a re-fork) and each owns a fixed subset of the
 virtual GPUs.  Fork gives workers copy-on-write *reads* of the whole
-problem for free, but a worker's superstep also **writes** its GPU's
-slice arrays (labels, ranks, bitmaps, ...), and those writes must land
-where the parent — and every later run on the same workers — can see
-them.  :class:`SliceManifest` migrates every
-:class:`~repro.core.problem.DataSlice` array and every subgraph's CSR
-structure (the int64 ``offsets64``/``cols64`` views the operators
-traverse, plus the raw arrays and edge values) into named
-``multiprocessing.shared_memory`` segments *before* the fork:
+problem for free — and that is all the graph structure needs: the
+partition tables and sub-graph CSR of a
+:class:`~repro.partition.partitioned.PartitionedGraph` are read-only, so
+their pages are never copied and never leave the parent's heap (every
+worker — first fork, supervised respawn, re-fork after a rollback — is
+forked from the parent that holds them; there is no spawn path).  What
+must be shared explicitly is what a worker **writes**: its GPU's slice
+arrays (labels, ranks, bitmaps, ...), whose writes must land where the
+parent — and every later run on the same workers — can see them.
+:class:`SliceManifest` migrates every
+:class:`~repro.core.problem.DataSlice` array into a named
+``multiprocessing.shared_memory`` segment *before* the fork:
 
-* reads are zero-copy in every process (one physical mapping of the CSR
-  per host, no matter how many workers);
 * slice-array writes made inside a worker are immediately visible to
   the parent at the barrier — no array shipping;
 * each segment is listed in a picklable registry (:meth:`spec`), so a
-  worker can re-attach any slice array *by name*
-  (:meth:`attach_slices`) instead of relying on inherited mappings —
-  the layer a ``spawn``-style backend would need, and what the
-  round-trip unit test exercises.
+  worker re-attaches its slice arrays *by name*
+  (:meth:`attach_slices`) instead of relying on inherited mappings,
+  which is what the round-trip unit test exercises.
 
 What a superstep *produces* — each GPU's next frontier and the vertex /
 associate arrays of its outgoing messages — travels through one
@@ -35,7 +36,7 @@ Sanitizer interop: migration preserves ``ShadowArray`` wrappers by
 re-wrapping the shm-backed replacement with the original's sanitizer
 attribution (duck-typed through ``type(arr).wrap`` — no import cycle).
 
-Lifecycle: slice/CSR segments are created by :meth:`SliceManifest.migrate`;
+Lifecycle: slice segments are created by :meth:`SliceManifest.migrate`;
 :meth:`SliceManifest.release` copies live bindings back to ordinary heap
 arrays (so the problem remains usable after the backend is closed),
 closes what can be closed, and **unlinks every segment** — the
@@ -148,18 +149,18 @@ def _close_mapping(seg) -> bool:
 
 
 class SliceManifest:
-    """Registry of shared-memory segments backing one problem's arrays."""
+    """Registry of shared-memory segments backing one problem's slice
+    arrays."""
 
     def __init__(self):
         self._segments: Dict[tuple, shared_memory.SharedMemory] = {}
-        #: key -> (segment name, shape, dtype string, writeable)
+        #: (gpu, array name) -> (segment name, shape, dtype string, writeable)
         self._specs: Dict[tuple, Tuple[str, tuple, str, bool]] = {}
         #: attach-side handles, kept alive so their buffers stay mapped
         self._attached: List[shared_memory.SharedMemory] = []
-        #: (container dict, key-in-container, manifest key) bindings so
-        #: release() can put heap arrays back where shm arrays live now
-        self._slice_bindings: List[Tuple[dict, str, tuple]] = []
-        self._csr_bindings: List[Tuple[object, str, tuple]] = []
+        #: (container dict, key-in-container) bindings so release() can
+        #: put heap arrays back where shm arrays live now
+        self._slice_bindings: List[Tuple[dict, str]] = []
         self._unlinked = False
         #: only the creating process may unlink — forked workers hold a
         #: copy of this object and must never destroy the parent's
@@ -186,65 +187,25 @@ class SliceManifest:
         return new
 
     def migrate(self, problem) -> None:
-        """Move the problem's slice arrays and CSR structure into shm.
+        """Move the problem's slice arrays into shm.
 
-        Mutates the problem in place: every ``DataSlice`` entry and every
-        subgraph CSR field is rebound to a shm-backed equivalent (shadow
-        wrappers preserved).  Idempotent per problem generation — call
-        once after construction/repartition, before forking workers.
+        Mutates the problem in place: every ``DataSlice`` entry is
+        rebound to a shm-backed equivalent (shadow wrappers preserved).
+        Idempotent per problem generation — call once after
+        construction/repartition, before forking workers.
         """
         for gpu, ds in enumerate(problem.data_slices):
             for name in list(ds.arrays):
                 arr = ds.arrays[name]
                 base = arr.view(np.ndarray)
-                new = self._new_segment(("slice", gpu, name), base)
+                new = self._new_segment((gpu, name), base)
                 ds.arrays[name] = _rewrap_like(arr, new)
-                self._slice_bindings.append((ds.arrays, name, ("slice", gpu, name)))
-        migrated: Dict[int, bool] = {}
-        for sub in problem.subgraphs:
-            csr = sub.csr
-            if csr is None or id(csr) in migrated:
-                continue  # DUPLICATE_ALL shares one CsrGraph instance
-            migrated[id(csr)] = True
-            tag = len(migrated) - 1
-            self._migrate_csr(csr, tag)
-
-    def _migrate_csr(self, csr, tag: int) -> None:
-        # force-build the int64 hot views first so aliasing is explicit
-        off64, cols64 = csr.offsets64, csr.cols64
-        new_off = self._new_segment(("csr", tag, "offsets64"), off64)
-        new_cols = self._new_segment(("csr", tag, "cols64"), cols64)
-        for attr, old, new, key in (
-            ("_offsets64", off64, new_off, ("csr", tag, "offsets64")),
-            ("_cols64", cols64, new_cols, ("csr", tag, "cols64")),
-        ):
-            setattr(csr, attr, new)
-            self._csr_bindings.append((csr, attr, key))
-        # the raw arrays alias the views at int64 width; otherwise they
-        # get their own segments so *all* graph bytes are shared
-        if csr.row_offsets is off64:
-            csr.row_offsets = new_off
-            self._csr_bindings.append((csr, "row_offsets", ("csr", tag, "offsets64")))
-        else:
-            csr.row_offsets = self._new_segment(
-                ("csr", tag, "row_offsets"), csr.row_offsets
-            )
-            self._csr_bindings.append((csr, "row_offsets", ("csr", tag, "row_offsets")))
-        if csr.col_indices is cols64:
-            csr.col_indices = new_cols
-            self._csr_bindings.append((csr, "col_indices", ("csr", tag, "cols64")))
-        else:
-            csr.col_indices = self._new_segment(
-                ("csr", tag, "col_indices"), csr.col_indices
-            )
-            self._csr_bindings.append((csr, "col_indices", ("csr", tag, "col_indices")))
-        if csr.values is not None:
-            csr.values = self._new_segment(("csr", tag, "values"), csr.values)
-            self._csr_bindings.append((csr, "values", ("csr", tag, "values")))
+                self._slice_bindings.append((ds.arrays, name))
 
     # -- registry / attach ----------------------------------------------
     def spec(self) -> Dict[tuple, Tuple[str, tuple, str, bool]]:
-        """Picklable registry: manifest key -> (name, shape, dtype, rw)."""
+        """Picklable registry: (gpu, array name) -> (segment name, shape,
+        dtype, rw)."""
         return dict(self._specs)
 
     def segment_names(self) -> List[str]:
@@ -268,9 +229,8 @@ class SliceManifest:
     def attach_slices(self) -> Iterator[Tuple[int, str, np.ndarray]]:
         """Attach every slice-array segment by name: yields
         ``(gpu, array_name, shm_array)``."""
-        for key in self._specs:
-            if key[0] == "slice":
-                yield key[1], key[2], self.attach(key)
+        for gpu, name in self._specs:
+            yield gpu, name, self.attach((gpu, name))
 
     def detach(self) -> None:
         """Close attach-side handles (worker teardown)."""
@@ -288,22 +248,13 @@ class SliceManifest:
         After this the problem is fully usable (``extract`` etc. read
         the heap copies) and ``/dev/shm`` holds none of our segments.
         """
-        for container, name, key in self._slice_bindings:
+        for container, name in self._slice_bindings:
             arr = container.get(name)
             if arr is None:
                 continue
             base = arr.view(np.ndarray)
             container[name] = _rewrap_like(arr, base.copy())
-        for obj, attr, key in self._csr_bindings:
-            arr = getattr(obj, attr, None)
-            if arr is None:
-                continue
-            heap = arr.copy()
-            if not arr.flags.writeable:
-                heap.setflags(write=False)
-            setattr(obj, attr, heap)
         self._slice_bindings = []
-        self._csr_bindings = []
         self.detach()
         self.unlink()
 

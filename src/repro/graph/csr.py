@@ -12,6 +12,7 @@ A :class:`CsrGraph` may also carry its transpose (``csc``) for pull-style
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -57,6 +58,11 @@ class CsrGraph:
     _cols64: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False
     )
+    #: live partitions of this graph, weakly held (see
+    #: :meth:`repro.partition.partitioned.PartitionedGraph.of`)
+    _partitioned: Optional[weakref.WeakValueDictionary] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.row_offsets = np.asarray(self.row_offsets, dtype=self.ids.size_dtype)
@@ -65,6 +71,7 @@ class CsrGraph:
             self.values = np.asarray(self.values, dtype=self.ids.value_dtype)
         self._offsets64 = None
         self._cols64 = None
+        self._partitioned = None
         self.validate()
 
     # ------------------------------------------------------------------

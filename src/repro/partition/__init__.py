@@ -10,6 +10,7 @@ from .duplication import (
     build_subgraphs,
 )
 from .metis_like import MetisLikePartitioner
+from .partitioned import PartitionedGraph
 from .random_part import RandomPartitioner
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "BorderStats",
     "SubGraph",
     "build_subgraphs",
+    "PartitionedGraph",
     "DUPLICATE_ALL",
     "DUPLICATE_1HOP",
 ]

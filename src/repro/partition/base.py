@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -105,6 +105,22 @@ class Partitioner(ABC):
     """
 
     name: str = "base"
+
+    def key(self) -> Optional[tuple]:
+        """A hashable value naming the assignment this object produces,
+        or None (the default) when there is none.
+
+        Two partitioners with equal keys must assign every graph
+        identically for every GPU count:
+        :meth:`~repro.partition.partitioned.PartitionedGraph.of` lets
+        problems on one graph share a partition built under an equal
+        key.  The built-in partitioners return ``(name, seed,
+        ...parameters)``; one that holds state a tuple of scalars cannot
+        name (a fixed assignment array, say) keeps the default and is
+        never shared.  A subclass that changes what ``assign`` depends
+        on must extend the key with it.
+        """
+        return None
 
     @abstractmethod
     def assign(self, graph: CsrGraph, num_gpus: int) -> np.ndarray:

@@ -43,6 +43,9 @@ class BiasedRandomPartitioner(Partitioner):
         self.bias = bias
         self.imbalance = imbalance
 
+    def key(self) -> tuple:
+        return (self.name, self.seed, self.bias, self.imbalance)
+
     def assign(self, graph: CsrGraph, num_gpus: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
         n = graph.num_vertices

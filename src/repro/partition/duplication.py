@@ -90,17 +90,17 @@ class SubGraph:
 
 
 def _subgraph_duplicate_all(
-    graph: CsrGraph, part: PartitionResult, gpu: int
+    graph: CsrGraph, part: PartitionResult, gpu: int,
+    deg: np.ndarray, edge_owner: np.ndarray,
 ) -> SubGraph:
     """Every global vertex exists locally; only hosted rows keep edges."""
     pt = part.partition_table
     hosted = pt == gpu
-    deg = np.diff(graph.row_offsets).astype(np.int64)
     local_deg = np.where(hosted, deg, 0)
     row_offsets = np.zeros(graph.num_vertices + 1, dtype=graph.ids.size_dtype)
     np.cumsum(local_deg, out=row_offsets[1:])
     # gather the hosted rows' column slices
-    keep = np.repeat(hosted, deg)
+    keep = edge_owner == gpu
     cols = graph.col_indices[keep]
     values = None if graph.values is None else graph.values[keep]
     csr = CsrGraph(
@@ -121,39 +121,44 @@ def _subgraph_duplicate_all(
 
 
 def _subgraph_duplicate_1hop(
-    graph: CsrGraph, part: PartitionResult, gpu: int
+    graph: CsrGraph, part: PartitionResult, gpu: int,
+    deg: np.ndarray, edge_owner: np.ndarray,
 ) -> SubGraph:
-    """Hosted vertices renumbered [0, |L_i|), proxies [|L_i|, |V_i|)."""
+    """Hosted vertices renumbered [0, |L_i|), proxies [|L_i|, |V_i|).
+
+    O(|V| + |E_i|) on the bounded vertex domain: the proxy set is a mark
+    array read back with ``flatnonzero`` (ascending, as a sort would give)
+    and destinations are renumbered through one scattered global->local
+    table — no sort, no binary search.
+    """
     pt = part.partition_table
+    n = graph.num_vertices
     hosted_globals = part.hosted_by(gpu)  # sorted global ids
     num_hosted = hosted_globals.size
-    deg = np.diff(graph.row_offsets).astype(np.int64)
-    hdeg = deg[hosted_globals]
     # gather this GPU's edges (outgoing edges of hosted vertices)
-    keep = np.repeat(pt == gpu, deg)
-    dst_global = graph.col_indices[keep].astype(np.int64)
+    keep = edge_owner == gpu
+    dst_global = graph.col_indices[keep]
     values = None if graph.values is None else graph.values[keep]
     # proxies: distinct remote destinations, by ascending global id
-    remote = np.unique(dst_global[pt[dst_global] != gpu])
+    is_proxy = np.zeros(n, dtype=bool)
+    is_proxy[dst_global] = True
+    is_proxy[hosted_globals] = False
+    remote = np.flatnonzero(is_proxy)
     l2g = np.concatenate([hosted_globals, remote])
-    # map destination globals to local ids: hosted via conversion table,
-    # remote via searchsorted into the sorted proxy list
-    dst_is_local = pt[dst_global] == gpu
-    dst_local = np.empty(dst_global.size, dtype=np.int64)
-    dst_local[dst_is_local] = part.conversion_table[dst_global[dst_is_local]]
-    dst_local[~dst_is_local] = num_hosted + np.searchsorted(
-        remote, dst_global[~dst_is_local]
-    )
-    num_local_vertices = l2g.size
-    row_offsets = np.zeros(num_local_vertices + 1, dtype=graph.ids.size_dtype)
+    # global -> local: hosted via the conversion table, proxies appended;
+    # only the entries of this GPU's vertices are ever read
+    local_of = np.empty(n, dtype=np.int64)
+    local_of[hosted_globals] = part.conversion_table[hosted_globals]
+    local_of[remote] = np.arange(num_hosted, l2g.size, dtype=np.int64)
+    row_offsets = np.zeros(l2g.size + 1, dtype=graph.ids.size_dtype)
     np.cumsum(
-        np.concatenate([hdeg, np.zeros(remote.size, dtype=np.int64)]),
+        np.concatenate([deg[hosted_globals], np.zeros(remote.size, np.int64)]),
         out=row_offsets[1:],
     )
     csr = CsrGraph(
-        num_local_vertices,
+        l2g.size,
         row_offsets,
-        dst_local.astype(graph.ids.vertex_dtype),
+        local_of[dst_global].astype(graph.ids.vertex_dtype),
         values,
         ids=graph.ids,
         directed=graph.directed,
@@ -195,4 +200,11 @@ def build_subgraphs(
         if strategy == DUPLICATE_ALL
         else _subgraph_duplicate_1hop
     )
-    return [builder(graph, part, g) for g in range(part.num_gpus)]
+    # shared by every GPU's builder: out-degrees, and per edge the GPU
+    # hosting its source (vertices travel with their outgoing edges)
+    deg = np.diff(graph.row_offsets).astype(np.int64)
+    edge_owner = np.repeat(part.partition_table, deg)
+    return [
+        builder(graph, part, g, deg, edge_owner)
+        for g in range(part.num_gpus)
+    ]

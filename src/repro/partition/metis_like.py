@@ -194,6 +194,10 @@ class MetisLikePartitioner(Partitioner):
         self.imbalance = imbalance
         self.refine_passes = refine_passes
 
+    def key(self) -> tuple:
+        return (self.name, self.seed, self.coarsen_to, self.imbalance,
+                self.refine_passes)
+
     def assign(self, graph: CsrGraph, num_gpus: int) -> np.ndarray:
         k = num_gpus
         rng = np.random.default_rng(self.seed)

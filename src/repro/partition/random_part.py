@@ -27,6 +27,9 @@ class RandomPartitioner(Partitioner):
     def __init__(self, seed: int = 0):
         self.seed = seed
 
+    def key(self) -> tuple:
+        return (self.name, self.seed)
+
     def assign(self, graph: CsrGraph, num_gpus: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
         n = graph.num_vertices

@@ -489,3 +489,99 @@ def test_exchange_and_mailbox_regrow_mid_epoch(small_rmat, monkeypatch):
     assert all(max(gens) > 0 for gens in generations)
     assert all(generation > 0 for generation in mail)
     assert _shm_leaks() == []
+
+
+# -- one partition, several problems ----------------------------------------
+#
+# Problems on one graph with equal-keyed partitioners run on the same
+# read-only PartitionedGraph (tests/partition/test_partitioned_graph.py);
+# the sub-graph structure reaches forked workers through copy-on-write
+# pages and is never put in shared memory.
+
+def _structure_bytes(partitioned):
+    return [
+        arr.tobytes()
+        for sub in partitioned.subgraphs
+        for arr in (sub.csr.row_offsets, sub.csr.col_indices,
+                    sub.local_to_global, sub.host_of_local)
+    ] + [partitioned.partition.partition_table.tobytes()]
+
+
+@pytest.mark.parametrize("backend", ["serial", "processes:2"])
+def test_gpu_loss_in_one_enactor_spares_a_problem_sharing_its_partition(
+    backend, small_rmat
+):
+    """A rollback repartitions the faulted problem onto a private
+    partition; a second problem, open on the shared one throughout — its
+    pool forked before the loss — keeps its sub-graphs and its answers."""
+    from repro.core.enactor import Enactor
+    from repro.primitives import (
+        BFSIteration,
+        BFSProblem,
+        PRIteration,
+        PRProblem,
+    )
+    from repro.sim.faults import GPU_LOSS, FaultPlan, FaultSpec
+
+    want_bfs, _ = _run("bfs", small_rmat, 4, backend="serial")
+    # the bystander's two runs on a serial enactor nobody disturbs
+    reference = PRProblem(small_rmat, Machine(4), max_iter=30)
+    with Enactor(reference, PRIteration) as ref_enactor:
+        want_m = [json.dumps(ref_enactor.enact().to_dict()) for _ in range(2)]
+    want_pr = reference.ranks()
+    faulted_machine = Machine(4)
+    faulted_machine.arm_faults(
+        FaultPlan([FaultSpec(GPU_LOSS, gpu=3, iteration=2)])
+    )
+    faulted = BFSProblem(small_rmat, faulted_machine)
+    bystander = PRProblem(small_rmat, Machine(4), max_iter=30)
+    shared = bystander.partitioned
+    assert faulted.partitioned is shared
+    before = _structure_bytes(shared)
+    with Enactor(bystander, PRIteration, backend=backend) as by_enactor, \
+            Enactor(faulted, BFSIteration, backend=backend,
+                    checkpoint_every=2) as enactor:
+        first = by_enactor.enact()
+        np.testing.assert_array_equal(want_pr, bystander.ranks())
+        metrics = enactor.enact(src=0)
+        assert metrics.rollbacks == 1 and metrics.degraded_gpus == [3]
+        np.testing.assert_array_equal(want_bfs, faulted.labels())
+        # the faulted problem moved on; the shared partition did not
+        assert faulted.partitioned is not shared
+        assert faulted.hosted_frontiers[3].size == 0
+        assert bystander.partitioned is shared
+        assert _structure_bytes(shared) == before
+        second = by_enactor.enact()
+        np.testing.assert_array_equal(want_pr, bystander.ranks())
+    assert [json.dumps(m.to_dict()) for m in (first, second)] == want_m
+    assert _shm_leaks() == []
+
+
+def test_shm_holds_no_graph_structure(small_rmat):
+    """While a processes enactor is open: one segment per slice array,
+    two halves per exchange segment and per mailbox, one control block —
+    and nothing else; nothing at all after ``close()``."""
+    import os
+    import re
+
+    from repro.core.enactor import Enactor
+    from repro.primitives import BFSIteration, BFSProblem
+
+    mine = f"{SHM_PREFIX}-{os.getpid()}-"
+    problem = BFSProblem(small_rmat, Machine(4))
+    with Enactor(problem, BFSIteration, backend="processes:2") as enactor:
+        enactor.enact(src=0)
+        manifest = enactor.backend._manifest
+        names = {n for n in os.listdir("/dev/shm") if n.startswith(mine)}
+        slices = set(manifest.segment_names())
+        assert sorted(manifest.spec()) == sorted(
+            (gpu, name) for gpu, ds in enumerate(problem.data_slices)
+            for name in ds.arrays
+        )
+        assert len(slices) == len(manifest)
+        halves = {n for n in names if re.fullmatch(r".*-x\d+-\w+-[01]-\d+", n)}
+        control = {n for n in names if "-ctl-" in n}
+        assert len(halves) == 2 * (4 + 2)  # 4 GPUs' exchange, 2 mailboxes
+        assert len(control) == 1
+        assert names == slices | halves | control
+    assert _shm_leaks() == []

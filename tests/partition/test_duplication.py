@@ -126,6 +126,74 @@ class TestDuplicate1Hop:
         assert np.array_equal(s.is_hosted(ids), s.hosted_mask())
 
 
+def _one_hop_by_sort(graph, part, gpu):
+    """The sort-based formulation the O(n + m) 1-hop builder replaced:
+    ``np.unique`` for the proxy set, ``searchsorted`` to renumber."""
+    pt = part.partition_table
+    hosted = part.hosted_by(gpu)
+    deg = np.diff(graph.row_offsets).astype(np.int64)
+    keep = np.repeat(pt == gpu, deg)
+    dst = graph.col_indices[keep].astype(np.int64)
+    remote = np.unique(dst[pt[dst] != gpu])
+    local = pt[dst] == gpu
+    cols = np.empty(dst.size, dtype=np.int64)
+    cols[local] = part.conversion_table[dst[local]]
+    cols[~local] = hosted.size + np.searchsorted(remote, dst[~local])
+    offsets = np.zeros(hosted.size + remote.size + 1,
+                       dtype=graph.ids.size_dtype)
+    np.cumsum(
+        np.concatenate([deg[hosted], np.zeros(remote.size, dtype=np.int64)]),
+        out=offsets[1:],
+    )
+    l2g = np.concatenate([hosted, remote])
+    return {
+        "row_offsets": offsets,
+        "col_indices": cols.astype(graph.ids.vertex_dtype),
+        "values": None if graph.values is None else graph.values[keep],
+        "local_to_global": l2g,
+        "host_of_local": np.concatenate([
+            np.full(hosted.size, gpu, dtype=np.int32),
+            pt[remote].astype(np.int32),
+        ]),
+        "host_local_id": part.conversion_table[l2g].astype(np.int64),
+    }
+
+
+class TestOneHopEqualsSortFormulation:
+    """Same arrays, same dtypes, field by field."""
+
+    @pytest.mark.parametrize("num_gpus", [1, 2, 4])
+    @pytest.mark.parametrize("graph_name", ["weighted_rmat", "small_road"])
+    def test_fields_identical(self, graph_name, num_gpus, request):
+        graph = request.getfixturevalue(graph_name)
+        part = RandomPartitioner(7).partition(graph, num_gpus)
+        self._compare(graph, part)
+
+    def test_gpu_hosting_nothing(self, small_rmat):
+        rng = np.random.default_rng(9)
+        part = pr_of(rng.choice([0, 2], size=small_rmat.num_vertices), 3)
+        self._compare(small_rmat, part)
+
+    @staticmethod
+    def _compare(graph, part):
+        for sub in build_subgraphs(graph, part, DUPLICATE_1HOP):
+            want = _one_hop_by_sort(graph, part, sub.gpu_id)
+            got = {
+                "row_offsets": sub.csr.row_offsets,
+                "col_indices": sub.csr.col_indices,
+                "values": sub.csr.values,
+                "local_to_global": sub.local_to_global,
+                "host_of_local": sub.host_of_local,
+                "host_local_id": sub.host_local_id,
+            }
+            for name, ref in want.items():
+                if ref is None:
+                    assert got[name] is None
+                    continue
+                assert got[name].dtype == ref.dtype, name
+                np.testing.assert_array_equal(got[name], ref, err_msg=name)
+
+
 class TestValidation:
     def test_unknown_strategy(self, gpart):
         g, pr = gpart
