@@ -34,7 +34,7 @@ __all__ = ["ANALYSIS_VERSION", "DeepCheckCache", "DEFAULT_CACHE_DIR"]
 
 #: bump on ANY change to deep-tier analysis semantics (interp, certify,
 #: modelcheck, schedules): entries from other versions are discarded
-ANALYSIS_VERSION = 1
+ANALYSIS_VERSION = 2
 
 DEFAULT_CACHE_DIR = ".repro-check-cache"
 _STORE_NAME = "deep.json"

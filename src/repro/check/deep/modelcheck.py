@@ -282,6 +282,11 @@ class _EffectInterp(_HookInterp):
             ownerv = self._nv.get(id(func.value))
             owner_is_np = (isinstance(func.value, ast.Name)
                            and func.value.id in ("np", "numpy"))
+            if fname == "take" and not owner_is_np:
+                # ``x.take(idx)`` is the gather ``x[idx]``: like a
+                # subscript, its content is the base's; the indices are
+                # structural
+                return self._t(func.value)
             if not owner_is_np and not isinstance(ownerv, _Special):
                 c, t = self._t(func.value)
                 content, tr = content | c, tr or t

@@ -43,6 +43,11 @@ class Message:
     duplicate-all IDs are global and universal).  Associates are parallel
     arrays: per-vertex IDs of ``VertexT`` (e.g. predecessors, as global
     IDs) and per-vertex values of ``ValueT`` (e.g. distances, ranks).
+
+    ``vertices`` is always a plain int64 ndarray (packaging converts
+    through the int64 ``host_local_id``; the exchange segment and the
+    checkpoint restore keep the dtype), so combiners index with it as it
+    is.
     """
 
     src_gpu: int
@@ -74,43 +79,59 @@ def split_frontier(
     The per-peer arrays hold *this GPU's local IDs* (so the caller can
     gather associated values); conversion to receiver numbering happens at
     packaging.  C (communication computation) is O(|frontier|): one host
-    lookup and one scatter per element.
+    lookup and one scatter per element — here one stable counting
+    partition by owner, whose key (``sub.owner_keys``, at most 16 bits)
+    NumPy sorts in a radix pass.  Every part keeps the frontier's order
+    and is a slice of one owner-sorted copy; peers appear in ascending
+    order, as Python ints.
     """
     frontier = np.asarray(frontier)
     if frontier.dtype != np.int64:
         # enactor-fed frontiers arrive already int64; only detached
         # callers (tests, baselines) pay this copy
         frontier = frontier.astype(np.int64)
-    hosts = sub.host_of_local[frontier]
-    is_local = hosts == sub.gpu_id
+    items = frontier.size
+    gpu_id = sub.gpu_id
+    hosts = sub.owner_keys[frontier]
     remote: Dict[int, np.ndarray] = {}
-    if np.count_nonzero(is_local) == frontier.size:
-        # interior (or empty) frontier: nothing to route, no per-peer pass
+    if np.count_nonzero(hosts == gpu_id) == items:
+        # interior (or empty) frontier: nothing to route, no partition
         local = frontier
     else:
-        local = frontier[is_local]
-        # which of the few GPUs own something here: one counting pass
-        # over the small owner domain, not a sort of the frontier-length
-        # array
-        for peer in np.bincount(hosts).nonzero()[0]:
-            if peer != sub.gpu_id:
-                remote[int(peer)] = frontier[hosts == peer]
+        by_owner = frontier.take(hosts.argsort(kind="stable"))
+        local = by_owner[:0]
+        start = 0
+        for owner, count in enumerate(np.bincount(hosts).tolist()):
+            if count:
+                stop = start + count
+                if owner == gpu_id:
+                    local = by_owner[start:stop]
+                else:
+                    remote[owner] = by_owner[start:stop]
+                start = stop
     stats = OpStats(
         name="split",
-        input_size=int(frontier.size),
-        output_size=int(frontier.size),
-        vertices_processed=int(frontier.size),
+        input_size=items,
+        output_size=items,
+        vertices_processed=items,
         launches=1,
-        streaming_bytes=2 * frontier.size * ids_bytes,
-        random_bytes=frontier.size * 4,  # host table probe
+        streaming_bytes=2 * items * ids_bytes,
+        random_bytes=items * 4,  # host table probe
     )
     if tracer is not None:
-        tracer.instant(
-            "comm.split", gpu=sub.gpu_id,
-            items=int(frontier.size), local=int(local.size),
-            peers=len(remote),
-        )
+        trace_split(tracer, gpu_id, items, local, remote)
     return local, remote, stats
+
+
+def trace_split(tracer, gpu_id: int, items: int, local: np.ndarray,
+                remote: Dict[int, np.ndarray]) -> None:
+    """The traced instant of one split — made by :func:`split_frontier`,
+    and by the enactor when it replays a route split once before the run
+    (``ProblemBase.fixed_routes``)."""
+    tracer.instant(
+        "comm.split", gpu=gpu_id, items=items, local=int(local.size),
+        peers=len(remote),
+    )
 
 
 #: what splitting and packaging an empty frontier is charged: the split

@@ -57,6 +57,7 @@ from .comm import (
     make_selective_messages,
     route_empty_frontier,
     split_frontier,
+    trace_split,
 )
 from .frontier import Frontier
 from .iteration import GpuContext, IterationBase
@@ -619,10 +620,10 @@ class Enactor:
                 tracer.instant(
                     "comm.combine", vt=arrival, gpu=i, src=msg.src_gpu,
                     items=int(msg.num_items),
-                    accepted=int(np.asarray(verts).size),
+                    accepted=int(verts.size),
                 )
             if verts.size:
-                extra_parts.append(np.asarray(verts, dtype=np.int64))
+                extra_parts.append(verts)
         if inbox:
             eff.comm_compute_items = combined_items
         if not extra_parts:
@@ -645,7 +646,6 @@ class Enactor:
 
         # --- 2. single-GPU core --------------------------------
         out, core_stats = iteration_obj.full_queue_core(ctx, frontier)
-        out = np.asarray(out, dtype=np.int64)
         if core_stats:
             compute_seconds += ledger.charge(core_stats, 0.0, straggle)
             if self._intermediate_names[i]:
@@ -681,9 +681,17 @@ class Enactor:
                 )
                 route_stats = [pstats]
             elif out.size:
-                local_part, remote, sstats = split_frontier(
-                    sub, out, ids_bytes=ids_bytes, tracer=tracer
-                )
+                fixed = problem.fixed_routes
+                if fixed is not None and fixed[i][0] is out:
+                    # the very frontier whose split was made before the
+                    # run: same parts, same charge, same traced instant
+                    _, local_part, remote, sstats = fixed[i]
+                    if tracer is not None:
+                        trace_split(tracer, i, out.size, local_part, remote)
+                else:
+                    local_part, remote, sstats = split_frontier(
+                        sub, out, ids_bytes=ids_bytes, tracer=tracer
+                    )
                 msgs, pstats = make_selective_messages(
                     sub, remote, va, la, ids_bytes=ids_bytes, tracer=tracer,
                 )
@@ -788,7 +796,7 @@ class Enactor:
             )
             tracer.instant(
                 "superstep.end", vt=_vt1, gpu=i, iteration=iteration,
-                out=int(np.asarray(eff.frontier).size),
+                out=int(eff.frontier.size),
             )
             tracer.end_gpu()
         if sanitizer is not None:

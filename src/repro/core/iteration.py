@@ -74,7 +74,8 @@ class IterationBase:
         """One iteration of the unmodified single-GPU primitive.
 
         Receives the merged input frontier (local IDs) and returns the
-        output frontier plus the operator stats for cost charging.
+        output frontier plus the operator stats for cost charging.  Both
+        frontiers are int64 ndarrays; the enactor does not convert.
         """
         raise NotImplementedError
 
@@ -84,11 +85,12 @@ class IterationBase:
         """Combine one received message with local data.
 
         Returns the received vertices that must join the next input
-        frontier (already deduplicated against local state), plus stats.
+        frontier (already deduplicated against local state; an int64
+        ndarray, as ``msg.vertices`` is), plus stats.
         The default accepts every vertex and is only correct for
         primitives with idempotent updates.
         """
-        return np.asarray(msg.vertices, dtype=np.int64), []
+        return msg.vertices, []
 
     # -- data-to-communicate hooks (Section III-B "Data to communicate") ----
     def vertex_associate_arrays(self, ctx: GpuContext) -> Sequence[np.ndarray]:

@@ -37,15 +37,18 @@ from ..kernels import active as _kernels_active, plain_arrays as _plain
 from ..stats import OpStats
 from ..workspace import Workspace
 
-__all__ = ["gather_neighbors", "advance_push", "advance_pull"]
+__all__ = ["gather_neighbors", "advance_push", "advance_pull", "push_stats"]
 
 _BIG = np.iinfo(np.int64).max
 
 
-def _push_stats(nf: int, edges: int, ids_bytes: int, size_bytes: int) -> OpStats:
-    """The push-advance cost model, shared by the interpreted and
-    compiled paths (and by the fused operator) so stats stay
-    bit-identical no matter which computed the arrays."""
+def push_stats(nf: int, edges: int, ids_bytes: int, size_bytes: int) -> OpStats:
+    """The push-advance cost model for ``nf`` frontier items and
+    ``edges`` traversed edges: shared by the interpreted and compiled
+    paths, the fused operator, and hooks that charge a frontier other
+    than the one they gather (SSSP charges every copy of a vertex and
+    gathers each once), so stats stay bit-identical no matter which
+    computed the arrays."""
     return OpStats(
         name="advance",
         input_size=nf,
@@ -127,17 +130,17 @@ def gather_neighbors(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy() if need_sources else None, empty.copy()
     # flattened edge indices: repeat(start - exclusive_prefix) + arange
-    seg_base = np.repeat(starts + counts - np.cumsum(counts), counts)
+    seg_base = (starts + counts - counts.cumsum()).repeat(counts)
     if ws is None:
         edge_idx = seg_base + np.arange(total, dtype=np.int64)
         neighbors = csr.cols64[edge_idx]
     else:
         edge_idx = ws.take("advance.edge_idx", total, np.int64)
         np.add(seg_base, ws.iota(total), out=edge_idx)
-        neighbors = np.take(
-            csr.cols64, edge_idx, out=ws.take("advance.neighbors", total, np.int64)
+        neighbors = csr.cols64.take(
+            edge_idx, out=ws.take("advance.neighbors", total, np.int64)
         )
-    sources = np.repeat(frontier, counts) if need_sources else None
+    sources = frontier.repeat(counts) if need_sources else None
     return neighbors, sources, edge_idx
 
 
@@ -169,7 +172,7 @@ def advance_push(
     )
     edges = int(neighbors.size)
     nf = int(np.asarray(frontier).size)
-    stats = _push_stats(nf, edges, ids_bytes, csr.ids.size_bytes)
+    stats = push_stats(nf, edges, ids_bytes, csr.ids.size_bytes)
     if tracer is not None:
         tracer.op_wall_sample("advance", tracer.wall() - _wall0)
     return neighbors, sources, edge_idx, stats

@@ -89,7 +89,7 @@ def dedup(
     """
     flags = mark_scratch(num_vertices, ws)
     flags[ids] = True
-    out = np.flatnonzero(flags)
+    out = flags.nonzero()[0]
     flags[out] = False
     return out
 
@@ -113,10 +113,12 @@ def segment_reduce_min(
     a slot holding ``+0.0`` leaves ``+0.0`` where ``minimum.at`` stores
     ``-0.0``.
     """
-    keys = np.asarray(keys, dtype=np.int64)
-    better = values < out[keys]
-    keys = keys[better]
-    np.minimum.at(out, keys, values[better])
+    # index once, take many: the mask becomes an index list in one pass
+    # and both parallel arrays are gathered through it — a boolean-mask
+    # compression walks the edge list once per array, and slower
+    better = (values < out[keys]).nonzero()[0]
+    keys = keys.take(better)
+    np.minimum.at(out, keys, values.take(better))
     return keys
 
 

@@ -90,8 +90,8 @@ def filter_unvisited(
         if kernels is not None and _plain(candidates, labels):
             out = kernels.filter_unvisited(candidates, labels, invalid_label)
         else:
-            unvisited = candidates[labels[candidates] == invalid_label]
-            out = dedup(unvisited, labels.shape[0], ws)
+            unvisited = (labels[candidates] == invalid_label).nonzero()[0]
+            out = dedup(candidates.take(unvisited), labels.shape[0], ws)
     else:
         out = candidates
     stats = _unvisited_stats(int(candidates.size), int(out.size), ids_bytes)

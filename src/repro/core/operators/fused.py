@@ -25,7 +25,7 @@ from ...graph.csr import CsrGraph
 from ..kernels import active as _kernels_active, plain_arrays as _plain
 from ..stats import OpStats
 from ..workspace import Workspace
-from .advance import _frontier64, _push_stats, advance_push
+from .advance import _frontier64, push_stats, advance_push
 from .compute import mark_scratch, segment_first
 from .filter import _unvisited_stats, filter_unvisited
 
@@ -53,10 +53,12 @@ def first_witness(
         return empty, empty.copy()
     flags = mark_scratch(num_vertices, ws)
     flags[survivors] = True
-    pos = np.flatnonzero(flags[neighbors])
+    pos = flags[neighbors].nonzero()[0]
     flags[survivors] = False
-    first_pos = segment_first(neighbors[pos], pos, survivors, num_vertices, ws)
-    return sources[first_pos], edge_idx[first_pos]
+    first_pos = segment_first(
+        neighbors.take(pos), pos, survivors, num_vertices, ws
+    )
+    return sources.take(first_pos), edge_idx.take(first_pos)
 
 
 def fused_advance_filter(
@@ -89,7 +91,7 @@ def fused_advance_filter(
             survivors, w_sources, w_edges, edges = kernels.fused(
                 csr.offsets64, csr.cols64, frontier, labels, invalid_label
             )
-            a_stats = _push_stats(
+            a_stats = push_stats(
                 int(frontier.size), int(edges), ids_bytes, csr.ids.size_bytes
             )
             f_stats = _unvisited_stats(

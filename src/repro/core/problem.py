@@ -16,7 +16,7 @@ subclass it and specify (Section III-B):
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,6 +120,14 @@ class ProblemBase:
     #: declaration — workers receive them via the per-superstep
     #: :attr:`CHECKPOINT_ATTRS` snapshot instead.
     PER_GPU_MUTABLE_ATTRS: tuple = ()
+    #: per GPU ``(frontier, local, remote, split stats)``: an output
+    #: frontier that is the same array every superstep, with what
+    #: :func:`~repro.core.comm.split_frontier` returns for it, computed
+    #: before the run (PR: the paper's Section VI point that its frontier
+    #: and traffic are known beforehand).  The enactor uses the stored
+    #: split whenever a GPU's core returns that very array, and splits
+    #: anything else as usual.  Everything in it is read-only.
+    fixed_routes: Optional[Sequence[tuple]] = None
 
     def __init__(
         self,

@@ -16,7 +16,7 @@ Two strategies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
@@ -54,6 +54,14 @@ class SubGraph:
         the identity (global IDs are universal).
     strategy:
         Which duplication strategy built this subgraph.
+    owner_keys:
+        ``host_of_local`` in the narrowest unsigned dtype that holds it
+        (one byte up to 256 GPUs): the sort key of
+        :func:`repro.core.comm.split_frontier`'s counting partition.
+        NumPy's stable sort of keys of at most 16 bits is an O(n) radix
+        pass, which the 32-bit table would not get.  Derived host-side
+        bookkeeping, not device structure: :meth:`memory_bytes` does not
+        count it.
     """
 
     gpu_id: int
@@ -63,6 +71,13 @@ class SubGraph:
     host_of_local: np.ndarray
     host_local_id: np.ndarray
     strategy: str
+    owner_keys: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        hosts = self.host_of_local
+        self.owner_keys = hosts.astype(
+            np.min_scalar_type(int(hosts.max(initial=0)))
+        )
 
     @property
     def num_vertices(self) -> int:

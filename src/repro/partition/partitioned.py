@@ -139,7 +139,7 @@ class PartitionedGraph:
             # forked workers inherit them instead of each building its own
             frozen += [
                 sub.local_to_global, sub.host_of_local, sub.host_local_id,
-                csr.row_offsets, csr.col_indices, csr.offsets64, csr.cols64,
+                sub.owner_keys, csr.row_offsets, csr.col_indices, csr.offsets64, csr.cols64,
             ]
             if csr.values is not None:
                 frozen.append(csr.values)

@@ -114,12 +114,17 @@ class BCIteration(IterationBase):
         )
         if nbrs.size == 0:
             return np.empty(0, dtype=np.int64), [a_stats]
-        unvisited = labels[nbrs] == -1
-        survivors = dedup(nbrs[unvisited], labels.shape[0], ctx.workspace)
+        # the edges into unvisited vertices, found once.  They are also
+        # exactly the shortest-path edges of this level: a label of
+        # ``label_val`` is only ever written two lines below (remote
+        # discoveries arrive one superstep later, at the receiver's then
+        # current level), so no neighbor carries it yet.
+        fresh = (labels[nbrs] == -1).nonzero()[0]
+        targets = nbrs.take(fresh)
+        survivors = dedup(targets, labels.shape[0], ctx.workspace)
         labels[survivors] = label_val
         # sigma accumulation along every shortest-path edge of this level
-        on_level = labels[nbrs] == label_val
-        segment_reduce_sum(nbrs[on_level], sigma[srcs[on_level]], sigma)
+        segment_reduce_sum(targets, sigma[srcs.take(fresh)], sigma)
         s_stats = OpStats(
             name="sigma-accumulate",
             input_size=int(nbrs.size),
@@ -128,7 +133,7 @@ class BCIteration(IterationBase):
             launches=1,
             streaming_bytes=nbrs.size * ctx.ids_bytes,
             random_bytes=nbrs.size * (8 + 8),
-            atomic_ops=float(on_level.sum()),
+            atomic_ops=float(fresh.size),
         )
         return survivors, [a_stats, s_stats]
 
@@ -158,14 +163,17 @@ class BCIteration(IterationBase):
             ctx.sub.csr, cand, ids_bytes=ctx.ids_bytes, ws=ctx.workspace,
             tracer=ctx.tracer,
         )
-        succ = labels[nbrs] == level + 1
-        if np.any(succ):
+        # the edges into the next level, found once; both endpoint
+        # arrays are gathered through the one index list
+        succ = (labels[nbrs] == level + 1).nonzero()[0]
+        if succ.size:
+            parents, children = srcs.take(succ), nbrs.take(succ)
             contrib = (
-                sigma[srcs[succ]]
-                / np.maximum(sigma[nbrs[succ]], 1e-300)
-                * (1.0 + delta[nbrs[succ]])
+                sigma[parents]
+                / np.maximum(sigma[children], 1e-300)
+                * (1.0 + delta[children])
             )
-            segment_reduce_sum(srcs[succ], contrib, delta)
+            segment_reduce_sum(parents, contrib, delta)
         d_stats = OpStats(
             name="delta-accumulate",
             input_size=int(nbrs.size),
@@ -174,7 +182,7 @@ class BCIteration(IterationBase):
             launches=1,
             streaming_bytes=cand.size * ctx.ids_bytes,
             random_bytes=nbrs.size * (8 + 8 + 8),
-            atomic_ops=float(succ.sum()),
+            atomic_ops=float(succ.size),
         )
         return cand, [a_stats, d_stats]
 
@@ -197,9 +205,8 @@ class BCIteration(IterationBase):
     ) -> Tuple[np.ndarray, List[OpStats]]:
         problem: BCProblem = self.problem  # type: ignore[assignment]
         ds = ctx.slice
-        verts = np.asarray(msg.vertices, dtype=np.int64)
-        depths_in = np.asarray(msg.vertex_associates[0], dtype=np.int64)
-        values_in = np.asarray(msg.value_associates[0], dtype=np.float64)
+        verts = msg.vertices
+        values_in = msg.value_associates[0]
         labels = ds["labels"]
         stats = OpStats(
             name="expand_incoming",
@@ -212,18 +219,17 @@ class BCIteration(IterationBase):
         if problem.phase == _FORWARD:
             sigma = ds["sigma"]
             level = ctx.iteration  # sender discovered at our current level
-            fresh_mask = labels[verts] == -1
-            fresh = verts[fresh_mask]
+            fresh = verts.take((labels[verts] == -1).nonzero()[0])
             labels[fresh] = level
             # add sigma contributions for every vertex whose (possibly just
             # set) label matches this level; stale discoveries are dropped
-            valid = labels[verts] == level
-            segment_reduce_sum(verts[valid], values_in[valid], sigma)
+            valid = (labels[verts] == level).nonzero()[0]
+            segment_reduce_sum(verts.take(valid), values_in.take(valid), sigma)
             stats.output_size = int(fresh.size)
             return fresh, [stats]
         if problem.phase in (_SYNC, _SYNC_WAIT):
             # overwrite with the host's authoritative depth/sigma
-            labels[verts] = depths_in
+            labels[verts] = msg.vertex_associates[0]
             ds["sigma"][verts] = values_in
             return np.empty(0, dtype=np.int64), [stats]
         # backward: the host's delta for this level is authoritative

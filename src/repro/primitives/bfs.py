@@ -128,15 +128,15 @@ class BFSIteration(IterationBase):
     ) -> Tuple[np.ndarray, List[OpStats]]:
         problem: BFSProblem = self.problem  # type: ignore[assignment]
         labels = ctx.slice["labels"]
-        verts = np.asarray(msg.vertices, dtype=np.int64)
+        verts = msg.vertices
         # received vertices were discovered with label = sender's
         # iteration + 1 == this GPU's current iteration
         label_val = ctx.iteration
-        fresh_mask = labels[verts] == INVALID_LABEL
-        fresh = verts[fresh_mask]
+        unvisited = (labels[verts] == INVALID_LABEL).nonzero()[0]
+        fresh = verts.take(unvisited)
         labels[fresh] = label_val
         if problem.mark_predecessors and msg.vertex_associates:
-            ctx.slice["preds"][fresh] = msg.vertex_associates[0][fresh_mask]
+            ctx.slice["preds"][fresh] = msg.vertex_associates[0].take(unvisited)
         stats = OpStats(
             name="expand_incoming",
             input_size=int(verts.size),

@@ -139,11 +139,11 @@ class CCIteration(IterationBase):
         self, ctx: GpuContext, msg: Message
     ) -> Tuple[np.ndarray, List[OpStats]]:
         comp = ctx.slice["comp"]
-        verts = np.asarray(msg.vertices, dtype=np.int64)
-        incoming = np.asarray(msg.vertex_associates[0], dtype=np.int64)
-        improved = incoming < comp[verts]
-        fresh = verts[improved]
-        comp[fresh] = incoming[improved]
+        verts = msg.vertices
+        incoming = msg.vertex_associates[0]
+        improved = (incoming < comp[verts]).nonzero()[0]
+        fresh = verts.take(improved)
+        comp[fresh] = incoming.take(improved)
         stats = OpStats(
             name="expand_incoming",
             input_size=int(verts.size),

@@ -245,13 +245,13 @@ class DOBFSIteration(IterationBase):
     ) -> Tuple[np.ndarray, List[OpStats]]:
         problem: DOBFSProblem = self.problem  # type: ignore[assignment]
         labels = ctx.slice["labels"]
-        verts = np.asarray(msg.vertices, dtype=np.int64)
+        verts = msg.vertices
         label_val = ctx.iteration
-        fresh_mask = labels[verts] == INVALID_LABEL
-        fresh = verts[fresh_mask]
+        unvisited = (labels[verts] == INVALID_LABEL).nonzero()[0]
+        fresh = verts.take(unvisited)
         labels[fresh] = label_val
         if problem.mark_predecessors and msg.vertex_associates:
-            ctx.slice["preds"][fresh] = msg.vertex_associates[0][fresh_mask]
+            ctx.slice["preds"][fresh] = msg.vertex_associates[0].take(unvisited)
         stats = OpStats(
             name="expand_incoming",
             input_size=int(verts.size),

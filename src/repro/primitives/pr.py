@@ -24,7 +24,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..core import combine
-from ..core.comm import SELECTIVE, Message
+from ..core.comm import SELECTIVE, Message, split_frontier
 from ..core.iteration import GpuContext, IterationBase
 from ..core.operators.advance import gather_neighbors
 from ..core.operators.compute import dedup, segment_reduce_sum
@@ -85,15 +85,26 @@ class PRProblem(ProblemBase):
           edges — the advance kernel's loop-invariant gather.  ``nbrs``
           is ``None`` when the pushers' rows are the whole column array
           (always, while proxies keep no out-edges): the hook then reads
-          ``csr.cols64`` itself, so no second copy of the columns exists.
+          ``csr.cols64`` itself, so no second copy of the columns exists;
+        - route (``ProblemBase.fixed_routes``): the output frontier
+          ``hosted + border`` — the same every iteration — and its split
+          into the local part and each host's share of the border.
         """
         self.border_frontiers: List[np.ndarray] = []
         self.push_plans: List[tuple] = []
+        self.fixed_routes: List[tuple] = []
         for sub, hosted in zip(self.subgraphs, self.hosted_frontiers):
             csr = sub.csr
             targets = dedup(csr.cols64, sub.num_vertices)
             border = targets[sub.host_of_local[targets] != sub.gpu_id]
             self.border_frontiers.append(border)
+            out = np.concatenate([hosted, border])
+            local, remote, split_stats = split_frontier(
+                sub, out, ids_bytes=csr.ids.vertex_bytes
+            )
+            for arr in (out, local, *remote.values()):
+                arr.setflags(write=False)
+            self.fixed_routes.append((out, local, remote, split_stats))
             counts = csr.offsets64[hosted + 1] - csr.offsets64[hosted]
             nonzero = counts > 0
             pushers, counts = hosted[nonzero], counts[nonzero]
@@ -178,7 +189,6 @@ class PRIteration(IterationBase):
         ds = ctx.slice
         sub = ctx.sub
         hosted = problem.hosted_frontiers[gpu]
-        border = problem.border_frontiers[gpu]
         pushers, p_counts, nbrs = problem.push_plans[gpu]
         rank, acc, degree = ds["rank"], ds["acc"], ds["degree"]
         stats: List[OpStats] = []
@@ -215,7 +225,7 @@ class PRIteration(IterationBase):
             if nbrs is None:
                 nbrs = sub.csr.cols64
             total = int(nbrs.size)
-            segment_reduce_sum(nbrs, np.repeat(share, p_counts), acc)
+            segment_reduce_sum(nbrs, share.repeat(p_counts), acc)
             stats.append(
                 OpStats(
                     name="pr-advance",
@@ -233,18 +243,17 @@ class PRIteration(IterationBase):
         else:
             stats.append(OpStats(name="pr-advance", launches=1))
         # output frontier: hosted vertices (stay local) + border proxies
-        # (split sends them to their hosts with the accumulated share)
-        out = np.concatenate([hosted, border])
-        return out, stats
+        # (packaging sends them to their hosts with the accumulated
+        # share) — the array the stored route was split from
+        return problem.fixed_routes[gpu][0], stats
 
     def expand_incoming(
         self, ctx: GpuContext, msg: Message
     ) -> Tuple[np.ndarray, List[OpStats]]:
         acc = ctx.slice["acc"]
-        verts = np.asarray(msg.vertices, dtype=np.int64)
-        contrib = np.asarray(msg.value_associates[0], dtype=np.float64)
+        verts = msg.vertices
         # atomicAdd combine (Algorithm 3)
-        segment_reduce_sum(verts, contrib, acc)
+        segment_reduce_sum(verts, msg.value_associates[0], acc)
         stats = OpStats(
             name="expand_incoming",
             input_size=int(verts.size),

@@ -14,6 +14,10 @@ frontier, which is Table I's factor ``b``: W = O(b|Ei|), H = O(2b|Bi|)
   optional vertex associate = the predecessor (global ID).
 * Combination: ``atomicMin`` on distances; improved vertices join the
   next frontier.
+* Duplicates: a frontier holds up to one copy of a vertex per GPU that
+  improved it.  The core charges each copy and relaxes each vertex once
+  — ``min`` is idempotent, so the result and every cost counter equal
+  those of relaxing all copies (``tests/primitives/test_sssp.py``).
 * Convergence: all frontiers empty.
 """
 
@@ -26,7 +30,7 @@ import numpy as np
 from ..core import combine
 from ..core.comm import SELECTIVE, Message
 from ..core.iteration import GpuContext, IterationBase
-from ..core.operators.advance import advance_push
+from ..core.operators.advance import advance_push, push_stats
 from ..core.operators.compute import (
     dedup,
     mark_scratch,
@@ -98,16 +102,31 @@ class SSSPIteration(IterationBase):
         csr = ctx.sub.csr
         if frontier.size == 0:
             return np.empty(0, dtype=np.int64), []
-        # a vertex may appear several times (local rediscovery + remote
-        # updates); relax each copy — the GPU kernel does the same
-        nbrs, srcs, eidx, a_stats = advance_push(
-            csr, frontier, ids_bytes=ctx.ids_bytes, ws=ctx.workspace,
-            tracer=ctx.tracer,
-        )
-        if nbrs.size == 0:
-            return np.empty(0, dtype=np.int64), [a_stats]
-        cand = dist[srcs] + csr.values[eidx]
+        # a vertex may appear several times (local rediscovery + up to
+        # one remote update per peer): charge each copy, relax each
+        # vertex once.  Every copy would read the same ``dist[v]`` and
+        # offer the same candidates, and ``min`` is idempotent (certified
+        # for ``dist`` by check/deep/certify.py), so the copies cannot
+        # change what one relaxation leaves behind — but the GPU kernel
+        # does traverse them, so ``advance`` and ``relax`` are priced for
+        # the frontier as received.
+        offsets = csr.offsets64
+        nf = frontier.size
+        edges = int((offsets[frontier + 1] - offsets[frontier]).sum())
         num_vertices = ctx.sub.num_vertices
+        frontier = dedup(frontier, num_vertices, ctx.workspace)
+        nbrs, _srcs, eidx, _ = advance_push(
+            csr, frontier, ids_bytes=ctx.ids_bytes, ws=ctx.workspace,
+            tracer=ctx.tracer, need_sources=False,
+        )
+        a_stats = push_stats(nf, edges, ctx.ids_bytes, csr.ids.size_bytes)
+        if edges == 0:
+            return np.empty(0, dtype=np.int64), [a_stats]
+        # per-edge source distance: each vertex's distance repeated along
+        # its row, not a gather through an edge-length source array
+        degrees = offsets[frontier + 1] - offsets[frontier]
+        cand = dist[frontier].repeat(degrees)
+        cand += csr.values.take(eidx)
         # deterministic atomicMin: per-neighbor minimum candidate; the
         # targets of the relaxations that beat the current distance are
         # exactly the vertices whose distance drops
@@ -116,13 +135,13 @@ class SSSPIteration(IterationBase):
         )
         relax_stats = OpStats(
             name="relax",
-            input_size=int(nbrs.size),
+            input_size=edges,
             output_size=int(improved.size),
-            vertices_processed=int(frontier.size),
+            vertices_processed=nf,
             launches=1,
-            streaming_bytes=(nbrs.size + improved.size) * ctx.ids_bytes,
-            random_bytes=nbrs.size * (8 + 8),  # dist read + weight read
-            atomic_ops=float(nbrs.size),
+            streaming_bytes=(edges + improved.size) * ctx.ids_bytes,
+            random_bytes=edges * (8 + 8),  # dist read + weight read
+            atomic_ops=float(edges),
         )
         if problem.mark_predecessors and improved.size:
             # winner edge per improved vertex: the candidate equal to the
@@ -131,12 +150,13 @@ class SSSPIteration(IterationBase):
             # at least one hit; an edge's source is the CSR row holding it.
             flags = mark_scratch(num_vertices, ctx.workspace)
             flags[improved] = True
-            hits = np.flatnonzero(
+            hits = (
                 flags[nbrs] & (cand <= dist[nbrs] + 1e-12)
-            )
+            ).nonzero()[0]
             flags[improved] = False
             win_edge = segment_first(
-                nbrs[hits], eidx[hits], improved, num_vertices, ctx.workspace
+                nbrs.take(hits), eidx.take(hits), improved, num_vertices,
+                ctx.workspace,
             )
             win_src = np.searchsorted(csr.offsets64, win_edge, "right") - 1
             ctx.slice["preds"][improved] = ctx.sub.local_to_global[win_src]
@@ -147,13 +167,13 @@ class SSSPIteration(IterationBase):
     ) -> Tuple[np.ndarray, List[OpStats]]:
         problem: SSSPProblem = self.problem  # type: ignore[assignment]
         dist = ctx.slice["dist"]
-        verts = np.asarray(msg.vertices, dtype=np.int64)
-        incoming = np.asarray(msg.value_associates[0], dtype=np.float64)
-        improved_mask = incoming < dist[verts]
-        fresh = verts[improved_mask]
-        dist[fresh] = incoming[improved_mask]
+        verts = msg.vertices
+        incoming = msg.value_associates[0]
+        improved = (incoming < dist[verts]).nonzero()[0]
+        fresh = verts.take(improved)
+        dist[fresh] = incoming.take(improved)
         if problem.mark_predecessors and msg.vertex_associates:
-            ctx.slice["preds"][fresh] = msg.vertex_associates[0][improved_mask]
+            ctx.slice["preds"][fresh] = msg.vertex_associates[0].take(improved)
         stats = OpStats(
             name="expand_incoming",
             input_size=int(verts.size),

@@ -229,3 +229,82 @@ class TestMessageSizing:
 
     def test_num_items(self):
         assert Message(0, 1, np.arange(7)).num_items == 7
+
+
+# -- the int64 contract ---------------------------------------------------------
+#
+# Frontiers and ``Message.vertices`` are int64 ndarrays wherever the
+# framework produces them, so the superstep and the hooks index with
+# them as they are, without an ``np.asarray(..., dtype=np.int64)`` per
+# message and per hook call.  Producers: ``Problem.reset``, the hooks'
+# own outputs, ``split_frontier`` / packaging (``host_local_id`` is
+# int64), the exchange segment's views on ``processes``, and
+# ``route_restored_state`` after a rollback.
+
+def _int64_checked(iteration_cls, seen):
+    def check(arr, what):
+        assert isinstance(arr, np.ndarray), what
+        assert arr.dtype == np.int64, (what, arr.dtype)
+
+    class Checked(iteration_cls):
+        def expand_incoming(self, ctx, msg):
+            assert type(msg.vertices) is np.ndarray
+            check(msg.vertices, "Message.vertices")
+            verts, stats = super().expand_incoming(ctx, msg)
+            check(verts, "expand_incoming output")
+            seen["messages"] += 1
+            return verts, stats
+
+        def full_queue_core(self, ctx, frontier):
+            check(frontier, "input frontier")
+            out, stats = super().full_queue_core(ctx, frontier)
+            check(out, "full_queue_core output")
+            seen["cores"] += 1
+            return out, stats
+
+    return Checked
+
+
+@pytest.mark.parametrize("backend", ["serial", "processes:2"])
+@pytest.mark.parametrize(
+    "variant", ["bfs+preds", "dobfs", "sssp+preds", "cc", "bc", "pr"]
+)
+def test_frontiers_and_messages_are_int64(variant, backend):
+    from collections import Counter
+
+    import tests.core.test_kernel_bit_identity as identity
+    from repro.core.enactor import Enactor
+    from repro.sim.machine import Machine
+
+    problem_cls, iteration_cls, pkw, ekw, _, opts = identity.VARIANTS[variant]
+    plain, weighted = identity._graphs()["rmat"]
+    problem = problem_cls(
+        weighted if variant.startswith("sssp") else plain, Machine(4), **pkw
+    )
+    seen = Counter()
+    opts = {k: v for k, v in opts.items() if k != "fixed"}
+    with Enactor(problem, _int64_checked(iteration_cls, seen),
+                 backend=backend, **opts) as enactor:
+        enactor.enact(**ekw)
+    if backend == "serial":  # a worker's counts stay in the worker
+        assert seen["cores"] and seen["messages"]
+
+
+def test_restored_frontiers_and_messages_are_int64(small_rmat):
+    """After a GPU loss the run resumes from ``route_restored_state``'s
+    frontiers and re-addressed messages."""
+    from collections import Counter
+
+    from repro.core.enactor import Enactor
+    from repro.primitives import BFSIteration, BFSProblem
+    from repro.sim.faults import GPU_LOSS, FaultPlan, FaultSpec
+    from repro.sim.machine import Machine
+
+    machine = Machine(4)
+    machine.arm_faults(FaultPlan([FaultSpec(GPU_LOSS, gpu=3, iteration=2)]))
+    problem = BFSProblem(small_rmat, machine, mark_predecessors=True)
+    seen = Counter()
+    with Enactor(problem, _int64_checked(BFSIteration, seen),
+                 checkpoint_every=1) as enactor:
+        metrics = enactor.enact(src=0)
+    assert metrics.rollbacks == 1 and seen["messages"]

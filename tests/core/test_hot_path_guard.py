@@ -1,19 +1,27 @@
-"""The superstep hot path stays free of sorts and hashes.
+"""The superstep hot path stays free of comparison sorts and hashes.
 
 The keyed kernels (``repro.core.operators.compute``) replaced every
-``np.unique`` / ``argsort`` / ``lexsort`` on the path ``enact()`` runs
-per superstep, and PR's loop-invariant column gather moved to
+``np.unique`` / ``lexsort`` / ``sort`` on the path ``enact()`` runs per
+superstep, and PR's loop-invariant column gather and route moved to
 initialization.  This guard profiles one BFS (no predecessors), one
 SSSP and one PR run with ``sys.setprofile`` and fails if any of those
 calls comes back — Python-level NumPy wrappers and C-level methods both.
+
+One sort is allowed, because it is not a comparison sort:
+``split_frontier`` partitions a frontier by owner with a stable
+``argsort`` of a key of at most 16 bits, which NumPy runs as an O(n)
+radix pass.  The guard pins exactly that: ``argsort`` only from
+``split_frontier``, at most once per call, on a key of itemsize <= 2.
 """
 
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core.enactor import Enactor
+from repro.core.operators.compute import segment_reduce_min
 from repro.primitives import (
     BFSIteration,
     BFSProblem,
@@ -24,23 +32,44 @@ from repro.primitives import (
 )
 from repro.sim.machine import Machine
 
-SORTS_AND_HASHES = {"unique", "argsort", "lexsort", "sort"}
+SORTS_AND_HASHES = {"unique", "lexsort", "sort"}
 
 
-def _numpy_calls(fn) -> Counter:
+class _Seen(Counter):
+    """NumPy call counts, plus what the radix partition is held to."""
+
+    def __init__(self):
+        super().__init__()
+        self.split_calls = 0
+        #: (calling function, key itemsize, how many in that call so far)
+        self.argsorts = []
+
+
+def _numpy_calls(fn) -> _Seen:
     """Names of the NumPy functions (Python wrappers and C builtins)
     called while ``fn`` runs on this thread."""
-    seen: Counter = Counter()
+    seen = _Seen()
+    in_this_split = 0
 
     def profiler(frame, event, arg):
+        nonlocal in_this_split
         if event == "call":
             if "numpy" in frame.f_code.co_filename:
                 seen[frame.f_code.co_name] += 1
+            elif frame.f_code.co_name == "split_frontier":
+                seen.split_calls += 1
+                in_this_split = 0
         elif event == "c_call":
             module = getattr(arg, "__module__", None) or ""
             owner = getattr(arg, "__self__", None)
             if module.startswith("numpy") or type(owner).__module__ == "numpy":
                 seen[arg.__name__] += 1
+                if arg.__name__ == "argsort":
+                    in_this_split += 1
+                    seen.argsorts.append(
+                        (frame.f_code.co_name, owner.dtype.itemsize,
+                         in_this_split)
+                    )
 
     sys.setprofile(profiler)
     try:
@@ -50,19 +79,18 @@ def _numpy_calls(fn) -> Counter:
     return seen
 
 
-def _profiled_enact(problem, iteration_cls, **enact_kwargs) -> Counter:
+def _profiled_enact(problem, iteration_cls, **enact_kwargs) -> _Seen:
     with Enactor(problem, iteration_cls) as enactor:
         enactor.enact(**enact_kwargs)  # warm: lazy caches, arena growth
         return _numpy_calls(lambda: enactor.enact(**enact_kwargs))
 
 
 def test_profiler_sees_both_call_forms():
-    import numpy as np
-
     arr = np.array([3, 1, 2, 1])
     seen = _numpy_calls(lambda: (np.unique(arr), arr.argsort(),
                                  np.lexsort((arr, arr)), arr.take([0])))
     assert {"unique", "argsort", "lexsort", "take"} <= set(seen)
+    assert seen.argsorts == [("<lambda>", 8, 1)]
 
 
 @pytest.mark.parametrize("case", ["bfs", "sssp", "pr"])
@@ -82,10 +110,54 @@ def test_enact_makes_no_sort_or_hash_call(case, small_rmat, weighted_rmat):
         # the push plan is built at initialization: no per-iteration
         # gather over the column array
         assert seen["take"] == 0
+        # and so is the route: the output frontier is neither rebuilt
+        # nor split again, in any superstep
+        assert seen.split_calls == 0
+        assert seen["concatenate"] == 0
     assert seen, "the profiler recorded nothing"
     assert not SORTS_AND_HASHES & set(seen), {
         name: seen[name] for name in SORTS_AND_HASHES & set(seen)
     }
+    # the one sort left is the owner partition's radix pass
+    if case != "pr":
+        assert seen.argsorts, "a random partition has no interior frontier"
+    for caller, key_itemsize, nth_in_call in seen.argsorts:
+        assert caller == "split_frontier"
+        assert key_itemsize <= 2  # the widths NumPy radix-sorts
+        assert nth_in_call == 1
+    assert len(seen.argsorts) <= seen.split_calls
+
+
+class _MaskSpy(np.ndarray):
+    """Counts ``nonzero`` calls and boolean-mask ``__getitem__`` on
+    itself and on everything derived from it."""
+
+    log = Counter()
+
+    def __getitem__(self, key):
+        if getattr(key, "dtype", None) == np.bool_:
+            _MaskSpy.log["mask_getitem"] += 1
+        return super().__getitem__(key)
+
+    def nonzero(self):
+        _MaskSpy.log["nonzero"] += 1
+        return self.view(np.ndarray).nonzero()
+
+
+def test_segment_reduce_min_indexes_the_edge_list_once():
+    rng = np.random.default_rng(3)
+    keys = rng.integers(0, 50, 4000)
+    values = rng.random(4000)
+    out = np.full(50, 0.5)
+    want = out.copy()
+    np.minimum.at(want, keys, values)
+    _MaskSpy.log.clear()
+    dropped = segment_reduce_min(
+        keys.view(_MaskSpy), values.view(_MaskSpy), out
+    )
+    assert _MaskSpy.log == {"nonzero": 1}
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(dropped, keys[values < 0.5])
 
 
 # -- the per-superstep fixed cost --------------------------------------------

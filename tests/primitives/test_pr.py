@@ -166,3 +166,143 @@ class TestPersonalizedPagerank:
                 machine2,
                 personalization=np.zeros(small_rmat.num_vertices),
             )
+
+
+class TestFixedRoute:
+    """PR's output frontier is the same array every superstep, so its
+    split is made once (``_compute_fixed_frontiers``) and the enactor
+    replays it: same parts, same charges, same traced instants."""
+
+    @staticmethod
+    def _assert_route_is_fresh_split(problem):
+        from dataclasses import asdict
+
+        from repro.core.comm import split_frontier
+
+        assert len(problem.fixed_routes) == problem.num_gpus
+        for gpu, (out, local, remote, stats) in enumerate(
+            problem.fixed_routes
+        ):
+            sub = problem.subgraphs[gpu]
+            np.testing.assert_array_equal(out, np.concatenate(
+                [problem.hosted_frontiers[gpu], problem.border_frontiers[gpu]]
+            ))
+            w_local, w_remote, w_stats = split_frontier(
+                sub, out, ids_bytes=sub.csr.ids.vertex_bytes
+            )
+            np.testing.assert_array_equal(local, w_local)
+            assert list(remote) == list(w_remote)
+            for peer, part in remote.items():
+                np.testing.assert_array_equal(part, w_remote[peer])
+            assert asdict(stats) == asdict(w_stats)
+            # shared across supersteps and enact() calls: nobody may
+            # write what the next superstep reads
+            for arr in (out, local, *remote.values()):
+                assert arr.dtype == np.int64 and not arr.flags.writeable
+
+    @pytest.mark.parametrize("duplication", [None, DUPLICATE_1HOP])
+    def test_route_is_the_split_of_the_output_frontier(
+        self, small_rmat, machine4, duplication
+    ):
+        prob = PRProblem(small_rmat, machine4, duplication=duplication)
+        self._assert_route_is_fresh_split(prob)
+
+    def test_repartition_after_gpu_loss_rebuilds_the_route(
+        self, small_rmat, machine4
+    ):
+        from repro.partition.base import reassign_onto_survivors
+
+        prob = PRProblem(small_rmat, machine4)
+        before = prob.fixed_routes
+        prob.reset()
+        assignment = reassign_onto_survivors(
+            prob.partition.partition_table, {3}, 4
+        )
+        prob.repartition(assignment, dead={3})
+        prob.on_repartition(dead=frozenset({3}))
+        assert prob.fixed_routes is not before
+        self._assert_route_is_fresh_split(prob)
+        # the survivors took GPU 3's vertices; it hosts and routes nothing
+        assert prob.fixed_routes[3][0].size == 0
+        assert sum(r[1].size for r in prob.fixed_routes) == (
+            small_rmat.num_vertices
+        )
+
+    def test_gpu_loss_mid_run_matches_fault_free_ranks(self, small_rmat):
+        from repro.sim.faults import GPU_LOSS, FaultPlan, FaultSpec
+
+        ref, _, _ = run_pagerank(small_rmat, Machine(4), max_iter=12)
+        machine = Machine(4)
+        machine.arm_faults(
+            FaultPlan([FaultSpec(GPU_LOSS, gpu=3, iteration=5)])
+        )
+        ranks, metrics, prob = run_pagerank(
+            small_rmat, machine, max_iter=12, checkpoint_every=2
+        )
+        assert metrics.rollbacks == 1 and metrics.degraded_gpus == [3]
+        np.testing.assert_allclose(ranks, ref, rtol=1e-12)
+        self._assert_route_is_fresh_split(prob)
+
+    def test_empty_output_frontier_takes_the_empty_route(
+        self, small_rmat, monkeypatch
+    ):
+        """A GPU hosting nothing has no output frontier: nothing to
+        replay, and the enactor prices the launch as for any empty one."""
+        from repro.core import enactor as enactor_module
+        from repro.partition.base import PartitionResult
+
+        class SkipsGpu2:
+            def partition(self, graph, num_gpus):
+                rng = np.random.default_rng(5)
+                return PartitionResult.from_assignment(
+                    rng.choice([0, 1, 3], size=graph.num_vertices), num_gpus
+                )
+
+        routed_empty = []
+        real = enactor_module.route_empty_frontier
+
+        def spy(sub, *args):
+            routed_empty.append(sub.gpu_id)
+            return real(sub, *args)
+
+        monkeypatch.setattr(enactor_module, "route_empty_frontier", spy)
+        prob = PRProblem(small_rmat, Machine(4), partitioner=SkipsGpu2())
+        assert prob.fixed_routes[2][0].size == 0
+        with Enactor(prob, PRIteration) as enactor:
+            metrics = enactor.enact()
+        assert routed_empty == [2] * metrics.supersteps
+        assert np.allclose(
+            prob.ranks(), pagerank_reference(small_rmat), rtol=1e-6
+        )
+
+    def test_replayed_route_is_indistinguishable_from_splitting(
+        self, monkeypatch
+    ):
+        """Results, metrics and the traced stream of a run that replays
+        the stored route equal, on every backend, those of a run whose
+        core hands out a copy of its frontier — not the array the route
+        was made from, so the enactor splits it every superstep."""
+        import tests.core.test_kernel_bit_identity as identity
+
+        class CopiesItsOutput(PRIteration):
+            def full_queue_core(self, ctx, frontier):
+                out, stats = super().full_queue_core(ctx, frontier)
+                return out.copy(), stats
+
+        graphs = identity._graphs()
+        replayed = {
+            backend: identity.run_case(
+                graphs, "rmat", "pr", 4, backend, traced=True
+            )
+            for backend in ("serial", "threads", "processes:2")
+        }
+        assert replayed["threads"] == replayed["serial"]
+        assert replayed["processes:2"] == replayed["serial"]
+        pr = identity.VARIANTS["pr"]
+        monkeypatch.setitem(
+            identity.VARIANTS, "pr-split", (pr[0], CopiesItsOutput, *pr[2:])
+        )
+        split = identity.run_case(
+            graphs, "rmat", "pr-split", 4, "serial", traced=True
+        )
+        assert split == replayed["serial"]

@@ -127,3 +127,106 @@ class TestCounters:
         _, m_bfs, _ = run_bfs(weighted_rmat, machine2, src=7)
         _, m_sssp, _ = run_sssp(weighted_rmat, machine2, src=7)
         assert m_sssp.supersteps >= m_bfs.supersteps
+
+
+def _relax_every_copy(ctx, frontier, mark_predecessors):
+    """The core as a GPU kernel runs it: every copy of a frontier vertex
+    gathers its row and offers its candidates.  Scalar where it can be,
+    so it shares no array idiom with the hook it checks."""
+    from repro.core.operators.advance import advance_push
+    from repro.core.stats import OpStats
+
+    dist, csr = ctx.slice["dist"], ctx.sub.csr
+    nbrs, srcs, eidx, a_stats = advance_push(
+        csr, frontier, ids_bytes=ctx.ids_bytes
+    )
+    if nbrs.size == 0:
+        return np.empty(0, dtype=np.int64), [a_stats]
+    cand = np.asarray(dist)[srcs] + csr.values[eidx]
+    before = np.array(dist)
+    np.minimum.at(dist, nbrs, cand)
+    improved = np.flatnonzero(np.asarray(dist) < before)
+    relax_stats = OpStats(
+        name="relax",
+        input_size=int(nbrs.size),
+        output_size=int(improved.size),
+        vertices_processed=int(frontier.size),
+        launches=1,
+        streaming_bytes=(nbrs.size + improved.size) * ctx.ids_bytes,
+        random_bytes=nbrs.size * (8 + 8),
+        atomic_ops=float(nbrs.size),
+    )
+    if mark_predecessors:
+        final = np.asarray(dist)
+        for v in improved:
+            hits = np.flatnonzero((nbrs == v) & (cand <= final[v] + 1e-12))
+            winner = hits[np.argmin(eidx[hits])]
+            ctx.slice["preds"][v] = ctx.sub.local_to_global[srcs[winner]]
+    return improved, [a_stats, relax_stats]
+
+
+class TestRelaxEachVertexOnce:
+    """``full_queue_core`` charges every copy of a frontier vertex and
+    relaxes each vertex once; ``min`` is idempotent, so nothing a caller
+    can observe differs from relaxing every copy."""
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    @pytest.mark.parametrize("mark_predecessors", [False, True])
+    def test_equals_relaxing_every_copy(self, weighted_rmat,
+                                        mark_predecessors, sanitize):
+        from dataclasses import asdict
+
+        problem = SSSPProblem(
+            weighted_rmat, Machine(4), mark_predecessors=mark_predecessors
+        )
+        names = ["dist"] + (["preds"] if mark_predecessors else [])
+        rng = np.random.default_rng(17)
+        with Enactor(problem, SSSPIteration, sanitize=sanitize) as enactor:
+            enactor.enact(src=0)  # converged distances, then perturbed
+            iteration = SSSPIteration(problem)
+            compared = 0
+            for gpu, ctx in enumerate(enactor._contexts):
+                ds, sub = ctx.slice, ctx.sub
+                assert (type(ds["dist"]) is not np.ndarray) == sanitize
+                hosted = problem.hosted_frontiers[gpu]
+                reached = hosted[np.isfinite(np.asarray(ds["dist"])[hosted])]
+                # a frontier of 1-4 copies per vertex, unsorted, whose
+                # relaxations improve some neighbors and not others
+                stale = rng.choice(sub.num_vertices, sub.num_vertices // 3,
+                                   replace=False)
+                ds["dist"][stale] += rng.integers(1, 40, stale.size)
+                picked = rng.choice(reached, reached.size // 2, replace=False)
+                frontier = rng.permutation(
+                    np.repeat(picked, rng.integers(1, 5, picked.size))
+                )
+                assert frontier.size > picked.size
+                start = {n: np.array(ds[n]) for n in names}
+
+                def run(core):
+                    for n in names:
+                        ds[n][:] = start[n]
+                    if sanitize:
+                        enactor.sanitizer.begin_gpu(gpu, 0)
+                    try:
+                        out, stats = core()
+                    finally:
+                        if sanitize:
+                            enactor.sanitizer.end_gpu()
+                    return (out, [asdict(s) for s in stats],
+                            {n: np.array(ds[n]) for n in names})
+
+                got = run(lambda: iteration.full_queue_core(ctx, frontier))
+                want = run(lambda: _relax_every_copy(
+                    ctx, frontier, mark_predecessors))
+                assert got[0].dtype == np.int64
+                np.testing.assert_array_equal(got[0], want[0])
+                assert got[0].size, "nothing improved: the case is vacuous"
+                assert got[1] == want[1]
+                for n in names:
+                    np.testing.assert_array_equal(got[2][n], want[2][n])
+                # every copy was charged
+                assert got[1][0]["input_size"] == frontier.size
+                compared += 1
+            assert compared == 4
+            if sanitize:
+                assert enactor.sanitizer.hazards == []
