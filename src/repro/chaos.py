@@ -356,7 +356,7 @@ def run_chaos_matrix(
     primitives: Sequence[str] = CHAOS_PRIMITIVES,
     gpu_counts: Sequence[int] = (2, 4),
     kinds: Sequence[str] = CHAOS_KINDS,
-    backends: Sequence[str] = ("serial", "threads"),
+    backends: Sequence[str] = ("serial", "processes"),
     rmat_scale: int = 7,
     edge_factor: int = 8,
     seed: int = 3,

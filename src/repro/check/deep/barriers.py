@@ -4,13 +4,15 @@ The backends' determinism contract (``core/backend.py`` docstring) rests
 on three structural properties of the *framework* code — not the
 primitives:
 
-1. every concrete ``map_supersteps`` returns results in **submission
-   order** (never completion order), so list position == GPU index;
+1. every ``run_iteration`` that runs the supersteps itself — the
+   in-order loop of ``ExecutionBackend.run_iteration``, which the serial
+   backend inherits and the processes backend falls back to for one
+   GPU — returns their results in **``gpu_indices`` order** (never
+   completion order), so list position == GPU index;
 2. the enactor dispatches the supersteps in **ascending GPU index**
-   (via ``backend.run_iteration``, whose default builds the closure
-   list in ``gpu_indices`` order and defers to ``map_supersteps``) and
-   merges the staged :class:`GpuStepEffects` by iterating that result
-   list directly — no re-ordering between dispatch and merge;
+   (via ``backend.run_iteration``) and merges the staged
+   :class:`GpuStepEffects` by iterating that result list directly — no
+   re-ordering between dispatch and merge;
 3. the merge happens at the **barrier point**: after the merge loop the
    enactor calls ``machine.barrier(...)`` before anything else consumes
    the merged state, and there is exactly one merge site.
@@ -19,8 +21,8 @@ These used to be prose ("asserted in test_backend_determinism.py" checks
 the *observable* equivalence, not the mechanism).  This verifier walks
 the two framework modules and proves each obligation syntactically; a
 refactor that gathers futures with ``as_completed``, sorts the results,
-or merges before the barrier turns a silent determinism regression into
-a REP113 finding.
+walks ``gpu_indices`` reversed, or merges before the barrier turns a
+silent determinism regression into a REP113 finding.
 
 Each obligation is reported as proved/violated in a
 :class:`BarrierReport`; violations also flow through the normal
@@ -53,13 +55,13 @@ DEEP_BARRIER_RULES = {
 #: obligation id -> human description (stable: consumed by docs/tests)
 OBLIGATIONS: Dict[str, str] = {
     "backend-return-order": (
-        "every concrete map_supersteps returns results in submission "
-        "order (in-order comprehension over the closures or over "
-        "in-order-submitted futures)"
+        "every run_iteration that runs supersteps returns their results "
+        "in gpu_indices order (one append per step of a loop over "
+        "gpu_indices, or an in-order comprehension over it)"
     ),
     "no-completion-order-gather": (
-        "no backend gathers futures in completion order (as_completed, "
-        "wait, add_done_callback)"
+        "no run_iteration gathers results in completion order "
+        "(as_completed, wait, add_done_callback)"
     ),
     "dispatch-in-gpu-index-order": (
         "the enactor dispatches supersteps in ascending GPU-index order "
@@ -81,11 +83,15 @@ OBLIGATIONS: Dict[str, str] = {
 
 #: future-gathering helpers that break submission order
 _COMPLETION_ORDER_NAMES = {"as_completed", "wait", "add_done_callback"}
-#: enactor-side dispatch entry points whose assigned result is the merge
-#: input: the legacy closure-list call and the structured per-iteration
-#: call (serial/threads default to closures, processes to a pipe
-#: protocol — both must return results in gpu_indices order)
-_DISPATCH_NAMES = {"map_supersteps", "run_iteration"}
+#: the dispatch entry point whose assigned result is the merge input:
+#: the backend's per-iteration call (serial runs the supersteps in a
+#: loop, processes serves them from its workers — both must return
+#: results in gpu_indices order)
+_DISPATCH_NAMES = {"run_iteration"}
+#: the per-GPU superstep a backend runs itself
+_SUPERSTEP_NAME = "_gpu_superstep"
+#: the run_iteration parameter whose order the results must follow
+_GPU_INDICES = "gpu_indices"
 #: iterator wrappers that re-order a list
 _REORDERING_CALLS = {"sorted", "reversed", "set", "frozenset", "shuffle"}
 
@@ -144,63 +150,82 @@ def _call_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _is_in_order_gather(
-    ret: ast.expr,
-    fns_param: str,
-    local_assigns: Dict[str, ast.expr],
-    depth: int = 0,
-) -> bool:
-    """Whether a return expression provably preserves submission order.
+def _parents(fn: ast.FunctionDef) -> Dict[int, ast.AST]:
+    """id(node) -> parent node, within one function."""
+    parents: Dict[int, ast.AST] = {}
+    for node in ast.walk(fn):
+        for child in ast.iter_child_nodes(node):
+            parents[id(child)] = node
+    return parents
 
-    Accepts ``[fn() for fn in fns]`` (direct in-order execution) and
-    ``[f.result() for f in futures]`` where ``futures`` was built by an
-    in-order comprehension over the closures (``[pool.submit(fn) for fn
-    in fns]``).  A bare name resolves through local assignments.
+
+def _is_in_order_loop(name: str, fn: ast.FunctionDef) -> bool:
+    """Whether list ``name`` provably holds one item per ``gpu_indices``
+    element, in that order.
+
+    Accepts ``name = []`` followed by exactly one ``name.append(...)``,
+    a statement directly in the body of a ``for`` over ``gpu_indices``
+    itself (no wrapper, no enclosing loop, no ``break``/``continue``),
+    with ``name`` used nowhere else but in ``return name``.
     """
-    if depth > 4:
+    parents = _parents(fn)
+    inits, appends, other = [], [], []
+    for node in ast.walk(fn):
+        if not (isinstance(node, ast.Name) and node.id == name):
+            continue
+        parent = parents.get(id(node))
+        if isinstance(node.ctx, ast.Store):
+            inits.append(parent)
+        elif (isinstance(parent, ast.Attribute) and parent.attr == "append"
+                and isinstance(parents.get(id(parent)), ast.Call)):
+            appends.append(parents[id(parent)])
+        elif not isinstance(parent, ast.Return):
+            other.append(node)
+    if other or len(inits) != 1 or len(appends) != 1:
         return False
-    if isinstance(ret, ast.Name):
-        if ret.id not in local_assigns:
+    init = inits[0]
+    value = init.value if isinstance(init, (ast.Assign, ast.AnnAssign)) \
+        else None
+    if not (isinstance(value, ast.List) and not value.elts):
+        return False
+    stmt = parents.get(id(appends[0]))
+    loop = parents.get(id(stmt))
+    if not (isinstance(stmt, ast.Expr) and isinstance(loop, ast.For)
+            and stmt in loop.body and isinstance(loop.iter, ast.Name)
+            and loop.iter.id == _GPU_INDICES):
+        return False
+    if any(isinstance(n, (ast.Break, ast.Continue)) for n in ast.walk(loop)):
+        return False
+    node = parents.get(id(loop))
+    while node is not None and node is not fn:
+        if isinstance(node, (ast.For, ast.While)):
             return False
-        return _is_in_order_gather(
-            local_assigns[ret.id], fns_param, local_assigns, depth + 1
-        )
+        node = parents.get(id(node))
+    return True
+
+
+def _returns_in_order(ret: ast.expr, fn: ast.FunctionDef) -> bool:
+    """Whether a return expression of ``fn`` provably lists one result
+    per ``gpu_indices`` element, in that order: an unfiltered
+    comprehension over ``gpu_indices`` itself, or a list built by
+    :func:`_is_in_order_loop`."""
+    if isinstance(ret, ast.Name):
+        return _is_in_order_loop(ret.id, fn)
     if not isinstance(ret, ast.ListComp) or len(ret.generators) != 1:
         return False
     gen = ret.generators[0]
-    if gen.ifs or gen.is_async:
-        return False  # filtering changes positions; cannot prove order
-    src = gen.iter
-    if isinstance(src, ast.Name):
-        if src.id == fns_param:
-            return True  # iterating the closures themselves, in order
-        if src.id in local_assigns:
-            return _is_in_order_gather(
-                local_assigns[src.id], fns_param, local_assigns, depth + 1
-            )
-    return False
+    return (not gen.ifs and not gen.is_async
+            and isinstance(gen.iter, ast.Name)
+            and gen.iter.id == _GPU_INDICES)
 
 
 def _check_backend_module(path: str, tree: ast.Module,
                           report: BarrierReport) -> None:
+    runners = 0
     for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
         for fn in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
-            if fn.name != "map_supersteps":
+            if fn.name != "run_iteration":
                 continue
-            params = [a.arg for a in fn.args.args if a.arg != "self"]
-            if not params:
-                continue
-            fns_param = params[0]
-            if any(
-                isinstance(n, ast.Raise) for n in ast.walk(fn)
-            ) and not any(isinstance(n, ast.Return) for n in ast.walk(fn)):
-                continue  # abstract base: raises NotImplementedError
-            local_assigns: Dict[str, ast.expr] = {}
-            for node in ast.walk(fn):
-                if (isinstance(node, ast.Assign)
-                        and len(node.targets) == 1
-                        and isinstance(node.targets[0], ast.Name)):
-                    local_assigns[node.targets[0].id] = node.value
             for node in ast.walk(fn):
                 cname = _call_name(node) if isinstance(node, (
                     ast.Call, ast.Name, ast.Attribute)) else None
@@ -208,26 +233,37 @@ def _check_backend_module(path: str, tree: ast.Module,
                     report.obligations["no-completion-order-gather"] = False
                     report.findings.append(_finding(
                         path, node, "no-completion-order-gather",
-                        f"{cls.name}.map_supersteps uses '{cname}': "
-                        "gathering futures in completion order breaks the "
+                        f"{cls.name}.run_iteration uses '{cname}': "
+                        "gathering results in completion order breaks the "
                         "GPU-index-order determinism contract — gather in "
-                        "submission order instead",
+                        "gpu_indices order instead",
                         cls=cls.name,
                     ))
+            if not any(isinstance(n, ast.Call)
+                       and _call_name(n) == _SUPERSTEP_NAME
+                       for n in ast.walk(fn)):
+                continue  # serves results it did not run (processes)
+            runners += 1
             for node in ast.walk(fn):
                 if not isinstance(node, ast.Return) or node.value is None:
                     continue
-                if not _is_in_order_gather(node.value, fns_param,
-                                           local_assigns):
+                if not _returns_in_order(node.value, fn):
                     report.obligations["backend-return-order"] = False
                     report.findings.append(_finding(
                         path, node, "backend-return-order",
-                        f"{cls.name}.map_supersteps: cannot prove this "
-                        "return preserves submission order; return an "
-                        "in-order comprehension over the closures or over "
-                        "in-order-submitted futures",
+                        f"{cls.name}.run_iteration: cannot prove this "
+                        "return lists the results in gpu_indices order; "
+                        "append one result per step of a loop over "
+                        "gpu_indices, or return a comprehension over it",
                         cls=cls.name,
                     ))
+    if not runners:
+        report.obligations["backend-return-order"] = False
+        report.findings.append(_finding(
+            path, tree, "backend-return-order",
+            f"no run_iteration calls {_SUPERSTEP_NAME}: the verifier "
+            "cannot locate the loop that runs the supersteps",
+        ))
 
 
 def _barrier_lines(fn: ast.FunctionDef) -> List[int]:
@@ -249,8 +285,8 @@ def _check_enactor_module(path: str, tree: ast.Module,
         if isinstance(fn, ast.FunctionDef) and fn.name == "enact"
     ]
     for fn in enact_fns:
-        # names bound from a dispatch call (map_supersteps or
-        # run_iteration), and the argument names those dispatches consume
+        # names bound from a dispatch call (run_iteration), and the
+        # argument names those dispatches consume
         result_names: List[str] = []
         dispatch_args: List[str] = []
         dispatch_calls: List[ast.Call] = []
@@ -269,9 +305,8 @@ def _check_enactor_module(path: str, tree: ast.Module,
             report.obligations["single-merge-site"] = False
             report.findings.append(_finding(
                 path, fn, "single-merge-site",
-                "enact() never assigns a dispatch (map_supersteps / "
-                "run_iteration) result: the verifier cannot locate the "
-                "merge site",
+                "enact() never assigns a dispatch (run_iteration) "
+                "result: the verifier cannot locate the merge site",
             ))
             continue
 
@@ -292,8 +327,8 @@ def _check_enactor_module(path: str, tree: ast.Module,
                             "GPU indices",
                         ))
 
-        # dispatch order: the closure lists must not be built through a
-        # re-ordering wrapper
+        # dispatch order: the names handed to the dispatch must not be
+        # built through a re-ordering wrapper
         for node in ast.walk(fn):
             if not (isinstance(node, ast.Assign)
                     and len(node.targets) == 1
@@ -306,7 +341,7 @@ def _check_enactor_module(path: str, tree: ast.Module,
                     report.obligations["dispatch-in-gpu-index-order"] = False
                     report.findings.append(_finding(
                         path, sub, "dispatch-in-gpu-index-order",
-                        f"superstep closures are built through "
+                        f"a dispatch argument is assigned through "
                         f"'{_call_name(sub)}': dispatch must follow "
                         "ascending GPU index so result positions are "
                         "GPU indices",
@@ -336,7 +371,7 @@ def _check_enactor_module(path: str, tree: ast.Module,
             report.obligations["merge-at-barrier"] = False
             report.findings.append(_finding(
                 path, fn, "merge-at-barrier",
-                "enact() has no merge loop over the map_supersteps "
+                "enact() has no merge loop over the run_iteration "
                 "results; staged effects are never applied",
             ))
             continue

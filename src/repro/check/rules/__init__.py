@@ -24,7 +24,6 @@ from .obs_guard import UnguardedTracerRule
 from .peer_access import PeerMutationRule
 from .process_safety import ProcessUnsafeStateRule
 from .swallow import SwallowedErrorRule
-from .workspace_rule import WorkspaceBypassRule
 
 __all__ = [
     "Rule",
@@ -38,7 +37,6 @@ __all__ = [
     "HotLoopRule",
     "RawAllocationRule",
     "PeerMutationRule",
-    "WorkspaceBypassRule",
     "SwallowedErrorRule",
     "UnguardedTracerRule",
     "ProcessUnsafeStateRule",
@@ -53,7 +51,6 @@ DEFAULT_RULES: List[Type[Rule]] = [
     HotLoopRule,
     RawAllocationRule,
     PeerMutationRule,
-    WorkspaceBypassRule,
     SwallowedErrorRule,
     UnguardedTracerRule,
     ProcessUnsafeStateRule,

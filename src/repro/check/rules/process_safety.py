@@ -18,7 +18,7 @@ when a hook creates or captures *process-local* state:
 * **RNG instances** (``random.Random``, ``np.random.RandomState``,
   ``np.random.default_rng``) — each worker advances its own copy of the
   captured state, so results depend on which process ran the hook and
-  the serial/threads/processes bit-identical guarantee is gone; in a
+  the serial/processes bit-identical guarantee is gone; in a
   control hook the workers' stop decisions part ways and the run ends
   in the backend's divergence error.
 

@@ -29,7 +29,6 @@ the shadow path.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -166,12 +165,12 @@ def _positions(key, length: int) -> np.ndarray:
 class _GpuStage:
     """One GPU's staged sanitizer state for the current superstep.
 
-    Workers of the ``threads`` execution backend run concurrently, so
-    mid-superstep findings cannot append to shared structures without
-    perturbing the serial hazard order.  Each GPU turn accumulates into
-    its own stage; :meth:`BspSanitizer.on_barrier` merges the stages in
-    GPU-index order, reproducing exactly what the serial loop's
-    interleaved appends would have produced.
+    A ``processes`` worker finds the hazards of its own GPUs, so
+    mid-superstep findings cannot append to one shared list.  Each GPU
+    turn accumulates into its own stage (a worker ships it to the parent
+    in the superstep's sidecar); :meth:`BspSanitizer.on_barrier` merges
+    the stages in GPU-index order, reproducing exactly what the serial
+    loop's interleaved appends would have produced.
     """
 
     hazards: List[Hazard] = field(default_factory=list)
@@ -189,23 +188,24 @@ class BspSanitizer:
 
         san.start_run()
         for superstep:
-            for i in gpus:  # possibly on worker threads
+            for i in gpus:  # possibly in worker processes
                 san.begin_gpu(i, superstep)
                 ...hooks run...
                 san.end_gpu()
             san.on_barrier(superstep)
 
-    The current GPU attribution is **thread-local**: under the enactor's
-    ``threads`` backend each worker calls ``begin_gpu`` on its own
-    thread, so concurrent turns attribute accesses to the right virtual
-    GPU.  ``hazards`` accumulates per :meth:`start_run`; :meth:`report`
-    returns them as dicts for metrics/CLI consumption.
+    ``_gpu`` is the virtual GPU whose turn is open (None outside turns)
+    and ``_stage`` its stage.  ``hazards`` accumulates per
+    :meth:`start_run`; :meth:`report` returns them as dicts for
+    metrics/CLI consumption.
     """
 
     def __init__(self, problem) -> None:
         self.problem = problem
         self.hazards: List[Hazard] = []
-        self._tls = threading.local()
+        self._gpu: Optional[int] = None
+        self._stage: Optional[_GpuStage] = None
+        self._superstep = -1
         #: per-GPU stages of the current superstep, merged at the barrier
         self._stages: Dict[int, _GpuStage] = {}
         self._safe: Dict[str, bool] = {}
@@ -216,37 +216,24 @@ class BspSanitizer:
                 ds.arrays[name] = ShadowArray.wrap(arr, self, gpu, name)
         problem._sanitizer = self  # reachable from run_* convenience returns
 
-    @property
-    def _gpu(self) -> Optional[int]:
-        """The virtual GPU executing on *this* thread (None outside turns)."""
-        return getattr(self._tls, "gpu", None)
-
-    @property
-    def _superstep(self) -> int:
-        return getattr(self._tls, "superstep", -1)
-
-    @property
-    def _stage(self) -> Optional[_GpuStage]:
-        return getattr(self._tls, "stage", None)
-
     # -- enactor protocol ---------------------------------------------------
     def start_run(self) -> None:
         self.hazards.clear()
         self._stages.clear()
-        self._tls.gpu = None
-        self._tls.stage = None
-        self._tls.superstep = -1
+        self._gpu = None
+        self._stage = None
+        self._superstep = -1
 
     def begin_gpu(self, gpu: int, superstep: int) -> None:
         stage = _GpuStage()
         self._stages[gpu] = stage
-        self._tls.gpu = gpu
-        self._tls.stage = stage
-        self._tls.superstep = superstep
+        self._gpu = gpu
+        self._stage = stage
+        self._superstep = superstep
 
     def end_gpu(self) -> None:
-        self._tls.gpu = None
-        self._tls.stage = None
+        self._gpu = None
+        self._stage = None
 
     def take_stage(self, gpu: int) -> Optional[_GpuStage]:
         """Pop one GPU's stage (processes-backend worker side: the stage

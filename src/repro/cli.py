@@ -12,9 +12,6 @@ Commands
     dataset (the Fig. 2 / Section V-C inputs).
 ``sweep``
     Speedup sweep of one primitive over GPU counts.
-``bench``
-    Wall-clock benchmark of the execution backends (serial vs threads vs
-    workspace-off); writes ``BENCH_2.json`` (``docs/performance.md``).
 ``check``
     Static framework-contract linter (``docs/static_analysis.md``); add
     ``--sanitize`` to ``run`` for the dynamic BSP race sanitizer.
@@ -48,6 +45,7 @@ from typing import List, Optional
 from .analysis.bsp import decompose
 from .analysis.gteps import traversal_gteps
 from .analysis.reporting import render_table
+from .core.backend import make_backend
 from .graph import datasets
 from .graph.build import add_random_weights
 from .partition import border_stats, make_partitioner
@@ -80,9 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="run under the BSP race sanitizer and report "
                           "hazards (exit 1 if any are found)")
     run.add_argument("--backend", default="serial",
-                     help="execution backend: serial, threads[:N], or "
-                          "processes[:N] (results are bit-identical; "
-                          "only wall-clock changes)")
+                     help="execution backend: serial or processes[:N] "
+                          "(results are bit-identical; only wall-clock "
+                          "changes)")
     run.add_argument("--supervise", action="store_true",
                      help="wrap the processes backend in the worker "
                           "supervisor: heartbeats, crash/hang detection, "
@@ -96,10 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="SECONDS", default=None,
                      help="minimum superstep deadline in seconds "
                           "(default: 10)")
-    run.add_argument("--kernels", action="store_true",
-                     help="enable the compiled hot-loop kernels "
-                          "(Numba njit; falls back to the interpreted "
-                          "NumPy operators when Numba is absent)")
     run.add_argument("--faults", metavar="PLAN.json",
                      help="arm a fault plan (see repro.sim.faults."
                           "FaultPlan) before the run")
@@ -138,45 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-gpus", type=int, default=6)
     sweep.add_argument("--src", type=int, default=0)
     sweep.add_argument("--backend", default="serial",
-                       help="execution backend: serial, threads[:N], "
+                       help="execution backend: serial or "
                             "processes[:N]")
-
-    bench = sub.add_parser(
-        "bench",
-        help="wall-clock benchmark of the execution backends "
-             "(serial vs threads vs processes vs compiled kernels)",
-    )
-    bench.add_argument("--out", default="BENCH_2.json",
-                       help="output JSON path (default: BENCH_2.json)")
-    bench.add_argument("--rmat-scale", type=int, default=13)
-    bench.add_argument("--road-side", type=int, default=48)
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--gpus", type=int, nargs="+", default=[1, 2, 4])
-    bench.add_argument("--primitives", nargs="+", default=None,
-                       choices=["bfs", "dobfs", "sssp", "cc", "bc", "pr"])
-    bench.add_argument("--smoke", action="store_true",
-                       help="small fast configuration for CI: tiny "
-                            "graphs, bfs+pr only")
-    bench.add_argument("--gate", action="store_true",
-                       help="exit 1 if the threads backend is >1.2x "
-                            "slower than serial, the processes backend "
-                            "is slower than threads, an attached "
-                            "tracer is >1.5x serial (or >1.5x the plain "
-                            "processes run on the processes backend), "
-                            "the flight recorder is >1.05x serial, or "
-                            "the worker supervisor is >1.05x the plain "
-                            "processes backend, on the 4-GPU rmat BFS "
-                            "case (CI regression gate; the "
-                            "processes-based gates report 'skipped' on "
-                            "a 1-core host instead of passing "
-                            "vacuously)")
-    bench.add_argument("--baseline", metavar="BENCH.json",
-                       help="previous bench JSON to compare the serial "
-                            "(tracing-disabled) medians against; skipped "
-                            "when config or host differ")
-    bench.add_argument("--max-overhead", type=float, default=1.05,
-                       help="allowed serial-vs-baseline ratio for "
-                            "--baseline (default: 1.05)")
 
     chaos = sub.add_parser(
         "chaos",
@@ -190,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "worker-crash", "worker-hang",
                                 "shm-corrupt"])
     chaos.add_argument("--backends", nargs="+", default=None,
-                       choices=["serial", "threads", "processes"])
+                       choices=["serial", "processes"])
     chaos.add_argument("--rmat-scale", type=int, default=7)
     chaos.add_argument("--seed", type=int, default=3)
     chaos.add_argument("--smoke", action="store_true",
@@ -344,11 +301,6 @@ def _run_once(args, graph, scale, num_gpus, out=None, tracer=None,
 
 
 def _cmd_run(args, out) -> int:
-    if getattr(args, "kernels", False):
-        from .core import kernels
-
-        st = kernels.enable()
-        print(f"kernels: {st['backend']}", file=sys.stderr)
     graph, scale = _prepare(args)
     tracer = None
     writer = None
@@ -496,101 +448,6 @@ def _cmd_sweep(args, out) -> int:
     return 0
 
 
-def _cmd_bench(args, out) -> int:
-    from .bench import (
-        check_baseline_overhead,
-        run_bench,
-        write_bench,
-    )
-
-    kwargs = dict(
-        rmat_scale=args.rmat_scale,
-        road_side=args.road_side,
-        repeats=args.repeats,
-        gpu_counts=tuple(args.gpus),
-    )
-    if args.primitives:
-        kwargs["primitives"] = tuple(args.primitives)
-    if args.smoke:
-        kwargs.update(
-            rmat_scale=min(args.rmat_scale, 10),
-            road_side=min(args.road_side, 24),
-            repeats=min(args.repeats, 3),
-            primitives=tuple(args.primitives or ("bfs", "pr")),
-            datasets=("rmat",),
-        )
-    result = run_bench(
-        progress=lambda msg: print(f"bench: {msg}", file=sys.stderr),
-        **kwargs,
-    )
-    write_bench(result, args.out)
-    rows = [
-        [
-            c["dataset"], c["primitive"], c["gpus"],
-            f"{c['variants']['serial']['median_ms']:.2f}",
-            f"{c['variants']['threads']['median_ms']:.2f}",
-            f"{c['variants']['processes']['median_ms']:.2f}",
-            f"{c['variants']['serial_kernels']['median_ms']:.2f}",
-            f"{c['speedup_threads']:.2f}x",
-            f"{c['speedup_processes']:.2f}x",
-            f"{c['efficiency_per_worker']:.2f}",
-            f"{c['speedup_kernels']:.2f}x",
-            f"{c['speedup_workspace']:.2f}x",
-            f"{c['overhead_traced']:.2f}x",
-            f"{c['overhead_traced_processes']:.2f}x",
-            f"{c['overhead_recorded']:.2f}x",
-            f"{c['supervision_overhead']:.2f}x",
-        ]
-        for c in result["cases"]
-    ]
-    kern = result["host"]["kernels"]["backend"]
-    print(
-        render_table(
-            ["dataset", "primitive", "GPUs", "serial ms", "threads ms",
-             "procs ms", "kernels ms", "thr. x", "proc x", "eff/worker",
-             "kern x", "ws x", "trace cost", "ptrace cost", "rec cost",
-             "sup cost"],
-            rows,
-            title=f"enact() wall-clock "
-                  f"(host cores: {result['host']['cpu_count']}, "
-                  f"kernels: {kern})",
-        ),
-        file=out,
-    )
-    print(f"wrote {args.out}", file=out)
-    status = 0
-    if args.baseline:
-        import json as _json
-
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = _json.load(fh)
-        err = check_baseline_overhead(
-            result, baseline, max_overhead=args.max_overhead
-        )
-        if err is None:
-            print("baseline gate: OK", file=out)
-        elif err.startswith("skipped"):
-            print(f"baseline gate: {err}", file=out)
-        else:
-            print(f"baseline gate: {err}", file=sys.stderr)
-            status = 1
-    if args.gate:
-        gate_failed = False
-        for name, err in result["gates"].items():
-            if err is None:
-                continue
-            if err.startswith("skipped"):
-                print(f"bench gate [{name}]: {err}", file=out)
-            else:
-                print(f"bench gate [{name}]: {err}", file=sys.stderr)
-                gate_failed = True
-        if gate_failed:
-            status = 1
-        else:
-            print("bench gate: OK", file=out)
-    return status
-
-
 def _cmd_chaos(args, out) -> int:
     from .chaos import CHAOS_KINDS, CHAOS_PRIMITIVES, run_chaos_matrix
 
@@ -598,7 +455,7 @@ def _cmd_chaos(args, out) -> int:
         primitives=tuple(args.primitives or CHAOS_PRIMITIVES),
         gpu_counts=tuple(args.gpus),
         kinds=tuple(args.kinds or CHAOS_KINDS),
-        backends=tuple(args.backends or ("serial", "threads")),
+        backends=tuple(args.backends or ("serial", "processes")),
         rmat_scale=args.rmat_scale,
         seed=args.seed,
     )
@@ -902,6 +759,12 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
 
     out = out or sys.stdout
     args = _build_parser().parse_args(argv)
+    if getattr(args, "backend", None) is not None:
+        try:
+            make_backend(args.backend)
+        except ValueError as exc:
+            print(f"repro {args.command}: {exc}", file=sys.stderr)
+            return 1
     try:
         if args.command == "datasets":
             return _cmd_datasets(out)
@@ -911,8 +774,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             return _cmd_partition(args, out)
         if args.command == "sweep":
             return _cmd_sweep(args, out)
-        if args.command == "bench":
-            return _cmd_bench(args, out)
         if args.command == "chaos":
             return _cmd_chaos(args, out)
         if args.command == "trace":

@@ -10,10 +10,6 @@ pluggable policy:
 * :class:`SerialBackend` — run the supersteps in GPU-index order on the
   calling thread (the original behaviour; zero overhead, easiest to
   debug);
-* :class:`ThreadsBackend` — run them on a persistent worker pool.  The
-  NumPy kernels that dominate a superstep release the GIL, so per-GPU
-  work overlaps on a multi-core host — but anything interpreter-bound
-  stays GIL-serialized;
 * :class:`ProcessesBackend` — a forked worker pool, one worker per
   virtual GPU by default, that lives as long as its enactor.  The
   read-only graph structure (the problem's ``PartitionedGraph``) is
@@ -33,20 +29,19 @@ pluggable policy:
 **Determinism contract.**  A backend only chooses *where* each superstep
 runs; it must return the results in GPU-index order.  The enactor keeps
 every backend bit-identical by construction: each per-GPU superstep
-touches only its own GPU's state (streams, memory pool, data slice,
-workspace) and *stages* every cross-GPU effect — outgoing messages,
-metrics-record entries, interconnect traffic — in a
-:class:`GpuStepEffects`, which the enactor merges in GPU-index order at
-the barrier.  Serial, threaded, and forked runs execute the same
-superstep code and the same merge, so results,
+touches only its own GPU's state (streams, memory pool, data slice) and
+*stages* every cross-GPU effect — outgoing messages, metrics-record
+entries, interconnect traffic — in a :class:`GpuStepEffects`, which the
+enactor merges in GPU-index order at the barrier.  Serial and forked
+runs execute the same superstep code and the same merge, so results,
 :class:`~repro.sim.metrics.RunMetrics`, virtual times, and sanitizer
 reports are identical bit for bit (asserted in
 ``tests/core/test_backend_determinism.py``).
 
 **Worker affinity and lifetime.**  The processes backend pins each GPU
 to one worker for the pool's lifetime, so per-GPU private mutable state
-(streams, pools, workspace arenas, operator caches) evolves in exactly
-one address space between barriers.  The pool is forked at an enactor's
+(streams, pools, operator caches) evolves in exactly one address space
+between barriers.  The pool is forked at an enactor's
 first multi-GPU dispatch — which is also when the shared-memory
 manifest and the exchange segments are built — and serves every later
 ``enact()``: :meth:`~ProcessesBackend.begin_run` sends each worker one
@@ -110,10 +105,8 @@ import pickle
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from typing import (
-    Callable,
     Dict,
     List,
     NamedTuple,
@@ -145,13 +138,12 @@ __all__ = [
     "GpuStepEffects",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadsBackend",
     "ProcessesBackend",
     "make_backend",
     "BACKENDS",
 ]
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 
 
 @dataclass
@@ -244,36 +236,22 @@ class ExecutionBackend:
         With ``guarded=True`` a :class:`DeviceLostError` is returned as
         the GPU's result value instead of raised, so every superstep of
         the iteration still runs (the enactor recovers at the barrier).
-        The default implementation builds per-GPU closures and defers to
-        :meth:`map_supersteps` — serial and threads semantics live
-        entirely there; the processes backend overrides this with a
-        picklable dispatch protocol.
+        This default runs the supersteps one after another on the
+        calling thread, in ``gpu_indices`` order — the serial backend;
+        the processes backend overrides it with its worker protocol.
         """
-        if not guarded:
-            fns = [
-                lambda idx=i: enactor._gpu_superstep(
-                    idx, iteration, iteration_obj,
-                    frontiers[idx], inboxes[idx],
+        results: List[object] = []
+        for i in gpu_indices:
+            try:
+                eff = enactor._gpu_superstep(
+                    i, iteration, iteration_obj, frontiers[i], inboxes[i]
                 )
-                for i in gpu_indices
-            ]
-        else:
-            def guarded_step(idx):
-                try:
-                    return enactor._gpu_superstep(
-                        idx, iteration, iteration_obj,
-                        frontiers[idx], inboxes[idx],
-                    )
-                except DeviceLostError as exc:
-                    return exc
-
-            fns = [lambda idx=i: guarded_step(idx) for i in gpu_indices]
-        return self.map_supersteps(fns)
-
-    def map_supersteps(self, fns: List[Callable[[], GpuStepEffects]]
-                       ) -> List[GpuStepEffects]:
-        """Run all closures; return their results in list order."""
-        raise NotImplementedError
+            except DeviceLostError as exc:
+                if not guarded:
+                    raise
+                eff = exc
+            results.append(eff)
+        return results
 
     def close(self) -> None:
         """Release worker resources (idempotent)."""
@@ -286,51 +264,6 @@ class SerialBackend(ExecutionBackend):
     """GPU-index-order execution on the calling thread."""
 
     name = "serial"
-
-    def map_supersteps(self, fns):
-        return [fn() for fn in fns]
-
-
-class ThreadsBackend(ExecutionBackend):
-    """Persistent thread-pool execution of per-GPU supersteps.
-
-    One pool lives for the backend's lifetime (spawning threads per
-    iteration would dwarf a superstep's work).  Results are gathered in
-    submission order, so callers observe GPU-index order regardless of
-    completion order.
-    """
-
-    name = "threads"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = max_workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _ensure_pool(self, width: int) -> ThreadPoolExecutor:
-        if self._pool is None:
-            workers = self.max_workers or max(width, 1)
-            self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-gpu"
-            )
-        return self._pool
-
-    def map_supersteps(self, fns):
-        if len(fns) <= 1:
-            # nothing to overlap; skip the pool round-trip
-            return [fn() for fn in fns]
-        pool = self._ensure_pool(len(fns))
-        if self.tracer is not None:
-            self.tracer.instant(
-                "backend.dispatch", backend=self.name,
-                supersteps=len(fns), workers=pool._max_workers,
-            )
-        futures = [pool.submit(fn) for fn in fns]
-        return [f.result() for f in futures]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +332,8 @@ def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest, exchange,
     """Body of one forked worker: serve requests until "stop".
 
     The worker owns ``gpu_ids`` for the pool's lifetime (GPU affinity:
-    per-GPU mutable state — streams, pools, workspace arenas, operator
-    caches — evolves only here between barriers), across every
+    per-GPU mutable state — streams, pools, operator caches — evolves
+    only here between barriers), across every
     ``enact()`` of its enactor.  Slice arrays are re-attached through
     the shared-memory registry by *name*, proving the manifest layer;
     exchange and control segments are reached through the inherited
@@ -1356,32 +1289,24 @@ class ProcessesBackend(ExecutionBackend):
         if side.san is not None and enactor.sanitizer is not None:
             enactor.sanitizer.adopt_stage(g, side.san)
 
-    def map_supersteps(self, fns):
-        # arbitrary closures cannot cross a process boundary; the
-        # structured path is run_iteration().  Plain callables (tests,
-        # ad-hoc use) run inline, preserving list order.
-        return [fn() for fn in fns]
-
 
 def make_backend(
     spec: Union[str, ExecutionBackend, None], num_gpus: int = 0
 ) -> ExecutionBackend:
-    """Resolve a backend spec: an instance, ``"serial"``, ``"threads"``
-    / ``"threads:N"``, or ``"processes"`` / ``"processes:N"`` (explicit
-    worker count)."""
+    """Resolve a backend spec: an instance, ``"serial"``, or
+    ``"processes"`` / ``"processes:N"`` (explicit worker count).  Any
+    other spec raises ValueError naming the valid ones."""
     if spec is None:
         return SerialBackend()
     if isinstance(spec, ExecutionBackend):
         return spec
     name, _, arg = str(spec).partition(":")
-    if name == "serial":
+    if name == "serial" and not arg:
         return SerialBackend()
-    if name == "threads":
-        workers = int(arg) if arg else (num_gpus or None)
-        return ThreadsBackend(max_workers=workers)
-    if name == "processes":
+    if name == "processes" and (arg.isdigit() or not arg):
         workers = int(arg) if arg else (num_gpus or None)
         return ProcessesBackend(max_workers=workers)
     raise ValueError(
-        f"unknown execution backend {spec!r}; expected one of {BACKENDS}"
+        f"unknown execution backend {spec!r}; valid specs: serial, "
+        "processes, processes:N"
     )

@@ -26,7 +26,6 @@ reports peak memory in the run metrics.
 from __future__ import annotations
 
 import functools
-import threading
 from typing import List, Optional, Sequence, Type, Union
 
 import numpy as np
@@ -63,7 +62,6 @@ from .frontier import Frontier
 from .iteration import GpuContext, IterationBase
 from .problem import ProblemBase
 from .stats import OpStats
-from .workspace import Workspace
 
 __all__ = ["Enactor"]
 
@@ -197,16 +195,11 @@ class Enactor:
     backend:
         Execution backend dispatching the per-GPU supersteps
         (``repro.core.backend``): ``"serial"`` (default) runs them in
-        GPU-index order on the calling thread; ``"threads"`` overlaps
-        them on a persistent worker pool.  Results, metrics, virtual
-        times, and sanitizer reports are bit-identical across backends —
-        every cross-GPU effect is staged per worker and merged in
-        GPU-index order at the barrier.
-    use_workspace:
-        Give each virtual GPU a scratch :class:`Workspace` arena that
-        operators reuse across calls instead of allocating fresh
-        temporaries.  On by default; the bench harness turns it off to
-        measure the allocation-churn baseline.
+        GPU-index order on the calling thread; ``"processes"`` /
+        ``"processes:N"`` on a pool of forked workers.  Results,
+        metrics, virtual times, and sanitizer reports are bit-identical
+        across backends — every cross-GPU effect is staged per GPU and
+        merged in GPU-index order at the barrier.
     checkpoint_every:
         Take a barrier checkpoint every N supersteps (docs/robustness.md).
         ``None`` disables periodic checkpoints; a baseline checkpoint is
@@ -273,8 +266,7 @@ class Enactor:
         or a :class:`~repro.errors.ReproError` escapes ``enact()``.
         Like the tracer it is a pure observer behind a ``recorder is
         None`` fast path; unlike the tracer its memory is O(capacity),
-        so production runs can leave it attached (``repro bench``
-        gates the overhead at 1.05×).
+        so production runs can leave it attached.
     """
 
     def __init__(
@@ -287,7 +279,6 @@ class Enactor:
         overlap_communication: bool = False,
         sanitize: bool = False,
         backend: Union[str, ExecutionBackend, None] = "serial",
-        use_workspace: bool = True,
         checkpoint_every: Optional[int] = None,
         checkpoint_path: Optional[str] = None,
         recovery: Optional[RecoveryPolicy] = None,
@@ -352,9 +343,6 @@ class Enactor:
             self.supervisor.tracer = tracer
             self.supervisor.recorder = flight_recorder
             self.backend.supervisor = self.supervisor
-        self.workspaces: List[Optional[Workspace]] = [
-            Workspace(i) if use_workspace else None for i in range(n)
-        ]
         self.relaxed_barriers = relaxed_barriers
         self.combiner_certificates: dict = {}
         self.schedule_certificate = None
@@ -451,7 +439,6 @@ class Enactor:
                 fused=self.scheme.fused,
                 iteration=0,
                 num_gpus=n,
-                workspace=self.workspaces[i],
             )
             for i in range(n)
         ]
@@ -566,12 +553,12 @@ class Enactor:
         """One GPU's full superstep: combine → core → split/package/push.
 
         Touches only GPU ``i``'s private state — its streams, memory
-        pool, data slice, frontier buffers, and workspace — and *stages*
-        every cross-GPU effect (outgoing messages, record entries,
-        interconnect traffic) in the returned :class:`GpuStepEffects`.
-        That makes it safe for the ``threads`` backend to run n of these
-        concurrently; the enactor merges the effects in GPU-index order
-        at the barrier, so any execution order yields the serial result.
+        pool, data slice and frontier buffers — and *stages* every
+        cross-GPU effect (outgoing messages, record entries, interconnect
+        traffic) in the returned :class:`GpuStepEffects`.  That is what
+        lets a ``processes`` worker run it for the GPUs it owns; the
+        enactor merges the effects in GPU-index order at the barrier, so
+        any placement yields the serial result.
         """
         machine = self.machine
         problem = self.problem
@@ -792,7 +779,6 @@ class Enactor:
                 "superstep", f"superstep {iteration}", _vt0, _vt1 - _vt0,
                 track=i, wall_start=_wall0, wall_dur=tracer.wall() - _wall0,
                 frontier=eff.frontier_size, edges=int(eff.edges_visited),
-                thread=threading.current_thread().name,
             )
             tracer.instant(
                 "superstep.end", vt=_vt1, gpu=i, iteration=iteration,

@@ -19,7 +19,6 @@ from ..sim.kernel import KernelModel
 from .comm import Message
 from .problem import DataSlice, ProblemBase
 from .stats import OpStats
-from .workspace import Workspace
 
 __all__ = ["GpuContext", "IterationBase"]
 
@@ -36,9 +35,6 @@ class GpuContext:
     fused: bool
     iteration: int
     num_gpus: int
-    #: per-GPU scratch arena for operator hot paths (never shared across
-    #: GPUs; None when the enactor runs without one, e.g. in unit tests)
-    workspace: Optional[Workspace] = None
     #: attached obs.Tracer, or None (the common, zero-overhead case);
     #: primitives forward it to operator calls for wall-clock sampling
     tracer: Optional[object] = None

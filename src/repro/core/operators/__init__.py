@@ -4,6 +4,7 @@ from .advance import advance_pull, advance_push, gather_neighbors
 from .compute import (
     compute_op,
     dedup,
+    member_mask,
     segment_first,
     segment_reduce_min,
     segment_reduce_sum,
@@ -21,6 +22,7 @@ __all__ = [
     "fused_advance_filter",
     "compute_op",
     "dedup",
+    "member_mask",
     "segment_reduce_min",
     "segment_reduce_sum",
     "segment_first",

@@ -18,12 +18,8 @@ first-hit search uses ``np.minimum.reduceat`` over masked positions.
 
 Hot-path allocation discipline: CSR structure is indexed through the
 graph's cached int64 views (``csr.offsets64``/``csr.cols64`` — no per-call
-``astype`` copy), and when the caller passes a per-GPU
-:class:`~repro.core.workspace.Workspace` the edge-length scratch
-(flattened edge indices, gathered neighbor lists, pull-scan masks) is
-written into reused arena buffers instead of fresh allocations.  The
-``ws is None`` branches keep the allocating fallback for detached callers
-(baselines, unit tests); results are bit-identical either way.
+``astype`` copy); the edge-length temporaries are plain NumPy arrays,
+allocated per call.
 """
 
 from __future__ import annotations
@@ -33,9 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ...graph.csr import CsrGraph
-from ..kernels import active as _kernels_active, plain_arrays as _plain
 from ..stats import OpStats
-from ..workspace import Workspace
 
 __all__ = ["gather_neighbors", "advance_push", "advance_pull", "push_stats"]
 
@@ -44,11 +38,10 @@ _BIG = np.iinfo(np.int64).max
 
 def push_stats(nf: int, edges: int, ids_bytes: int, size_bytes: int) -> OpStats:
     """The push-advance cost model for ``nf`` frontier items and
-    ``edges`` traversed edges: shared by the interpreted and compiled
-    paths, the fused operator, and hooks that charge a frontier other
-    than the one they gather (SSSP charges every copy of a vertex and
-    gathers each once), so stats stay bit-identical no matter which
-    computed the arrays."""
+    ``edges`` traversed edges: shared by :func:`advance_push` and by
+    hooks that charge a frontier other than the one they gather (SSSP
+    charges every copy of a vertex and gathers each once), so stats stay
+    bit-identical no matter which computed the arrays."""
     return OpStats(
         name="advance",
         input_size=nf,
@@ -62,37 +55,6 @@ def push_stats(nf: int, edges: int, ids_bytes: int, size_bytes: int) -> OpStats:
     )
 
 
-def _pull_stats_empty(n_candidates: int, ids_bytes: int) -> OpStats:
-    return OpStats(
-        name="advance-pull",
-        input_size=n_candidates,
-        vertices_processed=n_candidates,
-        launches=1,
-        streaming_bytes=n_candidates * ids_bytes,
-        random_bytes=2 * n_candidates * ids_bytes,
-    )
-
-
-def _pull_stats(
-    n_candidates: int,
-    n_discovered: int,
-    edges_scanned: int,
-    ids_bytes: int,
-    size_bytes: int,
-) -> OpStats:
-    return OpStats(
-        name="advance-pull",
-        input_size=n_candidates,
-        output_size=n_discovered,
-        edges_visited=edges_scanned,
-        vertices_processed=n_candidates,
-        launches=1,
-        streaming_bytes=(n_candidates + n_discovered) * ids_bytes,
-        random_bytes=2 * n_candidates * size_bytes
-        + edges_scanned * (ids_bytes + 0.75 * size_bytes + 1),
-    )
-
-
 def _frontier64(frontier: np.ndarray) -> np.ndarray:
     """The frontier as int64, without copying already-converted input."""
     frontier = np.asarray(frontier)
@@ -102,8 +64,7 @@ def _frontier64(frontier: np.ndarray) -> np.ndarray:
 
 
 def gather_neighbors(
-    csr: CsrGraph, frontier: np.ndarray, ws: Optional[Workspace] = None,
-    need_sources: bool = True,
+    csr: CsrGraph, frontier: np.ndarray, need_sources: bool = True,
 ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
     """Gather all out-neighbors of ``frontier``.
 
@@ -113,15 +74,8 @@ def gather_neighbors(
     that edge's position in ``csr.col_indices`` (for weight lookup).  A
     caller that never reads ``sources`` passes ``need_sources=False`` and
     gets ``None``: the edge-length repeat is not materialised.
-
-    With a workspace, ``neighbors`` and ``edge_indices`` are views into
-    the arena — valid until the next gather on the same GPU; callers must
-    consume them within the operator call chain.
     """
     frontier = _frontier64(frontier)
-    kernels = _kernels_active()
-    if kernels is not None and _plain(frontier):
-        return kernels.gather(csr.offsets64, csr.cols64, frontier)
     offsets = csr.offsets64
     starts = offsets[frontier]
     counts = offsets[frontier + 1] - starts
@@ -131,15 +85,8 @@ def gather_neighbors(
         return empty, empty.copy() if need_sources else None, empty.copy()
     # flattened edge indices: repeat(start - exclusive_prefix) + arange
     seg_base = (starts + counts - counts.cumsum()).repeat(counts)
-    if ws is None:
-        edge_idx = seg_base + np.arange(total, dtype=np.int64)
-        neighbors = csr.cols64[edge_idx]
-    else:
-        edge_idx = ws.take("advance.edge_idx", total, np.int64)
-        np.add(seg_base, ws.iota(total), out=edge_idx)
-        neighbors = csr.cols64.take(
-            edge_idx, out=ws.take("advance.neighbors", total, np.int64)
-        )
+    edge_idx = seg_base + np.arange(total, dtype=np.int64)
+    neighbors = csr.cols64[edge_idx]
     sources = frontier.repeat(counts) if need_sources else None
     return neighbors, sources, edge_idx
 
@@ -148,7 +95,6 @@ def advance_push(
     csr: CsrGraph,
     frontier: np.ndarray,
     ids_bytes: int = 4,
-    ws: Optional[Workspace] = None,
     tracer=None,
     need_sources: bool = True,
 ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray, OpStats]:
@@ -168,7 +114,7 @@ def advance_push(
     """
     _wall0 = tracer.wall() if tracer is not None else 0.0
     neighbors, sources, edge_idx = gather_neighbors(
-        csr, frontier, ws=ws, need_sources=need_sources
+        csr, frontier, need_sources=need_sources
     )
     edges = int(neighbors.size)
     nf = int(np.asarray(frontier).size)
@@ -183,7 +129,6 @@ def advance_pull(
     candidates: np.ndarray,
     in_frontier: np.ndarray,
     ids_bytes: int = 4,
-    ws: Optional[Workspace] = None,
     tracer=None,
 ) -> Tuple[np.ndarray, np.ndarray, OpStats]:
     """Per-vertex pull advance with edge skipping (Section VI-A).
@@ -198,8 +143,6 @@ def advance_pull(
         Vertices looking for a parent (the unvisited set).
     in_frontier:
         Boolean mask over vertices: membership in the current frontier.
-    ws:
-        Optional per-GPU scratch arena for the edge-length temporaries.
 
     Returns
     -------
@@ -212,21 +155,7 @@ def advance_pull(
     """
     _wall0 = tracer.wall() if tracer is not None else 0.0
     candidates = _frontier64(candidates)
-    kernels = _kernels_active()
-    if kernels is not None and _plain(candidates, in_frontier):
-        discovered, parents, edges_scanned, total = kernels.pull(
-            csr.offsets64, csr.cols64, candidates, in_frontier
-        )
-        if total == 0:
-            stats = _pull_stats_empty(int(candidates.size), ids_bytes)
-        else:
-            stats = _pull_stats(
-                int(candidates.size), int(discovered.size),
-                int(edges_scanned), ids_bytes, csr.ids.size_bytes,
-            )
-        if tracer is not None:
-            tracer.op_wall_sample("advance-pull", tracer.wall() - _wall0)
-        return discovered, parents, stats
+    n_candidates = int(candidates.size)
     offsets = csr.offsets64
     starts = offsets[candidates]
     counts = offsets[candidates + 1] - starts
@@ -237,7 +166,14 @@ def advance_pull(
     total = int(counts_nz.sum())
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
-        stats = _pull_stats_empty(int(candidates.size), ids_bytes)
+        stats = OpStats(
+            name="advance-pull",
+            input_size=n_candidates,
+            vertices_processed=n_candidates,
+            launches=1,
+            streaming_bytes=n_candidates * ids_bytes,
+            random_bytes=2 * n_candidates * ids_bytes,
+        )
         if tracer is not None:
             tracer.op_wall_sample("advance-pull", tracer.wall() - _wall0)
         return empty, empty.copy(), stats
@@ -245,29 +181,12 @@ def advance_pull(
     seg_starts = np.concatenate([[0], np.cumsum(counts_nz)[:-1]])
     seg_base = np.repeat(starts_nz - seg_starts, counts_nz)
     pos_base = np.repeat(seg_starts, counts_nz)
-    if ws is None:
-        edge_idx = seg_base + np.arange(total, dtype=np.int64)
-        neighbors = csr.cols64[edge_idx]
-        hit = in_frontier[neighbors]
-        # position of each slot within its segment; masked to BIG where
-        # no hit
-        pos = np.arange(total, dtype=np.int64) - pos_base
-        masked = np.where(hit, pos, _BIG)
-    else:
-        iota = ws.iota(total)
-        edge_idx = ws.take("pull.edge_idx", total, np.int64)
-        np.add(seg_base, iota, out=edge_idx)
-        neighbors = np.take(
-            csr.cols64, edge_idx, out=ws.take("pull.neighbors", total, np.int64)
-        )
-        hit = np.take(
-            in_frontier, neighbors, out=ws.take("pull.hit", total, bool)
-        )
-        pos = ws.take("pull.pos", total, np.int64)
-        np.subtract(iota, pos_base, out=pos)
-        masked = ws.take("pull.masked", total, np.int64)
-        masked.fill(_BIG)
-        np.copyto(masked, pos, where=hit)
+    edge_idx = seg_base + np.arange(total, dtype=np.int64)
+    neighbors = csr.cols64[edge_idx]
+    hit = in_frontier[neighbors]
+    # position of each slot within its segment; masked to BIG where no hit
+    pos = np.arange(total, dtype=np.int64) - pos_base
+    masked = np.where(hit, pos, _BIG)
     first_hit = np.minimum.reduceat(masked, seg_starts)
     found = first_hit != _BIG
     discovered = cand[found]
@@ -275,9 +194,17 @@ def advance_pull(
     # edges scanned: first_hit+1 where found, full degree otherwise
     scanned = np.where(found, first_hit + 1, counts_nz)
     edges_scanned = int(scanned.sum())
-    stats = _pull_stats(
-        int(candidates.size), int(discovered.size), edges_scanned,
-        ids_bytes, csr.ids.size_bytes,
+    n_discovered = int(discovered.size)
+    stats = OpStats(
+        name="advance-pull",
+        input_size=n_candidates,
+        output_size=n_discovered,
+        edges_visited=edges_scanned,
+        vertices_processed=n_candidates,
+        launches=1,
+        streaming_bytes=(n_candidates + n_discovered) * ids_bytes,
+        random_bytes=2 * n_candidates * csr.ids.size_bytes
+        + edges_scanned * (ids_bytes + 0.75 * csr.ids.size_bytes + 1),
     )
     if tracer is not None:
         tracer.op_wall_sample("advance-pull", tracer.wall() - _wall0)

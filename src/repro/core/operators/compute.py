@@ -5,8 +5,9 @@ frontier.  This can be combined for efficiency with advance or filter."
 (Section II-B.)  Primitives pass vectorized callables; the stats charge
 one read-modify-write per element.
 
-The keyed kernels (:func:`dedup`, :func:`segment_reduce_min`,
-:func:`segment_reduce_sum`, :func:`segment_first`) are what operators
+The keyed kernels (:func:`dedup`, :func:`member_mask`,
+:func:`segment_reduce_min`, :func:`segment_reduce_sum`,
+:func:`segment_first`) are what operators
 and hooks use wherever *m* edge-length items are keyed by vertex IDs of
 a subgraph with *n* vertices: one scatter into a length-*n* scratch is
 O(n + m) with no comparison sort and no hash table — Gunrock's bitmask
@@ -17,17 +18,16 @@ stays with the operator entry points that call them.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from ..stats import OpStats
-from ..workspace import Workspace
 
 __all__ = [
     "compute_op",
-    "mark_scratch",
     "dedup",
+    "member_mask",
     "segment_reduce_min",
     "segment_reduce_sum",
     "segment_first",
@@ -66,32 +66,32 @@ def compute_op(
     return frontier, stats
 
 
-def mark_scratch(
-    num_vertices: int, ws: Optional[Workspace] = None
-) -> np.ndarray:
-    """An all-False flag per vertex: the workspace's persistent scratch
-    (the borrower clears what it sets) or, detached, a fresh array."""
-    if ws is None:
-        return np.zeros(num_vertices, dtype=bool)
-    return ws.flags(num_vertices)
-
-
-def dedup(
-    ids: np.ndarray, num_vertices: int, ws: Optional[Workspace] = None
-) -> np.ndarray:
+def dedup(ids: np.ndarray, num_vertices: int) -> np.ndarray:
     """The distinct values of ``ids``, ascending — ``np.unique(ids)`` for
     IDs in ``[0, num_vertices)``.
 
     Marks a boolean flag per ID and reads the set flags back in index
     order: the deterministic stand-in for the GPU filter's atomic claim.
-    The workspace's flag scratch is all-False on entry and is restored
-    before returning (only the marked entries are cleared).
+    The flags are a fresh ``np.zeros(num_vertices, bool)``: reading them
+    back scans all *n* anyway, so reusing a cleared scratch array would
+    not change the order of the work.
     """
-    flags = mark_scratch(num_vertices, ws)
+    flags = np.zeros(num_vertices, dtype=bool)
     flags[ids] = True
-    out = flags.nonzero()[0]
-    flags[out] = False
-    return out
+    return flags.nonzero()[0]
+
+
+def member_mask(
+    probe: np.ndarray, members: np.ndarray, num_vertices: int
+) -> np.ndarray:
+    """``np.isin(probe, members)`` for IDs in ``[0, num_vertices)``.
+
+    One flag per vertex, set for the members and read back at the
+    probes: O(n + m) with no sort.
+    """
+    flags = np.zeros(num_vertices, dtype=bool)
+    flags[members] = True
+    return flags[probe]
 
 
 def segment_reduce_min(
@@ -135,7 +135,7 @@ def segment_reduce_sum(
 
 def segment_first(
     keys: np.ndarray, ranks: np.ndarray, targets: np.ndarray,
-    num_vertices: int, ws: Optional[Workspace] = None,
+    num_vertices: int,
 ) -> np.ndarray:
     """For each target key, the lowest rank among the items carrying it.
 
@@ -146,10 +146,7 @@ def segment_first(
     ranks this is "first occurrence", the deterministic stand-in for
     which thread wins the GPU's discovery race.
     """
-    if ws is None:
-        lowest = np.empty(num_vertices, dtype=np.int64)
-    else:
-        lowest = ws.take("first.lowest", num_vertices, np.int64)
+    lowest = np.empty(num_vertices, dtype=np.int64)
     # only the targets' slots are touched, so only they are initialized
     lowest[targets] = _BIG
     np.minimum.at(lowest, keys, ranks)

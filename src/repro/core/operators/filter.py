@@ -9,31 +9,14 @@ probe per candidate, atomic claim per survivor) is what BFS/SSSP charge.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
-from ..kernels import active as _kernels_active, plain_arrays as _plain
 from ..stats import OpStats
-from ..workspace import Workspace
 from .compute import dedup
 
 __all__ = ["filter_predicate", "filter_unvisited", "unique_vertices"]
-
-
-def _unvisited_stats(n_in: int, n_out: int, ids_bytes: int) -> OpStats:
-    """The unvisited-filter cost model, shared by the interpreted and
-    compiled paths and by the fused operator."""
-    return OpStats(
-        name="filter",
-        input_size=n_in,
-        output_size=n_out,
-        vertices_processed=n_in,
-        launches=1,
-        streaming_bytes=(n_in + n_out) * ids_bytes,
-        random_bytes=n_in * ids_bytes,
-        atomic_ops=float(n_out),
-    )
 
 
 def filter_predicate(
@@ -73,7 +56,6 @@ def filter_unvisited(
     labels: np.ndarray,
     invalid_label,
     ids_bytes: int = 4,
-    ws: Optional[Workspace] = None,
     tracer=None,
 ) -> Tuple[np.ndarray, OpStats]:
     """Traversal filter: deduplicate and keep vertices with no label yet.
@@ -85,16 +67,22 @@ def filter_unvisited(
     """
     _wall0 = tracer.wall() if tracer is not None else 0.0
     candidates = np.asarray(candidates, dtype=np.int64)
-    kernels = _kernels_active()
     if candidates.size:
-        if kernels is not None and _plain(candidates, labels):
-            out = kernels.filter_unvisited(candidates, labels, invalid_label)
-        else:
-            unvisited = (labels[candidates] == invalid_label).nonzero()[0]
-            out = dedup(candidates.take(unvisited), labels.shape[0], ws)
+        unvisited = (labels[candidates] == invalid_label).nonzero()[0]
+        out = dedup(candidates.take(unvisited), labels.shape[0])
     else:
         out = candidates
-    stats = _unvisited_stats(int(candidates.size), int(out.size), ids_bytes)
+    n_in, n_out = int(candidates.size), int(out.size)
+    stats = OpStats(
+        name="filter",
+        input_size=n_in,
+        output_size=n_out,
+        vertices_processed=n_in,
+        launches=1,
+        streaming_bytes=(n_in + n_out) * ids_bytes,
+        random_bytes=n_in * ids_bytes,
+        atomic_ops=float(n_out),
+    )
     if tracer is not None:
         tracer.op_wall_sample("filter", tracer.wall() - _wall0)
     return out, stats

@@ -22,12 +22,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ...graph.csr import CsrGraph
-from ..kernels import active as _kernels_active, plain_arrays as _plain
 from ..stats import OpStats
-from ..workspace import Workspace
-from .advance import _frontier64, push_stats, advance_push
-from .compute import mark_scratch, segment_first
-from .filter import _unvisited_stats, filter_unvisited
+from .advance import advance_push
+from .compute import member_mask, segment_first
+from .filter import filter_unvisited
 
 __all__ = ["fused_advance_filter", "first_witness"]
 
@@ -38,7 +36,6 @@ def first_witness(
     edge_idx: np.ndarray,
     survivors: np.ndarray,
     num_vertices: int,
-    ws: Optional[Workspace] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """For each survivor, the (source, edge) of its first discovery.
 
@@ -51,12 +48,9 @@ def first_witness(
     if survivors.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
-    flags = mark_scratch(num_vertices, ws)
-    flags[survivors] = True
-    pos = flags[neighbors].nonzero()[0]
-    flags[survivors] = False
+    pos = member_mask(neighbors, survivors, num_vertices).nonzero()[0]
     first_pos = segment_first(
-        neighbors.take(pos), pos, survivors, num_vertices, ws
+        neighbors.take(pos), pos, survivors, num_vertices
     )
     return sources.take(first_pos), edge_idx.take(first_pos)
 
@@ -67,7 +61,6 @@ def fused_advance_filter(
     labels: np.ndarray,
     invalid_label,
     ids_bytes: int = 4,
-    ws: Optional[Workspace] = None,
     tracer=None,
     witness: bool = True,
 ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], OpStats]:
@@ -84,41 +77,18 @@ def fused_advance_filter(
     # the inner calls are NOT traced individually: one fused kernel means
     # one wall-clock sample under the fused name
     _wall0 = tracer.wall() if tracer is not None else 0.0
-    kernels = _kernels_active()
-    if kernels is not None and _plain(labels):
-        frontier = _frontier64(frontier)
-        if _plain(frontier):
-            survivors, w_sources, w_edges, edges = kernels.fused(
-                csr.offsets64, csr.cols64, frontier, labels, invalid_label
-            )
-            a_stats = push_stats(
-                int(frontier.size), int(edges), ids_bytes, csr.ids.size_bytes
-            )
-            f_stats = _unvisited_stats(
-                int(edges), int(survivors.size), ids_bytes
-            )
-            stats = a_stats.merged_with(f_stats, fused=True)
-            stats.name = "advance+filter(fused)"
-            stats.streaming_bytes = max(
-                0.0, stats.streaming_bytes - 2 * int(edges) * ids_bytes
-            )
-            if tracer is not None:
-                tracer.op_wall_sample(
-                    "advance+filter(fused)", tracer.wall() - _wall0
-                )
-            return survivors, w_sources, w_edges, stats
     # only the witness reads the per-edge source array
     neighbors, sources, edge_idx, a_stats = advance_push(
-        csr, frontier, ids_bytes=ids_bytes, ws=ws, need_sources=witness
+        csr, frontier, ids_bytes=ids_bytes, need_sources=witness
     )
     survivors, f_stats = filter_unvisited(
-        neighbors, labels, invalid_label, ids_bytes=ids_bytes, ws=ws
+        neighbors, labels, invalid_label, ids_bytes=ids_bytes
     )
     # recover one (source, edge) witness per survivor: first occurrence
     w_sources = w_edges = None
     if witness:
         w_sources, w_edges = first_witness(
-            neighbors, sources, edge_idx, survivors, labels.shape[0], ws
+            neighbors, sources, edge_idx, survivors, labels.shape[0]
         )
 
     stats = a_stats.merged_with(f_stats, fused=True)

@@ -6,11 +6,11 @@ run is bit-identical to an untraced one:
 
 * :mod:`repro.obs.tracer` — span-based tracing with one track per
   virtual GPU plus a communication track, on both the virtual clock and
-  the wall clock.  Thread-safe under the ``threads`` backend via per-GPU
-  staging merged in GPU-index order at barriers (the sanitizer's
-  discipline), and zero-overhead when disabled via the ``tracer is
-  None`` fast path everywhere (the ``sim/faults.py`` discipline,
-  enforced statically by lint rule REP109).
+  the wall clock.  Backend-invariant via per-GPU staging merged in
+  GPU-index order at barriers (the sanitizer's discipline), and
+  zero-overhead when disabled via the ``tracer is None`` fast path
+  everywhere (the ``sim/faults.py`` discipline, enforced statically by
+  lint rule REP109).
 * :mod:`repro.obs.events` — a structured event bus emitting JSONL
   records for superstep boundaries, operator calls, communication
   stages, DOBFS direction switches, checkpoint/recovery actions, and

@@ -8,8 +8,8 @@ Layout:
   virtual seconds, and recovery/checkpoint/barrier/direction events are
   instants (``"i"``).
 * ``pid 1`` — the **wall clock**: superstep spans re-plotted on real
-  time, which is where the ``threads`` backend's overlap (or lack of
-  it) becomes visible.
+  time, which is where the host's own cost per superstep becomes
+  visible.
 
 Open the file at https://ui.perfetto.dev (or ``chrome://tracing``).
 """

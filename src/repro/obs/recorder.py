@@ -5,8 +5,7 @@ to run length, so production runs leave it off — and when one of those
 runs dies, there is nothing to look at.  The flight recorder is the
 other point on the trade-off curve: a fixed-size ``collections.deque``
 ring of the most recent events plus a short window of per-superstep
-summaries, cheap enough to leave attached to every run (the ``repro
-bench`` gate holds it to ≤1.05× an unrecorded run).
+summaries, meant to be cheap enough to leave attached to every run.
 
 Appends never grow memory past the configured capacity — the deque's
 ``maxlen`` drops the oldest entry in C — and every hook site follows
@@ -153,7 +152,8 @@ class FlightRecorder:
         return report
 
     def clear(self) -> None:
-        """Forget everything recorded (bench repeats reuse one recorder)."""
+        """Forget everything recorded (benchmark repeats reuse one
+        recorder)."""
         self.ring.clear()
         self.supersteps.clear()
         self.dumps.clear()

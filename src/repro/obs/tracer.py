@@ -5,21 +5,22 @@ Records what the virtual machine *did* on two clocks at once:
 * the **virtual clock** — the simulated timeline the cost model charges
   (``Stream.launch`` timestamps), which is what every performance claim
   in the repro is made on; and
-* the **wall clock** — real ``time.perf_counter`` time, which is what
-  the ``threads`` backend actually overlaps.
+* the **wall clock** — real ``time.perf_counter`` time, what the host
+  actually spent.
 
 Spans live on one track per virtual GPU plus a shared communication
 track (:data:`COMM_TRACK`).  The tracer is a pure observer: it never
 launches work, never advances a stream, and never touches result
 arrays, so a traced run is bit-identical to an untraced one.
 
-Concurrency discipline (mirrors ``check.sanitizer.BspSanitizer``): each
-worker thread brackets its superstep with :meth:`Tracer.begin_gpu` /
+Staging discipline (mirrors ``check.sanitizer.BspSanitizer``): each GPU
+superstep is bracketed by :meth:`Tracer.begin_gpu` /
 :meth:`Tracer.end_gpu`; everything recorded inside the bracket goes to
 that GPU's private staging list and is merged into the global record in
-GPU-index order at :meth:`Tracer.on_barrier`.  That makes the span and
-event streams deterministic and backend-invariant even though worker
-threads record concurrently.  A rolled-back superstep's staging is
+GPU-index order at :meth:`Tracer.on_barrier`.  A ``processes`` worker
+ships its GPUs' staging lists to the parent (:meth:`take_staged` /
+:meth:`adopt_staged`), so the span and event streams are the same on
+every backend.  A rolled-back superstep's staging is
 discarded with :meth:`Tracer.drop_staged` — exactly like the enactor
 drops the aborted superstep's ``GpuStepEffects`` — so event counts stay
 consistent with ``RunMetrics`` recovery counters.
@@ -32,7 +33,6 @@ REP109 (``repro check``) enforces the guard statically.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -68,7 +68,7 @@ class Span:
 
     def key(self) -> Tuple:
         """Identity on the virtual timeline only — wall clock excluded,
-        so backend-invariance tests can compare serial vs threads."""
+        so backend-invariance tests can compare serial vs processes."""
         return (
             self.cat,
             self.name,
@@ -115,8 +115,11 @@ class Tracer:
         self.backend = ""
         self.num_gpus = 0
         self._staging: Dict[int, List[tuple]] = {}
-        self._lock = threading.Lock()
-        self._tls = threading.local()
+        #: the open GPU bracket: its staging list (None outside one),
+        #: GPU and superstep — the defaults of :meth:`span`
+        self._current: Optional[List[tuple]] = None
+        self._gpu = 0
+        self._iteration = -1
         self._wall0 = time.perf_counter()
 
     # -- clocks ---------------------------------------------------------------
@@ -141,16 +144,14 @@ class Tracer:
         self.instant("run.end", **fields)
 
     def begin_gpu(self, gpu: int, iteration: int) -> None:
-        """Enter one GPU's superstep on the calling (worker) thread."""
-        with self._lock:
-            staged = self._staging.setdefault(int(gpu), [])
-        self._tls.current = staged
-        self._tls.gpu = int(gpu)
-        self._tls.iteration = int(iteration)
+        """Enter one GPU's superstep."""
+        self._current = self._staging.setdefault(int(gpu), [])
+        self._gpu = int(gpu)
+        self._iteration = int(iteration)
 
     def end_gpu(self) -> None:
-        """Leave the superstep bracket on the calling thread."""
-        self._tls.current = None
+        """Leave the superstep bracket."""
+        self._current = None
 
     # -- recording ------------------------------------------------------------
     def span(
@@ -167,9 +168,9 @@ class Tracer:
     ) -> Span:
         """Record a span; staged when inside a GPU bracket."""
         if track is None:
-            track = getattr(self._tls, "gpu", 0)
+            track = self._gpu
         if iteration is None:
-            iteration = getattr(self._tls, "iteration", -1)
+            iteration = self._iteration
         s = Span(
             name=name,
             cat=cat,
@@ -181,7 +182,7 @@ class Tracer:
             wall_dur=float(wall_dur),
             args=args,
         )
-        staged = getattr(self._tls, "current", None)
+        staged = self._current
         if staged is not None:
             staged.append(("span", s))
         else:
@@ -207,7 +208,7 @@ class Tracer:
         if vt is not None:
             rec["vt"] = float(vt)
         rec.update(fields)
-        staged = getattr(self._tls, "current", None)
+        staged = self._current
         if staged is not None:
             staged.append(("event", rec))
         else:
@@ -216,7 +217,7 @@ class Tracer:
 
     def op_wall_sample(self, name: str, seconds: float) -> None:
         """Add one wall-clock sample to the per-operator aggregate."""
-        staged = getattr(self._tls, "current", None)
+        staged = self._current
         if staged is not None:
             staged.append(("wall", name, float(seconds)))
         else:
@@ -225,9 +226,8 @@ class Tracer:
     # -- barrier merge / rollback --------------------------------------------
     def on_barrier(self, iteration: int) -> None:
         """Merge all staged records in GPU-index order (deterministic)."""
-        with self._lock:
-            staged = sorted(self._staging.items())
-            self._staging = {}
+        staged = sorted(self._staging.items())
+        self._staging = {}
         for _gpu, entries in staged:
             for entry in entries:
                 kind = entry[0]
@@ -241,27 +241,25 @@ class Tracer:
     def take_staged(self, gpu: int) -> List[tuple]:
         """Pop one GPU's staged records (processes-backend worker side:
         the staged entries ship to the parent in the sidecar)."""
-        with self._lock:
-            return self._staging.pop(int(gpu), [])
+        return self._staging.pop(int(gpu), [])
 
     def adopt_staged(self, gpu: int, entries: List[tuple]) -> None:
         """Stage records produced by a worker process for this GPU, to be
         merged (or dropped, on rollback) exactly like locally staged
         ones."""
-        with self._lock:
-            self._staging.setdefault(int(gpu), []).extend(entries)
+        self._staging.setdefault(int(gpu), []).extend(entries)
 
     def drop_staged(self) -> None:
         """Discard staged records of an aborted superstep (rollback)."""
-        with self._lock:
-            self._staging = {}
-        # an aborted superstep never reaches end_gpu(); clear the calling
-        # thread's bracket so recovery instants commit instead of landing
-        # in an orphaned staging list
-        self._tls.current = None
+        self._staging = {}
+        # an aborted superstep never reaches end_gpu(); close its bracket
+        # so recovery instants commit instead of landing in an orphaned
+        # staging list
+        self._current = None
 
     def clear(self) -> None:
-        """Forget everything recorded (bench repeats reuse one tracer)."""
+        """Forget everything recorded (benchmark repeats reuse one
+        tracer)."""
         self.drop_staged()
         self.spans.clear()
         self.events.clear()

@@ -109,8 +109,7 @@ class BCIteration(IterationBase):
             return np.empty(0, dtype=np.int64), []
         label_val = ctx.iteration + 1
         nbrs, srcs, eidx, a_stats = advance_push(
-            csr, frontier, ids_bytes=ctx.ids_bytes, ws=ctx.workspace,
-            tracer=ctx.tracer,
+            csr, frontier, ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
         )
         if nbrs.size == 0:
             return np.empty(0, dtype=np.int64), [a_stats]
@@ -121,7 +120,7 @@ class BCIteration(IterationBase):
         # current level), so no neighbor carries it yet.
         fresh = (labels[nbrs] == -1).nonzero()[0]
         targets = nbrs.take(fresh)
-        survivors = dedup(targets, labels.shape[0], ctx.workspace)
+        survivors = dedup(targets, labels.shape[0])
         labels[survivors] = label_val
         # sigma accumulation along every shortest-path edge of this level
         segment_reduce_sum(targets, sigma[srcs.take(fresh)], sigma)
@@ -160,8 +159,7 @@ class BCIteration(IterationBase):
         if cand.size == 0:
             return np.empty(0, dtype=np.int64), []
         nbrs, srcs, _eidx, a_stats = advance_push(
-            ctx.sub.csr, cand, ids_bytes=ctx.ids_bytes, ws=ctx.workspace,
-            tracer=ctx.tracer,
+            ctx.sub.csr, cand, ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
         )
         # the edges into the next level, found once; both endpoint
         # arrays are gathered through the one index list

@@ -99,23 +99,20 @@ class BFSIteration(IterationBase):
         if ctx.fused:
             survivors, w_src, _w_edge, stats = fused_advance_filter(
                 csr, frontier, labels, INVALID_LABEL,
-                ids_bytes=ctx.ids_bytes, ws=ctx.workspace, tracer=ctx.tracer,
-                witness=witness,
+                ids_bytes=ctx.ids_bytes, tracer=ctx.tracer, witness=witness,
             )
             stats_list = [stats]
         else:
             nbrs, srcs, eidx, a_stats = advance_push(
-                csr, frontier, ids_bytes=ctx.ids_bytes, ws=ctx.workspace,
-                tracer=ctx.tracer,
+                csr, frontier, ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
             )
             survivors, f_stats = filter_unvisited(
                 nbrs, labels, INVALID_LABEL, ids_bytes=ctx.ids_bytes,
-                ws=ctx.workspace, tracer=ctx.tracer,
+                tracer=ctx.tracer,
             )
             if witness:
                 w_src, _w_edge = first_witness(
-                    nbrs, srcs, eidx, survivors, labels.shape[0],
-                    ctx.workspace,
+                    nbrs, srcs, eidx, survivors, labels.shape[0]
                 )
             stats_list = [a_stats, f_stats]
         labels[survivors] = label_val

@@ -180,23 +180,21 @@ class DOBFSIteration(IterationBase):
             if ctx.fused:
                 survivors, w_src, _w, stats = fused_advance_filter(
                     csr, hosted, labels, INVALID_LABEL,
-                    ids_bytes=ctx.ids_bytes, ws=ctx.workspace,
-                    tracer=ctx.tracer, witness=witness,
+                    ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
+                    witness=witness,
                 )
                 stats_list.append(stats)
             else:
                 nbrs, srcs, eidx, a_stats = advance_push(
-                    csr, hosted, ids_bytes=ctx.ids_bytes, ws=ctx.workspace,
-                    tracer=ctx.tracer,
+                    csr, hosted, ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
                 )
                 survivors, f_stats = filter_unvisited(
                     nbrs, labels, INVALID_LABEL, ids_bytes=ctx.ids_bytes,
-                    ws=ctx.workspace, tracer=ctx.tracer,
+                    tracer=ctx.tracer,
                 )
                 if witness:
                     w_src, _w = first_witness(
-                        nbrs, srcs, eidx, survivors, labels.shape[0],
-                        ctx.workspace,
+                        nbrs, srcs, eidx, survivors, labels.shape[0]
                     )
                 stats_list.extend([a_stats, f_stats])
         else:
@@ -228,7 +226,7 @@ class DOBFSIteration(IterationBase):
             )
             survivors, parents, stats = advance_pull(
                 csr, candidates, bitmap, ids_bytes=ctx.ids_bytes,
-                ws=ctx.workspace, tracer=ctx.tracer,
+                tracer=ctx.tracer,
             )
             w_src = parents
             stats_list.append(stats)

@@ -33,7 +33,7 @@ from ..core.iteration import GpuContext, IterationBase
 from ..core.operators.advance import advance_push, push_stats
 from ..core.operators.compute import (
     dedup,
-    mark_scratch,
+    member_mask,
     segment_first,
     segment_reduce_min,
 )
@@ -114,10 +114,10 @@ class SSSPIteration(IterationBase):
         nf = frontier.size
         edges = int((offsets[frontier + 1] - offsets[frontier]).sum())
         num_vertices = ctx.sub.num_vertices
-        frontier = dedup(frontier, num_vertices, ctx.workspace)
+        frontier = dedup(frontier, num_vertices)
         nbrs, _srcs, eidx, _ = advance_push(
-            csr, frontier, ids_bytes=ctx.ids_bytes, ws=ctx.workspace,
-            tracer=ctx.tracer, need_sources=False,
+            csr, frontier, ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
+            need_sources=False,
         )
         a_stats = push_stats(nf, edges, ctx.ids_bytes, csr.ids.size_bytes)
         if edges == 0:
@@ -130,9 +130,7 @@ class SSSPIteration(IterationBase):
         # deterministic atomicMin: per-neighbor minimum candidate; the
         # targets of the relaxations that beat the current distance are
         # exactly the vertices whose distance drops
-        improved = dedup(
-            segment_reduce_min(nbrs, cand, dist), num_vertices, ctx.workspace
-        )
+        improved = dedup(segment_reduce_min(nbrs, cand, dist), num_vertices)
         relax_stats = OpStats(
             name="relax",
             input_size=edges,
@@ -148,15 +146,12 @@ class SSSPIteration(IterationBase):
             # final distance with the smallest edge index.  Each improved
             # vertex's final distance IS its minimum candidate, so it has
             # at least one hit; an edge's source is the CSR row holding it.
-            flags = mark_scratch(num_vertices, ctx.workspace)
-            flags[improved] = True
             hits = (
-                flags[nbrs] & (cand <= dist[nbrs] + 1e-12)
+                member_mask(nbrs, improved, num_vertices)
+                & (cand <= dist[nbrs] + 1e-12)
             ).nonzero()[0]
-            flags[improved] = False
             win_edge = segment_first(
-                nbrs.take(hits), eidx.take(hits), improved, num_vertices,
-                ctx.workspace,
+                nbrs.take(hits), eidx.take(hits), improved, num_vertices
             )
             win_src = np.searchsorted(csr.offsets64, win_edge, "right") - 1
             ctx.slice["preds"][improved] = ctx.sub.local_to_global[win_src]

@@ -17,8 +17,8 @@ plans fragile, so specs use **at-or-after** semantics: a fault becomes
 *pending* once its GPU reaches ``spec.iteration`` and fires at the first
 opportunity at its site — the first transfer out of that GPU, the first
 allocation on it, the first superstep start (for GPU loss).  Given the
-same plan and the same run, the same operation fails every time, on both
-the serial and the threads backend (consumption is lock-protected).
+same plan and the same run, the same operation fails every time, on
+every backend.
 
 Zero overhead when disarmed: every hook in the hot path is guarded by a
 single ``if faults is not None`` check on an attribute that is ``None``
@@ -28,7 +28,6 @@ unless :meth:`Machine.arm_faults` was called.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -256,16 +255,16 @@ class FaultPlan:
 class FaultInjector:
     """Arms a :class:`FaultPlan` against a machine and fires its faults.
 
-    The injector is shared by the interconnect and every memory pool;
-    consumption is guarded by a lock so the threads backend observes the
-    same firing sequence as the serial backend.
+    The injector is shared by the interconnect and every memory pool of
+    one machine, and consumed by one thread: the ``processes`` backend's
+    workers each hold a forked copy and ship what they consumed back to
+    the parent (:meth:`consumption_delta`).
     """
 
     def __init__(self, plan: FaultPlan, num_gpus: int):
         plan.validate(num_gpus)
         self.plan = plan
         self.num_gpus = num_gpus
-        self._lock = threading.Lock()
         #: how many faults of each kind actually fired
         self.injected: Dict[str, int] = {}
         self._iter: Dict[int, int] = {}
@@ -278,18 +277,17 @@ class FaultInjector:
 
     def reset(self) -> None:
         """Re-arm the plan from scratch (called by ``Machine.reset``)."""
-        with self._lock:
-            self.injected = {k: 0 for k in ALL_FAULT_KINDS}
-            self._iter = {}
-            # mutable [spec, remaining_failures] cells for transient faults
-            self._comm = [[s, s.count] for s in self.plan.faults
-                          if s.kind == TRANSIENT_COMM]
-            self._oom = [s for s in self.plan.faults if s.kind == OOM]
-            self._loss = [s for s in self.plan.faults if s.kind == GPU_LOSS]
-            self._stragglers = [s for s in self.plan.faults
-                                if s.kind == STRAGGLER]
-            self._host = [s for s in self.plan.faults
-                          if s.kind in HOST_FAULT_KINDS]
+        self.injected = {k: 0 for k in ALL_FAULT_KINDS}
+        self._iter = {}
+        # mutable [spec, remaining_failures] cells for transient faults
+        self._comm = [[s, s.count] for s in self.plan.faults
+                      if s.kind == TRANSIENT_COMM]
+        self._oom = [s for s in self.plan.faults if s.kind == OOM]
+        self._loss = [s for s in self.plan.faults if s.kind == GPU_LOSS]
+        self._stragglers = [s for s in self.plan.faults
+                            if s.kind == STRAGGLER]
+        self._host = [s for s in self.plan.faults
+                      if s.kind in HOST_FAULT_KINDS]
 
     def has_host_faults(self) -> bool:
         """Whether the plan contains any host-level (real-process) kinds."""
@@ -311,16 +309,15 @@ class FaultInjector:
         aimed at other workers stay pending for their own handling.
         """
         taken: List[FaultSpec] = []
-        with self._lock:
-            seen: set = set()
-            for spec in list(self._host):
-                if only_gpus is not None and spec.gpu not in only_gpus:
-                    continue
-                if iteration >= spec.iteration and spec.gpu not in seen:
-                    self._host.remove(spec)
-                    seen.add(spec.gpu)
-                    self._count(spec.kind)
-                    taken.append(spec)
+        seen: set = set()
+        for spec in list(self._host):
+            if only_gpus is not None and spec.gpu not in only_gpus:
+                continue
+            if iteration >= spec.iteration and spec.gpu not in seen:
+                self._host.remove(spec)
+                seen.add(spec.gpu)
+                self._count(spec.kind)
+                taken.append(spec)
         return taken
 
     # -- superstep bookkeeping ----------------------------------------------
@@ -330,8 +327,7 @@ class FaultInjector:
         Allocation sites have no iteration argument of their own; the
         injector attributes them to the superstep the owning GPU is in.
         """
-        with self._lock:
-            self._iter[gpu] = iteration
+        self._iter[gpu] = iteration
 
     def end_iteration(self) -> None:
         """Clear per-GPU iteration context at the barrier.
@@ -339,8 +335,7 @@ class FaultInjector:
         Allocations made outside a superstep (setup, recovery) are never
         fault candidates.
         """
-        with self._lock:
-            self._iter.clear()
+        self._iter.clear()
 
     def _count(self, kind: str) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + 1
@@ -348,54 +343,51 @@ class FaultInjector:
     # -- fault sites ---------------------------------------------------------
     def check_gpu_loss(self, gpu: int, iteration: int) -> None:
         """Superstep-start site: raise DeviceLostError if a loss is due."""
-        with self._lock:
-            for spec in self._loss:
-                if spec.gpu == gpu and iteration >= spec.iteration:
-                    self._loss.remove(spec)
-                    self._count(GPU_LOSS)
-                    raise DeviceLostError(
-                        "injected permanent device loss",
-                        gpu_id=gpu, iteration=iteration,
-                        site=f"machine.gpu[{gpu}]",
-                    )
+        for spec in self._loss:
+            if spec.gpu == gpu and iteration >= spec.iteration:
+                self._loss.remove(spec)
+                self._count(GPU_LOSS)
+                raise DeviceLostError(
+                    "injected permanent device loss",
+                    gpu_id=gpu, iteration=iteration,
+                    site=f"machine.gpu[{gpu}]",
+                )
 
     def check_comm(self, src: int, dst: int, iteration: Optional[int]) -> None:
         """Transfer site: raise a transient CommunicationError if due."""
         if iteration is None:
             return
-        with self._lock:
-            for cell in self._comm:
-                spec, remaining = cell
-                if (spec.gpu == src and iteration >= spec.iteration
-                        and (spec.dst is None or spec.dst == dst)
-                        and remaining > 0):
-                    cell[1] = remaining - 1
-                    if cell[1] == 0:
-                        self._comm.remove(cell)
-                    self._count(TRANSIENT_COMM)
-                    raise CommunicationError(
-                        "injected transient link failure",
-                        gpu_id=src, iteration=iteration,
-                        site=f"interconnect.send[{src}->{dst}]",
-                    )
+        for cell in self._comm:
+            spec, remaining = cell
+            if (spec.gpu == src and iteration >= spec.iteration
+                    and (spec.dst is None or spec.dst == dst)
+                    and remaining > 0):
+                cell[1] = remaining - 1
+                if cell[1] == 0:
+                    self._comm.remove(cell)
+                self._count(TRANSIENT_COMM)
+                raise CommunicationError(
+                    "injected transient link failure",
+                    gpu_id=src, iteration=iteration,
+                    site=f"interconnect.send[{src}->{dst}]",
+                )
 
     def check_alloc(self, gpu: Optional[int], name: str) -> None:
         """Allocation site: raise DeviceMemoryError once if an OOM is due."""
         if gpu is None:
             return
-        with self._lock:
-            iteration = self._iter.get(gpu)
-            if iteration is None:
-                return
-            for spec in self._oom:
-                if spec.gpu == gpu and iteration >= spec.iteration:
-                    self._oom.remove(spec)
-                    self._count(OOM)
-                    raise DeviceMemoryError(
-                        "injected allocation failure",
-                        gpu_id=gpu, iteration=iteration,
-                        site=f"memory.alloc[{name}]",
-                    )
+        iteration = self._iter.get(gpu)
+        if iteration is None:
+            return
+        for spec in self._oom:
+            if spec.gpu == gpu and iteration >= spec.iteration:
+                self._oom.remove(spec)
+                self._count(OOM)
+                raise DeviceMemoryError(
+                    "injected allocation failure",
+                    gpu_id=gpu, iteration=iteration,
+                    site=f"memory.alloc[{name}]",
+                )
 
     # -- cross-process consumption sync ---------------------------------
     # Each fault spec targets exactly one GPU, and under the processes
@@ -407,14 +399,13 @@ class FaultInjector:
 
     def snapshot_consumption(self) -> dict:
         """Picklable snapshot of which faults remain armed."""
-        with self._lock:
-            pos = {id(s): i for i, s in enumerate(self.plan.faults)}
-            return {
-                "injected": dict(self.injected),
-                "comm": {pos[id(s)]: rem for s, rem in self._comm},
-                "oom": [pos[id(s)] for s in self._oom],
-                "loss": [pos[id(s)] for s in self._loss],
-            }
+        pos = {id(s): i for i, s in enumerate(self.plan.faults)}
+        return {
+            "injected": dict(self.injected),
+            "comm": {pos[id(s)]: rem for s, rem in self._comm},
+            "oom": [pos[id(s)] for s in self._oom],
+            "loss": [pos[id(s)] for s in self._loss],
+        }
 
     def consumption_delta(self, before: dict) -> Optional[dict]:
         """What fired since ``before`` (a :meth:`snapshot_consumption`);
@@ -445,31 +436,29 @@ class FaultInjector:
 
     def apply_consumption_delta(self, delta: dict) -> None:
         """Replay a worker's :meth:`consumption_delta` on this injector."""
-        with self._lock:
-            for kind, fired in delta["injected"].items():
-                self.injected[kind] = self.injected.get(kind, 0) + fired
-            spec_at = self.plan.faults
-            for p, rem in delta["comm_decremented"].items():
-                for cell in self._comm:
-                    if cell[0] is spec_at[p]:
-                        cell[1] = rem
-            for p in delta["comm_exhausted"]:
-                self._comm = [
-                    c for c in self._comm if c[0] is not spec_at[p]
-                ]
-            for p in delta["oom_fired"]:
-                self._oom = [s for s in self._oom if s is not spec_at[p]]
-            for p in delta["loss_fired"]:
-                self._loss = [s for s in self._loss if s is not spec_at[p]]
+        for kind, fired in delta["injected"].items():
+            self.injected[kind] = self.injected.get(kind, 0) + fired
+        spec_at = self.plan.faults
+        for p, rem in delta["comm_decremented"].items():
+            for cell in self._comm:
+                if cell[0] is spec_at[p]:
+                    cell[1] = rem
+        for p in delta["comm_exhausted"]:
+            self._comm = [
+                c for c in self._comm if c[0] is not spec_at[p]
+            ]
+        for p in delta["oom_fired"]:
+            self._oom = [s for s in self._oom if s is not spec_at[p]]
+        for p in delta["loss_fired"]:
+            self._loss = [s for s in self._loss if s is not spec_at[p]]
 
     def straggler_factor(self, gpu: int, iteration: int) -> float:
         """Compute-time multiplier for ``gpu`` at ``iteration`` (1.0 = none)."""
         factor = 1.0
-        with self._lock:
-            for spec in self._stragglers:
-                if (spec.gpu == gpu
-                        and spec.iteration <= iteration
-                        < spec.iteration + spec.duration):
-                    factor *= spec.factor
-                    self._count(STRAGGLER)
+        for spec in self._stragglers:
+            if (spec.gpu == gpu
+                    and spec.iteration <= iteration
+                    < spec.iteration + spec.duration):
+                factor *= spec.factor
+                self._count(STRAGGLER)
         return factor

@@ -24,29 +24,53 @@ class TestShippedFramework:
 
 
 GOOD_BACKEND = '''
-class SerialBackend:
-    def map_supersteps(self, fns):
-        return [fn() for fn in fns]
+class ExecutionBackend:
+    def run_iteration(self, enactor, iteration, iteration_obj, frontiers,
+                      inboxes, gpu_indices, guarded=False):
+        results = []
+        for i in gpu_indices:
+            try:
+                eff = enactor._gpu_superstep(
+                    i, iteration, iteration_obj, frontiers[i], inboxes[i]
+                )
+            except DeviceLostError as exc:
+                if not guarded:
+                    raise
+                eff = exc
+            results.append(eff)
+        return results
 
 
-class ThreadsBackend:
-    def map_supersteps(self, fns):
-        futures = [pool.submit(fn) for fn in fns]
-        return [f.result() for f in futures]
+class ProcessesBackend(ExecutionBackend):
+    def run_iteration(self, enactor, iteration, iteration_obj, frontiers,
+                      inboxes, gpu_indices, guarded=False):
+        if len(gpu_indices) <= 1:
+            return super().run_iteration(
+                enactor, iteration, iteration_obj, frontiers, inboxes,
+                gpu_indices, guarded=guarded,
+            )
+        return self._serve(enactor, iteration, gpu_indices, guarded)
 '''
 
 GOOD_ENACTOR = '''
 class Enactor:
     def enact(self):
         while True:
-            step_fns = [(lambda idx=i: step(idx)) for i in range(n)]
-            results = self.backend.map_supersteps(step_fns)
+            gpus = list(range(n))
+            results = self.backend.run_iteration(
+                self, iteration, iteration_obj, frontiers, inboxes, gpus
+            )
             for eff in results:
                 apply(eff)
             self.machine.barrier()
             if done():
                 break
 '''
+
+
+def _mutated_backend(old, new):
+    assert old in GOOD_BACKEND
+    return GOOD_BACKEND.replace(old, new, 1)
 
 
 class TestBackendMutations:
@@ -57,15 +81,26 @@ class TestBackendMutations:
         assert report.all_proved, report.findings
 
     def test_completion_order_gather_flagged(self):
-        bad = '''
-from concurrent.futures import as_completed
-
-
-class ThreadsBackend:
-    def map_supersteps(self, fns):
-        futures = [pool.submit(fn) for fn in fns]
-        return [f.result() for f in as_completed(futures)]
-'''
+        bad = _mutated_backend(
+            '''        results = []
+        for i in gpu_indices:
+            try:
+                eff = enactor._gpu_superstep(
+                    i, iteration, iteration_obj, frontiers[i], inboxes[i]
+                )
+            except DeviceLostError as exc:
+                if not guarded:
+                    raise
+                eff = exc
+            results.append(eff)
+        return results''',
+            '''        futures = [
+            pool.submit(enactor._gpu_superstep, i, iteration,
+                        iteration_obj, frontiers[i], inboxes[i])
+            for i in gpu_indices
+        ]
+        return [f.result() for f in as_completed(futures)]''',
+        )
         report = verify_barrier_discipline(
             backend=("b.py", bad), enactor=("e.py", GOOD_ENACTOR)
         )
@@ -77,25 +112,43 @@ class ThreadsBackend:
         assert all(f.rule_id == "REP113" for f in report.findings)
 
     def test_unprovable_return_order_flagged(self):
+        bad = _mutated_backend(
+            "return results\n", "return sorted(results, key=id)\n"
+        )
+        report = verify_barrier_discipline(
+            backend=("b.py", bad), enactor=("e.py", GOOD_ENACTOR)
+        )
+        assert not report.obligations["backend-return-order"]
+
+    def test_reversed_loop_flagged(self):
+        bad = _mutated_backend(
+            "for i in gpu_indices:", "for i in reversed(gpu_indices):"
+        )
+        report = verify_barrier_discipline(
+            backend=("b.py", bad), enactor=("e.py", GOOD_ENACTOR)
+        )
+        assert not report.obligations["backend-return-order"]
+        assert "backend-return-order" in obligations_of(report.findings)
+
+    def test_filtered_gather_is_not_order_provable(self):
         bad = '''
-class ThreadsBackend:
-    def map_supersteps(self, fns):
-        results = []
-        for fn in fns:
-            results.append(fn())
-        return sorted(results, key=id)
+class T:
+    def run_iteration(self, enactor, iteration, iteration_obj, frontiers,
+                      inboxes, gpu_indices, guarded=False):
+        return [
+            enactor._gpu_superstep(
+                i, iteration, iteration_obj, frontiers[i], inboxes[i]
+            )
+            for i in gpu_indices if frontiers[i].size
+        ]
 '''
         report = verify_barrier_discipline(
             backend=("b.py", bad), enactor=("e.py", GOOD_ENACTOR)
         )
         assert not report.obligations["backend-return-order"]
 
-    def test_filtered_gather_is_not_order_provable(self):
-        bad = '''
-class T:
-    def map_supersteps(self, fns):
-        return [fn() for fn in fns if fn is not None]
-'''
+    def test_backend_without_superstep_loop_flagged(self):
+        bad = GOOD_BACKEND.replace("enactor._gpu_superstep(", "step(")
         report = verify_barrier_discipline(
             backend=("b.py", bad), enactor=("e.py", GOOD_ENACTOR)
         )
@@ -123,9 +176,7 @@ class TestEnactorMutations:
 
     def test_reordered_dispatch_flagged(self):
         bad = GOOD_ENACTOR.replace(
-            "step_fns = [(lambda idx=i: step(idx)) for i in range(n)]",
-            "step_fns = list(reversed("
-            "[(lambda idx=i: step(idx)) for i in range(n)]))",
+            "gpus = list(range(n))", "gpus = list(reversed(range(n)))"
         )
         report = verify_barrier_discipline(
             backend=("b.py", GOOD_BACKEND), enactor=("e.py", bad)
@@ -148,7 +199,9 @@ class TestEnactorMutations:
         bad = '''
 class Enactor:
     def enact(self):
-        results = self.backend.map_supersteps(step_fns)
+        results = self.backend.run_iteration(
+            self, iteration, iteration_obj, frontiers, inboxes, gpus
+        )
         self.machine.barrier()
         return results
 '''

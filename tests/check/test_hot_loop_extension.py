@@ -62,7 +62,7 @@ class TestHotLoopExtension:
 
     def test_method_named_map_not_flagged(self):
         findings = lint_source(
-            hot("        out = ctx.workspace.map(frontier)"), "t.py"
+            hot("        out = ctx.cache.map(frontier)"), "t.py"
         )
         assert "REP104" not in ids_of(findings)
 

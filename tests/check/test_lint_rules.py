@@ -1,4 +1,4 @@
-"""Unit tests for each static lint rule (REP101-REP107) and the waiver
+"""Unit tests for each static lint rule (REP101-REP106) and the waiver
 machinery, plus the self-cleanliness gate: ``src/repro`` must lint clean
 with the default rule set."""
 
@@ -260,55 +260,6 @@ class ToyIteration(IterationBase):
         return frontier, []
 '''
         assert "REP104" in ids_of(lint_source(src, "t.py"))
-
-
-class TestWorkspaceBypassRule:
-    WS_PREAMBLE = '"""doc"""\nimport numpy as np\n'
-
-    def test_alloc_outside_fallback_flagged(self):
-        src = self.WS_PREAMBLE + '''
-def gather(csr, frontier, ws=None):
-    idx = np.arange(10, dtype=np.int64)
-    return idx
-'''
-        findings = lint_source(src, "t.py")
-        assert "REP107" in ids_of(findings)
-
-    def test_alloc_inside_is_none_fallback_ok(self):
-        src = self.WS_PREAMBLE + '''
-def gather(csr, frontier, ws=None):
-    if ws is None:
-        idx = np.arange(10, dtype=np.int64)
-    else:
-        idx = ws.take("idx", 10)
-    return idx
-'''
-        assert "REP107" not in ids_of(lint_source(src, "t.py"))
-
-    def test_alloc_in_orelse_of_is_not_none_ok(self):
-        src = self.WS_PREAMBLE + '''
-def gather(csr, frontier, workspace=None):
-    if workspace is not None:
-        idx = workspace.take("idx", 10)
-    else:
-        idx = np.zeros(10, dtype=np.int64)
-    return idx
-'''
-        assert "REP107" not in ids_of(lint_source(src, "t.py"))
-
-    def test_empty_sentinel_exempt(self):
-        src = self.WS_PREAMBLE + '''
-def gather(csr, frontier, ws=None):
-    return np.empty(0, dtype=np.int64)
-'''
-        assert "REP107" not in ids_of(lint_source(src, "t.py"))
-
-    def test_functions_without_workspace_ignored(self):
-        src = self.WS_PREAMBLE + '''
-def gather(csr, frontier):
-    return np.empty(10, dtype=np.int64)
-'''
-        assert "REP107" not in ids_of(lint_source(src, "t.py"))
 
 
 class TestInfrastructure:

@@ -1,14 +1,12 @@
 """Tentpole: the execution backends are bit-identical by construction.
 
-Serial, threaded, and forked-process dispatch run the same per-GPU
-superstep and the same GPU-index-order merge of staged effects, so
-*everything* the simulation reports — result arrays, the full
-RunMetrics dict (virtual times, per-GPU records, traffic counters),
-sanitizer hazard reports, and tracer span streams — must match bit for
-bit across backends, for every primitive, GPU count, and communication
-mode (BFS/SSSP/BC are selective, DOBFS/CC/PR broadcast).  The same
-holds for the workspace arenas and the compiled-kernel layer: pure
-wall-clock optimizations that must not change any observable.
+Serial and forked-process dispatch run the same per-GPU superstep and
+the same GPU-index-order merge of staged effects, so *everything* the
+simulation reports — result arrays, the full RunMetrics dict (virtual
+times, per-GPU records, traffic counters), sanitizer hazard reports,
+and tracer span streams — must match bit for bit across backends, for
+every primitive, GPU count, and communication mode (BFS/SSSP/BC are
+selective, DOBFS/CC/PR broadcast).
 
 The processes backend additionally must not leak: every test that forks
 workers asserts ``/dev/shm`` holds none of our segments afterwards.
@@ -20,11 +18,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import kernels
 from repro.core.backend import (
+    BACKENDS,
     ProcessesBackend,
     SerialBackend,
-    ThreadsBackend,
     make_backend,
 )
 from repro.core.shm import SHM_PREFIX, SliceManifest
@@ -65,20 +62,6 @@ def _shm_leaks():
 
 @pytest.mark.parametrize("primitive", sorted(RUNNERS))
 @pytest.mark.parametrize("num_gpus", [1, 2, 4])
-def test_threads_bit_identical_to_serial(
-    primitive, num_gpus, small_rmat, weighted_rmat
-):
-    graph = _graph_for(primitive, small_rmat, weighted_rmat)
-    r_ser, m_ser = _run(primitive, graph, num_gpus, backend="serial")
-    r_thr, m_thr = _run(primitive, graph, num_gpus, backend="threads")
-    np.testing.assert_array_equal(r_ser, r_thr)
-    # the full metrics tree, including dict key order (JSON traces
-    # observe it) and every float bit
-    assert json.dumps(m_ser.to_dict()) == json.dumps(m_thr.to_dict())
-
-
-@pytest.mark.parametrize("primitive", sorted(RUNNERS))
-@pytest.mark.parametrize("num_gpus", [1, 2, 4])
 def test_processes_bit_identical_to_serial(
     primitive, num_gpus, small_rmat, weighted_rmat
 ):
@@ -92,66 +75,7 @@ def test_processes_bit_identical_to_serial(
     assert _shm_leaks() == []
 
 
-@pytest.mark.parametrize("primitive", sorted(RUNNERS))
-def test_kernels_bit_identical_to_interpreted(
-    primitive, small_rmat, weighted_rmat
-):
-    """The compiled-kernel layer (or its NumPy fallback when Numba is
-    absent — both paths must hold) changes nothing observable."""
-    graph = _graph_for(primitive, small_rmat, weighted_rmat)
-    r_off, m_off = _run(primitive, graph, 2, backend="serial")
-    kernels.enable()
-    try:
-        assert kernels.is_enabled()
-        r_on, m_on = _run(primitive, graph, 2, backend="serial")
-    finally:
-        kernels.disable()
-    np.testing.assert_array_equal(r_off, r_on)
-    assert json.dumps(m_off.to_dict()) == json.dumps(m_on.to_dict())
-
-
-def test_kernels_with_processes_backend(small_rmat):
-    """Kernels x processes compose: workers inherit the enablement
-    through fork and still reproduce the serial interpreted run."""
-    r_ser, m_ser = _run("bfs", small_rmat, 2, backend="serial")
-    kernels.enable()
-    try:
-        r_prc, m_prc = _run("bfs", small_rmat, 2, backend="processes")
-    finally:
-        kernels.disable()
-    np.testing.assert_array_equal(r_ser, r_prc)
-    assert json.dumps(m_ser.to_dict()) == json.dumps(m_prc.to_dict())
-    assert _shm_leaks() == []
-
-
-def test_kernels_status_reports_layer():
-    st = kernels.status()
-    assert st["enabled"] is False and st["backend"] == "off"
-    kernels.enable()
-    try:
-        st = kernels.status()
-        assert st["enabled"] is True
-        if kernels.HAVE_NUMBA:
-            assert st["backend"] == "numba"
-        else:
-            assert st["backend"] == "numpy-fallback"
-            assert "numba" in (st["error"] or "")
-    finally:
-        kernels.disable()
-
-
-@pytest.mark.parametrize("primitive", sorted(RUNNERS))
-def test_workspace_changes_no_observable(
-    primitive, small_rmat, weighted_rmat
-):
-    graph = _graph_for(primitive, small_rmat, weighted_rmat)
-    r_on, m_on = _run(primitive, graph, 2, use_workspace=True)
-    r_off, m_off = _run(primitive, graph, 2, use_workspace=False)
-    np.testing.assert_array_equal(r_on, r_off)
-    assert json.dumps(m_on.to_dict()) == json.dumps(m_off.to_dict())
-
-
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["processes"])
 @pytest.mark.parametrize("num_gpus", [2, 4])
 def test_sanitizer_reports_identical_across_backends(
     backend, num_gpus, small_rmat
@@ -162,6 +86,22 @@ def test_sanitizer_reports_identical_across_backends(
                     sanitize=True)
     assert m_ser.sanitizer_hazards is not None
     assert m_ser.sanitizer_hazards == m_par.sanitizer_hazards
+    assert _shm_leaks() == []
+
+
+@pytest.mark.parametrize("primitive", sorted(RUNNERS))
+def test_sanitizer_reports_identical_on_two_workers(
+    primitive, small_rmat, weighted_rmat
+):
+    """Four GPUs on two workers: each worker's sanitizer stages ship to
+    the parent and merge into the serial run's report, for every
+    primitive."""
+    graph = _graph_for(primitive, small_rmat, weighted_rmat)
+    _, m_ser = _run(primitive, graph, 4, backend="serial", sanitize=True)
+    _, m_prc = _run(primitive, graph, 4, backend="processes:2",
+                    sanitize=True)
+    assert m_ser.sanitizer_hazards is not None
+    assert m_ser.sanitizer_hazards == m_prc.sanitizer_hazards
     assert _shm_leaks() == []
 
 
@@ -195,7 +135,7 @@ def test_tracer_streams_identical_serial_vs_processes(small_rmat):
     assert _shm_leaks() == []
 
 
-@pytest.mark.parametrize("backend", ["threads:2", "processes:2"])
+@pytest.mark.parametrize("backend", ["processes:2"])
 def test_explicit_worker_count_identical(backend, small_rmat):
     r_ser, m_ser = _run("bfs", small_rmat, 4, backend="serial")
     r_par, m_par = _run("bfs", small_rmat, 4, backend=backend)
@@ -206,10 +146,6 @@ def test_explicit_worker_count_identical(backend, small_rmat):
 def test_make_backend_specs():
     assert isinstance(make_backend(None), SerialBackend)
     assert isinstance(make_backend("serial"), SerialBackend)
-    thr = make_backend("threads", num_gpus=3)
-    assert isinstance(thr, ThreadsBackend) and thr.max_workers == 3
-    thr2 = make_backend("threads:2")
-    assert thr2.max_workers == 2
     prc = make_backend("processes", num_gpus=3)
     assert isinstance(prc, ProcessesBackend) and prc.max_workers == 3
     prc2 = make_backend("processes:2")
@@ -220,31 +156,17 @@ def test_make_backend_specs():
         make_backend("cuda")
 
 
-def test_threads_backend_close_idempotent():
-    be = ThreadsBackend()
-    out = be.map_supersteps([lambda: 1, lambda: 2, lambda: 3])
-    assert out == [1, 2, 3]
-    be.close()
-    be.close()
-    # pool is rebuilt lazily after close
-    assert be.map_supersteps([lambda: 4, lambda: 5]) == [4, 5]
-    be.close()
-
-
-def test_threads_backend_preserves_submission_order():
-    import time
-
-    be = ThreadsBackend(max_workers=4)
-
-    def slow(i):
-        def fn():
-            time.sleep(0.02 * (4 - i))  # earlier tasks finish later
-            return i
-
-        return fn
-
-    assert be.map_supersteps([slow(i) for i in range(4)]) == [0, 1, 2, 3]
-    be.close()
+def test_removed_backend_specs_are_rejected():
+    """Two backends remain; a removed or malformed spec fails at the
+    boundary with one line naming the valid specs."""
+    assert BACKENDS == ("serial", "processes")
+    for spec in ("threads", "threads:2", "serial:2", "processes:x"):
+        with pytest.raises(ValueError) as err:
+            make_backend(spec)
+        assert str(err.value) == (
+            f"unknown execution backend {spec!r}; valid specs: serial, "
+            "processes, processes:N"
+        )
 
 
 class TestSliceManifest:

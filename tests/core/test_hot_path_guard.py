@@ -81,7 +81,7 @@ def _numpy_calls(fn) -> _Seen:
 
 def _profiled_enact(problem, iteration_cls, **enact_kwargs) -> _Seen:
     with Enactor(problem, iteration_cls) as enactor:
-        enactor.enact(**enact_kwargs)  # warm: lazy caches, arena growth
+        enactor.enact(**enact_kwargs)  # warm: lazy caches
         return _numpy_calls(lambda: enactor.enact(**enact_kwargs))
 
 
@@ -168,12 +168,12 @@ def test_segment_reduce_min_indexes_the_edge_list_once():
 # OpStats through ``KernelModel.op_seconds`` and reaches the compute
 # stream once per GPU per superstep; empty frontiers are neither split
 # nor packaged.  The budgets sit ~15 % above what this run measures:
-# 386 calls per 4-GPU superstep and, per GPU-superstep, 3.1 ``op_seconds``
+# 313 calls per 4-GPU superstep and, per GPU-superstep, 3.1 ``op_seconds``
 # and 1.5 ``launch_many`` (one flush, plus one per message sent).  The
 # loop before the ledger made 641 calls, and 4.6 ``Stream.launch`` per
 # GPU-superstep under its 3.1 ``kernel_time``.
 
-PY_CALLS_PER_SUPERSTEP = 444
+PY_CALLS_PER_SUPERSTEP = 360
 COST_MODEL_CALLS_PER_GPU_SUPERSTEP = 3.6
 STREAM_CALLS_PER_GPU_SUPERSTEP = 1.75
 
@@ -212,7 +212,7 @@ def test_superstep_fixed_cost_stays_within_budget():
         graph, Machine(4), partitioner=make_partitioner("metis", seed=1)
     )
     with Enactor(problem, BFSIteration) as enactor:
-        enactor.enact(src=0)  # warm: lazy caches, arena growth
+        enactor.enact(src=0)  # warm: lazy caches
         metrics, total, by_function = _calls_by_function(
             lambda: enactor.enact(src=0)
         )

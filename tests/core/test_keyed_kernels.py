@@ -6,8 +6,7 @@ kernel here is compared with the NumPy idiom the hooks used before
 (``np.unique``, ``np.minimum.at`` / ``np.add.at`` over all items, stable
 ``argsort`` + ``searchsorted``) on hypothesis-drawn inputs that include
 duplicate keys, all-equal keys, ``±inf``, ties, ``n = 1`` and empty
-input — with and without a workspace, whose flag scratch must be
-all-False again afterwards.  Integer results and ``segment_reduce_sum``
+input.  Integer results and ``segment_reduce_sum``
 (which *is* ``np.add.at``) are held to the same bits; the float
 ``segment_reduce_min`` to equality under ``==`` and the same dropped
 keys, which is its contract: it never stores a value that only equals
@@ -23,13 +22,13 @@ from repro.core.comm import split_frontier
 from repro.core.operators import (
     dedup,
     filter_unvisited,
+    member_mask,
     segment_first,
     segment_reduce_min,
     segment_reduce_sum,
     unique_vertices,
 )
 from repro.core.operators.fused import first_witness
-from repro.core.workspace import Workspace
 from repro.graph.generators import generate_rmat
 from repro.partition import DUPLICATE_1HOP, DUPLICATE_ALL, build_subgraphs
 from repro.partition.base import PartitionResult
@@ -55,15 +54,6 @@ def keyed_items(draw, values=_FLOATS, min_items=0):
     return n, np.array(keys, dtype=np.int64), np.array(vals, dtype=np.float64)
 
 
-def _workspaces():
-    return [None, Workspace(0)]
-
-
-def _assert_scratch_clean(ws):
-    if ws is not None and ws._flags is not None:
-        assert not ws._flags.any()
-
-
 def _same_bits(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape
     assert np.array_equal(a, b, equal_nan=True)
@@ -79,11 +69,9 @@ def _same_bits(a, b):
 def test_dedup_equals_unique(item):
     n, keys, _ = item
     want = np.unique(keys)
-    for ws in _workspaces():
-        got = dedup(keys, n, ws)
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-        _assert_scratch_clean(ws)
+    got = dedup(keys, n)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
     got, _stats = unique_vertices(keys, n)
     np.testing.assert_array_equal(got, want)
 
@@ -98,21 +86,24 @@ def test_filter_unvisited_equals_unique_of_unvisited(item, data):
         dtype=np.int64,
     )
     want = np.unique(keys[labels[keys] == -1])
-    for ws in _workspaces():
-        got, stats = filter_unvisited(keys, labels, -1, ws=ws)
-        np.testing.assert_array_equal(got, want)
-        assert (stats.input_size, stats.output_size) == (keys.size, want.size)
-        _assert_scratch_clean(ws)
+    got, stats = filter_unvisited(keys, labels, -1)
+    np.testing.assert_array_equal(got, want)
+    assert (stats.input_size, stats.output_size) == (keys.size, want.size)
 
 
-def test_workspace_flags_grow_all_false():
-    ws = Workspace(0)
-    assert not ws.flags(8).any()
-    dedup(np.array([7, 7, 0]), 8, ws)
-    bigger = ws.flags(1000)
-    assert bigger.size == 1000 and not bigger.any()
-    assert ws.owns(bigger) and ws.stats()["buffers"] == 1
-    assert ws.nbytes >= 1000
+# -- member_mask == np.isin -------------------------------------------------
+
+@SETTINGS
+@given(keyed_items(), st.data())
+def test_member_mask_equals_isin(item, data):
+    n, probe, _ = item
+    members = np.array(
+        data.draw(st.lists(st.integers(0, n - 1), max_size=n)),
+        dtype=np.int64,
+    )
+    got = member_mask(probe, members, n)
+    assert got.dtype == np.bool_
+    np.testing.assert_array_equal(got, np.isin(probe, members))
 
 
 # -- segment_reduce_min == np.minimum.at ------------------------------------
@@ -207,18 +198,9 @@ def test_first_witness_lowest_position_wins(item, data):
         want = _first_witness_by_sort(neighbors, sources, edge_idx, survivors)
     else:
         want = (np.empty(0, np.int64), np.empty(0, np.int64))
-    calls = [
-        lambda: first_witness(neighbors, sources, edge_idx, survivors, n),
-    ]
-    ws = Workspace(0)
-    calls.append(
-        lambda: first_witness(neighbors, sources, edge_idx, survivors, n, ws)
-    )
-    for call in calls:
-        w_src, w_edge = call()
-        np.testing.assert_array_equal(w_src, want[0])
-        np.testing.assert_array_equal(w_edge, want[1])
-    _assert_scratch_clean(ws)
+    w_src, w_edge = first_witness(neighbors, sources, edge_idx, survivors, n)
+    np.testing.assert_array_equal(w_src, want[0])
+    np.testing.assert_array_equal(w_edge, want[1])
 
 
 @SETTINGS
@@ -228,13 +210,12 @@ def test_segment_first_lowest_rank_per_key(item):
     ranks = ranks.astype(np.int64)
     targets = np.unique(keys)
     want = np.array([ranks[keys == t].min() for t in targets])
-    for ws in _workspaces():
-        got = segment_first(keys, ranks, targets, n, ws)
-        np.testing.assert_array_equal(got, want)
-        # a subset of targets: the caller drops the other keys' items
-        mine = np.isin(keys, targets[::2])
-        got = segment_first(keys[mine], ranks[mine], targets[::2], n, ws)
-        np.testing.assert_array_equal(got, want[::2])
+    got = segment_first(keys, ranks, targets, n)
+    np.testing.assert_array_equal(got, want)
+    # a subset of targets: the caller drops the other keys' items
+    mine = np.isin(keys, targets[::2])
+    got = segment_first(keys[mine], ranks[mine], targets[::2], n)
+    np.testing.assert_array_equal(got, want[::2])
 
 
 # -- split_frontier's owner presence == np.unique(hosts) --------------------

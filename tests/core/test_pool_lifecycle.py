@@ -269,7 +269,7 @@ def test_crash_in_second_run_of_a_pool_is_replayed(small_rmat):
     assert _shm_leaks() == []
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 @pytest.mark.parametrize("kind", sorted(RUNNERS))
 def test_one_shots_release_their_backend(
     kind, backend, small_rmat, weighted_rmat

@@ -4,7 +4,7 @@ A traced run of every primitive must produce results and RunMetrics
 bit-identical to an untraced run, on both backends; and because staged
 records merge in GPU-index order at barriers, the span stream itself
 (virtual-clock identity only — ``Span.key()``) must be identical between
-the serial and threads backends.
+the serial backend and two ``processes`` workers.
 """
 
 import json
@@ -46,7 +46,7 @@ def _graph_for(name, small_rmat, weighted_rmat):
 
 
 @pytest.mark.parametrize("primitive", sorted(RUNNERS))
-@pytest.mark.parametrize("backend", ["serial", "threads"])
+@pytest.mark.parametrize("backend", ["serial", "processes:2"])
 def test_traced_run_bit_identical(
     primitive, backend, small_rmat, weighted_rmat
 ):
@@ -68,10 +68,10 @@ def test_span_stream_backend_invariant(
     primitive, small_rmat, weighted_rmat
 ):
     graph = _graph_for(primitive, small_rmat, weighted_rmat)
-    t_ser, t_thr = Tracer(), Tracer()
+    t_ser, t_prc = Tracer(), Tracer()
     _run(primitive, graph, 4, tracer=t_ser, backend="serial")
-    _run(primitive, graph, 4, tracer=t_thr, backend="threads")
-    assert [s.key() for s in t_ser.spans] == [s.key() for s in t_thr.spans]
+    _run(primitive, graph, 4, tracer=t_prc, backend="processes:2")
+    assert [s.key() for s in t_ser.spans] == [s.key() for s in t_prc.spans]
     # structured events too, modulo the wall-clock fields some carry
     def strip(events):
         drop = {"wall_dur", "workers", "backend"}
@@ -81,7 +81,7 @@ def test_span_stream_backend_invariant(
             if e.get("type") != "backend.dispatch"
         ]
 
-    assert strip(t_ser.events) == strip(t_thr.events)
+    assert strip(t_ser.events) == strip(t_prc.events)
 
 
 def test_superstep_spans_cover_every_iteration(small_rmat):

@@ -1,7 +1,5 @@
 """Tracer mechanics: staging, barrier merge order, rollback, wall stats."""
 
-import threading
-
 from repro.obs import COMM_TRACK, EventBus, Tracer
 
 
@@ -40,32 +38,6 @@ class TestBarrierMerge:
             t.end_gpu()
         t.on_barrier(0)
         assert [s.track for s in t.spans] == [0, 1, 3]
-
-    def test_merge_deterministic_under_threads(self):
-        def record(tracer, gpu):
-            tracer.begin_gpu(gpu, 0)
-            tracer.span("op", "advance", float(gpu), 1.0)
-            tracer.instant("superstep.end", vt=float(gpu), gpu=gpu)
-            tracer.op_wall_sample("advance", 0.001)
-            tracer.end_gpu()
-
-        streams = []
-        for _ in range(2):
-            t = Tracer()
-            threads = [
-                threading.Thread(target=record, args=(t, g))
-                for g in (2, 0, 3, 1)
-            ]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join()
-            t.on_barrier(0)
-            streams.append(
-                ([s.key() for s in t.spans], t.events, dict(t.op_wall))
-            )
-        assert streams[0] == streams[1]
-        assert [k[2] for k in streams[0][0]] == [0, 1, 2, 3]
 
     def test_drop_staged_discards_and_reopens_bracket(self):
         t = Tracer()
@@ -106,8 +78,8 @@ class TestBusAndViews:
 
     def test_begin_run_sets_metadata_and_emits(self):
         t = Tracer()
-        t.begin_run("bfs", 4, "threads")
-        assert (t.primitive, t.num_gpus, t.backend) == ("bfs", 4, "threads")
+        t.begin_run("bfs", 4, "processes")
+        assert (t.primitive, t.num_gpus, t.backend) == ("bfs", 4, "processes")
         (e,) = t.events_of("run.begin")
         assert e["vt"] == 0.0 and e["num_gpus"] == 4
 

@@ -294,9 +294,8 @@ class TestFixedRoute:
             backend: identity.run_case(
                 graphs, "rmat", "pr", 4, backend, traced=True
             )
-            for backend in ("serial", "threads", "processes:2")
+            for backend in ("serial", "processes:2")
         }
-        assert replayed["threads"] == replayed["serial"]
         assert replayed["processes:2"] == replayed["serial"]
         pr = identity.VARIANTS["pr"]
         monkeypatch.setitem(

@@ -66,6 +66,23 @@ class TestRun:
         with pytest.raises(SystemExit):
             run_cli("run", "apsp")
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_removed_backend_rejected_in_one_line(self, command, capsys):
+        code, text = run_cli(
+            command, "bfs", "--dataset", "soc-LiveJournal1",
+            "--backend", "threads",
+        )
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err == (
+            f"repro {command}: unknown execution backend 'threads'; "
+            "valid specs: serial, processes, processes:N\n"
+        )
+
+    def test_kernels_flag_removed(self):
+        with pytest.raises(SystemExit):
+            run_cli("run", "bfs", "--kernels")
+
 
 class TestPartition:
     def test_compares_three(self):
@@ -214,6 +231,25 @@ class TestChaos:
         )
         assert code == 0
         assert "2/2 recovered" in text
+
+    def test_default_matrix_compares_serial_and_processes(self):
+        import inspect
+
+        from repro.chaos import run_chaos_matrix
+
+        default = inspect.signature(run_chaos_matrix).parameters["backends"]
+        assert default.default == ("serial", "processes")
+        code, text = run_cli(
+            "chaos", "--gpus", "2", "--primitives", "bfs",
+            "--kinds", "transient-comm",
+        )
+        assert code == 0
+        assert "2/2 recovered" in text
+        assert "serial" in text and "processes" in text
+
+    def test_removed_backend_not_a_choice(self):
+        with pytest.raises(SystemExit):
+            run_cli("chaos", "--backends", "threads")
 
 
 def _faulted_trace(tmp_path):
