@@ -15,18 +15,14 @@ modules and the framework itself:
 * :mod:`~repro.check.deep.modelcheck` +
   :mod:`~repro.check.deep.schedules` — the superstep interleaving model
   checker (``--mc``): hot hooks compile to per-GPU effect summaries
-  whose schedules are exhaustively explored under strict and relaxed
-  barrier models, emitting :class:`ScheduleCertificate` (REP116
-  non-commutative-effects, REP117 relaxed-barrier-unsafe) with
+  whose strict-barrier schedules are exhaustively explored, emitting
+  :class:`ScheduleCertificate` (REP116 non-commutative-effects) with
   replayable counterexample schedules;
-* :mod:`~repro.check.deep.sarif` — SARIF 2.1.0 output for CI ingestion;
-* :mod:`~repro.check.deep.baseline` — fingerprint-based suppression so
-  CI gates on *new* findings only;
-* :mod:`~repro.check.deep.cache` — per-file mtime+hash memoization of
-  ``--deep``/``--mc`` results under ``.repro-check-cache/``.
+* :mod:`~repro.check.deep.sarif` — SARIF 2.1.0 output for CI ingestion.
 
 Inline waivers (``# repro-check: disable=REP111 -- reason``) apply to
-deep findings exactly as they do to syntactic ones.
+deep findings exactly as they do to syntactic ones; they are the one
+way to suppress a finding.
 """
 
 from __future__ import annotations
@@ -47,22 +43,9 @@ from .certify import (
     CombinerCertificate,
     certify_combiner,
     certify_module,
-    certify_problem_combiners,
 )
 from .interp import DEEP_INTERP_RULES, analyze_module
-from .baseline import (
-    fingerprint,
-    load_baseline,
-    split_baselined,
-    write_baseline,
-)
-from .cache import ANALYSIS_VERSION, DEFAULT_CACHE_DIR, DeepCheckCache
-from .modelcheck import (
-    DEEP_MC_RULES,
-    ScheduleCertificate,
-    certify_schedule_for,
-    modelcheck_module,
-)
+from .modelcheck import DEEP_MC_RULES, ScheduleCertificate, modelcheck_module
 from .sarif import findings_to_sarif
 
 __all__ = [
@@ -74,18 +57,9 @@ __all__ = [
     "CombinerCertificate",
     "ScheduleCertificate",
     "certify_combiner",
-    "certify_problem_combiners",
-    "certify_schedule_for",
     "verify_barrier_discipline",
     "BarrierReport",
     "findings_to_sarif",
-    "fingerprint",
-    "load_baseline",
-    "split_baselined",
-    "write_baseline",
-    "DeepCheckCache",
-    "DEFAULT_CACHE_DIR",
-    "ANALYSIS_VERSION",
 ]
 
 #: rule_id -> (name, description) for every rule this tier can emit
@@ -106,7 +80,6 @@ class DeepReport:
     schedule_certificates: List[ScheduleCertificate] = field(
         default_factory=list)
     barrier: Optional[BarrierReport] = None
-    cache_note: str = ""
 
     def render_certificates(self) -> str:
         if not self.certificates:
@@ -155,7 +128,7 @@ def deep_analyze_source(
 def modelcheck_source(
     source: str, path: str = "<string>"
 ) -> Tuple[List[Finding], List[ScheduleCertificate]]:
-    """Model-check one source string (REP116/REP117 + schedule certs).
+    """Model-check one source string (REP116 + schedule certs).
 
     Waivers are honored; findings come back sorted by (line, col, rule).
     """
@@ -182,63 +155,33 @@ def deep_analyze_paths(
     verify_framework: bool = True,
     deep: bool = True,
     mc: bool = False,
-    cache: Optional[DeepCheckCache] = None,
 ) -> DeepReport:
     """Run the requested deep tiers over every ``.py`` file under paths.
 
     ``deep`` runs the abstract-interpretation + combiner-certification
     tier (REP110–114); ``mc`` runs the superstep interleaving model
-    checker (REP116/117).  ``verify_framework`` additionally runs the
+    checker (REP116).  ``verify_framework`` additionally runs the
     barrier-discipline verifier over the installed ``repro.core``
     backend/enactor (part of the ``deep`` tier: their obligations hold
     for every run regardless of which primitive paths were analyzed).
-    ``cache`` (a :class:`DeepCheckCache`) skips re-analysis of files
-    whose content is unchanged.  Findings are globally sorted by (path,
-    line, col, rule) for stable CI diffs.
+    Findings are globally sorted by (path, line, col, rule) for stable
+    CI diffs.
     """
     report = DeepReport()
     for f in iter_python_files(paths):
         source = f.read_text(encoding="utf-8")
         path = str(f)
         if deep:
-            payload = cache.get(path, source, "deep") if cache else None
-            if payload is not None:
-                findings = [Finding.from_dict(d)
-                            for d in payload.get("findings", [])]
-                certs = [CombinerCertificate.from_dict(d)
-                         for d in payload.get("certificates", [])]
-            else:
-                findings, certs = deep_analyze_source(source, path)
-                if cache is not None:
-                    cache.put(path, source, "deep", {
-                        "findings": [x.to_dict() for x in findings],
-                        "certificates": [x.to_dict() for x in certs],
-                    })
+            findings, certs = deep_analyze_source(source, path)
             report.findings.extend(findings)
             report.certificates.extend(certs)
         if mc:
-            payload = cache.get(path, source, "mc") if cache else None
-            if payload is not None:
-                findings = [Finding.from_dict(d)
-                            for d in payload.get("findings", [])]
-                scerts = [ScheduleCertificate.from_dict(d)
-                          for d in payload.get("schedule_certificates", [])]
-            else:
-                findings, scerts = modelcheck_source(source, path)
-                if cache is not None:
-                    cache.put(path, source, "mc", {
-                        "findings": [x.to_dict() for x in findings],
-                        "schedule_certificates": [
-                            x.to_dict() for x in scerts],
-                    })
+            findings, scerts = modelcheck_source(source, path)
             report.findings.extend(findings)
             report.schedule_certificates.extend(scerts)
     if deep and verify_framework:
         report.barrier = verify_barrier_discipline()
         report.findings.extend(report.barrier.findings)
-    if cache is not None:
-        cache.save()
-        report.cache_note = cache.describe()
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     report.certificates.sort(key=lambda c: (c.array, c.op))
     report.schedule_certificates.sort(key=lambda c: (c.path, c.primitive))

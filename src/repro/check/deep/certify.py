@@ -1,9 +1,9 @@
 """Algebraic combiner certification (REP114) and CombinerCertificate.
 
 A :class:`~repro.core.combine.Combiner` carries programmer *claims*
-(``commutative=True``, ``idempotent=True``).  The BSP race sanitizer and
-the planned relaxed-barrier mode both trust those flags, so a wrong claim
-silently converts a data race into "benign".  This module closes the loop:
+(``commutative=True``, ``idempotent=True``).  The BSP race sanitizer
+trusts those flags, so a wrong claim silently converts a data race into
+"benign".  This module closes the loop:
 each combiner op name resolves to concrete merge semantics
 (:func:`repro.core.combine.op_semantics`) which are evaluated
 **exhaustively** over a small finite domain —
@@ -23,17 +23,13 @@ safety margin, not correctness.
 
 Ops registered with ``fn=None`` (``witness``) are *declared
 nondeterministic*: there is no merge function to certify, so they are
-exempt from equational checks but can never be certified for
-relaxed-barrier execution.
+exempt from equational checks and never certified order-independent.
 
-Two entry points:
-
-* :func:`certify_module` — static, AST-based, used by
-  ``repro check --deep``; resolves ``combiners = {...}`` declarations in
-  problem classes without importing the module.
-* :func:`certify_problem_combiners` — runtime, used by the
-  :class:`~repro.core.enactor.Enactor` ``relaxed_barriers`` precondition
-  on live :class:`Combiner` instances.
+The entry point is :func:`certify_module` — static, AST-based, used by
+``repro check --deep``; it resolves ``combiners = {...}`` declarations
+in problem classes without importing the module.  The model checker
+(:mod:`~repro.check.deep.modelcheck`) folds each array by the algebra
+certified here.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ __all__ = [
     "CombinerCertificate",
     "evaluate_op",
     "certify_combiner",
-    "certify_problem_combiners",
     "certify_module",
     "declared_combiners",
     "DEEP_CERTIFY_RULES",
@@ -97,9 +92,10 @@ class CombinerCertificate:
 
     @property
     def certified_order_independent(self) -> bool:
-        """Whether this certificate licenses relaxed-barrier merging:
-        the evaluation proved BOTH idempotency and commutativity (the
-        declaration alone is never enough)."""
+        """Whether merges into this array may be applied in any order
+        and more than once without changing the result: the evaluation
+        proved BOTH idempotency and commutativity (the declaration alone
+        is never enough)."""
         return (
             self.status == STATUS_CERTIFIED
             and bool(self.idempotent)
@@ -137,27 +133,6 @@ class CombinerCertificate:
             "certified_order_independent": self.certified_order_independent,
             "note": self.note,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CombinerCertificate":
-        declared = d.get("declared", {})
-        evaluated = d.get("evaluated", {})
-        return cls(
-            array=d["array"],
-            op=d["op"],
-            status=d["status"],
-            declared_commutative=bool(declared.get("commutative", False)),
-            declared_idempotent=bool(declared.get("idempotent", False)),
-            idempotent=evaluated.get("idempotent"),
-            commutative=evaluated.get("commutative"),
-            associative=evaluated.get("associative"),
-            domain=tuple(d.get("domain", ())),
-            counterexamples={
-                k: tuple(v)
-                for k, v in d.get("counterexamples", {}).items()
-            },
-            note=d.get("note", ""),
-        )
 
     def describe(self) -> str:
         props = []
@@ -252,23 +227,6 @@ def certify_combiner(array: str, combiner: Combiner) -> CombinerCertificate:
             **{**cert.__dict__, "status": STATUS_REFUTED}
         )
     return cert
-
-
-def certify_problem_combiners(
-    problem, arrays: Optional[List[str]] = None
-) -> Dict[str, CombinerCertificate]:
-    """Certify a live problem's declared combiners (Enactor entry point).
-
-    ``arrays`` restricts certification to the slice arrays actually in
-    play (e.g. only those allocated on the data slices); by default every
-    declared combiner is certified.
-    """
-    certs: Dict[str, CombinerCertificate] = {}
-    for name, combiner in sorted(problem.combiners.items()):
-        if arrays is not None and name not in arrays:
-            continue
-        certs[name] = certify_combiner(name, combiner)
-    return certs
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,8 @@
-"""Superstep interleaving model checker (REP116/REP117).
+"""Superstep interleaving model checker (REP116).
 
 Compiles each primitive's hot hooks into per-GPU **effect summaries**
-and exhaustively explores their interleavings across 2–3 virtual GPUs
-(:mod:`repro.check.deep.schedules`), under both the strict barrier-merge
-order and the relaxed model where a GPU consumes partial remote data
-for superstep i+1 (ROADMAP item 7).
+and exhaustively explores their strict-barrier interleavings across 2–3
+virtual GPUs (:mod:`repro.check.deep.schedules`).
 
 Effect extraction piggybacks on the REP110–112 abstract interpreter: a
 :class:`_EffectInterp` subclass of :class:`interp._HookInterp` keeps two
@@ -19,9 +17,8 @@ channel the base interpreter already funnels through
 * ``("peer", name)``   — content of a peer GPU's slice array
 
 ``transformed`` distinguishes an identity *forward* of a source (which
-an idempotent set fold absorbs — this is what proves CC safe) from a
-value *computed* from it (which depends on the merge timing — this is
-what refutes SSSP).  Subscript taint is the **base** array's taint only:
+an idempotent set fold absorbs) from a value *computed* from it (which
+depends on when the source was written).  Subscript taint is the **base** array's taint only:
 indices are structural, so ``comp[src]`` stays a pure forward of
 ``comp``.
 
@@ -40,25 +37,16 @@ deterministic):
   cross-array taint closure (PR's acc → rank → share flow), computed
   order-insensitively so cross-superstep flows are covered.
 
-Two rules:
-
-* **REP116** (error): some strict-barrier interleaving changes the
-  final state — a non-commutative effect pair escapes the pinned
-  merge order (peer-slice or message-payload writes void the pin).
-* **REP117** (warning): strict order is deterministic but the relaxed
-  model diverges — the primitive must not run with
-  ``Enactor(relaxed_barriers=True)``.
-
-Both come with a minimal counterexample: a pair of replayable schedule
-traces (see ``schedules.TRACE_VERSION``) renderable via
-``obs/chrome_trace.py``.
+**REP116** (error): some strict-barrier interleaving changes the final
+state — a non-commutative effect pair escapes the pinned merge order
+(peer-slice or message-payload writes void the pin).  It comes with a
+minimal counterexample: a pair of replayable schedule traces (see
+``schedules.TRACE_VERSION``) renderable via ``obs/chrome_trace.py``.
 """
 
 from __future__ import annotations
 
 import ast
-import os
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -87,8 +75,6 @@ from .lattice import (
 )
 from .schedules import (
     FOLD_EXCLUDED,
-    FOLD_MULTISET,
-    FOLD_SEQ,
     ArrayModel,
     Effect,
     ExploreResult,
@@ -102,7 +88,6 @@ __all__ = [
     "DEEP_MC_RULES",
     "ScheduleCertificate",
     "modelcheck_module",
-    "certify_schedule_for",
     "extract_program",
     "MC_GPUS",
     "MC_HORIZON",
@@ -115,12 +100,6 @@ DEEP_MC_RULES = {
         "must reach the same final state; a divergence means an effect "
         "pair escapes the pinned merge order",
     ),
-    "REP117": (
-        "relaxed-barrier-unsafe",
-        "a primitive whose schedule exploration diverges when a GPU "
-        "consumes partial remote data for superstep i+1 must not run "
-        "with Enactor(relaxed_barriers=True)",
-    ),
 }
 
 #: virtual GPU counts and superstep horizon the checker explores
@@ -131,6 +110,9 @@ MC_HORIZON = 2
 MC_CERTIFIED = "certified"
 MC_REFUTED = "refuted"
 MC_INCONCLUSIVE = "inconclusive"
+
+#: message payload field -> payload slot kind in ``_payload_map``
+_PAYLOAD_FIELDS = {"vertex_associates": "v", "value_associates": "l"}
 
 _EMPTY_TAINT = (frozenset(), False)
 _ITER_SRC = ("iter",)
@@ -552,6 +534,17 @@ def extract_program(ctx: ModuleContext, cls: ast.ClassDef,
         spec = (("const", "%s:%d" % (raw.hook, raw.line))
                 if raw.kind == "reset"
                 else _value_spec(raw, resolved, paymap, modeled))
+        if raw.kind == "msgwrite":
+            # a payload-view write lands in whichever sender arrays the
+            # written payload field can carry
+            payk = _PAYLOAD_FIELDS.get(raw.array)
+            expand.extend(
+                Effect(kind="msgwrite", array=name, value=spec,
+                       hook=raw.hook, line=raw.line)
+                for name in sorted(set().union(*(
+                    names for (k, _i), names in paymap.items()
+                    if k == payk)) & modeled))
+            continue
         eff = Effect(kind=raw.kind, array=raw.array, value=spec,
                      hook=raw.hook, line=raw.line)
         if raw.hook == "expand_incoming":
@@ -583,41 +576,27 @@ def extract_program(ctx: ModuleContext, cls: ast.ClassDef,
 
 @dataclass
 class ScheduleCertificate:
-    """Machine-checkable record of one primitive's schedule exploration.
-
-    The second certification tier for ``Enactor(relaxed_barriers=True)``:
-    tier 1 (:class:`CombinerCertificate`) proves each combiner's algebra
-    order-independent; this tier proves the *composition* of the
-    primitive's effects reaches a unique final state under every
-    schedule the relaxed model admits."""
+    """Machine-checkable record of one primitive's schedule exploration:
+    whether every strict-barrier schedule of its effect summaries
+    reaches the same final state, and how much was explored to show
+    it."""
 
     primitive: str  # iteration class name
     path: str
     status: str  # certified | refuted | inconclusive
     strict_deterministic: bool
-    relaxed_safe: bool
     gpus: Tuple[int, ...]
     horizon: int
     #: array -> {"op": ..., "fold": ...}
     arrays: Dict[str, dict] = field(default_factory=dict)
     excluded: Tuple[str, ...] = ()
-    #: model -> {"states", "schedules", "pruned", "exhausted",
-    #: "final_states"} summed over the explored GPU counts
-    explored: Dict[str, dict] = field(default_factory=dict)
+    #: {"states", "schedules", "pruned", "exhausted", "final_states"}
+    #: summed over the explored GPU counts
+    explored: Dict[str, object] = field(default_factory=dict)
     independence: Tuple[str, ...] = ()
-    reasons: Tuple[str, ...] = ()
     counterexample: Optional[dict] = None
     attr_writes: Tuple[Tuple[str, bool], ...] = ()
-    version: int = 1
-
-    @property
-    def certified_relaxed_safe(self) -> bool:
-        """Whether this certificate licenses relaxed-barrier execution:
-        the exploration must have been exhaustive AND divergence-free
-        under both models."""
-        return (self.status == MC_CERTIFIED
-                and self.strict_deterministic
-                and self.relaxed_safe)
+    version: int = 2
 
     def to_dict(self) -> dict:
         return {
@@ -625,45 +604,20 @@ class ScheduleCertificate:
             "path": self.path,
             "status": self.status,
             "strict_deterministic": self.strict_deterministic,
-            "relaxed_safe": self.relaxed_safe,
-            "certified_relaxed_safe": self.certified_relaxed_safe,
             "gpus": list(self.gpus),
             "horizon": self.horizon,
             "arrays": {k: dict(v) for k, v in sorted(self.arrays.items())},
             "excluded": list(self.excluded),
-            "explored": {k: dict(v) for k, v in sorted(
-                self.explored.items())},
+            "explored": dict(self.explored),
             "independence": list(self.independence),
-            "reasons": list(self.reasons),
             "counterexample": self.counterexample,
             "attr_writes": [list(a) for a in self.attr_writes],
             "version": self.version,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScheduleCertificate":
-        return cls(
-            primitive=d["primitive"],
-            path=d.get("path", ""),
-            status=d["status"],
-            strict_deterministic=bool(d["strict_deterministic"]),
-            relaxed_safe=bool(d["relaxed_safe"]),
-            gpus=tuple(d.get("gpus", MC_GPUS)),
-            horizon=int(d.get("horizon", MC_HORIZON)),
-            arrays={k: dict(v) for k, v in d.get("arrays", {}).items()},
-            excluded=tuple(d.get("excluded", ())),
-            explored={k: dict(v) for k, v in d.get("explored", {}).items()},
-            independence=tuple(d.get("independence", ())),
-            reasons=tuple(d.get("reasons", ())),
-            counterexample=d.get("counterexample"),
-            attr_writes=tuple(tuple(a) for a in d.get("attr_writes", ())),
-            version=int(d.get("version", 1)),
-        )
-
     def describe(self) -> str:
-        verdict = ("relaxed-safe" if self.certified_relaxed_safe else
-                   "strict-only" if self.strict_deterministic else
-                   "non-deterministic")
+        verdict = ("deterministic" if self.strict_deterministic
+                   else "non-deterministic")
         folds = ", ".join("%s:%s/%s" % (k, v["op"], v["fold"])
                           for k, v in sorted(self.arrays.items()))
         return "%s: %s [%s] (%s)" % (
@@ -696,43 +650,6 @@ def _problem_certs_for(iter_cls_name: str,
     for _pname, certs in sorted(per_cls.items()):
         merged.update(certs)
     return merged
-
-
-def _unsafe_reasons(program: GpuProgram, arrays: List[ArrayModel]) -> list:
-    """Deterministic explanations of *why* the relaxed model can
-    diverge, derived from the same static facts that drive the POR."""
-    kinds = {a.name: a.fold for a in arrays if a.fold != FOLD_EXCLUDED}
-    ops = {a.name: a.op for a in arrays}
-    remote_in = {e.array for e in program.expand
-                 if e.kind in ("apply", "reset") and e.array in kinds}
-    reasons: List[str] = []
-    for a in sorted(remote_in):
-        if kinds[a] == FOLD_MULTISET:
-            reasons.append(
-                "'%s': non-idempotent '%s' merge double-applies a "
-                "re-delivered straggler update" % (a, ops[a]))
-        elif kinds[a] == FOLD_SEQ:
-            reasons.append(
-                "'%s': non-commutative '%s' merge is order-sensitive"
-                % (a, ops[a]))
-    for eff in program.core:
-        if eff.kind == "reset" and eff.array in remote_in:
-            reasons.append(
-                "'%s' is reset mid-superstep (%s:%d) while straggler "
-                "merges may still land in the old epoch"
-                % (eff.array, eff.hook, eff.line))
-        reads: FrozenSet[str] = frozenset()
-        if eff.value[0] == "fwd":
-            reads = frozenset([eff.value[1]]) - {eff.array}
-        elif eff.value[0] == "expr":
-            reads = eff.value[2]
-        hit = reads & remote_in
-        if hit:
-            reasons.append(
-                "'%s' update (%s:%d) is computed from {%s}, a snapshot "
-                "a late merge changes" % (
-                    eff.array, eff.hook, eff.line, ", ".join(sorted(hit))))
-    return reasons
 
 
 def _sum_results(results: List[ExploreResult]) -> dict:
@@ -770,30 +687,19 @@ def modelcheck_module(
         summary = extract_program(ctx, icls, certs)
         program, arrays = summary.program, summary.arrays
 
-        strict = [explore(program, arrays, num_gpus=g, horizon=horizon,
-                          relaxed=False) for g in gpus]
-        relaxed = [explore(program, arrays, num_gpus=g, horizon=horizon,
-                           relaxed=True) for g in gpus]
-        strict_det = all(r.deterministic for r in strict)
-        relaxed_safe = all(r.deterministic for r in relaxed)
-        diverged = (any(r.divergent_choices is not None for r in strict)
-                    or any(r.divergent_choices is not None for r in relaxed))
-        exhausted = (all(r.exhausted for r in strict)
-                     and all(r.exhausted for r in relaxed))
-        status = (MC_REFUTED if diverged
-                  else MC_CERTIFIED if exhausted
+        results = [explore(program, arrays, num_gpus=g, horizon=horizon)
+                   for g in gpus]
+        strict_det = all(r.deterministic for r in results)
+        bad = next((r for r in results if r.divergent_choices is not None),
+                   None)
+        status = (MC_REFUTED if bad is not None
+                  else MC_CERTIFIED if all(r.exhausted for r in results)
                   else MC_INCONCLUSIVE)
-
-        bad = next((r for r in strict if r.divergent_choices is not None),
-                   None) or next(
-            (r for r in relaxed if r.divergent_choices is not None), None)
         counterexample = (build_counterexample(
             program, arrays, bad, primitive=icls.name)
             if bad is not None else None)
-        reasons = (_unsafe_reasons(program, arrays)
-                   if not (strict_det and relaxed_safe) else [])
         independence: List[str] = []
-        for r in relaxed + strict:
+        for r in results:
             for note in r.independence:
                 if note not in independence:
                     independence.append(note)
@@ -803,15 +709,12 @@ def modelcheck_module(
             path=ctx.path,
             status=status,
             strict_deterministic=strict_det,
-            relaxed_safe=relaxed_safe,
             gpus=tuple(gpus),
             horizon=horizon,
             arrays={a.name: {"op": a.op, "fold": a.fold} for a in arrays},
             excluded=summary.excluded,
-            explored={"strict": _sum_results(strict),
-                      "relaxed": _sum_results(relaxed)},
+            explored=_sum_results(results),
             independence=tuple(independence),
-            reasons=tuple(reasons),
             counterexample=counterexample,
             attr_writes=summary.attr_writes,
         )
@@ -838,60 +741,7 @@ def modelcheck_module(
                     "writes; minimal counterexample schedule attached "
                     "to the ScheduleCertificate" % (icls.name, detail)),
                 extra={"cls": icls.name, "arrays": arrays_txt,
-                       "mc_states": str(cert.explored["strict"]["states"])},
-            ))
-        elif not relaxed_safe:
-            first_line = min(
-                (e.line for e in program.expand
-                 if e.kind in ("apply", "reset")), default=icls.lineno)
-            findings.append(Finding(
-                rule_id="REP117",
-                rule=DEEP_MC_RULES["REP117"][0],
-                path=ctx.path,
-                line=first_line,
-                col=1,
-                severity="warning",
-                message=(
-                    "%s is relaxed-barrier-unsafe: consuming partial "
-                    "remote data for superstep i+1 diverges (%s); "
-                    "counterexample schedule attached to the "
-                    "ScheduleCertificate" % (
-                        icls.name,
-                        "; ".join(reasons[:3]) or "schedule divergence")),
-                extra={"cls": icls.name, "arrays": arrays_txt,
-                       "mc_states": str(
-                           cert.explored["relaxed"]["states"])},
+                       "mc_states": str(cert.explored["states"])},
             ))
     certificates.sort(key=lambda c: c.primitive)
     return findings, certificates
-
-
-# ---------------------------------------------------------------------------
-# runtime gate (tier 2 of Enactor(relaxed_barriers=True))
-# ---------------------------------------------------------------------------
-
-_RUNTIME_MEMO: Dict[Tuple[str, int], List[ScheduleCertificate]] = {}
-
-
-def certify_schedule_for(iteration_cls) -> Optional[ScheduleCertificate]:
-    """Statically model-check the module defining ``iteration_cls`` and
-    return its certificate (memoized per (file, mtime))."""
-    module = sys.modules.get(getattr(iteration_cls, "__module__", ""))
-    path = getattr(module, "__file__", None)
-    if not path or not os.path.exists(path):
-        return None
-    key = (path, os.stat(path).st_mtime_ns)
-    certs = _RUNTIME_MEMO.get(key)
-    if certs is None:
-        with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        try:
-            mctx = ModuleContext.parse(path, source)
-        except SyntaxError:
-            return None
-        _findings, certs = modelcheck_module(mctx)
-        _RUNTIME_MEMO[key] = certs
-    for cert in certs:
-        if cert.primitive == iteration_cls.__name__:
-            return cert
-    return None

@@ -30,8 +30,7 @@ _LEVELS = {"error": "error", "warning": "warning", "note": "note"}
 #: ``defaultConfiguration`` so dashboards triage them correctly even
 #: before any finding exists)
 _RULE_DEFAULT_LEVELS = {
-    "REP116": "error",    # strict-barrier divergence: broken contract
-    "REP117": "warning",  # relaxed-unsafe: only bites with opt-in mode
+    "REP116": "error",  # strict-barrier divergence: broken contract
 }
 
 #: expanded guidance for rules whose one-line description is not enough
@@ -47,17 +46,6 @@ _RULE_FULL_DESCRIPTIONS = {
         "carries a minimal counterexample: a witness/divergent pair of "
         "replayable schedule traces (repro check --mc --trace-out DIR "
         "renders them for Perfetto)."
-    ),
-    "REP117": (
-        "The primitive is deterministic under strict barriers but "
-        "diverges in the relaxed model where a GPU consumes partial "
-        "remote data for superstep i+1 (late or duplicated straggler "
-        "merges). It must not run with Enactor(relaxed_barriers=True); "
-        "the enactor refuses unless the primitive's "
-        "ScheduleCertificate proves relaxed safety. The certificate "
-        "records which array/fold pair breaks (non-idempotent sum "
-        "folds, mid-superstep resets, or value reads of remote-merged "
-        "state) plus the counterexample schedule pair."
     ),
 }
 

@@ -1,7 +1,7 @@
 """Schedule-space exploration for the superstep model checker.
 
-This module is the *dynamic* half of the relaxed-barrier model checker
-(the static half — compiling hot hooks into effect summaries — lives in
+This module is the *dynamic* half of the superstep model checker (the
+static half — compiling hot hooks into effect summaries — lives in
 :mod:`repro.check.deep.modelcheck`).  It takes a per-GPU effect program
 and exhaustively enumerates the schedules the framework can produce on
 2–3 virtual GPUs over a small bounded horizon, in the style of stateless
@@ -27,48 +27,36 @@ declared flags:
                   ordered sequence; everything matters.
 
 Update terms carry digests of the folds they were derived from, so a
-value computed from a *partial* remote snapshot produces a different
-term than one computed from the fully-merged state — exactly the
-divergence channel relaxed barriers open.
+value computed from a peer's write or a payload-view write produces a
+different term depending on when that write landed.
 
-Schedule models
----------------
-``strict``   — the framework contract: all messages from superstep *k*
-               are merged at barrier *k* in pinned (sender, receiver)
-               lexicographic order (the REP113 discipline).  Compute
-               phases are only interleaved when a program writes peer
-               or message state (REP111/REP106 territory), which is
-               what REP116 flags.
-``relaxed``  — ROADMAP item 7: each message may additionally be merged
-               *late* (after the receiver already ran superstep k+1 on
-               partial data) and may be merged *twice* (at-least-once
-               re-delivery when a straggler merge races the catch-up
-               path).
+Schedule model
+--------------
+The framework contract is strict BSP: all messages from superstep *k*
+are merged at barrier *k* in pinned (sender, receiver) lexicographic
+order (the REP113 discipline), each exactly once.  Two choice
+dimensions remain, and each is explored only when a program can make it
+matter (static independence facts, recorded in the certificate):
 
-Partial-order reduction
------------------------
-Branches are pruned with static independence facts (sleep sets):
+* compute-phase interleavings, when some hook writes a peer's slice;
+* barrier delivery orders, when some merge writes through payload
+  views.
 
-* the late/early slot choice is only explored when the receiver's next
-  compute actually *reads* (or resets, or re-ships) state the merge
-  writes;
-* the duplicate-delivery choice is only explored when some merge target
-  is not an idempotent ``set`` fold;
-* compute-phase interleavings are only explored when peer/message
-  writes make the phases dependent;
-* reached states are memoized on a canonical digest.
+A program with neither has exactly one schedule per GPU count; every
+shipped primitive is such a program.  Reached states are memoized on a
+canonical digest.
 
 Everything here is deterministic: no randomness, no wall clock, and all
 iteration orders are sorted, so the same program always yields the same
-verdict, counters, and counterexample — which is what lets the findings
-be baselined and the certificates be byte-stable in CI.
+verdict, counters, and counterexample — which is what keeps the
+certificates byte-stable in CI.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -85,7 +73,6 @@ __all__ = [
     "explore",
     "replay",
     "build_counterexample",
-    "explore_op_schedules",
     "schedule_trace_to_tracer",
     "TRACE_VERSION",
 ]
@@ -100,7 +87,7 @@ FOLD_SEQ = "seq"
 FOLD_EXCLUDED = "excluded"
 
 #: version of the replayable schedule-trace JSON documents
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 
 def fold_kind_for(idempotent: Optional[bool], commutative: Optional[bool],
@@ -185,9 +172,8 @@ class GpuProgram:
 
 @dataclass
 class ExploreResult:
-    """Outcome of one exploration of one model."""
+    """Outcome of one exploration."""
 
-    model: str  # "strict" | "relaxed"
     num_gpus: int
     horizon: int
     deterministic: bool
@@ -264,6 +250,8 @@ class _Machine:
                       if a.fold != FOLD_EXCLUDED}
         self.payload = tuple(sorted(
             a for a in program.payload_arrays if a in self.kinds))
+        self.has_comm = bool(self.payload) or any(
+            e.kind in ("apply", "reset", "msgwrite") for e in program.expand)
         self.events: Optional[list] = None  # set by replay
 
     # -- state ----------------------------------------------------------
@@ -287,9 +275,7 @@ class _Machine:
         if tag == "const":
             return ("const", spec[1])
         if tag == "iter":
-            # a message is always consumed *for* superstep send_step+1,
-            # whatever the delivery slot — ctx.iteration reads the same
-            # either way, so the term must not depend on the slot
+            # a merged message is consumed *for* superstep send_step+1
             return ("iter", step if send_step is None else send_step + 1)
         if tag == "fwd":
             src = spec[1]
@@ -383,33 +369,40 @@ class _Machine:
     def snapshot_payload(self, gpu: int, folds: dict) -> dict:
         return {a: folds[(gpu, a)] for a in self.payload}
 
-    def deliver(self, msg: tuple, folds: dict, copies: int, slot: str,
-                step: int) -> None:
+    def messages(self, step: int, folds: dict) -> list:
+        """Every (sender, receiver, step, payload snapshot) of one
+        superstep, in pinned (sender, receiver) order."""
+        if not self.has_comm:
+            return []
+        gpus = range(self.num_gpus)
+        snaps = {g: self.snapshot_payload(g, folds) for g in gpus}
+        return [(g, r, step, snaps[g]) for g in gpus for r in gpus
+                if r != g]
+
+    def deliver(self, msg: tuple, folds: dict, step: int) -> None:
         """Merge one message: ``msg = (sender, receiver, send_step,
         payload_snapshot)``."""
         sender, receiver, send_step, payload = msg
-        for _ in range(copies):
-            self._emit({"ev": "deliver", "step": step, "gpu": receiver,
-                        "from": sender, "sent_step": send_step,
-                        "slot": slot, "copies": copies})
-            for eff in self.program.expand:
-                if eff.kind == "msgwrite":
-                    # writing through payload views mutates the
-                    # *sender's* arrays (they alias under zero-copy
-                    # comm) — the hazard REP111 flags dynamically
-                    if (sender, eff.array) in folds:
-                        k = self.kinds[eff.array]
-                        folds[(sender, eff.array)] = _fold_add(
-                            k, folds[(sender, eff.array)],
-                            ("msgwrite", receiver, step, eff.line))
-                        self._emit({"ev": "msg-write", "step": step,
-                                    "gpu": receiver, "peer": sender,
-                                    "array": eff.array, "line": eff.line})
-                    continue
-                if eff.kind == "peer":
-                    continue
-                self._apply(eff, receiver, step, folds,
-                            payload=payload, send_step=send_step)
+        self._emit({"ev": "deliver", "step": step, "gpu": receiver,
+                    "from": sender, "sent_step": send_step})
+        for eff in self.program.expand:
+            if eff.kind == "msgwrite":
+                # writing through payload views mutates the *sender's*
+                # arrays (they alias under zero-copy comm) — the hazard
+                # REP111 flags dynamically
+                if (sender, eff.array) in folds:
+                    k = self.kinds[eff.array]
+                    folds[(sender, eff.array)] = _fold_add(
+                        k, folds[(sender, eff.array)],
+                        ("msgwrite", receiver, step, eff.line))
+                    self._emit({"ev": "msg-write", "step": step,
+                                "gpu": receiver, "peer": sender,
+                                "array": eff.array, "line": eff.line})
+                continue
+            if eff.kind == "peer":
+                continue
+            self._apply(eff, receiver, step, folds,
+                        payload=payload, send_step=send_step)
 
 
 # ---------------------------------------------------------------------------
@@ -417,23 +410,14 @@ class _Machine:
 # ---------------------------------------------------------------------------
 
 
-def _expand_written(program: GpuProgram, kinds: dict) -> frozenset:
-    """Arrays that receive *remote* contributions at merge time."""
-    return frozenset(e.array for e in program.expand
-                     if e.kind in ("apply", "reset") and e.array in kinds)
-
-
-def _independence(program: GpuProgram, kinds: dict,
-                  relaxed: bool) -> Tuple[bool, bool, bool, bool, list]:
+def _independence(program: GpuProgram) -> Tuple[bool, bool, list]:
     """Compute which choice dimensions need branching.
 
-    Returns ``(peer_branch, msg_branch, slot_branch, dup_branch,
-    notes)``.  A dimension that does not branch is a proven
-    independence fact, recorded in ``notes`` for the certificate.
+    Returns ``(peer_branch, msg_branch, notes)``.  A dimension that does
+    not branch is a proven independence fact, recorded in ``notes`` for
+    the certificate.
     """
     notes: List[str] = []
-    remote_in = _expand_written(program, kinds)
-
     peer_branch = any(e.kind == "peer" for e in program.core)
     if not peer_branch:
         notes.append("compute phases are pairwise independent "
@@ -442,44 +426,7 @@ def _independence(program: GpuProgram, kinds: dict,
     if not msg_branch:
         notes.append("merges do not write through payload views: "
                      "barrier merge order stays pinned (REP113)")
-
-    slot_branch = dup_branch = False
-    if relaxed and remote_in:
-        # late merge can only matter if the receiver's next superstep
-        # observes the difference: via a value read, via the payload it
-        # re-ships, via a reset racing the straggler, or because the
-        # fold itself is order-sensitive
-        for eff in program.core:
-            if eff.kind == "reset" and eff.array in remote_in:
-                slot_branch = True
-            reads: frozenset = frozenset()
-            if eff.value[0] == "fwd":
-                reads = frozenset([eff.value[1]]) - {eff.array}
-            elif eff.value[0] == "expr":
-                reads = eff.value[2]
-            if reads & remote_in:
-                slot_branch = True
-        if program.payload_arrays & remote_in:
-            slot_branch = True
-        if any(kinds.get(a) == FOLD_SEQ for a in remote_in):
-            slot_branch = True
-        # a duplicate delivery is absorbed iff every merge target is an
-        # idempotent set fold and no merge value depends on receiver
-        # state mutated by the first copy
-        for eff in program.expand:
-            if eff.kind != "apply" or eff.array not in kinds:
-                continue
-            if kinds[eff.array] != FOLD_SET:
-                dup_branch = True
-            if eff.value[0] == "expr" and eff.value[2] & frozenset(kinds):
-                dup_branch = True
-    if relaxed and not slot_branch:
-        notes.append("superstep i+1 never observes whether a straggler "
-                     "merge already landed: early/late slot collapsed")
-    if relaxed and not dup_branch:
-        notes.append("every merge target is an idempotent set fold: "
-                     "at-least-once re-delivery collapsed")
-    return peer_branch, msg_branch, slot_branch, dup_branch, notes
+    return peer_branch, msg_branch, notes
 
 
 # ---------------------------------------------------------------------------
@@ -496,29 +443,23 @@ class _Budget(Exception):
 
 
 def explore(program: GpuProgram, arrays: Sequence[ArrayModel],
-            num_gpus: int = 2, horizon: int = 2, relaxed: bool = False,
+            num_gpus: int = 2, horizon: int = 2,
             max_states: int = 20000,
             stop_on_divergence: bool = True) -> ExploreResult:
-    """Enumerate every schedule of ``program`` under one barrier model.
+    """Enumerate every strict-barrier schedule of ``program``.
 
     Safe (deterministic) verdicts require ``exhausted``; refutations
     stop at the second distinct final state and return the two choice
     sequences that disagree.
     """
     m = _Machine(program, arrays, num_gpus)
-    kinds = m.kinds
-    peer_b, msg_b, slot_b, dup_b, notes = _independence(
-        program, kinds, relaxed)
+    peer_b, msg_b, notes = _independence(program)
     gpus = range(num_gpus)
     counters = {"states": 0, "schedules": 0, "pruned": 0}
     visited: set = set()
     finals: Dict[str, list] = {}
 
-    has_comm = bool(m.payload) or any(
-        e.kind in ("apply", "reset", "msgwrite") for e in program.expand)
-
-    def run_step(step: int, folds: dict, stragglers: tuple,
-                 choices: list) -> None:
+    def run_step(step: int, folds: dict, choices: list) -> None:
         if step == horizon:
             counters["schedules"] += 1
             d = m.digest(folds)
@@ -527,7 +468,7 @@ def explore(program: GpuProgram, arrays: Sequence[ArrayModel],
                 if len(finals) > 1 and stop_on_divergence:
                     raise _Diverged
             return
-        key = (step, m.digest(folds), canon(stragglers))
+        key = (step, m.digest(folds))
         if key in visited:
             counters["pruned"] += 1
             return
@@ -540,54 +481,23 @@ def explore(program: GpuProgram, arrays: Sequence[ArrayModel],
                   else [tuple(gpus)])
         for order in orders:
             f2 = dict(folds)
-            msgs = []
             for g in order:
                 m.compute(g, step, f2)
-            if has_comm:
-                for g in gpus:  # send snapshots, pinned order
-                    snap = m.snapshot_payload(g, f2)
-                    for r in gpus:
-                        if r != g:
-                            msgs.append((g, r, step, snap))
-            # stragglers chosen 'late' at step-1 merge now, after this
-            # step's computes and send snapshots (the straggler lands
-            # while superstep `step` runs; its output already shipped)
-            for (smsg, copies) in stragglers:
-                m.deliver(smsg, f2, copies, "late", step)
-            last = step == horizon - 1
-            slot_opts = ("bar", "late") if (relaxed and slot_b
-                                            and not last) else ("bar",)
-            dup_opts = (1, 2) if (relaxed and dup_b) else (1,)
-            opts = [(s, c) for s in slot_opts for c in dup_opts]
-            if relaxed:
-                full = (2 if not last else 1) * 2
-                counters["pruned"] += len(msgs) * (full - len(opts))
-            combos = product(opts, repeat=len(msgs)) if msgs else [()]
-            for combo in combos:
+            msgs = m.messages(step, f2)
+            d_orders = (list(permutations(range(len(msgs))))
+                        if msg_b and len(msgs) > 1
+                        else [tuple(range(len(msgs)))])
+            for d_order in d_orders:
                 f3 = dict(f2)
-                strag2 = []
-                bar = [(msg, c) for msg, (s, c) in zip(msgs, combo)
-                       if s == "bar"]
-                d_orders = (list(permutations(range(len(bar))))
-                            if msg_b and len(bar) > 1
-                            else [tuple(range(len(bar)))])
-                for d_order in d_orders:
-                    f4 = dict(f3)
-                    for i in d_order:
-                        msg, copies = bar[i]
-                        m.deliver(msg, f4, copies, "bar", step)
-                    strag2 = tuple(
-                        (msg, c) for msg, (s, c) in zip(msgs, combo)
-                        if s == "late")
-                    rec = {"step": step, "order": list(order),
-                           "msgs": [[msg[0], msg[1], s, c]
-                                    for msg, (s, c) in zip(msgs, combo)],
-                           "deliver_order": list(d_order)}
-                    run_step(step + 1, f4, strag2, choices + [rec])
+                for i in d_order:
+                    m.deliver(msgs[i], f3, step)
+                rec = {"step": step, "order": list(order),
+                       "deliver_order": list(d_order)}
+                run_step(step + 1, f3, choices + [rec])
 
     exhausted = True
     try:
-        run_step(0, m.initial_folds(), (), [])
+        run_step(0, m.initial_folds(), [])
     except _Diverged:
         exhausted = False
     except _Budget:
@@ -598,7 +508,6 @@ def explore(program: GpuProgram, arrays: Sequence[ArrayModel],
     witness = finals[keys[0]] if keys else None
     divergent = finals[keys[1]] if len(keys) > 1 else None
     return ExploreResult(
-        model="relaxed" if relaxed else "strict",
         num_gpus=num_gpus,
         horizon=horizon,
         deterministic=det,
@@ -620,7 +529,7 @@ def explore(program: GpuProgram, arrays: Sequence[ArrayModel],
 
 def replay(program: GpuProgram, arrays: Sequence[ArrayModel],
            num_gpus: int, horizon: int, choices: list,
-           model: str = "relaxed", primitive: str = "") -> dict:
+           primitive: str = "") -> dict:
     """Re-execute one recorded schedule, returning the trace document.
 
     The document is self-contained and replayable: feeding its
@@ -630,41 +539,21 @@ def replay(program: GpuProgram, arrays: Sequence[ArrayModel],
     m = _Machine(program, arrays, num_gpus)
     m.events = []
     folds = m.initial_folds()
-    stragglers: tuple = ()
     by_step = {c["step"]: c for c in choices}
     for step in range(horizon):
         rec = by_step.get(step, {"order": list(range(num_gpus)),
-                                 "msgs": [], "deliver_order": []})
+                                 "deliver_order": []})
         for g in rec["order"]:
             m.compute(g, step, folds)
-        msgs = []
-        snaps = {g: m.snapshot_payload(g, folds) for g in range(num_gpus)}
-        for g in range(num_gpus):
-            for r in range(num_gpus):
-                if r != g:
-                    msgs.append((g, r, step, snaps[g]))
+        msgs = m.messages(step, folds)
         m.events.append({"ev": "send", "step": step,
                          "payload": sorted(m.payload)})
-        for (smsg, copies) in stragglers:
-            m.deliver(smsg, folds, copies, "late", step)
-        plan = rec["msgs"] or [[s, r, "bar", 1] for (s, r, _k, _p) in msgs]
-        bar = []
-        strag2 = []
-        for msg, (_s, _r, slot, copies) in zip(msgs, plan):
-            if slot == "bar":
-                bar.append((msg, copies))
-            else:
-                strag2.append((msg, copies))
-        order = rec.get("deliver_order") or list(range(len(bar)))
-        for i in order:
-            msg, copies = bar[i]
-            m.deliver(msg, folds, copies, "bar", step)
+        for i in rec.get("deliver_order") or range(len(msgs)):
+            m.deliver(msgs[i], folds, step)
         m.events.append({"ev": "barrier", "step": step})
-        stragglers = tuple(strag2)
     return {
         "version": TRACE_VERSION,
         "primitive": primitive,
-        "model": model,
         "gpus": num_gpus,
         "horizon": horizon,
         "choices": choices,
@@ -681,11 +570,9 @@ def build_counterexample(program: GpuProgram, arrays: Sequence[ArrayModel],
     if result.divergent_choices is None:
         return None
     witness = replay(program, arrays, result.num_gpus, result.horizon,
-                     result.witness_choices or [], model=result.model,
-                     primitive=primitive)
+                     result.witness_choices or [], primitive=primitive)
     divergent = replay(program, arrays, result.num_gpus, result.horizon,
-                       result.divergent_choices, model=result.model,
-                       primitive=primitive)
+                       result.divergent_choices, primitive=primitive)
     first = 0
     wc = witness["choices"]
     dc = divergent["choices"]
@@ -694,62 +581,11 @@ def build_counterexample(program: GpuProgram, arrays: Sequence[ArrayModel],
             first = i
             break
     return {
-        "model": result.model,
         "gpus": result.num_gpus,
         "horizon": result.horizon,
         "first_divergent_step": first,
         "witness": witness,
         "divergent": divergent,
-    }
-
-
-# ---------------------------------------------------------------------------
-# concrete mode: schedule exploration over a real binary op
-# ---------------------------------------------------------------------------
-
-
-def explore_op_schedules(fn, domain: Sequence) -> dict:
-    """Explore merge schedules of a *concrete* combiner function.
-
-    Two virtual contributors each deliver one update into a shared
-    accumulator; the schedule space is (a) the two delivery orders and
-    (b) an at-least-once re-delivery of a single update.  The op is
-    order-independent iff every delivery order reaches the same final
-    value for every start state and update pair, and redelivery-safe
-    iff merging the same update twice equals merging it once.
-
-    This quantifies over exactly the same space as
-    :func:`repro.check.deep.certify.evaluate_op`'s commutativity and
-    idempotency formulas — by construction, so the two provers must
-    agree (the property test in ``tests/check/test_mc_property.py``
-    enforces that).
-    """
-    order_cex = None
-    dup_cex = None
-    for s in domain:
-        for a in domain:
-            for b in domain:
-                finals = set()
-                trace = {}
-                for perm in permutations((a, b)):
-                    v = s
-                    for upd in perm:
-                        v = fn(v, upd)
-                    finals.add(v)
-                    trace[perm] = v
-                if len(finals) > 1 and order_cex is None:
-                    order_cex = {"start": s, "updates": (a, b),
-                                 "finals": trace}
-            once = fn(s, a)
-            twice = fn(once, a)
-            if twice != once and dup_cex is None:
-                dup_cex = {"start": s, "update": a,
-                           "once": once, "twice": twice}
-    return {
-        "order_independent": order_cex is None,
-        "redelivery_safe": dup_cex is None,
-        "order_counterexample": order_cex,
-        "redelivery_counterexample": dup_cex,
     }
 
 
@@ -764,8 +600,7 @@ def schedule_trace_to_tracer(doc: dict, divergent_step: Optional[int] = None):
 
     Each compute event becomes an ``op`` span on its GPU track wrapped
     in a per-step ``superstep`` span; merges become ``comm`` spans on
-    the shared communication row, annotated with their slot and copy
-    count; the first divergent step (if given) gets an
+    the shared communication row; the first divergent step (if given) gets an
     ``mc.divergence`` instant.
     """
     from ...obs.tracer import COMM_TRACK, Span, Tracer
@@ -773,7 +608,7 @@ def schedule_trace_to_tracer(doc: dict, divergent_step: Optional[int] = None):
     num_gpus = int(doc.get("gpus", 2))
     tracer = Tracer()
     tracer.primitive = doc.get("primitive", "") or "modelcheck"
-    tracer.backend = "mc-%s" % doc.get("model", "strict")
+    tracer.backend = "mc"
     tracer.num_gpus = num_gpus
     cursor = [0.0] * num_gpus
     comm_cursor = [0.0]
@@ -806,9 +641,8 @@ def schedule_trace_to_tracer(doc: dict, divergent_step: Optional[int] = None):
                       if k not in ("ev",)}))
             cursor[g] += 0.5
         elif kind == "deliver":
-            comm_span("merge %s->%s [%s x%d]" % (
-                ev.get("from"), ev.get("gpu"), ev.get("slot", "bar"),
-                int(ev.get("copies", 1))), step,
+            comm_span("merge %s->%s" % (ev.get("from"), ev.get("gpu")),
+                      step,
                 {k: v for k, v in sorted(ev.items()) if k != "ev"})
         elif kind in ("peer-write", "msg-write"):
             comm_span("%s %s->%s '%s'" % (

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 __all__ = ["Finding", "render_findings", "findings_to_json"]
 
@@ -48,19 +48,6 @@ class Finding:
         if self.extra:
             d["extra"] = dict(self.extra)
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Finding":
-        return cls(
-            rule_id=d["rule_id"],
-            rule=d["rule"],
-            path=d["path"],
-            line=int(d["line"]),
-            col=int(d["col"]),
-            message=d["message"],
-            severity=d.get("severity", "error"),
-            extra=dict(d.get("extra", {})),
-        )
 
     def render(self) -> str:
         return (

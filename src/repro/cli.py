@@ -204,27 +204,17 @@ def _build_parser() -> argparse.ArgumentParser:
                             "and combiner certification (REP114)")
     check.add_argument("--mc", action="store_true",
                        help="also run the superstep interleaving model "
-                            "checker: explore strict/relaxed barrier "
+                            "checker: explore the strict-barrier "
                             "schedules of each primitive's effect "
-                            "summaries (REP116-117) and emit "
+                            "summaries (REP116) and emit "
                             "ScheduleCertificates")
     check.add_argument("--trace-out", metavar="DIR", dest="trace_out",
                        help="with --mc: write each counterexample as a "
                             "replayable schedule JSON plus a Perfetto-"
                             "loadable Chrome trace under DIR")
-    check.add_argument("--no-cache", action="store_true", dest="no_cache",
-                       help="disable the per-file result cache under "
-                            ".repro-check-cache/ for --deep/--mc")
     check.add_argument("--sarif", nargs="?", const="-", metavar="FILE",
                        help="emit SARIF 2.1.0 (to FILE, or stdout when "
                             "no file is given)")
-    check.add_argument("--baseline", metavar="FILE",
-                       help="suppress findings recorded in this baseline "
-                            "file; only new findings fail the gate")
-    check.add_argument("--write-baseline", metavar="FILE",
-                       dest="write_baseline",
-                       help="record the current findings as the baseline "
-                            "and exit 0")
     return p
 
 
@@ -613,6 +603,10 @@ def _cmd_check(args, out) -> int:
 
     from .check import findings_to_json, lint_paths, render_findings
 
+    if args.trace_out and not args.mc:
+        print("repro check: error: --trace-out requires --mc",
+              file=sys.stderr)
+        return 2
     paths = args.paths
     if not paths:
         # default: lint the installed repro package itself
@@ -623,22 +617,17 @@ def _cmd_check(args, out) -> int:
     try:
         findings = lint_paths(paths)
         if args.deep or args.mc:
-            from .check.deep import DeepCheckCache, deep_analyze_paths
+            from .check.deep import deep_analyze_paths
 
-            cache = None if args.no_cache else DeepCheckCache()
             deep_report = deep_analyze_paths(
-                paths, deep=args.deep, mc=args.mc, cache=cache
+                paths, deep=args.deep, mc=args.mc
             )
             findings.extend(deep_report.findings)
-            if deep_report.cache_note:
-                # stderr only: stdout must stay byte-stable for CI diffs
-                print(f"repro check: {deep_report.cache_note}",
-                      file=sys.stderr)
     except OSError as exc:
         print(f"repro check: error: {exc}", file=sys.stderr)
         return 2
 
-    if args.trace_out and deep_report is not None:
+    if args.trace_out:
         from .check.deep.schedules import (
             dump_trace,
             schedule_trace_to_tracer,
@@ -673,31 +662,6 @@ def _cmd_check(args, out) -> int:
     # stable order for CI diffs, across files and tiers
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
 
-    suppressed = []
-    if args.baseline:
-        from .check.deep import load_baseline, split_baselined
-
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"repro check: error: {exc}", file=sys.stderr)
-            return 2
-        findings, suppressed = split_baselined(findings, baseline)
-    if args.write_baseline:
-        from .check.deep import write_baseline
-
-        try:
-            n = write_baseline(args.write_baseline, findings)
-        except OSError as exc:
-            print(f"repro check: error: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"repro check: wrote {n} suppression"
-            f"{'s' if n != 1 else ''} to {args.write_baseline}",
-            file=out,
-        )
-        return 0
-
     if args.sarif is not None:
         from .check.deep import DEEP_RULES, findings_to_sarif
         from .check.rules import default_rules
@@ -731,8 +695,6 @@ def _cmd_check(args, out) -> int:
                 ]
             if deep_report.barrier is not None:
                 doc["barrier"] = deep_report.barrier.to_dict()
-        if suppressed:
-            doc["suppressed"] = len(suppressed)
         print(_json.dumps(doc, indent=2, sort_keys=True), file=out)
     else:
         print(render_findings(findings), file=out)
@@ -744,12 +706,6 @@ def _cmd_check(args, out) -> int:
                       file=out)
             if deep_report.barrier is not None:
                 print(deep_report.barrier.describe(), file=out)
-        if suppressed:
-            print(
-                f"repro check: {len(suppressed)} baselined finding"
-                f"{'s' if len(suppressed) != 1 else ''} suppressed",
-                file=out,
-            )
     return 1 if findings else 0
 
 

@@ -96,11 +96,11 @@ OVERWRITE = Combiner("overwrite", commutative=False, idempotent=False)
 # The deep analysis tier (``repro check --deep``, repro.check.deep.certify)
 # verifies the claims by exhaustively evaluating the operator's concrete
 # semantics over a small finite domain and emits a machine-checkable
-# CombinerCertificate; the Enactor's relaxed-barrier precondition consumes
-# those certificates.  Ops registered with ``fn=None`` are declared
-# nondeterministic (any concurrently-written value is acceptable, e.g.
-# ``witness``): they have no equational semantics to certify and can never
-# be certified for relaxed-barrier execution.
+# CombinerCertificate; the model checker (``repro check --mc``) folds each
+# array by the certified algebra.  Ops registered with ``fn=None`` are
+# declared nondeterministic (any concurrently-written value is acceptable,
+# e.g. ``witness``): they have no equational semantics to certify and are
+# excluded from the model checker's final-state comparison.
 
 
 @dataclass(frozen=True)

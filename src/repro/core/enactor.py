@@ -221,32 +221,6 @@ class Enactor:
         hook site, the ``sim/faults.py`` discipline (lint rule REP109);
         attached, it also makes the superstep's charge ledger apply
         every charge as it is made (a span needs its op's start time).
-    relaxed_barriers:
-        Opt in to the (future) relaxed-barrier execution mode (ROADMAP
-        item 7).  Gated by a **two-tier certification precondition**
-        (docs/static_analysis.md, "relaxed-barrier certificate
-        contract"):
-
-        1. every combiner declared for an array actually allocated on
-           the data slices must carry a :class:`CombinerCertificate`
-           (``repro.check.deep.certify``) proving — by exhaustive
-           evaluation, not by trusting the declaration — that its merge
-           op is idempotent *and* commutative;
-        2. the iteration class must carry a
-           :class:`~repro.check.deep.modelcheck.ScheduleCertificate`
-           proving — by exhaustive schedule exploration
-           (``repro check --mc``) — that the *composition* of its
-           effects reaches a unique final state under every relaxed
-           interleaving.  Tier 1 certifies each merge in isolation;
-           only tier 2 rules out cross-effect divergence like a value
-           computed from a partial remote snapshot (SSSP's MIN combiner
-           passes tier 1 yet the primitive is relaxed-unsafe).
-
-        Failing either tier raises :class:`SimulationError` at
-        construction.  The certificates are kept in
-        ``self.combiner_certificates`` / ``self.schedule_certificate``.
-        Execution semantics are unchanged today: this lands the safety
-        gate before the relaxation itself.
     supervise:
         Enable the real-process supervision layer
         (:mod:`repro.core.supervise`, docs/robustness.md): heartbeats,
@@ -283,7 +257,6 @@ class Enactor:
         checkpoint_path: Optional[str] = None,
         recovery: Optional[RecoveryPolicy] = None,
         tracer: Optional[Tracer] = None,
-        relaxed_barriers: bool = False,
         supervise: bool = False,
         supervision=None,
         flight_recorder: Optional[FlightRecorder] = None,
@@ -343,77 +316,8 @@ class Enactor:
             self.supervisor.tracer = tracer
             self.supervisor.recorder = flight_recorder
             self.backend.supervisor = self.supervisor
-        self.relaxed_barriers = relaxed_barriers
-        self.combiner_certificates: dict = {}
-        self.schedule_certificate = None
-        if relaxed_barriers:
-            self._certify_combiners()
-            self._certify_schedule()
         self._setup_buffers()
         self.backend.bind(self)
-
-    def _certify_combiners(self) -> None:
-        """Relaxed-barrier precondition: every combiner guarding a live
-        slice array must be *certified* idempotent + commutative by the
-        deep tier's exhaustive evaluation — a declaration alone is never
-        enough.  Arrays the problem declares combiners for but does not
-        allocate in this configuration (e.g. BFS ``preds`` without
-        ``mark_predecessors``) are out of play and not required."""
-        from ..check.deep.certify import certify_problem_combiners
-
-        live = list(self.problem.data_slices[0].arrays) if (
-            self.problem.data_slices
-        ) else None
-        self.combiner_certificates = certify_problem_combiners(
-            self.problem, arrays=live
-        )
-        failures = [
-            cert for cert in self.combiner_certificates.values()
-            if not cert.certified_order_independent
-        ]
-        if failures:
-            detail = "; ".join(
-                f"{c.array}: op '{c.op}' is {c.status}"
-                + (f" (counterexamples: {sorted(c.counterexamples)})"
-                   if c.counterexamples else "")
-                for c in failures
-            )
-            raise SimulationError(
-                "relaxed_barriers requires every live combiner to be "
-                "certified idempotent and commutative by exhaustive "
-                f"evaluation; refused for {detail}",
-                site="enactor.certify",
-            )
-
-    def _certify_schedule(self) -> None:
-        """Relaxed-barrier precondition, tier 2: the iteration class
-        must hold a ScheduleCertificate from the superstep interleaving
-        model checker proving every relaxed schedule of its effect
-        summaries converges.  Combiner algebra alone (tier 1) cannot see
-        cross-effect hazards — a MIN-combined array read back into a new
-        update diverges under a late straggler merge even though every
-        individual merge commutes."""
-        from ..check.deep.modelcheck import certify_schedule_for
-
-        cert = certify_schedule_for(self.iteration_cls)
-        self.schedule_certificate = cert
-        if cert is None:
-            raise SimulationError(
-                "relaxed_barriers requires a ScheduleCertificate for "
-                f"{self.iteration_cls.__name__}, but its module could "
-                "not be model-checked (source unavailable or "
-                "unparseable); run `repro check --mc` on the primitive",
-                site="enactor.certify",
-            )
-        if not cert.certified_relaxed_safe:
-            detail = "; ".join(cert.reasons) or (
-                "exploration was %s" % cert.status)
-            raise SimulationError(
-                "relaxed_barriers requires the schedule exploration to "
-                "certify every relaxed interleaving convergent; refused "
-                f"for {self.iteration_cls.__name__}: {detail}",
-                site="enactor.certify",
-            )
 
     def _setup_buffers(self) -> None:
         """Size frontier/intermediate/comm buffers on every device pool.

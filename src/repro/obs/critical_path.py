@@ -7,8 +7,7 @@ chain serially on the virtual clock, the barrier joins them, and the
 superstep ends when the *slowest* chain ends.  The critical path of the
 run is therefore the concatenation of each superstep's longest chain
 plus the barrier sync latency — everything else is slack, and every
-second of slack is a second a faster schedule (ROADMAP item 7) could
-recover.
+second of slack is a second a faster schedule could recover.
 
 For every superstep the analyzer reports the critical GPU, the length
 of its chain, and each non-critical GPU's slack *attributed into the
@@ -19,7 +18,7 @@ over ``g``.  Summing buckets over supersteps reconciles with
 :func:`repro.obs.profile.profile_rows` — same spans, same
 ``term_of_span`` mapping.
 
-Two counterfactuals seed the overlap/async work:
+Two counterfactuals bound what a schedule change could win:
 
 * **zero-comm** — replay every superstep with the H bucket deleted
   (perfect comm/compute overlap); bounded above by the serial span sum,

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.check.deep.schedules import TRACE_VERSION
 from repro.cli import main
 
 
@@ -97,17 +98,15 @@ class TestExitCodes:
             run_cli("check", "--frobnicate", clean_file)
         assert exc.value.code == 2
 
-    def test_bad_baseline_file_is_two(self, clean_file, tmp_path):
-        bl = tmp_path / "baseline.json"
-        bl.write_text("{}", encoding="utf-8")
-        code, _ = run_cli("check", "--baseline", str(bl), clean_file)
-        assert code == 2
-
-    def test_missing_baseline_file_is_two(self, clean_file, tmp_path):
-        code, _ = run_cli(
-            "check", "--baseline", str(tmp_path / "none.json"), clean_file
-        )
-        assert code == 2
+    def test_trace_out_without_mc_is_usage_error(self, clean_file,
+                                                  tmp_path, capsys):
+        for tier in ([], ["--deep"]):
+            outdir = tmp_path / "traces"
+            code, out = run_cli("check", *tier, "--trace-out",
+                                str(outdir), clean_file)
+            assert code == 2 and out == ""
+            assert "--trace-out requires --mc" in capsys.readouterr().err
+            assert not outdir.exists()
 
 
 class TestDeepCli:
@@ -154,20 +153,6 @@ class TestDeepCli:
         doc = json.loads(sarif_path.read_text(encoding="utf-8"))
         assert doc["runs"][0]["results"]
 
-    def test_baseline_gate_roundtrip(self, tmp_path):
-        p = tmp_path / "toy.py"
-        p.write_text(TOY_REJECT, encoding="utf-8")
-        bl = tmp_path / "baseline.json"
-        code, out = run_cli(
-            "check", "--deep", "--write-baseline", str(bl), str(p)
-        )
-        assert code == 0 and "wrote" in out
-        code, out = run_cli(
-            "check", "--deep", "--baseline", str(bl), str(p)
-        )
-        assert code == 0
-        assert "suppressed" in out
-
 
 MC_UNSAFE_SRC = '''
 """doc"""
@@ -176,20 +161,19 @@ from repro.core.iteration import IterationBase
 from repro.core.combine import Combiner
 
 
-class AccProblem(ProblemBase):
-    combiners = {"acc": Combiner("sum", commutative=True)}
+class PokeProblem(ProblemBase):
+    combiners = {"state": Combiner("min", commutative=True,
+                                   idempotent=True)}
 
 
-class AccIteration(IterationBase):
+class PokeIteration(IterationBase):
     def full_queue_core(self, ctx, frontier):
-        ctx.slice["acc"][frontier] += 1
+        peer = self.problem.data_slices[1]["state"]
+        peer[frontier] = ctx.slice["state"][frontier] + 1
         return frontier, []
 
     def expand_incoming(self, ctx, msg):
-        ctx.slice["acc"][msg.vertices] += msg.label_values[0]
-
-    def value_associate_arrays(self, ctx, vertices):
-        return [ctx.slice["acc"][vertices]]
+        return msg
 '''
 
 
@@ -197,70 +181,58 @@ class TestMcCli:
     """--mc follows the same 0/1/2 contract as the other tiers."""
 
     def test_mc_clean_is_zero_with_certificates(self, clean_file):
-        code, out = run_cli("check", "--mc", "--no-cache", clean_file)
+        code, out = run_cli("check", "--mc", clean_file)
         assert code == 0
         assert "schedule certificates:" in out
 
     def test_mc_findings_is_one(self, tmp_path):
-        p = tmp_path / "acc.py"
+        p = tmp_path / "poke.py"
         p.write_text(MC_UNSAFE_SRC, encoding="utf-8")
-        code, out = run_cli("check", "--mc", "--no-cache", str(p))
+        code, out = run_cli("check", "--mc", str(p))
         assert code == 1
-        assert "REP117" in out
-        assert "strict-only [refuted]" in out
+        assert "REP116" in out
+        assert "non-deterministic [refuted]" in out
 
     def test_mc_json_carries_schedule_certificates(self, tmp_path):
-        p = tmp_path / "acc.py"
+        p = tmp_path / "poke.py"
         p.write_text(MC_UNSAFE_SRC, encoding="utf-8")
         code, out = run_cli(
-            "check", "--mc", "--no-cache", "--json", str(p))
+            "check", "--mc", "--json", str(p))
         assert code == 1
         doc = json.loads(out)
-        assert doc["by_rule"].get("REP117", 0) == 1
+        assert doc["by_rule"].get("REP116", 0) == 1
         certs = doc["schedule_certificates"]
-        assert certs and certs[0]["primitive"] == "AccIteration"
+        assert certs and certs[0]["primitive"] == "PokeIteration"
         assert certs[0]["counterexample"] is not None
 
     def test_mc_missing_path_is_two(self, tmp_path):
         code, _ = run_cli(
-            "check", "--mc", "--no-cache", str(tmp_path / "nope.py"))
+            "check", "--mc", str(tmp_path / "nope.py"))
         assert code == 2
 
     def test_mc_sarif_has_rule_metadata(self, tmp_path):
-        p = tmp_path / "acc.py"
+        p = tmp_path / "poke.py"
         p.write_text(MC_UNSAFE_SRC, encoding="utf-8")
         code, out = run_cli(
-            "check", "--mc", "--no-cache", str(p), "--sarif")
+            "check", "--mc", str(p), "--sarif")
         assert code == 1
         doc = json.loads(out)
         rules = {r["id"]: r
                  for r in doc["runs"][0]["tool"]["driver"]["rules"]}
-        assert rules["REP117"]["defaultConfiguration"]["level"] == "warning"
-        assert "fullDescription" in rules["REP117"]
-
-    def test_mc_baseline_gate_roundtrip(self, tmp_path):
-        p = tmp_path / "acc.py"
-        p.write_text(MC_UNSAFE_SRC, encoding="utf-8")
-        bl = tmp_path / "baseline.json"
-        code, out = run_cli("check", "--mc", "--no-cache",
-                            "--write-baseline", str(bl), str(p))
-        assert code == 0 and "wrote" in out
-        code, out = run_cli("check", "--mc", "--no-cache",
-                            "--baseline", str(bl), str(p))
-        assert code == 0 and "suppressed" in out
+        assert rules["REP116"]["defaultConfiguration"]["level"] == "error"
+        assert "fullDescription" in rules["REP116"]
 
     def test_mc_trace_out_writes_replayable_pair(self, tmp_path):
-        p = tmp_path / "acc.py"
+        p = tmp_path / "poke.py"
         p.write_text(MC_UNSAFE_SRC, encoding="utf-8")
         outdir = tmp_path / "traces"
-        code, out = run_cli("check", "--mc", "--no-cache",
+        code, out = run_cli("check", "--mc",
                             "--trace-out", str(outdir), str(p))
         assert code == 1
-        assert (outdir / "AccIteration.schedule.json").exists()
-        assert (outdir / "AccIteration.trace.json").exists()
-        doc = json.loads((outdir / "AccIteration.schedule.json")
+        assert (outdir / "PokeIteration.schedule.json").exists()
+        assert (outdir / "PokeIteration.trace.json").exists()
+        doc = json.loads((outdir / "PokeIteration.schedule.json")
                          .read_text(encoding="utf-8"))
-        assert doc["model"] == "relaxed"
-        assert doc["witness"]["version"] == 1
+        assert doc["witness"]["version"] == TRACE_VERSION
         assert doc["witness"]["final_state"] != \
             doc["divergent"]["final_state"]

@@ -1,19 +1,11 @@
 """Algebraic combiner certification: exhaustive evaluation of declared
-merge ops (REP114), CombinerCertificate semantics, and the Enactor's
-relaxed-barrier precondition that consumes the certificates."""
+merge ops (REP114) and CombinerCertificate semantics."""
 
 import pathlib
 
-import numpy as np
-import pytest
-
 import repro
 from repro.check.deep import deep_analyze_source
-from repro.check.deep.certify import (
-    certify_combiner,
-    certify_problem_combiners,
-    evaluate_op,
-)
+from repro.check.deep.certify import certify_combiner, evaluate_op
 from repro.core.combine import (
     ANY,
     MIN,
@@ -24,11 +16,6 @@ from repro.core.combine import (
     op_semantics,
     register_op_semantics,
 )
-from repro.core.enactor import Enactor
-from repro.errors import SimulationError
-from repro.graph.generators.rmat import generate_rmat
-from repro.primitives.bfs import BFSIteration, BFSProblem
-from repro.sim.machine import Machine
 
 
 def ids_of(findings):
@@ -173,48 +160,3 @@ class P(ProblemBase):
         assert warn and warn[0].severity == "warning"
         assert certs[0].status == "unknown-op"
 
-
-class TestEnactorPrecondition:
-    def _graph(self):
-        return generate_rmat(9, 8, seed=7)
-
-    def test_bfs_passes_and_stores_certificates(self):
-        g = self._graph()
-        p = BFSProblem(g, Machine(num_gpus=2))
-        e = Enactor(p, BFSIteration, relaxed_barriers=True)
-        assert e.relaxed_barriers
-        assert e.combiner_certificates["labels"].certified_order_independent
-        # semantics unchanged: relaxed run matches a plain run
-        e.enact(src=0)
-        p2 = BFSProblem(g, Machine(num_gpus=2))
-        Enactor(p2, BFSIteration).enact(src=0)
-        np.testing.assert_array_equal(
-            p.extract("labels"), p2.extract("labels")
-        )
-
-    def test_witness_combiner_is_rejected(self):
-        p = BFSProblem(self._graph(), Machine(num_gpus=2),
-                       mark_predecessors=True)
-        with pytest.raises(SimulationError, match="relaxed_barriers"):
-            Enactor(p, BFSIteration, relaxed_barriers=True)
-
-    def test_sum_combiner_is_rejected(self):
-        from repro.primitives.pr import PRIteration, PRProblem
-
-        p = PRProblem(self._graph(), Machine(num_gpus=2))
-        with pytest.raises(SimulationError, match="certified"):
-            Enactor(p, PRIteration, relaxed_barriers=True)
-
-    def test_default_is_off_and_checks_nothing(self):
-        p = BFSProblem(self._graph(), Machine(num_gpus=2),
-                       mark_predecessors=True)
-        e = Enactor(p, BFSIteration)  # WITNESS present, but gate is off
-        assert e.combiner_certificates == {}
-
-    def test_runtime_certifier_scopes_to_live_arrays(self):
-        p = BFSProblem(self._graph(), Machine(num_gpus=2))
-        certs = certify_problem_combiners(
-            p, arrays=list(p.data_slices[0].arrays)
-        )
-        assert "preds" not in certs  # not allocated without the flag
-        assert "labels" in certs

@@ -1,5 +1,5 @@
-"""Deep-tier output plumbing: SARIF 2.1.0 emission, fingerprint-based
-baseline suppression, and deterministic finding order across tiers."""
+"""Deep-tier output plumbing: SARIF 2.1.0 emission and deterministic
+finding order across tiers."""
 
 import json
 import pathlib
@@ -11,10 +11,6 @@ from repro.check.deep import (
     deep_analyze_paths,
     deep_analyze_source,
     findings_to_sarif,
-    fingerprint,
-    load_baseline,
-    split_baselined,
-    write_baseline,
 )
 
 BAD_SRC = '''
@@ -74,57 +70,6 @@ class TestSarif:
     def test_empty_findings_is_valid(self):
         doc = json.loads(findings_to_sarif([]))
         assert doc["runs"][0]["results"] == []
-
-
-class TestBaseline:
-    def test_fingerprint_is_line_independent(self):
-        a = bad_findings()
-        shifted = deep_analyze_source("\n\n\n" + BAD_SRC, "bad.py")[0]
-        assert [f.line for f in a] != [f.line for f in shifted]
-        assert [fingerprint(f) for f in a] == [
-            fingerprint(f) for f in shifted
-        ]
-
-    def test_fingerprint_is_path_root_stable(self):
-        a = bad_findings("src/repro/primitives/bad.py")
-        b = bad_findings("/abs/checkout/src/repro/primitives/bad.py")
-        assert [fingerprint(f) for f in a] == [fingerprint(f) for f in b]
-
-    def test_roundtrip_suppresses_known_findings(self, tmp_path):
-        findings = bad_findings()
-        bl_path = tmp_path / "baseline.json"
-        n = write_baseline(str(bl_path), findings)
-        assert n == len({fingerprint(f) for f in findings})
-        baseline = load_baseline(str(bl_path))
-        new, suppressed = split_baselined(findings, baseline)
-        assert new == []
-        assert len(suppressed) == len(findings)
-
-    def test_new_findings_not_suppressed(self, tmp_path):
-        findings = bad_findings()
-        bl_path = tmp_path / "baseline.json"
-        write_baseline(str(bl_path), findings[:1])
-        baseline = load_baseline(str(bl_path))
-        new, suppressed = split_baselined(findings, baseline)
-        assert suppressed == findings[:1]
-        assert new == findings[1:]
-
-    def test_committed_baseline_carries_known_rep117s(self):
-        # the only accepted findings are the model checker's three
-        # known relaxed-barrier refutations (SSSP, PR, BC); anything
-        # else (REP110-116 especially) must fail the CI gate
-        repo_root = pathlib.Path(repro.__path__[0]).parent.parent
-        bl = repo_root / "check_deep_baseline.json"
-        assert bl.is_file(), "committed deep baseline must exist"
-        entries = load_baseline(str(bl))
-        assert len(entries) == 3
-        assert all(e["rule_id"] == "REP117" for e in entries.values())
-        paths = {e["path"] for e in entries.values()}
-        assert paths == {
-            "src/repro/primitives/sssp.py",
-            "src/repro/primitives/pr.py",
-            "src/repro/primitives/bc.py",
-        }
 
 
 class TestDeterministicOrder:

@@ -1,8 +1,7 @@
 """End-to-end tests for the superstep interleaving model checker
-(``repro.check.deep.modelcheck``): the six-primitive classification
-matrix, REP116/117 findings, certificate round-trips, the Enactor's
-tier-2 relaxed-barrier gate, and Chrome-trace export of counterexample
-schedules."""
+(``repro.check.deep.modelcheck``): the six-primitive matrix, REP116
+findings for peer-slice and payload-view writes, certificate
+serialization, and Chrome-trace export of counterexample schedules."""
 
 import json
 import pathlib
@@ -10,28 +9,25 @@ import pathlib
 import pytest
 
 from repro.check.deep import modelcheck_source
-from repro.check.deep.modelcheck import (
-    MC_CERTIFIED,
-    MC_REFUTED,
-    ScheduleCertificate,
-    certify_schedule_for,
-)
+from repro.check.deep.modelcheck import MC_CERTIFIED, MC_GPUS, MC_REFUTED
 from repro.check.deep.schedules import schedule_trace_to_tracer
-from repro.core.enactor import Enactor
-from repro.errors import SimulationError
-from repro.graph import add_random_weights
-from repro.graph.generators.rmat import generate_rmat
 from repro.obs.chrome_trace import (
     export_chrome_trace,
     load_chrome_trace,
     validate_chrome_trace,
 )
-from repro.primitives.bfs import BFSIteration, BFSProblem
-from repro.primitives.sssp import SSSPIteration, SSSPProblem
-from repro.sim.machine import Machine
 
 PRIMITIVES = pathlib.Path(__file__).resolve().parents[2] / (
     "src/repro/primitives")
+
+SHIPPED = [
+    ("bfs.py", "BFSIteration"),
+    ("dobfs.py", "DOBFSIteration"),
+    ("cc.py", "CCIteration"),
+    ("sssp.py", "SSSPIteration"),
+    ("pr.py", "PRIteration"),
+    ("bc.py", "BCIteration"),
+]
 
 
 def _check(fname):
@@ -40,49 +36,26 @@ def _check(fname):
 
 
 class TestPrimitiveMatrix:
-    """The acceptance matrix from the paper's BSP contract: all six
-    primitives are strict-deterministic; only the idempotent label-
-    propagation family survives relaxed barriers."""
+    """The paper's BSP contract on the shipped primitives."""
 
-    @pytest.mark.parametrize("fname,cls", [
-        ("bfs.py", "BFSIteration"),
-        ("dobfs.py", "DOBFSIteration"),
-        ("cc.py", "CCIteration"),
-    ])
-    def test_relaxed_safe_primitives(self, fname, cls):
+    @pytest.mark.parametrize("fname,cls", SHIPPED)
+    def test_certified_with_one_strict_schedule_per_gpu_count(
+            self, fname, cls):
+        # no shipped hook writes a peer slice or a payload view, so the
+        # strict model has nothing to interleave: one schedule per GPU
+        # count, and it is the certificate
         findings, certs = _check(fname)
         assert not findings, [f.message for f in findings]
         cert = next(c for c in certs if c.primitive == cls)
         assert cert.status == MC_CERTIFIED
-        assert cert.strict_deterministic and cert.relaxed_safe
-        assert cert.certified_relaxed_safe
+        assert cert.strict_deterministic
         assert cert.counterexample is None
-
-    @pytest.mark.parametrize("fname,cls", [
-        ("sssp.py", "SSSPIteration"),
-        ("pr.py", "PRIteration"),
-        ("bc.py", "BCIteration"),
-    ])
-    def test_relaxed_unsafe_primitives(self, fname, cls):
-        findings, certs = _check(fname)
-        cert = next(c for c in certs if c.primitive == cls)
-        assert cert.status == MC_REFUTED
-        assert cert.strict_deterministic, "strict BSP must still hold"
-        assert not cert.relaxed_safe
-        assert not cert.certified_relaxed_safe
-        assert cert.reasons, "refutation must carry machine reasons"
-        # a refutation ships a concrete counterexample schedule pair
-        ce = cert.counterexample
-        assert ce is not None and ce["model"] == "relaxed"
-        assert ce["witness"]["final_state"] != ce["divergent"]["final_state"]
-        rep117 = [f for f in findings if f.rule_id == "REP117"]
-        assert len(rep117) == 1
-        assert rep117[0].severity == "warning"
-        assert rep117[0].extra["cls"] == cls
+        assert cert.gpus == MC_GPUS
+        assert cert.explored["exhausted"]
+        assert cert.explored["schedules"] == len(MC_GPUS)
 
     def test_no_primitive_violates_strict_contract(self):
-        for fname in ("bfs.py", "dobfs.py", "cc.py",
-                      "sssp.py", "pr.py", "bc.py"):
+        for fname, _cls in SHIPPED:
             findings, _ = _check(fname)
             assert not [f for f in findings if f.rule_id == "REP116"], fname
 
@@ -109,6 +82,31 @@ class PokeIteration(IterationBase):
         return msg
 '''
 
+PAYLOAD_WRITE_SRC = '''
+"""doc"""
+from repro.core.problem import ProblemBase
+from repro.core.iteration import IterationBase
+from repro.core.combine import Combiner
+
+
+class ScribbleProblem(ProblemBase):
+    combiners = {"state": Combiner("overwrite", commutative=False,
+                                   idempotent=False)}
+
+
+class ScribbleIteration(IterationBase):
+    def full_queue_core(self, ctx, frontier):
+        ctx.slice["state"][frontier] = 0
+        return frontier, []
+
+    def expand_incoming(self, ctx, msg):
+        ctx.slice["state"][msg.vertices] = msg.vertex_associates[0]
+        msg.vertex_associates[0][:] = 0
+
+    def vertex_associate_arrays(self, ctx):
+        return [ctx.slice["state"]]
+'''
+
 
 class TestStrictDivergence:
     def test_peer_write_is_rep116(self):
@@ -118,64 +116,44 @@ class TestStrictDivergence:
         assert rep116[0].severity == "error"
         cert = certs[0]
         assert not cert.strict_deterministic
-        assert not cert.certified_relaxed_safe
+        assert cert.status == MC_REFUTED
+
+    def test_payload_view_write_is_rep116(self):
+        # the merge scribbles on the sender's array through the payload
+        # view; with an order-sensitive (overwrite) fold, the delivery
+        # order then decides the sender's final state
+        findings, certs = modelcheck_source(PAYLOAD_WRITE_SRC,
+                                            "scribble.py")
+        rep116 = [f for f in findings if f.rule_id == "REP116"]
+        assert len(rep116) == 1
+        assert "msgwrite" in rep116[0].message
+        cert = certs[0]
+        assert cert.status == MC_REFUTED
+        ce = cert.counterexample
+        assert ce["witness"]["final_state"] != ce["divergent"]["final_state"]
 
 
 class TestCertificateSerialization:
     def test_round_trip(self):
-        _, certs = _check("sssp.py")
-        cert = certs[0]
-        doc = cert.to_dict()
-        json.dumps(doc)  # must be JSON-serializable as-is
-        back = ScheduleCertificate.from_dict(doc)
-        assert back.to_dict() == doc
-        assert back.certified_relaxed_safe == cert.certified_relaxed_safe
+        _, certs = modelcheck_source(PEER_POKE_SRC, "poke.py")
+        doc = certs[0].to_dict()
+        assert json.loads(json.dumps(doc)) == doc
+        assert doc["version"] == 2
+        assert doc["counterexample"] is not None
 
     def test_describe_mentions_verdict(self):
         _, certs = _check("cc.py")
         text = certs[0].describe()
-        assert "CCIteration" in text and "relaxed-safe" in text
-
-
-class TestRuntimeGate:
-    """``Enactor(relaxed_barriers=True)`` = combiner certificates
-    (tier 1) AND a schedule certificate (tier 2)."""
-
-    def _graph(self, weighted=False):
-        g = generate_rmat(9, 8, seed=7)
-        return add_random_weights(g, seed=1) if weighted else g
-
-    def test_certify_schedule_for_resolves_runtime_class(self):
-        cert = certify_schedule_for(BFSIteration)
-        assert cert is not None and cert.certified_relaxed_safe
-        assert certify_schedule_for(SSSPIteration).status == MC_REFUTED
-
-    def test_bfs_relaxed_stores_schedule_certificate(self):
-        p = BFSProblem(self._graph(), Machine(num_gpus=2))
-        e = Enactor(p, BFSIteration, relaxed_barriers=True)
-        assert e.schedule_certificate is not None
-        assert e.schedule_certificate.certified_relaxed_safe
-
-    def test_strict_enactor_skips_certification(self):
-        p = BFSProblem(self._graph(), Machine(num_gpus=2))
-        e = Enactor(p, BFSIteration)
-        assert e.schedule_certificate is None
-
-    def test_sssp_relaxed_is_refused_by_schedule_tier(self):
-        # SSSP passes tier 1 (MIN certifies idempotent+commutative) but
-        # its composition of effects is relaxed-unsafe: tier 2 refuses.
-        p = SSSPProblem(self._graph(weighted=True), Machine(num_gpus=2))
-        with pytest.raises(SimulationError, match="relaxed_barriers"):
-            Enactor(p, SSSPIteration, relaxed_barriers=True)
+        assert "CCIteration" in text and "deterministic" in text
 
 
 class TestCounterexampleTrace:
     def test_chrome_trace_round_trip(self, tmp_path):
-        _, certs = _check("sssp.py")
+        _, certs = modelcheck_source(PEER_POKE_SRC, "poke.py")
         ce = certs[0].counterexample
         tracer = schedule_trace_to_tracer(
             ce["divergent"], divergent_step=ce["first_divergent_step"])
-        out = tmp_path / "sssp.trace.json"
+        out = tmp_path / "poke.trace.json"
         export_chrome_trace(tracer, str(out))
         trace = load_chrome_trace(str(out))
         assert validate_chrome_trace(trace) == []

@@ -11,6 +11,7 @@ from repro.check.deep.schedules import (
     FOLD_MULTISET,
     FOLD_SEQ,
     FOLD_SET,
+    TRACE_VERSION,
     ArrayModel,
     Effect,
     GpuProgram,
@@ -18,7 +19,6 @@ from repro.check.deep.schedules import (
     canon,
     dump_trace,
     explore,
-    explore_op_schedules,
     fold_kind_for,
     replay,
 )
@@ -31,6 +31,16 @@ def _prog(core=(), expand=(), payload=()):
 
 def _arr(name="x", op="min", fold=FOLD_SET):
     return ArrayModel(name=name, op=op, fold=fold)
+
+
+def _peer_prog():
+    # a peer-slice write voids the pinned sender merge order
+    return _prog(
+        core=[Effect("apply", "x", ("const", "c")),
+              Effect("peer", "x", ("expr", "h:1", frozenset(["x"])))],
+        expand=[Effect("apply", "x", ("pay", frozenset(["x"])))],
+        payload=["x"],
+    )
 
 
 class TestFoldKind:
@@ -55,23 +65,29 @@ class TestStrictModel:
             payload=["x"],
         )
         res = explore(prog, [_arr()], num_gpus=2, horizon=2)
-        assert res.model == "strict"
         assert res.deterministic and res.exhausted
         assert res.num_final_states == 1
         assert res.divergent_choices is None
 
     def test_peer_write_diverges_under_strict(self):
-        # A peer-slice write voids the pinned sender merge order: two
-        # strict schedules reach different states -> REP116 territory.
-        prog = _prog(
-            core=[Effect("apply", "x", ("const", "c")),
-                  Effect("peer", "x", ("expr", "h:1", frozenset(["x"])))],
-            expand=[Effect("apply", "x", ("pay", frozenset(["x"])))],
-            payload=["x"],
-        )
-        res = explore(prog, [_arr(fold=FOLD_SEQ)], num_gpus=2, horizon=2)
+        # two strict schedules reach different states -> REP116
+        res = explore(_peer_prog(), [_arr(fold=FOLD_SEQ)], num_gpus=2,
+                      horizon=2)
         assert not res.deterministic
         assert res.witness_choices is not None
+        assert res.divergent_choices is not None
+
+    def test_payload_view_write_diverges_under_strict(self):
+        # A merge that writes through payload views mutates the sender;
+        # the delivery order then decides the sender's final state.
+        prog = _prog(
+            core=[Effect("apply", "x", ("const", "c"))],
+            expand=[Effect("apply", "x", ("pay", frozenset(["x"]))),
+                    Effect("msgwrite", "x", ("const", "w"), line=7)],
+            payload=["x"],
+        )
+        res = explore(prog, [_arr(fold=FOLD_SEQ)], num_gpus=3, horizon=2)
+        assert not res.deterministic
         assert res.divergent_choices is not None
 
     def test_sum_fold_strict_is_deterministic(self):
@@ -88,63 +104,6 @@ class TestStrictModel:
         assert res.deterministic and res.exhausted
 
 
-class TestRelaxedModel:
-    def _sum_prog(self):
-        return _prog(
-            core=[Effect("apply", "x", ("const", "c"))],
-            expand=[Effect("apply", "x", ("pay", frozenset(["x"])))],
-            payload=["x"],
-        )
-
-    def test_duplicate_delivery_breaks_multiset_fold(self):
-        # Relaxed re-delivery double-applies a sum update: divergent.
-        res = explore(self._sum_prog(),
-                      [_arr(op="sum", fold=FOLD_MULTISET)],
-                      num_gpus=2, horizon=2, relaxed=True)
-        assert res.model == "relaxed"
-        assert not res.deterministic
-        assert res.divergent_choices is not None
-
-    def test_set_fold_absorbs_duplicates(self):
-        res = explore(self._sum_prog(), [_arr(op="min", fold=FOLD_SET)],
-                      num_gpus=2, horizon=2, relaxed=True)
-        assert res.deterministic and res.exhausted
-
-    def test_seq_fold_is_slot_sensitive(self):
-        # Order-dependent merges see different arrival orders when a
-        # straggler lands late.
-        res = explore(self._sum_prog(), [_arr(op="sub", fold=FOLD_SEQ)],
-                      num_gpus=2, horizon=2, relaxed=True)
-        assert not res.deterministic
-
-    def test_mid_superstep_reset_races_stragglers(self):
-        # PR shape: the accumulator is reinitialized inside the compute
-        # phase; a straggler from the previous epoch lands after the
-        # reset in one schedule and before it in another.
-        prog = _prog(
-            core=[Effect("apply", "x", ("const", "c")),
-                  Effect("reset", "x", ("const", "z"), hook="h", line=3)],
-            expand=[Effect("apply", "x", ("pay", frozenset(["x"])))],
-            payload=["x"],
-        )
-        res = explore(prog, [_arr(op="min", fold=FOLD_SET)],
-                      num_gpus=2, horizon=2, relaxed=True)
-        assert not res.deterministic
-
-    def test_value_read_of_merged_state_diverges(self):
-        # SSSP shape: the forwarded value is an expression over the
-        # combined array, so a late merge changes the snapshot it reads.
-        prog = _prog(
-            core=[Effect("apply", "x",
-                         ("expr", "h:1", frozenset(["x"])))],
-            expand=[Effect("apply", "x", ("pay", frozenset(["x"])))],
-            payload=["x"],
-        )
-        res = explore(prog, [_arr(op="min", fold=FOLD_SET)],
-                      num_gpus=2, horizon=2, relaxed=True)
-        assert not res.deterministic
-
-
 class TestPartialOrderReduction:
     def test_por_prunes_symmetric_schedules(self):
         prog = _prog(
@@ -158,49 +117,39 @@ class TestPartialOrderReduction:
         # canonical interleaving
         assert strict.schedules == 1
         assert strict.independence, "pruning must be justified"
-        relaxed = explore(prog, [_arr()], num_gpus=3, horizon=2,
-                          relaxed=True)
-        assert relaxed.exhausted
-        assert relaxed.pruned > 0, "POR should prune relaxed branches"
+        # a peer write makes the compute phases dependent: every
+        # interleaving of 3 GPUs is explored
+        peer = explore(_peer_prog(), [_arr()], num_gpus=3, horizon=1,
+                       stop_on_divergence=False)
+        assert peer.exhausted and peer.schedules == 6
 
     def test_budget_exhaustion_is_reported(self):
-        prog = _prog(
-            core=[Effect("apply", "x",
-                         ("expr", "h:1", frozenset(["x"])))],
-            expand=[Effect("apply", "x", ("pay", frozenset(["x"])))],
-            payload=["x"],
-        )
-        res = explore(prog, [_arr(op="sub", fold=FOLD_SEQ)], num_gpus=3,
-                      horizon=2, relaxed=True, max_states=5,
+        res = explore(_peer_prog(), [_arr(op="sub", fold=FOLD_SEQ)],
+                      num_gpus=3, horizon=2, max_states=2,
                       stop_on_divergence=False)
         assert not res.exhausted
 
 
 class TestReplay:
     def _divergent(self):
-        prog = _prog(
-            core=[Effect("apply", "x", ("const", "c"))],
-            expand=[Effect("apply", "x", ("pay", frozenset(["x"])))],
-            payload=["x"],
-        )
-        arrays = [_arr(op="sum", fold=FOLD_MULTISET)]
-        res = explore(prog, arrays, num_gpus=2, horizon=2, relaxed=True)
+        prog = _peer_prog()
+        arrays = [_arr(fold=FOLD_SEQ)]
+        res = explore(prog, arrays, num_gpus=2, horizon=2)
         assert res.divergent_choices is not None
         return prog, arrays, res
 
     def test_replay_is_deterministic(self):
         prog, arrays, res = self._divergent()
         a = replay(prog, arrays, res.num_gpus, res.horizon,
-                   res.divergent_choices, res.model, primitive="Toy")
+                   res.divergent_choices, primitive="Toy")
         b = replay(prog, arrays, res.num_gpus, res.horizon,
-                   res.divergent_choices, res.model, primitive="Toy")
+                   res.divergent_choices, primitive="Toy")
         assert a == b
         assert a["events"], "replay must record schedule events"
 
     def test_counterexample_pair_actually_diverges(self):
         prog, arrays, res = self._divergent()
         ce = build_counterexample(prog, arrays, res, primitive="Toy")
-        assert ce["model"] == "relaxed"
         wit, div = ce["witness"], ce["divergent"]
         assert wit["final_state"] != div["final_state"]
         assert ce["first_divergent_step"] >= 0
@@ -209,30 +158,5 @@ class TestReplay:
         prog, arrays, res = self._divergent()
         ce = build_counterexample(prog, arrays, res, primitive="Toy")
         doc = json.loads(dump_trace(ce["witness"]))
-        assert doc["version"] == 1
+        assert doc["version"] == TRACE_VERSION
         assert doc["primitive"] == "Toy"
-
-
-class TestOpScheduleExplorer:
-    def test_min_is_fully_safe(self):
-        from repro.core.combine import op_semantics
-        sem = op_semantics("min")
-        v = explore_op_schedules(sem.fn, sem.domain)
-        assert v["order_independent"] and v["redelivery_safe"]
-
-    def test_sum_is_order_independent_but_not_redelivery_safe(self):
-        from repro.core.combine import op_semantics
-        sem = op_semantics("sum")
-        v = explore_op_schedules(sem.fn, sem.domain)
-        assert v["order_independent"]
-        assert not v["redelivery_safe"]
-        assert v["redelivery_counterexample"] is not None
-
-    def test_last_writer_order_counterexample_is_concrete(self):
-        from repro.core.combine import op_semantics
-        sem = op_semantics("last")
-        v = explore_op_schedules(sem.fn, sem.domain)
-        assert not v["order_independent"]
-        cex = v["order_counterexample"]
-        finals = set(cex["finals"].values())
-        assert len(finals) > 1
