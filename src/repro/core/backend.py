@@ -18,9 +18,10 @@ pluggable policy:
   (:mod:`repro.core.shm`), so those writes are immediately visible to
   the parent.  What a
   superstep *produces* — the next frontier and the outgoing messages'
-  arrays — is written to the GPU's exchange segment and crosses the
-  pipe as descriptors; the rest of its :class:`GpuStepEffects` travels
-  as a flat tuple with a small sidecar (stream horizons, memory
+  arrays — is written to the GPU's exchange segment where another
+  process reads it and crosses the pipe as descriptors (as sizes
+  otherwise: "Run protocol" below); the rest of its
+  :class:`GpuStepEffects` travels as a flat tuple with a small sidecar (stream horizons, memory
   accounting when it changed, fault consumption, staged
   tracer/sanitizer records, declared per-GPU attribute mutations) that
   the parent replays at the barrier.  No GIL: true per-core scaling of
@@ -73,15 +74,25 @@ sidecars to its mailbox half ``k % 2`` in the pool's
 (:func:`~repro.core.supervise.wait_for_peers`), reads their mailboxes,
 applies their stream horizons and per-GPU attributes to its own copy of
 the machine and problem, and runs ``Enactor.barrier`` — the function the
-parent's loop runs, in the same GPU-index order — for its GPUs' next
-inboxes and the stop decision.  The epoch ends at ``horizon``, or
-earlier when ``should_stop`` says so, a worker raises (it sets the abort
-word, which releases its peers) or a peer never arrives.  The parent
-then *follows*: ``run_iteration(k)`` serves superstep ``k`` from the log
-and the enactor replays it through its usual merge, reading only the
-*sizes* of intermediate frontiers and messages (their halves have been
-reused; the last superstep's are intact), and fails the run if its own
-stop decision differs from the workers'.
+parent's loop runs, in the same GPU-index order — on its own GPUs'
+effects as they came out of the superstep and its peers' as decoded from
+the mail, for its GPUs' next inboxes and the stop decision.  The epoch
+ends at ``horizon``, or earlier when ``should_stop`` says so, a worker
+raises (it sets the abort word, which releases its peers) or a peer
+never arrives.  The parent then *follows*: ``run_iteration(k)`` serves
+superstep ``k`` from the log, the enactor replays it through its usual
+merge, and the run fails if the parent's own stop decision differs from
+the workers'.
+
+An array goes into an exchange half only where another process reads
+its contents.  Below the horizon that is a message to a GPU of another
+worker; a GPU's next frontier and a message between two GPUs of one
+worker stay in that worker and travel as their sizes.  In the horizon
+superstep — the one the parent checkpoints at or dispatches from —
+every frontier and every message is written.  So the parent's replay of
+a superstep below the horizon, and a worker's view of a peer's frontier,
+get :class:`_SizeOnly` stand-ins: they carry a size and raise, naming
+the rule, if anything reads their contents.
 
 The horizon is ``first`` — lockstep: one superstep per request, no
 mailbox, no barrier — when something the parent owns needs every
@@ -91,10 +102,11 @@ entries merge at the parent's barrier).  Otherwise it is the next
 superstep a checkpoint is due at, or ``max_iterations()``.
 
 Superstep ``k`` reads exchange half ``(k - 1) % 2`` and writes half
-``k % 2``, so a GPU's own next frontier never crosses the pipe and a
-replayed superstep finds its inputs intact; a worker starts superstep
-``k + 1`` only past barrier ``k``, which every reader of the half it is
-about to rewrite has reached.
+``k % 2``, so a replayed superstep finds its inputs intact; a worker
+starts superstep ``k + 1`` only past barrier ``k``, which every reader
+of the half it is about to rewrite has reached.  Sidecars cross the
+mailbox and the pipe as plain tuples (they pickle several times faster
+than the :class:`_Sidecar` NamedTuple a reader rebuilds).
 """
 
 from __future__ import annotations
@@ -158,7 +170,8 @@ class GpuStepEffects:
     observe.  The processes backend ships it across the worker pipe as
     the flat tuple of its fields, with every array (the frontier, the
     messages' vertex and associate arrays) replaced by a descriptor
-    into the GPU's exchange segment.
+    into the GPU's exchange segment, or by its size where no other
+    process reads it (:func:`_pack_effects`).
     """
 
     gpu: int
@@ -426,7 +439,10 @@ def _worker_run(enactor, iteration_obj, exchange, barrier, msg, shipped,
     superstep's pickled sidecars are appended to ``blobs`` as it
     completes, so a failure leaves the supersteps before it in the
     reply.  With ``guarded`` a DeviceLostError is a GPU's result value;
-    any other exception ends the run."""
+    any other exception ends the run.  The worker's own GPUs' effects
+    reach its barrier as ``_gpu_superstep`` returned them — their
+    frontiers and the messages among them never enter the exchange
+    below the horizon."""
     _, iteration, horizon, generations, attrs, jobs = msg
     control, slot, spin, parent_pid = barrier
     problem = enactor.problem
@@ -461,9 +477,12 @@ def _worker_run(enactor, iteration_obj, exchange, barrier, msg, shipped,
         inboxes[g] = [(arrival, _unpack_message(packed, view))
                       for arrival, packed in inbox]
     mine = [job[0] for job in jobs]
+    kept = frozenset(mine)
     inj = machine.faults
     while True:
         write = iteration % 2
+        at_horizon = iteration == horizon
+        effects: Dict[int, object] = {}
         sidecars = []
         for g in mine:
             seg = exchange[g]
@@ -477,29 +496,32 @@ def _worker_run(enactor, iteration_obj, exchange, barrier, msg, shipped,
                 if not guarded:
                     raise
                 eff = exc
-            sidecars.append(_build_sidecar(
+            effects[g] = eff
+            sidecars.append(tuple(_build_sidecar(
                 enactor, g, eff, fault_snap, seg, write, shipped, checksums,
-            ))
+                frozenset() if at_horizon else kept,
+            )))
         blob = pickle.dumps(sidecars, pickle.HIGHEST_PROTOCOL)
         blobs.append(blob)
-        if iteration == horizon:
+        if at_horizon:
             return
         # close the superstep with the peers, not through the parent
         arrived = control.post(slot, write, blob)
         if not wait_for_peers(control, slot, arrived, parent_pid, spin):
             return  # a peer aborted the epoch; its reply says why
-        sides = {side.gpu: side for side in sidecars}
         for peer in range(control.workers):
             if peer != slot:
-                for side in pickle.loads(control.read(peer, write)):
-                    sides[side.gpu] = side
+                for side in map(_Sidecar._make,
+                                pickle.loads(control.read(peer, write))):
                     _apply_horizons(enactor, side)
                     # a regrown half has a new name
                     exchange[side.gpu].sync(write, side.generation)
+                    effects[side.gpu] = _unpack_effects(
+                        side.eff, exchange, readers=kept
+                    )
         inboxes, stop = enactor.barrier(
             iteration, iteration_obj,
-            [_unpack_effects(sides[g].eff, exchange) for g in sorted(sides)],
-            frontiers,
+            [effects[g] for g in sorted(effects)], frontiers,
         )
         if stop:
             return
@@ -522,10 +544,55 @@ def _unpack_message(packed, view) -> Message:
     )
 
 
-def _pack_effects(eff: GpuStepEffects, seg, parity: int) -> tuple:
-    """Flatten one GPU's effects with every array written to its
-    exchange segment and replaced by a descriptor.  A broadcast's n-1
-    messages share their arrays, which are written once."""
+class _SizeOnly:
+    """Stand-in for a frontier or a message whose contents stayed in
+    the worker that made it (module docs, "Run protocol"): ``size`` and
+    ``len()`` give its item count, anything else raises.
+
+    This is what makes "between epoch barriers only sizes are read" a
+    checked rule: the parent's merge and ``Enactor.barrier`` replaying a
+    superstep below the horizon, and a worker's barrier on its peers'
+    effects, get stand-ins, so a control hook or framework step that
+    reads contents there fails instead of reading stale bytes.
+    """
+
+    __slots__ = ("size",)
+
+    def __init__(self, size: int):
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def _refuse(self, what: str):
+        raise SimulationError(
+            f"processes backend: read {what} of a frontier or message "
+            "that stayed in its worker — below an epoch's horizon the "
+            "replay, the merge and the control hooks read sizes only "
+            "(docs/static_analysis.md, REP115)",
+            site="backend.processes",
+        )
+
+    def __getattr__(self, name):
+        # also what np.asarray meets first: it probes __array_struct__
+        self._refuse(f"attribute {name!r}")
+
+    def __getitem__(self, key):
+        self._refuse("an item")
+
+    def __iter__(self):
+        self._refuse("the items")
+
+
+def _pack_effects(eff: GpuStepEffects, seg, parity: int,
+                  kept=frozenset()) -> tuple:
+    """Flatten one GPU's effects with every array another process
+    reads written to its exchange segment and replaced by a descriptor.
+    Below an epoch's horizon ``kept`` names the writing worker's GPUs:
+    an array only they read — the GPU's next frontier, a message to one
+    of them — stays with the worker and is replaced by its size.  A
+    broadcast's n-1 messages share their arrays, which are written
+    once."""
     written: Dict[int, tuple] = {}
 
     def describe(arr):
@@ -535,38 +602,55 @@ def _pack_effects(eff: GpuStepEffects, seg, parity: int) -> tuple:
         return desc
 
     fields = [getattr(eff, name) for name in _EFF_FIELDS]
-    fields[_EFF_FRONTIER] = describe(eff.frontier)
+    fields[_EFF_FRONTIER] = (
+        eff.frontier.size if eff.gpu in kept else describe(eff.frontier)
+    )
     fields[_EFF_SENDS] = [
-        (dst, arrival, _pack_message(msg, describe))
+        (dst, arrival,
+         msg.num_items if dst in kept else _pack_message(msg, describe))
         for dst, arrival, msg in eff.sends
     ]
     return tuple(fields)
 
 
-def _unpack_effects(packed: tuple, exchange, described=None) -> GpuStepEffects:
-    """Rebuild packed effects with zero-copy views for arrays.  The
-    parent passes ``described`` to remember each view's descriptor for
-    the next dispatch."""
+def _unpack_effects(packed: tuple, exchange, described=None,
+                    readers=None) -> GpuStepEffects:
+    """Rebuild packed effects: zero-copy views for arrays, and a
+    :class:`_SizeOnly` for a frontier or message that travelled as its
+    size or — with ``readers`` — for a message to a GPU not in it,
+    which nobody here reads.  The parent passes ``described`` to
+    remember each view's descriptor for the next dispatch."""
 
     def view(desc):
         return exchange[desc[0]].view(desc)
 
     fields = list(packed)
-    frontier = fields[_EFF_FRONTIER] = view(packed[_EFF_FRONTIER])
+    frontier = packed[_EFF_FRONTIER]
+    if isinstance(frontier, int):
+        fields[_EFF_FRONTIER] = _SizeOnly(frontier)
+    else:
+        arr = fields[_EFF_FRONTIER] = view(frontier)
+        if described is not None:
+            described[id(arr)] = (arr, frontier)
     sends = fields[_EFF_SENDS] = []
     for dst, arrival, packed_msg in packed[_EFF_SENDS]:
-        msg = _unpack_message(packed_msg, view)
+        if isinstance(packed_msg, int):
+            msg = _SizeOnly(packed_msg)
+        elif readers is not None and dst not in readers:
+            msg = _SizeOnly(packed_msg[2][4])  # the vertices' length
+        else:
+            msg = _unpack_message(packed_msg, view)
+            if described is not None:
+                described[id(msg)] = (msg, packed_msg)
         sends.append((dst, arrival, msg))
-        if described is not None:
-            described[id(msg)] = (msg, packed_msg)
-    if described is not None:
-        described[id(frontier)] = (frontier, packed[_EFF_FRONTIER])
     return GpuStepEffects(*fields)
 
 
 class _Sidecar(NamedTuple):
     """Everything beyond slice-array writes that one GPU's superstep
-    changed in its worker and the parent must replay."""
+    changed in its worker and the parent must replay.  It crosses the
+    mailbox and the pipe as a plain tuple; readers rebuild it with
+    ``_Sidecar._make``."""
 
     gpu: int
     #: the packed :class:`GpuStepEffects` (:func:`_pack_effects`), or
@@ -597,15 +681,17 @@ def _slot_digest(problem, seg, gpu_index: int, parity: int, used: int) -> int:
 
 
 def _build_sidecar(enactor, gpu_index, eff, fault_snap, seg, parity,
-                   shipped, checksum: bool = False) -> _Sidecar:
+                   shipped, checksum: bool = False,
+                   kept=frozenset()) -> _Sidecar:
     """Collect one finished superstep's :class:`_Sidecar` in its
-    worker, writing the effects' arrays to the exchange segment."""
+    worker, writing the effects' arrays that other processes read to
+    the exchange segment (``kept``: :func:`_pack_effects`)."""
     machine = enactor.machine
     gpu = machine.gpus[gpu_index]
     tracer = enactor.tracer
     problem = enactor.problem
     if isinstance(eff, GpuStepEffects):
-        eff = _pack_effects(eff, seg, parity)
+        eff = _pack_effects(eff, seg, parity, kept)
     acct = _accounting(enactor, gpu_index)
     if shipped.get(gpu_index) == acct:
         acct = None
@@ -685,9 +771,9 @@ class ProcessesBackend(ExecutionBackend):
         #: :func:`_fork_token` at the time the pool was forked
         self._token: Optional[tuple] = None
         #: id(array or Message) -> (the object, its descriptor form) for
-        #: what the last barrier handed the enactor: the next dispatch
-        #: sends these back as descriptors.  Holding the object keeps
-        #: its id from being reused.
+        #: what the last horizon superstep handed the enactor: the next
+        #: dispatch sends these back as descriptors.  Holding the object
+        #: keeps its id from being reused.
         self._described: Dict[int, tuple] = {}
         #: whether this run's first dispatch has emptied the read halves
         self._primed = False
@@ -1069,16 +1155,20 @@ class ProcessesBackend(ExecutionBackend):
 
     def _serve(self, enactor, iteration, gpu_indices, guarded):
         """The logged superstep ``iteration`` as the enactor's merge
-        input: sidecars applied, effects as views."""
+        input: sidecars applied, effects with views for arrays — or,
+        below the epoch's horizon, with :class:`_SizeOnly` stand-ins
+        (module docs, "Run protocol")."""
         blobs, lost = self._log.popleft()
-        if iteration >= self._horizon:
+        at_horizon = iteration >= self._horizon
+        if at_horizon:
             self._horizon = -1
         machine = enactor.machine
         problem = enactor.problem
         exchange = self._exchange
         write = iteration % 2
         replies: Dict[int, _Sidecar] = {
-            side.gpu: side for blob in blobs for side in pickle.loads(blob)
+            side.gpu: side
+            for blob in blobs for side in map(_Sidecar._make, pickle.loads(blob))
         }
         for g, side in replies.items():
             # map what the worker wrote (a regrown half has a new name)
@@ -1109,8 +1199,12 @@ class ProcessesBackend(ExecutionBackend):
                     str(err), gpu_id=g, iteration=iteration,
                     site="supervise.checksum",
                 )
-        # only the superstep being served is known by descriptor
+        # only the horizon superstep is known by descriptor: the next
+        # dispatch starts from it
         self._described.clear()
+        described, readers = (
+            (self._described, None) if at_horizon else (None, ())
+        )
         results = []
         for g in gpu_indices:
             if g in lost:
@@ -1120,7 +1214,7 @@ class ProcessesBackend(ExecutionBackend):
             self._apply_sidecar(enactor, g, side)
             eff = side.eff
             if isinstance(eff, tuple):
-                eff = _unpack_effects(eff, exchange, self._described)
+                eff = _unpack_effects(eff, exchange, described, readers)
             results.append(eff)
         return results
 

@@ -852,7 +852,9 @@ class Enactor:
         so does every ``processes`` worker that runs ahead of the
         parent (:mod:`repro.core.backend`, "Run protocol"), on its own
         copy of the machine and problem — which is why the hooks may
-        read frontier and message *sizes* only.  Returns
+        read frontier and message *sizes* only: there, a frontier or
+        message whose contents stayed in another process is a stand-in
+        that raises on any other read.  Returns
         ``(next inboxes, should_stop)``.
         """
         inboxes: List[List[tuple]] = [[] for _ in frontiers]

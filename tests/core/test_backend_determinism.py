@@ -342,11 +342,36 @@ def test_epochs_with_compute_only_barrier(primitive, small_rmat, monkeypatch):
         assert want_m != _serial(primitive, small_rmat)[1]
 
 
-def test_epochs_end_where_a_checkpoint_is_due(small_rmat, monkeypatch):
+def _checkpointed_problem(primitive, small_rmat, weighted_rmat):
+    """(problem, iteration class, enact kwargs, result accessor)."""
+    from repro.primitives import (
+        BFSIteration,
+        BFSProblem,
+        PRIteration,
+        PRProblem,
+        SSSPIteration,
+        SSSPProblem,
+    )
+
+    if primitive == "bfs":
+        problem = BFSProblem(small_rmat, Machine(4))
+        return problem, BFSIteration, {"src": 0}, problem.labels
+    if primitive == "sssp":
+        problem = SSSPProblem(weighted_rmat, Machine(4))
+        return problem, SSSPIteration, {"src": 0}, problem.distances
+    problem = PRProblem(small_rmat, Machine(4), max_iter=30)
+    return problem, PRIteration, {}, problem.ranks
+
+
+@pytest.mark.parametrize("primitive", ["bfs", "sssp", "pr"])
+def test_epochs_end_where_a_checkpoint_is_due(
+    primitive, small_rmat, weighted_rmat, monkeypatch
+):
     """``checkpoint_every=3``: each grant ends on a due superstep, whose
-    frontiers and messages the checkpoint finds intact."""
+    frontiers and messages — vertices and associates — the checkpoint
+    finds intact.  They are the only arrays an epoch ships to the
+    parent."""
     from repro.core.enactor import Enactor
-    from repro.primitives import BFSIteration, BFSProblem
 
     taken = {}
     take = Enactor._take_checkpoint
@@ -357,7 +382,10 @@ def test_epochs_end_where_a_checkpoint_is_due(small_rmat, monkeypatch):
         taken.setdefault(self.backend.name, []).append((
             iteration,
             [f.tolist() for f in ckpt.frontiers],
-            [(m.src_gpu, m.dst_gpu, m.vertices.tolist()) for m in ckpt.messages],
+            [(m.src_gpu, m.dst_gpu, m.vertices.tolist(),
+              [a.tolist() for a in m.vertex_associates],
+              [a.tolist() for a in m.value_associates])
+             for m in ckpt.messages],
             {k: v.tolist() for k, v in ckpt.arrays.items()},
         ))
 
@@ -365,12 +393,15 @@ def test_epochs_end_where_a_checkpoint_is_due(small_rmat, monkeypatch):
     grants = _count_dispatches(monkeypatch)
     out = {}
     for backend in ("serial", "processes:2"):
-        problem = BFSProblem(small_rmat, Machine(4))
-        with Enactor(problem, BFSIteration, backend=backend,
+        problem, iteration_cls, kwargs, result = _checkpointed_problem(
+            primitive, small_rmat, weighted_rmat
+        )
+        with Enactor(problem, iteration_cls, backend=backend,
                      checkpoint_every=3) as enactor:
-            metrics = enactor.enact(src=0)
-            out[backend] = (problem.labels().copy(), metrics)
+            metrics = enactor.enact(**kwargs)
+            out[backend] = (result().copy(), metrics)
     np.testing.assert_array_equal(out["serial"][0], out["processes:2"][0])
+    assert any(messages for _, _, messages, _ in taken["serial"])
     metrics = out["processes:2"][1]
     assert json.dumps(out["serial"][1].to_dict()) == json.dumps(metrics.to_dict())
     assert metrics.checkpoints_taken == len(taken["serial"]) > 1

@@ -4,7 +4,8 @@ While an epoch runs the parent is asleep and the workers wait for one
 another at a shared-memory barrier, so every way a worker can fail to
 arrive has to end the wait: a dead worker, a stopped one, one whose
 hook raised, and control hooks that do not decide the same thing in
-every process.  All of it on an *unsupervised* pool — supervised and
+every process; and a barrier that reads contents where only sizes
+crossed must fail, not compute.  All of it on an *unsupervised* pool — supervised and
 fault-armed dispatch stays in lockstep (``test_supervision.py``).
 
 Everything here runs real forked processes and real signals; every
@@ -17,6 +18,7 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import supervise
@@ -186,6 +188,35 @@ class _OneWorkerStops(BFSIteration):
             return True
         return super().should_stop(iteration, frontier_sizes,
                                    messages_in_flight)
+
+
+@pytest.mark.parametrize("backend", ["serial", "processes:2"])
+def test_reading_an_intermediate_frontier_fails_loudly(
+    backend, road, monkeypatch
+):
+    """A barrier that reads frontier contents: below an epoch's horizon
+    those stayed in their workers, so on ``processes:2`` the run raises,
+    naming the rule, instead of returning a result computed from bytes
+    nobody wrote.  Serial, where every frontier is a live array, runs
+    the same barrier to the end."""
+    barrier = Enactor.barrier
+
+    def reads_contents(self, iteration, iteration_obj, results, frontiers):
+        out = barrier(self, iteration, iteration_obj, results, frontiers)
+        for frontier in frontiers:
+            np.asarray(frontier).sum()
+        return out
+
+    monkeypatch.setattr(Enactor, "barrier", reads_contents)
+    enactor = _enactor(road, BFSIteration, backend=backend)
+    try:
+        if backend == "serial":
+            assert enactor.enact(src=0).supersteps > STRIKE
+        else:
+            with pytest.raises(SimulationError, match="sizes only"):
+                enactor.enact(src=0)
+    finally:
+        enactor.close()
 
 
 def test_workers_that_disagree_among_themselves_time_out(road, fast_bounds):

@@ -20,12 +20,14 @@ from repro.core.backend import (
     GpuStepEffects,
     ProcessesBackend,
     _pack_effects,
+    _SizeOnly,
     _unpack_effects,
 )
 from repro.core.comm import Message
 from repro.core.enactor import Enactor
 from repro.core.shm import SHM_PREFIX, ControlBlock, ExchangeSegment
 from repro.core.supervise import SupervisionConfig
+from repro.errors import SimulationError
 from repro.primitives import BFSIteration, BFSProblem, run_bfs
 from repro.sim.faults import SHM_CORRUPT, FaultPlan, FaultSpec
 from repro.sim.machine import Machine
@@ -147,6 +149,56 @@ def test_effects_with_messages_round_trip():
     finally:
         backend._described.clear()
         del back, got
+        seg.close()
+    assert _mine() == []
+
+
+@pytest.mark.parametrize("read", [
+    np.asarray, lambda s: s[0], list, lambda s: s.vertices,
+], ids=["asarray", "indexing", "iteration", "attribute"])
+def test_size_only_stand_in_refuses_its_contents(read):
+    stand_in = _SizeOnly(5)
+    assert stand_in.size == 5 and len(stand_in) == 5
+    assert not _SizeOnly(0)
+    with pytest.raises(SimulationError, match="sizes only.*REP115"):
+        read(stand_in)
+
+
+def test_below_the_horizon_only_cross_worker_messages_are_written():
+    """The writing worker owns GPUs 1 and 3: its frontier and its
+    message to GPU 3 travel as sizes, the messages to GPUs 0 and 2 as
+    descriptors.  The other worker decodes views for its own GPUs only;
+    the parent's replay decodes sizes only."""
+    seg = ExchangeSegment(1, 1 << 16)
+    exchange = [None, seg]
+    depth = np.arange(30, dtype=np.int32)
+    sigma = np.linspace(0.0, 1.0, 30)
+    sends = [
+        (dst, 0.5 + dst, Message(1, dst, np.arange(n, dtype=np.int64),
+                                 [depth[:n]], [sigma[:n]]))
+        for dst, n in ((0, 10), (2, 20), (3, 30))
+    ]
+    eff = GpuStepEffects(gpu=1, frontier=np.array([4, 5, 6]), sends=sends)
+    try:
+        seg.begin(0)
+        packed = _pack_effects(eff, seg, 0, kept=frozenset({1, 3}))
+        # (8 + 4 + 8) bytes per item of the 10- and 20-item messages
+        assert seg.used(0) == 200 + 400
+        peer = _unpack_effects(packed, exchange, readers={0, 2})
+        assert isinstance(peer.frontier, _SizeOnly) and peer.frontier.size == 3
+        for (_, _, got), (_, _, want) in zip(peer.sends[:2], sends):
+            np.testing.assert_array_equal(got.vertices, want.vertices)
+            np.testing.assert_array_equal(got.value_associates[0],
+                                          want.value_associates[0])
+        assert isinstance(peer.sends[2][2], _SizeOnly)
+        replay = _unpack_effects(packed, exchange, readers=())
+        assert [msg.size for _, _, msg in replay.sends] == [10, 20, 30]
+        assert all(isinstance(msg, _SizeOnly) for _, _, msg in replay.sends)
+        assert [(d, t) for d, t, _ in replay.sends] == [
+            (d, t) for d, t, _ in sends
+        ]
+    finally:
+        del peer, got
         seg.close()
     assert _mine() == []
 

@@ -268,3 +268,62 @@ def test_parent_pipe_messages_stay_within_budget(monkeypatch):
         assert calls == {"send": 4, "recv": 4}
     assert len(metrics.iterations) > 40
     assert sum(calls.values()) / len(metrics.iterations) <= PIPE_MSGS_PER_SUPERSTEP
+
+
+# The parent maps an exchange array only where it reads one: in the
+# horizon superstep, which it checkpoints at or dispatches the next
+# epoch from.  Below the horizon it replays sizes.  The protocol before
+# mapped every frontier and every message of every superstep: 383 views
+# in this warm 63-superstep run without checkpoints, where now there
+# are none.
+
+@pytest.mark.parametrize("checkpoint_every", [None, 16])
+def test_parent_maps_only_the_horizon_superstep(checkpoint_every, monkeypatch):
+    import os
+
+    from repro.core.backend import ProcessesBackend
+    from repro.core.shm import ExchangeSegment
+    from repro.graph.generators import generate_road
+    from repro.partition import make_partitioner
+
+    parent = os.getpid()
+    every = checkpoint_every or 1 << 30
+    #: served superstep -> the parent's views while serving it
+    views = Counter()
+    #: horizon superstep -> arrays its effects hold (a frontier per
+    #: GPU, each message's vertices and associates)
+    arrays = {}
+    serving = [None]
+    view, serve = ExchangeSegment.view, ProcessesBackend._serve
+
+    def counted_view(seg, desc):
+        if os.getpid() == parent:
+            views[serving[0]] += 1
+        return view(seg, desc)
+
+    def counted_serve(self, enactor, iteration, *args):
+        serving[0] = iteration
+        results = serve(self, enactor, iteration, *args)
+        if iteration % every == every - 1:
+            arrays[iteration] = sum(
+                1 + sum(1 + len(msg.vertex_associates)
+                        + len(msg.value_associates)
+                        for _, _, msg in eff.sends)
+                for eff in results
+            )
+        return results
+
+    graph = generate_road(32, 32, delete_fraction=0.1,
+                          shortcut_fraction=0.0, seed=1)
+    problem = BFSProblem(
+        graph, Machine(4), partitioner=make_partitioner("metis", seed=1)
+    )
+    with Enactor(problem, BFSIteration, backend="processes:2",
+                 checkpoint_every=checkpoint_every) as enactor:
+        enactor.enact(src=0)  # forks the pool
+        monkeypatch.setattr(ExchangeSegment, "view", counted_view)
+        monkeypatch.setattr(ProcessesBackend, "_serve", counted_serve)
+        metrics = enactor.enact(src=0)
+    assert len(metrics.iterations) > 40
+    assert len(arrays) == len(metrics.iterations) // every
+    assert views == arrays
