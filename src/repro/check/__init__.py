@@ -3,10 +3,9 @@
 Two engines behind one CLI (``python -m repro check``):
 
 * a static, AST-based lint pass (:mod:`repro.check.lint`) with pluggable
-  rules (:mod:`repro.check.rules`) that verify the framework contract a
-  primitive must honor — required iteration hooks, declared combiners,
-  IdConfig dtype discipline, vectorized hot paths, pool-charged
-  allocations, and no peer-state mutation;
+  rules (:mod:`repro.check.rules`) that verify the framework contract —
+  declared combiners, IdConfig dtype discipline, vectorized hot paths,
+  framework errors that are never swallowed, and bounded IPC waits;
 * a dynamic BSP race sanitizer (:mod:`repro.check.sanitizer`) that wraps
   per-GPU slice arrays in shadow memory and flags mid-superstep peer
   access and non-combinable write-write races at each barrier

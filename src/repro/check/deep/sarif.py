@@ -26,32 +26,9 @@ _SARIF_SCHEMA = (
 
 _LEVELS = {"error": "error", "warning": "warning", "note": "note"}
 
-#: rules whose severity is fixed by contract (emitted into SARIF
-#: ``defaultConfiguration`` so dashboards triage them correctly even
-#: before any finding exists)
-_RULE_DEFAULT_LEVELS = {
-    "REP116": "error",  # strict-barrier divergence: broken contract
-}
-
-#: expanded guidance for rules whose one-line description is not enough
-#: to act on a finding (shown by SARIF viewers as fullDescription)
-_RULE_FULL_DESCRIPTIONS = {
-    "REP116": (
-        "The superstep interleaving model checker found two strict-"
-        "barrier schedules of this primitive's effect summaries that "
-        "reach different final states. Under the framework contract "
-        "(messages merged at the barrier in pinned sender order, "
-        "REP113) this can only happen when hooks write peer-GPU slices "
-        "or message payload views. The attached ScheduleCertificate "
-        "carries a minimal counterexample: a witness/divergent pair of "
-        "replayable schedule traces (repro check --mc --trace-out DIR "
-        "renders them for Perfetto)."
-    ),
-}
-
 
 def _rule_descriptor(rule_id: str, name: str, description: str) -> dict:
-    desc = {
+    return {
         "id": rule_id,
         "name": name,
         "shortDescription": {"text": description or name},
@@ -60,13 +37,6 @@ def _rule_descriptor(rule_id: str, name: str, description: str) -> dict:
             f"../blob/main/docs/static_analysis.md#{rule_id.lower()}"
         ),
     }
-    full = _RULE_FULL_DESCRIPTIONS.get(rule_id)
-    if full:
-        desc["fullDescription"] = {"text": full}
-    level = _RULE_DEFAULT_LEVELS.get(rule_id)
-    if level:
-        desc["defaultConfiguration"] = {"level": level}
-    return desc
 
 
 def findings_to_sarif(

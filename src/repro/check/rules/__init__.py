@@ -6,23 +6,20 @@ module here, give it the next free ``REP1xx`` ID and a kebab-case
 :class:`~repro.check.rules.base.ModuleContext` and yield
 :class:`~repro.check.findings.Finding`s; they must never import or
 execute the code under analysis (user primitive files may not even be
-importable).  Document new rules in ``docs/static_analysis.md``.
+importable).  Document new rules in ``docs/static_analysis.md`` and
+catalogue a defect the rule catches in
+``tests/check/test_mutation_audit.py``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Type
 
-from .allocations import RawAllocationRule
 from .base import ModuleContext, Rule
 from .bounded_wait import BoundedWaitRule
 from .combiners import UndeclaredCombinerRule
 from .dtypes import BareDtypeRule
-from .hooks import IterationHooksRule
 from .loops import HotLoopRule
-from .obs_guard import UnguardedTracerRule
-from .peer_access import PeerMutationRule
-from .process_safety import ProcessUnsafeStateRule
 from .swallow import SwallowedErrorRule
 
 __all__ = [
@@ -31,29 +28,19 @@ __all__ = [
     "DEFAULT_RULES",
     "default_rules",
     "rule_index",
-    "IterationHooksRule",
     "UndeclaredCombinerRule",
     "BareDtypeRule",
     "HotLoopRule",
-    "RawAllocationRule",
-    "PeerMutationRule",
     "SwallowedErrorRule",
-    "UnguardedTracerRule",
-    "ProcessUnsafeStateRule",
     "BoundedWaitRule",
 ]
 
 #: every shipped rule class, in rule-ID order
 DEFAULT_RULES: List[Type[Rule]] = [
-    IterationHooksRule,
     UndeclaredCombinerRule,
     BareDtypeRule,
     HotLoopRule,
-    RawAllocationRule,
-    PeerMutationRule,
     SwallowedErrorRule,
-    UnguardedTracerRule,
-    ProcessUnsafeStateRule,
     BoundedWaitRule,
 ]
 

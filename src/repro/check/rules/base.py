@@ -17,15 +17,7 @@ from typing import Iterator, List, Optional
 
 from ..findings import Finding
 
-__all__ = ["ModuleContext", "Rule", "HOT_HOOKS", "CONTROL_HOOKS"]
-
-#: iteration hooks that run inside the superstep (operator hot paths)
-HOT_HOOKS = {
-    "full_queue_core",
-    "expand_incoming",
-    "vertex_associate_arrays",
-    "value_associate_arrays",
-}
+__all__ = ["ModuleContext", "Rule", "CONTROL_HOOKS"]
 
 #: iteration hooks that run at/after the barrier (control plane, not hot)
 CONTROL_HOOKS = {

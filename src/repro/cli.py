@@ -38,7 +38,6 @@ Commands
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -198,20 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", action="store_true", dest="as_json",
                        help="emit findings as JSON instead of text")
     check.add_argument("--deep", action="store_true",
-                       help="also run the deep tier: abstract "
-                            "interpretation of hook bodies (REP110-112), "
-                            "barrier-discipline verification (REP113), "
-                            "and combiner certification (REP114)")
-    check.add_argument("--mc", action="store_true",
-                       help="also run the superstep interleaving model "
-                            "checker: explore the strict-barrier "
-                            "schedules of each primitive's effect "
-                            "summaries (REP116) and emit "
-                            "ScheduleCertificates")
-    check.add_argument("--trace-out", metavar="DIR", dest="trace_out",
-                       help="with --mc: write each counterexample as a "
-                            "replayable schedule JSON plus a Perfetto-"
-                            "loadable Chrome trace under DIR")
+                       help="also run the deep tier: hot-hook state that "
+                            "escapes the superstep (REP112)")
     check.add_argument("--sarif", nargs="?", const="-", metavar="FILE",
                        help="emit SARIF 2.1.0 (to FILE, or stdout when "
                             "no file is given)")
@@ -599,66 +586,23 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_check(args, out) -> int:
-    import json as _json
-
     from .check import findings_to_json, lint_paths, render_findings
 
-    if args.trace_out and not args.mc:
-        print("repro check: error: --trace-out requires --mc",
-              file=sys.stderr)
-        return 2
     paths = args.paths
     if not paths:
         # default: lint the installed repro package itself
         import repro
 
         paths = [repro.__path__[0]]
-    deep_report = None
     try:
         findings = lint_paths(paths)
-        if args.deep or args.mc:
+        if args.deep:
             from .check.deep import deep_analyze_paths
 
-            deep_report = deep_analyze_paths(
-                paths, deep=args.deep, mc=args.mc
-            )
-            findings.extend(deep_report.findings)
+            findings.extend(deep_analyze_paths(paths))
     except OSError as exc:
         print(f"repro check: error: {exc}", file=sys.stderr)
         return 2
-
-    if args.trace_out:
-        from .check.deep.schedules import (
-            dump_trace,
-            schedule_trace_to_tracer,
-        )
-        from .obs.chrome_trace import export_chrome_trace
-
-        try:
-            os.makedirs(args.trace_out, exist_ok=True)
-            written = 0
-            for cert in deep_report.schedule_certificates:
-                ce = cert.counterexample
-                if not ce:
-                    continue
-                stem = os.path.join(args.trace_out, cert.primitive)
-                with open(stem + ".schedule.json", "w",
-                          encoding="utf-8") as fh:
-                    fh.write(dump_trace(ce))
-                tracer = schedule_trace_to_tracer(
-                    ce["divergent"],
-                    divergent_step=ce.get("first_divergent_step"),
-                )
-                export_chrome_trace(tracer, stem + ".trace.json")
-                written += 1
-        except OSError as exc:
-            print(f"repro check: error: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"repro check: wrote {written} counterexample trace"
-            f"{'s' if written != 1 else ''} to {args.trace_out}",
-            file=out,
-        )
     # stable order for CI diffs, across files and tiers
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
 
@@ -682,30 +626,9 @@ def _cmd_check(args, out) -> int:
             return 2
 
     if args.as_json:
-        doc = _json.loads(findings_to_json(findings))
-        if deep_report is not None:
-            if args.deep:
-                doc["certificates"] = [
-                    c.to_dict() for c in deep_report.certificates
-                ]
-            if args.mc:
-                doc["schedule_certificates"] = [
-                    c.to_dict()
-                    for c in deep_report.schedule_certificates
-                ]
-            if deep_report.barrier is not None:
-                doc["barrier"] = deep_report.barrier.to_dict()
-        print(_json.dumps(doc, indent=2, sort_keys=True), file=out)
+        print(findings_to_json(findings), file=out)
     else:
         print(render_findings(findings), file=out)
-        if deep_report is not None:
-            if args.deep:
-                print(deep_report.render_certificates(), file=out)
-            if args.mc:
-                print(deep_report.render_schedule_certificates(),
-                      file=out)
-            if deep_report.barrier is not None:
-                print(deep_report.barrier.describe(), file=out)
     return 1 if findings else 0
 
 

@@ -569,7 +569,7 @@ class _SizeOnly:
             f"processes backend: read {what} of a frontier or message "
             "that stayed in its worker — below an epoch's horizon the "
             "replay, the merge and the control hooks read sizes only "
-            "(docs/static_analysis.md, REP115)",
+            "(docs/performance.md, \"Peer-to-peer supersteps\")",
             site="backend.processes",
         )
 

@@ -19,13 +19,10 @@ benign exactly when the declared combiner is commutative or idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "Combiner",
     "MIN", "MAX", "SUM", "ANY", "WITNESS", "OVERWRITE",
-    "OpSemantics", "op_semantics", "register_op_semantics", "known_ops",
-    "INT_DOMAIN", "BOOL_DOMAIN",
 ]
 
 
@@ -88,88 +85,3 @@ WITNESS = Combiner(
 #: last-writer-wins — order-DEPENDENT, the sanitizer flags conflicts.
 OVERWRITE = Combiner("overwrite", commutative=False, idempotent=False)
 
-
-# ---------------------------------------------------------------------------
-# Concrete operator semantics — the ground truth behind each declaration.
-#
-# A Combiner's ``commutative``/``idempotent`` flags are programmer *claims*.
-# The deep analysis tier (``repro check --deep``, repro.check.deep.certify)
-# verifies the claims by exhaustively evaluating the operator's concrete
-# semantics over a small finite domain and emits a machine-checkable
-# CombinerCertificate; the model checker (``repro check --mc``) folds each
-# array by the certified algebra.  Ops registered with ``fn=None`` are
-# declared nondeterministic (any concurrently-written value is acceptable,
-# e.g. ``witness``): they have no equational semantics to certify and are
-# excluded from the model checker's final-state comparison.
-
-
-@dataclass(frozen=True)
-class OpSemantics:
-    """Concrete evaluation semantics for one combiner op name.
-
-    ``fn`` merges (current_state, incoming_update) -> new_state, or is
-    ``None`` for declared-nondeterministic ops.  ``domain`` is the finite
-    value set the certifier quantifies over; it must be rich enough to
-    expose counterexamples (signs, zero, duplicates).
-    """
-
-    fn: Optional[Callable]
-    domain: Tuple
-    note: str = ""
-
-
-#: integers with signs, zero, and magnitude spread — enough to refute
-#: commutativity/associativity/idempotency for every arithmetic op here
-INT_DOMAIN: Tuple = (-2, -1, 0, 1, 2, 7)
-BOOL_DOMAIN: Tuple = (False, True)
-
-_OP_SEMANTICS: Dict[str, OpSemantics] = {
-    "min": OpSemantics(min, INT_DOMAIN),
-    "max": OpSemantics(max, INT_DOMAIN),
-    "sum": OpSemantics(lambda a, b: a + b, INT_DOMAIN),
-    "or": OpSemantics(lambda a, b: a or b, BOOL_DOMAIN),
-    "and": OpSemantics(lambda a, b: a and b, BOOL_DOMAIN),
-    "mul": OpSemantics(lambda a, b: a * b, INT_DOMAIN),
-    "sub": OpSemantics(lambda a, b: a - b, INT_DOMAIN),
-    "first": OpSemantics(lambda a, b: a, INT_DOMAIN,
-                         note="keep the already-applied value"),
-    "last": OpSemantics(lambda a, b: b, INT_DOMAIN,
-                        note="last writer wins"),
-    "overwrite": OpSemantics(lambda a, b: b, INT_DOMAIN,
-                             note="last writer wins"),
-    "witness": OpSemantics(
-        None, INT_DOMAIN,
-        note="nondeterministic by declaration: any valid witness is "
-             "acceptable, so there is no merge function to certify",
-    ),
-}
-
-
-def op_semantics(op: str) -> Optional[OpSemantics]:
-    """Registered semantics for a combiner op name, or None if unknown."""
-    return _OP_SEMANTICS.get(op)
-
-
-def known_ops() -> Tuple[str, ...]:
-    """All registered op-semantics names, sorted.
-
-    The certification tiers enumerate this to cross-check each other:
-    the property test in ``tests/check/test_mc_property.py`` asserts the
-    model checker's schedule-level verdict agrees with the algebraic
-    ``evaluate_op`` verdict for every op listed here."""
-    return tuple(sorted(_OP_SEMANTICS))
-
-
-def register_op_semantics(
-    op: str,
-    fn: Optional[Callable],
-    domain: Sequence = INT_DOMAIN,
-    note: str = "",
-) -> None:
-    """Register (or override) concrete semantics for a combiner op.
-
-    User primitives with custom merge operators register them here so the
-    deep tier can certify their declarations instead of rejecting the op
-    as unknown.
-    """
-    _OP_SEMANTICS[op] = OpSemantics(fn, tuple(domain), note)

@@ -70,10 +70,9 @@ def _dump_on_repro_error(fn):
     """Flight-recorder hook for ``enact``: a framework error escaping
     the run triggers a crash dump before propagating.
 
-    A decorator (rather than code inside ``enact``) so the barrier
-    discipline proof (REP113) keeps verifying the dispatch/merge body
-    unchanged, and so the recorder can never alter control flow — the
-    exception is always re-raised as-is.
+    A decorator (rather than code inside ``enact``) so ``enact``'s body
+    stays the superstep loop alone, and so the recorder can never alter
+    control flow — the exception is always re-raised as-is.
     """
 
     @functools.wraps(fn)
@@ -218,9 +217,11 @@ class Enactor:
         structured event stream.  A pure observer — traced runs are
         bit-identical (results and metrics) to untraced runs on both
         backends.  ``None`` (the default) costs one pointer check per
-        hook site, the ``sim/faults.py`` discipline (lint rule REP109);
-        attached, it also makes the superstep's charge ledger apply
-        every charge as it is made (a span needs its op's start time).
+        hook site and no Python call, the ``sim/faults.py`` discipline
+        (``tests/core/test_hot_path_guard.py`` holds the per-superstep
+        call budget); attached, it also makes the superstep's charge
+        ledger apply every charge as it is made (a span needs its op's
+        start time).
     supervise:
         Enable the real-process supervision layer
         (:mod:`repro.core.supervise`, docs/robustness.md): heartbeats,

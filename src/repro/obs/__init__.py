@@ -9,8 +9,8 @@ run is bit-identical to an untraced one:
   the wall clock.  Backend-invariant via per-GPU staging merged in
   GPU-index order at barriers (the sanitizer's discipline), and
   zero-overhead when disabled via the ``tracer is None`` fast path
-  everywhere (the ``sim/faults.py`` discipline, enforced statically by
-  lint rule REP109).
+  everywhere (the ``sim/faults.py`` discipline: the check costs no
+  Python call, so untraced runs keep their ``py_calls``).
 * :mod:`repro.obs.events` — a structured event bus emitting JSONL
   records for superstep boundaries, operator calls, communication
   stages, DOBFS direction switches, checkpoint/recovery actions, and

@@ -27,8 +27,11 @@ consistent with ``RunMetrics`` recovery counters.
 
 Disabled-cost discipline (mirrors ``sim/faults.py``): every hook site in
 the framework holds a plain attribute that is ``None`` by default and
-guards the call with a single ``if tracer is None`` check.  Lint rule
-REP109 (``repro check``) enforces the guard statically.
+guards the call with a single ``if tracer is None`` check.  The check
+costs no Python call, which is what keeps an untraced superstep inside
+``tests/core/test_hot_path_guard.py``'s per-superstep call budget and the
+benchmark's ``py_calls`` bound; an unguarded call fails at once, on
+``None``, in every untraced run.
 """
 
 from __future__ import annotations

@@ -105,8 +105,8 @@ class SSSPIteration(IterationBase):
         # a vertex may appear several times (local rediscovery + up to
         # one remote update per peer): charge each copy, relax each
         # vertex once.  Every copy would read the same ``dist[v]`` and
-        # offer the same candidates, and ``min`` is idempotent (certified
-        # for ``dist`` by check/deep/certify.py), so the copies cannot
+        # offer the same candidates, and ``min`` is idempotent (``dist``
+        # combines with ``combine.MIN``), so the copies cannot
         # change what one relaxation leaves behind — but the GPU kernel
         # does traverse them, so ``advance`` and ``relax`` are priced for
         # the frontier as received.

@@ -130,7 +130,8 @@ class Machine:
 
         Shared with the interconnect — same sharing shape as
         :meth:`arm_faults`, and like it, every hook site stays a single
-        ``is None`` check when nothing is attached (lint rule REP109).
+        ``is None`` check when nothing is attached — no Python call, so
+        untraced runs keep their ``py_calls``.
         """
         self.tracer = tracer
         self.interconnect.tracer = tracer

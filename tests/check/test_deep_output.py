@@ -1,6 +1,7 @@
-"""Deep-tier output plumbing: SARIF 2.1.0 emission and deterministic
-finding order across tiers."""
+"""``repro check`` output plumbing: SARIF 2.1.0 emission, the JSON
+document's shape, and deterministic finding order across tiers."""
 
+import io
 import json
 import pathlib
 
@@ -12,6 +13,8 @@ from repro.check.deep import (
     deep_analyze_source,
     findings_to_sarif,
 )
+from repro.check.rules import DEFAULT_RULES
+from repro.cli import main
 
 BAD_SRC = '''
 """doc"""
@@ -27,15 +30,20 @@ class ToyProblem(ProblemBase):
 
 class ToyIteration(IterationBase):
     def full_queue_core(self, ctx, frontier):
-        ctx.slice["labels"][frontier] = 0.5 * frontier
+        self.problem.seen = frontier.size
         self.stash = frontier
         return frontier, []
 '''
 
 
 def bad_findings(path="bad.py"):
-    findings, _ = deep_analyze_source(BAD_SRC, path)
-    return findings
+    return deep_analyze_source(BAD_SRC, path)
+
+
+def run_cli(*argv):
+    out = io.StringIO()
+    code = main(list(argv), out=out)
+    return code, out.getvalue()
 
 
 class TestSarif:
@@ -47,7 +55,7 @@ class TestSarif:
         run = doc["runs"][0]
         rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
         assert rule_ids == sorted(rule_ids)
-        assert {"REP110", "REP112"} <= set(rule_ids)
+        assert rule_ids == ["REP112"]
         assert len(run["results"]) == len(findings)
         first = run["results"][0]
         assert first["ruleId"] in set(rule_ids)
@@ -71,6 +79,34 @@ class TestSarif:
         doc = json.loads(findings_to_sarif([]))
         assert doc["runs"][0]["results"] == []
 
+    def test_cli_lists_exactly_the_registered_rules(self, tmp_path):
+        clean = tmp_path / "clean.py"
+        clean.write_text('"""doc"""\n', encoding="utf-8")
+        code, out = run_cli("check", "--deep", str(clean), "--sarif")
+        assert code == 0
+        driver = json.loads(out)["runs"][0]["tool"]["driver"]
+        assert [r["id"] for r in driver["rules"]] == sorted(
+            [r.rule_id for r in DEFAULT_RULES] + list(DEEP_RULES)
+        )
+
+
+class TestJson:
+    def test_document_keys_are_pinned(self, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_text(BAD_SRC, encoding="utf-8")
+        code, out = run_cli("check", "--deep", "--json", str(bad))
+        assert code == 1
+        doc = json.loads(out)
+        assert set(doc) == {"version", "tool", "count", "by_rule",
+                            "findings"}
+        assert doc["by_rule"] == {"REP112": 2}
+        for finding in doc["findings"]:
+            # "extra" only when the rule attached context
+            assert set(finding) - {"extra"} == {
+                "rule_id", "rule", "path", "line", "col", "severity",
+                "message",
+            }
+
 
 class TestDeterministicOrder:
     def test_lint_paths_sorted_across_files(self):
@@ -87,12 +123,10 @@ class TestDeterministicOrder:
         # two files whose names reverse-sort vs their finding order
         (tmp_path / "zz.py").write_text(BAD_SRC, encoding="utf-8")
         (tmp_path / "aa.py").write_text(BAD_SRC, encoding="utf-8")
-        report = deep_analyze_paths([str(tmp_path)],
-                                    verify_framework=False)
-        keys = [(f.path, f.line, f.col, f.rule_id) for f in report.findings]
+        findings = deep_analyze_paths([str(tmp_path)])
+        keys = [(f.path, f.line, f.col, f.rule_id) for f in findings]
         assert keys == sorted(keys)
-        again = deep_analyze_paths([str(tmp_path)],
-                                   verify_framework=False)
+        again = deep_analyze_paths([str(tmp_path)])
         assert keys == [
-            (f.path, f.line, f.col, f.rule_id) for f in again.findings
+            (f.path, f.line, f.col, f.rule_id) for f in again
         ]

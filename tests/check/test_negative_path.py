@@ -1,7 +1,8 @@
 """Satellite 4: deliberately broken primitives trip both engines.
 
-One statically-broken toy primitive violates every lint rule at once and
-the linter must flag each by its rule ID; three dynamically-broken BFS
+One statically-broken toy primitive violates every lint rule that
+applies to primitives (REP118 watches ``core`` only) and the linter must
+flag each by its rule ID; three dynamically-broken BFS
 variants must trip each sanitizer hazard class (SAN201/SAN202/SAN203).
 """
 
@@ -28,22 +29,20 @@ class BrokenProblem(ProblemBase):
 
     def init_data_slice(self, ds, sub):
         ds.allocate("dist", sub.num_vertices, np.float64)   # REP103
-        scratch = np.zeros(sub.num_vertices)                # REP105
 
 
 class BrokenIteration(IterationBase):
-    # REP101: no full_queue_core at all
-
-    def expand_incoming(self, ctx):     # REP101: wrong arity
-        out = np.empty(ctx.frontier.size)                   # REP105
-        for v in ctx.frontier:                              # REP104
-            out[v] = 1.0
-        self.problem.data_slices[0]["dist"][0] = 0.0        # REP106
+    def full_queue_core(self, ctx, frontier):
+        out = frontier.copy()
+        for v in frontier:                                  # REP104
+            out[v] = 1
         return out, []
 
     def should_stop(self, iteration, sizes, in_flight):
-        import random
-        return random.Random().random() < 0.5               # REP115
+        try:
+            return iteration > 3
+        except Exception:                                   # REP108
+            return True
 '''
 
 
@@ -54,8 +53,7 @@ class TestLinterFlagsBrokenPrimitive:
 
     @pytest.mark.parametrize(
         "rule_id",
-        ["REP101", "REP102", "REP103", "REP104", "REP105", "REP106",
-         "REP115"],
+        ["REP102", "REP103", "REP104", "REP108"],
     )
     def test_rule_fires(self, findings, rule_id):
         assert rule_id in {f.rule_id for f in findings}
