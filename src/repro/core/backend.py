@@ -51,13 +51,18 @@ fork used to inherit from the just-reset parent (reset machine and
 re-armed fault plan, a fresh iteration object, the parent's memory-pool
 accounting and frontier capacities, empty tracer/sanitizer stages).
 Warm workers keep their page tables, heap arenas and mappings — a fresh
-fork paid for all three again in its first supersteps.  Workers are
-re-forked only where that is required: after a rollback/repartition
-(:meth:`~ProcessesBackend.invalidate`, pool resized to the survivors),
-for a supervised respawn-and-replay, after a worker error, and when
-:func:`_fork_token` shows that something a worker captured at fork time
-and no message re-ships — fault plan, tracer, sanitizer, recorder,
-supervisor, recovery policy — differs from what the parent now holds.
+fork paid for all three again in its first supersteps.  A GPU loss does
+not end that: at the rollback :meth:`~ProcessesBackend.rehome` drops
+the lost GPUs from their workers' buckets, reaps a worker left with
+none (its control-block slot is retired) and has every other worker
+rebuild its replica in place with the code the parent runs
+(:meth:`Enactor.rebuild_partition`), overlapped with the parent's own
+rebuild.  Workers are re-forked only where that is required: for a
+supervised respawn-and-replay, after a worker error or a failed
+handshake, and when :func:`_fork_token` shows that something a worker
+captured at fork time and no message re-ships — fault plan, tracer,
+sanitizer, recorder, supervisor, recovery policy — differs from what
+the parent now holds.
 
 **Run protocol.**  The parent does not lead every superstep: it grants
 each worker an *epoch*, ``("run", first, horizon, generations, attrs,
@@ -96,10 +101,15 @@ the rule, if anything reads their contents.
 
 The horizon is ``first`` — lockstep: one superstep per request, no
 mailbox, no barrier — when something the parent owns needs every
-barrier: guarded dispatch (rollback, respawn-and-replay and digests work
-superstep by superstep) or an attached tracer or sanitizer (staged
-entries merge at the parent's barrier).  Otherwise it is the next
-superstep a checkpoint is due at, or ``max_iterations()``.
+barrier: supervision (respawn-and-replay and digests work superstep by
+superstep) or an attached tracer or sanitizer (staged entries merge at
+the parent's barrier).  Otherwise it is the next superstep a
+checkpoint is due at, or ``max_iterations()`` — or, with a fault plan
+armed, the superstep a pending GPU loss fires in
+(:meth:`~repro.sim.faults.FaultInjector.next_loss_at`) if that comes
+first: outside supervision only a loss ends a superstep in a
+``DeviceLostError``, and the rollback it starts is the parent's.  The
+other modelled faults are absorbed inside the superstep.
 
 Superstep ``k`` reads exchange half ``(k - 1) % 2`` and writes half
 ``k % 2``, so a replayed superstep finds its inputs intact; a worker
@@ -228,10 +238,15 @@ class ExecutionBackend:
         ``iteration``: a backend whose workers run ahead checks that
         they stopped there too."""
 
-    def invalidate(self) -> None:
-        """Called after rollback/repartition: any cached view of the
-        problem's arrays (worker forks, shared-memory manifests) is
-        stale and must be rebuilt before the next dispatch."""
+    def rehome(self, enactor, lost, assignment, attrs, iter_state) -> None:
+        """Called at a GPU-loss rollback, before the enactor rebuilds
+        its partition for ``assignment`` without the ``lost`` GPUs
+        (:meth:`Enactor.rebuild_partition`): a backend with replicas of
+        the problem starts rebuilding them here."""
+
+    def finish_rehome(self, enactor) -> None:
+        """Called once the rollback has rebuilt and restored the
+        enactor's own state: replicas adopt the new slice arrays."""
 
     def run_iteration(
         self,
@@ -262,7 +277,10 @@ class ExecutionBackend:
             except DeviceLostError as exc:
                 if not guarded:
                     raise
-                eff = exc
+                # a value now, as one unpickled from a worker: without
+                # its traceback, whose frames would hold this list (and
+                # through it the whole run) in a reference cycle
+                eff = exc.with_traceback(None)
             results.append(eff)
         return results
 
@@ -340,6 +358,15 @@ def _apply_accounting(enactor, gpu_index: int, acct: tuple) -> None:
     fout.capacity, fout.grow_events = fout_cap, fout_grow
 
 
+def _attach_slices(problem, manifest) -> None:
+    """Rebind the problem's slice arrays to the manifest's segments,
+    attached by *name* (shadow wrappers preserved)."""
+    for gpu, name, arr in manifest.attach_slices():
+        old = problem.data_slices[gpu].arrays.get(name)
+        if old is not None and old.shape == arr.shape:
+            problem.data_slices[gpu].arrays[name] = _rewrap_like(old, arr)
+
+
 def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest, exchange,
                  barrier, heartbeat=None, sup_cfg=None):
     """Body of one forked worker: serve requests until "stop".
@@ -347,19 +374,22 @@ def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest, exchange,
     The worker owns ``gpu_ids`` for the pool's lifetime (GPU affinity:
     per-GPU mutable state — streams, pools, operator caches — evolves
     only here between barriers), across every
-    ``enact()`` of its enactor.  Slice arrays are re-attached through
+    ``enact()`` of its enactor and every GPU loss it survives (a lost
+    GPU just leaves its bucket).  Slice arrays are re-attached through
     the shared-memory registry by *name*, proving the manifest layer;
     exchange and control segments are reached through the inherited
     fork mappings, which alias the same physical pages, and the
     sub-graph structure through the fork's copy-on-write heap.
 
-    Two requests: ``begin_run`` re-establishes the per-run private
+    Three requests: ``begin_run`` re-establishes the per-run private
     state a fresh fork would have inherited from the just-reset parent;
-    ``run`` runs an epoch of supersteps for the owned GPUs (module
-    docs, "Run protocol").  Both are answered ``(status, error,
-    blobs)``; a worker that raised sets the abort word first, which
-    releases any peer waiting for it at a barrier.  ``barrier`` is
-    ``(control block, this worker's slot, whether to spin, parent pid)``.
+    ``rehome`` rebuilds the worker's replica after a GPU loss
+    (:meth:`ProcessesBackend.rehome`); ``run`` runs an epoch of
+    supersteps for the owned GPUs (module docs, "Run protocol").  All
+    are answered ``(status, error, blobs)``; a worker that raised sets
+    the abort word first, which releases any peer waiting for it at a
+    barrier.  ``barrier`` is ``(control block, this worker's slot,
+    whether to spin, parent pid)``.
 
     Under supervision (``heartbeat``/``sup_cfg`` set) the worker also
     runs a heartbeat thread and digests its slice windows and exchange
@@ -367,10 +397,7 @@ def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest, exchange,
     """
     problem = enactor.problem
     control, parent_pid = barrier[0], barrier[3]
-    for gpu, name, arr in manifest.attach_slices():
-        old = problem.data_slices[gpu].arrays.get(name)
-        if old is not None and old.shape == arr.shape:
-            problem.data_slices[gpu].arrays[name] = _rewrap_like(old, arr)
+    _attach_slices(problem, manifest)
     checksums = sup_cfg is not None and sup_cfg.shm_checksums
     # the enactor's own rule for returning device losses as values
     guarded = enactor.machine.faults is not None or sup_cfg is not None
@@ -394,10 +421,16 @@ def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest, exchange,
         try:
             if msg[0] == "begin_run":
                 iteration_obj = _worker_begin_run(enactor, msg[1], shipped)
+            elif msg[0] == "rehome":
+                manifest, iteration_obj = _worker_rehome(
+                    enactor, conn, parent_pid, msg, manifest, shipped
+                )
             else:
                 _worker_run(enactor, iteration_obj, exchange, barrier, msg,
                             shipped, checksums, guarded, blobs)
             reply = ("ok", None, blobs)
+        except EOFError:  # stopped mid-rehome, or the parent is gone
+            break
         except BaseException as exc:  # ships to the parent to re-raise
             control.abort()
             reply = ("error", exc, blobs)
@@ -430,6 +463,37 @@ def _worker_begin_run(enactor, accounts, shipped):
     if enactor.sanitizer is not None:
         enactor.sanitizer.start_run()
     return enactor.iteration_cls(enactor.problem)
+
+
+def _worker_rehome(enactor, conn, parent_pid, msg, manifest, shipped):
+    """Rebuild this worker's replica after a GPU loss with the code the
+    parent runs on its own (:meth:`Enactor.rebuild_partition`), from
+    the assignment and checkpoint state in ``msg``.  The slices come
+    last, in a second message once the parent has migrated its rebuilt
+    ones: the old attachments are dropped and the new segments attached
+    by name, with the parent's pool accounting.  Returns the new
+    manifest and the run's fresh iteration object."""
+    _, lost, assignment, attrs, iter_state = msg
+    new_manifest = accounts = None
+
+    def adopt_slices():
+        nonlocal new_manifest, accounts
+        reply = worker_recv(conn, parent_pid)
+        if reply[0] != "slices":  # the parent gave up on the pool
+            raise EOFError("stopped while rehoming")
+        manifest.detach()
+        new_manifest = SliceManifest.from_spec(reply[1])
+        accounts = reply[2]
+        _attach_slices(enactor.problem, new_manifest)
+
+    iteration_obj = enactor.iteration_cls(enactor.problem)
+    enactor.rebuild_partition(
+        lost, assignment, iteration_obj, attrs, iter_state, adopt_slices
+    )
+    for gpu_index, acct in accounts:
+        _apply_accounting(enactor, gpu_index, acct)
+        shipped[gpu_index] = _accounting(enactor, gpu_index)
+    return new_manifest, iteration_obj
 
 
 def _worker_run(enactor, iteration_obj, exchange, barrier, msg, shipped,
@@ -478,6 +542,7 @@ def _worker_run(enactor, iteration_obj, exchange, barrier, msg, shipped,
                       for arrival, packed in inbox]
     mine = [job[0] for job in jobs]
     kept = frozenset(mine)
+    peers = control.peers(slot)
     inj = machine.faults
     while True:
         write = iteration % 2
@@ -503,22 +568,23 @@ def _worker_run(enactor, iteration_obj, exchange, barrier, msg, shipped,
             )))
         blob = pickle.dumps(sidecars, pickle.HIGHEST_PROTOCOL)
         blobs.append(blob)
+        if inj is not None:
+            inj.end_iteration()  # as the parent does after each superstep
         if at_horizon:
             return
         # close the superstep with the peers, not through the parent
         arrived = control.post(slot, write, blob)
         if not wait_for_peers(control, slot, arrived, parent_pid, spin):
             return  # a peer aborted the epoch; its reply says why
-        for peer in range(control.workers):
-            if peer != slot:
-                for side in map(_Sidecar._make,
-                                pickle.loads(control.read(peer, write))):
-                    _apply_horizons(enactor, side)
-                    # a regrown half has a new name
-                    exchange[side.gpu].sync(write, side.generation)
-                    effects[side.gpu] = _unpack_effects(
-                        side.eff, exchange, readers=kept
-                    )
+        for peer in peers:
+            for side in map(_Sidecar._make,
+                            pickle.loads(control.read(peer, write))):
+                _apply_horizons(enactor, side)
+                # a regrown half has a new name
+                exchange[side.gpu].sync(write, side.generation)
+                effects[side.gpu] = _unpack_effects(
+                    side.eff, exchange, readers=kept
+                )
         inboxes, stop = enactor.barrier(
             iteration, iteration_obj,
             [effects[g] for g in sorted(effects)], frontiers,
@@ -798,36 +864,99 @@ class ProcessesBackend(ExecutionBackend):
         machine, builds a fresh iteration object and acknowledges
         before the first step is sent.  The pool is re-forked (lazily,
         at the next dispatch) only when it cannot be trusted to match
-        the parent: a slot was retired, the fork token changed, or a
-        worker fails to acknowledge.
+        the parent: a worker that still owns GPUs was reaped, the fork
+        token changed, or a worker fails to acknowledge.
         """
         self._described.clear()
         self._primed = False
         self._forget_epoch()
         if self._workers is None:
             return
-        if (any(entry is None for entry in self._workers)
+        if (any(entry is None and bucket
+                for entry, bucket in zip(self._workers, self._buckets))
                 or _fork_token(enactor, self.supervisor) != self._token):
             self._teardown_workers()
             return
-        sent_at: Dict[int, float] = {}
+        if self._handshake({
+            w: ("begin_run", [(g, _accounting(enactor, g)) for g in bucket])
+            for w, bucket in self._live_buckets()
+        }):
+            self._sent_attrs = [None] * len(self._workers)
+
+    def rehome(self, enactor, lost, assignment, attrs, iter_state) -> None:
+        """Keep the workers whose GPUs survive a loss; each rebuilds its
+        replica while the parent rebuilds its own.
+
+        The lost GPUs leave their buckets; a worker left with none is
+        reaped and its control-block slot retired.  Every other worker
+        gets the assignment and the checkpoint's attributes and
+        iteration state now, so its rebuild overlaps the parent's;
+        :meth:`finish_rehome` sends the slices.  With one GPU left the
+        pool goes instead: that run is inline.
+        """
+        self._described.clear()
+        self._primed = False
+        if self._workers is None:
+            return
+        if len(enactor.machine.alive_gpus) - len(lost) <= 1:
+            self._teardown_workers()
+            return
         for w, bucket in enumerate(self._buckets):
-            self._send(w, (
-                "begin_run",
-                [(g, _accounting(enactor, g)) for g in bucket],
-            ))
+            self._buckets[w] = [g for g in bucket if g not in lost]
+            if not self._buckets[w]:
+                self._reap_slot(w)
+                self._heartbeats[w] = None
+                self._control.retire(w)
+        self._owner = {g: w for w, bucket in self._live_buckets() for g in bucket}
+        for w, _ in self._live_buckets():
+            self._send(w, ("rehome", lost, assignment, attrs, iter_state))
+
+    def finish_rehome(self, enactor) -> None:
+        """Move the parent's rebuilt slices into a new manifest and send
+        its names, with the parent's pool accounting, to the survivors;
+        each acknowledges once its replica is whole.  The old segments
+        are unlinked without a copy back: no slice uses them any more.
+        A survivor that fails to acknowledge takes the pool with it, and
+        the next dispatch forks a new one."""
+        if self._manifest is not None:
+            self._manifest.unlink()
+            self._manifest = None
+        if self._workers is None:
+            return
+        self._manifest = SliceManifest()
+        self._manifest.migrate(enactor.problem)
+        spec = self._manifest.spec()
+        if self._handshake({
+            w: ("slices", spec, [(g, _accounting(enactor, g)) for g in bucket])
+            for w, bucket in self._live_buckets()
+        }):
+            # CHECKPOINT_ATTRS and the re-routed heap inputs travel with
+            # the next grant
+            self._sent_attrs = [None] * len(self._workers)
+
+    def _live_buckets(self):
+        """``(slot, GPUs)`` of every worker that is alive."""
+        return [(w, bucket) for w, bucket in enumerate(self._buckets)
+                if self._workers[w] is not None]
+
+    def _handshake(self, messages: Dict[int, tuple]) -> bool:
+        """Send one message to each worker in ``messages`` and wait for
+        every acknowledgement.  A worker that dies, wedges or fails in
+        between leaves nothing in flight: the pool is torn down (the
+        next dispatch forks a new one) and False returned."""
+        sent_at: Dict[int, float] = {}
+        for w, msg in messages.items():
+            self._send(w, msg)
             sent_at[w] = time.monotonic()
-        for w in range(len(self._workers)):
+        for w, at in sent_at.items():
             try:
-                msg = self._wait(w, sent_at[w])
+                reply = self._wait(w, at)
             except (WorkerCrashError, WorkerHangError) as exc:
-                msg = ("error", exc)
-            if msg[0] != "ok":
-                # died, wedged or failed between two runs: nothing is in
-                # flight, so the next dispatch simply forks a new pool
+                reply = ("error", exc)
+            if reply[0] != "ok":
                 self._teardown_workers()
-                return
-        self._sent_attrs = [None] * len(self._workers)
+                return False
+        return True
 
     def _forget_epoch(self) -> None:
         self._log.clear()
@@ -850,9 +979,7 @@ class ProcessesBackend(ExecutionBackend):
         if self._log or self._failure is not None:
             raise self._diverged(iteration, "the parent", "the workers")
 
-    def invalidate(self) -> None:
-        # rollback/repartition rebuilt the slice arrays: the forks, the
-        # shm segments and the exchange all describe dead objects
+    def close(self) -> None:
         self._teardown_workers()
         self._described.clear()
         self._close_exchange()
@@ -860,14 +987,10 @@ class ProcessesBackend(ExecutionBackend):
             self._manifest.release()
             self._manifest = None
 
-    def close(self) -> None:
-        self.invalidate()
-
     def _close_exchange(self) -> None:
-        """Destroy the exchange segments.  During a rollback the
-        enactor still holds views of the aborted superstep's arrays;
-        those mappings are closed on a later call, once the views are
-        dead."""
+        """Destroy the exchange segments.  A mapping that an array the
+        caller still holds views is closed on a later call, once the
+        view is dead."""
         closing = self._unmapped + [
             seg for seg in self._exchange or () if seg is not None
         ]
@@ -993,8 +1116,8 @@ class ProcessesBackend(ExecutionBackend):
 
     def _retire_worker(self, w: int) -> None:
         """Reap worker ``w`` and leave its slot dead (escalation path:
-        the enactor's rollback will invalidate and rebuild the pool
-        sized to the survivors)."""
+        its GPUs are lost, and the enactor's rollback retires the slot
+        in :meth:`rehome`)."""
         self._reap_slot(w)
         for g in self._buckets[w]:
             self._owner.pop(g, None)
@@ -1098,15 +1221,19 @@ class ProcessesBackend(ExecutionBackend):
             )
         # the parent leads every superstep where something it owns
         # needs each barrier; otherwise the workers run ahead to the
-        # next superstep a checkpoint is due at
+        # next superstep a checkpoint is due at or a GPU can be lost at
         horizon = iteration
-        if not (guarded or self.tracer is not None
+        if not (self.supervisor is not None or self.tracer is not None
                 or machine.tracer is not None
                 or enactor.sanitizer is not None):
             horizon = iteration_obj.max_iterations()
             every = enactor.checkpoint_every
             if every is not None:
                 horizon = min(horizon, iteration - iteration % every + every - 1)
+            if machine.faults is not None:
+                loss = machine.faults.next_loss_at(iteration, gpu_indices)
+                if loss is not None:
+                    horizon = min(horizon, loss)
         if self.tracer is not None:
             self.tracer.instant(
                 "backend.dispatch", backend=self.name,
@@ -1345,8 +1472,8 @@ class ProcessesBackend(ExecutionBackend):
             escalate = True
         # rollback path: convert the failure into DeviceLostError
         # values so RecoveryPolicy rolls back, reassigns onto the
-        # survivors, and repartitions (pool resize happens at the
-        # invalidate() that recovery triggers)
+        # survivors, and repartitions (the other workers rebuild their
+        # replicas in the rehome that recovery triggers)
         if self.recorder is not None:
             # snapshot heartbeat ages *before* the worker is reaped —
             # the stale slot is the whole story of a hang escalation

@@ -747,9 +747,11 @@ class Enactor:
         """Roll back to the last checkpoint minus the lost GPUs.
 
         Marks the GPUs dead, deals their checkpointed vertices onto the
-        survivors, rebuilds subgraphs/slices/buffers, restores array and
-        scalar state from the checkpoint, and re-routes the checkpointed
-        frontiers and in-flight messages onto the new assignment.
+        survivors, rebuilds subgraphs/slices/buffers and restores array
+        and scalar state from the checkpoint (:meth:`rebuild_partition`,
+        which the backend's replicas run alongside), and re-routes the
+        checkpointed frontiers and in-flight messages onto the new
+        assignment.
         Returns ``(resume_iteration, frontiers, inboxes)``.
         """
         machine = self.machine
@@ -787,20 +789,19 @@ class Enactor:
                     "recovery.gpu-loss", vt=machine.clock.now,
                     gpu=exc.gpu_id, iteration=exc.iteration,
                 )
-        for exc in losses:
-            machine.lose_gpu(exc.gpu_id)
-        metrics.degraded_gpus = sorted(machine.lost_gpus)
+        lost = [exc.gpu_id for exc in losses]
+        dead = machine.lost_gpus.union(lost)
+        metrics.degraded_gpus = sorted(dead)
         t0 = machine.clock.now
-        new_assignment = reassign_onto_survivors(
-            ckpt.partition_table, machine.lost_gpus, n
+        new_assignment = reassign_onto_survivors(ckpt.partition_table, dead, n)
+        # replicas of the problem (surviving workers) rebuild meanwhile
+        self.backend.rehome(
+            self, lost, new_assignment, ckpt.attrs, ckpt.iter_state
         )
-        self._release_buffers()
-        problem.repartition(new_assignment, dead=machine.lost_gpus)
-        self._setup_buffers()
-        problem.restore_arrays(ckpt.arrays)
-        problem.restore_attrs(ckpt.attrs)
-        iteration_obj.restore_state(ckpt.iter_state)
-        problem.on_repartition(dead=machine.lost_gpus)
+        self.rebuild_partition(
+            lost, new_assignment, iteration_obj, ckpt.attrs, ckpt.iter_state,
+            lambda: problem.restore_arrays(ckpt.arrays),
+        )
         frontiers, messages = route_restored_state(
             ckpt, problem, machine.lost_gpus, tracer=tracer
         )
@@ -833,10 +834,31 @@ class Enactor:
                 lost=sorted(machine.lost_gpus),
             )
         frontiers = [np.asarray(f, dtype=np.int64) for f in frontiers]
-        # repartition rebuilt the slice arrays: worker forks and any
-        # shared-memory manifest now describe dead objects
-        self.backend.invalidate()
+        self.backend.finish_rehome(self)
         return ckpt.iteration + 1, frontiers, inboxes
+
+    def rebuild_partition(self, lost, assignment, iteration_obj, attrs,
+                          iter_state, restore_arrays) -> None:
+        """The structural half of a GPU-loss rollback, on this enactor's
+        machine and problem: mark the ``lost`` GPUs dead, rebuild
+        sub-graphs, slices and buffers for ``assignment``, put the
+        checkpointed state back — slice arrays by ``restore_arrays()``,
+        then ``attrs`` and ``iter_state`` — and run the primitive's
+        ``on_repartition``.  The parent runs it in
+        :meth:`_recover_gpu_loss`, and every surviving ``processes``
+        worker on its replica (:meth:`ProcessesBackend.rehome`), where
+        the arrays arrive in shared memory."""
+        machine = self.machine
+        problem = self.problem
+        for gpu in lost:
+            machine.lose_gpu(gpu)
+        self._release_buffers()
+        problem.repartition(assignment, dead=machine.lost_gpus)
+        self._setup_buffers()
+        restore_arrays()
+        problem.restore_attrs(attrs)
+        iteration_obj.restore_state(iter_state)
+        problem.on_repartition(dead=machine.lost_gpus)
 
     # ------------------------------------------------------------------
     def barrier(self, iteration: int, iteration_obj: IterationBase,

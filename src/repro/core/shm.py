@@ -2,15 +2,17 @@
 frontier/message exchange segments and the superstep control block.
 
 The processes backend forks a worker pool once per enactor; the workers
-live until ``close()`` (or until a rollback, a worker failure or a
-changed observer forces a re-fork) and each owns a fixed subset of the
-virtual GPUs.  Fork gives workers copy-on-write *reads* of the whole
-problem for free — and that is all the graph structure needs: the
-partition tables and sub-graph CSR of a
+live until ``close()`` (or until a worker failure or a changed observer
+forces a re-fork) and each owns a fixed subset of the virtual GPUs.
+Fork gives workers copy-on-write *reads* of the whole problem for free
+— and that is all the graph structure needs: the partition tables and
+sub-graph CSR of a
 :class:`~repro.partition.partitioned.PartitionedGraph` are read-only, so
-their pages are never copied and never leave the parent's heap (every
-worker — first fork, supervised respawn, re-fork after a rollback — is
-forked from the parent that holds them; there is no spawn path).  What
+their pages are never copied and never put in shared memory (every
+worker is forked from the parent that holds them; there is no spawn
+path).  After a GPU loss each surviving worker builds the new partition
+itself, from the same assignment as the parent, with the same
+deterministic code.  What
 must be shared explicitly is what a worker **writes**: its GPU's slice
 arrays (labels, ranks, bitmaps, ...), whose writes must land where the
 parent — and every later run on the same workers — can see them.
@@ -41,8 +43,11 @@ Lifecycle: slice segments are created by :meth:`SliceManifest.migrate`;
 arrays (so the problem remains usable after the backend is closed),
 closes what can be closed, and **unlinks every segment** — the
 backend-test leak check asserts ``/dev/shm`` holds nothing of ours
-afterwards.  Exchange segments are created by the parent before the
-fork and unlinked by :meth:`ExchangeSegment.close`, including any
+afterwards.  A GPU-loss rollback rebuilds every slice, so the old
+manifest is only unlinked (:meth:`SliceManifest.unlink`; nothing is
+left to copy back) and a new one is migrated.  Exchange segments are
+created by the parent before the fork and unlinked by
+:meth:`ExchangeSegment.close`, including any
 regrown generation a worker created.  The pool's :class:`ControlBlock`
 — barrier words, and mailboxes that are exchange segments themselves —
 follows the same rules.  Only the creating process ever unlinks; an
@@ -225,6 +230,14 @@ class SliceManifest:
         if not writeable:
             arr.setflags(write=False)
         return arr
+
+    @classmethod
+    def from_spec(cls, spec) -> "SliceManifest":
+        """An attach-only manifest over another process's segments: how
+        a live worker adopts a manifest built after its fork."""
+        manifest = cls()
+        manifest._specs = dict(spec)
+        return manifest
 
     def attach_slices(self) -> Iterator[Tuple[int, str, np.ndarray]]:
         """Attach every slice-array segment by name: yields
@@ -538,6 +551,8 @@ _LINE = 8
 #: initial size of one mailbox half; a sidecar list is a few hundred
 #: bytes per GPU, and a half that is too small regrows
 _MAILBOX_BYTES = 4096
+#: arrival counter of a retired slot, beyond any barrier number
+_RETIRED = 1 << 62
 
 
 class ControlBlock:
@@ -548,7 +563,10 @@ class ControlBlock:
     ``w`` alone: word 0 is its *arrival counter* — how many of the
     pool's barriers it has reached — and words 1–4 are the generation
     and byte length of its mailbox halves 0 and 1.  One writer per
-    line: arriving never contends with a peer's arrival.
+    line: arriving never contends with a peer's arrival.  A slot whose
+    worker was reaped because all its GPUs were lost is *retired*
+    (:meth:`retire`): the parent sets its counter past every barrier,
+    between two epochs, and its peers stop reading its mailbox.
 
     **Mailboxes.**  Per worker an :class:`ExchangeSegment` (grow-only
     halves; same naming, ownership, unlink and ``atexit`` rules) for
@@ -589,6 +607,16 @@ class ControlBlock:
     def arrived(self, worker: int) -> int:
         """How many barriers ``worker`` has reached."""
         return self._words[_LINE * (worker + 1)]
+
+    def retire(self, worker: int) -> None:
+        """Take a reaped worker's slot out of the pool: its counter
+        jumps past every barrier, so no peer ever waits for it."""
+        self._words[_LINE * (worker + 1)] = _RETIRED
+
+    def peers(self, worker: int) -> List[int]:
+        """The slots other than ``worker`` that have not been retired."""
+        return [w for w in range(self.workers)
+                if w != worker and self.arrived(w) != _RETIRED]
 
     def post(self, worker: int, parity: int, payload: bytes) -> int:
         """Publish ``worker``'s mail for this superstep and arrive;

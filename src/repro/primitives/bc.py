@@ -61,7 +61,12 @@ class BCProblem(ProblemBase):
     }
     # the phase machine is mutated by reset() AND should_stop(); a barrier
     # checkpoint must capture all of it or a rollback resumes mid-phase
-    CHECKPOINT_ATTRS = ("phase", "max_depth", "level", "communication")
+    CHECKPOINT_ATTRS = (
+        "phase", "max_depth", "level", "communication", "deepest",
+    )
+    # each GPU's deepest hosted label, written by the sync superstep:
+    # should_stop derives max_depth from it instead of reading labels
+    PER_GPU_MUTABLE_ATTRS = ("deepest",)
 
     def init_data_slice(self, ds: DataSlice, sub: SubGraph) -> None:
         ids = sub.csr.ids
@@ -74,6 +79,7 @@ class BCProblem(ProblemBase):
         self.max_depth = 0
         self.level = -1
         self.communication = SELECTIVE
+        self.deepest = [0] * self.num_gpus
         for ds in self.data_slices:
             ds["labels"].fill(-1)
             ds["sigma"].fill(0.0)
@@ -137,8 +143,14 @@ class BCIteration(IterationBase):
         return survivors, [a_stats, s_stats]
 
     def _sync_core(self, ctx: GpuContext):
-        """Broadcast every hosted vertex's (depth, sigma)."""
-        hosted = self.problem.hosted_frontiers[ctx.gpu.device_id]
+        """Broadcast every hosted vertex's (depth, sigma), and record
+        the deepest of those depths for ``should_stop``."""
+        problem: BCProblem = self.problem  # type: ignore[assignment]
+        gpu = ctx.gpu.device_id
+        hosted = problem.hosted_frontiers[gpu]
+        problem.deepest[gpu] = int(
+            np.maximum.reduce(ctx.slice.arrays["labels"][hosted], initial=0)
+        )
         stats = OpStats(
             name="sync-package",
             input_size=int(hosted.size),
@@ -247,19 +259,20 @@ class BCIteration(IterationBase):
     def should_stop(self, iteration, frontier_sizes, messages_in_flight) -> bool:
         problem: BCProblem = self.problem  # type: ignore[assignment]
         if problem.phase == _FORWARD:
-            if sum(frontier_sizes) == 0 and messages_in_flight == 0:
-                # forward done; depths are globally known only after the
-                # sync broadcast has been *combined* (one superstep later)
+            if sum(frontier_sizes) or messages_in_flight:
                 if problem.num_gpus == 1:
-                    problem.phase = _BACKWARD
-                    labels = problem.data_slices[0]["labels"]
-                    problem.max_depth = int(labels.max())
-                    problem.level = problem.max_depth - 1
-                    if problem.level < 1:
-                        return True
-                else:
-                    problem.phase = _SYNC
-                    problem.communication = BROADCAST
+                    # every discovery is hosted, and in the frontier
+                    # labelled iteration + 1: the deepest level so far
+                    problem.max_depth = iteration + 1
+                return False
+            # forward done; depths are globally known only after the
+            # sync broadcast has been *combined* (one superstep later)
+            if problem.num_gpus == 1:
+                problem.phase = _BACKWARD
+                problem.level = problem.max_depth - 1
+                return problem.level < 1
+            problem.phase = _SYNC
+            problem.communication = BROADCAST
             return False
         if problem.phase == _SYNC:
             # sync messages are in flight; combine them next superstep
@@ -268,8 +281,7 @@ class BCIteration(IterationBase):
         if problem.phase == _SYNC_WAIT:
             # every GPU now holds the full (labels, sigma) arrays
             problem.phase = _BACKWARD
-            labels = problem.data_slices[0]["labels"]
-            problem.max_depth = int(labels.max())
+            problem.max_depth = max(problem.deepest)
             problem.level = problem.max_depth - 1
             return problem.level < 1
         # backward: walk levels toward the source; level 0 is the source,

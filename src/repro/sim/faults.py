@@ -353,6 +353,18 @@ class FaultInjector:
                     site=f"machine.gpu[{gpu}]",
                 )
 
+    def next_loss_at(self, first: int, gpus) -> Optional[int]:
+        """The earliest superstep ``>= first`` at which a pending
+        ``gpu-loss`` on one of ``gpus`` (the GPUs that run) fires, or
+        None when none can.  A GPU runs every superstep and checks at
+        superstep start, so a spec fires at ``max(first, its
+        iteration)``."""
+        return min(
+            (max(first, spec.iteration) for spec in self._loss
+             if spec.gpu in gpus),
+            default=None,
+        )
+
     def check_comm(self, src: int, dst: int, iteration: Optional[int]) -> None:
         """Transfer site: raise a transient CommunicationError if due."""
         if iteration is None:

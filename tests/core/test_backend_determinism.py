@@ -412,6 +412,48 @@ def test_epochs_end_where_a_checkpoint_is_due(
     assert _shm_leaks() == []
 
 
+#: (checkpoint_every, superstep GPU 3 is lost at) per primitive: a loss
+#: that falls inside what would otherwise be one epoch
+_MID_EPOCH_LOSS = {"bfs": (None, 2), "sssp": (None, 3), "pr": (8, 11)}
+
+
+@pytest.mark.parametrize("primitive", sorted(_MID_EPOCH_LOSS))
+def test_gpu_loss_mid_epoch_bit_identical_to_serial(
+    primitive, small_rmat, weighted_rmat, monkeypatch
+):
+    """A fault-armed, unsupervised run still runs epochs; a pending GPU
+    loss cuts the grant short at the superstep it fires in.  The
+    survivors rebuild in place, the run resumes from the checkpoint in
+    a new grant, and everything equals serial."""
+    from repro.core.enactor import Enactor
+    from repro.sim.faults import GPU_LOSS, FaultPlan, FaultSpec
+
+    every, lost_at = _MID_EPOCH_LOSS[primitive]
+    grants = _count_dispatches(monkeypatch)
+    out = {}
+    for backend in ("serial", "processes:2"):
+        problem, iteration_cls, kwargs, result = _checkpointed_problem(
+            primitive, small_rmat, weighted_rmat
+        )
+        problem.machine.arm_faults(
+            FaultPlan([FaultSpec(GPU_LOSS, gpu=3, iteration=lost_at)])
+        )
+        with Enactor(problem, iteration_cls, backend=backend,
+                     checkpoint_every=every) as enactor:
+            metrics = enactor.enact(**kwargs)
+            out[backend] = (result().copy(), json.dumps(metrics.to_dict()))
+    np.testing.assert_array_equal(out["serial"][0], out["processes:2"][0])
+    assert out["serial"][1] == out["processes:2"][1]
+    assert metrics.rollbacks == 1 and metrics.degraded_gpus == [3]
+    # the grant the loss falls in ends there; the rerun starts one past
+    # the checkpoint (the baseline, without checkpoint_every) in a new one
+    first = 0 if every is None else lost_at - lost_at % every
+    assert (first, lost_at - first + 1) in grants
+    after = grants[grants.index((first, lost_at - first + 1)) + 1:]
+    assert after[0][0] == first and len(after) < metrics.supersteps
+    assert _shm_leaks() == []
+
+
 def test_exchange_and_mailbox_regrow_mid_epoch(small_rmat, monkeypatch):
     """Halves that start far too small regrow while the parent is not
     looking: peers and parent follow the generations the sidecars and

@@ -40,9 +40,10 @@ def test_chaos_cell_serial(primitive, kind):
 @pytest.mark.parametrize("kind", CHAOS_KINDS)
 def test_chaos_cell_processes(primitive, kind):
     """The forked-worker backend under faults: transient retries and OOM
-    recoveries run inside workers; a permanent GPU loss tears the pool
-    down (rollback + repartition invalidate the shm manifest) and the
-    degraded run must still match the fault-free reference."""
+    recoveries run inside workers; after a permanent GPU loss the
+    surviving workers rebuild their partition in place (a new shm
+    manifest) and the degraded run must still match the fault-free
+    reference."""
     r = run_chaos_case(primitive, 2, kind, backend="processes")
     assert r.ok, f"{r.name}: {r.detail}"
 

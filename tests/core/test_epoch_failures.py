@@ -5,8 +5,8 @@ another at a shared-memory barrier, so every way a worker can fail to
 arrive has to end the wait: a dead worker, a stopped one, one whose
 hook raised, and control hooks that do not decide the same thing in
 every process; and a barrier that reads contents where only sizes
-crossed must fail, not compute.  All of it on an *unsupervised* pool — supervised and
-fault-armed dispatch stays in lockstep (``test_supervision.py``).
+crossed must fail, not compute.  All of it on an *unsupervised* pool — supervised
+dispatch stays in lockstep (``test_supervision.py``).
 
 Everything here runs real forked processes and real signals; every
 pool test also asserts that no worker and no ``/dev/shm`` name is left.

@@ -270,6 +270,53 @@ def test_parent_pipe_messages_stay_within_budget(monkeypatch):
     assert sum(calls.values()) / len(metrics.iterations) <= PIPE_MSGS_PER_SUPERSTEP
 
 
+# A fault plan no longer puts dispatch in lockstep (unsupervised): a
+# grant runs to the next due checkpoint or to the superstep a pending
+# GPU loss fires in, whichever comes first.  Lockstep cost a request and
+# a reply per worker per superstep: 274 messages on this run.
+
+def test_fault_armed_run_grants_one_epoch_per_checkpoint_interval(
+    monkeypatch,
+):
+    from multiprocessing.connection import Connection
+
+    from repro.graph.generators import generate_road
+    from repro.partition import make_partitioner
+    from repro.sim.faults import GPU_LOSS, TRANSIENT_COMM, FaultPlan, FaultSpec
+
+    every, lost_at = 16, 20
+    calls = Counter()
+    for name in ("send", "recv"):
+        def counted(conn, *args, _name=name, _fn=getattr(Connection, name)):
+            calls[_name] += 1
+            return _fn(conn, *args)
+
+        monkeypatch.setattr(Connection, name, counted)
+    graph = generate_road(32, 32, delete_fraction=0.1,
+                          shortcut_fraction=0.0, seed=1)
+    machine = Machine(4)
+    machine.arm_faults(FaultPlan([
+        FaultSpec(TRANSIENT_COMM, gpu=0, iteration=1, count=2),
+        FaultSpec(GPU_LOSS, gpu=3, iteration=lost_at),
+    ]))
+    problem = BFSProblem(
+        graph, machine, partitioner=make_partitioner("metis", seed=1)
+    )
+    with Enactor(problem, BFSIteration, backend="processes:2",
+                 checkpoint_every=every) as enactor:
+        metrics = enactor.enact(src=0)
+        during = dict(calls)  # not the stops close() sends
+    # the run's length, without the supersteps the rollback re-ran
+    supersteps = metrics.iterations[-1].iteration + 1
+    assert supersteps > 40 and metrics.rollbacks == 1
+    assert metrics.comm_retries == 2
+    # a grant per checkpoint interval, plus the one the loss cut short;
+    # each is a request and a reply per worker.  The rollback adds the
+    # two-part rehome request per worker and one acknowledgement each.
+    grants = -(-supersteps // every) + 1
+    assert during == {"send": 2 * grants + 4, "recv": 2 * grants + 2}
+
+
 # The parent maps an exchange array only where it reads one: in the
 # horizon superstep, which it checkpoints at or dispatches the next
 # epoch from.  Below the horizon it replays sizes.  The protocol before

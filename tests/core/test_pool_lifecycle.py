@@ -2,8 +2,9 @@
 
 Workers are forked at an enactor's first multi-GPU dispatch and serve
 every later run; each run starts with a ``begin_run`` handshake instead
-of a re-fork.  A re-fork happens only where it has to: after a rollback
-(pool resized to the survivors), for a supervised respawn, and when
+of a re-fork, and a GPU loss is survived with a ``rehome`` handshake
+(the surviving workers rebuild their partition in place).  A re-fork
+happens only where it has to: for a supervised respawn, and when
 something the workers captured at fork time — fault plan, observers,
 policies — differs from what the parent now holds.  In every case the
 results, ``RunMetrics`` and event streams equal the serial backend's.
@@ -108,34 +109,57 @@ def test_pool_survives_enact(kind, backend, small_rmat, weighted_rmat):
     assert _shm_leaks() == []
 
 
-def test_rollback_reforks_pool_sized_to_survivors(small_rmat):
-    """A GPU loss rolls back and repartitions: the old forks describe
-    dead arrays, so the pool is rebuilt — one worker per survivor."""
-    machine = Machine(4)
-    machine.arm_faults(FaultPlan([FaultSpec(GPU_LOSS, gpu=3, iteration=2)]))
-    problem, enactor = _build(
-        "bfs", small_rmat, "processes", machine=machine, checkpoint_every=2
-    )
-    seen = []
-    run_iteration = enactor.backend.run_iteration
+@pytest.mark.parametrize("backend", ["processes", "processes:2"])
+def test_rollback_keeps_surviving_workers(backend, small_rmat, monkeypatch):
+    """A GPU loss rolls back and repartitions in place: every worker
+    that still owns a GPU rebuilds its replica and keeps serving, into
+    the next ``enact()``; the one whose GPUs all died is reaped.  No
+    worker is forked after the loss, and both runs equal serial."""
+    from repro.core.backend import ProcessesBackend
 
-    def spy(*args, **kwargs):
-        out = run_iteration(*args, **kwargs)
-        if enactor.backend._workers is not None:
-            seen.append(_pids(enactor))
-        return out
+    plan = FaultPlan([FaultSpec(GPU_LOSS, gpu=3, iteration=2)])
+    outcomes = {}
+    for name in ("serial", backend):
+        machine = Machine(4)
+        machine.arm_faults(plan)
+        problem, enactor = _build(
+            "bfs", small_rmat, name, machine=machine, checkpoint_every=2
+        )
+        seen, forks = [], []
+        if name != "serial":
+            run_iteration = enactor.backend.run_iteration
+            fork = ProcessesBackend._fork_worker
 
-    enactor.backend.run_iteration = spy
-    try:
-        ref, _, _ = P.run_bfs(small_rmat, Machine(4), src=0)
-        got, metrics = _enact("bfs", problem, enactor, 0)
-    finally:
-        enactor.close()
-    np.testing.assert_array_equal(ref, got)
-    assert metrics.rollbacks == 1
-    before, after = seen[0], seen[-1]
-    assert len(before) == 4 and len(after) == 3
-    assert not set(before) & set(after)
+            def spy(*args, **kwargs):
+                out = run_iteration(*args, **kwargs)
+                seen.append(_pids(enactor))
+                return out
+
+            def counted_fork(self, w, *args):
+                forks.append((w, bool(machine.lost_gpus)))
+                return fork(self, w, *args)
+
+            enactor.backend.run_iteration = spy
+            monkeypatch.setattr(ProcessesBackend, "_fork_worker", counted_fork)
+        try:
+            runs = [_enact("bfs", problem, enactor, 0) for _ in range(2)]
+        finally:
+            enactor.close()
+        outcomes[name] = (runs, seen, forks)
+    runs, seen, forks = outcomes[backend]
+    assert runs[0][1].rollbacks == 1 and runs[0][1].degraded_gpus == [3]
+    for (want, want_m), (got, got_m) in zip(outcomes["serial"][0], runs):
+        np.testing.assert_array_equal(want, got)
+        assert json.dumps(want_m.to_dict()) == json.dumps(got_m.to_dict())
+    width = 2 if backend.endswith(":2") else 4
+    assert forks == [(w, False) for w in range(width)]
+    before = seen[0]
+    assert len(before) == width and None not in before
+    # GPU 3 was worker 3's alone; on two workers it shared worker 1
+    # with GPU 1, which survives
+    after = before[:3] + [None] if width == 4 else before
+    assert seen[-1] == after
+    assert all(pids in (before, after) for pids in seen)
     assert multiprocessing.active_children() == []
     assert _shm_leaks() == []
 

@@ -87,6 +87,48 @@ class TestInternals:
         _, metrics, _ = run_bc(small_rmat, machine2, src=7)
         assert metrics.supersteps >= 2 * ecc - 1
 
+    @pytest.mark.parametrize("backend", ["serial", "processes:2"])
+    @pytest.mark.parametrize("num_gpus", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "graph_name",
+        ["small_rmat", "path_graph", "star_graph", "two_components_graph"],
+    )
+    def test_max_depth_is_the_deepest_label(
+        self, graph_name, num_gpus, backend, request
+    ):
+        """``should_stop`` derives ``max_depth`` from frontier sizes (one
+        GPU) or from each GPU's deepest hosted label, recorded by the
+        sync superstep — never from a slice array, which a ``processes``
+        worker's copy of the hook may not read.  It is still the
+        traversal's deepest label."""
+        graph = request.getfixturevalue(graph_name)
+        problem = BCProblem(graph, Machine(num_gpus))
+        with Enactor(problem, BCIteration, backend=backend) as enactor:
+            for src in (0, 3, graph.num_vertices - 1):
+                enactor.enact(src=src)
+                assert problem.max_depth == problem.depths().max()
+
+    @pytest.mark.parametrize("backend", ["serial", "processes:2"])
+    @pytest.mark.parametrize("lost_at", [1, 5])
+    def test_max_depth_survives_losing_gpu_0(self, small_rmat, backend,
+                                             lost_at):
+        """GPU 0's slice is a dead GPU's after the loss; the depth comes
+        from the survivors (forward phase, or the sync superstep)."""
+        from repro.sim.faults import GPU_LOSS, FaultPlan, FaultSpec
+
+        machine = Machine(4)
+        machine.arm_faults(
+            FaultPlan([FaultSpec(GPU_LOSS, gpu=0, iteration=lost_at)])
+        )
+        problem = BCProblem(small_rmat, machine)
+        with Enactor(problem, BCIteration, backend=backend,
+                     checkpoint_every=1) as enactor:
+            metrics = enactor.enact(src=7)
+        assert metrics.rollbacks == 1
+        assert problem.max_depth == problem.depths().max()
+        ref = bc_reference(small_rmat, source=7)
+        assert np.allclose(problem.bc_values(), ref, rtol=1e-9, atol=1e-9)
+
     def test_single_gpu_skips_sync(self, small_rmat):
         _, m1, _ = run_bc(small_rmat, Machine(1, scale=64.0), src=7)
         _, m2, _ = run_bc(small_rmat, Machine(2, scale=64.0), src=7)
