@@ -24,7 +24,7 @@ Fault kinds exercised per cell:
 
 The three *host-level* kinds strike real OS worker processes, so their
 cells always run the ``processes`` backend with supervision enabled
-(``Enactor(supervise=True)``, docs/robustness.md):
+(``Enactor(supervision=...)``, docs/robustness.md):
 
 ``worker-crash``
     One worker is SIGKILL'd at superstep 1 (respawn + replay must
@@ -151,7 +151,6 @@ def _supervised_extra() -> dict:
     from .core.supervise import SupervisionConfig
 
     return {
-        "supervise": True,
         "supervision": SupervisionConfig(
             heartbeat_interval=0.02,
             stale_factor=15.0,

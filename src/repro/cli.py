@@ -260,9 +260,7 @@ def _run_once(args, graph, scale, num_gpus, out=None, tracer=None,
             overrides["deadline_factor"] = args.supervise_deadline_factor
         if getattr(args, "supervise_deadline_floor", None) is not None:
             overrides["deadline_floor"] = args.supervise_deadline_floor
-        kwargs["supervise"] = True
-        if overrides:
-            kwargs["supervision"] = SupervisionConfig(**overrides)
+        kwargs["supervision"] = SupervisionConfig(**overrides)
     if getattr(args, "faults", None):
         from .sim.faults import FaultPlan
 

@@ -108,8 +108,9 @@ checkpoint is due at, or ``max_iterations()`` — or, with a fault plan
 armed, the superstep a pending GPU loss fires in
 (:meth:`~repro.sim.faults.FaultInjector.next_loss_at`) if that comes
 first: outside supervision only a loss ends a superstep in a
-``DeviceLostError``, and the rollback it starts is the parent's.  The
-other modelled faults are absorbed inside the superstep.
+``DeviceLostError``, which the worker ships as that GPU's result — as
+every backend returns it — and the rollback it starts is the parent's.
+The other modelled faults are absorbed inside the superstep.
 
 Superstep ``k`` reads exchange half ``(k - 1) % 2`` and writes half
 ``k % 2``, so a replayed superstep finds its inputs intact; a worker
@@ -218,12 +219,6 @@ class ExecutionBackend:
     """Dispatch policy for one iteration's per-GPU supersteps."""
 
     name = "base"
-    #: attached obs.Tracer, or None (the common, zero-overhead case);
-    #: set by the enactor, read behind a single ``is None`` check
-    tracer = None
-    #: attached obs.FlightRecorder, or None; same discipline as the
-    #: tracer — set by the enactor, guarded by one ``is None`` check
-    recorder = None
 
     def bind(self, enactor) -> None:
         """Called once by the owning enactor after construction."""
@@ -256,17 +251,16 @@ class ExecutionBackend:
         frontiers: List[np.ndarray],
         inboxes: List[list],
         gpu_indices: Sequence[int],
-        guarded: bool = False,
     ) -> List[object]:
         """Run one iteration's supersteps for ``gpu_indices``; return
         their :class:`GpuStepEffects` in that order.
 
-        With ``guarded=True`` a :class:`DeviceLostError` is returned as
-        the GPU's result value instead of raised, so every superstep of
-        the iteration still runs (the enactor recovers at the barrier).
-        This default runs the supersteps one after another on the
-        calling thread, in ``gpu_indices`` order — the serial backend;
-        the processes backend overrides it with its worker protocol.
+        A GPU lost in its superstep has the :class:`DeviceLostError` as
+        its result value, so every superstep of the iteration still runs
+        (the enactor recovers at the barrier).  This default runs the
+        supersteps one after another on the calling thread, in
+        ``gpu_indices`` order — the serial backend; the processes
+        backend overrides it with its worker protocol.
         """
         results: List[object] = []
         for i in gpu_indices:
@@ -275,8 +269,6 @@ class ExecutionBackend:
                     i, iteration, iteration_obj, frontiers[i], inboxes[i]
                 )
             except DeviceLostError as exc:
-                if not guarded:
-                    raise
                 # a value now, as one unpickled from a worker: without
                 # its traceback, whose frames would hold this list (and
                 # through it the whole run) in a reference cycle
@@ -399,8 +391,6 @@ def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest, exchange,
     control, parent_pid = barrier[0], barrier[3]
     _attach_slices(problem, manifest)
     checksums = sup_cfg is not None and sup_cfg.shm_checksums
-    # the enactor's own rule for returning device losses as values
-    guarded = enactor.machine.faults is not None or sup_cfg is not None
     if heartbeat is not None:
         interval = sup_cfg.heartbeat_interval if sup_cfg else 0.05
         threading.Thread(
@@ -427,7 +417,7 @@ def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest, exchange,
                 )
             else:
                 _worker_run(enactor, iteration_obj, exchange, barrier, msg,
-                            shipped, checksums, guarded, blobs)
+                            shipped, checksums, blobs)
             reply = ("ok", None, blobs)
         except EOFError:  # stopped mid-rehome, or the parent is gone
             break
@@ -497,13 +487,13 @@ def _worker_rehome(enactor, conn, parent_pid, msg, manifest, shipped):
 
 
 def _worker_run(enactor, iteration_obj, exchange, barrier, msg, shipped,
-                checksums, guarded, blobs) -> None:
+                checksums, blobs) -> None:
     """Serve one ``run`` request (module docs, "Run protocol"):
     supersteps ``first`` … ``horizon`` for this worker's GPUs.  Each
     superstep's pickled sidecars are appended to ``blobs`` as it
     completes, so a failure leaves the supersteps before it in the
-    reply.  With ``guarded`` a DeviceLostError is a GPU's result value;
-    any other exception ends the run.  The worker's own GPUs' effects
+    reply.  A DeviceLostError is a GPU's result value; any other
+    exception ends the run.  The worker's own GPUs' effects
     reach its barrier as ``_gpu_superstep`` returned them — their
     frontiers and the messages among them never enter the exchange
     below the horizon."""
@@ -558,8 +548,6 @@ def _worker_run(enactor, iteration_obj, exchange, barrier, msg, shipped,
                     g, iteration, iteration_obj, frontiers[g], inboxes[g]
                 )
             except DeviceLostError as exc:
-                if not guarded:
-                    raise
                 eff = exc
             effects[g] = eff
             sidecars.append(tuple(_build_sidecar(
@@ -720,7 +708,7 @@ class _Sidecar(NamedTuple):
 
     gpu: int
     #: the packed :class:`GpuStepEffects` (:func:`_pack_effects`), or
-    #: the DeviceLostError a guarded superstep ended in
+    #: the DeviceLostError the superstep ended in
     eff: object
     #: ``available_at`` of each of the GPU's streams
     streams: tuple
@@ -1160,29 +1148,29 @@ class ProcessesBackend(ExecutionBackend):
         return out
 
     def run_iteration(self, enactor, iteration, iteration_obj,
-                      frontiers, inboxes, gpu_indices, guarded=False):
+                      frontiers, inboxes, gpu_indices):
         gpu_indices = list(gpu_indices)
         if len(gpu_indices) <= 1:
             # nothing to overlap; the inline path keeps parent state
             # authoritative and needs no pool or shared memory
             return super().run_iteration(
                 enactor, iteration, iteration_obj,
-                frontiers, inboxes, gpu_indices, guarded=guarded,
+                frontiers, inboxes, gpu_indices,
             )
         if not self._log and self._failure is None:
             if iteration <= self._horizon:
                 raise self._diverged(iteration, "the workers", "the parent")
             self._dispatch(enactor, iteration, iteration_obj,
-                           frontiers, inboxes, gpu_indices, guarded)
+                           frontiers, inboxes, gpu_indices)
         if not self._log:
             try:  # no local: a frame in the traceback would hold it
                 raise self._failure
             finally:
                 self._forget_epoch()
-        return self._serve(enactor, iteration, gpu_indices, guarded)
+        return self._serve(enactor, iteration, gpu_indices)
 
     def _dispatch(self, enactor, iteration, iteration_obj,
-                  frontiers, inboxes, gpu_indices, guarded) -> None:
+                  frontiers, inboxes, gpu_indices) -> None:
         """Grant the workers an epoch starting at ``iteration`` and log
         what they send back (module docs, "Run protocol")."""
         if self._workers is None or any(
@@ -1223,7 +1211,8 @@ class ProcessesBackend(ExecutionBackend):
         # needs each barrier; otherwise the workers run ahead to the
         # next superstep a checkpoint is due at or a GPU can be lost at
         horizon = iteration
-        if not (self.supervisor is not None or self.tracer is not None
+        tracer = enactor.tracer
+        if not (self.supervisor is not None or tracer is not None
                 or machine.tracer is not None
                 or enactor.sanitizer is not None):
             horizon = iteration_obj.max_iterations()
@@ -1234,8 +1223,8 @@ class ProcessesBackend(ExecutionBackend):
                 loss = machine.faults.next_loss_at(iteration, gpu_indices)
                 if loss is not None:
                     horizon = min(horizon, loss)
-        if self.tracer is not None:
-            self.tracer.instant(
+        if tracer is not None:
+            tracer.instant(
                 "backend.dispatch", backend=self.name,
                 supersteps=len(gpu_indices), workers=len(self._workers),
             )
@@ -1265,7 +1254,7 @@ class ProcessesBackend(ExecutionBackend):
         for w in payloads:
             msg = self._collect(
                 enactor, iteration, iteration_obj, w, payloads[w],
-                jobs[w], shadow, sent_at, guarded, lost,
+                jobs[w], shadow, sent_at, lost,
             )
             if msg is None:  # worker escalated to the rollback path
                 continue
@@ -1280,7 +1269,7 @@ class ProcessesBackend(ExecutionBackend):
             self._log.append(([b[j] for b in blobs], lost))
         self._horizon = horizon
 
-    def _serve(self, enactor, iteration, gpu_indices, guarded):
+    def _serve(self, enactor, iteration, gpu_indices):
         """The logged superstep ``iteration`` as the enactor's merge
         input: sidecars applied, effects with views for arrays — or,
         below the epoch's horizon, with :class:`_SizeOnly` stand-ins
@@ -1311,13 +1300,10 @@ class ProcessesBackend(ExecutionBackend):
             )
             for g in bad:
                 err = sup.integrity_error(g, iteration)
-                if not guarded:
-                    self._teardown_workers()
-                    raise err
-                sup.emit("worker.lost", vt=machine.clock.now, gpu=g,
-                         iteration=iteration, reason="shm-integrity")
-                if self.recorder is not None:
-                    self.recorder.dump(
+                enactor.emit("worker.lost", vt=machine.clock.now, gpu=g,
+                             iteration=iteration, reason="shm-integrity")
+                if enactor.recorder is not None:
+                    enactor.recorder.dump(
                         "shm-integrity", error=err,
                         heartbeats=self.heartbeat_ages(),
                         faults=machine.faults,
@@ -1390,11 +1376,11 @@ class ProcessesBackend(ExecutionBackend):
         return control.aborted
 
     def _collect(self, enactor, iteration, iteration_obj, w, payload,
-                 wjobs, shadow, sent_at, guarded, lost):
+                 wjobs, shadow, sent_at, lost):
         """Bounded receive from worker ``w`` with escalation.
 
         Returns the worker's reply message, or None after escalating
-        every GPU of the worker into ``lost`` (guarded dispatch only).
+        every GPU of the worker into ``lost``.
         Unsupervised, liveness is still bounded — a dead worker, or one
         that outstays an aborted epoch, raises SimulationError instead
         of deadlocking — but there is no respawn or replay.
@@ -1414,12 +1400,12 @@ class ProcessesBackend(ExecutionBackend):
                     ) from exc
                 if isinstance(exc, WorkerHangError):
                     sup.hang_detections += 1
-                    sup.emit("heartbeat.stale", vt=machine.clock.now,
-                             worker=w, iteration=iteration,
-                             stale=bool(exc.stale))
+                    enactor.emit("heartbeat.stale", vt=machine.clock.now,
+                                 worker=w, iteration=iteration,
+                                 stale=bool(exc.stale))
                 if self._handle_failure(enactor, iteration, iteration_obj,
                                         w, payload, wjobs, shadow,
-                                        sent_at, guarded, lost, exc):
+                                        sent_at, lost, exc):
                     continue
                 return None
             if sup is not None:
@@ -1427,14 +1413,13 @@ class ProcessesBackend(ExecutionBackend):
             return msg
 
     def _handle_failure(self, enactor, iteration, iteration_obj, w,
-                        payload, wjobs, shadow, sent_at, guarded, lost,
+                        payload, wjobs, shadow, sent_at, lost,
                         exc) -> bool:
         """Escalation policy for one detected worker failure.
 
         Returns True when the worker was respawned and the superstep
         replayed (caller re-enters the bounded wait); False when the
-        failure escalated into the DeviceLostError rollback path (or,
-        unguarded, does not return at all).
+        failure escalated into the DeviceLostError rollback path.
         """
         sup = self.supervisor
         machine = enactor.machine
@@ -1456,9 +1441,9 @@ class ProcessesBackend(ExecutionBackend):
             if self._respawn_worker(w, enactor, iteration_obj):
                 sup.worker_respawns += 1
                 sup.supersteps_replayed += len(wjobs)
-                sup.emit("worker.respawn", vt=machine.clock.now,
-                         worker=w, iteration=iteration,
-                         supersteps=len(wjobs))
+                enactor.emit("worker.respawn", vt=machine.clock.now,
+                             worker=w, iteration=iteration,
+                             supersteps=len(wjobs))
                 # a second due host fault on the same GPU (e.g. a
                 # crash-twice plan) strikes the replacement here;
                 # only_gpus keeps specs aimed at other workers pending
@@ -1474,23 +1459,19 @@ class ProcessesBackend(ExecutionBackend):
         # values so RecoveryPolicy rolls back, reassigns onto the
         # survivors, and repartitions (the other workers rebuild their
         # replicas in the rehome that recovery triggers)
-        if self.recorder is not None:
+        if enactor.recorder is not None:
             # snapshot heartbeat ages *before* the worker is reaped —
             # the stale slot is the whole story of a hang escalation
-            self.recorder.dump(
+            enactor.recorder.dump(
                 "supervisor-escalation", error=exc,
                 heartbeats=self.heartbeat_ages(),
                 faults=machine.faults,
                 worker=w, iteration=iteration,
             )
         self._retire_worker(w)
-        if not guarded:
-            self._teardown_workers()
-            sup.overhead_seconds += time.perf_counter() - t0
-            raise exc
         for g in wgpus:
-            sup.emit("worker.lost", vt=machine.clock.now, worker=w,
-                     gpu=g, iteration=iteration)
+            enactor.emit("worker.lost", vt=machine.clock.now, worker=w,
+                         gpu=g, iteration=iteration)
             lost[g] = DeviceLostError(
                 f"worker {w} unrecoverable ({type(exc).__name__}: {exc})",
                 gpu_id=g, iteration=iteration, site="supervise.escalate",
@@ -1505,8 +1486,8 @@ class ProcessesBackend(ExecutionBackend):
             _apply_accounting(enactor, g, side.acct)
         if side.faults is not None and machine.faults is not None:
             machine.faults.apply_consumption_delta(side.faults)
-        if self.tracer is not None and side.trace is not None:
-            self.tracer.adopt_staged(g, side.trace)
+        if enactor.tracer is not None and side.trace is not None:
+            enactor.tracer.adopt_staged(g, side.trace)
         if side.san is not None and enactor.sanitizer is not None:
             enactor.sanitizer.adopt_stage(g, side.san)
 

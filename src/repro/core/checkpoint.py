@@ -23,16 +23,12 @@ The virtual cost of taking/restoring a checkpoint (a host round-trip of
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..errors import SimulationError
 from .comm import BROADCAST, Message
-from .direction import DirectionState
 
 __all__ = [
     "PendingMessage",
@@ -41,13 +37,6 @@ __all__ = [
     "capture_checkpoint",
     "route_restored_state",
 ]
-
-#: dataclasses allowed inside checkpoint attrs / iteration state when
-#: serializing to disk (name -> class, for reconstruction)
-_DATACLASS_REGISTRY = {"DirectionState": DirectionState}
-
-_FORMAT_VERSION = 1
-
 
 @dataclass
 class PendingMessage:
@@ -112,97 +101,6 @@ class Checkpoint:
         for m in self.messages:
             total += m.nbytes
         return total
-
-    # -- disk round-trip ---------------------------------------------------
-    def save(self, path: str) -> None:
-        """Write the snapshot as a compressed ``.npz`` archive."""
-        payload: Dict[str, np.ndarray] = {
-            "partition_table": self.partition_table
-        }
-        for name, arr in self.arrays.items():
-            payload[f"arr.{name}"] = arr
-        for g, f in enumerate(self.frontiers):
-            payload[f"frontier.{g}"] = f
-        msg_meta = []
-        for idx, m in enumerate(self.messages):
-            payload[f"msg.{idx}.v"] = m.vertices
-            for j, a in enumerate(m.vertex_associates):
-                payload[f"msg.{idx}.va{j}"] = a
-            for j, a in enumerate(m.value_associates):
-                payload[f"msg.{idx}.la{j}"] = a
-            msg_meta.append(
-                [m.src_gpu, m.dst_gpu,
-                 len(m.vertex_associates), len(m.value_associates)]
-            )
-        header = {
-            "version": _FORMAT_VERSION,
-            "iteration": self.iteration,
-            "num_gpus": self.num_gpus,
-            "array_names": list(self.arrays),
-            "messages": msg_meta,
-            "attrs": _to_jsonable(self.attrs),
-            "iter_state": _to_jsonable(self.iter_state),
-        }
-        payload["header"] = np.frombuffer(
-            json.dumps(header).encode("utf-8"), dtype=np.uint8
-        )
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **payload)
-
-    @classmethod
-    def load(cls, path: str) -> "Checkpoint":
-        try:
-            data = np.load(path)
-        except (OSError, ValueError) as exc:
-            # np.load raises ValueError for non-npz bytes (its pickle
-            # fallback is disabled) and OSError for unreadable files
-            raise SimulationError(
-                f"malformed checkpoint file {path!r}: {exc}",
-                site="checkpoint.load",
-            ) from exc
-        with data:
-            try:
-                header = json.loads(bytes(data["header"]).decode("utf-8"))
-            except (KeyError, ValueError) as exc:
-                raise SimulationError(
-                    f"malformed checkpoint file {path!r}: {exc}",
-                    site="checkpoint.load",
-                )
-            if header.get("version") != _FORMAT_VERSION:
-                raise SimulationError(
-                    f"checkpoint {path!r} has unsupported version "
-                    f"{header.get('version')!r}", site="checkpoint.load",
-                )
-            arrays = {
-                name: data[f"arr.{name}"] for name in header["array_names"]
-            }
-            frontiers = [
-                data[f"frontier.{g}"] for g in range(header["num_gpus"])
-            ]
-            messages = []
-            for idx, (src, dst, n_va, n_la) in enumerate(header["messages"]):
-                messages.append(
-                    PendingMessage(
-                        src_gpu=int(src),
-                        dst_gpu=int(dst),
-                        vertices=data[f"msg.{idx}.v"],
-                        vertex_associates=[
-                            data[f"msg.{idx}.va{j}"] for j in range(n_va)
-                        ],
-                        value_associates=[
-                            data[f"msg.{idx}.la{j}"] for j in range(n_la)
-                        ],
-                    )
-                )
-            return cls(
-                iteration=int(header["iteration"]),
-                partition_table=data["partition_table"],
-                arrays=arrays,
-                attrs=_from_jsonable(header["attrs"]),
-                iter_state=_from_jsonable(header["iter_state"]),
-                frontiers=frontiers,
-                messages=messages,
-            )
 
 
 # ----------------------------------------------------------------------
@@ -369,47 +267,3 @@ def route_restored_state(
             messages=len(messages),
         )
     return frontiers, messages
-
-
-# ----------------------------------------------------------------------
-def _to_jsonable(value):
-    """Tagged JSON encoding for checkpoint attrs / iteration state."""
-    if isinstance(value, np.ndarray):
-        return {"__ndarray__": value.tolist(), "dtype": str(value.dtype)}
-    if isinstance(value, np.generic):
-        return value.item()
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        name = type(value).__name__
-        if name not in _DATACLASS_REGISTRY:
-            raise SimulationError(
-                f"cannot serialize dataclass {name!r} in a checkpoint; "
-                f"register it in checkpoint._DATACLASS_REGISTRY",
-                site="checkpoint.save",
-            )
-        return {
-            "__dataclass__": name,
-            "fields": _to_jsonable(dataclasses.asdict(value)),
-        }
-    if isinstance(value, dict):
-        return {str(k): _to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_jsonable(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise SimulationError(
-        f"cannot serialize {type(value).__name__!r} in a checkpoint",
-        site="checkpoint.save",
-    )
-
-
-def _from_jsonable(value):
-    if isinstance(value, dict):
-        if "__ndarray__" in value:
-            return np.array(value["__ndarray__"], dtype=value["dtype"])
-        if "__dataclass__" in value:
-            cls = _DATACLASS_REGISTRY[value["__dataclass__"]]
-            return cls(**_from_jsonable(value["fields"]))
-        return {k: _from_jsonable(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_from_jsonable(v) for v in value]
-    return value

@@ -44,7 +44,12 @@ from ..partition.base import reassign_onto_survivors
 from ..sim.machine import Machine
 from ..sim.memory import AllocationScheme, PreallocFusion
 from ..sim.metrics import IterationRecord, RunMetrics
-from .backend import ExecutionBackend, GpuStepEffects, make_backend
+from .backend import (
+    ExecutionBackend,
+    GpuStepEffects,
+    ProcessesBackend,
+    make_backend,
+)
 from .checkpoint import (
     RecoveryPolicy,
     capture_checkpoint,
@@ -62,6 +67,7 @@ from .frontier import Frontier
 from .iteration import GpuContext, IterationBase
 from .problem import ProblemBase
 from .stats import OpStats
+from .supervise import SupervisionConfig, WorkerSupervisor
 
 __all__ = ["Enactor"]
 
@@ -204,10 +210,6 @@ class Enactor:
         ``None`` disables periodic checkpoints; a baseline checkpoint is
         still taken when a fault plan is armed on the machine, so
         permanent-loss recovery always has something to roll back to.
-    checkpoint_path:
-        When set, every checkpoint is also written to this ``.npz`` path
-        (:meth:`repro.core.checkpoint.Checkpoint.save`) for post-mortem
-        inspection or cross-process restart.
     recovery:
         :class:`~repro.core.checkpoint.RecoveryPolicy` knobs for retry /
         backoff / rollback limits (default: the documented defaults).
@@ -222,17 +224,15 @@ class Enactor:
         call budget); attached, it also makes the superstep's charge
         ledger apply every charge as it is made (a span needs its op's
         start time).
-    supervise:
-        Enable the real-process supervision layer
-        (:mod:`repro.core.supervise`, docs/robustness.md): heartbeats,
-        adaptive per-superstep deadlines, shm checksums, and the
-        respawn-then-rollback escalation policy for the processes
-        backend's worker pool.  Requires ``backend="processes"``;
-        incompatible with ``sanitize=True``.
     supervision:
-        Optional :class:`~repro.core.supervise.SupervisionConfig`
-        overriding the deadline/heartbeat/checksum defaults; implies
-        ``supervise=True``.
+        A :class:`~repro.core.supervise.SupervisionConfig`
+        (``SupervisionConfig()`` for the defaults) enables the
+        real-process supervision layer (:mod:`repro.core.supervise`,
+        docs/robustness.md): heartbeats, adaptive per-superstep
+        deadlines, shm checksums, and the respawn-then-rollback
+        escalation policy for the processes backend's worker pool.
+        Requires ``backend="processes"``; incompatible with
+        ``sanitize=True``.
     flight_recorder:
         Optional :class:`~repro.obs.recorder.FlightRecorder` — the
         always-on crash-forensics tier (docs/observability.md).  Keeps
@@ -255,17 +255,19 @@ class Enactor:
         sanitize: bool = False,
         backend: Union[str, ExecutionBackend, None] = "serial",
         checkpoint_every: Optional[int] = None,
-        checkpoint_path: Optional[str] = None,
         recovery: Optional[RecoveryPolicy] = None,
         tracer: Optional[Tracer] = None,
-        supervise: bool = False,
-        supervision=None,
+        supervision: Optional[SupervisionConfig] = None,
         flight_recorder: Optional[FlightRecorder] = None,
     ):
+        self._closed = False
         self.problem = problem
         self.machine: Machine = problem.machine
+        #: the observers; the backend and the supervisor reach them
+        #: through the enactor (:meth:`emit`)
         self.tracer = tracer
         self.recorder = flight_recorder
+        self._alloc_prefix = getattr(problem, "alloc_prefix", problem.name)
         if tracer is not None:
             self.machine.attach_tracer(tracer)
         self.iteration_cls = iteration_cls
@@ -279,7 +281,6 @@ class Enactor:
                 site="enactor.init",
             )
         self.checkpoint_every = checkpoint_every
-        self.checkpoint_path = checkpoint_path
         self.recovery = recovery or RecoveryPolicy()
         self._last_checkpoint = None
         self.sanitizer = None
@@ -290,32 +291,23 @@ class Enactor:
 
         n = self.machine.num_gpus
         self.backend = make_backend(backend, num_gpus=n)
-        if tracer is not None:
-            self.backend.tracer = tracer
-        if flight_recorder is not None:
-            self.backend.recorder = flight_recorder
         self.supervisor = None
-        if supervise or supervision is not None:
-            from .backend import ProcessesBackend
-            from .supervise import WorkerSupervisor
-
+        if supervision is not None:
             if not isinstance(self.backend, ProcessesBackend):
                 raise SimulationError(
-                    "supervise=True requires the processes backend: "
-                    "supervision watches real worker processes "
+                    "supervision requires the processes backend: it "
+                    "watches real worker processes "
                     f"(got backend={self.backend.name!r})",
                     site="enactor.init",
                 )
             if sanitize:
                 raise SimulationError(
-                    "sanitize=True cannot be combined with supervise="
-                    "True: shadow-memory wrappers do not survive a "
-                    "shadow restore or worker respawn",
+                    "sanitize=True cannot be combined with supervision: "
+                    "shadow-memory wrappers do not survive a shadow "
+                    "restore or worker respawn",
                     site="enactor.init",
                 )
             self.supervisor = WorkerSupervisor(supervision)
-            self.supervisor.tracer = tracer
-            self.supervisor.recorder = flight_recorder
             self.backend.supervisor = self.supervisor
         self._setup_buffers()
         self.backend.bind(self)
@@ -330,6 +322,8 @@ class Enactor:
         problem = self.problem
         n = self.machine.num_gpus
         lost = self.machine.lost_gpus
+        #: the GPUs this partition runs on: every superstep's dispatch
+        self._alive: List[int] = [i for i in range(n) if i not in lost]
         self.frontiers_in: List[Frontier] = []
         self.frontiers_out: List[Frontier] = []
         self._intermediate_names: List[str] = []
@@ -347,7 +341,7 @@ class Enactor:
             )
             for i in range(n)
         ]
-        prefix = getattr(problem, "alloc_prefix", problem.name)
+        prefix = self._alloc_prefix
         for i in range(n):
             sub = problem.subgraphs[i]
             pool = None if i in lost else self.machine.gpus[i].memory
@@ -407,7 +401,7 @@ class Enactor:
             try:
                 pool.realloc(name, int(needed * vb * 1.1), preserve=False)
             except DeviceMemoryError:
-                if self.machine.faults is None or not self.recovery.retry_oom:
+                if not self._retries_oom():
                     raise
                 # transient allocation failure: retry at exact fit
                 pool.realloc(name, max(needed * vb, 1), preserve=False)
@@ -415,36 +409,37 @@ class Enactor:
                 ledger.trace_oom_regrow(name)
             self._charge_frontier_growth(ledger, needed, vb)
 
-    def _set_frontier(
+    def _retries_oom(self) -> bool:
+        """Whether an allocation failure is recovered rather than
+        raised: only an injected one (a fault plan is armed), and only
+        under ``recovery.retry_oom``."""
+        return self.machine.faults is not None and self.recovery.retry_oom
+
+    def _regrow_frontier(
         self, ledger: _ChargeLedger, frontier_obj: Frontier,
         data: np.ndarray, eff: GpuStepEffects,
     ) -> int:
-        """:meth:`Frontier.set` with injected-OOM recovery.
+        """Recover a :meth:`Frontier.set` whose growth failed.
 
-        A transient allocation failure during frontier growth is consumed
-        by the first raise; the recovery regrows the buffer at exact fit
-        (no slack — the conservative choice under memory pressure) and
-        re-applies the set.  Returns grown slots for cost charging.
+        The transient allocation failure was consumed by the first
+        raise; the recovery regrows the buffer at exact fit (no slack —
+        the conservative choice under memory pressure) and re-applies
+        the set.  Returns grown slots for cost charging.
         """
-        try:
-            return frontier_obj.set(data)
-        except DeviceMemoryError:
-            if self.machine.faults is None or not self.recovery.retry_oom:
-                raise
-            needed = max(int(np.asarray(data).size), 1)
-            grown = max(needed - frontier_obj.capacity, 0)
-            if frontier_obj.pool is not None:
-                frontier_obj.pool.realloc(
-                    frontier_obj.name,
-                    needed * frontier_obj.item_bytes,
-                    preserve=False,
-                )
-            frontier_obj.capacity = max(frontier_obj.capacity, needed)
-            frontier_obj.grow_events += 1
-            frontier_obj.set(data)
-            eff.oom_recoveries += 1
-            ledger.trace_oom_regrow(frontier_obj.name)
-            return grown
+        needed = max(int(data.size), 1)
+        grown = max(needed - frontier_obj.capacity, 0)
+        if frontier_obj.pool is not None:
+            frontier_obj.pool.realloc(
+                frontier_obj.name,
+                needed * frontier_obj.item_bytes,
+                preserve=False,
+            )
+        frontier_obj.capacity = max(frontier_obj.capacity, needed)
+        frontier_obj.grow_events += 1
+        frontier_obj.set(data)
+        eff.oom_recoveries += 1
+        ledger.trace_oom_regrow(frontier_obj.name)
+        return grown
 
     # ------------------------------------------------------------------
     def _gpu_superstep(
@@ -527,10 +522,12 @@ class Enactor:
             frontier = np.concatenate([frontier_in] + extra_parts)
         eff.frontier_size = int(frontier.size)
         fin = self.frontiers_in[i]
-        if inj is None:
+        try:
             grown = fin.set(frontier)
-        else:
-            grown = self._set_frontier(ledger, fin, frontier, eff)
+        except DeviceMemoryError:
+            if not self._retries_oom():
+                raise
+            grown = self._regrow_frontier(ledger, fin, frontier, eff)
         if grown > 0:
             compute_seconds += self._charge_frontier_growth(
                 ledger, grown, fin.item_bytes
@@ -549,10 +546,12 @@ class Enactor:
             eff.edges_visited = edges
             eff.vertices_processed = vertices
         fout = self.frontiers_out[i]
-        if inj is None:
+        try:
             grown = fout.set(out)
-        else:
-            grown = self._set_frontier(ledger, fout, out, eff)
+        except DeviceMemoryError:
+            if not self._retries_oom():
+                raise
+            grown = self._regrow_frontier(ledger, fout, out, eff)
         if grown > 0:
             compute_seconds += self._charge_frontier_growth(
                 ledger, grown, fout.item_bytes
@@ -612,52 +611,44 @@ class Enactor:
             for msg in msgs:
                 nbytes = int(msg.nbytes(ids) * self.comm_volume_scale)
                 start_at = send_ready
-                if inj is None:
-                    dur = machine.interconnect.transfer_cost(
-                        i,
-                        msg.dst_gpu,
-                        nbytes,
-                        latency_scale=self.comm_latency_scale,
-                    )
-                else:
-                    attempt = 0
-                    while True:
-                        try:
-                            dur = machine.interconnect.transfer_cost(
-                                i,
-                                msg.dst_gpu,
-                                nbytes,
-                                latency_scale=self.comm_latency_scale,
-                                iteration=iteration,
+                attempt = 0
+                while True:
+                    try:
+                        dur = machine.interconnect.transfer_cost(
+                            i,
+                            msg.dst_gpu,
+                            nbytes,
+                            latency_scale=self.comm_latency_scale,
+                            iteration=iteration,
+                        )
+                        break
+                    except CommunicationError:
+                        # transient link failure (only an armed fault
+                        # plan makes one): back off, charged on the comm
+                        # stream, and retry up to the policy's cap
+                        attempt += 1
+                        if attempt > self.recovery.max_comm_retries:
+                            raise
+                        backoff = min(
+                            self.recovery.comm_backoff_base
+                            * (2 ** (attempt - 1)),
+                            self.recovery.comm_backoff_cap,
+                        )
+                        bev = comm.launch(
+                            backoff,
+                            earliest_start=start_at,
+                            label=f"retry->{msg.dst_gpu}",
+                        )
+                        start_at = bev.timestamp
+                        comm_seconds += backoff
+                        eff.comm_retries += 1
+                        eff.retry_seconds += backoff
+                        if tracer is not None:
+                            tracer.instant(
+                                "recovery.retry", vt=bev.timestamp,
+                                gpu=i, dst=msg.dst_gpu,
+                                attempt=attempt, backoff=backoff,
                             )
-                            break
-                        except CommunicationError:
-                            # transient link failure: back off (charged on
-                            # the comm stream) and retry, up to the
-                            # policy's cap
-                            attempt += 1
-                            if attempt > self.recovery.max_comm_retries:
-                                raise
-                            backoff = min(
-                                self.recovery.comm_backoff_base
-                                * (2 ** (attempt - 1)),
-                                self.recovery.comm_backoff_cap,
-                            )
-                            bev = comm.launch(
-                                backoff,
-                                earliest_start=start_at,
-                                label=f"retry->{msg.dst_gpu}",
-                            )
-                            start_at = bev.timestamp
-                            comm_seconds += backoff
-                            eff.comm_retries += 1
-                            eff.retry_seconds += backoff
-                            if tracer is not None:
-                                tracer.instant(
-                                    "recovery.retry", vt=bev.timestamp,
-                                    gpu=i, dst=msg.dst_gpu,
-                                    attempt=attempt, backoff=backoff,
-                                )
                 ev = comm.launch(
                     dur,
                     earliest_start=start_at,
@@ -709,34 +700,43 @@ class Enactor:
         parallel (each pushes its share), then a full barrier makes the
         checkpoint a globally consistent point on the virtual clock.
         """
-        machine = self.machine
         ckpt = capture_checkpoint(
             self.problem, iteration_obj, iteration, frontiers, inboxes,
             tracer=self.tracer,
         )
         self._last_checkpoint = ckpt
-        if self.checkpoint_path is not None:
-            ckpt.save(self.checkpoint_path)
-        alive = machine.alive_gpus
-        host = machine.interconnect.host_link
-        share = ckpt.nbytes / max(len(alive), 1)
-        dur = host.latency + share * machine.interconnect.scale / host.bandwidth
-        for g in alive:
-            machine.gpus[g].comm.launch(dur, label="checkpoint")
-        machine.barrier()
+        dur = self._host_round_trip(ckpt.nbytes, "checkpoint")
         metrics.checkpoints_taken += 1
         metrics.checkpoint_bytes += ckpt.nbytes
         metrics.checkpoint_seconds += dur
+        self.emit(
+            "checkpoint", vt=self.machine.clock.now, iteration=iteration,
+            nbytes=int(ckpt.nbytes), seconds=dur,
+        )
+
+    def _host_round_trip(self, nbytes: int, label: str) -> float:
+        """Move a snapshot of ``nbytes`` across the host link — every
+        surviving GPU its share, in parallel on its comm stream — then
+        synchronize everyone in a full barrier.  Returns one share's
+        duration."""
+        machine = self.machine
+        alive = self._alive
+        host = machine.interconnect.host_link
+        share = nbytes / max(len(alive), 1)
+        dur = host.latency + share * machine.interconnect.scale / host.bandwidth
+        for g in alive:
+            machine.gpus[g].comm.launch(dur, label=label)
+        machine.barrier()
+        return dur
+
+    def emit(self, type_: str, vt: float, **fields) -> None:
+        """Send one instant event to the tracer and the flight recorder,
+        whichever is attached.  The rollback, the checkpoint and the
+        processes backend's supervision report through it."""
         if self.tracer is not None:
-            self.tracer.instant(
-                "checkpoint", vt=machine.clock.now, iteration=iteration,
-                nbytes=int(ckpt.nbytes), seconds=dur,
-            )
+            self.tracer.instant(type_, vt=vt, **fields)
         if self.recorder is not None:
-            self.recorder.record(
-                "checkpoint", vt=machine.clock.now, iteration=iteration,
-                nbytes=int(ckpt.nbytes),
-            )
+            self.recorder.record(type_, vt=vt, **fields)
 
     def _recover_gpu_loss(
         self,
@@ -778,17 +778,11 @@ class Enactor:
             # dropped GpuStepEffects, keeping event counts consistent
             # with the RunMetrics recovery counters
             tracer.drop_staged()
-            for exc in losses:
-                tracer.instant(
-                    "recovery.gpu-loss", vt=machine.clock.now,
-                    gpu=exc.gpu_id, iteration=exc.iteration,
-                )
-        if self.recorder is not None:
-            for exc in losses:
-                self.recorder.record(
-                    "recovery.gpu-loss", vt=machine.clock.now,
-                    gpu=exc.gpu_id, iteration=exc.iteration,
-                )
+        for exc in losses:
+            self.emit(
+                "recovery.gpu-loss", vt=machine.clock.now,
+                gpu=exc.gpu_id, iteration=exc.iteration,
+            )
         lost = [exc.gpu_id for exc in losses]
         dead = machine.lost_gpus.union(lost)
         metrics.degraded_gpus = sorted(dead)
@@ -808,31 +802,18 @@ class Enactor:
         # survivors re-read the snapshot over the host link; the barrier
         # then resumes everyone at a common post-restore time (the clock
         # never rewinds — rollback costs time, it does not undo it)
-        alive = machine.alive_gpus
-        host = machine.interconnect.host_link
-        share = ckpt.nbytes / max(len(alive), 1)
-        dur = host.latency + share * machine.interconnect.scale / host.bandwidth
-        for g in alive:
-            machine.gpus[g].comm.launch(dur, label="restore")
-        machine.barrier()
+        self._host_round_trip(ckpt.nbytes, "restore")
         now = machine.clock.now
         inboxes: List[List[tuple]] = [[] for _ in range(n)]
         for msg in messages:
             inboxes[msg.dst_gpu].append((now, msg))
         metrics.restore_seconds += now - t0
-        if tracer is not None:
-            tracer.instant(
-                "recovery.rollback", vt=now,
-                to_iteration=int(ckpt.iteration),
-                lost=sorted(machine.lost_gpus),
-                restore_seconds=now - t0,
-            )
-        if self.recorder is not None:
-            self.recorder.record(
-                "recovery.rollback", vt=now,
-                to_iteration=int(ckpt.iteration),
-                lost=sorted(machine.lost_gpus),
-            )
+        self.emit(
+            "recovery.rollback", vt=now,
+            to_iteration=int(ckpt.iteration),
+            lost=sorted(machine.lost_gpus),
+            restore_seconds=now - t0,
+        )
         frontiers = [np.asarray(f, dtype=np.int64) for f in frontiers]
         self.backend.finish_rehome(self)
         return ckpt.iteration + 1, frontiers, inboxes
@@ -918,7 +899,7 @@ class Enactor:
                 "fault plan contains host-level kinds (worker-crash / "
                 "worker-hang / shm-corrupt), which strike real worker "
                 "processes: they require the processes backend with "
-                "supervise=True", site="enactor.enact",
+                "supervision", site="enactor.enact",
             )
         init_frontiers = problem.reset(**reset_kwargs)
         machine.reset()
@@ -968,31 +949,23 @@ class Enactor:
             rec = IterationRecord(iteration)
             iter_start = machine.clock.now
 
-            if machine.faults is None and self.supervisor is None:
-                results = self.backend.run_iteration(
-                    self, iteration, iteration_obj,
-                    frontiers, inboxes, range(n),
+            # every superstep runs to completion on every backend; a
+            # device loss — virtual (injected) or escalated from a real
+            # worker failure by the supervisor — is the GPU's result
+            # value, so one superstep's losses are handled in a single
+            # rollback.  The scan for one makes no Python call
+            results = self.backend.run_iteration(
+                self, iteration, iteration_obj, frontiers, inboxes,
+                self._alive,
+            )
+            if machine.faults is not None:
+                machine.faults.end_iteration()
+            if DeviceLostError in map(type, results):
+                iteration, frontiers, inboxes = self._recover_gpu_loss(
+                    [r for r in results if isinstance(r, DeviceLostError)],
+                    iteration_obj, metrics,
                 )
-            else:
-                # every superstep runs to completion on every backend;
-                # device losses — virtual (injected) or escalated from
-                # a real worker failure by the supervisor — are
-                # returned (not raised) so one superstep's losses are
-                # collected together and handled in a single rollback
-                results = self.backend.run_iteration(
-                    self, iteration, iteration_obj,
-                    frontiers, inboxes, machine.alive_gpus, guarded=True,
-                )
-                if machine.faults is not None:
-                    machine.faults.end_iteration()
-                losses = [
-                    r for r in results if isinstance(r, DeviceLostError)
-                ]
-                if losses:
-                    iteration, frontiers, inboxes = self._recover_gpu_loss(
-                        losses, iteration_obj, metrics
-                    )
-                    continue
+                continue
 
             # merge staged cross-GPU effects in GPU-index order — the
             # exact mutation order of the old serial loop, so records,
@@ -1069,7 +1042,7 @@ class Enactor:
             iteration += 1
 
         metrics.elapsed = machine.clock.now
-        for i in machine.alive_gpus:
+        for i in self._alive:
             metrics.peak_memory[i] = machine.gpus[i].memory.peak
             metrics.num_reallocs += machine.gpus[i].memory.num_reallocs
         if sanitizer is not None:
@@ -1091,6 +1064,7 @@ class Enactor:
     def _release_buffers(self) -> None:
         """Free frontier/intermediate/comm allocations on every pool."""
         n = self.machine.num_gpus
+        cname = f"{self._alloc_prefix}.comm"
         for i in range(n):
             pool = self.machine.gpus[i].memory
             self.frontiers_in[i].release()
@@ -1098,7 +1072,6 @@ class Enactor:
             name = self._intermediate_names[i]
             if name and pool.size_of(name) is not None:
                 pool.free(name)
-            cname = f"{getattr(self.problem, 'alloc_prefix', self.problem.name)}.comm"
             if pool.size_of(cname) is not None:
                 pool.free(cname)
 
@@ -1112,7 +1085,7 @@ class Enactor:
         segments) and free device buffers.  Idempotent; after closing,
         results remain readable via ``problem.extract()`` but further
         ``enact()`` calls need a new enactor."""
-        if getattr(self, "_closed", False):
+        if self._closed:
             return
         self._closed = True
         self.release()

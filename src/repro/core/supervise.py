@@ -332,22 +332,18 @@ def slice_checksum(data_slice) -> int:
 class WorkerSupervisor:
     """Policy + bookkeeping for supervising a real worker pool.
 
-    Owned by the enactor (``Enactor(supervise=True)``), attached to the
-    :class:`~repro.core.backend.ProcessesBackend`, which consults it at
-    every dispatch.  The supervisor itself never touches pipes — the
-    backend does the waiting via :func:`wait_for_reply` with the
-    deadline/staleness parameters the supervisor computes — it owns the
-    escalation *decisions*, the replay shadow, host-fault delivery,
-    checksum verification, and the observability counters.
+    Owned by the enactor (``Enactor(supervision=SupervisionConfig())``),
+    attached to the :class:`~repro.core.backend.ProcessesBackend`, which
+    consults it at every dispatch.  The supervisor itself never touches
+    pipes — the backend does the waiting via :func:`wait_for_reply` with
+    the deadline/staleness parameters the supervisor computes — it owns
+    the escalation *decisions*, the replay shadow, host-fault delivery,
+    checksum verification, and the counters; the backend reports its
+    events through :meth:`Enactor.emit <repro.core.enactor.Enactor.emit>`.
     """
 
-    def __init__(self, config: Optional[SupervisionConfig] = None):
-        self.config = config or SupervisionConfig()
-        #: attached obs.Tracer, or None; set by the enactor
-        self.tracer = None
-        #: attached obs.FlightRecorder, or None; set by the enactor —
-        #: every supervision event is mirrored into its bounded ring
-        self.recorder = None
+    def __init__(self, config: SupervisionConfig):
+        self.config = config
         # counters mirrored into RunMetrics at run end
         self.worker_respawns = 0
         self.supersteps_replayed = 0
@@ -514,11 +510,3 @@ class WorkerSupervisor:
                 raw = base.reshape(-1).view(np.uint8)
                 raw[len(raw) // 2] ^= 0xFF
                 break
-
-    # -- observability ---------------------------------------------------
-    def emit(self, type_: str, vt: float, **fields) -> None:
-        """Emit a supervisor event to the tracer and flight recorder."""
-        if self.tracer is not None:
-            self.tracer.instant(type_, vt=vt, **fields)
-        if self.recorder is not None:
-            self.recorder.record(type_, vt=vt, **fields)

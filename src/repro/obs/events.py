@@ -44,7 +44,7 @@ RECOVERY_EVENT_TYPES = frozenset(
     }
 )
 
-#: real-process supervision actions (processes backend, supervise=True);
+#: real-process supervision actions (processes backend with supervision);
 #: the chaos harness cross-checks worker.respawn against
 #: RunMetrics.worker_respawns and heartbeat.stale against
 #: RunMetrics.hang_detections

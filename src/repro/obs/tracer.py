@@ -46,7 +46,7 @@ __all__ = ["COMM_TRACK", "SUPERVISOR_TRACK", "Span", "Tracer"]
 COMM_TRACK = -1
 
 #: track index of the worker-supervision row (processes backend,
-#: ``Enactor(supervise=True)``): respawn/lost/stale-heartbeat activity
+#: ``Enactor(supervision=...)``): respawn/lost/stale-heartbeat activity
 SUPERVISOR_TRACK = -2
 
 

@@ -88,7 +88,7 @@ class RunMetrics:
     #: GPUs permanently lost during the run (degraded-mode set)
     degraded_gpus: List[int] = field(default_factory=list)
 
-    # -- real-process supervision (processes backend + supervise=True) ----
+    # -- real-process supervision (processes backend + supervision=) -----
     #: worker processes respawned after a detected crash/hang
     worker_respawns: int = 0
     #: per-GPU supersteps replayed after a respawn

@@ -170,8 +170,7 @@ CATALOGUE: Tuple[Mutant, ...] = (
         file="core/enactor.py",
         anchor=(
             "            except DeviceMemoryError:\n"
-            "                if self.machine.faults is None or not "
-            "self.recovery.retry_oom:\n"
+            "                if not self._retries_oom():\n"
             "                    raise\n"
             "                # transient allocation failure: retry at "
             "exact fit\n"

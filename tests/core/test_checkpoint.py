@@ -1,12 +1,11 @@
-"""Checkpoint capture/restore/serialization (repro.core.checkpoint)."""
+"""Checkpoint capture/restore (repro.core.checkpoint)."""
 
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import Checkpoint, capture_checkpoint
+from repro.core.checkpoint import capture_checkpoint
 from repro.errors import SimulationError
 from repro.primitives.bfs import BFSIteration, BFSProblem, run_bfs
-from repro.primitives.dobfs import run_dobfs
 from repro.sim.machine import Machine
 
 
@@ -53,43 +52,6 @@ class TestCaptureRestore:
             ds["labels"].fill(7)
         for k, v in saved.items():
             assert np.array_equal(ckpt.arrays[k], v)
-
-
-class TestDiskFormat:
-    def test_save_load_roundtrip(self, small_rmat, tmp_path):
-        machine, problem, it, frontiers = _bfs_setup(small_rmat)
-        ckpt = capture_checkpoint(
-            problem, it, 3, frontiers, [[] for _ in range(2)]
-        )
-        path = tmp_path / "ckpt.npz"
-        ckpt.save(path)
-        back = Checkpoint.load(path)
-        assert back.iteration == 3
-        assert back.num_gpus == 2
-        assert np.array_equal(back.partition_table, ckpt.partition_table)
-        for name, arr in ckpt.arrays.items():
-            assert np.array_equal(back.arrays[name], arr)
-        for a, b in zip(ckpt.frontiers, back.frontiers):
-            assert np.array_equal(a, b)
-
-    def test_malformed_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        path.write_bytes(b"this is not an npz archive")
-        with pytest.raises(SimulationError):
-            Checkpoint.load(path)
-
-    def test_dataclass_attrs_survive_disk(self, small_rmat, tmp_path):
-        # DOBFS checkpoints its per-GPU DirectionState machines; a disk
-        # round-trip must rebuild the dataclasses, not dicts
-        path = tmp_path / "dobfs.npz"
-        ref, metrics, _ = run_dobfs(
-            small_rmat, Machine(2), src=0,
-            checkpoint_every=2, checkpoint_path=str(path),
-        )
-        assert metrics.checkpoints_taken >= 1
-        back = Checkpoint.load(path)
-        states = back.attrs["directions"]
-        assert type(states[0]).__name__ == "DirectionState"
 
 
 class TestEnactorCheckpointing:

@@ -388,7 +388,6 @@ def test_corrupt_exchange_payload_is_caught_by_the_digest(small_rmat):
     problem = BFSProblem(small_rmat, machine)
     enactor = Enactor(
         problem, BFSIteration, backend="processes", checkpoint_every=2,
-        supervise=True,
         supervision=SupervisionConfig(shm_checksums=True, **FAST),
     )
     struck = _corrupt_exchange(enactor, iteration=1)

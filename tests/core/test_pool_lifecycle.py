@@ -164,6 +164,47 @@ def test_rollback_keeps_surviving_workers(backend, small_rmat, monkeypatch):
     assert _shm_leaks() == []
 
 
+@pytest.mark.parametrize("backend", ["serial", "processes:2"])
+def test_gpu_loss_comes_back_as_a_result_value(backend, small_rmat):
+    """Every backend returns a GPU lost in its superstep as the
+    DeviceLostError in that GPU's slot of ``run_iteration``'s results —
+    there is no flag to ask for it — and the other GPUs' supersteps of
+    that iteration finish."""
+    from repro.core.backend import GpuStepEffects
+    from repro.errors import DeviceLostError
+
+    machine = Machine(4)
+    machine.arm_faults(FaultPlan([FaultSpec(GPU_LOSS, gpu=1, iteration=2)]))
+    problem, enactor = _build(
+        "bfs", small_rmat, backend, machine=machine, checkpoint_every=2
+    )
+    run_iteration = enactor.backend.run_iteration
+    #: superstep -> its first run's results (before a rollback), each
+    #: loss as is and each GpuStepEffects as its type: the effects view
+    #: exchange memory that must not outlive the pool
+    first = {}
+
+    def spy(enactor_, iteration, *args):
+        results = run_iteration(enactor_, iteration, *args)
+        first.setdefault(iteration, [
+            r if isinstance(r, DeviceLostError) else type(r) for r in results
+        ])
+        return results
+
+    enactor.backend.run_iteration = spy
+    try:
+        metrics = enactor.enact(src=0)
+    finally:
+        enactor.close()
+    lost = first[2][1]
+    assert isinstance(lost, DeviceLostError)
+    assert (lost.gpu_id, lost.iteration) == (1, 2)
+    assert first[2][:1] + first[2][2:] == [GpuStepEffects] * 3
+    assert metrics.rollbacks == 1 and metrics.degraded_gpus == [1]
+    assert multiprocessing.active_children() == []
+    assert _shm_leaks() == []
+
+
 def _plan():
     return FaultPlan([
         FaultSpec(TRANSIENT_COMM, gpu=0, iteration=1, count=2),
@@ -215,7 +256,6 @@ def test_plan_armed_between_runs_reaches_the_workers(backend, small_rmat):
 def _attach(enactor, tracer):
     enactor.tracer = tracer
     enactor.machine.attach_tracer(tracer)
-    enactor.backend.tracer = tracer
 
 
 def _stream(tracer):
@@ -271,7 +311,7 @@ def test_crash_in_second_run_of_a_pool_is_replayed(small_rmat):
     machine.arm_faults(FaultPlan([FaultSpec(WORKER_CRASH, gpu=1, iteration=1)]))
     problem, enactor = _build(
         "bfs", small_rmat, "processes", machine=machine,
-        supervise=True, supervision=SupervisionConfig(**FAST),
+        supervision=SupervisionConfig(**FAST),
     )
     try:
         first, first_m = _enact("bfs", problem, enactor, 0)

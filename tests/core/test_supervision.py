@@ -98,7 +98,7 @@ def _run_faulted(name, graph, num_gpus, specs, tracer=None, **kwargs):
         kwargs["tracer"] = tracer
     result, metrics, _ = runner(
         graph, machine, **rkwargs,
-        backend="processes", supervise=True,
+        backend="processes",
         supervision=SupervisionConfig(**FAST),
         **kwargs,
     )
@@ -229,7 +229,7 @@ class TestObservability:
         )
         got, metrics, _ = _run(
             "bfs", small_rmat, 2, backend="processes",
-            supervise=True, supervision=SupervisionConfig(**FAST),
+            supervision=SupervisionConfig(**FAST),
         )
         np.testing.assert_array_equal(ref, got)
         d_ref, d_got = ref_metrics.to_dict(), metrics.to_dict()
@@ -256,7 +256,7 @@ class TestLifecycle:
         problem = BFSProblem(small_rmat, machine)
         enactor = Enactor(
             problem, BFSIteration, backend="processes",
-            supervise=True, supervision=SupervisionConfig(**FAST),
+            supervision=SupervisionConfig(**FAST),
         )
         enactor.enact(src=0)
         backend = enactor.backend
@@ -274,15 +274,15 @@ class TestLifecycle:
     def test_validation_rejects_bad_combinations(self, small_rmat):
         machine = Machine(2)
         problem = BFSProblem(small_rmat, machine)
-        # supervise requires the processes backend
+        # supervision requires the processes backend
         with pytest.raises(SimulationError):
             Enactor(problem, BFSIteration, backend="serial",
-                    supervise=True)
+                    supervision=SupervisionConfig())
         # sanitizer pauses workers at hook boundaries; combined with
         # hang detection it would self-trigger — banned
         with pytest.raises(SimulationError):
             Enactor(problem, BFSIteration, backend="processes",
-                    sanitize=True, supervise=True)
+                    sanitize=True, supervision=SupervisionConfig())
         # host-level faults need a supervisor to deliver them
         machine2 = Machine(2)
         machine2.arm_faults(FaultPlan(
