@@ -22,7 +22,14 @@ Run:  python examples/custom_primitive.py
 import numpy as np
 
 from repro import datasets
-from repro.core import Enactor, GpuContext, IterationBase, ProblemBase
+from repro.core import (
+    Enactor,
+    GpuContext,
+    IterationBase,
+    ProblemBase,
+    RunState,
+    combine,
+)
 from repro.core.comm import SELECTIVE
 from repro.core.operators.advance import advance_push
 from repro.core.stats import OpStats
@@ -40,6 +47,12 @@ class PeelProblem(ProblemBase):
     duplication = DUPLICATE_ALL
     communication = SELECTIVE
     NUM_VALUE_ASSOCIATES = 1  # the decrement count travels with each vertex
+    # everything a run writes, declared once: received decrements
+    # add-combine into the host's degree; a GPU writes only its own
+    # hosted vertices' alive flags and its own pending counts
+    state = RunState(arrays={
+        "degree": combine.SUM, "alive": None, "pending": None,
+    })
 
     def __init__(self, *args, k: int = K, **kwargs):
         self.k = k

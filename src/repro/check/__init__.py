@@ -4,7 +4,7 @@ Two engines behind one CLI (``python -m repro check``):
 
 * a static, AST-based lint pass (:mod:`repro.check.lint`) with pluggable
   rules (:mod:`repro.check.rules`) that verify the framework contract —
-  declared combiners, IdConfig dtype discipline, vectorized hot paths,
+  IdConfig dtype discipline, vectorized hot paths,
   framework errors that are never swallowed, and bounded IPC waits;
 * a dynamic BSP race sanitizer (:mod:`repro.check.sanitizer`) that wraps
   per-GPU slice arrays in shadow memory and flags mid-superstep peer

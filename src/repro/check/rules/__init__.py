@@ -17,7 +17,6 @@ from typing import Dict, List, Type
 
 from .base import ModuleContext, Rule
 from .bounded_wait import BoundedWaitRule
-from .combiners import UndeclaredCombinerRule
 from .dtypes import BareDtypeRule
 from .loops import HotLoopRule
 from .swallow import SwallowedErrorRule
@@ -28,7 +27,6 @@ __all__ = [
     "DEFAULT_RULES",
     "default_rules",
     "rule_index",
-    "UndeclaredCombinerRule",
     "BareDtypeRule",
     "HotLoopRule",
     "SwallowedErrorRule",
@@ -37,7 +35,6 @@ __all__ = [
 
 #: every shipped rule class, in rule-ID order
 DEFAULT_RULES: List[Type[Rule]] = [
-    UndeclaredCombinerRule,
     BareDtypeRule,
     HotLoopRule,
     SwallowedErrorRule,

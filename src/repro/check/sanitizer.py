@@ -208,9 +208,10 @@ class BspSanitizer:
         self._superstep = -1
         #: per-GPU stages of the current superstep, merged at the barrier
         self._stages: Dict[int, _GpuStage] = {}
-        self._safe: Dict[str, bool] = {}
-        for name, comb in getattr(problem, "combiners", {}).items():
-            self._safe[name] = bool(getattr(comb, "order_independent", False))
+        self._safe: Dict[str, bool] = {
+            name: comb is not None and comb.order_independent
+            for name, comb in problem.state.arrays.items()
+        }
         for gpu, ds in enumerate(problem.data_slices):
             for name, arr in list(ds.arrays.items()):
                 ds.arrays[name] = ShadowArray.wrap(arr, self, gpu, name)
@@ -277,7 +278,7 @@ class BspSanitizer:
             conflicted = uniq[counts > 1]
             if conflicted.size == 0:
                 continue
-            comb = getattr(self.problem, "combiners", {}).get(name)
+            comb = self.problem.state.arrays.get(name)
             desc = comb.describe() if comb is not None else "none declared"
             self.hazards.append(
                 Hazard(
@@ -293,7 +294,7 @@ class BspSanitizer:
                         f"{conflicted.size} replicated vertex(es) written "
                         f"by multiple GPUs in one superstep but the "
                         f"combiner is {desc}; declare a commutative/"
-                        "idempotent combiner in ProblemBase.combiners or "
+                        "idempotent combiner in the problem's RunState or "
                         "serialize the updates through messages"
                     ),
                     extra={"combiner": desc},

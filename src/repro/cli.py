@@ -196,12 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "installed repro package)")
     check.add_argument("--json", action="store_true", dest="as_json",
                        help="emit findings as JSON instead of text")
-    check.add_argument("--deep", action="store_true",
-                       help="also run the deep tier: hot-hook state that "
-                            "escapes the superstep (REP112)")
-    check.add_argument("--sarif", nargs="?", const="-", metavar="FILE",
-                       help="emit SARIF 2.1.0 (to FILE, or stdout when "
-                            "no file is given)")
     return p
 
 
@@ -594,34 +588,9 @@ def _cmd_check(args, out) -> int:
         paths = [repro.__path__[0]]
     try:
         findings = lint_paths(paths)
-        if args.deep:
-            from .check.deep import deep_analyze_paths
-
-            findings.extend(deep_analyze_paths(paths))
     except OSError as exc:
         print(f"repro check: error: {exc}", file=sys.stderr)
         return 2
-    # stable order for CI diffs, across files and tiers
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-
-    if args.sarif is not None:
-        from .check.deep import DEEP_RULES, findings_to_sarif
-        from .check.rules import default_rules
-
-        rules = {
-            r.rule_id: (r.name, r.description) for r in default_rules()
-        }
-        rules.update(DEEP_RULES)
-        sarif = findings_to_sarif(findings, rules=rules)
-        if args.sarif == "-":
-            print(sarif, file=out)
-            return 1 if findings else 0
-        try:
-            with open(args.sarif, "w", encoding="utf-8") as fh:
-                fh.write(sarif + "\n")
-        except OSError as exc:
-            print(f"repro check: error: {exc}", file=sys.stderr)
-            return 2
 
     if args.as_json:
         print(findings_to_json(findings), file=out)

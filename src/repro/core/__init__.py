@@ -12,12 +12,13 @@ from .direction import BACKWARD, FORWARD, DirectionState
 from .enactor import Enactor
 from .frontier import Frontier
 from .iteration import GpuContext, IterationBase
-from .problem import DataSlice, ProblemBase
+from .problem import DataSlice, ProblemBase, RunState
 from .stats import OpStats
 
 __all__ = [
     "ProblemBase",
     "DataSlice",
+    "RunState",
     "IterationBase",
     "GpuContext",
     "Enactor",

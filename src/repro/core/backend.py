@@ -71,7 +71,9 @@ one pickled sidecar list per superstep run.  A job is ``(gpu, stream
 horizons, frontier descriptor, inbox)`` with every array given as an
 :data:`~repro.core.shm.Descriptor`; ``generations`` tells the worker
 which generation of each exchange half to read; ``attrs`` is the pickled
-``CHECKPOINT_ATTRS`` snapshot, or None when the worker already holds it.
+snapshot of the problem's checkpointed attributes — its
+:class:`~repro.core.problem.RunState` ``per_gpu`` and ``replicated`` —
+or None when the worker already holds it.
 Superstep ``first`` takes its inputs from ``jobs``.  Each superstep
 ``k < horizon`` the workers close among themselves: a worker posts its
 sidecars to its mailbox half ``k % 2`` in the pool's
@@ -233,7 +235,7 @@ class ExecutionBackend:
         ``iteration``: a backend whose workers run ahead checks that
         they stopped there too."""
 
-    def rehome(self, enactor, lost, assignment, attrs, iter_state) -> None:
+    def rehome(self, enactor, lost, assignment, attrs) -> None:
         """Called at a GPU-loss rollback, before the enactor rebuilds
         its partition for ``assignment`` without the ``lost`` GPUs
         (:meth:`Enactor.rebuild_partition`): a backend with replicas of
@@ -440,8 +442,8 @@ def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest, exchange,
 def _worker_begin_run(enactor, accounts, shipped):
     """Start a new run on a live worker: what ``enact()`` did to the
     parent between two runs, repeated here.  Returns the run's fresh
-    iteration object (``CHECKPOINT_ATTRS`` arrive with the first step,
-    the slice arrays were refilled in place by ``problem.reset()``)."""
+    iteration object (the checkpointed attributes arrive with the first
+    step, the slice arrays were refilled in place by ``problem.reset()``)."""
     machine = enactor.machine
     machine.reset()  # clock, streams, and the fault plan re-armed
     for gpu_index, acct in accounts:
@@ -463,7 +465,7 @@ def _worker_rehome(enactor, conn, parent_pid, msg, manifest, shipped):
     ones: the old attachments are dropped and the new segments attached
     by name, with the parent's pool accounting.  Returns the new
     manifest and the run's fresh iteration object."""
-    _, lost, assignment, attrs, iter_state = msg
+    _, lost, assignment, attrs = msg
     new_manifest = accounts = None
 
     def adopt_slices():
@@ -478,7 +480,7 @@ def _worker_rehome(enactor, conn, parent_pid, msg, manifest, shipped):
 
     iteration_obj = enactor.iteration_cls(enactor.problem)
     enactor.rebuild_partition(
-        lost, assignment, iteration_obj, attrs, iter_state, adopt_slices
+        lost, assignment, iteration_obj, attrs, adopt_slices
     )
     for gpu_index, acct in accounts:
         _apply_accounting(enactor, gpu_index, acct)
@@ -720,7 +722,7 @@ class _Sidecar(NamedTuple):
     faults: Optional[dict]
     trace: Optional[list]
     san: object
-    #: entry ``[gpu]`` of each ``ProblemBase.PER_GPU_MUTABLE_ATTRS``
+    #: entry ``[gpu]`` of each ``RunState.per_gpu`` attribute
     attrs: Optional[dict]
     #: :func:`_slot_digest`, with ``shm_checksums`` on
     digest: Optional[int]
@@ -751,7 +753,7 @@ def _build_sidecar(enactor, gpu_index, eff, fault_snap, seg, parity,
         acct = None
     else:
         shipped[gpu_index] = acct
-    mutable = type(problem).PER_GPU_MUTABLE_ATTRS
+    mutable = problem.state.per_gpu
     used = seg.used(parity)
     return _Sidecar(
         gpu=gpu_index,
@@ -831,7 +833,7 @@ class ProcessesBackend(ExecutionBackend):
         self._described: Dict[int, tuple] = {}
         #: whether this run's first dispatch has emptied the read halves
         self._primed = False
-        #: per worker, the pickled CHECKPOINT_ATTRS it last received
+        #: per worker, the pickled checkpointed attributes it last received
         self._sent_attrs: List[Optional[bytes]] = []
         #: the pool's barrier words and mailboxes; lives and dies with it
         self._control: Optional[ControlBlock] = None
@@ -871,14 +873,14 @@ class ProcessesBackend(ExecutionBackend):
         }):
             self._sent_attrs = [None] * len(self._workers)
 
-    def rehome(self, enactor, lost, assignment, attrs, iter_state) -> None:
+    def rehome(self, enactor, lost, assignment, attrs) -> None:
         """Keep the workers whose GPUs survive a loss; each rebuilds its
         replica while the parent rebuilds its own.
 
         The lost GPUs leave their buckets; a worker left with none is
         reaped and its control-block slot retired.  Every other worker
-        gets the assignment and the checkpoint's attributes and
-        iteration state now, so its rebuild overlaps the parent's;
+        gets the assignment and the checkpoint's attributes now, so its
+        rebuild overlaps the parent's;
         :meth:`finish_rehome` sends the slices.  With one GPU left the
         pool goes instead: that run is inline.
         """
@@ -897,7 +899,7 @@ class ProcessesBackend(ExecutionBackend):
                 self._control.retire(w)
         self._owner = {g: w for w, bucket in self._live_buckets() for g in bucket}
         for w, _ in self._live_buckets():
-            self._send(w, ("rehome", lost, assignment, attrs, iter_state))
+            self._send(w, ("rehome", lost, assignment, attrs))
 
     def finish_rehome(self, enactor) -> None:
         """Move the parent's rebuilt slices into a new manifest and send
@@ -918,8 +920,8 @@ class ProcessesBackend(ExecutionBackend):
             w: ("slices", spec, [(g, _accounting(enactor, g)) for g in bucket])
             for w, bucket in self._live_buckets()
         }):
-            # CHECKPOINT_ATTRS and the re-routed heap inputs travel with
-            # the next grant
+            # the checkpointed attributes and the re-routed heap inputs
+            # travel with the next grant
             self._sent_attrs = [None] * len(self._workers)
 
     def _live_buckets(self):
@@ -959,7 +961,7 @@ class ProcessesBackend(ExecutionBackend):
         return SimulationError(
             f"processes backend: should_stop ended the epoch in {here} "
             f"but not in {there} — control hooks must decide from "
-            "CHECKPOINT_ATTRS / PER_GPU_MUTABLE_ATTRS state alone",
+            "the state their RunState declares alone",
             iteration=iteration, site="backend.processes",
         )
 
@@ -1082,8 +1084,8 @@ class ProcessesBackend(ExecutionBackend):
         child_conn.close()
         self._workers[w] = (proc, parent_conn)
         self._heartbeats[w] = heartbeat
-        # the fork knows the parent's CHECKPOINT_ATTRS as of now; the
-        # next step re-sends them regardless
+        # the fork knows the parent's checkpointed attributes as of now;
+        # the next step re-sends them regardless
         self._sent_attrs[w] = None
 
     def _reap_slot(self, w: int) -> None:
@@ -1203,7 +1205,7 @@ class ProcessesBackend(ExecutionBackend):
             for seg in exchange
         )
         attrs = None
-        if type(problem).CHECKPOINT_ATTRS:
+        if problem.state.attrs:
             attrs = pickle.dumps(
                 problem.snapshot_attrs(), pickle.HIGHEST_PROTOCOL
             )
@@ -1231,8 +1233,8 @@ class ProcessesBackend(ExecutionBackend):
         payloads: Dict[int, tuple] = {}
         for w in range(len(self._workers)):
             if jobs[w]:
-                # CHECKPOINT_ATTRS travel only when they differ from
-                # what this worker last received — or last computed
+                # the checkpointed attributes travel only when they differ
+                # from what this worker last received — or last computed
                 # itself, running ahead
                 changed = attrs != self._sent_attrs[w]
                 self._sent_attrs[w] = attrs if horizon == iteration else None

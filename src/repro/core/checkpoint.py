@@ -5,9 +5,8 @@ needs to resume from a superstep barrier:
 
 * the globalized per-vertex slice arrays (each vertex's value taken from
   its hosting GPU — the authoritative copy at a barrier);
-* the problem's :attr:`~repro.core.problem.ProblemBase.CHECKPOINT_ATTRS`
-  scalars (BC's phase machine, PR's convergence deltas, ...);
-* the iteration object's instance state;
+* the problem attributes its :class:`~repro.core.problem.RunState`
+  declares (BC's phase machine, PR's convergence deltas, ...);
 * per-GPU frontiers and in-flight messages, both lifted to *global*
   vertex IDs so they survive a repartition.
 
@@ -82,7 +81,6 @@ class Checkpoint:
     partition_table: np.ndarray
     arrays: Dict[str, np.ndarray]
     attrs: Dict[str, object]
-    iter_state: Dict[str, object]
     frontiers: List[np.ndarray]  # per-GPU, global IDs
     messages: List[PendingMessage]
 
@@ -105,7 +103,7 @@ class Checkpoint:
 
 # ----------------------------------------------------------------------
 def capture_checkpoint(
-    problem, iteration_obj, iteration: int,
+    problem, iteration: int,
     frontiers: List[np.ndarray], inboxes: List[List[tuple]],
     tracer=None,
 ) -> Checkpoint:
@@ -150,7 +148,6 @@ def capture_checkpoint(
         ),
         arrays=problem.snapshot_arrays(),
         attrs=problem.snapshot_attrs(),
-        iter_state=iteration_obj.snapshot_state(),
         frontiers=global_frontiers,
         messages=messages,
     )

@@ -8,12 +8,12 @@ argument — "an unmodified single-GPU primitive stays correct on multiple
 GPUs" — holds only when those merge operators are order-independent
 across the superstep boundary.
 
-A :class:`Combiner` is that declaration made explicit.  Problems list one
-per mutable slice array in :attr:`ProblemBase.combiners`; the static
-linter (rule ``undeclared-combiner``) requires the declaration whenever a
-primitive registers value associates, and the BSP race sanitizer consults
-it at every barrier: write-write conflicts on replicated vertices are
-benign exactly when the declared combiner is commutative or idempotent.
+A :class:`Combiner` is that declaration made explicit.  Problems name
+one per slice array in the ``arrays`` of their
+:class:`~repro.core.problem.RunState` (``None`` for an array only its
+hosting GPU writes), and the BSP race sanitizer consults it at every
+barrier: write-write conflicts on replicated vertices are benign exactly
+when the declared combiner is commutative or idempotent.
 """
 
 from __future__ import annotations

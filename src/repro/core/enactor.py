@@ -689,7 +689,6 @@ class Enactor:
     def _take_checkpoint(
         self,
         iteration: int,
-        iteration_obj: IterationBase,
         frontiers: List[np.ndarray],
         inboxes: List[List[tuple]],
         metrics: RunMetrics,
@@ -701,7 +700,7 @@ class Enactor:
         checkpoint a globally consistent point on the virtual clock.
         """
         ckpt = capture_checkpoint(
-            self.problem, iteration_obj, iteration, frontiers, inboxes,
+            self.problem, iteration, frontiers, inboxes,
             tracer=self.tracer,
         )
         self._last_checkpoint = ckpt
@@ -789,11 +788,9 @@ class Enactor:
         t0 = machine.clock.now
         new_assignment = reassign_onto_survivors(ckpt.partition_table, dead, n)
         # replicas of the problem (surviving workers) rebuild meanwhile
-        self.backend.rehome(
-            self, lost, new_assignment, ckpt.attrs, ckpt.iter_state
-        )
+        self.backend.rehome(self, lost, new_assignment, ckpt.attrs)
         self.rebuild_partition(
-            lost, new_assignment, iteration_obj, ckpt.attrs, ckpt.iter_state,
+            lost, new_assignment, iteration_obj, ckpt.attrs,
             lambda: problem.restore_arrays(ckpt.arrays),
         )
         frontiers, messages = route_restored_state(
@@ -819,16 +816,17 @@ class Enactor:
         return ckpt.iteration + 1, frontiers, inboxes
 
     def rebuild_partition(self, lost, assignment, iteration_obj, attrs,
-                          iter_state, restore_arrays) -> None:
+                          restore_arrays) -> None:
         """The structural half of a GPU-loss rollback, on this enactor's
         machine and problem: mark the ``lost`` GPUs dead, rebuild
         sub-graphs, slices and buffers for ``assignment``, put the
         checkpointed state back — slice arrays by ``restore_arrays()``,
-        then ``attrs`` and ``iter_state`` — and run the primitive's
-        ``on_repartition``.  The parent runs it in
-        :meth:`_recover_gpu_loss`, and every surviving ``processes``
-        worker on its replica (:meth:`ProcessesBackend.rehome`), where
-        the arrays arrive in shared memory."""
+        then ``attrs`` — drop ``iteration_obj``'s caches
+        (``on_restore``) and run the primitive's ``on_repartition``.
+        The parent runs it in :meth:`_recover_gpu_loss`, and every
+        surviving ``processes`` worker on its replica
+        (:meth:`ProcessesBackend.rehome`), where the arrays arrive in
+        shared memory."""
         machine = self.machine
         problem = self.problem
         for gpu in lost:
@@ -838,7 +836,7 @@ class Enactor:
         self._setup_buffers()
         restore_arrays()
         problem.restore_attrs(attrs)
-        iteration_obj.restore_state(iter_state)
+        iteration_obj.on_restore()
         problem.on_repartition(dead=machine.lost_gpus)
 
     # ------------------------------------------------------------------
@@ -933,9 +931,7 @@ class Enactor:
         if protected:
             # baseline checkpoint at "iteration -1": the post-reset state,
             # so even an iteration-0 GPU loss has a rollback target
-            self._take_checkpoint(
-                -1, iteration_obj, frontiers, inboxes, metrics
-            )
+            self._take_checkpoint(-1, frontiers, inboxes, metrics)
 
         iteration = 0
         last_dirs: dict = {}
@@ -1036,9 +1032,7 @@ class Enactor:
                 self.checkpoint_every is not None
                 and (iteration + 1) % self.checkpoint_every == 0
             ):
-                self._take_checkpoint(
-                    iteration, iteration_obj, frontiers, inboxes, metrics
-                )
+                self._take_checkpoint(iteration, frontiers, inboxes, metrics)
             iteration += 1
 
         metrics.elapsed = machine.clock.now

@@ -53,12 +53,11 @@ class IterationBase:
     :meth:`expand_incoming`; the defaults for the remaining hooks match
     the paper's BFS ("BFS uses the default Stop_Condition(), which exits
     the iteration loop when all frontiers are empty").
-    """
 
-    #: instance attributes excluded from checkpoints: references to
-    #: structures the enactor rebuilds (the problem) and caches that
-    #: :meth:`on_restore` re-derives.  Subclasses extend this set.
-    SNAPSHOT_EXCLUDE = frozenset({"problem"})
+    An iteration object holds no run state: what a run writes lives in
+    the problem and is declared in its :class:`~repro.core.problem.RunState`.
+    Instance fields are caches, which :meth:`on_restore` drops.
+    """
 
     def __init__(self, problem: ProblemBase):
         self.problem = problem
@@ -122,30 +121,6 @@ class IterationBase:
         """Traversal direction label for metrics (DOBFS overrides)."""
         return ""
 
-    # -- checkpoint hooks (docs/robustness.md) -------------------------------
-    def snapshot_state(self) -> dict:
-        """Deep-copied instance state for a barrier checkpoint.
-
-        Everything in ``__dict__`` except :attr:`SNAPSHOT_EXCLUDE` is
-        captured; the copy is isolated so later supersteps cannot mutate
-        a taken checkpoint.
-        """
-        import copy
-
-        return {
-            k: copy.deepcopy(v)
-            for k, v in self.__dict__.items()
-            if k not in self.SNAPSHOT_EXCLUDE
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore from :meth:`snapshot_state` (the checkpoint survives
-        repeated rollbacks: values are copied in, never moved)."""
-        import copy
-
-        for k, v in state.items():
-            setattr(self, k, copy.deepcopy(v))
-        self.on_restore()
-
+    # -- checkpoint hook (docs/robustness.md) --------------------------------
     def on_restore(self) -> None:
         """Invalidate caches after a rollback (subclasses override)."""

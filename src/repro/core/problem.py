@@ -10,13 +10,17 @@ subclass it and specify (Section III-B):
   per-vertex IDs/values accompany each communicated vertex;
 * ``duplication`` — duplicate-all or duplicate-1-hop (Section III-C);
 * ``communication`` — selective or broadcast;
+* ``state`` — a :class:`RunState`: everything a run of the primitive
+  writes, and how concurrent writes to it combine;
 * :meth:`init_data_slice` — allocate the primitive's per-vertex arrays;
 * :meth:`reset` — prepare a new run and return the initial frontiers.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import copy
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,20 +34,72 @@ from ..sim.machine import Machine
 from .combine import Combiner
 from .comm import SELECTIVE
 
-__all__ = ["DataSlice", "ProblemBase"]
+__all__ = ["DataSlice", "ProblemBase", "RunState"]
+
+
+@dataclass(frozen=True)
+class RunState:
+    """Everything a run of one primitive writes, declared once on its
+    problem class (Section III-B: what is communicated and how
+    concurrent updates combine).  Checkpoints, rollbacks, the
+    ``processes`` backend's per-superstep shipping and the BSP
+    sanitizer all read it; nothing else lists these names.
+
+    ``arrays``
+        slice array name -> the :class:`~repro.core.combine.Combiner`
+        that merges superstep-concurrent writes to it, or None for an
+        array only its hosting GPU writes.  Every array a checkpoint
+        captures, globalized per vertex.
+    ``static``
+        slice arrays :meth:`ProblemBase.init_data_slice` derives from
+        the sub-graph alone (CC's per-edge ``edge_src``): allocated,
+        never checkpointed — a repartition rebuilds them.
+    ``per_gpu``
+        problem attributes that are sequences indexed by GPU, whose
+        entry ``[gpu]`` a hook writes inside a superstep (PR's
+        ``max_delta``).  Checkpointed, and shipped back from the worker
+        that ran the GPU.
+    ``replicated``
+        problem attributes the control hooks write at the barrier
+        (BC's phase machine).  Checkpointed, and sent to the workers
+        whenever they change.
+
+    :meth:`DataSlice.allocate` refuses a name outside ``arrays`` and
+    ``static``.
+    """
+
+    arrays: Mapping[str, Optional[Combiner]] = field(default_factory=dict)
+    static: Tuple[str, ...] = ()
+    per_gpu: Tuple[str, ...] = ()
+    replicated: Tuple[str, ...] = ()
+    #: the checkpointed problem attributes, ``replicated + per_gpu``: a
+    #: field, not a property, because every ``processes`` grant reads it
+    attrs: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "attrs", self.replicated + self.per_gpu)
 
 
 class DataSlice:
-    """Per-GPU named arrays, registered with the device memory pool."""
+    """Per-GPU named arrays, registered with the device memory pool.
+    ``state`` is the owning problem's :class:`RunState`: only the
+    arrays it declares may be allocated."""
 
-    def __init__(self, gpu_id: int, pool, prefix: str = "slice") -> None:
+    def __init__(self, gpu_id: int, pool, state: RunState,
+                 prefix: str = "slice") -> None:
         self.gpu_id = gpu_id
         self.pool = pool
+        self.state = state
         self.prefix = prefix
         self.arrays: Dict[str, np.ndarray] = {}
 
     def allocate(self, name: str, shape, dtype, fill: Any = None) -> np.ndarray:
         """Allocate a named device array (charged to the pool)."""
+        if name not in self.state.arrays and name not in self.state.static:
+            raise KeyError(
+                f"slice array {name!r} is not declared in the problem's "
+                "RunState (arrays or static)"
+            )
         arr = np.empty(shape, dtype=dtype)
         if fill is not None:
             arr.fill(fill)
@@ -97,29 +153,12 @@ class ProblemBase:
     NUM_VALUE_ASSOCIATES: int = 0
     duplication: str = DUPLICATE_ALL
     communication: str = SELECTIVE
-    #: slice-array name -> declared merge semantics for superstep-concurrent
-    #: writes (see :mod:`repro.core.combine`).  Any primitive that registers
-    #: associates must declare how they combine; the ``repro check`` linter
-    #: enforces the declaration and the BSP sanitizer verifies replicated
-    #: writes only ever land on arrays whose combiner is order-independent.
-    combiners: Dict[str, Combiner] = {}
+    #: the primitive's declared run state (see :class:`RunState`)
+    state: RunState = RunState()
     #: whether the primitive materializes an advance-output (intermediate)
     #: frontier; in-place primitives (PR's accumulate, CC's hook+jump)
     #: never need the O(|E|) buffer regardless of the allocation scheme
     uses_intermediate: bool = True
-    #: scalar/object attributes (beyond slice arrays) that a barrier
-    #: checkpoint must capture — e.g. BC's phase machine, PR's per-GPU
-    #: convergence deltas (see docs/robustness.md)
-    CHECKPOINT_ATTRS: tuple = ()
-    #: names of per-GPU *sequences* (list or 1-D array indexed by GPU)
-    #: whose entries hooks mutate **inside a superstep** — e.g. PR's
-    #: ``max_delta[gpu]``, DOBFS's ``directions[gpu]``.  The processes
-    #: backend ships entry ``[gpu]`` back from the worker that ran that
-    #: GPU and replays it parent-side at the barrier; entries must be
-    #: picklable.  Parent-side mutations (``should_stop``) need no
-    #: declaration — workers receive them via the per-superstep
-    #: :attr:`CHECKPOINT_ATTRS` snapshot instead.
-    PER_GPU_MUTABLE_ATTRS: tuple = ()
     #: per GPU ``(frontier, local, remote, split stats)``: an output
     #: frontier that is the same array every superstep, with what
     #: :func:`~repro.core.comm.split_frontier` returns for it, computed
@@ -198,7 +237,7 @@ class ProblemBase:
                     f"{self.alloc_prefix}.subgraph",
                     self.subgraphs[gpu].memory_bytes(),
                 )
-            ds = DataSlice(gpu, pool, prefix=self.alloc_prefix)
+            ds = DataSlice(gpu, pool, self.state, prefix=self.alloc_prefix)
             self.init_data_slice(ds, self.subgraphs[gpu])
             self.data_slices.append(ds)
 
@@ -254,28 +293,12 @@ class ProblemBase:
                 pool.free(f"{self.alloc_prefix}.subgraph")
 
     # -- checkpoint / recovery API (docs/robustness.md) ---------------------
-    def per_vertex_array_names(self) -> List[str]:
-        """Slice arrays indexed by local vertex ID on every GPU.
-
-        These are the arrays a checkpoint globalizes via :meth:`extract`.
-        Structural arrays with other shapes (e.g. CC's per-edge
-        ``edge_src``) are rebuilt by :meth:`init_data_slice` and need no
-        snapshot.
-        """
-        names = []
-        for name in self.data_slices[0].arrays:
-            if all(
-                self.data_slices[g].arrays[name].shape[:1]
-                == (self.subgraphs[g].num_vertices,)
-                for g in range(self.num_gpus)
-            ):
-                names.append(name)
-        return names
-
     def snapshot_arrays(self) -> Dict[str, np.ndarray]:
-        """Globalized copies of every per-vertex slice array."""
+        """Globalized copies of the allocated ``state.arrays``, in
+        allocation order."""
+        declared = self.state.arrays
         return {name: self.extract(name)
-                for name in self.per_vertex_array_names()}
+                for name in self.data_slices[0].arrays if name in declared}
 
     def restore_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
         """Scatter globalized arrays back into every GPU's slice.
@@ -293,15 +316,11 @@ class ProblemBase:
                 )
 
     def snapshot_attrs(self) -> Dict[str, Any]:
-        """Deep-copied :attr:`CHECKPOINT_ATTRS` values."""
-        import copy
-
+        """Deep-copied values of ``state.attrs``."""
         return {name: copy.deepcopy(getattr(self, name))
-                for name in self.CHECKPOINT_ATTRS}
+                for name in self.state.attrs}
 
     def restore_attrs(self, attrs: Dict[str, Any]) -> None:
-        import copy
-
         for name, value in attrs.items():
             setattr(self, name, copy.deepcopy(value))
 

@@ -30,7 +30,7 @@ from ..core.comm import BROADCAST, SELECTIVE, Message
 from ..core.iteration import GpuContext, IterationBase
 from ..core.operators.advance import advance_push
 from ..core.operators.compute import dedup, segment_reduce_sum
-from ..core.problem import DataSlice, ProblemBase
+from ..core.problem import DataSlice, ProblemBase, RunState
 from ..core.stats import OpStats
 from ..partition.duplication import DUPLICATE_ALL, SubGraph
 
@@ -53,20 +53,18 @@ class BCProblem(ProblemBase):
     NUM_VERTEX_ASSOCIATES = 1  # depth label
     NUM_VALUE_ASSOCIATES = 1  # sigma (forward) / delta (backward)
     # depths min-combine like BFS labels; sigma/delta are atomicAdd
-    # accumulations of path counts / dependencies
-    combiners = {
-        "labels": combine.MIN,
-        "sigma": combine.SUM,
-        "delta": combine.SUM,
-    }
-    # the phase machine is mutated by reset() AND should_stop(); a barrier
-    # checkpoint must capture all of it or a rollback resumes mid-phase
-    CHECKPOINT_ATTRS = (
-        "phase", "max_depth", "level", "communication", "deepest",
+    # accumulations of path counts / dependencies.  should_stop runs the
+    # phase machine; it derives max_depth from each GPU's deepest hosted
+    # label, which the sync superstep writes.
+    state = RunState(
+        arrays={
+            "labels": combine.MIN,
+            "sigma": combine.SUM,
+            "delta": combine.SUM,
+        },
+        per_gpu=("deepest",),
+        replicated=("phase", "max_depth", "level", "communication"),
     )
-    # each GPU's deepest hosted label, written by the sync superstep:
-    # should_stop derives max_depth from it instead of reading labels
-    PER_GPU_MUTABLE_ATTRS = ("deepest",)
 
     def init_data_slice(self, ds: DataSlice, sub: SubGraph) -> None:
         ids = sub.csr.ids

@@ -24,7 +24,7 @@ from ..core.iteration import GpuContext, IterationBase
 from ..core.operators.advance import advance_push
 from ..core.operators.filter import filter_unvisited
 from ..core.operators.fused import first_witness, fused_advance_filter
-from ..core.problem import DataSlice, ProblemBase
+from ..core.problem import DataSlice, ProblemBase, RunState
 from ..core.stats import OpStats
 from ..partition.duplication import DUPLICATE_ALL, SubGraph
 
@@ -41,7 +41,7 @@ class BFSProblem(ProblemBase):
     communication = SELECTIVE
     # labels min-combine (first discovery wins at the superstep boundary);
     # any concurrently-written predecessor is a valid witness
-    combiners = {"labels": combine.MIN, "preds": combine.WITNESS}
+    state = RunState(arrays={"labels": combine.MIN, "preds": combine.WITNESS})
 
     def __init__(self, *args, mark_predecessors: bool = False, **kwargs):
         self.mark_predecessors = mark_predecessors

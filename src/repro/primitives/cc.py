@@ -23,7 +23,7 @@ from ..core import combine
 from ..core.comm import BROADCAST, Message
 from ..core.iteration import GpuContext, IterationBase
 from ..core.operators.compute import segment_reduce_min
-from ..core.problem import DataSlice, ProblemBase
+from ..core.problem import DataSlice, ProblemBase, RunState
 from ..core.stats import OpStats
 from ..partition.duplication import DUPLICATE_ALL, SubGraph
 
@@ -38,8 +38,9 @@ class CCProblem(ProblemBase):
     communication = BROADCAST
     NUM_VERTEX_ASSOCIATES = 1  # the component ID travels with each vertex
     uses_intermediate = False  # hooking/jumping update comp[] in place
-    # component IDs converge to the per-component minimum vertex ID
-    combiners = {"comp": combine.MIN}
+    # component IDs converge to the per-component minimum vertex ID; the
+    # per-edge sources are derived from the sub-graph alone
+    state = RunState(arrays={"comp": combine.MIN}, static=("edge_src",))
 
     def init_data_slice(self, ds: DataSlice, sub: SubGraph) -> None:
         ds.allocate("comp", sub.num_vertices, sub.csr.ids.vertex_dtype)
@@ -71,10 +72,6 @@ class CCProblem(ProblemBase):
 class CCIteration(IterationBase):
     """Local hook+jump fixpoint, broadcast of changed component IDs."""
 
-    # the cached views point into pre-rollback edge_src allocations,
-    # which a repartition replaces wholesale
-    SNAPSHOT_EXCLUDE = IterationBase.SNAPSHOT_EXCLUDE | {"_src64"}
-
     def __init__(self, problem):
         super().__init__(problem)
         # edge_src never changes after init; cache its int64 view per GPU
@@ -82,6 +79,8 @@ class CCIteration(IterationBase):
         self._src64: dict = {}
 
     def on_restore(self) -> None:
+        # the cached views point into pre-rollback edge_src allocations,
+        # which a repartition replaces wholesale
         self._src64 = {}
 
     def full_queue_core(

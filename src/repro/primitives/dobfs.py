@@ -32,7 +32,7 @@ from ..core.iteration import GpuContext, IterationBase
 from ..core.operators.advance import advance_pull, advance_push
 from ..core.operators.filter import filter_unvisited
 from ..core.operators.fused import first_witness, fused_advance_filter
-from ..core.problem import DataSlice, ProblemBase
+from ..core.problem import DataSlice, ProblemBase, RunState
 from ..core.stats import OpStats
 from ..partition.duplication import DUPLICATE_ALL, SubGraph
 from .bfs import INVALID_LABEL
@@ -47,18 +47,17 @@ class DOBFSProblem(ProblemBase):
     duplication = DUPLICATE_ALL
     communication = BROADCAST
     # every GPU mirrors labels/frontier state through broadcast: label
-    # discoveries min-combine, bitmap membership OR-combines
-    combiners = {
-        "labels": combine.MIN,
-        "in_frontier": combine.ANY,
-        "preds": combine.WITNESS,
-    }
-    # the per-GPU direction machines mutate every iteration and decide
-    # coverage; a rollback must rewind them with the rest of the state
-    CHECKPOINT_ATTRS = ("directions",)
-    # _decide_direction mutates this GPU's DirectionState inside the
-    # superstep, so forked workers must ship it back
-    PER_GPU_MUTABLE_ATTRS = ("directions",)
+    # discoveries min-combine, bitmap membership OR-combines.  The
+    # per-GPU direction machines decide coverage, and _decide_direction
+    # steps this GPU's inside the superstep.
+    state = RunState(
+        arrays={
+            "labels": combine.MIN,
+            "in_frontier": combine.ANY,
+            "preds": combine.WITNESS,
+        },
+        per_gpu=("directions",),
+    )
 
     def __init__(self, *args, do_a: float = 0.01, do_b: float = 0.1,
                  mark_predecessors: bool = False, **kwargs):
@@ -114,10 +113,6 @@ class DOBFSProblem(ProblemBase):
 
 class DOBFSIteration(IterationBase):
     """Dual-direction core with the FV/BV switching rule."""
-
-    # the bitmap-bit record is a cache over slice arrays the enactor
-    # restores separately; on_restore re-derives it from scratch
-    SNAPSHOT_EXCLUDE = IterationBase.SNAPSHOT_EXCLUDE | {"_prev_in_frontier"}
 
     def __init__(self, problem):
         super().__init__(problem)

@@ -28,7 +28,7 @@ from ..core.comm import SELECTIVE, Message, split_frontier
 from ..core.iteration import GpuContext, IterationBase
 from ..core.operators.advance import gather_neighbors
 from ..core.operators.compute import dedup, segment_reduce_sum
-from ..core.problem import DataSlice, ProblemBase
+from ..core.problem import DataSlice, ProblemBase, RunState
 from ..core.stats import OpStats
 from ..partition.duplication import DUPLICATE_ALL, SubGraph
 
@@ -43,15 +43,16 @@ class PRProblem(ProblemBase):
     communication = SELECTIVE
     NUM_VALUE_ASSOCIATES = 1  # the accumulated rank share
     uses_intermediate = False  # accumulation is in-place (no frontier out)
-    # partial rank shares atomicAdd-combine (Algorithm 3); "rank" itself
-    # is only ever written by the hosting GPU, so it needs no combiner
-    combiners = {"acc": combine.SUM}
-    # per-GPU convergence deltas live outside the data slices; a rollback
-    # must restore them or should_stop() reads post-fault values
-    CHECKPOINT_ATTRS = ("max_delta",)
-    # hooks write max_delta[gpu] inside the superstep (should_stop reads
-    # the max parent-side), so forked workers must ship it back
-    PER_GPU_MUTABLE_ATTRS = ("max_delta",)
+    # partial rank shares atomicAdd-combine (Algorithm 3); the other
+    # arrays are only ever written by the hosting GPU.  Hooks write the
+    # per-GPU convergence delta max_delta[gpu]; should_stop reads them all.
+    state = RunState(
+        arrays={
+            "rank": None, "acc": combine.SUM, "degree": None,
+            "delta": None, "teleport": None,
+        },
+        per_gpu=("max_delta",),
+    )
 
     def __init__(
         self,

@@ -37,7 +37,7 @@ from ..core.operators.compute import (
     segment_first,
     segment_reduce_min,
 )
-from ..core.problem import DataSlice, ProblemBase
+from ..core.problem import DataSlice, ProblemBase, RunState
 from ..core.stats import OpStats
 from ..errors import GraphFormatError
 from ..partition.duplication import DUPLICATE_1HOP, SubGraph
@@ -53,7 +53,7 @@ class SSSPProblem(ProblemBase):
     communication = SELECTIVE
     NUM_VALUE_ASSOCIATES = 1  # the distance travels with each vertex
     # distances atomicMin-combine; any improving predecessor is a witness
-    combiners = {"dist": combine.MIN, "preds": combine.WITNESS}
+    state = RunState(arrays={"dist": combine.MIN, "preds": combine.WITNESS})
 
     def __init__(self, *args, mark_predecessors: bool = False, **kwargs):
         self.mark_predecessors = mark_predecessors

@@ -1,5 +1,5 @@
 """``repro check`` CLI exit-code contract: 0 clean / 1 findings /
-2 usage error — for both output modes and the deep tier."""
+2 usage error — for both output modes."""
 
 import io
 import json
@@ -30,17 +30,6 @@ from repro.core.iteration import IterationBase
 class ToyIteration(IterationBase):
     def full_queue_core(self, ctx, frontier):
         total = sum(x for x in frontier)
-        return frontier, []
-'''
-
-TOY_REJECT = '''
-"""doc"""
-from repro.core.iteration import IterationBase
-
-
-class ToyIteration(IterationBase):
-    def full_queue_core(self, ctx, frontier):
-        self.problem.last_frontier = frontier
         return frontier, []
 '''
 
@@ -99,55 +88,11 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_mc_is_usage_error(self, clean_file, tmp_path):
+        # the model checker and the deep tier are gone
         outdir = tmp_path / "traces"
-        for flags in (["--mc"], ["--deep", "--mc"],
+        for flags in (["--mc"], ["--deep"],
                       ["--trace-out", str(outdir)]):
             with pytest.raises(SystemExit) as exc:
                 run_cli("check", *flags, clean_file)
             assert exc.value.code == 2
         assert not outdir.exists()
-
-
-class TestDeepCli:
-    def test_deep_clean_is_zero(self, clean_file):
-        code, out = run_cli("check", "--deep", clean_file)
-        assert code == 0
-        assert out.strip() == "repro check: clean"
-
-    def test_deep_rejects_toy_primitive(self, tmp_path):
-        p = tmp_path / "toy.py"
-        p.write_text(TOY_REJECT, encoding="utf-8")
-        code, out = run_cli("check", "--deep", str(p))
-        assert code == 1
-        assert "REP112" in out and "problem.last_frontier" in out
-
-    def test_deep_json_carries_findings_only(self, tmp_path):
-        p = tmp_path / "toy.py"
-        p.write_text(TOY_REJECT, encoding="utf-8")
-        code, out = run_cli("check", "--deep", "--json", str(p))
-        assert code == 1
-        doc = json.loads(out)
-        assert doc["by_rule"] == {"REP112": 1}
-        assert not {"certificates", "schedule_certificates",
-                    "barrier"} & set(doc)
-
-    def test_sarif_stdout(self, tmp_path):
-        p = tmp_path / "toy.py"
-        p.write_text(TOY_REJECT, encoding="utf-8")
-        # --sarif takes an optional FILE, so the path comes first
-        code, out = run_cli("check", "--deep", str(p), "--sarif")
-        assert code == 1
-        doc = json.loads(out)
-        assert doc["version"] == "2.1.0"
-        assert any(
-            r["ruleId"] == "REP112" for r in doc["runs"][0]["results"]
-        )
-
-    def test_sarif_file_written(self, bad_file, tmp_path):
-        sarif_path = tmp_path / "out.sarif"
-        code, _ = run_cli(
-            "check", "--sarif", str(sarif_path), bad_file
-        )
-        assert code == 1
-        doc = json.loads(sarif_path.read_text(encoding="utf-8"))
-        assert doc["runs"][0]["results"]

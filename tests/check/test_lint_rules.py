@@ -1,8 +1,10 @@
-"""Unit tests for the static lint rules REP102-REP104 (REP108 and REP118
-have files of their own) and the waiver machinery, plus the
-self-cleanliness gate: ``src/repro`` must lint clean with the default
-rule set."""
+"""Unit tests for the static lint rules REP103-REP104 (REP108 and REP118
+have files of their own), the waiver machinery and the report formats,
+plus the self-cleanliness gate: ``src/repro`` must lint clean with the
+default rule set."""
 
+import io
+import json
 import pathlib
 
 import pytest
@@ -30,31 +32,11 @@ from repro.core.iteration import IterationBase
 '''
 
 
-class TestCombinerRule:
-    def test_value_associates_without_combiners(self):
-        src = PROBLEM_PREAMBLE + '''
+BARE_DTYPE = PROBLEM_PREAMBLE + '''
 class ToyProblem(ProblemBase):
-    NUM_VALUE_ASSOCIATES = 1
+    def init_data_slice(self, ds, sub):
+        ds.allocate("dist", sub.num_vertices, np.float64)
 '''
-        assert "REP102" in ids_of(lint_source(src, "t.py"))
-
-    def test_declared_combiners_clean(self):
-        src = PROBLEM_PREAMBLE + '''
-from repro.core import combine
-
-
-class ToyProblem(ProblemBase):
-    NUM_VALUE_ASSOCIATES = 1
-    combiners = {"dist": combine.MIN}
-'''
-        assert "REP102" not in ids_of(lint_source(src, "t.py"))
-
-    def test_zero_associates_need_no_combiners(self):
-        src = PROBLEM_PREAMBLE + '''
-class ToyProblem(ProblemBase):
-    NUM_VALUE_ASSOCIATES = 0
-'''
-        assert "REP102" not in ids_of(lint_source(src, "t.py"))
 
 
 class TestDtypeRule:
@@ -179,20 +161,40 @@ class TestInfrastructure:
         assert len(ids) == len(set(ids))
 
     def test_render_and_json(self):
-        findings = lint_source(
-            PROBLEM_PREAMBLE + '''
-class ToyProblem(ProblemBase):
-    NUM_VALUE_ASSOCIATES = 1
-''',
-            "t.py",
-        )
+        findings = lint_source(BARE_DTYPE, "t.py")
         text = render_findings(findings)
-        assert "REP102" in text and "1 finding" in text
-        import json
-
+        assert "REP103" in text and "1 finding" in text
         payload = json.loads(findings_to_json(findings))
         assert payload["count"] == 1
-        assert payload["by_rule"] == {"REP102": 1}
+        assert payload["by_rule"] == {"REP103": 1}
+
+    def test_json_document_keys_are_pinned(self, tmp_path):
+        from repro.cli import main
+
+        bad = tmp_path / "bad.py"
+        bad.write_text(BARE_DTYPE, encoding="utf-8")
+        out = io.StringIO()
+        assert main(["check", "--json", str(bad)], out=out) == 1
+        doc = json.loads(out.getvalue())
+        assert set(doc) == {"version", "tool", "count", "by_rule",
+                            "findings"}
+        assert doc["by_rule"] == {"REP103": 1}
+        for finding in doc["findings"]:
+            # "extra" only when the rule attached context
+            assert set(finding) - {"extra"} == {
+                "rule_id", "rule", "path", "line", "col", "severity",
+                "message",
+            }
+
+    def test_lint_paths_sorted_across_files(self):
+        pkg = str(pathlib.Path(repro.__path__[0]))
+        a = lint_paths([pkg])
+        b = lint_paths([pkg])
+        keys = [(f.path, f.line, f.col, f.rule_id) for f in a]
+        assert keys == sorted(keys)
+        assert [(f.path, f.line) for f in a] == [
+            (f.path, f.line) for f in b
+        ]
 
     def test_lint_paths_rejects_non_python(self, tmp_path):
         target = tmp_path / "notes.txt"

@@ -9,9 +9,8 @@ source file under ``src/repro``, with
   observable: results, ``RunMetrics``, ``virtual_s``, serial ≡
   processes bit-identity, or a bounded-wait guarantee;
 * ``rules`` — every rule that trips on the mutated file: the lint rules
-  (``lint_source``), the deep tier (``deep_analyze_source``) and, for a
-  primitive, the sanitizer's hazards in a sanitized 4-GPU run of it
-  (problem keyword arguments in ``problem``);
+  (``lint_source``) and, for a primitive, the sanitizer's hazards in a
+  sanitized 4-GPU run of it (problem keyword arguments in ``problem``);
 * ``tier1`` — the first test that fails when tier-1 *alone* runs on the
   mutated tree (``None``: tier-1 passes), and ``via`` — the sanitizer
   hazards that are the only reason tier-1 fails, if so.
@@ -93,40 +92,6 @@ _PREDS = (("mark_predecessors", True),)
 CATALOGUE: Tuple[Mutant, ...] = (
     # -- caught by a rule that stays ----------------------------------------
     Mutant(
-        id="combiner-key-typo-dobfs",
-        file="primitives/dobfs.py",
-        anchor="        \"preds\": combine.WITNESS,\n",
-        replacement="        \"pred\": combine.WITNESS,\n",
-        defect=(
-            "sanitized DOBFS with predecessors at 4 GPUs: preds has no "
-            "declared combiner, so the replicas two GPUs write in one "
-            "superstep become SAN203 hazards in RunMetrics"
-        ),
-        rules=_rules("REP102", "SAN203"),
-        tier1=None,
-        problem=_PREDS,
-    ),
-    Mutant(
-        id="combiner-key-typo-sssp",
-        file="primitives/sssp.py",
-        anchor=(
-            "    combiners = {\"dist\": combine.MIN, "
-            "\"preds\": combine.WITNESS}\n"
-        ),
-        replacement=(
-            "    combiners = {\"dist\": combine.MIN, "
-            "\"pred\": combine.WITNESS}\n"
-        ),
-        defect="the same typo in SSSP, sanitized with predecessors",
-        rules=_rules("REP102", "SAN203"),
-        tier1=(
-            "tests.primitives.test_sssp.TestRelaxEachVertexOnce"
-            "::test_equals_relaxing_every_copy[True-True]"
-        ),
-        via=_rules("SAN203"),
-        problem=_PREDS,
-    ),
-    Mutant(
         id="bare-dtype",
         file="primitives/cc.py",
         anchor=(
@@ -190,31 +155,6 @@ CATALOGUE: Tuple[Mutant, ...] = (
         tier1=None,
     ),
     Mutant(
-        id="undeclared-escape",
-        file="primitives/pr.py",
-        anchor=(
-            "    # per-GPU convergence deltas live outside the data slices; "
-            "a rollback\n"
-            "    # must restore them or should_stop() reads post-fault "
-            "values\n"
-            "    CHECKPOINT_ATTRS = (\"max_delta\",)\n"
-            "    # hooks write max_delta[gpu] inside the superstep "
-            "(should_stop reads\n"
-            "    # the max parent-side), so forked workers must ship it "
-            "back\n"
-            "    PER_GPU_MUTABLE_ATTRS = (\"max_delta\",)\n"
-        ),
-        replacement="",
-        defect=(
-            "PageRank on processes:2 at 4 GPUs, run to its threshold: "
-            "the workers' convergence deltas never reach the parent, "
-            "which runs to max_iter (76 -> 1000 supersteps on R-MAT-9) "
-            "and returns other ranks than serial"
-        ),
-        rules=_rules("REP112"),
-        tier1=None,
-    ),
-    Mutant(
         id="unbounded-join",
         file="core/supervise.py",
         anchor=(
@@ -258,7 +198,73 @@ CATALOGUE: Tuple[Mutant, ...] = (
         tier1=None,
         problem=_PREDS,
     ),
+    Mutant(
+        id="overwrite-preds-dobfs",
+        file="primitives/dobfs.py",
+        anchor="            \"preds\": combine.WITNESS,\n",
+        replacement="            \"preds\": combine.OVERWRITE,\n",
+        defect=(
+            "sanitized DOBFS with predecessors at 4 GPUs: preds is "
+            "declared order-dependent, so the replicas two GPUs write in "
+            "one superstep become SAN203 hazards in RunMetrics"
+        ),
+        rules=_rules("SAN203"),
+        tier1=None,
+        problem=_PREDS,
+    ),
     # -- written for a rule the audit removed --------------------------------
+    Mutant(
+        id="combiner-key-typo-dobfs",
+        file="primitives/dobfs.py",
+        anchor="            \"preds\": combine.WITNESS,\n",
+        replacement="            \"pred\": combine.WITNESS,\n",
+        defect=(
+            "DOBFS with predecessors: preds is not declared in the "
+            "RunState, so allocating it raises KeyError"
+        ),
+        rules=_rules(),
+        tier1=(
+            "tests.core.test_kernel_bit_identity"
+            "::test_equals_parent_commit_digest[rmat-dobfs+preds-1]"
+        ),
+        problem=_PREDS,
+    ),
+    Mutant(
+        id="combiner-key-typo-sssp",
+        file="primitives/sssp.py",
+        anchor=(
+            "    state = RunState(arrays={\"dist\": combine.MIN, "
+            "\"preds\": combine.WITNESS})\n"
+        ),
+        replacement=(
+            "    state = RunState(arrays={\"dist\": combine.MIN, "
+            "\"pred\": combine.WITNESS})\n"
+        ),
+        defect="the same typo in SSSP, with predecessors",
+        rules=_rules(),
+        tier1=(
+            "tests.core.test_comm"
+            "::test_frontiers_and_messages_are_int64[sssp+preds-serial]"
+        ),
+        problem=_PREDS,
+    ),
+    Mutant(
+        id="undeclared-escape",
+        file="primitives/pr.py",
+        anchor="        per_gpu=(\"max_delta\",),\n",
+        replacement="",
+        defect=(
+            "PageRank on processes at 2+ GPUs, run to its threshold: "
+            "the workers' convergence deltas never reach the parent, "
+            "which runs to max_iter (76 -> 1000 supersteps on R-MAT-10) "
+            "and returns other ranks than serial"
+        ),
+        rules=_rules(),
+        tier1=(
+            "tests.core.test_backend_determinism"
+            "::test_processes_bit_identical_to_serial[2-pr-converged]"
+        ),
+    ),
     Mutant(
         id="peer-write-alias",
         file="primitives/bfs.py",
@@ -369,7 +375,7 @@ CATALOGUE: Tuple[Mutant, ...] = (
             "any BFS run: the labels are not charged to the device "
             "pool, so RunMetrics.peak_memory shrinks"
         ),
-        rules=_rules("REP102"),
+        rules=_rules(),
         tier1=(
             "tests.core.test_kernel_bit_identity"
             "::test_equals_parent_commit_digest[rmat-bfs-1]"
@@ -561,11 +567,13 @@ CATALOGUE: Tuple[Mutant, ...] = (
 #: one of the two, so no over-claim changes what any run reports.
 DELETED = {
     "REP101": ("hook-arity",),
+    "REP102": ("combiner-key-typo-dobfs", "combiner-key-typo-sssp"),
     "REP105": ("raw-alloc-init", "raw-alloc-hook"),
     "REP106": ("peer-write-direct",),
     "REP109": ("unguarded-tracer",),
     "REP110": ("id-from-values", "value-into-id"),
     "REP111": ("payload-write",),
+    "REP112": ("undeclared-escape",),
     "REP113": ("reversed-dispatch", "reversed-merge"),
     "REP114": (),
     "REP115": ("sampled-stop", "sampled-direction"),
@@ -579,17 +587,16 @@ DELETED = {
 
 def _static_rules(mutant: Mutant) -> FrozenSet[str]:
     from repro.check import lint_source
-    from repro.check.deep import deep_analyze_source
 
-    source = mutant.source()
-    path = str(Path("src/repro") / mutant.file)
-    findings = lint_source(source, path) + deep_analyze_source(source, path)
+    findings = lint_source(mutant.source(),
+                           str(Path("src/repro") / mutant.file))
     return frozenset(f.rule_id for f in findings)
 
 
 def _hazards(mutant: Mutant) -> FrozenSet[str]:
     """Hazards of a sanitized 4-GPU run of the mutated primitive, loaded
-    under a private module name; a run that raises reports none."""
+    under a private module name; a run (or problem) that raises reports
+    none."""
     import types
 
     from repro.core.enactor import Enactor
@@ -606,10 +613,10 @@ def _hazards(mutant: Mutant) -> FrozenSet[str]:
     graph = generate_rmat(7, 8, seed=3)
     if stem == "sssp":
         graph = add_random_weights(graph, 1, 64, seed=2)
-    problem = classes[f"{stem}problem"](graph, Machine(4),
-                                         **dict(mutant.problem))
     reset = {} if stem in ("cc", "pr") else {"src": 0}
     try:
+        problem = classes[f"{stem}problem"](graph, Machine(4),
+                                             **dict(mutant.problem))
         with Enactor(problem, classes[f"{stem}iteration"],
                      sanitize=True) as enactor:
             metrics = enactor.enact(**reset)
@@ -627,11 +634,10 @@ def tripped(mutant: Mutant) -> FrozenSet[str]:
 
 
 def registered_rules() -> FrozenSet[str]:
-    from repro.check.deep import DEEP_RULES
     from repro.check.rules import DEFAULT_RULES
 
     return (frozenset(r.rule_id for r in DEFAULT_RULES)
-            | frozenset(DEEP_RULES) | {"SAN201", "SAN202", "SAN203"})
+            | {"SAN201", "SAN202", "SAN203"})
 
 
 @pytest.mark.parametrize("mutant", CATALOGUE, ids=lambda m: m.id)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.check import lint_source
-from repro.core import combine
+from repro.core import RunState, combine
 from repro.core.enactor import Enactor
 from repro.graph.generators.rmat import generate_rmat
 from repro.primitives.bfs import BFSIteration, BFSProblem
@@ -25,8 +25,6 @@ from repro.core.problem import ProblemBase
 
 
 class BrokenProblem(ProblemBase):
-    NUM_VALUE_ASSOCIATES = 1            # REP102: no combiners declared
-
     def init_data_slice(self, ds, sub):
         ds.allocate("dist", sub.num_vertices, np.float64)   # REP103
 
@@ -53,7 +51,7 @@ class TestLinterFlagsBrokenPrimitive:
 
     @pytest.mark.parametrize(
         "rule_id",
-        ["REP102", "REP103", "REP104", "REP108"],
+        ["REP103", "REP104", "REP108"],
     )
     def test_rule_fires(self, findings, rule_id):
         assert rule_id in {f.rule_id for f in findings}
@@ -68,7 +66,8 @@ class _RaceyProblem(BFSProblem):
     """BFS with an order-DEPENDENT combiner: concurrent replica writes
     are no longer benign and must surface as SAN203."""
 
-    combiners = {"labels": combine.OVERWRITE, "preds": combine.OVERWRITE}
+    state = RunState(arrays={"labels": combine.OVERWRITE,
+                             "preds": combine.OVERWRITE})
 
 
 class _PeerWriteIteration(BFSIteration):

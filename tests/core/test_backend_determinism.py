@@ -42,6 +42,10 @@ RUNNERS = {
     "cc": (run_cc, {}),
     "bc": (run_bc, {"src": 0}),
     "pr": (run_pagerank, {"max_iter": 30}),
+    # run to its threshold (76 supersteps on small_rmat, under the
+    # default max_iter): the stop decision needs every GPU's max_delta
+    # in every process
+    "pr-converged": (run_pagerank, {}),
 }
 
 
@@ -376,8 +380,8 @@ def test_epochs_end_where_a_checkpoint_is_due(
     taken = {}
     take = Enactor._take_checkpoint
 
-    def spy(self, iteration, iteration_obj, frontiers, inboxes, metrics):
-        take(self, iteration, iteration_obj, frontiers, inboxes, metrics)
+    def spy(self, iteration, frontiers, inboxes, metrics):
+        take(self, iteration, frontiers, inboxes, metrics)
         ckpt = self._last_checkpoint
         taken.setdefault(self.backend.name, []).append((
             iteration,

@@ -261,3 +261,34 @@ class TestPartitionCachesSurviveGpuLoss:
                 assert nbrs is None  # the column array itself, no copy
                 assert int(counts.sum()) == sub.num_edges
                 assert sub.is_hosted(pushers).all()
+
+
+class TestStaticArraysSurviveGpuLoss:
+    """CC's per-edge ``edge_src`` is declared ``static``: a GPU-loss
+    rollback rebuilds it for the new partition and never restores it
+    from the checkpoint — also when a GPU's edge count happens to equal
+    its vertex count, so the array looks per-vertex."""
+
+    @pytest.mark.parametrize("loss_at", [0, 1])
+    @pytest.mark.parametrize("backend", ["serial", "processes:2"])
+    def test_cc_recovers_when_edges_equal_vertices(self, backend, loss_at):
+        from repro.graph.build import from_edges
+        from repro.partition.base import Partitioner
+        from repro.primitives.cc import run_cc
+
+        class Fixed(Partitioner):
+            name = "fixed"
+
+            def assign(self, graph, num_gpus):
+                return np.array([0, 0, 1, 1])
+
+        graph = from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        machine = Machine(2)
+        machine.arm_faults(
+            FaultPlan([FaultSpec(GPU_LOSS, gpu=1, iteration=loss_at)])
+        )
+        comp, metrics, _ = run_cc(graph, machine, partitioner=Fixed(),
+                                  backend=backend, checkpoint_every=1)
+        assert comp.tolist() == [0, 0, 0, 0]
+        assert metrics.rollbacks == 1
+        assert metrics.degraded_gpus == [1]

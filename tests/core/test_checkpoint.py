@@ -5,23 +5,22 @@ import pytest
 
 from repro.core.checkpoint import capture_checkpoint
 from repro.errors import SimulationError
-from repro.primitives.bfs import BFSIteration, BFSProblem, run_bfs
+from repro.primitives.bfs import BFSProblem, run_bfs
 from repro.sim.machine import Machine
 
 
 def _bfs_setup(graph, n=2):
     machine = Machine(n)
     problem = BFSProblem(graph, machine)
-    iteration_obj = BFSIteration(problem)
     frontiers = problem.reset(src=0)
-    return machine, problem, iteration_obj, frontiers
+    return machine, problem, frontiers
 
 
 class TestCaptureRestore:
     def test_arrays_roundtrip(self, small_rmat):
-        machine, problem, it, frontiers = _bfs_setup(small_rmat)
+        machine, problem, frontiers = _bfs_setup(small_rmat)
         ckpt = capture_checkpoint(
-            problem, it, 0, frontiers, [[] for _ in range(2)]
+            problem, 0, frontiers, [[] for _ in range(2)]
         )
         before = problem.extract("labels").copy()
         # trash the state, then restore
@@ -31,9 +30,9 @@ class TestCaptureRestore:
         assert np.array_equal(problem.extract("labels"), before)
 
     def test_frontiers_are_global(self, small_rmat):
-        machine, problem, it, frontiers = _bfs_setup(small_rmat)
+        machine, problem, frontiers = _bfs_setup(small_rmat)
         ckpt = capture_checkpoint(
-            problem, it, 0, frontiers, [[] for _ in range(2)]
+            problem, 0, frontiers, [[] for _ in range(2)]
         )
         # the checkpointed frontier for the source GPU holds the global
         # source vertex, independent of local numbering
@@ -43,9 +42,9 @@ class TestCaptureRestore:
         assert ckpt.frontiers[g][0] == 0  # global vertex ID of src
 
     def test_checkpoint_is_a_deep_snapshot(self, small_rmat):
-        machine, problem, it, frontiers = _bfs_setup(small_rmat)
+        machine, problem, frontiers = _bfs_setup(small_rmat)
         ckpt = capture_checkpoint(
-            problem, it, 0, frontiers, [[] for _ in range(2)]
+            problem, 0, frontiers, [[] for _ in range(2)]
         )
         saved = {k: v.copy() for k, v in ckpt.arrays.items()}
         for ds in problem.data_slices:

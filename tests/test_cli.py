@@ -128,11 +128,12 @@ class TestCheck:
             "import numpy as np\n"
             "from repro.core.problem import ProblemBase\n\n\n"
             "class ToyProblem(ProblemBase):\n"
-            "    NUM_VALUE_ASSOCIATES = 1\n"
+            "    def init_data_slice(self, ds, sub):\n"
+            "        ds.allocate('dist', sub.num_vertices, np.float64)\n"
         )
         code, text = run_cli("check", str(bad))
         assert code == 1
-        assert "REP102" in text
+        assert "REP103" in text
 
     def test_json_output(self, tmp_path):
         import json
@@ -143,13 +144,14 @@ class TestCheck:
             "import numpy as np\n"
             "from repro.core.problem import ProblemBase\n\n\n"
             "class ToyProblem(ProblemBase):\n"
-            "    NUM_VALUE_ASSOCIATES = 1\n"
+            "    def init_data_slice(self, ds, sub):\n"
+            "        ds.allocate('dist', sub.num_vertices, np.float64)\n"
         )
         code, text = run_cli("check", "--json", str(bad))
         assert code == 1
         doc = json.loads(text)
         assert doc["tool"] == "repro-check"
-        assert doc["by_rule"] == {"REP102": 1}
+        assert doc["by_rule"] == {"REP103": 1}
 
 
 class TestSanitizeFlag:
