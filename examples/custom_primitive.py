@@ -71,7 +71,7 @@ class PeelProblem(ProblemBase):
             ds["pending"].fill(0)
             # hosted vertices know their true (global) degree locally,
             # because edge-cut partitioning keeps all their out-edges
-            ds["degree"][:] = np.diff(sub.csr.row_offsets)
+            ds["degree"][:] = sub.csr.out_degree()
             hosted = np.flatnonzero(sub.host_of_local == gpu)
             frontiers.append(hosted[ds["degree"][hosted] < self.k])
         return frontiers

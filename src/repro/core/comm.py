@@ -126,7 +126,7 @@ def split_frontier(
 def trace_split(tracer, gpu_id: int, items: int, local: np.ndarray,
                 remote: Dict[int, np.ndarray]) -> None:
     """The traced instant of one split — made by :func:`split_frontier`,
-    and by the enactor when it replays a route split once before the run
+    and by the enactor when it replays a stored route split
     (``ProblemBase.fixed_routes``)."""
     tracer.instant(
         "comm.split", gpu=gpu_id, items=items, local=int(local.size),

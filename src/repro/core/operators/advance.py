@@ -16,19 +16,26 @@ Both return real arrays (correctness) plus an :class:`OpStats`
 (cost-model input).  All segment processing is vectorized; the pull-mode
 first-hit search uses ``np.minimum.reduceat`` over masked positions.
 
-Hot-path allocation discipline: CSR structure is indexed through the
-graph's cached int64 views (``csr.offsets64``/``csr.cols64`` — no per-call
-``astype`` copy); the edge-length temporaries are plain NumPy arrays,
-allocated per call.
+Rows are read as ``cols64[starts64[v]:ends64[v]]``, so one code path
+serves a materialised :class:`~repro.graph.csr.CsrGraph` (duplicate-1-hop,
+whose two names are views of its ``offsets64``) and a duplicate-all
+sub-graph's :class:`~repro.graph.csr.CsrRows`, which reads the input
+graph's rows in place.  Edge indices are positions in whatever ``cols64``
+the rows index — the whole graph's, for a row view — and therefore valid
+for its ``values``.
+
+Hot-path allocation discipline: CSR structure is indexed through cached
+int64 views (no per-call ``astype`` copy); the edge-length temporaries are
+plain NumPy arrays, allocated per call.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from ...graph.csr import CsrGraph
+from ...graph.csr import CsrGraph, CsrRows
 from ..stats import OpStats
 
 __all__ = ["gather_neighbors", "advance_push", "advance_pull", "push_stats"]
@@ -64,21 +71,22 @@ def _frontier64(frontier: np.ndarray) -> np.ndarray:
 
 
 def gather_neighbors(
-    csr: CsrGraph, frontier: np.ndarray, need_sources: bool = True,
+    csr: Union[CsrGraph, CsrRows],
+    frontier: np.ndarray,
+    need_sources: bool = True,
 ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
     """Gather all out-neighbors of ``frontier``.
 
     Returns ``(neighbors, sources, edge_indices)``, each of length equal
     to the total degree of the frontier.  ``sources[k]`` is the frontier
     vertex whose edge produced ``neighbors[k]`` and ``edge_indices[k]`` is
-    that edge's position in ``csr.col_indices`` (for weight lookup).  A
+    that edge's position in ``csr.cols64`` (for weight lookup).  A
     caller that never reads ``sources`` passes ``need_sources=False`` and
     gets ``None``: the edge-length repeat is not materialised.
     """
     frontier = _frontier64(frontier)
-    offsets = csr.offsets64
-    starts = offsets[frontier]
-    counts = offsets[frontier + 1] - starts
+    starts = csr.starts64[frontier]
+    counts = csr.ends64[frontier] - starts
     total = int(counts.sum())
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -92,7 +100,7 @@ def gather_neighbors(
 
 
 def advance_push(
-    csr: CsrGraph,
+    csr: Union[CsrGraph, CsrRows],
     frontier: np.ndarray,
     ids_bytes: int = 4,
     tracer=None,
@@ -125,7 +133,7 @@ def advance_push(
 
 
 def advance_pull(
-    csr: CsrGraph,
+    csr: Union[CsrGraph, CsrRows],
     candidates: np.ndarray,
     in_frontier: np.ndarray,
     ids_bytes: int = 4,
@@ -156,9 +164,8 @@ def advance_pull(
     _wall0 = tracer.wall() if tracer is not None else 0.0
     candidates = _frontier64(candidates)
     n_candidates = int(candidates.size)
-    offsets = csr.offsets64
-    starts = offsets[candidates]
-    counts = offsets[candidates + 1] - starts
+    starts = csr.starts64[candidates]
+    counts = csr.ends64[candidates] - starts
     nonzero = counts > 0
     cand = candidates[nonzero]
     starts_nz = starts[nonzero]

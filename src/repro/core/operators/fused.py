@@ -17,11 +17,11 @@ The unfused path must materialize the advance output (the enactor sizes an
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from ...graph.csr import CsrGraph
+from ...graph.csr import CsrGraph, CsrRows
 from ..stats import OpStats
 from .advance import advance_push
 from .compute import member_mask, segment_first
@@ -56,7 +56,7 @@ def first_witness(
 
 
 def fused_advance_filter(
-    csr: CsrGraph,
+    csr: Union[CsrGraph, CsrRows],
     frontier: np.ndarray,
     labels: np.ndarray,
     invalid_label,

@@ -162,10 +162,11 @@ class ProblemBase:
     #: per GPU ``(frontier, local, remote, split stats)``: an output
     #: frontier that is the same array every superstep, with what
     #: :func:`~repro.core.comm.split_frontier` returns for it, computed
-    #: before the run (PR: the paper's Section VI point that its frontier
-    #: and traffic are known beforehand).  The enactor uses the stored
-    #: split whenever a GPU's core returns that very array, and splits
-    #: anything else as usual.  Everything in it is read-only.
+    #: once (PR, at the GPU's first superstep: the paper's Section VI
+    #: point that its frontier and traffic are known beforehand).  The
+    #: enactor uses the stored split whenever a GPU's core returns that
+    #: very array, and splits anything else as usual.  Everything in it
+    #: is read-only.
     fixed_routes: Optional[Sequence[tuple]] = None
 
     def __init__(
@@ -366,6 +367,7 @@ class ProblemBase:
     def on_repartition(self, dead=frozenset()) -> None:
         """Hook run after repartition + state restore completes.
 
-        Primitives with partition-derived caches (PR's hosted/border
-        frontiers) or per-GPU convergence state recompute them here.
+        Primitives with partition-derived caches (PR's border frontiers,
+        push plans and routes) or per-GPU convergence state drop or
+        recompute them here.
         """

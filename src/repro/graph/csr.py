@@ -8,6 +8,13 @@ the arrays use the dtypes from the graph's :class:`~repro.types.IdConfig`
 
 A :class:`CsrGraph` may also carry its transpose (``csc``) for pull-style
 (backward) traversal, which direction-optimizing BFS requires.
+
+Operators read a row ``v`` as ``cols64[starts64[v]:ends64[v]]``.  A
+:class:`CsrGraph` exposes ``starts64`` / ``ends64`` as views of its
+``offsets64``; a :class:`CsrRows` is some of a graph's rows read in place
+— the graph's own ``cols64`` and ``values``, with ``ends64[v] ==
+starts64[v]`` for a row it does not hold — which is what a duplicate-all
+sub-graph is (:mod:`repro.partition.duplication`).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from ..errors import GraphFormatError
 from ..types import ID32, IdConfig
 from .coo import CooGraph
 
-__all__ = ["CsrGraph"]
+__all__ = ["CsrGraph", "CsrRows"]
 
 
 @dataclass
@@ -58,6 +65,12 @@ class CsrGraph:
     _cols64: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False
     )
+    _starts64: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False
+    )
+    _ends64: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False
+    )
     #: live partitions of this graph, weakly held (see
     #: :meth:`repro.partition.partitioned.PartitionedGraph.of`)
     _partitioned: Optional[weakref.WeakValueDictionary] = field(
@@ -71,6 +84,8 @@ class CsrGraph:
             self.values = np.asarray(self.values, dtype=self.ids.value_dtype)
         self._offsets64 = None
         self._cols64 = None
+        self._starts64 = None
+        self._ends64 = None
         self._partitioned = None
         self.validate()
 
@@ -187,6 +202,47 @@ class CsrGraph:
             self._cols64 = cols
         return self._cols64
 
+    @property
+    def starts64(self) -> np.ndarray:
+        """Row ``v``'s first edge: ``offsets64[:-1]``, a cached view."""
+        if self._starts64 is None:
+            self._starts64 = self.offsets64[:-1]
+        return self._starts64
+
+    @property
+    def ends64(self) -> np.ndarray:
+        """Row ``v``'s end: ``offsets64[1:]``, a cached view."""
+        if self._ends64 is None:
+            self._ends64 = self.offsets64[1:]
+        return self._ends64
+
+    def packed_cols64(self) -> np.ndarray:
+        """The columns of every row, in row order: ``cols64`` itself."""
+        return self.cols64
+
+    def rows(self, held: np.ndarray) -> "CsrRows":
+        """The rows the boolean mask ``held`` selects, as a read-only
+        :class:`CsrRows` over this graph's arrays: O(|V|) new memory,
+        none of it per edge (none at all if ``held`` selects no row).
+        The graph itself is left writable."""
+        starts = _read_only(self.starts64)
+        if held.any():
+            ends = np.where(held, self.ends64, starts)
+            ends.setflags(write=False)
+        else:
+            ends = starts
+        values = None if self.values is None else _read_only(self.values)
+        return CsrRows(
+            num_vertices=self.num_vertices,
+            starts64=starts,
+            ends64=ends,
+            cols64=_read_only(self.cols64),
+            values=values,
+            ids=self.ids,
+            directed=self.directed,
+            num_edges=int(np.subtract(ends, starts).sum()),
+        )
+
     def out_degree(self, v: Optional[np.ndarray] = None) -> np.ndarray:
         """Out-degrees of ``v`` (or all vertices if ``v`` is None)."""
         deg = np.diff(self.row_offsets)
@@ -257,3 +313,65 @@ class CsrGraph:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "directed" if self.directed else "undirected"
         return f"CsrGraph({kind}, |V|={self.num_vertices}, |E|={self.num_edges})"
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``; ``arr`` itself keeps its flags."""
+    view = arr.view()
+    view.setflags(write=False)
+    return view
+
+
+@dataclass(frozen=True, eq=False)
+class CsrRows:
+    """Some rows of a :class:`CsrGraph`, read in place.
+
+    Row ``v`` is ``cols64[starts64[v]:ends64[v]]`` (and the same slice of
+    ``values``); a row the view does not hold has ``ends64[v] ==
+    starts64[v]``.  ``starts64``, ``cols64`` and ``values`` are read-only
+    views of the whole graph's arrays, so the edge indices an operator
+    returns are positions in the graph — valid for ``values`` all the
+    same.  Only ``ends64`` belongs to the view.
+
+    ``num_edges`` and :meth:`memory_bytes` describe the rows as a
+    materialised CSR would hold them: what a device holding them is
+    charged, and what the cost model prices.
+    """
+
+    num_vertices: int
+    starts64: np.ndarray
+    ends64: np.ndarray
+    cols64: np.ndarray
+    values: Optional[np.ndarray]
+    ids: IdConfig
+    directed: bool
+    num_edges: int
+
+    def out_degree(self) -> np.ndarray:
+        """Every vertex's out-degree in the view (0 off its rows)."""
+        return self.ends64 - self.starts64
+
+    def packed_cols64(self) -> np.ndarray:
+        """The columns of the view's rows, in row order: what ``cols64``
+        of the materialised CSR would be.  Read-only; a new array of
+        ``num_edges`` items, unless the view holds every edge."""
+        if self.num_edges == self.cols64.size:
+            return self.cols64
+        counts = self.out_degree()
+        rows = counts.nonzero()[0]
+        counts = counts[rows]
+        skip = self.starts64[rows] - (counts.cumsum() - counts)
+        base = skip.repeat(counts)
+        base += np.arange(self.num_edges, dtype=np.int64)
+        cols = self.cols64[base]
+        cols.setflags(write=False)
+        return cols
+
+    def memory_bytes(self) -> int:
+        """Bytes the rows occupy as a materialised CSR on the device."""
+        ids = self.ids
+        total = (self.num_vertices + 1) * ids.size_bytes
+        total += self.num_edges * ids.vertex_bytes
+        if self.values is not None:
+            total += self.num_edges * self.values.itemsize
+        return int(total)

@@ -8,21 +8,31 @@ Two strategies:
 * **duplicate-1-hop** — proxies only for the immediate remote neighbors;
   vertices renumbered with continuous local IDs (hosted vertices first,
   then proxies).  Less memory, but communication needs ID conversion.
+  Each GPU gets its own materialised :class:`~repro.graph.csr.CsrGraph`.
 * **duplicate-all** — every vertex of V exists on every GPU (remote ones
   with zero out-edges); IDs stay global, no conversion needed, more
   memory.  Required by primitives that look beyond one hop or traverse
-  backward (DOBFS, CC).
+  backward (DOBFS, CC).  With global IDs a GPU's sub-graph *is* the
+  input graph's rows that it hosts, so it is a
+  :class:`~repro.graph.csr.CsrRows` over the input CSR: the only
+  per-GPU array is its |V|-long ``ends64``, and the ID tables, equal on
+  every GPU, exist once.  No duplicate-all sub-graph owns an array of
+  |E| items; :meth:`SubGraph.hosted_cols64` packs the hosted rows'
+  columns at its first use, in the process that runs that GPU.
+
+The device is charged for a materialised sub-graph either way
+(:meth:`SubGraph.memory_bytes`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional, Union
 
 import numpy as np
 
 from ..errors import PartitionError
-from ..graph.csr import CsrGraph
+from ..graph.csr import CsrGraph, CsrRows
 from .base import PartitionResult
 
 __all__ = ["SubGraph", "build_subgraphs", "DUPLICATE_ALL", "DUPLICATE_1HOP"]
@@ -40,8 +50,11 @@ class SubGraph:
     gpu_id:
         Owning GPU.
     csr:
-        Local CSR over the GPU's vertex set V_i (hosted + proxies).
-        Proxy vertices have zero out-edges.
+        The GPU's rows over its vertex set V_i (hosted + proxies):
+        a :class:`~repro.graph.csr.CsrRows` view of the input graph under
+        duplicate-all, a local :class:`~repro.graph.csr.CsrGraph` under
+        duplicate-1-hop.  Proxy vertices have zero out-edges.  Operators
+        read it through ``starts64`` / ``ends64`` / ``cols64``.
     num_hosted:
         |L_i| — vertices this GPU is responsible for.
     local_to_global:
@@ -61,23 +74,26 @@ class SubGraph:
         NumPy's stable sort of keys of at most 16 bits is an O(n) radix
         pass, which the 32-bit table would not get.  Derived host-side
         bookkeeping, not device structure: :meth:`memory_bytes` does not
-        count it.
+        count it.  Derived from ``host_of_local`` unless given.
     """
 
     gpu_id: int
-    csr: CsrGraph
+    csr: Union[CsrGraph, CsrRows]
     num_hosted: int
     local_to_global: np.ndarray
     host_of_local: np.ndarray
     host_local_id: np.ndarray
     strategy: str
-    owner_keys: np.ndarray = field(init=False, repr=False, compare=False)
+    owner_keys: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False
+    )
+    _hosted_cols64: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        hosts = self.host_of_local
-        self.owner_keys = hosts.astype(
-            np.min_scalar_type(int(hosts.max(initial=0)))
-        )
+        if self.owner_keys is None:
+            self.owner_keys = _owner_keys(self.host_of_local)
 
     @property
     def num_vertices(self) -> int:
@@ -96,6 +112,19 @@ class SubGraph:
     def hosted_mask(self) -> np.ndarray:
         return self.host_of_local == self.gpu_id
 
+    @property
+    def hosted_cols64(self) -> np.ndarray:
+        """The hosted rows' columns, concatenated in row order (int64,
+        read-only): the per-edge destinations PR's push and CC's hooking
+        sweep.  Built at first use and kept, so it exists once per
+        sub-graph — shared by every problem on the partition — and only
+        in a process that runs this GPU.  Under duplicate-1-hop it is the
+        local CSR's ``cols64`` itself (proxies keep no out-edges)."""
+        cols = self._hosted_cols64
+        if cols is None:
+            cols = self._hosted_cols64 = self.csr.packed_cols64()
+        return cols
+
     def memory_bytes(self) -> int:
         """Logical bytes of the subgraph structure on the device."""
         total = self.csr.memory_bytes()
@@ -104,35 +133,36 @@ class SubGraph:
         return int(total)
 
 
-def _subgraph_duplicate_all(
-    graph: CsrGraph, part: PartitionResult, gpu: int,
-    deg: np.ndarray, edge_owner: np.ndarray,
-) -> SubGraph:
-    """Every global vertex exists locally; only hosted rows keep edges."""
+def _owner_keys(hosts: np.ndarray) -> np.ndarray:
+    return hosts.astype(np.min_scalar_type(int(hosts.max(initial=0))))
+
+
+def _subgraphs_duplicate_all(
+    graph: CsrGraph, part: PartitionResult
+) -> List[SubGraph]:
+    """Every global vertex exists locally; only hosted rows keep edges.
+
+    Each GPU's sub-graph is a row view of ``graph``: O(|V|) per GPU, and
+    the ID tables — the same on every GPU — are built once and shared.
+    """
     pt = part.partition_table
-    hosted = pt == gpu
-    local_deg = np.where(hosted, deg, 0)
-    row_offsets = np.zeros(graph.num_vertices + 1, dtype=graph.ids.size_dtype)
-    np.cumsum(local_deg, out=row_offsets[1:])
-    # gather the hosted rows' column slices
-    keep = edge_owner == gpu
-    cols = graph.col_indices[keep]
-    values = None if graph.values is None else graph.values[keep]
-    csr = CsrGraph(
-        graph.num_vertices, row_offsets, cols, values,
-        ids=graph.ids, directed=graph.directed,
-    )
-    n = graph.num_vertices
-    ident = np.arange(n, dtype=np.int64)
-    return SubGraph(
-        gpu_id=gpu,
-        csr=csr,
-        num_hosted=int(hosted.sum()),
-        local_to_global=ident,
-        host_of_local=pt.astype(np.int32),
-        host_local_id=ident,
-        strategy=DUPLICATE_ALL,
-    )
+    ident = np.arange(graph.num_vertices, dtype=np.int64)
+    hosts = pt.astype(np.int32)
+    keys = _owner_keys(hosts)
+    subs = []
+    for gpu in range(part.num_gpus):
+        hosted = pt == gpu
+        subs.append(SubGraph(
+            gpu_id=gpu,
+            csr=graph.rows(hosted),
+            num_hosted=int(np.count_nonzero(hosted)),
+            local_to_global=ident,
+            host_of_local=hosts,
+            host_local_id=ident,
+            strategy=DUPLICATE_ALL,
+            owner_keys=keys,
+        ))
+    return subs
 
 
 def _subgraph_duplicate_1hop(
@@ -210,16 +240,13 @@ def build_subgraphs(
         raise PartitionError(
             "partition table size does not match the graph"
         )
-    builder = (
-        _subgraph_duplicate_all
-        if strategy == DUPLICATE_ALL
-        else _subgraph_duplicate_1hop
-    )
+    if strategy == DUPLICATE_ALL:
+        return _subgraphs_duplicate_all(graph, part)
     # shared by every GPU's builder: out-degrees, and per edge the GPU
     # hosting its source (vertices travel with their outgoing edges)
     deg = np.diff(graph.row_offsets).astype(np.int64)
     edge_owner = np.repeat(part.partition_table, deg)
     return [
-        builder(graph, part, g, deg, edge_owner)
+        _subgraph_duplicate_1hop(graph, part, g, deg, edge_owner)
         for g in range(part.num_gpus)
     ]

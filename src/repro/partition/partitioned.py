@@ -24,6 +24,17 @@ the problem rebinds to it; the shared one is never touched, so another
 problem on the same partition — concurrently open, on any backend — keeps
 exactly what it had.
 
+**Edge structure lives once.**  Under duplicate-all a sub-graph is a
+row view of the input graph (:class:`~repro.graph.csr.CsrRows`): the
+graph's own ``cols64`` / ``values``, its ``offsets64[:-1]`` as row
+starts, and one |V|-long ``ends64`` per GPU; the ID tables are one copy
+shared by every GPU.  So a build — and the rebuild a GPU loss makes in
+the parent and in every surviving ``processes`` worker — writes O(|V|)
+per GPU, never an array of |E| items.  The one per-GPU edge array any
+primitive reads, the hosted rows' packed columns
+(:attr:`~repro.partition.duplication.SubGraph.hosted_cols64`), is
+built at its first use, by the process that runs that GPU.
+
 Forked ``processes`` workers read all of this through the fork's
 copy-on-write pages: it is never written, so it is never copied.
 """
@@ -139,8 +150,10 @@ class PartitionedGraph:
             # forked workers inherit them instead of each building its own
             frozen += [
                 sub.local_to_global, sub.host_of_local, sub.host_local_id,
-                sub.owner_keys, csr.row_offsets, csr.col_indices, csr.offsets64, csr.cols64,
+                sub.owner_keys, csr.starts64, csr.ends64, csr.cols64,
             ]
+            if isinstance(csr, CsrGraph):
+                frozen += [csr.row_offsets, csr.col_indices]
             if csr.values is not None:
                 frozen.append(csr.values)
         for arr in frozen:

@@ -45,11 +45,11 @@ class CCProblem(ProblemBase):
     def init_data_slice(self, ds: DataSlice, sub: SubGraph) -> None:
         ds.allocate("comp", sub.num_vertices, sub.csr.ids.vertex_dtype)
         # flattened edge sources for vectorized hooking, stored at vertex-ID
-        # width; edge destinations need no extra storage — the CSR's
-        # col_indices array IS the destination list
+        # width, aligned with the sub-graph's packed destination list
+        # (``sub.hosted_cols64``, built at the first superstep)
         src = np.repeat(
             np.arange(sub.num_vertices, dtype=np.int64),
-            np.diff(sub.csr.row_offsets).astype(np.int64),
+            sub.csr.out_degree().astype(np.int64),
         )
         ds.allocate("edge_src", src.size, sub.csr.ids.vertex_dtype)
         ds["edge_src"][:] = src
@@ -94,7 +94,7 @@ class CCIteration(IterationBase):
             if src.dtype != np.int64:
                 src = src.astype(np.int64)
             self._src64[ctx.gpu.device_id] = src
-        dst = ctx.sub.csr.cols64
+        dst = ctx.sub.hosted_cols64
         stats: List[OpStats] = []
         if frontier.size == 0:
             # nothing changed locally or remotely: already at fixpoint

@@ -9,8 +9,8 @@
   W = O(|Ei|) per iteration.
 * Communication: **selective** — "push locally accumulated ranks of each
   vertex to its hosting GPU".  The remote sub-frontiers (border proxies
-  with local in-edges) never change, so they are computed once at init;
-  H = O(|Bi|) per iteration.
+  with local in-edges) never change, so each GPU computes them once, at
+  its first superstep; H = O(|Bi|) per iteration.
 * Combination: ``atomicAdd`` of the received partial rank into the local
   accumulator.
 * Convergence: all rank updates below a threshold ratio, or the iteration
@@ -19,14 +19,13 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core import combine
 from ..core.comm import SELECTIVE, Message, split_frontier
 from ..core.iteration import GpuContext, IterationBase
-from ..core.operators.advance import gather_neighbors
 from ..core.operators.compute import dedup, segment_reduce_sum
 from ..core.problem import DataSlice, ProblemBase, RunState
 from ..core.stats import OpStats
@@ -71,11 +70,19 @@ class PRProblem(ProblemBase):
         self.max_iter = max_iter
         self.personalization = personalization
         super().__init__(*args, **kwargs)
-        self._compute_fixed_frontiers()
+        self._forget_fixed_frontiers()
 
-    def _compute_fixed_frontiers(self) -> None:
-        """Fixed per-GPU sub-frontiers, computed once (paper: "we get all
-        these sub-frontiers during the initialization step"):
+    def _forget_fixed_frontiers(self) -> None:
+        n = self.num_gpus
+        self.border_frontiers: List[Optional[np.ndarray]] = [None] * n
+        self.push_plans: List[Optional[tuple]] = [None] * n
+        self.fixed_routes: List[Optional[tuple]] = [None] * n
+
+    def prepare(self, gpu: int) -> tuple:
+        """GPU ``gpu``'s fixed sub-frontiers (paper: "we get all these
+        sub-frontiers during the initialization step"), computed at its
+        first superstep — by the process that runs it — and kept until a
+        repartition; returns its push plan.
 
         - hosted (``ProblemBase.hosted_frontiers``): the vertices this
           GPU updates every iteration;
@@ -84,42 +91,38 @@ class PRProblem(ProblemBase):
         - push plan ``(pushers, counts, nbrs)``: the hosted vertices with
           out-edges, their degrees, and the flattened targets of their
           edges — the advance kernel's loop-invariant gather.  ``nbrs``
-          is ``None`` when the pushers' rows are the whole column array
-          (always, while proxies keep no out-edges): the hook then reads
-          ``csr.cols64`` itself, so no second copy of the columns exists;
+          is the sub-graph's ``hosted_cols64``, shared by every problem
+          on the partition;
         - route (``ProblemBase.fixed_routes``): the output frontier
           ``hosted + border`` — the same every iteration — and its split
           into the local part and each host's share of the border.
         """
-        self.border_frontiers: List[np.ndarray] = []
-        self.push_plans: List[tuple] = []
-        self.fixed_routes: List[tuple] = []
-        for sub, hosted in zip(self.subgraphs, self.hosted_frontiers):
-            csr = sub.csr
-            targets = dedup(csr.cols64, sub.num_vertices)
-            border = targets[sub.host_of_local[targets] != sub.gpu_id]
-            self.border_frontiers.append(border)
-            out = np.concatenate([hosted, border])
-            local, remote, split_stats = split_frontier(
-                sub, out, ids_bytes=csr.ids.vertex_bytes
-            )
-            for arr in (out, local, *remote.values()):
-                arr.setflags(write=False)
-            self.fixed_routes.append((out, local, remote, split_stats))
-            counts = csr.offsets64[hosted + 1] - csr.offsets64[hosted]
-            nonzero = counts > 0
-            pushers, counts = hosted[nonzero], counts[nonzero]
-            nbrs = None
-            if int(counts.sum()) != csr.cols64.size:
-                nbrs = gather_neighbors(csr, pushers)[0]
-            self.push_plans.append((pushers, counts, nbrs))
+        sub = self.subgraphs[gpu]
+        hosted = self.hosted_frontiers[gpu]
+        nbrs = sub.hosted_cols64
+        targets = dedup(nbrs, sub.num_vertices)
+        border = targets[sub.host_of_local[targets] != sub.gpu_id]
+        out = np.concatenate([hosted, border])
+        local, remote, split_stats = split_frontier(
+            sub, out, ids_bytes=sub.csr.ids.vertex_bytes
+        )
+        for arr in (out, local, *remote.values()):
+            arr.setflags(write=False)
+        counts = sub.csr.ends64[hosted] - sub.csr.starts64[hosted]
+        nonzero = counts > 0
+        plan = (hosted[nonzero], counts[nonzero], nbrs)
+        self.border_frontiers[gpu] = border
+        self.fixed_routes[gpu] = (out, local, remote, split_stats)
+        self.push_plans[gpu] = plan
+        return plan
 
     def on_repartition(self, dead=frozenset()) -> None:
-        """Recompute the fixed sub-frontiers for the new assignment, and
-        retire dead GPUs from the convergence vote: their ``max_delta``
-        entries would otherwise stay at the rolled-back value forever and
+        """Drop the fixed sub-frontiers of the old assignment (each GPU
+        recomputes its own at its next superstep), and retire dead GPUs
+        from the convergence vote: their ``max_delta`` entries would
+        otherwise stay at the rolled-back value forever and
         ``should_stop`` would never see convergence."""
-        self._compute_fixed_frontiers()
+        self._forget_fixed_frontiers()
         if dead:
             self.max_delta[list(dead)] = 0.0
 
@@ -129,7 +132,7 @@ class PRProblem(ProblemBase):
         ds.allocate("acc", sub.num_vertices, ids.value_dtype, fill=0.0)
         # local degree: out-degree of hosted vertices equals their global
         # out-degree because edge-cut partitioning keeps all out-edges
-        degrees = np.diff(sub.csr.row_offsets).astype(ids.value_dtype)
+        degrees = sub.csr.out_degree().astype(ids.value_dtype)
         ds.allocate("degree", sub.num_vertices, ids.value_dtype)
         ds["degree"][:] = degrees
         ds.allocate("delta", sub.num_vertices, ids.value_dtype, fill=np.inf)
@@ -188,9 +191,11 @@ class PRIteration(IterationBase):
         problem: PRProblem = self.problem  # type: ignore[assignment]
         gpu = ctx.gpu.device_id
         ds = ctx.slice
-        sub = ctx.sub
         hosted = problem.hosted_frontiers[gpu]
-        pushers, p_counts, nbrs = problem.push_plans[gpu]
+        plan = problem.push_plans[gpu]
+        if plan is None:
+            plan = problem.prepare(gpu)
+        pushers, p_counts, nbrs = plan
         rank, acc, degree = ds["rank"], ds["acc"], ds["degree"]
         stats: List[OpStats] = []
 
@@ -223,8 +228,6 @@ class PRIteration(IterationBase):
         # out-edges (local ones land in acc; border entries travel later)
         if pushers.size:
             share = problem.damping * rank[pushers] / degree[pushers]
-            if nbrs is None:
-                nbrs = sub.csr.cols64
             total = int(nbrs.size)
             segment_reduce_sum(nbrs, share.repeat(p_counts), acc)
             stats.append(

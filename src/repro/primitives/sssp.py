@@ -110,9 +110,9 @@ class SSSPIteration(IterationBase):
         # change what one relaxation leaves behind — but the GPU kernel
         # does traverse them, so ``advance`` and ``relax`` are priced for
         # the frontier as received.
-        offsets = csr.offsets64
+        starts, ends = csr.starts64, csr.ends64
         nf = frontier.size
-        edges = int((offsets[frontier + 1] - offsets[frontier]).sum())
+        edges = int((ends[frontier] - starts[frontier]).sum())
         num_vertices = ctx.sub.num_vertices
         frontier = dedup(frontier, num_vertices)
         nbrs, _srcs, eidx, _ = advance_push(
@@ -124,7 +124,7 @@ class SSSPIteration(IterationBase):
             return np.empty(0, dtype=np.int64), [a_stats]
         # per-edge source distance: each vertex's distance repeated along
         # its row, not a gather through an edge-length source array
-        degrees = offsets[frontier + 1] - offsets[frontier]
+        degrees = ends[frontier] - starts[frontier]
         cand = dist[frontier].repeat(degrees)
         cand += csr.values.take(eidx)
         # deterministic atomicMin: per-neighbor minimum candidate; the
@@ -145,7 +145,8 @@ class SSSPIteration(IterationBase):
             # winner edge per improved vertex: the candidate equal to the
             # final distance with the smallest edge index.  Each improved
             # vertex's final distance IS its minimum candidate, so it has
-            # at least one hit; an edge's source is the CSR row holding it.
+            # at least one hit; an edge's source is the row holding it:
+            # the last row starting at or before it.
             hits = (
                 member_mask(nbrs, improved, num_vertices)
                 & (cand <= dist[nbrs] + 1e-12)
@@ -153,7 +154,7 @@ class SSSPIteration(IterationBase):
             win_edge = segment_first(
                 nbrs.take(hits), eidx.take(hits), improved, num_vertices
             )
-            win_src = np.searchsorted(csr.offsets64, win_edge, "right") - 1
+            win_src = np.searchsorted(starts, win_edge, "right") - 1
             ctx.slice["preds"][improved] = ctx.sub.local_to_global[win_src]
         return improved, [a_stats, relax_stats]
 

@@ -501,7 +501,7 @@ def _structure_bytes(partitioned):
     return [
         arr.tobytes()
         for sub in partitioned.subgraphs
-        for arr in (sub.csr.row_offsets, sub.csr.col_indices,
+        for arr in (sub.csr.starts64, sub.csr.ends64, sub.csr.cols64,
                     sub.local_to_global, sub.host_of_local)
     ] + [partitioned.partition.partition_table.tobytes()]
 

@@ -2,10 +2,11 @@
 
 The keyed kernels (``repro.core.operators.compute``) replaced every
 ``np.unique`` / ``lexsort`` / ``sort`` on the path ``enact()`` runs per
-superstep, and PR's loop-invariant column gather and route moved to
-initialization.  This guard profiles one BFS (no predecessors), one
-SSSP and one PR run with ``sys.setprofile`` and fails if any of those
-calls comes back — Python-level NumPy wrappers and C-level methods both.
+superstep, and PR's loop-invariant column gather and route are built
+once, at each GPU's first superstep.  This guard profiles one BFS (no
+predecessors), one SSSP and one PR run with ``sys.setprofile`` and
+fails if any of those calls comes back — Python-level NumPy wrappers
+and C-level methods both.
 
 One sort is allowed, because it is not a comparison sort:
 ``split_frontier`` partitions a frontier by owner with a stable
@@ -107,7 +108,7 @@ def test_enact_makes_no_sort_or_hash_call(case, small_rmat, weighted_rmat):
         seen = _profiled_enact(
             PRProblem(small_rmat, Machine(4), max_iter=6), PRIteration
         )
-        # the push plan is built at initialization: no per-iteration
+        # the push plan was built in the warm-up run: no per-iteration
         # gather over the column array
         assert seen["take"] == 0
         # and so is the route: the output frontier is neither rebuilt

@@ -41,26 +41,47 @@ class TestDuplicateAll:
         g, pr = gpart
         subs = build_subgraphs(g, pr, DUPLICATE_ALL)
         for s in subs:
-            deg = np.diff(s.csr.row_offsets)
+            # a row view: the graph's row starts, this GPU's row ends
+            np.testing.assert_array_equal(s.csr.starts64, g.row_offsets[:-1])
+            deg = s.csr.ends64 - s.csr.starts64
             remote = s.host_of_local != s.gpu_id
             assert np.all(deg[remote] == 0)
+            np.testing.assert_array_equal(
+                deg[~remote], g.out_degree()[~remote]
+            )
 
     def test_hosted_edges_match_original(self, gpart):
         g, pr = gpart
         subs = build_subgraphs(g, pr, DUPLICATE_ALL)
         for s in subs:
+            csr = s.csr
+            # rows are read in place: the columns are the graph's
+            assert np.shares_memory(csr.cols64, g.cols64)
             hosted = np.flatnonzero(s.host_of_local == s.gpu_id)
             for v in hosted[:20]:
-                assert np.array_equal(s.csr.neighbors(v), g.neighbors(v))
+                row = csr.cols64[csr.starts64[v]:csr.ends64[v]]
+                assert np.array_equal(row, g.neighbors(v))
+            # the packed hosted columns are what a materialised
+            # sub-graph's column array held: hosted rows, in row order
+            np.testing.assert_array_equal(
+                s.hosted_cols64,
+                np.concatenate([g.neighbors(v) for v in hosted]),
+            )
+            assert s.hosted_cols64.size == s.num_edges
 
     def test_values_travel(self, weighted_rmat):
         pr = RandomPartitioner(0).partition(weighted_rmat, 2)
         subs = build_subgraphs(weighted_rmat, pr, DUPLICATE_ALL)
         for s in subs:
-            assert s.csr.values is not None
+            csr = s.csr
+            assert csr.values is not None
+            assert np.shares_memory(csr.values, weighted_rmat.values)
             hosted = np.flatnonzero(s.host_of_local == s.gpu_id)
             v = hosted[0]
-            assert np.array_equal(s.csr.edge_values(v), weighted_rmat.edge_values(v))
+            assert np.array_equal(
+                csr.values[csr.starts64[v]:csr.ends64[v]],
+                weighted_rmat.edge_values(v),
+            )
 
 
 class TestDuplicate1Hop:

@@ -63,12 +63,19 @@ def _shared_arrays(partitioned):
         yield sub.local_to_global
         yield sub.host_of_local
         yield sub.host_local_id
-        yield sub.csr.row_offsets
-        yield sub.csr.col_indices
-        yield sub.csr.offsets64
-        yield sub.csr.cols64
-        if sub.csr.values is not None:
-            yield sub.csr.values
+        csr = sub.csr
+        if sub.strategy == DUPLICATE_1HOP:  # a materialised local CSR
+            yield csr.row_offsets
+            yield csr.col_indices
+        # what the operators read (a duplicate-all row view's starts,
+        # columns and values are views of the caller's graph) ...
+        yield csr.starts64
+        yield csr.ends64
+        yield csr.cols64
+        if csr.values is not None:
+            yield csr.values
+        # ... and the packed columns, built here if nothing read them yet
+        yield sub.hosted_cols64
 
 
 class TestInterning:

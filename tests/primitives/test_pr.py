@@ -82,13 +82,21 @@ class TestConvergence:
 
 class TestBorderFrontiers:
     def test_fixed_sub_frontiers_precomputed(self, small_rmat, machine4):
-        """Algorithm 3: sub-frontiers are computed at init and reused."""
+        """Algorithm 3: sub-frontiers are computed once and reused —
+        each GPU's at its first superstep, by the process running it."""
         prob = PRProblem(small_rmat, machine4)
+        assert prob.border_frontiers == [None] * 4
+        with Enactor(prob, PRIteration) as enactor:
+            enactor.enact()
+            first = list(prob.border_frontiers)
+            enactor.enact()
         assert len(prob.border_frontiers) == 4
         for g, border in enumerate(prob.border_frontiers):
+            assert border is first[g]
             sub = prob.subgraphs[g]
             # every border vertex is remote and locally referenced
             assert np.all(sub.host_of_local[border] != g)
+            assert np.isin(border, sub.hosted_cols64).all()
 
     def test_h_items_equal_border_per_iteration(self, small_rmat, machine4):
         """Table I: H = S * O(|Bi|)."""
@@ -100,6 +108,7 @@ class TestBorderFrontiers:
 
     def test_single_gpu_no_border(self, small_rmat):
         prob = PRProblem(small_rmat, Machine(1, scale=64.0))
+        prob.prepare(0)
         assert prob.border_frontiers[0].size == 0
 
 
@@ -170,8 +179,9 @@ class TestPersonalizedPagerank:
 
 class TestFixedRoute:
     """PR's output frontier is the same array every superstep, so its
-    split is made once (``_compute_fixed_frontiers``) and the enactor
-    replays it: same parts, same charges, same traced instants."""
+    split is made once (``PRProblem.prepare``, at the GPU's first
+    superstep) and the enactor replays it: same parts, same charges,
+    same traced instants."""
 
     @staticmethod
     def _assert_route_is_fresh_split(problem):
@@ -180,6 +190,9 @@ class TestFixedRoute:
         from repro.core.comm import split_frontier
 
         assert len(problem.fixed_routes) == problem.num_gpus
+        for gpu, route in enumerate(problem.fixed_routes):
+            if route is None:  # a GPU that has not run since (re)binding
+                problem.prepare(gpu)
         for gpu, (out, local, remote, stats) in enumerate(
             problem.fixed_routes
         ):
@@ -267,6 +280,7 @@ class TestFixedRoute:
 
         monkeypatch.setattr(enactor_module, "route_empty_frontier", spy)
         prob = PRProblem(small_rmat, Machine(4), partitioner=SkipsGpu2())
+        prob.prepare(2)
         assert prob.fixed_routes[2][0].size == 0
         with Enactor(prob, PRIteration) as enactor:
             metrics = enactor.enact()

@@ -124,9 +124,11 @@ class TestPartitionInvariants:
         g, pr = data
         for s in build_subgraphs(g, pr, strategy):
             hosted_local = np.flatnonzero(s.host_of_local == s.gpu_id)
+            csr = s.csr
             for lv in hosted_local:
                 gv = s.local_to_global[lv]
-                got = sorted(s.local_to_global[s.csr.neighbors(lv)].tolist())
+                row = csr.cols64[csr.starts64[lv]:csr.ends64[lv]]
+                got = sorted(s.local_to_global[row].tolist())
                 assert got == sorted(g.neighbors(gv).tolist())
 
     @given(partitioned_graphs())
