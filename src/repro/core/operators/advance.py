@@ -13,8 +13,12 @@ the paper:
   far below the candidate vertices' total degree.
 
 Both return real arrays (correctness) plus an :class:`OpStats`
-(cost-model input).  All segment processing is vectorized; the pull-mode
-first-hit search uses ``np.minimum.reduceat`` over masked positions.
+(cost-model input).  All segment processing is vectorized.  The pull
+reads what it charges for: it searches for each candidate's first hit
+in rounds over growing chunks of the rows still in play — columns
+[0, 2), then [2, 10), [10, 42), each chunk 4x the last — and a row
+leaves at its first hit, so it reads fewer than four columns per edge
+it scans.
 
 Rows are read as ``cols64[starts64[v]:ends64[v]]``, so one code path
 serves a materialised :class:`~repro.graph.csr.CsrGraph` (duplicate-1-hop,
@@ -41,6 +45,9 @@ from ..stats import OpStats
 __all__ = ["gather_neighbors", "advance_push", "advance_pull", "push_stats"]
 
 _BIG = np.iinfo(np.int64).max
+#: columns per row in the pull's first round; each later round reads 4x
+#: the last (see :func:`advance_pull`)
+_PULL_CHUNK0 = 2
 
 
 def push_stats(nf: int, edges: int, ids_bytes: int, size_bytes: int) -> OpStats:
@@ -160,18 +167,23 @@ def advance_pull(
         order, deterministic).  ``stats.edges_visited`` counts only edges
         actually *scanned* — a candidate stops at its first hit, which is
         the entire point of direction-optimization.
+
+    The search runs in rounds: round *k* reads the next ``2 * 4**k``
+    columns of every row still in play, finds each row's first hit among
+    them with ``np.minimum.reduceat`` over masked positions, and drops the
+    rows that hit or ran out.  A row whose first hit is column *p* has read
+    at most the end of *p*'s chunk, under ``4 * (p + 1)`` columns; a row
+    without a hit has read its whole row, which it is charged for anyway.
+    So ``in_frontier`` is looked up fewer than ``4 * edges_visited`` times,
+    where a full gather of every row reads the candidates' total degree.
     """
     _wall0 = tracer.wall() if tracer is not None else 0.0
     candidates = _frontier64(candidates)
     n_candidates = int(candidates.size)
     starts = csr.starts64[candidates]
     counts = csr.ends64[candidates] - starts
-    nonzero = counts > 0
-    cand = candidates[nonzero]
-    starts_nz = starts[nonzero]
-    counts_nz = counts[nonzero]
-    total = int(counts_nz.sum())
-    if total == 0:
+    rows = counts.nonzero()[0]
+    if rows.size == 0:
         empty = np.empty(0, dtype=np.int64)
         stats = OpStats(
             name="advance-pull",
@@ -185,22 +197,41 @@ def advance_pull(
             tracer.op_wall_sample("advance-pull", tracer.wall() - _wall0)
         return empty, empty.copy(), stats
 
-    seg_starts = np.concatenate([[0], np.cumsum(counts_nz)[:-1]])
-    seg_base = np.repeat(starts_nz - seg_starts, counts_nz)
-    pos_base = np.repeat(seg_starts, counts_nz)
-    edge_idx = seg_base + np.arange(total, dtype=np.int64)
-    neighbors = csr.cols64[edge_idx]
-    hit = in_frontier[neighbors]
-    # position of each slot within its segment; masked to BIG where no hit
-    pos = np.arange(total, dtype=np.int64) - pos_base
-    masked = np.where(hit, pos, _BIG)
-    first_hit = np.minimum.reduceat(masked, seg_starts)
-    found = first_hit != _BIG
-    discovered = cand[found]
-    parents = neighbors[seg_starts[found] + first_hit[found]]
-    # edges scanned: first_hit+1 where found, full degree otherwise
-    scanned = np.where(found, first_hit + 1, counts_nz)
-    edges_scanned = int(scanned.sum())
+    # each row's parent (its first hit), -1 while it has none: the rows
+    # still in play read columns [lo, lo + size) of their own row per
+    # round, and leave at a hit or at their row's end
+    parent = np.full(rows.size, -1, dtype=np.int64)
+    live = np.arange(rows.size, dtype=np.int64)
+    starts = starts.take(rows)
+    counts = counts.take(rows)
+    edges_scanned = 0
+    lo, size = 0, _PULL_CHUNK0
+    while live.size:
+        width = np.minimum(counts - lo, size)
+        ends = width.cumsum()
+        total = int(ends[-1])
+        seg = ends - width
+        flat = np.arange(total, dtype=np.int64)
+        edge_idx = (starts + (lo - seg)).repeat(width)
+        edge_idx += flat
+        neighbors = csr.cols64[edge_idx]
+        hit = in_frontier[neighbors]
+        first = np.minimum.reduceat(np.where(hit, flat, _BIG), seg)
+        missed = first == _BIG
+        got = (~missed).nonzero()[0]
+        first = first.take(got)
+        parent[live.take(got)] = neighbors.take(first)
+        # a row with a hit scanned up to and including it, the others
+        # their whole chunk
+        edges_scanned += total - int((ends.take(got) - 1 - first).sum())
+        lo += size
+        size *= 4
+        stay = (missed & (counts > lo)).nonzero()[0]
+        live, starts, counts = live.take(stay), starts.take(stay), \
+            counts.take(stay)
+    found = parent >= 0
+    discovered = candidates.take(rows)[found]
+    parents = parent[found]
     n_discovered = int(discovered.size)
     stats = OpStats(
         name="advance-pull",

@@ -44,9 +44,12 @@ class CCProblem(ProblemBase):
 
     def init_data_slice(self, ds: DataSlice, sub: SubGraph) -> None:
         ds.allocate("comp", sub.num_vertices, sub.csr.ids.vertex_dtype)
-        # flattened edge sources for vectorized hooking, stored at vertex-ID
-        # width, aligned with the sub-graph's packed destination list
-        # (``sub.hosted_cols64``, built at the first superstep)
+        # flattened edge sources at vertex-ID width, aligned with the
+        # sub-graph's packed destination list (``sub.hosted_cols64``): the
+        # array a GPU's per-edge hooking kernel holds, so the device-memory
+        # model (``peak_memory``) charges it.  Nothing reads it here: the
+        # sources are the hosted rows in order, and ``hook_rows`` reduces
+        # per row instead
         src = np.repeat(
             np.arange(sub.num_vertices, dtype=np.int64),
             sub.csr.out_degree().astype(np.int64),
@@ -69,36 +72,38 @@ class CCProblem(ProblemBase):
         return self.extract("comp")
 
 
+def hook_rows(
+    comp: np.ndarray, dst: np.ndarray, rows: np.ndarray, row_first: np.ndarray
+) -> None:
+    """The source side of a hook: each row ``v`` of ``rows`` takes the
+    minimum of ``comp`` over its edges' destinations.
+
+    The same as ``segment_reduce_min(edge_src, comp[dst], comp)``, but
+    ``edge_src`` is ``repeat(arange(n), degree)``: the edges are already
+    grouped by row, so the minimum is one ``np.minimum.reduceat`` over
+    the rows of nonzero degree, whose edges start at ``row_first`` in
+    ``dst``.  Only the rows whose value dropped are written.
+    """
+    low = np.minimum.reduceat(comp[dst], row_first)
+    drop = (low < comp[rows]).nonzero()[0]
+    comp[rows.take(drop)] = low.take(drop)
+
+
 class CCIteration(IterationBase):
     """Local hook+jump fixpoint, broadcast of changed component IDs."""
-
-    def __init__(self, problem):
-        super().__init__(problem)
-        # edge_src never changes after init; cache its int64 view per GPU
-        # instead of an O(|Ei|) astype every superstep
-        self._src64: dict = {}
-
-    def on_restore(self) -> None:
-        # the cached views point into pre-rollback edge_src allocations,
-        # which a repartition replaces wholesale
-        self._src64 = {}
 
     def full_queue_core(
         self, ctx: GpuContext, frontier: np.ndarray
     ) -> Tuple[np.ndarray, List[OpStats]]:
-        ds = ctx.slice
-        comp = ds["comp"]
-        src = self._src64.get(ctx.gpu.device_id)
-        if src is None:
-            src = ds["edge_src"]
-            if src.dtype != np.int64:
-                src = src.astype(np.int64)
-            self._src64[ctx.gpu.device_id] = src
+        comp = ctx.slice["comp"]
         dst = ctx.sub.hosted_cols64
         stats: List[OpStats] = []
         if frontier.size == 0:
             # nothing changed locally or remotely: already at fixpoint
             return np.empty(0, dtype=np.int64), stats
+        degree = ctx.sub.csr.out_degree()
+        rows = degree.nonzero()[0]
+        row_first = (degree.cumsum() - degree).take(rows)
 
         before = comp.copy()
         passes = 0
@@ -106,9 +111,9 @@ class CCIteration(IterationBase):
             passes += 1
             snapshot = comp.copy()
             # hooking: each edge pulls its endpoint onto the smaller ID
-            if src.size:
-                segment_reduce_min(dst, comp[src], comp)
-                segment_reduce_min(src, comp[dst], comp)
+            if dst.size:
+                segment_reduce_min(dst, comp.repeat(degree), comp)
+                hook_rows(comp, dst, rows, row_first)
             # pointer jumping to full compression
             jumps = 0
             while True:
@@ -120,13 +125,13 @@ class CCIteration(IterationBase):
             stats.append(
                 OpStats(
                     name="hook+jump",
-                    input_size=int(src.size),
-                    edges_visited=int(src.size),
+                    input_size=int(dst.size),
+                    edges_visited=int(dst.size),
                     vertices_processed=int(comp.size),
                     launches=1 + jumps,
                     streaming_bytes=comp.size * 8 * (1 + jumps),
-                    random_bytes=2 * src.size * 8,
-                    atomic_ops=float(src.size),
+                    random_bytes=2 * dst.size * 8,
+                    atomic_ops=float(dst.size),
                 )
             )
             if np.array_equal(comp, snapshot):

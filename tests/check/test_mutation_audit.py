@@ -128,6 +128,9 @@ CATALOGUE: Tuple[Mutant, ...] = (
             "clock grow with message volume"
         ),
         rules=_rules("REP104"),
+        # measured: test_hot_path_guard::test_cc_superstep_calls_stay_
+        # within_budget fails first.  Kept None while REP104 is
+        # registered (docs/static_analysis.md, the note under the table)
         tier1=None,
     ),
     Mutant(

@@ -26,6 +26,10 @@ from repro.core.operators.compute import segment_reduce_min
 from repro.primitives import (
     BFSIteration,
     BFSProblem,
+    CCIteration,
+    CCProblem,
+    DOBFSIteration,
+    DOBFSProblem,
     PRIteration,
     PRProblem,
     SSSPIteration,
@@ -42,6 +46,7 @@ class _Seen(Counter):
     def __init__(self):
         super().__init__()
         self.split_calls = 0
+        self.pull_calls = 0
         #: (calling function, key itemsize, how many in that call so far)
         self.argsorts = []
 
@@ -60,6 +65,8 @@ def _numpy_calls(fn) -> _Seen:
             elif frame.f_code.co_name == "split_frontier":
                 seen.split_calls += 1
                 in_this_split = 0
+            elif frame.f_code.co_name == "advance_pull":
+                seen.pull_calls += 1
         elif event == "c_call":
             module = getattr(arg, "__module__", None) or ""
             owner = getattr(arg, "__self__", None)
@@ -94,12 +101,21 @@ def test_profiler_sees_both_call_forms():
     assert seen.argsorts == [("<lambda>", 8, 1)]
 
 
-@pytest.mark.parametrize("case", ["bfs", "sssp", "pr"])
+@pytest.mark.parametrize("case", ["bfs", "sssp", "pr", "dobfs", "cc"])
 def test_enact_makes_no_sort_or_hash_call(case, small_rmat, weighted_rmat):
     if case == "bfs":
         seen = _profiled_enact(
             BFSProblem(small_rmat, Machine(4)), BFSIteration, src=0
         )
+    elif case == "dobfs":
+        # from the hub, so the frontier grows past the switch to pull
+        hub = int(small_rmat.out_degree().argmax())
+        seen = _profiled_enact(
+            DOBFSProblem(small_rmat, Machine(4)), DOBFSIteration, src=hub
+        )
+        assert seen.pull_calls, "no backward pass ran"
+    elif case == "cc":
+        seen = _profiled_enact(CCProblem(small_rmat, Machine(4)), CCIteration)
     elif case == "sssp":
         seen = _profiled_enact(
             SSSPProblem(weighted_rmat, Machine(4)), SSSPIteration, src=0
@@ -119,8 +135,9 @@ def test_enact_makes_no_sort_or_hash_call(case, small_rmat, weighted_rmat):
     assert not SORTS_AND_HASHES & set(seen), {
         name: seen[name] for name in SORTS_AND_HASHES & set(seen)
     }
-    # the one sort left is the owner partition's radix pass
-    if case != "pr":
+    # the one sort left is the owner partition's radix pass, which the
+    # broadcast primitives (DOBFS, CC) never run
+    if case in ("bfs", "sssp"):
         assert seen.argsorts, "a random partition has no interior frontier"
     for caller, key_itemsize, nth_in_call in seen.argsorts:
         assert caller == "split_frontier"
@@ -233,6 +250,24 @@ def test_superstep_fixed_cost_stays_within_budget():
     # launch per message sent (``launch`` runs ``launch_many``'s loop)
     stream = by_function[("stream", "launch_many")]
     assert 1 <= stream / gpu_supersteps <= STREAM_CALLS_PER_GPU_SUPERSTEP
+
+
+# CC's supersteps are few and heavy: each GPU hooks and jumps to a local
+# fixpoint, then min-combines the component IDs it receives.  This 4-GPU
+# R-MAT-10 run measures 760 calls per superstep; one Python call per
+# received vertex (the mutation audit's ``hot-loop`` mutant) reads
+# 1 129.5.  The budget sits below 760 plus one call per GPU-superstep.
+
+CC_PY_CALLS_PER_SUPERSTEP = 763
+
+
+def test_cc_superstep_calls_stay_within_budget(small_rmat):
+    problem = CCProblem(small_rmat, Machine(4))
+    with Enactor(problem, CCIteration) as enactor:
+        enactor.enact()  # warm: lazy caches
+        metrics, total, by_function = _calls_by_function(enactor.enact)
+    assert by_function[("cc", "expand_incoming")] > 0, "nothing received"
+    assert total / len(metrics.iterations) <= CC_PY_CALLS_PER_SUPERSTEP
 
 
 # -- the parent's share of a ``processes`` superstep ---------------------------
@@ -378,3 +413,53 @@ def test_parent_maps_only_the_horizon_superstep(checkpoint_every, monkeypatch):
     assert len(metrics.iterations) > 40
     assert len(arrays) == len(metrics.iterations) // every
     assert views == arrays
+
+
+# -- the pull reads only what it charges for ----------------------------------
+#
+# A backward pass charges a candidate for the columns it scans up to its
+# first frontier neighbour.  ``advance_pull`` reads each row in chunks
+# of 2, 8, 32 ... columns and drops a row at its first hit, so it looks
+# up fewer than four columns per scanned edge: 1.64x the 490 scanned
+# here, 1.73x at most in one call.  The full gather before it read every
+# column of every candidate: 4.22x, and 4.75x in one call.
+
+PULL_READS_PER_SCANNED_EDGE = 4
+
+
+class _CountedLookups(np.ndarray):
+    """Counts the items looked up through ``__getitem__``."""
+
+    looked_up = 0
+
+    def __getitem__(self, key):
+        _CountedLookups.looked_up += np.size(key)
+        return super().__getitem__(key)
+
+
+def test_pull_reads_at_most_four_columns_per_scanned_edge(
+    small_rmat, monkeypatch
+):
+    from repro.primitives import dobfs
+
+    calls = []
+    real = dobfs.advance_pull
+
+    def counted(csr, candidates, in_frontier, *args, **kwargs):
+        _CountedLookups.looked_up = 0
+        out = real(csr, candidates, in_frontier.view(_CountedLookups),
+                   *args, **kwargs)
+        calls.append((_CountedLookups.looked_up, out[2].edges_visited))
+        return out
+
+    monkeypatch.setattr(dobfs, "advance_pull", counted)
+    hub = int(small_rmat.out_degree().argmax())
+    labels, _, _ = dobfs.run_dobfs(small_rmat, Machine(4), src=hub)
+    assert calls, "no backward pass ran"
+    read = sum(r for r, _ in calls)
+    scanned = sum(s for _, s in calls)
+    assert scanned > 400, "not a pull phase worth the name"
+    assert read <= PULL_READS_PER_SCANNED_EDGE * scanned
+    for read_in_call, scanned_in_call in calls:
+        assert read_in_call <= PULL_READS_PER_SCANNED_EDGE * scanned_in_call
+    assert (labels >= 0).sum() > 1

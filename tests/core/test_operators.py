@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.operators import (
     advance_pull,
@@ -16,7 +17,9 @@ from repro.core.operators import (
     unique_vertices,
 )
 from repro.core.operators.fused import first_witness
+from repro.core.stats import OpStats
 from repro.graph.build import from_edges
+from repro.graph.csr import CsrGraph
 
 
 @pytest.fixture
@@ -254,3 +257,153 @@ class TestCompute:
         out = np.array([1.0])
         segment_reduce_min(np.array([], np.int64), np.array([]), out)
         assert out.tolist() == [1.0]
+
+
+# -- the pull reads only what it charges for ----------------------------------
+
+
+def _pull_reference(csr, candidates, in_frontier, ids_bytes=4):
+    """The full gather: every column of every candidate is read, then
+    each row keeps its first hit.  ``advance_pull`` must return exactly
+    this, stats included."""
+    candidates = np.asarray(candidates, dtype=np.int64)
+    n_candidates = int(candidates.size)
+    starts = csr.starts64[candidates]
+    counts = csr.ends64[candidates] - starts
+    nonzero = counts > 0
+    cand, starts, counts = candidates[nonzero], starts[nonzero], counts[nonzero]
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64), OpStats(
+            name="advance-pull",
+            input_size=n_candidates,
+            vertices_processed=n_candidates,
+            launches=1,
+            streaming_bytes=n_candidates * ids_bytes,
+            random_bytes=2 * n_candidates * ids_bytes,
+        )
+    seg = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    edge_idx = np.repeat(starts - seg, counts) + np.arange(total)
+    neighbors = csr.cols64[edge_idx]
+    pos = np.arange(total) - np.repeat(seg, counts)
+    first = np.minimum.reduceat(
+        np.where(in_frontier[neighbors], pos, np.iinfo(np.int64).max), seg
+    )
+    found = first != np.iinfo(np.int64).max
+    discovered = cand[found]
+    parents = neighbors[seg[found] + first[found]]
+    scanned = int(np.where(found, first + 1, counts).sum())
+    size_bytes = csr.ids.size_bytes
+    return discovered, parents, OpStats(
+        name="advance-pull",
+        input_size=n_candidates,
+        output_size=int(discovered.size),
+        edges_visited=scanned,
+        vertices_processed=n_candidates,
+        launches=1,
+        streaming_bytes=(n_candidates + discovered.size) * ids_bytes,
+        random_bytes=2 * n_candidates * size_bytes
+        + scanned * (ids_bytes + 0.75 * size_bytes + 1),
+    )
+
+
+def _assert_pull_equals_reference(csr, candidates, in_frontier):
+    disc, parents, stats = advance_pull(csr, candidates, in_frontier)
+    want_disc, want_parents, want_stats = _pull_reference(
+        csr, candidates, in_frontier
+    )
+    assert disc.dtype == parents.dtype == np.int64
+    np.testing.assert_array_equal(disc, want_disc)
+    np.testing.assert_array_equal(parents, want_parents)
+    assert vars(stats) == vars(want_stats)
+    assert {k: type(v) for k, v in vars(stats).items()} == \
+        {k: type(v) for k, v in vars(want_stats).items()}
+
+
+#: row lengths on the chunk boundaries: rounds read columns [0, 2),
+#: [2, 10), [10, 42), [42, 170) ...
+CHUNK_EDGE_DEGREES = (1, 2, 3, 10, 11, 42, 43)
+_HIT_MODES = ("random", "none", "first", "hub-last", "all-zero", "empty")
+
+
+def _csr_of_degrees(degrees, num_vertices, rng):
+    offsets = np.concatenate([[0], np.cumsum(degrees)])
+    cols = rng.integers(0, num_vertices, int(offsets[-1]))
+    return CsrGraph(num_vertices, offsets, cols)
+
+
+def _pull_case(degrees, mode, seed, view):
+    """A graph of the given row lengths (a ``CsrRows`` view when
+    ``view``), candidates and a frontier mask shaped by ``mode``."""
+    rng = np.random.default_rng(seed)
+    n = len(degrees)
+    graph = _csr_of_degrees(degrees, n, rng)
+    csr = graph.rows(rng.random(n) < 0.7) if view else graph
+    deg = csr.ends64 - csr.starts64
+    candidates = np.flatnonzero(rng.random(n) < 0.6)
+    in_frontier = rng.random(n) < 0.15
+    if mode == "empty":
+        candidates = candidates[:0]
+    elif mode == "all-zero":
+        candidates = np.flatnonzero(deg == 0)
+    elif mode == "none":
+        in_frontier[:] = False
+    elif mode == "first":
+        in_frontier[:] = False
+        held = candidates[deg[candidates] > 0]
+        in_frontier[csr.cols64[csr.starts64[held]]] = True
+    elif mode == "hub-last":
+        hub = int(deg.argmax())
+        candidates = np.union1d(candidates, [hub])
+        in_frontier[:] = False
+        if deg[hub]:
+            in_frontier[csr.cols64[csr.ends64[hub] - 1]] = True
+    return csr, candidates.astype(np.int64), in_frontier
+
+
+class TestAdvancePullEqualsFullGather:
+    @given(
+        degrees=st.lists(
+            st.one_of(st.sampled_from((0,) + CHUNK_EDGE_DEGREES),
+                      st.integers(0, 60)),
+            min_size=1, max_size=40,
+        ),
+        mode=st.sampled_from(_HIT_MODES),
+        seed=st.integers(0, 2**16),
+        view=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property(self, degrees, mode, seed, view):
+        _assert_pull_equals_reference(*_pull_case(degrees, mode, seed, view))
+
+    @pytest.mark.parametrize("view", [False, True])
+    @pytest.mark.parametrize("hub", CHUNK_EDGE_DEGREES)
+    def test_hit_only_at_the_hubs_last_column(self, hub, view):
+        """A hub row of a chunk-boundary length whose one hit is its
+        last column: it scans (and is charged for) the whole row."""
+        n = 64
+        cols = np.arange(1, hub + 1)  # distinct columns
+        offsets = np.concatenate([[0, hub], np.full(n - 1, hub)])
+        graph = CsrGraph(n, offsets, cols)
+        csr = graph.rows(np.ones(n, bool)) if view else graph
+        in_frontier = np.zeros(n, bool)
+        in_frontier[hub] = True
+        disc, parents, stats = advance_pull(csr, np.array([0]), in_frontier)
+        assert disc.tolist() == [0] and parents.tolist() == [hub]
+        assert stats.edges_visited == hub
+        _assert_pull_equals_reference(csr, np.array([0, 1, 2]), in_frontier)
+
+    def test_duplicate_all_views_of_rmat(self, small_rmat):
+        from repro.partition import PartitionResult, build_subgraphs
+        from repro.partition.duplication import DUPLICATE_ALL
+
+        rng = np.random.default_rng(5)
+        n = small_rmat.num_vertices
+        part = PartitionResult.from_assignment(
+            rng.integers(0, 3, n).astype(np.int32), 3
+        )
+        for sub in build_subgraphs(small_rmat, part, DUPLICATE_ALL):
+            for density in (0.0, 0.01, 0.2, 1.0):
+                in_frontier = rng.random(n) < density
+                candidates = np.flatnonzero(rng.random(n) < 0.5)
+                _assert_pull_equals_reference(sub.csr, candidates, in_frontier)

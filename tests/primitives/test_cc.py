@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.reference import cc_reference
+from repro.core.operators import segment_reduce_min
 from repro.graph.build import from_edges
-from repro.primitives.cc import run_cc
+from repro.graph.generators import generate_rmat
+from repro.partition import PartitionResult, build_subgraphs
+from repro.partition.duplication import DUPLICATE_1HOP, DUPLICATE_ALL
+from repro.primitives.cc import hook_rows, run_cc
 from repro.sim.machine import Machine
 
 
@@ -84,3 +88,34 @@ class TestBehavior:
         a, _, _ = run_cc(small_rmat, machine4)
         b, _, _ = run_cc(small_rmat, machine4)
         assert np.array_equal(a, b)
+
+
+class TestHookRows:
+    """The source side of a hook reduces per row: it must equal the
+    per-edge keyed minimum over the flattened edge sources it no longer
+    reads."""
+
+    @pytest.mark.parametrize("strategy", [DUPLICATE_ALL, DUPLICATE_1HOP])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_segment_reduce_min_over_edge_sources(self, strategy, seed):
+        rng = np.random.default_rng(seed)
+        graph = generate_rmat(8, 4, seed=seed)
+        n = graph.num_vertices
+        part = PartitionResult.from_assignment(
+            rng.integers(0, 3, n).astype(np.int32), 3
+        )
+        for sub in build_subgraphs(graph, part, strategy):
+            degree = sub.csr.out_degree()
+            assert (degree == 0).any()  # proxies, or rows hosted elsewhere
+            src = np.repeat(np.arange(sub.num_vertices), degree)
+            dst = sub.hosted_cols64
+            rows = degree.nonzero()[0]
+            row_first = (degree.cumsum() - degree).take(rows)
+            for _ in range(4):
+                comp = rng.integers(0, sub.num_vertices, sub.num_vertices)
+                comp = comp.astype(sub.csr.ids.vertex_dtype)
+                want = comp.copy()
+                segment_reduce_min(src, want[dst], want)
+                hook_rows(comp, dst, rows, row_first)
+                assert comp.dtype == want.dtype
+                np.testing.assert_array_equal(comp, want)
