@@ -6,7 +6,10 @@
   (duplicate-1-hop is a constructor flag).
 * Computation: a filter kernel updating the PR values (except the 1st
   iteration), followed by an advance kernel accumulating contributions:
-  W = O(|Ei|) per iteration.
+  W = O(|Ei|) per iteration.  The advance's frontier and edges never
+  change, so it is one sparse matrix — built once per GPU, in CSC form
+  over the hosted vertices with out-edges — times each iteration's
+  shares: a compiled mat-vec, as GraphBLAST frames PR.
 * Communication: **selective** — "push locally accumulated ranks of each
   vertex to its hosting GPU".  The remote sub-frontiers (border proxies
   with local in-edges) never change, so each GPU computes them once, at
@@ -22,6 +25,9 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+# the compiled kernel behind scipy's csc_matrix @ vector, called directly:
+# the public path costs ~100 Python calls to build a matrix, ~25 a product
+from scipy.sparse._sparsetools import csc_matvec
 
 from ..core import combine
 from ..core.comm import SELECTIVE, Message, split_frontier
@@ -88,11 +94,14 @@ class PRProblem(ProblemBase):
           GPU updates every iteration;
         - border: proxy vertices with local in-edges, whose accumulated
           contributions are pushed to their hosting GPUs;
-        - push plan ``(pushers, counts, nbrs)``: the hosted vertices with
-          out-edges, their degrees, and the flattened targets of their
-          edges — the advance kernel's loop-invariant gather.  ``nbrs``
-          is the sub-graph's ``hosted_cols64``, shared by every problem
-          on the partition;
+        - push plan ``(pushers, indptr, nbrs)``: the advance as a CSC
+          operator whose columns are the hosted vertices with out-edges
+          (``pushers``) and whose rows are local vertices.  ``indptr``
+          (int64, ``pushers.size + 1``) is the running sum of their
+          degrees from 0, and the row indices are the flattened targets
+          of their edges, in row order: ``nbrs`` is the sub-graph's
+          ``hosted_cols64`` itself, shared by every problem on the
+          partition;
         - route (``ProblemBase.fixed_routes``): the output frontier
           ``hosted + border`` — the same every iteration — and its split
           into the local part and each host's share of the border.
@@ -110,7 +119,10 @@ class PRProblem(ProblemBase):
             arr.setflags(write=False)
         counts = sub.csr.ends64[hosted] - sub.csr.starts64[hosted]
         nonzero = counts > 0
-        plan = (hosted[nonzero], counts[nonzero], nbrs)
+        pushers = hosted[nonzero]
+        indptr = np.zeros(pushers.size + 1, dtype=np.int64)
+        np.cumsum(counts[nonzero], out=indptr[1:])
+        plan = (pushers, indptr, nbrs)
         self.border_frontiers[gpu] = border
         self.fixed_routes[gpu] = (out, local, remote, split_stats)
         self.push_plans[gpu] = plan
@@ -183,7 +195,12 @@ class PRProblem(ProblemBase):
 
 
 class PRIteration(IterationBase):
-    """Filter (rank update) + advance (contribution push) core."""
+    """Filter (rank update) + advance (contribution push) core.
+
+    The advance is ``acc.fill(0.0)`` and one compiled sparse mat-vec of
+    the GPU's push plan (``PRProblem.prepare``) with the shares
+    ``damping * rank / degree`` of its columns: no edge-length array is
+    built from the shares and no ``ufunc.at`` runs."""
 
     def full_queue_core(
         self, ctx: GpuContext, frontier: np.ndarray
@@ -195,7 +212,7 @@ class PRIteration(IterationBase):
         plan = problem.push_plans[gpu]
         if plan is None:
             plan = problem.prepare(gpu)
-        pushers, p_counts, nbrs = plan
+        pushers, indptr, nbrs = plan
         rank, acc, degree = ds["rank"], ds["acc"], ds["degree"]
         stats: List[OpStats] = []
 
@@ -225,11 +242,19 @@ class PRIteration(IterationBase):
         acc.fill(0.0)
 
         # advance kernel: every hosted vertex pushes its share along its
-        # out-edges (local ones land in acc; border entries travel later)
+        # out-edges (local ones land in acc; border entries travel later).
+        # One compiled mat-vec of the plan's unit-entry CSC matrix: it adds
+        # share[j] into acc[nbrs[e]] for column j's edges e, column by
+        # column from 0.0 — the order np.add.at applies
+        # share.repeat(degrees) in, so every bit is the same.  The unit
+        # entries must be in acc's dtype (the kernel rejects mixed ones);
+        # they are made per call, since held per plan they would pin
+        # 8 bytes per edge for the problem's life.
         if pushers.size:
             share = problem.damping * rank[pushers] / degree[pushers]
             total = int(nbrs.size)
-            segment_reduce_sum(nbrs, share.repeat(p_counts), acc)
+            csc_matvec(acc.size, pushers.size, indptr, nbrs,
+                       np.ones(total, dtype=acc.dtype), share, acc)
             stats.append(
                 OpStats(
                     name="pr-advance",

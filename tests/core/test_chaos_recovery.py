@@ -258,11 +258,11 @@ class TestPartitionCachesSurviveGpuLoss:
             for gpu, sub in enumerate(problem.subgraphs):
                 # a processes parent runs no superstep: nothing was built
                 plan = problem.push_plans[gpu] or problem.prepare(gpu)
-                pushers, counts, nbrs = plan
+                pushers, indptr, nbrs = plan
                 # the plan's columns are the sub-graph's hosted-column
                 # cache itself, no copy
                 assert nbrs is sub.hosted_cols64
-                assert int(counts.sum()) == sub.num_edges == nbrs.size
+                assert int(indptr[-1]) == sub.num_edges == nbrs.size
                 assert sub.is_hosted(pushers).all()
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.reference import pagerank_reference
 from repro.core.enactor import Enactor
@@ -319,3 +320,160 @@ class TestFixedRoute:
             graphs, "rmat", "pr-split", 4, "serial", traced=True
         )
         assert split == replayed["serial"]
+
+
+class TestCompiledPush:
+    """The advance is one compiled CSC mat-vec over the push plan: it
+    adds every edge's share into ``acc[target]`` from ``0.0``, in
+    source-major edge order — the order ``np.add.at`` applies the
+    repeated shares in — so every bit equals that reference.  A spy
+    around the kernel checks each call of a run against it."""
+
+    @staticmethod
+    def _bits(a):
+        return a.view(np.int64 if a.dtype.itemsize == 8 else np.int32)
+
+    @classmethod
+    def _spy(cls, monkeypatch):
+        from repro.primitives import pr
+
+        real = pr.csc_matvec
+        calls = []
+
+        def checked(n_row, n_col, indptr, nbrs, ones, share, acc):
+            out = acc.view(np.ndarray)
+            assert not out.any(), "the push starts from a zeroed acc"
+            want = np.zeros(n_row, dtype=out.dtype)
+            np.add.at(want, nbrs, share.repeat(np.diff(indptr)))
+            real(n_row, n_col, indptr, nbrs, ones, share, acc)
+            assert share.dtype == ones.dtype == out.dtype
+            np.testing.assert_array_equal(cls._bits(out), cls._bits(want))
+            calls.append(n_col)
+
+        monkeypatch.setattr(pr, "csc_matvec", checked)
+        return calls
+
+    @staticmethod
+    def _directed(num_vertices, src, dst, value_dtype):
+        """The edge list as given: self-loops and repeats are kept."""
+        from repro.graph.build import build_csr
+        from repro.graph.coo import CooGraph
+        from repro.types import IdConfig
+
+        coo = CooGraph(num_vertices, src, dst,
+                       ids=IdConfig(np.int32, np.int32, value_dtype))
+        return build_csr(coo, undirected=False, remove_self_loops=False,
+                         remove_duplicates=False)
+
+    @classmethod
+    def _multigraph(cls, value_dtype=np.float64):
+        """A self-loop, a repeated edge, a sink (5) and an isolated
+        vertex (6): hosted vertices with no out-edges."""
+        return cls._directed(
+            8,
+            [0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 4, 7, 7],
+            [1, 1, 0, 2, 5, 2, 3, 0, 4, 4, 5, 1, 0, 7],
+            value_dtype,
+        )
+
+    @pytest.mark.parametrize("value_dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("duplication", [None, DUPLICATE_1HOP])
+    def test_equals_add_at_over_repeated_shares(
+        self, monkeypatch, value_dtype, duplication
+    ):
+        graph = self._multigraph(value_dtype)
+        assert graph.num_edges == 14  # nothing was cleaned away
+        calls = self._spy(monkeypatch)
+        ranks, metrics, prob = run_pagerank(
+            graph, Machine(2), max_iter=8, threshold=0.0,
+            duplication=duplication,
+        )
+        assert ranks.dtype == value_dtype
+        assert len(calls) == 2 * metrics.supersteps
+        for gpu, sub in enumerate(prob.subgraphs):
+            pushers, indptr, nbrs = prob.push_plans[gpu]
+            assert nbrs is sub.hosted_cols64
+            assert indptr[0] == 0 and indptr[-1] == nbrs.size
+            assert (np.diff(indptr) > 0).all()  # sinks push nothing
+            assert sub.is_hosted(pushers).all()
+
+    def test_gpu_without_pushers_launches_no_kernel(self, monkeypatch):
+        """GPU 1 hosts only the sink and the isolated vertex."""
+        from repro.partition.base import PartitionResult
+
+        class SinksOnGpu1:
+            def partition(self, graph, num_gpus):
+                owner = np.zeros(graph.num_vertices, dtype=np.int64)
+                owner[[5, 6]] = 1
+                return PartitionResult.from_assignment(owner, num_gpus)
+
+        graph = self._multigraph()
+        calls = self._spy(monkeypatch)
+        ranks, metrics, prob = run_pagerank(
+            graph, Machine(2), max_iter=5, threshold=0.0,
+            partitioner=SinksOnGpu1(),
+        )
+        assert prob.push_plans[1][0].size == 0
+        assert len(calls) == metrics.supersteps  # GPU 0's only
+        one, _, _ = run_pagerank(graph, Machine(1), max_iter=5,
+                                 threshold=0.0)
+        np.testing.assert_allclose(ranks, one, rtol=1e-12)
+
+    def test_after_gpu_loss_rebuild(self, small_rmat, monkeypatch):
+        from repro.sim.faults import GPU_LOSS, FaultPlan, FaultSpec
+
+        ref, _, _ = run_pagerank(small_rmat, Machine(4), max_iter=10)
+        calls = self._spy(monkeypatch)
+        machine = Machine(4)
+        machine.arm_faults(
+            FaultPlan([FaultSpec(GPU_LOSS, gpu=3, iteration=4)])
+        )
+        ranks, metrics, prob = run_pagerank(
+            small_rmat, machine, max_iter=10, checkpoint_every=2
+        )
+        assert metrics.rollbacks == 1 and metrics.degraded_gpus == [3]
+        # the survivors' rebuilt plans push from every vertex with
+        # out-edges, GPU 3's old ones included; GPU 3 runs nothing
+        assert prob.push_plans[3] is None
+        pushers = np.concatenate([
+            sub.local_to_global[prob.push_plans[g][0]]
+            for g, sub in enumerate(prob.subgraphs[:3])
+        ])
+        np.testing.assert_array_equal(
+            np.sort(pushers), np.flatnonzero(small_rmat.out_degree())
+        )
+        assert calls
+        np.testing.assert_allclose(ranks, ref, rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_vertices=st.integers(1, 12),
+        edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                       max_size=40),
+        num_gpus=st.integers(1, 3),
+        value_dtype=st.sampled_from([np.float64, np.float32]),
+        one_hop=st.booleans(),
+    )
+    def test_equals_add_at_on_drawn_multigraphs(
+        self, num_vertices, edges, num_gpus, value_dtype, one_hop
+    ):
+        pairs = np.array(edges, dtype=np.int64).reshape(-1, 2) % num_vertices
+        graph = self._directed(num_vertices, pairs[:, 0], pairs[:, 1],
+                               value_dtype)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = self._spy(monkeypatch)
+            run_pagerank(
+                graph, Machine(num_gpus, scale=64.0), max_iter=3,
+                threshold=0.0,
+                duplication=DUPLICATE_1HOP if one_hop else None,
+            )
+        assert bool(calls) == (graph.num_edges > 0)
+
+    def test_sanitized_ranks_are_bit_equal(self, small_rmat):
+        """Under ``sanitize=True`` ``acc`` is a ``ShadowArray`` the kernel
+        writes in place; the ranks keep every bit."""
+        plain, _, _ = run_pagerank(small_rmat, Machine(4), max_iter=10)
+        shadow, _, _ = run_pagerank(
+            small_rmat, Machine(4), max_iter=10, sanitize=True
+        )
+        np.testing.assert_array_equal(self._bits(shadow), self._bits(plain))
