@@ -6,15 +6,13 @@ Commands
     List the Table II dataset stand-ins with their statistics.
 ``run``
     Run a primitive on a dataset at a GPU count and print the metrics
-    (the quickest way to poke at the reproduction).
+    (the quickest way to poke at the reproduction); ``--sanitize``
+    adds the dynamic BSP race sanitizer (``docs/static_analysis.md``).
 ``partition``
     Compare the three partitioners' border/edge-cut statistics on a
     dataset (the Fig. 2 / Section V-C inputs).
 ``sweep``
     Speedup sweep of one primitive over GPU counts.
-``check``
-    Static framework-contract linter (``docs/static_analysis.md``); add
-    ``--sanitize`` to ``run`` for the dynamic BSP race sanitizer.
 ``chaos``
     Seeded fault-injection matrix: every primitive must survive
     transient link failures, allocation failures, and a permanent GPU
@@ -187,15 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--what-if", action="store_true", dest="what_if",
                          help="append the zero-comm and perfect-balance "
                               "counterfactual estimates")
-
-    check = sub.add_parser(
-        "check", help="lint sources against the framework contract"
-    )
-    check.add_argument("paths", nargs="*",
-                       help="files or directories to lint (default: the "
-                            "installed repro package)")
-    check.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit findings as JSON instead of text")
     return p
 
 
@@ -577,28 +566,6 @@ def _cmd_analyze(args, out) -> int:
     return 0
 
 
-def _cmd_check(args, out) -> int:
-    from .check import findings_to_json, lint_paths, render_findings
-
-    paths = args.paths
-    if not paths:
-        # default: lint the installed repro package itself
-        import repro
-
-        paths = [repro.__path__[0]]
-    try:
-        findings = lint_paths(paths)
-    except OSError as exc:
-        print(f"repro check: error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.as_json:
-        print(findings_to_json(findings), file=out)
-    else:
-        print(render_findings(findings), file=out)
-    return 1 if findings else 0
-
-
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     """Entry point; returns a process exit code."""
     from .errors import ReproError
@@ -626,8 +593,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             return _cmd_trace(args, out)
         if args.command == "analyze":
             return _cmd_analyze(args, out)
-        if args.command == "check":
-            return _cmd_check(args, out)
     except ReproError as exc:
         # one-line structured diagnosis: the exception's str() already
         # appends [gpu=... iteration=... site=...] when known

@@ -167,7 +167,7 @@ def wait_for_reply(
     """
     if conn.poll(0):
         try:
-            # repro-check: disable=REP118 -- poll(0) above bounds this recv
+            # poll(0) above bounds this recv
             return conn.recv()
         except (EOFError, OSError):
             pass  # closed mid-reply: the slow path classifies the death
@@ -185,7 +185,7 @@ def wait_for_reply(
         ready = mp_connection.wait([conn, proc.sentinel], timeout=step)
         if conn in ready:
             try:
-                # repro-check: disable=REP118 -- wait() above bounds this recv
+                # wait() above bounds this recv
                 return conn.recv()
             except (EOFError, OSError):
                 raise WorkerCrashError(
@@ -197,7 +197,7 @@ def wait_for_reply(
             # pipe (death after send) — drain it before giving up
             if conn.poll(0):
                 try:
-                    # repro-check: disable=REP118 -- poll(0) above bounds this recv
+                    # poll(0) above bounds this recv
                     return conn.recv()
                 except (EOFError, OSError):
                     pass
@@ -230,7 +230,7 @@ def worker_recv(conn, parent_pid: int, poll_interval: float = 1.0):
     """
     while True:
         if conn.poll(poll_interval):
-            # repro-check: disable=REP118 -- poll() above bounds this recv
+            # poll() above bounds this recv
             return conn.recv()
         if os.getppid() != parent_pid:
             raise EOFError("parent process exited")
@@ -300,7 +300,7 @@ def reap_worker(proc, conn, timeout: float = 5.0) -> None:
             pass
         proc.terminate()
         proc.join(timeout=timeout)
-    if proc.is_alive():  # pragma: no cover - SIGKILL is the backstop
+    if proc.is_alive():
         proc.kill()
         proc.join(timeout=timeout)
     try:

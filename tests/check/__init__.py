@@ -1,1 +1,1 @@
-"""Tests for the framework-contract linter and BSP race sanitizer."""
+"""Tests for the BSP race sanitizer and the seeded-mutation audit."""

@@ -1,5 +1,4 @@
-"""Seeded-mutation audit: what each ``repro check`` rule catches that
-tier-1 does not.
+"""Seeded-mutation audit: the tier-1 mutation score.
 
 :data:`CATALOGUE` holds small, real defects of the shipped primitives
 and framework.  Each :class:`Mutant` is one text replacement in one
@@ -8,40 +7,38 @@ source file under ``src/repro``, with
 * ``defect`` — a configuration in which the mutation changes an
   observable: results, ``RunMetrics``, ``virtual_s``, serial ≡
   processes bit-identity, or a bounded-wait guarantee;
-* ``rules`` — every rule that trips on the mutated file: the lint rules
-  (``lint_source``) and, for a primitive, the sanitizer's hazards in a
-  sanitized 4-GPU run of it (problem keyword arguments in ``problem``);
-* ``tier1`` — the first test that fails when tier-1 *alone* runs on the
-  mutated tree (``None``: tier-1 passes), and ``via`` — the sanitizer
-  hazards that are the only reason tier-1 fails, if so.
+* ``rules`` — for a primitive, the sanitizer hazards a sanitized 4-GPU
+  run of it reports (problem keyword arguments in ``problem``);
+* ``tier1`` — the first tier-1 test that fails on the mutated tree, and
+  ``via`` — the sanitizer hazards that are the only reason tier-1
+  fails, if so.
 
-"Tier-1 alone" is the suite without the tests that run ``repro check``
-on the tree::
+Tier-1 here is the whole suite but this file::
 
-    PYTHONPATH=src python -m pytest -x -q --ignore=tests/check \\
-        --deselect tests/test_cli.py::TestCheck
-    PYTHONPATH=src python -m pytest -q tests/check/test_sanitizer_green.py
+    PYTHONPATH=src python -m pytest -x -q \\
+        --ignore=tests/check/test_mutation_audit.py
 
-A rule earns its place when some catalogued defect trips it and tier-1
-alone misses it (for a sanitizer hazard: tier-1 fails on nothing but
-that hazard's own report).  :data:`DELETED` lists the rules the audit
-removed, each with the mutants written for it: tier-1 fails on every
-one of them.
+Every catalogued defect fails tier-1.  A sanitizer hazard earns its
+place when some catalogued defect trips it and tier-1 fails on nothing
+but that hazard's own report.  :data:`DELETED` lists the static lint
+rules the audit removed, each with the mutants written for it: tier-1
+fails on every one of them without the rule.
 
 Under pytest this file checks the cheap column: every anchor occurs
 exactly once (a missing anchor fails loudly, like a stale digest), each
-mutant trips exactly its ``rules``, and every registered rule earns its
-place.  Run as a script it re-measures the other column::
+mutant trips exactly its ``rules``, every hazard earns its place and
+every mutant names the tier-1 test that catches it.  Run as a script it
+re-measures the other column::
 
     PYTHONPATH=src python tests/check/test_mutation_audit.py --tier1
 
 For each mutant that copies the repository to a temporary directory,
-applies the mutation there, runs tier-1 alone, and prints the
-rule x mutant matrix of ``docs/static_analysis.md`` ("What each rule
-catches") — about 15 minutes on two cores; ``--only ID ...`` measures
-some mutants.  Tier-1 is not re-run under pytest: the two peer-state
-races (``peer-write-alias``, ``peer-write-direct``) fail a different
-tier-1 test from run to run.
+applies the mutation there, runs tier-1, and prints the hazard x mutant
+table of ``docs/static_analysis.md`` ("The mutation score") — about
+16 minutes for the whole catalogue on two cores; ``--only ID ...``
+measures some mutants.  Tier-1 is not re-run under pytest: besides the
+time, the peer-state races (``peer-write-alias``,
+``peer-write-direct``) corrupt different tests from run to run.
 """
 
 from __future__ import annotations
@@ -90,91 +87,7 @@ def _rules(*ids: str) -> FrozenSet[str]:
 _PREDS = (("mark_predecessors", True),)
 
 CATALOGUE: Tuple[Mutant, ...] = (
-    # -- caught by a rule that stays ----------------------------------------
-    Mutant(
-        id="bare-dtype",
-        file="primitives/cc.py",
-        anchor=(
-            "        ds.allocate(\"comp\", sub.num_vertices, "
-            "sub.csr.ids.vertex_dtype)\n"
-        ),
-        replacement=(
-            "        ds.allocate(\"comp\", sub.num_vertices, np.int32)\n"
-        ),
-        defect=(
-            "CC on a graph with 64-bit IDs (Table V's 64-bit row): comp "
-            "stays 4 bytes wide, so RunMetrics.peak_memory, "
-            "checkpoint_bytes and virtual_s shrink"
-        ),
-        rules=_rules("REP103"),
-        tier1=None,
-    ),
-    Mutant(
-        id="hot-loop",
-        file="primitives/cc.py",
-        anchor=(
-            "        fresh = verts.take(improved)\n"
-            "        comp[fresh] = incoming.take(improved)\n"
-        ),
-        replacement=(
-            "        fresh = np.fromiter((int(v) for v in "
-            "verts.take(improved)),\n"
-            "                            np.int64, improved.size)\n"
-            "        comp[fresh] = incoming.take(improved)\n"
-        ),
-        defect=(
-            "CC at 2+ GPUs: one Python call per received vertex, so "
-            "py_calls (+37 % on a 4-GPU R-MAT-10 run) and the wall "
-            "clock grow with message volume"
-        ),
-        rules=_rules("REP104"),
-        # measured: test_hot_path_guard::test_cc_superstep_calls_stay_
-        # within_budget fails first.  Kept None while REP104 is
-        # registered (docs/static_analysis.md, the note under the table)
-        tier1=None,
-    ),
-    Mutant(
-        id="swallowed-oom",
-        file="core/enactor.py",
-        anchor=(
-            "            except DeviceMemoryError:\n"
-            "                if not self._retries_oom():\n"
-            "                    raise\n"
-            "                # transient allocation failure: retry at "
-            "exact fit\n"
-        ),
-        replacement=(
-            "            except DeviceMemoryError:\n"
-            "                # transient allocation failure: retry at "
-            "exact fit\n"
-        ),
-        defect=(
-            "an unfused (JustEnough) run with an OOM fault plan and "
-            "RecoveryPolicy(retry_oom=False): the run completes with "
-            "RunMetrics.oom_recoveries 1 instead of raising "
-            "DeviceMemoryError"
-        ),
-        rules=_rules("REP108"),
-        tier1=None,
-    ),
-    Mutant(
-        id="unbounded-join",
-        file="core/supervise.py",
-        anchor=(
-            "        proc.terminate()\n"
-            "        proc.join(timeout=timeout)\n"
-        ),
-        replacement=(
-            "        proc.terminate()\n"
-            "        proc.join()\n"
-        ),
-        defect=(
-            "reaping a worker that ignores SIGTERM blocks forever "
-            "instead of reaching the SIGKILL backstop"
-        ),
-        rules=_rules("REP118"),
-        tier1=None,
-    ),
+    # -- caught by the sanitizer --------------------------------------------
     Mutant(
         id="peer-write-preds",
         file="primitives/dobfs.py",
@@ -198,7 +111,11 @@ CATALOGUE: Tuple[Mutant, ...] = (
             "from run to run"
         ),
         rules=_rules("SAN201", "SAN202"),
-        tier1=None,
+        tier1=(
+            "tests.check.test_sanitizer_green"
+            "::test_no_hazards[dobfs+preds-2]"
+        ),
+        via=_rules("SAN201", "SAN202"),
         problem=_PREDS,
     ),
     Mutant(
@@ -212,10 +129,108 @@ CATALOGUE: Tuple[Mutant, ...] = (
             "one superstep become SAN203 hazards in RunMetrics"
         ),
         rules=_rules("SAN203"),
-        tier1=None,
+        tier1=(
+            "tests.check.test_sanitizer_green"
+            "::test_no_hazards[dobfs+preds-4]"
+        ),
+        via=_rules("SAN203"),
         problem=_PREDS,
     ),
     # -- written for a rule the audit removed --------------------------------
+    Mutant(
+        id="bare-dtype",
+        file="primitives/cc.py",
+        anchor=(
+            "        ds.allocate(\"comp\", sub.num_vertices, "
+            "sub.csr.ids.vertex_dtype)\n"
+        ),
+        replacement=(
+            "        ds.allocate(\"comp\", sub.num_vertices, np.int32)\n"
+        ),
+        defect=(
+            "CC on a graph with 64-bit IDs (Table V's 64-bit row): comp "
+            "stays 4 bytes wide, so RunMetrics.peak_memory shrinks (by "
+            "2 MiB per GPU on a stand-in R-MAT-9, where virtual_s does "
+            "not move)"
+        ),
+        rules=_rules(),
+        tier1=(
+            "tests.core.test_kernel_bit_identity"
+            "::test_equals_parent_commit_digest[rmat64-cc-1]"
+        ),
+    ),
+    Mutant(
+        id="hot-loop",
+        file="primitives/cc.py",
+        anchor=(
+            "        fresh = verts.take(improved)\n"
+            "        comp[fresh] = incoming.take(improved)\n"
+        ),
+        replacement=(
+            "        fresh = np.fromiter((int(v) for v in "
+            "verts.take(improved)),\n"
+            "                            np.int64, improved.size)\n"
+            "        comp[fresh] = incoming.take(improved)\n"
+        ),
+        defect=(
+            "CC at 2+ GPUs: one Python call per received vertex, so "
+            "py_calls (+37 % on a 4-GPU R-MAT-10 run) and the wall "
+            "clock grow with message volume"
+        ),
+        rules=_rules(),
+        tier1=(
+            "tests.core.test_hot_path_guard"
+            "::test_cc_superstep_calls_stay_within_budget"
+        ),
+    ),
+    Mutant(
+        id="swallowed-oom",
+        file="core/enactor.py",
+        anchor=(
+            "            except DeviceMemoryError:\n"
+            "                if not self._retries_oom():\n"
+            "                    raise\n"
+            "                # transient allocation failure: retry at "
+            "exact fit\n"
+        ),
+        replacement=(
+            "            except DeviceMemoryError:\n"
+            "                # transient allocation failure: retry at "
+            "exact fit\n"
+        ),
+        defect=(
+            "an unfused (JustEnough) run with an OOM fault plan and "
+            "RecoveryPolicy(retry_oom=False): the run completes with "
+            "RunMetrics.oom_recoveries 1 instead of raising "
+            "DeviceMemoryError"
+        ),
+        rules=_rules(),
+        tier1=(
+            "tests.core.test_unhappy_paths.TestDeviceMemoryError"
+            "::test_injected_oom_raises_when_retry_is_off"
+        ),
+    ),
+    Mutant(
+        id="unbounded-join",
+        file="core/supervise.py",
+        anchor=(
+            "        proc.terminate()\n"
+            "        proc.join(timeout=timeout)\n"
+        ),
+        replacement=(
+            "        proc.terminate()\n"
+            "        proc.join()\n"
+        ),
+        defect=(
+            "reaping a worker that ignores SIGTERM blocks forever "
+            "instead of reaching the SIGKILL backstop"
+        ),
+        rules=_rules(),
+        tier1=(
+            "tests.core.test_supervision.TestWaitPrimitives"
+            "::test_reap_worker_kills_a_child_that_ignores_sigterm"
+        ),
+    ),
     Mutant(
         id="combiner-key-typo-dobfs",
         file="primitives/dobfs.py",
@@ -227,8 +242,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
         ),
         rules=_rules(),
         tier1=(
-            "tests.core.test_kernel_bit_identity"
-            "::test_equals_parent_commit_digest[rmat-dobfs+preds-1]"
+            "tests.check.test_sanitizer_green"
+            "::test_no_hazards[dobfs+preds-1]"
         ),
         problem=_PREDS,
     ),
@@ -288,10 +303,7 @@ CATALOGUE: Tuple[Mutant, ...] = (
             "some of its discoveries"
         ),
         rules=_rules("SAN201", "SAN202"),
-        tier1=(
-            "tests.core.test_kernel_bit_identity"
-            "::test_equals_parent_commit_digest[road-bfs+preds-4]"
-        ),
+        tier1="tests.check.test_sanitizer_green::test_no_hazards[bfs-2]",
     ),
     Mutant(
         id="peer-write-direct",
@@ -310,7 +322,7 @@ CATALOGUE: Tuple[Mutant, ...] = (
         ),
         defect="the same race, spelled through problem.data_slices",
         rules=_rules("SAN201", "SAN202"),
-        tier1="tests.core.test_chaos_recovery::test_chaos_cell_processes[oom-bfs]",
+        tier1="tests.check.test_sanitizer_green::test_no_hazards[bfs-2]",
     ),
     Mutant(
         id="payload-write",
@@ -453,7 +465,10 @@ CATALOGUE: Tuple[Mutant, ...] = (
         ),
         defect="every PageRank run raises TypeError at the first barrier",
         rules=_rules(),
-        tier1="tests.analysis.test_analysis.TestTable1Check::test_bounds_hold[pr]",
+        tier1=(
+            "tests.analysis.test_analysis.TestTable1Check"
+            "::test_bounds_hold[pr]"
+        ),
     ),
     Mutant(
         id="id-from-values",
@@ -513,8 +528,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
         ),
         rules=_rules(),
         tier1=(
-            "tests.core.test_chaos_recovery"
-            "::test_chaos_cell_serial[gpu-loss-pr]"
+            "tests.core.test_backend_determinism"
+            "::test_gpu_loss_mid_epoch_bit_identical_to_serial[pr]"
         ),
     ),
     Mutant(
@@ -571,8 +586,11 @@ CATALOGUE: Tuple[Mutant, ...] = (
 DELETED = {
     "REP101": ("hook-arity",),
     "REP102": ("combiner-key-typo-dobfs", "combiner-key-typo-sssp"),
+    "REP103": ("bare-dtype",),
+    "REP104": ("hot-loop",),
     "REP105": ("raw-alloc-init", "raw-alloc-hook"),
     "REP106": ("peer-write-direct",),
+    "REP108": ("swallowed-oom",),
     "REP109": ("unguarded-tracer",),
     "REP110": ("id-from-values", "value-into-id"),
     "REP111": ("payload-write",),
@@ -581,19 +599,12 @@ DELETED = {
     "REP114": (),
     "REP115": ("sampled-stop", "sampled-direction"),
     "REP116": ("peer-write-alias", "payload-write"),
+    "REP118": ("unbounded-join",),
 }
 
 
 # ---------------------------------------------------------------------------
-# tier-1 part: the rules column, measured here
-
-
-def _static_rules(mutant: Mutant) -> FrozenSet[str]:
-    from repro.check import lint_source
-
-    findings = lint_source(mutant.source(),
-                           str(Path("src/repro") / mutant.file))
-    return frozenset(f.rule_id for f in findings)
+# tier-1 part: the hazards column, measured here
 
 
 def _hazards(mutant: Mutant) -> FrozenSet[str]:
@@ -629,18 +640,14 @@ def _hazards(mutant: Mutant) -> FrozenSet[str]:
 
 
 def tripped(mutant: Mutant) -> FrozenSet[str]:
-    """Every rule that trips on the mutant."""
-    rules = _static_rules(mutant)
+    """Every hazard the mutant trips."""
     if mutant.file.startswith("primitives/"):
-        rules |= _hazards(mutant)
-    return rules
+        return _hazards(mutant)
+    return frozenset()
 
 
 def registered_rules() -> FrozenSet[str]:
-    from repro.check.rules import DEFAULT_RULES
-
-    return (frozenset(r.rule_id for r in DEFAULT_RULES)
-            | {"SAN201", "SAN202", "SAN203"})
+    return frozenset({"SAN201", "SAN202", "SAN203"})
 
 
 @pytest.mark.parametrize("mutant", CATALOGUE, ids=lambda m: m.id)
@@ -655,10 +662,13 @@ def test_catalogue_ids_unique():
 
 @pytest.mark.parametrize("rule", sorted(registered_rules()))
 def test_every_rule_catches_a_defect_tier1_misses(rule):
-    assert any(
-        rule in m.rules and (m.tier1 is None or rule in m.via)
-        for m in CATALOGUE
-    ), f"{rule}: no catalogued defect trips it that tier-1 alone misses"
+    assert any(rule in m.rules and rule in m.via for m in CATALOGUE), \
+        f"{rule}: no catalogued defect trips it that tier-1 misses"
+
+
+@pytest.mark.parametrize("mutant", CATALOGUE, ids=lambda m: m.id)
+def test_tier1_catches_every_mutant(mutant):
+    assert mutant.tier1 is not None
 
 
 def test_deleted_rules_are_gone_and_tier1_catches_their_mutants():
@@ -674,11 +684,7 @@ def test_deleted_rules_are_gone_and_tier1_catches_their_mutants():
 # ---------------------------------------------------------------------------
 # script part: the tier-1 column, re-measured in a temporary copy
 
-_TIER1 = (
-    ["-x", "-q", "--ignore=tests/check",
-     "--deselect", "tests/test_cli.py::TestCheck"],
-    ["-x", "-q", "tests/check/test_sanitizer_green.py"],
-)
+_TIER1 = ["-q", "--ignore=tests/check/test_mutation_audit.py"]
 
 #: phrases of the sanitizer's hazard messages, by hazard
 _HAZARD_TEXT = {
@@ -711,29 +717,22 @@ def _hazards_in(text: str) -> FrozenSet[str]:
 
 
 def _run_tier1(root: Path, stop_first: bool, timeout: float):
-    """Failures of tier-1 alone under ``root`` as (test id, text); with
+    """Failures of tier-1 under ``root`` as (test id, text); with
     ``stop_first`` only up to the first one."""
     import os
     import subprocess
 
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    report = root / "tier1.xml"
+    cmd = [sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
+           f"--junitxml={report}", *(["-x"] if stop_first else []), *_TIER1]
     failures = []
-    for i, args in enumerate(_TIER1):
-        if not stop_first:
-            args = [a for a in args if a != "-x"]
-        report = root / f"tier1-{i}.xml"
-        cmd = [sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
-               f"--junitxml={report}", *args]
-        try:
-            subprocess.run(cmd, cwd=root, env=env, timeout=timeout,
-                           stdout=subprocess.DEVNULL,
-                           stderr=subprocess.DEVNULL)
-        except subprocess.TimeoutExpired:
-            failures.append((f"(timeout after {timeout:.0f} s)", ""))
-        failures += _failures(report)
-        if failures and stop_first:
-            break
-    return failures
+    try:
+        subprocess.run(cmd, cwd=root, env=env, timeout=timeout,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    except subprocess.TimeoutExpired:
+        failures.append((f"(timeout after {timeout:.0f} s)", ""))
+    return failures + _failures(report)
 
 
 def _headline(text: str) -> str:
@@ -742,7 +741,7 @@ def _headline(text: str) -> str:
 
 
 def measure(mutant: Optional[Mutant], timeout: float = 1200.0):
-    """Tier-1 alone on a mutated copy of the repository: (first failing
+    """Tier-1 on a mutated copy of the repository: (first failing
     test, the hazards that are the only reason tier-1 fails, every
     failure seen as (test, headline))."""
     import shutil
@@ -769,10 +768,10 @@ def measure(mutant: Optional[Mutant], timeout: float = 1200.0):
 
 
 def matrix(rows) -> str:
-    """The rule x mutant table: (mutant, rules tripped, first tier-1
+    """The hazard x mutant table: (mutant, hazards tripped, first tier-1
     failure, via) per row."""
     rules = sorted(registered_rules())
-    lines = ["| mutant | " + " | ".join(rules) + " | tier-1 alone |",
+    lines = ["| mutant | " + " | ".join(rules) + " | tier-1 |",
              "|" + "---|" * (len(rules) + 2)]
     for mutant, hit, first, via in rows:
         if first is None:
@@ -793,8 +792,8 @@ def main(argv=None) -> int:
     import time
 
     p = argparse.ArgumentParser(
-        description="Re-measure tier-1 alone on every catalogued mutant "
-                    "and print the rule x mutant matrix.")
+        description="Re-measure tier-1 on every catalogued mutant "
+                    "and print the hazard x mutant table.")
     p.add_argument("--tier1", action="store_true", required=True)
     p.add_argument("--only", nargs="+", default=None, metavar="ID")
     args = p.parse_args(argv)
@@ -803,7 +802,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     base, _, seen = measure(None)
     if base is not None:
-        print(f"tier-1 alone fails on the unmutated tree: {seen}")
+        print(f"tier-1 fails on the unmutated tree: {seen}")
         return 1
     rows = []
     for mutant in chosen:

@@ -298,6 +298,26 @@ def test_cc_superstep_calls_stay_within_budget(small_rmat):
     assert total / len(metrics.iterations) <= CC_PY_CALLS_PER_SUPERSTEP
 
 
+# SSSP's supersteps relax the frontier's out-edges and min-combine the
+# distances received.  This warm 4-GPU run on the weighted R-MAT-10
+# measures 608.22 calls per superstep over its 9 supersteps; one Python
+# call per received vertex in ``expand_incoming`` (CC's ``hot-loop``
+# mutant, moved into SSSP) reads 820.11.  The budget sits below 608.22
+# plus one call per GPU-superstep.
+
+SSSP_PY_CALLS_PER_SUPERSTEP = 611
+
+
+def test_sssp_superstep_calls_stay_within_budget(weighted_rmat):
+    problem = SSSPProblem(weighted_rmat, Machine(4))
+    with Enactor(problem, SSSPIteration) as enactor:
+        enactor.enact(src=0)  # warm: lazy caches
+        metrics, total, by_function = _calls_by_function(
+            lambda: enactor.enact(src=0))
+    assert by_function[("sssp", "expand_incoming")] > 0, "nothing received"
+    assert total / len(metrics.iterations) <= SSSP_PY_CALLS_PER_SUPERSTEP
+
+
 # PR's supersteps repeat one fixed plan: a rank update, one compiled
 # push over the plan, the stored route, and the border shares received
 # and atomicAdd-combined.  This 4-GPU R-MAT-10 run measures 645.95 calls

@@ -5,7 +5,7 @@ every sort / hash / whole-list ``ufunc.at`` idiom on the superstep hot
 path.  They are pure wall-clock optimizations: result arrays and the
 whole ``RunMetrics.to_dict()`` tree must equal what the sorting
 formulations produced.  ``kernel_digests.json`` holds SHA-256 digests
-captured from the commit *before* the kernels landed (PR 13, 319d4fe);
+captured from the commit *before* the kernels landed (319d4fe);
 running this file as a script regenerates it from whatever ``repro`` is
 on ``PYTHONPATH``::
 
@@ -14,6 +14,13 @@ on ``PYTHONPATH``::
 Six primitives x {1, 4} GPUs x {serial, processes:2} x predecessor
 marking on/off where the primitive has it, on a small R-MAT and a small
 road grid.
+
+The ``rmat64/...`` cases (BFS, CC, SSSP) run the same R-MAT with 64-bit
+vertex IDs and offsets, the ID-size row of the paper's Table V: a slice
+array allocated at a fixed width instead of the graph's ``IdConfig``
+changes ``RunMetrics.peak_memory`` there and nowhere else.  They were
+captured from the commit before the static linter was removed
+(95bf1e9).
 
 The ``traced/...`` cases (BFS, SSSP, DOBFS at 4 GPUs) add a third
 digest over the attached tracer's record stream as the event bus
@@ -38,6 +45,7 @@ from repro.graph.generators import generate_rmat, generate_road
 from repro.obs import EventBus, Tracer
 from repro.partition import make_partitioner
 from repro.sim import FixedPrealloc, Machine
+from repro.types import IdConfig
 
 DIGEST_FILE = Path(__file__).with_name("kernel_digests.json")
 BACKENDS = ("serial", "processes:2")
@@ -69,6 +77,9 @@ VARIANTS = {
            {"max_iter": 12}, {}, ("ranks",), {"fixed": True}),
 }
 GRAPHS = ("rmat", "road")
+#: (graph, variant) pairs digested at every GPU count
+CASES = ([(g, v) for g in GRAPHS for v in sorted(VARIANTS)]
+         + [("rmat64", v) for v in ("bfs", "cc", "sssp")])
 GPU_COUNTS = (1, 4)
 TRACED_VARIANTS = ("bfs", "sssp", "dobfs")
 #: wall-clock readings and what names the backend, not the run
@@ -77,9 +88,12 @@ _UNTRACED_FIELDS = {"wall", "wall_dur", "thread", "backend", "workers"}
 
 def _graphs():
     rmat = generate_rmat(9, 8, seed=11)
+    rmat64 = generate_rmat(9, 8, seed=11,
+                           ids=IdConfig(np.int64, np.int64))
     road = generate_road(20, 20, seed=5)
     return {
         "rmat": (rmat, add_random_weights(rmat, 1, 64, seed=3)),
+        "rmat64": (rmat64, add_random_weights(rmat64, 1, 64, seed=3)),
         "road": (road, add_random_weights(road, 1, 64, seed=3)),
     }
 
@@ -153,8 +167,7 @@ def digests():
 
 
 @pytest.mark.parametrize("num_gpus", GPU_COUNTS)
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
-@pytest.mark.parametrize("graph_name", GRAPHS)
+@pytest.mark.parametrize("graph_name,variant", CASES)
 def test_equals_parent_commit_digest(graphs, digests, graph_name, variant,
                                      num_gpus):
     want = digests[case_key(graph_name, variant, num_gpus)]
@@ -179,14 +192,14 @@ def test_traced_stream_equals_parent_commit_digest(graphs, digests,
 if __name__ == "__main__":
     all_graphs = _graphs()
     table = {}
+    for g, v in CASES:
+        for n in GPU_COUNTS:
+            per_backend = [
+                run_case(all_graphs, g, v, n, b) for b in BACKENDS
+            ]
+            assert per_backend[0] == per_backend[1], (g, v, n)
+            table[case_key(g, v, n)] = per_backend[0]
     for g in GRAPHS:
-        for v in sorted(VARIANTS):
-            for n in GPU_COUNTS:
-                per_backend = [
-                    run_case(all_graphs, g, v, n, b) for b in BACKENDS
-                ]
-                assert per_backend[0] == per_backend[1], (g, v, n)
-                table[case_key(g, v, n)] = per_backend[0]
         for v in TRACED_VARIANTS:
             per_backend = [
                 run_case(all_graphs, g, v, 4, b, traced=True)

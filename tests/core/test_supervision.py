@@ -301,6 +301,12 @@ def _sleepy_child(conn):
     time.sleep(60)
 
 
+def _sigterm_deaf_child(conn):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    conn.send("ready")
+    time.sleep(60)
+
+
 class TestWaitPrimitives:
     """The bounded-wait building blocks, against real processes."""
 
@@ -339,6 +345,24 @@ class TestWaitPrimitives:
         reap_worker(proc, conn, timeout=0.2)
         assert time.monotonic() - t0 < 5.0
         assert not proc.is_alive()
+
+    def test_reap_worker_kills_a_child_that_ignores_sigterm(self):
+        """A worker that ignores SIGTERM is still reaped, by the SIGKILL
+        backstop.  The reap runs in a daemon thread, so an unbounded
+        wait fails this test instead of hanging the suite."""
+        proc, conn = self._spawn(_sigterm_deaf_child)
+        try:
+            assert conn.poll(5.0) and conn.recv() == "ready"
+            reaper = threading.Thread(
+                target=reap_worker, args=(proc, conn),
+                kwargs={"timeout": 0.2}, daemon=True,
+            )
+            reaper.start()
+            reaper.join(5.0)
+            assert not reaper.is_alive(), "reap_worker is still waiting"
+            assert proc.exitcode == -signal.SIGKILL
+        finally:
+            proc.kill()
 
     def test_worker_recv_detects_orphaning_by_recorded_parent(
         self, monkeypatch

@@ -65,6 +65,29 @@ class TestDeviceMemoryError:
         with pytest.raises(DeviceMemoryError):
             run_bfs(small_rmat, Machine(2, spec=tiny), src=0)
 
+    def test_injected_oom_raises_when_retry_is_off(self, small_rmat):
+        # an injected allocation failure is retried at exact fit only
+        # under RecoveryPolicy(retry_oom=True); turned off, the first
+        # intermediate-buffer regrow of an unfused run must raise.  The
+        # site and superstep pin which allocation: at 2 GPUs a later
+        # one (``.fin``, superstep 1) would raise even if this one's
+        # failure were swallowed
+        from repro.core import RecoveryPolicy
+        from repro.core.enactor import Enactor
+        from repro.primitives.bfs import BFSIteration, BFSProblem
+        from repro.sim import JustEnough
+        from repro.sim.faults import OOM, FaultPlan, FaultSpec
+
+        machine = Machine(1)
+        machine.arm_faults(FaultPlan([FaultSpec(OOM, gpu=0, iteration=0)]))
+        problem = BFSProblem(small_rmat, machine)
+        with Enactor(problem, BFSIteration, scheme=JustEnough(slack=0.05),
+                     recovery=RecoveryPolicy(retry_oom=False)) as enactor:
+            with pytest.raises(DeviceMemoryError) as ei:
+                enactor.enact(src=0)
+        assert ei.value.site == "memory.alloc[bfs#0.intermediate]"
+        assert ei.value.iteration == 0
+
 
 class TestMalformedMessages:
     def test_misrouted_vertices_rejected(self, weighted_rmat):

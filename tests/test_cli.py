@@ -105,53 +105,10 @@ class TestSweep:
         assert "speedup" in text
 
 
-class TestCheck:
-    def test_clean_package_exits_zero(self):
-        import pathlib
-
-        import repro
-
-        pkg = str(pathlib.Path(repro.__file__).parent)
-        code, text = run_cli("check", pkg)
-        assert code == 0
-        assert "repro check: clean" in text
-
-    def test_default_paths_lint_the_package(self):
-        code, text = run_cli("check")
-        assert code == 0
-        assert "clean" in text
-
-    def test_findings_exit_one(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(
-            '"""doc"""\n'
-            "import numpy as np\n"
-            "from repro.core.problem import ProblemBase\n\n\n"
-            "class ToyProblem(ProblemBase):\n"
-            "    def init_data_slice(self, ds, sub):\n"
-            "        ds.allocate('dist', sub.num_vertices, np.float64)\n"
-        )
-        code, text = run_cli("check", str(bad))
-        assert code == 1
-        assert "REP103" in text
-
-    def test_json_output(self, tmp_path):
-        import json
-
-        bad = tmp_path / "bad.py"
-        bad.write_text(
-            '"""doc"""\n'
-            "import numpy as np\n"
-            "from repro.core.problem import ProblemBase\n\n\n"
-            "class ToyProblem(ProblemBase):\n"
-            "    def init_data_slice(self, ds, sub):\n"
-            "        ds.allocate('dist', sub.num_vertices, np.float64)\n"
-        )
-        code, text = run_cli("check", "--json", str(bad))
-        assert code == 1
-        doc = json.loads(text)
-        assert doc["tool"] == "repro-check"
-        assert doc["by_rule"] == {"REP103": 1}
+def test_check_command_removed():
+    with pytest.raises(SystemExit) as exc:
+        run_cli("check")
+    assert exc.value.code == 2
 
 
 class TestSanitizeFlag:
