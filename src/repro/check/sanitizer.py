@@ -22,6 +22,9 @@ verifies both halves at runtime:
   having written replicated copies of the same *global* vertex raises a
   write-write hazard (``SAN203``).
 
+A GPU turn's findings go to its own :class:`_GpuStage`, which the
+enactor carries to the barrier in the GPU's ``GpuStepEffects``.
+
 Opt-in via ``Enactor(..., sanitize=True)`` or ``repro run --sanitize``;
 benchmarks stay unperturbed because unwrapped runs share no code with
 the shadow path.
@@ -63,12 +66,6 @@ class Hazard:
             "message": self.message,
             **({"extra": dict(self.extra)} if self.extra else {}),
         }
-
-    def render(self) -> str:
-        return (
-            f"superstep {self.superstep}: {self.hazard_id} ({self.name}) "
-            f"on {self.array!r}: {self.message}"
-        )
 
 
 class ShadowArray(np.ndarray):
@@ -163,14 +160,17 @@ def _positions(key, length: int) -> np.ndarray:
 
 @dataclass
 class _GpuStage:
-    """One GPU's staged sanitizer state for the current superstep.
+    """One GPU's staged sanitizer state for one superstep.
 
     A ``processes`` worker finds the hazards of its own GPUs, so
     mid-superstep findings cannot append to one shared list.  Each GPU
-    turn accumulates into its own stage (a worker ships it to the parent
-    in the superstep's sidecar); :meth:`BspSanitizer.on_barrier` merges
-    the stages in GPU-index order, reproducing exactly what the serial
-    loop's interleaved appends would have produced.
+    turn accumulates into its own stage, which :meth:`BspSanitizer.end_gpu`
+    hands to the GPU's ``GpuStepEffects`` — the object that already
+    stages the superstep's other cross-GPU effects, ships inside a
+    worker's reply and is dropped at a rollback.
+    :meth:`BspSanitizer.on_barrier` merges the stages in GPU-index order,
+    reproducing exactly what the serial loop's interleaved appends would
+    have produced.
     """
 
     hazards: List[Hazard] = field(default_factory=list)
@@ -191,8 +191,8 @@ class BspSanitizer:
             for i in gpus:  # possibly in worker processes
                 san.begin_gpu(i, superstep)
                 ...hooks run...
-                san.end_gpu()
-            san.on_barrier(superstep)
+                effects[i].san = san.end_gpu()
+            san.on_barrier(superstep, effects)
 
     ``_gpu`` is the virtual GPU whose turn is open (None outside turns)
     and ``_stage`` its stage.  ``hazards`` accumulates per
@@ -206,8 +206,6 @@ class BspSanitizer:
         self._gpu: Optional[int] = None
         self._stage: Optional[_GpuStage] = None
         self._superstep = -1
-        #: per-GPU stages of the current superstep, merged at the barrier
-        self._stages: Dict[int, _GpuStage] = {}
         self._safe: Dict[str, bool] = {
             name: comb is not None and comb.order_independent
             for name, comb in problem.state.arrays.items()
@@ -220,44 +218,33 @@ class BspSanitizer:
     # -- enactor protocol ---------------------------------------------------
     def start_run(self) -> None:
         self.hazards.clear()
-        self._stages.clear()
         self._gpu = None
         self._stage = None
         self._superstep = -1
 
     def begin_gpu(self, gpu: int, superstep: int) -> None:
-        stage = _GpuStage()
-        self._stages[gpu] = stage
         self._gpu = gpu
-        self._stage = stage
+        self._stage = _GpuStage()
         self._superstep = superstep
 
-    def end_gpu(self) -> None:
+    def end_gpu(self) -> _GpuStage:
+        """Close the GPU's turn; return its stage for the barrier."""
+        stage = self._stage
         self._gpu = None
         self._stage = None
+        return stage
 
-    def take_stage(self, gpu: int) -> Optional[_GpuStage]:
-        """Pop one GPU's stage (processes-backend worker side: the stage
-        ships to the parent in the sidecar; it is a plain picklable
-        dataclass)."""
-        return self._stages.pop(gpu, None)
-
-    def adopt_stage(self, gpu: int, stage: Optional[_GpuStage]) -> None:
-        """Install a worker-produced stage so :meth:`on_barrier` merges
-        it exactly like a locally produced one."""
-        if stage is not None:
-            self._stages[gpu] = stage
-
-    def on_barrier(self, superstep: int) -> None:
-        """Merge per-GPU stages (in GPU order, reproducing the serial
-        append order) and check logged writes for replicated WW races."""
+    def on_barrier(self, superstep: int, results) -> None:
+        """Merge the stages that ``results`` (the superstep's
+        ``GpuStepEffects``, in GPU-index order) carry in ``san`` —
+        reproducing the serial append order — and check logged writes
+        for replicated WW races."""
         pending: Dict[str, Dict[int, List[np.ndarray]]] = {}
-        for gpu in sorted(self._stages):
-            stage = self._stages[gpu]
+        for eff in results:
+            stage = eff.san
             self.hazards.extend(stage.hazards)
             for name, chunks in stage.pending.items():
-                pending.setdefault(name, {})[gpu] = chunks
-        self._stages.clear()
+                pending.setdefault(name, {})[eff.gpu] = chunks
         for name, per_gpu in pending.items():
             writers = {g: idx for g, idx in per_gpu.items() if idx}
             if len(writers) < 2:
@@ -303,13 +290,6 @@ class BspSanitizer:
 
     def report(self) -> List[dict]:
         return [h.to_dict() for h in self.hazards]
-
-    def render(self) -> str:
-        if not self.hazards:
-            return "sanitizer: no hazards detected"
-        lines = [h.render() for h in self.hazards]
-        lines.append(f"sanitizer: {len(self.hazards)} hazard(s)")
-        return "\n".join(lines)
 
     # -- ShadowArray callbacks ---------------------------------------------
     def _on_read(self, arr: "ShadowArray", key) -> None:

@@ -21,10 +21,11 @@ pluggable policy:
   arrays — is written to the GPU's exchange segment where another
   process reads it and crosses the pipe as descriptors (as sizes
   otherwise: "Run protocol" below); the rest of its
-  :class:`GpuStepEffects` travels as a flat tuple with a small sidecar (stream horizons, memory
-  accounting when it changed, fault consumption, staged
-  tracer/sanitizer records, declared per-GPU attribute mutations) that
-  the parent replays at the barrier.  No GIL: true per-core scaling of
+  :class:`GpuStepEffects` — staged tracer and sanitizer records
+  included — travels as a flat tuple with a small sidecar (stream
+  horizons, memory accounting when it changed, fault consumption,
+  declared per-GPU attribute mutations) that the parent replays at the
+  barrier.  No GIL: true per-core scaling of
   the superstep work.
 
 **Determinism contract.**  A backend only chooses *where* each superstep
@@ -49,7 +50,7 @@ manifest and the exchange segments are built — and serves every later
 acknowledged ``begin_run`` message that re-establishes what a fresh
 fork used to inherit from the just-reset parent (reset machine and
 re-armed fault plan, a fresh iteration object, the parent's memory-pool
-accounting and frontier capacities, empty tracer/sanitizer stages).
+accounting and frontier capacities).
 Warm workers keep their page tables, heap arenas and mappings — a fresh
 fork paid for all three again in its first supersteps.  A GPU loss does
 not end that: at the rollback :meth:`~ProcessesBackend.rehome` drops
@@ -102,10 +103,11 @@ get :class:`_SizeOnly` stand-ins: they carry a size and raise, naming
 the rule, if anything reads their contents.
 
 The horizon is ``first`` — lockstep: one superstep per request, no
-mailbox, no barrier — when something the parent owns needs every
-barrier: supervision (respawn-and-replay and digests work superstep by
-superstep) or an attached tracer or sanitizer (staged entries merge at
-the parent's barrier).  Otherwise it is the next superstep a
+mailbox, no barrier — under supervision, whose respawn-and-replay and
+digests work superstep by superstep.  An attached tracer or sanitizer
+changes nothing here: its staged records ride the
+:class:`GpuStepEffects` of every superstep the log holds.  Otherwise
+the horizon is the next superstep a
 checkpoint is due at, or ``max_iterations()`` — or, with a fault plan
 armed, the superstep a pending GPU loss fires in
 (:meth:`~repro.sim.faults.FaultInjector.next_loss_at`) if that comes
@@ -215,6 +217,12 @@ class GpuStepEffects:
     retry_seconds: float = 0.0
     #: allocation failures survived by exact-fit regrown allocation
     oom_recoveries: int = 0
+    #: the tracer's records staged in this superstep
+    #: (``Tracer.end_gpu``), committed by the merge; None untraced
+    trace: Optional[list] = None
+    #: the sanitizer's stage of this superstep (``BspSanitizer.end_gpu``),
+    #: merged at the barrier; None unsanitized
+    san: object = None
 
 
 class ExecutionBackend:
@@ -320,11 +328,10 @@ def _fork_token(enactor, supervisor) -> tuple:
     (a plan armed or edited, a tracer / sanitizer / recorder attached,
     supervision or the recovery policy changed between two ``enact()``).
     """
-    machine = enactor.machine
-    inj = machine.faults
+    inj = enactor.machine.faults
     return (
         inj, None if inj is None else inj.plan.to_json(),
-        machine.tracer, enactor.tracer, enactor.sanitizer, enactor.recorder,
+        enactor.tracer, enactor.sanitizer, enactor.recorder,
         supervisor,
         None if supervisor is None else astuple(supervisor.config),
         astuple(enactor.recovery),
@@ -450,10 +457,6 @@ def _worker_begin_run(enactor, accounts, shipped):
         _apply_accounting(enactor, gpu_index, acct)
         machine.gpus[gpu_index].memory.reset_peak()
         shipped[gpu_index] = _accounting(enactor, gpu_index)
-    if enactor.tracer is not None:
-        enactor.tracer.drop_staged()
-    if enactor.sanitizer is not None:
-        enactor.sanitizer.start_run()
     return enactor.iteration_cls(enactor.problem)
 
 
@@ -720,8 +723,6 @@ class _Sidecar(NamedTuple):
     #: :func:`_accounting`, or None when unchanged since last shipped
     acct: Optional[tuple]
     faults: Optional[dict]
-    trace: Optional[list]
-    san: object
     #: entry ``[gpu]`` of each ``RunState.per_gpu`` attribute
     attrs: Optional[dict]
     #: :func:`_slot_digest`, with ``shm_checksums`` on
@@ -744,7 +745,6 @@ def _build_sidecar(enactor, gpu_index, eff, fault_snap, seg, parity,
     the exchange segment (``kept``: :func:`_pack_effects`)."""
     machine = enactor.machine
     gpu = machine.gpus[gpu_index]
-    tracer = enactor.tracer
     problem = enactor.problem
     if isinstance(eff, GpuStepEffects):
         eff = _pack_effects(eff, seg, parity, kept)
@@ -765,11 +765,6 @@ def _build_sidecar(enactor, gpu_index, eff, fault_snap, seg, parity,
         faults=(
             machine.faults.consumption_delta(fault_snap)
             if fault_snap is not None else None
-        ),
-        trace=tracer.take_staged(gpu_index) if tracer is not None else None,
-        san=(
-            enactor.sanitizer.take_stage(gpu_index)
-            if enactor.sanitizer is not None else None
         ),
         attrs=(
             {name: getattr(problem, name)[gpu_index] for name in mutable}
@@ -1209,14 +1204,11 @@ class ProcessesBackend(ExecutionBackend):
             attrs = pickle.dumps(
                 problem.snapshot_attrs(), pickle.HIGHEST_PROTOCOL
             )
-        # the parent leads every superstep where something it owns
-        # needs each barrier; otherwise the workers run ahead to the
-        # next superstep a checkpoint is due at or a GPU can be lost at
+        # the parent leads every superstep under supervision; otherwise
+        # the workers run ahead to the next superstep a checkpoint is
+        # due at or a GPU can be lost at
         horizon = iteration
-        tracer = enactor.tracer
-        if not (self.supervisor is not None or tracer is not None
-                or machine.tracer is not None
-                or enactor.sanitizer is not None):
+        if self.supervisor is None:
             horizon = iteration_obj.max_iterations()
             every = enactor.checkpoint_every
             if every is not None:
@@ -1225,6 +1217,7 @@ class ProcessesBackend(ExecutionBackend):
                 loss = machine.faults.next_loss_at(iteration, gpu_indices)
                 if loss is not None:
                     horizon = min(horizon, loss)
+        tracer = enactor.tracer
         if tracer is not None:
             tracer.instant(
                 "backend.dispatch", backend=self.name,
@@ -1488,10 +1481,6 @@ class ProcessesBackend(ExecutionBackend):
             _apply_accounting(enactor, g, side.acct)
         if side.faults is not None and machine.faults is not None:
             machine.faults.apply_consumption_delta(side.faults)
-        if enactor.tracer is not None and side.trace is not None:
-            enactor.tracer.adopt_staged(g, side.trace)
-        if side.san is not None and enactor.sanitizer is not None:
-            enactor.sanitizer.adopt_stage(g, side.san)
 
 
 def make_backend(

@@ -268,8 +268,6 @@ class Enactor:
         self.tracer = tracer
         self.recorder = flight_recorder
         self._alloc_prefix = getattr(problem, "alloc_prefix", problem.name)
-        if tracer is not None:
-            self.machine.attach_tracer(tracer)
         self.iteration_cls = iteration_cls
         self.scheme = scheme or PreallocFusion()
         self.comm_volume_scale = comm_volume_scale
@@ -471,6 +469,13 @@ class Enactor:
         gpu = ctx.gpu
         sub = ctx.sub
         compute = gpu.compute
+        inj = machine.faults
+        straggle = 1.0
+        if inj is not None:
+            # a lost GPU raises before any observer opens its turn
+            inj.check_gpu_loss(i, iteration)
+            inj.begin_superstep(i, iteration)
+            straggle = inj.straggler_factor(i, iteration)
         eff = GpuStepEffects(gpu=i)
         if sanitizer is not None:
             sanitizer.begin_gpu(i, iteration)
@@ -482,12 +487,6 @@ class Enactor:
                 "superstep.begin", vt=_vt0, gpu=i, iteration=iteration,
                 frontier=int(frontier_in.size),
             )
-        inj = machine.faults
-        straggle = 1.0
-        if inj is not None:
-            inj.check_gpu_loss(i, iteration)
-            inj.begin_superstep(i, iteration)
-            straggle = inj.straggler_factor(i, iteration)
         ledger = _ChargeLedger(i, compute, machine.kernel_model, tracer)
         # per-iteration framework overhead (bookkeeping kernels,
         # driver API calls) — the 1-GPU part of Section V-B's l
@@ -619,7 +618,7 @@ class Enactor:
                             msg.dst_gpu,
                             nbytes,
                             latency_scale=self.comm_latency_scale,
-                            iteration=iteration,
+                            iteration=iteration, tracer=tracer,
                         )
                         break
                     except CommunicationError:
@@ -680,9 +679,9 @@ class Enactor:
                 "superstep.end", vt=_vt1, gpu=i, iteration=iteration,
                 out=int(eff.frontier.size),
             )
-            tracer.end_gpu()
+            eff.trace = tracer.end_gpu()
         if sanitizer is not None:
-            sanitizer.end_gpu()
+            eff.san = sanitizer.end_gpu()
         return eff
 
     # ------------------------------------------------------------------
@@ -725,7 +724,7 @@ class Enactor:
         dur = host.latency + share * machine.interconnect.scale / host.bandwidth
         for g in alive:
             machine.gpus[g].comm.launch(dur, label=label)
-        machine.barrier()
+        machine.barrier(tracer=self.tracer)
         return dur
 
     def emit(self, type_: str, vt: float, **fields) -> None:
@@ -771,12 +770,6 @@ class Enactor:
                 iteration=losses[0].iteration,
                 site="enactor.recover",
             ) from losses[0]
-        tracer = self.tracer
-        if tracer is not None:
-            # the aborted superstep's staged spans/events die with its
-            # dropped GpuStepEffects, keeping event counts consistent
-            # with the RunMetrics recovery counters
-            tracer.drop_staged()
         for exc in losses:
             self.emit(
                 "recovery.gpu-loss", vt=machine.clock.now,
@@ -794,7 +787,7 @@ class Enactor:
             lambda: problem.restore_arrays(ckpt.arrays),
         )
         frontiers, messages = route_restored_state(
-            ckpt, problem, machine.lost_gpus, tracer=tracer
+            ckpt, problem, machine.lost_gpus, tracer=self.tracer
         )
         # survivors re-read the snapshot over the host link; the barrier
         # then resumes everyone at a common post-restore time (the clock
@@ -842,7 +835,7 @@ class Enactor:
     # ------------------------------------------------------------------
     def barrier(self, iteration: int, iteration_obj: IterationBase,
                 results: Sequence[GpuStepEffects],
-                frontiers: List[np.ndarray]):
+                frontiers: List[np.ndarray], tracer=None):
         """Close superstep ``iteration``: everything that decides the
         next superstep's inputs, in the one order every executor of the
         loop must follow.
@@ -856,7 +849,9 @@ class Enactor:
         copy of the machine and problem — which is why the hooks may
         read frontier and message *sizes* only: there, a frontier or
         message whose contents stayed in another process is a stand-in
-        that raises on any other read.  Returns
+        that raises on any other read.  ``enact()`` passes its
+        ``tracer``; a worker passes none, since the machine's
+        ``barrier`` instant is the parent's to record.  Returns
         ``(next inboxes, should_stop)``.
         """
         inboxes: List[List[tuple]] = [[] for _ in frontiers]
@@ -864,7 +859,9 @@ class Enactor:
             for dst, arrival, msg in eff.sends:
                 inboxes[dst].append((arrival, msg))
             frontiers[eff.gpu] = eff.frontier
-        self.machine.barrier(compute_only=self.overlap_communication)
+        self.machine.barrier(
+            compute_only=self.overlap_communication, tracer=tracer
+        )
         iteration_obj.on_iteration_end(iteration)
         return inboxes, iteration_obj.should_stop(
             iteration, [f.size for f in frontiers], sum(map(len, inboxes))
@@ -965,8 +962,9 @@ class Enactor:
 
             # merge staged cross-GPU effects in GPU-index order — the
             # exact mutation order of the old serial loop, so records,
-            # inbox ordering, and traffic counters are bit-identical no
-            # matter where the supersteps actually ran
+            # inbox ordering, traffic counters and the tracer's staged
+            # spans/events (committed here, before the barrier instant)
+            # are bit-identical no matter where the supersteps ran
             switches: List[tuple] = []
             for eff in results:
                 i = eff.gpu
@@ -976,11 +974,13 @@ class Enactor:
                 rec.edges_visited[i] = eff.edges_visited
                 rec.vertices_processed[i] = eff.vertices_processed
                 rec.direction = eff.direction or rec.direction
-                if tracer is not None and eff.direction:
-                    prev = last_dirs.get(i)
-                    last_dirs[i] = eff.direction
-                    if prev is not None and prev != eff.direction:
-                        switches.append((i, prev, eff.direction))
+                if tracer is not None:
+                    tracer.commit(eff.trace)
+                    if eff.direction:
+                        prev = last_dirs.get(i)
+                        last_dirs[i] = eff.direction
+                        if prev is not None and prev != eff.direction:
+                            switches.append((i, prev, eff.direction))
                 if eff.sends:
                     rec.items_sent[i] = eff.items_sent
                     rec.bytes_sent[i] = eff.bytes_sent
@@ -992,12 +992,8 @@ class Enactor:
                 metrics.retry_seconds += eff.retry_seconds
                 metrics.oom_recoveries += eff.oom_recoveries
 
-            if tracer is not None:
-                # merge staged spans/events in GPU-index order *before*
-                # the barrier instant so the stream reads chronologically
-                tracer.on_barrier(iteration)
             inboxes, stop = self.barrier(
-                iteration, iteration_obj, results, frontiers
+                iteration, iteration_obj, results, frontiers, tracer
             )
             if tracer is not None:
                 for g, before, after in switches:
@@ -1007,10 +1003,8 @@ class Enactor:
                         before=before, after=after,
                     )
             if sanitizer is not None:
-                hazard_mark = (
-                    len(sanitizer.hazards) if tracer is not None else 0
-                )
-                sanitizer.on_barrier(iteration)
+                hazard_mark = len(sanitizer.hazards)
+                sanitizer.on_barrier(iteration, results)
                 if tracer is not None:
                     for hz in sanitizer.hazards[hazard_mark:]:
                         tracer.instant(

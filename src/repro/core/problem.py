@@ -279,10 +279,6 @@ class ProblemBase:
             out[hosted_global] = arr[hosted_local]
         return out
 
-    def slice_vertex_count(self, gpu: int) -> int:
-        """|V_i| — the size per-vertex slice arrays must have."""
-        return self.subgraphs[gpu].num_vertices
-
     def release(self) -> None:
         """Free all device memory held by this problem."""
         for gpu, ds in enumerate(self.data_slices):

@@ -7,13 +7,12 @@ etc. are still raised for API misuse at the boundary).
 Every :class:`ReproError` carries optional structured fault context —
 ``gpu_id``, ``iteration``, ``site`` — so a failure deep inside a superstep
 is attributable (which GPU, which BSP iteration, which subsystem) without
-a debugger.  Context is appended to ``str(exc)`` when present and is also
-machine-readable via :attr:`ReproError.context`.
+a debugger.  Context is appended to ``str(exc)`` when present.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Optional
 
 __all__ = [
     "ReproError",
@@ -75,18 +74,6 @@ class ReproError(Exception):
         return (_rebuild_error, (
             type(self), self.args, self.gpu_id, self.iteration, self.site,
         ))
-
-    @property
-    def context(self) -> Dict[str, Union[int, str]]:
-        """The non-empty structured context fields as a dict."""
-        ctx: Dict[str, Union[int, str]] = {}
-        if self.gpu_id is not None:
-            ctx["gpu_id"] = self.gpu_id
-        if self.iteration is not None:
-            ctx["iteration"] = self.iteration
-        if self.site is not None:
-            ctx["site"] = self.site
-        return ctx
 
     def __str__(self) -> str:
         base = super().__str__()

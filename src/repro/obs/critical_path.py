@@ -137,14 +137,8 @@ class TraceData:
         return data
 
     # -- Tracer-compatible views ----------------------------------------------
-    def spans_of(self, cat: str) -> List[Span]:
-        return [s for s in self.spans if s.cat == cat]
-
     def events_of(self, type_: str) -> List[dict]:
         return [e for e in self.events if e.get("type") == type_]
-
-    def count(self, type_: str) -> int:
-        return len(self.events_of(type_))
 
 
 def _span_gpu(span) -> Optional[int]:

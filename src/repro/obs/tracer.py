@@ -13,17 +13,18 @@ track (:data:`COMM_TRACK`).  The tracer is a pure observer: it never
 launches work, never advances a stream, and never touches result
 arrays, so a traced run is bit-identical to an untraced one.
 
-Staging discipline (mirrors ``check.sanitizer.BspSanitizer``): each GPU
-superstep is bracketed by :meth:`Tracer.begin_gpu` /
-:meth:`Tracer.end_gpu`; everything recorded inside the bracket goes to
-that GPU's private staging list and is merged into the global record in
-GPU-index order at :meth:`Tracer.on_barrier`.  A ``processes`` worker
-ships its GPUs' staging lists to the parent (:meth:`take_staged` /
-:meth:`adopt_staged`), so the span and event streams are the same on
-every backend.  A rolled-back superstep's staging is
-discarded with :meth:`Tracer.drop_staged` — exactly like the enactor
-drops the aborted superstep's ``GpuStepEffects`` — so event counts stay
-consistent with ``RunMetrics`` recovery counters.
+Staging discipline: each GPU superstep is bracketed by
+:meth:`Tracer.begin_gpu` / :meth:`Tracer.end_gpu`.  Everything recorded
+inside the bracket is staged in a private list that ``end_gpu`` returns,
+and the enactor hands it on in that GPU's
+:class:`~repro.core.backend.GpuStepEffects` — the object that already
+stages every other cross-GPU effect of the superstep.  The enactor's
+merge commits the lists in GPU-index order (:meth:`Tracer.commit`), so
+the span and event streams are the same on every backend: a
+``processes`` worker's lists reach the parent inside the effects it
+ships.  A rolled-back superstep's effects are dropped, and its staged
+records with them, so event counts stay consistent with ``RunMetrics``
+recovery counters.
 
 Disabled-cost discipline (mirrors ``sim/faults.py``): every hook site in
 the framework holds a plain attribute that is ``None`` by default and
@@ -117,10 +118,11 @@ class Tracer:
         self.primitive = ""
         self.backend = ""
         self.num_gpus = 0
-        self._staging: Dict[int, List[tuple]] = {}
-        #: the open GPU bracket: its staging list (None outside one),
-        #: GPU and superstep — the defaults of :meth:`span`
-        self._current: Optional[List[tuple]] = None
+        #: where a record goes: the open GPU bracket's staging list
+        #: (``_staged``) or, outside one, straight to :meth:`_commit`;
+        #: the bracket's GPU and superstep are the defaults of :meth:`span`
+        self._staged: List[tuple] = []
+        self._record = self._commit
         self._gpu = 0
         self._iteration = -1
         self._wall0 = time.perf_counter()
@@ -132,6 +134,8 @@ class Tracer:
 
     # -- run / superstep brackets --------------------------------------------
     def begin_run(self, primitive: str, num_gpus: int, backend: str = "") -> None:
+        # a run that raised mid-superstep never closed its bracket
+        self._record = self._commit
         self.primitive = str(primitive)
         self.num_gpus = int(num_gpus)
         self.backend = str(backend)
@@ -147,14 +151,18 @@ class Tracer:
         self.instant("run.end", **fields)
 
     def begin_gpu(self, gpu: int, iteration: int) -> None:
-        """Enter one GPU's superstep."""
-        self._current = self._staging.setdefault(int(gpu), [])
+        """Enter one GPU's superstep: stage what is recorded until
+        :meth:`end_gpu`."""
+        self._staged = []
+        self._record = self._staged.append
         self._gpu = int(gpu)
         self._iteration = int(iteration)
 
-    def end_gpu(self) -> None:
-        """Leave the superstep bracket."""
-        self._current = None
+    def end_gpu(self) -> List[tuple]:
+        """Leave the superstep bracket; return what it staged, for the
+        GPU's ``GpuStepEffects`` to carry to the merge."""
+        self._record = self._commit
+        return self._staged
 
     # -- recording ------------------------------------------------------------
     def span(
@@ -185,11 +193,7 @@ class Tracer:
             wall_dur=float(wall_dur),
             args=args,
         )
-        staged = self._current
-        if staged is not None:
-            staged.append(("span", s))
-        else:
-            self._commit_span(s)
+        self._record(("span", s))
         return s
 
     def op_span(self, gpu: int, stats, vt_start: float, vt_dur: float) -> Span:
@@ -211,59 +215,24 @@ class Tracer:
         if vt is not None:
             rec["vt"] = float(vt)
         rec.update(fields)
-        staged = self._current
-        if staged is not None:
-            staged.append(("event", rec))
-        else:
-            self._commit_event(rec)
+        self._record(("event", rec))
         return rec
 
     def op_wall_sample(self, name: str, seconds: float) -> None:
         """Add one wall-clock sample to the per-operator aggregate."""
-        staged = self._current
-        if staged is not None:
-            staged.append(("wall", name, float(seconds)))
-        else:
-            self._merge_wall(name, float(seconds))
+        self._record(("wall", name, float(seconds)))
 
-    # -- barrier merge / rollback --------------------------------------------
-    def on_barrier(self, iteration: int) -> None:
-        """Merge all staged records in GPU-index order (deterministic)."""
-        staged = sorted(self._staging.items())
-        self._staging = {}
-        for _gpu, entries in staged:
-            for entry in entries:
-                kind = entry[0]
-                if kind == "span":
-                    self._commit_span(entry[1])
-                elif kind == "event":
-                    self._commit_event(entry[1])
-                else:
-                    self._merge_wall(entry[1], entry[2])
-
-    def take_staged(self, gpu: int) -> List[tuple]:
-        """Pop one GPU's staged records (processes-backend worker side:
-        the staged entries ship to the parent in the sidecar)."""
-        return self._staging.pop(int(gpu), [])
-
-    def adopt_staged(self, gpu: int, entries: List[tuple]) -> None:
-        """Stage records produced by a worker process for this GPU, to be
-        merged (or dropped, on rollback) exactly like locally staged
-        ones."""
-        self._staging.setdefault(int(gpu), []).extend(entries)
-
-    def drop_staged(self) -> None:
-        """Discard staged records of an aborted superstep (rollback)."""
-        self._staging = {}
-        # an aborted superstep never reaches end_gpu(); close its bracket
-        # so recovery instants commit instead of landing in an orphaned
-        # staging list
-        self._current = None
+    # -- merge -------------------------------------------------------------
+    def commit(self, staged: List[tuple]) -> None:
+        """Commit one GPU's staged records; the enactor's merge calls
+        this in GPU-index order (deterministic)."""
+        for entry in staged:
+            self._commit(entry)
 
     def clear(self) -> None:
         """Forget everything recorded (benchmark repeats reuse one
         tracer)."""
-        self.drop_staged()
+        self._record = self._commit
         self.spans.clear()
         self.events.clear()
         self.op_wall.clear()
@@ -279,17 +248,19 @@ class Tracer:
         return len(self.events_of(type_))
 
     # -- internals ------------------------------------------------------------
-    def _commit_span(self, s: Span) -> None:
-        self.spans.append(s)
-        if self.bus is not None:
-            self.bus.emit(s.to_record())
-
-    def _commit_event(self, rec: dict) -> None:
-        self.events.append(rec)
-        if self.bus is not None:
-            self.bus.emit(rec)
-
-    def _merge_wall(self, name: str, seconds: float) -> None:
-        ent = self.op_wall.setdefault(name, [0, 0.0])
-        ent[0] += 1
-        ent[1] += seconds
+    def _commit(self, entry: tuple) -> None:
+        """Commit one record: ``("span", Span)``, ``("event", dict)`` or
+        ``("wall", name, seconds)``."""
+        kind, item = entry[0], entry[1]
+        if kind == "span":
+            self.spans.append(item)
+            if self.bus is not None:
+                self.bus.emit(item.to_record())
+        elif kind == "event":
+            self.events.append(item)
+            if self.bus is not None:
+                self.bus.emit(item)
+        else:
+            ent = self.op_wall.setdefault(item, [0, 0.0])
+            ent[0] += 1
+            ent[1] += entry[2]

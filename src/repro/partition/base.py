@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -135,11 +135,6 @@ class Partitioner(ABC):
             assignment = self.assign(graph, num_gpus)
         result = PartitionResult.from_assignment(assignment, num_gpus)
         return result
-
-
-def partitioner_registry() -> List[str]:
-    """Names of the built-in partitioners (for CLI/bench sweeps)."""
-    return ["random", "biased-random", "metis"]
 
 
 def reassign_onto_survivors(

@@ -89,8 +89,6 @@ class Interconnect:
         self.total_messages = 0
         #: armed FaultInjector, or None (the common, zero-overhead case)
         self.faults = None
-        #: attached obs.Tracer, or None (shared by Machine.attach_tracer)
-        self.tracer = None
         #: GPUs lost permanently; transfers touching them are refused
         #: (shared with Machine.lost_gpus once a loss occurs)
         self.lost_gpus: Set[int] = set()
@@ -123,7 +121,7 @@ class Interconnect:
 
     def transfer_cost(
         self, src: int, dst: int, nbytes: int, latency_scale: float = 1.0,
-        iteration: Optional[int] = None,
+        iteration: Optional[int] = None, tracer=None,
     ) -> float:
         """Time to move ``nbytes`` logical bytes from ``src`` to ``dst``.
 
@@ -150,9 +148,9 @@ class Interconnect:
         if self.faults is not None:
             self.faults.check_comm(src, dst, iteration)
         lk = self.link(src, dst)
-        if self.tracer is not None:
-            # observation only: staged per-GPU when a worker calls this
-            self.tracer.instant(
+        if tracer is not None:
+            # observation only: staged in the sending GPU's superstep
+            tracer.instant(
                 "comm.transfer", src=src, dst=dst,
                 nbytes=int(nbytes), link=lk.name,
             )

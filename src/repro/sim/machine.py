@@ -70,14 +70,9 @@ class Machine:
         self.kernel_model = KernelModel(spec, self.scale)
         #: armed FaultInjector, or None (the common, zero-overhead case)
         self.faults = None
-        #: attached obs.Tracer, or None (same zero-overhead discipline)
-        self.tracer = None
         #: permanently lost GPU ids (degraded mode); shared with the
         #: interconnect so transfers to a dead device are refused
         self.lost_gpus: Set[int] = set()
-
-    def gpu(self, i: int) -> VirtualGPU:
-        return self.gpus[i]
 
     @property
     def alive_gpus(self) -> List[int]:
@@ -118,30 +113,6 @@ class Machine:
             g.memory.faults = injector
         return injector
 
-    def disarm_faults(self) -> None:
-        """Remove any armed fault injector (hooks become no-ops again)."""
-        self.faults = None
-        self.interconnect.faults = None
-        for g in self.gpus:
-            g.memory.faults = None
-
-    def attach_tracer(self, tracer) -> "object":
-        """Attach an :class:`~repro.obs.tracer.Tracer` to the machine.
-
-        Shared with the interconnect — same sharing shape as
-        :meth:`arm_faults`, and like it, every hook site stays a single
-        ``is None`` check when nothing is attached — no Python call, so
-        untraced runs keep their ``py_calls``.
-        """
-        self.tracer = tracer
-        self.interconnect.tracer = tracer
-        return tracer
-
-    def detach_tracer(self) -> None:
-        """Remove any attached tracer (hooks become no-ops again)."""
-        self.tracer = None
-        self.interconnect.tracer = None
-
     def reset(self) -> None:
         """Reset all timelines and traffic counters (memory stays).
 
@@ -157,7 +128,8 @@ class Machine:
             self.faults.reset()
 
     def barrier(
-        self, extra_latency: bool = True, compute_only: bool = False
+        self, extra_latency: bool = True, compute_only: bool = False,
+        tracer=None,
     ) -> float:
         """Synchronize all GPUs: advance every stream to the global max.
 
@@ -174,6 +146,9 @@ class Machine:
 
         In degraded mode only surviving GPUs participate: lost devices
         neither contribute to nor pay the synchronization cost.
+
+        ``tracer`` (the enactor's, or None) records a ``barrier``
+        instant.
 
         Returns the post-barrier time.
         """
@@ -194,8 +169,8 @@ class Machine:
             if s.available_at < t:
                 s.available_at = t
         self.clock.advance_to(t)
-        if self.tracer is not None:
-            self.tracer.instant(
+        if tracer is not None:
+            tracer.instant(
                 "barrier",
                 vt=t,
                 gpus=len(gpus),

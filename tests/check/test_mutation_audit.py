@@ -35,7 +35,7 @@ re-measures the other column::
 For each mutant that copies the repository to a temporary directory,
 applies the mutation there, runs tier-1, and prints the hazard x mutant
 table of ``docs/static_analysis.md`` ("The mutation score") — about
-16 minutes for the whole catalogue on two cores; ``--only ID ...``
+20 minutes for the whole catalogue on two cores; ``--only ID ...``
 measures some mutants.  Tier-1 is not re-run under pytest: besides the
 time, the peer-state races (``peer-write-alias``,
 ``peer-write-direct``) corrupt different tests from run to run.
@@ -343,8 +343,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
         ),
         rules=_rules(),
         tier1=(
-            "tests.core.test_backend_determinism"
-            "::test_processes_bit_identical_to_serial[2-bfs]"
+            "tests.check.test_negative_path.TestSanitizerFlagsBrokenRuns"
+            "::test_unsafe_concurrent_write_is_san203"
         ),
     ),
     Mutant(
@@ -428,8 +428,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
         ),
         rules=_rules(),
         tier1=(
-            "tests.core.test_backend_determinism"
-            "::test_processes_bit_identical_to_serial[2-bc]"
+            "tests.check.test_negative_path.TestSanitizerFlagsBrokenRuns"
+            "::test_peer_write_is_san202"
         ),
     ),
     Mutant(

@@ -201,8 +201,10 @@ def test_reading_an_intermediate_frontier_fails_loudly(
     the same barrier to the end."""
     barrier = Enactor.barrier
 
-    def reads_contents(self, iteration, iteration_obj, results, frontiers):
-        out = barrier(self, iteration, iteration_obj, results, frontiers)
+    def reads_contents(self, iteration, iteration_obj, results, frontiers,
+                       *tracer):
+        out = barrier(self, iteration, iteration_obj, results, frontiers,
+                      *tracer)
         for frontier in frontiers:
             np.asarray(frontier).sum()
         return out

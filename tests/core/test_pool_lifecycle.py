@@ -253,11 +253,6 @@ def test_plan_armed_between_runs_reaches_the_workers(backend, small_rmat):
     assert _shm_leaks() == []
 
 
-def _attach(enactor, tracer):
-    enactor.tracer = tracer
-    enactor.machine.attach_tracer(tracer)
-
-
 def _stream(tracer):
     drop = {"wall_dur", "workers", "backend"}
     events = [
@@ -281,7 +276,7 @@ def test_tracer_attached_between_runs_reaches_the_workers(
         tracer = Tracer()
         try:
             plain, plain_m = _enact("bfs", problem, enactor, 0)
-            _attach(enactor, tracer)
+            enactor.tracer = tracer
             traced, traced_m = _enact("bfs", problem, enactor, 0)
         finally:
             enactor.close()

@@ -109,10 +109,10 @@ class TestEdgeCases:
         t.begin_gpu(0, iteration=1)
         t.span("op", "advance", 1.0, 5.0)    # staged, then aborted
         t.op_wall_sample("advance", 9.0)     # staged wall sample too
-        t.drop_staged()
+        t.end_gpu()                          # ... and never committed
         t.instant("recovery.rollback", vt=1.0, iteration=1)
         (row,) = profile_rows(t)
         assert row["virtual_s"] == 1.0
         assert row["wall_s"] == 0.0
-        # the rollback instant committed despite the open bracket
+        # the rollback instant, outside any bracket, commits directly
         assert t.count("recovery.rollback") == 1

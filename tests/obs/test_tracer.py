@@ -1,4 +1,4 @@
-"""Tracer mechanics: staging, barrier merge order, rollback, wall stats."""
+"""Tracer mechanics: staging, merge order, rollback, wall stats."""
 
 from repro.obs import COMM_TRACK, EventBus, Tracer
 
@@ -14,9 +14,9 @@ class TestSpans:
         t = Tracer()
         t.begin_gpu(2, 5)
         t.span("op", "filter", 0.0, 1.0)
-        t.end_gpu()
+        staged = t.end_gpu()
         assert not t.spans  # still staged
-        t.on_barrier(5)
+        t.commit(staged)
         (s,) = t.spans
         assert s.track == 2 and s.iteration == 5
 
@@ -31,12 +31,15 @@ class TestSpans:
 class TestBarrierMerge:
     def test_merge_is_gpu_index_ordered(self):
         t = Tracer()
-        # stage out of order: GPU 3 first, then 0, then 1
+        # stage out of order: GPU 3 first, then 0, then 1; the merge
+        # commits in GPU-index order
+        staged = {}
         for gpu in (3, 0, 1):
             t.begin_gpu(gpu, 0)
             t.span("op", f"op{gpu}", 0.0, 1.0)
-            t.end_gpu()
-        t.on_barrier(0)
+            staged[gpu] = t.end_gpu()
+        for gpu in sorted(staged):
+            t.commit(staged[gpu])
         assert [s.track for s in t.spans] == [0, 1, 3]
 
     def test_drop_staged_discards_and_reopens_bracket(self):
@@ -44,8 +47,9 @@ class TestBarrierMerge:
         t.begin_gpu(0, 0)
         t.span("op", "advance", 0.0, 1.0)
         t.instant("recovery.retry", vt=0.5, gpu=0)
-        # superstep aborts: bracket never reaches end_gpu()
-        t.drop_staged()
+        # superstep aborts: its effects, and the records staged in
+        # them, are dropped uncommitted
+        t.end_gpu()
         assert not t.spans and not t.events
         # recovery instants recorded after the drop commit directly
         t.instant("recovery.rollback", vt=1.0, to_iteration=0)
@@ -56,9 +60,9 @@ class TestBarrierMerge:
         t.begin_gpu(0, 0)
         t.op_wall_sample("advance", 0.25)
         t.op_wall_sample("advance", 0.25)
-        t.end_gpu()
+        staged = t.end_gpu()
         assert "advance" not in t.op_wall
-        t.on_barrier(0)
+        t.commit(staged)
         assert t.op_wall["advance"] == [2, 0.5]
 
 
@@ -70,11 +74,17 @@ class TestBusAndViews:
         t = Tracer(bus=bus)
         t.begin_gpu(0, 0)
         t.span("op", "advance", 0.0, 1.0)
-        t.end_gpu()
+        staged = t.end_gpu()
         assert seen == []  # staged, not yet visible
-        t.on_barrier(0)
+        t.commit(staged)
         assert [r["type"] for r in seen] == ["span"]
         bus.unsubscribe(seen.append)
+
+    def test_begin_run_closes_a_bracket_left_open(self):
+        t = Tracer()
+        t.begin_gpu(0, 0)  # a superstep that raised never reached end_gpu()
+        t.begin_run("bfs", 2)
+        assert t.events_of("run.begin")
 
     def test_begin_run_sets_metadata_and_emits(self):
         t = Tracer()
