@@ -39,7 +39,7 @@ class PerEdgeBFSIteration(BFSIteration):
         label_val = ctx.iteration + 1
         if frontier.size == 0:
             return np.empty(0, dtype=np.int64), []
-        nbrs, srcs, eidx, a_stats = advance_push(
+        nbrs, _, _, a_stats = advance_push(
             ctx.sub.csr, frontier, ids_bytes=ctx.ids_bytes
         )
         unvisited_mask = labels[nbrs] == -1

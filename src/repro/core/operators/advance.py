@@ -24,12 +24,16 @@ Rows are read as ``cols64[starts64[v]:ends64[v]]``, so one code path
 serves a materialised :class:`~repro.graph.csr.CsrGraph` (duplicate-1-hop,
 whose two names are views of its ``offsets64``) and a duplicate-all
 sub-graph's :class:`~repro.graph.csr.CsrRows`, which reads the input
-graph's rows in place.  Edge indices are positions in whatever ``cols64``
-the rows index — the whole graph's, for a row view — and therefore valid
-for its ``values``.
+graph's rows in place.  The push gathers its rows in one compiled call,
+SciPy's ``csr_row_index`` — the row gather of a push SpMSpV — which copies
+``cols64[offsets64[v]:offsets64[v + 1]]`` (and the same slice of
+``values``, when asked) for each listed row; both classes hold a row
+either whole or not at all, and the gather lists only the rows with
+edges.  It builds no edge indices: the one caller that needs an edge's
+position (SSSP's predecessor search) derives it from the gather order.
 
 Hot-path allocation discipline: CSR structure is indexed through cached
-int64 views (no per-call ``astype`` copy); the edge-length temporaries are
+int64 views (no per-call ``astype`` copy); the edge-length outputs are
 plain NumPy arrays, allocated per call.
 """
 
@@ -38,6 +42,8 @@ from __future__ import annotations
 from typing import Optional, Tuple, Union
 
 import numpy as np
+# the compiled row gather behind scipy's csr_matrix[rows], called directly
+from scipy.sparse._sparsetools import csr_row_index
 
 from ...graph.csr import CsrGraph, CsrRows
 from ..stats import OpStats
@@ -69,41 +75,45 @@ def push_stats(nf: int, edges: int, ids_bytes: int, size_bytes: int) -> OpStats:
     )
 
 
-def _frontier64(frontier: np.ndarray) -> np.ndarray:
-    """The frontier as int64, without copying already-converted input."""
-    frontier = np.asarray(frontier)
-    if frontier.dtype == np.int64:
-        return frontier
-    return frontier.astype(np.int64)
-
-
 def gather_neighbors(
     csr: Union[CsrGraph, CsrRows],
     frontier: np.ndarray,
     need_sources: bool = True,
-) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-    """Gather all out-neighbors of ``frontier``.
+    need_values: bool = False,
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Gather all out-neighbors of ``frontier``, in frontier order.
 
-    Returns ``(neighbors, sources, edge_indices)``, each of length equal
-    to the total degree of the frontier.  ``sources[k]`` is the frontier
-    vertex whose edge produced ``neighbors[k]`` and ``edge_indices[k]`` is
-    that edge's position in ``csr.cols64`` (for weight lookup).  A
-    caller that never reads ``sources`` passes ``need_sources=False`` and
-    gets ``None``: the edge-length repeat is not materialised.
+    Returns ``(neighbors, sources, values)``, each of length equal to the
+    total degree of the frontier.  ``sources[k]`` is the frontier vertex
+    whose edge produced ``neighbors[k]`` and ``values[k]`` is that edge's
+    value (``csr.values.dtype``).  ``sources`` is ``None`` with
+    ``need_sources=False`` and ``values`` is ``None`` unless
+    ``need_values``: what a caller does not read is not built.
+
+    One ``csr_row_index`` call copies every row.  It reads a row as
+    ``offsets64[v]:offsets64[v + 1]``, which a :class:`CsrRows` view
+    holds only for its own rows — a row it does not hold has no edges in
+    the view but a whole row in ``offsets64`` — so only the rows with
+    edges are listed.
     """
-    frontier = _frontier64(frontier)
-    starts = csr.starts64[frontier]
-    counts = csr.ends64[frontier] - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy() if need_sources else None, empty.copy()
-    # flattened edge indices: repeat(start - exclusive_prefix) + arange
-    seg_base = (starts + counts - counts.cumsum()).repeat(counts)
-    edge_idx = seg_base + np.arange(total, dtype=np.int64)
-    neighbors = csr.cols64[edge_idx]
+    frontier = np.asarray(frontier, dtype=np.int64)
+    counts = csr.ends64[frontier] - csr.starts64[frontier]
+    neighbors = np.empty(int(counts.sum()), dtype=np.int64)
+    values = None
+    if need_values:
+        values = np.empty(neighbors.size, dtype=csr.values.dtype)
+    if neighbors.size:
+        rows = frontier.compress(counts != 0)
+        # without values the columns stand in for them: the kernel copies
+        # each row's columns into ``neighbors`` twice
+        if values is None:
+            ax, bx = csr.cols64, neighbors
+        else:
+            ax, bx = csr.values, values
+        csr_row_index(rows.size, rows, csr.offsets64, csr.cols64, ax,
+                      neighbors, bx)
     sources = frontier.repeat(counts) if need_sources else None
-    return neighbors, sources, edge_idx
+    return neighbors, sources, values
 
 
 def advance_push(
@@ -112,11 +122,13 @@ def advance_push(
     ids_bytes: int = 4,
     tracer=None,
     need_sources: bool = True,
-) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray, OpStats]:
+    need_values: bool = False,
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], OpStats]:
     """Per-edge parallel advance (the standard forward traversal).
 
-    Returns ``(neighbors, sources, edge_indices, stats)``; ``sources`` is
-    ``None`` with ``need_sources=False`` (see :func:`gather_neighbors`).
+    Returns ``(neighbors, sources, values, stats)``; ``sources`` is
+    ``None`` with ``need_sources=False`` and ``values`` is ``None``
+    unless ``need_values`` (see :func:`gather_neighbors`).
 
     Traffic model: frontier read + output write are streaming; offset
     lookups and neighbor-list gathers are random.  Per traversed edge the
@@ -128,15 +140,15 @@ def advance_push(
     per-operator profile; it never changes results.
     """
     _wall0 = tracer.wall() if tracer is not None else 0.0
-    neighbors, sources, edge_idx = gather_neighbors(
-        csr, frontier, need_sources=need_sources
+    neighbors, sources, values = gather_neighbors(
+        csr, frontier, need_sources=need_sources, need_values=need_values
     )
     edges = int(neighbors.size)
-    nf = int(np.asarray(frontier).size)
+    nf = int(frontier.size)
     stats = push_stats(nf, edges, ids_bytes, csr.ids.size_bytes)
     if tracer is not None:
         tracer.op_wall_sample("advance", tracer.wall() - _wall0)
-    return neighbors, sources, edge_idx, stats
+    return neighbors, sources, values, stats
 
 
 def advance_pull(
@@ -178,7 +190,7 @@ def advance_pull(
     where a full gather of every row reads the candidates' total degree.
     """
     _wall0 = tracer.wall() if tracer is not None else 0.0
-    candidates = _frontier64(candidates)
+    candidates = np.asarray(candidates, dtype=np.int64)
     n_candidates = int(candidates.size)
     starts = csr.starts64[candidates]
     counts = csr.ends64[candidates] - starts

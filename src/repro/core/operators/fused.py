@@ -33,11 +33,10 @@ __all__ = ["fused_advance_filter", "first_witness"]
 def first_witness(
     neighbors: np.ndarray,
     sources: np.ndarray,
-    edge_idx: np.ndarray,
     survivors: np.ndarray,
     num_vertices: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """For each survivor, the (source, edge) of its first discovery.
+) -> np.ndarray:
+    """For each survivor, the source of its first discovery.
 
     "First" is the lowest position in the gathered neighbor list — a
     deterministic stand-in for the GPU's atomic race, used for
@@ -46,13 +45,12 @@ def first_witness(
     ``num_vertices`` bounds every neighbor ID.
     """
     if survivors.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
+        return np.empty(0, dtype=np.int64)
     pos = member_mask(neighbors, survivors, num_vertices).nonzero()[0]
     first_pos = segment_first(
         neighbors.take(pos), pos, survivors, num_vertices
     )
-    return sources.take(first_pos), edge_idx.take(first_pos)
+    return sources.take(first_pos)
 
 
 def fused_advance_filter(
@@ -63,32 +61,31 @@ def fused_advance_filter(
     ids_bytes: int = 4,
     tracer=None,
     witness: bool = True,
-) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], OpStats]:
+) -> Tuple[np.ndarray, Optional[np.ndarray], OpStats]:
     """Advance then unvisited-filter as one fused kernel.
 
-    Returns ``(survivors, their_sources, their_edge_indices, stats)`` where
-    sources/edge indices correspond to the first edge that discovered each
-    surviving vertex (deterministic: first in gather order wins, matching
-    the serialized-atomics tie-break of a GPU run re-executed for
+    Returns ``(survivors, their_sources, stats)`` where each source is
+    that of the first edge that discovered the surviving vertex
+    (deterministic: first in gather order wins, matching the
+    serialized-atomics tie-break of a GPU run re-executed for
     reproducibility).  A caller that marks no predecessors passes
-    ``witness=False`` and gets ``None`` for both: the witness is not
-    computed.
+    ``witness=False`` and gets ``None``: the witness is not computed.
     """
     # the inner calls are NOT traced individually: one fused kernel means
     # one wall-clock sample under the fused name
     _wall0 = tracer.wall() if tracer is not None else 0.0
     # only the witness reads the per-edge source array
-    neighbors, sources, edge_idx, a_stats = advance_push(
+    neighbors, sources, _, a_stats = advance_push(
         csr, frontier, ids_bytes=ids_bytes, need_sources=witness
     )
     survivors, f_stats = filter_unvisited(
         neighbors, labels, invalid_label, ids_bytes=ids_bytes
     )
-    # recover one (source, edge) witness per survivor: first occurrence
-    w_sources = w_edges = None
+    # recover one source witness per survivor: first occurrence
+    w_sources = None
     if witness:
-        w_sources, w_edges = first_witness(
-            neighbors, sources, edge_idx, survivors, labels.shape[0]
+        w_sources = first_witness(
+            neighbors, sources, survivors, labels.shape[0]
         )
 
     stats = a_stats.merged_with(f_stats, fused=True)
@@ -99,4 +96,4 @@ def fused_advance_filter(
     )
     if tracer is not None:
         tracer.op_wall_sample("advance+filter(fused)", tracer.wall() - _wall0)
-    return survivors, w_sources, w_edges, stats
+    return survivors, w_sources, stats

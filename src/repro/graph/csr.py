@@ -12,9 +12,11 @@ A :class:`CsrGraph` may also carry its transpose (``csc``) for pull-style
 Operators read a row ``v`` as ``cols64[starts64[v]:ends64[v]]``.  A
 :class:`CsrGraph` exposes ``starts64`` / ``ends64`` as views of its
 ``offsets64``; a :class:`CsrRows` is some of a graph's rows read in place
-— the graph's own ``cols64`` and ``values``, with ``ends64[v] ==
-starts64[v]`` for a row it does not hold — which is what a duplicate-all
-sub-graph is (:mod:`repro.partition.duplication`).
+— the graph's own ``offsets64``, ``cols64`` and ``values``, with
+``ends64[v] == starts64[v]`` for a row it does not hold — which is what a
+duplicate-all sub-graph is (:mod:`repro.partition.duplication`).  A held
+row is always the graph's whole row, so in both classes its extent is
+``offsets64[v]:offsets64[v + 1]``.
 """
 
 from __future__ import annotations
@@ -225,7 +227,8 @@ class CsrGraph:
         :class:`CsrRows` over this graph's arrays: O(|V|) new memory,
         none of it per edge (none at all if ``held`` selects no row).
         The graph itself is left writable."""
-        starts = _read_only(self.starts64)
+        offsets = _read_only(self.offsets64)
+        starts = offsets[:-1]
         if held.any():
             ends = np.where(held, self.ends64, starts)
             ends.setflags(write=False)
@@ -234,6 +237,7 @@ class CsrGraph:
         values = None if self.values is None else _read_only(self.values)
         return CsrRows(
             num_vertices=self.num_vertices,
+            offsets64=offsets,
             starts64=starts,
             ends64=ends,
             cols64=_read_only(self.cols64),
@@ -328,10 +332,13 @@ class CsrRows:
 
     Row ``v`` is ``cols64[starts64[v]:ends64[v]]`` (and the same slice of
     ``values``); a row the view does not hold has ``ends64[v] ==
-    starts64[v]``.  ``starts64``, ``cols64`` and ``values`` are read-only
-    views of the whole graph's arrays, so the edge indices an operator
-    returns are positions in the graph — valid for ``values`` all the
-    same.  Only ``ends64`` belongs to the view.
+    starts64[v]``.  ``offsets64`` (with ``starts64`` its ``[:-1]``),
+    ``cols64`` and ``values`` are read-only views of the whole graph's
+    arrays, so a position in ``cols64`` is a position in the graph —
+    valid for ``values`` all the same.  Only ``ends64`` belongs to the
+    view.  A held row is the graph's whole row, so ``offsets64[v + 1]``
+    is its end; for a row not held it is not (see
+    :func:`~repro.core.operators.advance.gather_neighbors`).
 
     ``num_edges`` and :meth:`memory_bytes` describe the rows as a
     materialised CSR would hold them: what a device holding them is
@@ -339,6 +346,7 @@ class CsrRows:
     """
 
     num_vertices: int
+    offsets64: np.ndarray
     starts64: np.ndarray
     ends64: np.ndarray
     cols64: np.ndarray

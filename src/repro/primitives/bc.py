@@ -112,7 +112,7 @@ class BCIteration(IterationBase):
         if frontier.size == 0:
             return np.empty(0, dtype=np.int64), []
         label_val = ctx.iteration + 1
-        nbrs, srcs, eidx, a_stats = advance_push(
+        nbrs, srcs, _, a_stats = advance_push(
             csr, frontier, ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
         )
         if nbrs.size == 0:
@@ -168,7 +168,7 @@ class BCIteration(IterationBase):
         cand = hosted[labels[hosted] == level]
         if cand.size == 0:
             return np.empty(0, dtype=np.int64), []
-        nbrs, srcs, _eidx, a_stats = advance_push(
+        nbrs, srcs, _, a_stats = advance_push(
             ctx.sub.csr, cand, ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
         )
         # the edges into the next level, found once; both endpoint

@@ -97,23 +97,22 @@ class BFSIteration(IterationBase):
         # the discovery witness is only computed for predecessor marking
         witness = problem.mark_predecessors
         if ctx.fused:
-            survivors, w_src, _w_edge, stats = fused_advance_filter(
+            survivors, w_src, stats = fused_advance_filter(
                 csr, frontier, labels, INVALID_LABEL,
                 ids_bytes=ctx.ids_bytes, tracer=ctx.tracer, witness=witness,
             )
             stats_list = [stats]
         else:
-            nbrs, srcs, eidx, a_stats = advance_push(
+            nbrs, srcs, _, a_stats = advance_push(
                 csr, frontier, ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
+                need_sources=witness,
             )
             survivors, f_stats = filter_unvisited(
                 nbrs, labels, INVALID_LABEL, ids_bytes=ctx.ids_bytes,
                 tracer=ctx.tracer,
             )
             if witness:
-                w_src, _w_edge = first_witness(
-                    nbrs, srcs, eidx, survivors, labels.shape[0]
-                )
+                w_src = first_witness(nbrs, srcs, survivors, labels.shape[0])
             stats_list = [a_stats, f_stats]
         labels[survivors] = label_val
         if witness and survivors.size:

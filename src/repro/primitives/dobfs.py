@@ -21,7 +21,7 @@ GPUs compute identical direction decisions without coordination.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -110,6 +110,11 @@ class DOBFSProblem(ProblemBase):
     def labels(self) -> np.ndarray:
         return self.extract("labels")
 
+    def predecessors(self) -> Optional[np.ndarray]:
+        if not self.mark_predecessors:
+            return None
+        return self.extract("preds")
+
 
 class DOBFSIteration(IterationBase):
     """Dual-direction core with the FV/BV switching rule."""
@@ -173,23 +178,24 @@ class DOBFSIteration(IterationBase):
             # the discovery witness is only computed for predecessor marking
             witness = problem.mark_predecessors
             if ctx.fused:
-                survivors, w_src, _w, stats = fused_advance_filter(
+                survivors, w_src, stats = fused_advance_filter(
                     csr, hosted, labels, INVALID_LABEL,
                     ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
                     witness=witness,
                 )
                 stats_list.append(stats)
             else:
-                nbrs, srcs, eidx, a_stats = advance_push(
+                nbrs, srcs, _, a_stats = advance_push(
                     csr, hosted, ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
+                    need_sources=witness,
                 )
                 survivors, f_stats = filter_unvisited(
                     nbrs, labels, INVALID_LABEL, ids_bytes=ctx.ids_bytes,
                     tracer=ctx.tracer,
                 )
                 if witness:
-                    w_src, _w = first_witness(
-                        nbrs, srcs, eidx, survivors, labels.shape[0]
+                    w_src = first_witness(
+                        nbrs, srcs, survivors, labels.shape[0]
                     )
                 stats_list.extend([a_stats, f_stats])
         else:

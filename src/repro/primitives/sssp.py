@@ -115,18 +115,18 @@ class SSSPIteration(IterationBase):
         edges = int((ends[frontier] - starts[frontier]).sum())
         num_vertices = ctx.sub.num_vertices
         frontier = dedup(frontier, num_vertices)
-        nbrs, _srcs, eidx, _ = advance_push(
+        nbrs, _, cand, _ = advance_push(
             csr, frontier, ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
-            need_sources=False,
+            need_sources=False, need_values=True,
         )
         a_stats = push_stats(nf, edges, ctx.ids_bytes, csr.ids.size_bytes)
         if edges == 0:
             return np.empty(0, dtype=np.int64), [a_stats]
-        # per-edge source distance: each vertex's distance repeated along
-        # its row, not a gather through an edge-length source array
+        # candidate = edge weight + its source's distance, repeated along
+        # the source's row rather than gathered through an edge-length
+        # source array
         degrees = ends[frontier] - starts[frontier]
-        cand = dist[frontier].repeat(degrees)
-        cand += csr.values.take(eidx)
+        cand += dist[frontier].repeat(degrees)
         # deterministic atomicMin: per-neighbor minimum candidate; the
         # targets of the relaxations that beat the current distance are
         # exactly the vertices whose distance drops
@@ -145,16 +145,20 @@ class SSSPIteration(IterationBase):
             # winner edge per improved vertex: the candidate equal to the
             # final distance with the smallest edge index.  Each improved
             # vertex's final distance IS its minimum candidate, so it has
-            # at least one hit; an edge's source is the row holding it:
-            # the last row starting at or before it.
+            # at least one hit.  The frontier is ascending and distinct,
+            # so gather positions run in edge-index order and the first
+            # hit is the winner; its source is the first frontier row
+            # whose running degree total exceeds its position.
             hits = (
                 member_mask(nbrs, improved, num_vertices)
                 & (cand <= dist[nbrs] + 1e-12)
             ).nonzero()[0]
-            win_edge = segment_first(
-                nbrs.take(hits), eidx.take(hits), improved, num_vertices
+            win_pos = segment_first(
+                nbrs.take(hits), hits, improved, num_vertices
             )
-            win_src = np.searchsorted(starts, win_edge, "right") - 1
+            win_src = frontier.take(
+                np.searchsorted(degrees.cumsum(), win_pos, "right")
+            )
             ctx.slice["preds"][improved] = ctx.sub.local_to_global[win_src]
         return improved, [a_stats, relax_stats]
 

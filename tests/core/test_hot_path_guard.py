@@ -300,10 +300,11 @@ def test_cc_superstep_calls_stay_within_budget(small_rmat):
 
 # SSSP's supersteps relax the frontier's out-edges and min-combine the
 # distances received.  This warm 4-GPU run on the weighted R-MAT-10
-# measures 608.22 calls per superstep over its 9 supersteps; one Python
+# measures 605.11 calls per superstep over its 9 supersteps (608.22
+# before the push gathered its rows in one compiled call); one Python
 # call per received vertex in ``expand_incoming`` (CC's ``hot-loop``
-# mutant, moved into SSSP) reads 820.11.  The budget sits below 608.22
-# plus one call per GPU-superstep.
+# mutant, moved into SSSP) reads 820.11.  The budget was set below
+# 608.22 plus one call per GPU-superstep.
 
 SSSP_PY_CALLS_PER_SUPERSTEP = 611
 

@@ -22,6 +22,10 @@ changes ``RunMetrics.peak_memory`` there and nowhere else.  They were
 captured from the commit before the static linter was removed
 (95bf1e9).
 
+The ``dobfs+preds`` cases digest DOBFS's predecessors beside its
+labels; their digests were captured from the commit before the push
+advance gathered its rows in one compiled call (5edeaa5).
+
 The ``traced/...`` cases (BFS, SSSP, DOBFS at 4 GPUs) add a third
 digest over the attached tracer's record stream as the event bus
 delivers it — spans and events interleaved, in commit order, with
@@ -63,7 +67,8 @@ VARIANTS = {
               {"overlap_communication": True}),
     "dobfs+preds": (primitives.DOBFSProblem, primitives.DOBFSIteration,
                     {"mark_predecessors": True}, {"src": 3},
-                    ("labels",), {"overlap_communication": True}),
+                    ("labels", "predecessors"),
+                    {"overlap_communication": True}),
     "sssp": (primitives.SSSPProblem, primitives.SSSPIteration,
              {}, {"src": 3}, ("distances",), {}),
     "sssp+preds": (primitives.SSSPProblem, primitives.SSSPIteration,

@@ -169,13 +169,13 @@ def test_segment_reduce_sum_equals_add_at(item, data):
 
 # -- first witness == stable argsort + searchsorted -------------------------
 
-def _first_witness_by_sort(neighbors, sources, edge_idx, survivors):
+def _first_witness_by_sort(neighbors, sources, survivors):
     """The formulation first_witness replaced."""
     order = np.argsort(neighbors, kind="stable")
     first_pos = order[
         np.searchsorted(neighbors[order], survivors, side="left")
     ]
-    return sources[first_pos], edge_idx[first_pos]
+    return sources[first_pos]
 
 
 @SETTINGS
@@ -183,11 +183,8 @@ def _first_witness_by_sort(neighbors, sources, edge_idx, survivors):
 def test_first_witness_lowest_position_wins(item, data):
     n, neighbors, _ = item
     m = neighbors.size
+    # distinct sources: the witness names the position it came from
     sources = np.array(
-        data.draw(st.lists(st.integers(0, 50), min_size=m, max_size=m)),
-        dtype=np.int64,
-    )
-    edge_idx = np.array(
         data.draw(st.permutations(list(range(m)))), dtype=np.int64
     )
     present = np.unique(neighbors)
@@ -195,12 +192,11 @@ def test_first_witness_lowest_position_wins(item, data):
                               max_size=present.size))
     survivors = present[np.array(keep, dtype=bool)]
     if survivors.size:
-        want = _first_witness_by_sort(neighbors, sources, edge_idx, survivors)
+        want = _first_witness_by_sort(neighbors, sources, survivors)
     else:
-        want = (np.empty(0, np.int64), np.empty(0, np.int64))
-    w_src, w_edge = first_witness(neighbors, sources, edge_idx, survivors, n)
-    np.testing.assert_array_equal(w_src, want[0])
-    np.testing.assert_array_equal(w_edge, want[1])
+        want = np.empty(0, np.int64)
+    w_src = first_witness(neighbors, sources, survivors, n)
+    np.testing.assert_array_equal(w_src, want)
 
 
 @SETTINGS

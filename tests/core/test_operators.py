@@ -20,6 +20,7 @@ from repro.core.operators.fused import first_witness
 from repro.core.stats import OpStats
 from repro.graph.build import from_edges
 from repro.graph.csr import CsrGraph
+from repro.types import ID32, ID64, IdConfig
 
 
 @pytest.fixture
@@ -30,22 +31,30 @@ def diamond():
 
 class TestGather:
     def test_neighbors_and_sources(self, diamond):
-        nbrs, srcs, eidx = gather_neighbors(diamond, np.array([0]))
+        nbrs, srcs, vals = gather_neighbors(diamond, np.array([0]))
         assert sorted(nbrs.tolist()) == [1, 2]
         assert np.all(srcs == 0)
+        assert vals is None
 
     def test_multi_vertex_frontier(self, diamond):
-        nbrs, srcs, eidx = gather_neighbors(diamond, np.array([1, 2]))
+        nbrs, srcs, _ = gather_neighbors(diamond, np.array([1, 2]))
         assert sorted(nbrs.tolist()) == [0, 0, 3, 3]
         assert sorted(srcs.tolist()) == [1, 1, 2, 2]
 
-    def test_edge_indices_valid(self, diamond):
-        nbrs, srcs, eidx = gather_neighbors(diamond, np.array([0, 3]))
-        assert np.array_equal(diamond.col_indices[eidx], nbrs)
+    def test_values_follow_their_edges(self):
+        g = from_edges(4, [(0, 1), (0, 2), (3, 1)], undirected=False,
+                       values=[5.0, 7.0, 9.0])
+        nbrs, srcs, vals = gather_neighbors(
+            g, np.array([3, 0]), need_values=True
+        )
+        assert nbrs.tolist() == [1, 1, 2]
+        assert srcs.tolist() == [3, 0, 0]
+        assert vals.dtype == g.values.dtype
+        assert vals.tolist() == [9.0, 5.0, 7.0]
 
     def test_empty_frontier(self, diamond):
-        nbrs, srcs, eidx = gather_neighbors(diamond, np.array([], np.int64))
-        assert nbrs.size == srcs.size == eidx.size == 0
+        nbrs, srcs, _ = gather_neighbors(diamond, np.array([], np.int64))
+        assert nbrs.size == srcs.size == 0
 
     def test_isolated_vertex(self):
         g = from_edges(3, [(0, 1)])
@@ -59,13 +68,21 @@ class TestGather:
 
     @pytest.mark.parametrize("frontier", [[0, 3], [1, 1, 2], []])
     def test_sources_skipped_on_request(self, diamond, frontier):
-        """A caller that reads no sources gets none built; neighbors and
-        edge indices are what they were."""
+        """A caller that reads no sources gets none built; the neighbors
+        are what they were."""
         frontier = np.array(frontier, np.int64)
-        nbrs, srcs, eidx = gather_neighbors(diamond, frontier)
-        n2, none, e2 = gather_neighbors(diamond, frontier, need_sources=False)
+        nbrs, srcs, _ = gather_neighbors(diamond, frontier)
+        n2, none, _ = gather_neighbors(diamond, frontier, need_sources=False)
         assert none is None and srcs is not None
-        assert np.array_equal(n2, nbrs) and np.array_equal(e2, eidx)
+        assert np.array_equal(n2, nbrs)
+
+    def test_unhosted_rows_gather_nothing(self, diamond):
+        """A row view's unhosted row has no edges, although the graph's
+        ``offsets64`` still spans the whole row there."""
+        view = diamond.rows(np.array([False, True, False, False]))
+        nbrs, srcs, _ = gather_neighbors(view, np.array([0, 1, 0, 3]))
+        assert nbrs.tolist() == [0, 3]
+        assert srcs.tolist() == [1, 1]
 
 
 class TestAdvancePush:
@@ -159,21 +176,21 @@ class TestFusion:
     def test_same_output_as_unfused(self, diamond):
         labels = np.full(4, -1, np.int64)
         labels[0] = 0
-        fused, fsrc, _, fstats = fused_advance_filter(
+        fused, fsrc, fstats = fused_advance_filter(
             diamond, np.array([0]), labels.copy(), -1
         )
-        nbrs, srcs, eidx, _ = advance_push(diamond, np.array([0]))
+        nbrs, _, _, _ = advance_push(diamond, np.array([0]))
         unfused, _ = filter_unvisited(nbrs, labels.copy(), -1)
         assert np.array_equal(fused, unfused)
 
     def test_witness_sources_valid(self, diamond):
         labels = np.full(4, -1, np.int64)
         labels[0] = 0
-        out, srcs, eidx, _ = fused_advance_filter(
+        out, srcs, _ = fused_advance_filter(
             diamond, np.array([0]), labels, -1
         )
+        assert sorted(out.tolist()) == [1, 2]
         assert np.all(srcs == 0)
-        assert np.array_equal(diamond.col_indices[eidx], out)
 
     def test_no_witness_same_survivors_and_stats(self, diamond, monkeypatch):
         """``witness=False`` (BFS without predecessors) asks the advance
@@ -198,32 +215,29 @@ class TestFusion:
         )
         assert asked == [True, False]
         assert np.array_equal(without[0], with_w[0])
-        assert without[1] is None and without[2] is None
-        assert without[3] == with_w[3]
+        assert without[1] is None
+        assert without[2] == with_w[2]
 
     def test_fewer_launches_and_bytes(self, diamond):
         labels = np.full(4, -1, np.int64)
-        nbrs, srcs, eidx, a = advance_push(diamond, np.array([0]))
+        nbrs, _, _, a = advance_push(diamond, np.array([0]))
         _, f = filter_unvisited(nbrs, labels.copy(), -1)
-        _, _, _, fused = fused_advance_filter(
+        _, _, fused = fused_advance_filter(
             diamond, np.array([0]), labels.copy(), -1
         )
         assert fused.launches < a.launches + f.launches
         assert fused.streaming_bytes < a.streaming_bytes + f.streaming_bytes
 
     def test_first_witness_lowest_edge(self):
-        nbrs = np.array([5, 5, 5])
-        srcs = np.array([1, 2, 3])
-        eidx = np.array([10, 7, 20])
-        # stable sort by neighbor keeps input order; first occurrence = srcs[0]
-        w_src, w_edge = first_witness(nbrs, srcs, eidx, np.array([5]), 6)
-        assert w_src.tolist() == [1]
-        assert w_edge.tolist() == [10]
+        nbrs = np.array([5, 3, 5, 5])
+        srcs = np.array([4, 0, 2, 3])
+        # the first occurrence in gather order wins: srcs[0]
+        w_src = first_witness(nbrs, srcs, np.array([5]), 6)
+        assert w_src.tolist() == [4]
 
     def test_first_witness_empty(self):
-        w_src, w_edge = first_witness(
-            np.array([1]), np.array([0]), np.array([0]), np.array([], np.int64),
-            2,
+        w_src = first_witness(
+            np.array([1]), np.array([0]), np.array([], np.int64), 2
         )
         assert w_src.size == 0
 
@@ -257,6 +271,89 @@ class TestCompute:
         out = np.array([1.0])
         segment_reduce_min(np.array([], np.int64), np.array([]), out)
         assert out.tolist() == [1.0]
+
+
+# -- the push gather equals the NumPy gather it replaced ---------------------
+
+
+def _gather_reference(csr, frontier):
+    """The NumPy gather ``csr_row_index`` replaced: every edge's index is
+    a repeat of its row's base plus an ``arange``, and the columns,
+    sources and values are read through it."""
+    frontier = np.asarray(frontier, dtype=np.int64)
+    starts = csr.starts64[frontier]
+    counts = csr.ends64[frontier] - starts
+    seg_base = np.repeat(starts + counts - np.cumsum(counts), counts)
+    edge_idx = seg_base + np.arange(int(counts.sum()), dtype=np.int64)
+    return (csr.cols64[edge_idx], np.repeat(frontier, counts),
+            csr.values[edge_idx])
+
+
+def _assert_gather_equals_reference(csr, frontier):
+    want_nbrs, want_srcs, want_vals = _gather_reference(csr, frontier)
+    for need_sources in (False, True):
+        for need_values in (False, True):
+            nbrs, srcs, vals = gather_neighbors(
+                csr, frontier, need_sources=need_sources,
+                need_values=need_values,
+            )
+            assert nbrs.dtype == np.int64
+            np.testing.assert_array_equal(nbrs, want_nbrs)
+            if need_sources:
+                np.testing.assert_array_equal(srcs, want_srcs)
+            else:
+                assert srcs is None
+            if need_values:
+                assert vals.dtype == csr.values.dtype
+                np.testing.assert_array_equal(vals, want_vals)
+            else:
+                assert vals is None
+
+
+class TestGatherEqualsNumpyGather:
+    @given(
+        degrees=st.lists(st.integers(0, 12), min_size=1, max_size=30),
+        width=st.sampled_from((ID32, ID64)),
+        value_dtype=st.sampled_from((np.float32, np.float64)),
+        view=st.booleans(),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property(self, degrees, width, value_dtype, view, seed, data):
+        """Both sub-graph kinds, a frontier with repeats, zero-degree and
+        (for a row view) unhosted rows, and rows whose columns repeat."""
+        rng = np.random.default_rng(seed)
+        n = len(degrees)
+        offsets = np.concatenate([[0], np.cumsum(degrees)])
+        # columns from at most four vertices: multi-edges in most rows
+        cols = rng.integers(0, min(n, 4), int(offsets[-1]))
+        ids = IdConfig(width.vertex_dtype, width.size_dtype, value_dtype)
+        graph = CsrGraph(n, offsets, cols, rng.random(cols.size) * 64,
+                         ids=ids)
+        csr = graph.rows(rng.random(n) < 0.6) if view else graph
+        frontier = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), max_size=40)),
+            dtype=width.vertex_dtype,
+        )
+        _assert_gather_equals_reference(csr, frontier)
+
+    def test_duplicate_all_views_of_rmat(self, small_rmat):
+        from repro.graph.build import add_random_weights
+        from repro.partition import PartitionResult, build_subgraphs
+        from repro.partition.duplication import DUPLICATE_ALL
+
+        graph = add_random_weights(small_rmat, 1, 64, seed=2)
+        rng = np.random.default_rng(5)
+        n = graph.num_vertices
+        part = PartitionResult.from_assignment(
+            rng.integers(0, 3, n).astype(np.int32), 3
+        )
+        subs = build_subgraphs(graph, part, DUPLICATE_ALL)
+        for csr in [graph] + [sub.csr for sub in subs]:
+            for density in (0.0, 0.01, 0.2, 1.0):
+                frontier = np.flatnonzero(rng.random(n) < density)
+                _assert_gather_equals_reference(csr, frontier)
 
 
 # -- the pull reads only what it charges for ----------------------------------

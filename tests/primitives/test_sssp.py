@@ -137,11 +137,14 @@ def _relax_every_copy(ctx, frontier, mark_predecessors):
     from repro.core.stats import OpStats
 
     dist, csr = ctx.slice["dist"], ctx.sub.csr
-    nbrs, srcs, eidx, a_stats = advance_push(
+    nbrs, srcs, _, a_stats = advance_push(
         csr, frontier, ids_bytes=ctx.ids_bytes
     )
     if nbrs.size == 0:
         return np.empty(0, dtype=np.int64), [a_stats]
+    eidx = np.concatenate(
+        [np.arange(csr.starts64[v], csr.ends64[v]) for v in frontier]
+    )
     cand = np.asarray(dist)[srcs] + csr.values[eidx]
     before = np.array(dist)
     np.minimum.at(dist, nbrs, cand)
