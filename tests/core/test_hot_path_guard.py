@@ -213,16 +213,17 @@ def test_segment_reduce_min_indexes_the_edge_list_once():
 # does any work is most of the run.  The charge ledger prices every
 # OpStats through ``KernelModel.op_seconds`` and reaches the compute
 # stream once per GPU per superstep; empty frontiers are neither split
-# nor packaged.  This run measures 312.6 calls per 4-GPU superstep on the
-# one superstep path every run takes, armed or not, and the call budget
-# sits below 312.6 plus one call per GPU-superstep, so a call added to
-# that path fails here.  The
+# nor packaged.  This run measures 303.24 calls per 4-GPU superstep on
+# the one superstep path every run takes, armed or not (312.6 before
+# every push gathered its rows in one compiled call), and the call
+# budget sits below 303.24 plus one call per GPU-superstep, so a call
+# added to that path fails here.  The
 # cost-model budgets sit ~15 % above 3.1 ``op_seconds`` and 1.5
 # ``launch_many`` per GPU-superstep (one flush, plus one per message
 # sent).  The loop before the ledger made 641 calls, and 4.6
 # ``Stream.launch`` per GPU-superstep under its 3.1 ``kernel_time``.
 
-PY_CALLS_PER_SUPERSTEP = 315
+PY_CALLS_PER_SUPERSTEP = 307
 COST_MODEL_CALLS_PER_GPU_SUPERSTEP = 3.6
 STREAM_CALLS_PER_GPU_SUPERSTEP = 1.75
 
