@@ -269,8 +269,8 @@ def run_chaos_case(
         if not recorder.dumps:
             # enact()'s own hook only covers ReproError; anything else
             # (or an error before enact) still deserves forensics
-            recorder.dump("cell-exception", error=exc,
-                          faults=machine.faults)
+            recorder.on_error("cell-exception", error=exc,
+                              faults=machine.faults)
         return ChaosResult(
             primitive, num_gpus, kind, backend, ok=False,
             detail=f"{type(exc).__name__}: {exc}",
@@ -342,8 +342,8 @@ def run_chaos_case(
         detail = event_mismatch
     ok = same and recovered and not event_mismatch
     if not ok:
-        recorder.dump("cell-failure", faults=machine.faults,
-                      detail=detail)
+        recorder.on_error("cell-failure", faults=machine.faults,
+                          detail=detail)
     recovery["flight_dumps"] = len(recorder.dumps)
     return ChaosResult(
         primitive, num_gpus, kind, backend,

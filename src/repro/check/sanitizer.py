@@ -10,8 +10,8 @@ verifies both halves at runtime:
 
 * every per-GPU slice array is wrapped in a :class:`ShadowArray` that
   attributes reads and writes to the *currently executing* virtual GPU
-  (the enactor brackets each GPU's turn with
-  :meth:`BspSanitizer.begin_gpu`/:meth:`~BspSanitizer.end_gpu`);
+  (the sanitizer is an enactor observer, whose superstep hooks
+  bracket each GPU's turn);
 * an access to an array owned by a *different* GPU's slice is flagged
   immediately — that is peer state read (``SAN201``) or mutated
   (``SAN202``) mid-superstep, data that did not arrive through the last
@@ -23,7 +23,7 @@ verifies both halves at runtime:
   write-write hazard (``SAN203``).
 
 A GPU turn's findings go to its own :class:`_GpuStage`, which the
-enactor carries to the barrier in the GPU's ``GpuStepEffects``.
+enactor carries to the merge in the GPU's ``GpuStepEffects.stages``.
 
 Opt-in via ``Enactor(..., sanitize=True)`` or ``repro run --sanitize``;
 benchmarks stay unperturbed because unwrapped runs share no code with
@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
+
+from ..core.observer import Observer
 
 __all__ = ["Hazard", "ShadowArray", "BspSanitizer"]
 
@@ -164,12 +166,10 @@ class _GpuStage:
 
     A ``processes`` worker finds the hazards of its own GPUs, so
     mid-superstep findings cannot append to one shared list.  Each GPU
-    turn accumulates into its own stage, which :meth:`BspSanitizer.end_gpu`
-    hands to the GPU's ``GpuStepEffects`` — the object that already
-    stages the superstep's other cross-GPU effects, ships inside a
-    worker's reply and is dropped at a rollback.
-    :meth:`BspSanitizer.on_barrier` merges the stages in GPU-index order,
-    reproducing exactly what the serial loop's interleaved appends would
+    turn accumulates into its own stage, which rides the GPU's
+    ``GpuStepEffects.stages`` — out of a worker's reply too — to
+    :meth:`BspSanitizer.on_effects`, which merges the stages in
+    GPU-index order: what the serial loop's interleaved appends would
     have produced.
     """
 
@@ -180,32 +180,22 @@ class _GpuStage:
     seen: Set[tuple] = field(default_factory=set)
 
 
-class BspSanitizer:
+class BspSanitizer(Observer):
     """Records per-(GPU, superstep) accesses and checks the contract.
 
     Construction wraps every array of every :class:`DataSlice` in the
-    problem; the enactor then brackets execution::
-
-        san.start_run()
-        for superstep:
-            for i in gpus:  # possibly in worker processes
-                san.begin_gpu(i, superstep)
-                ...hooks run...
-                effects[i].san = san.end_gpu()
-            san.on_barrier(superstep, effects)
-
-    ``_gpu`` is the virtual GPU whose turn is open (None outside turns)
-    and ``_stage`` its stage.  ``hazards`` accumulates per
-    :meth:`start_run`; :meth:`report` returns them as dicts for
-    metrics/CLI consumption.
+    problem; the enactor's observer hooks then bracket each GPU's turn
+    (possibly in a worker process), merge the turns' stages and check
+    them at the barrier.  ``_gpu`` is the virtual GPU whose turn is open
+    (None outside turns) and ``_stage`` its stage.  ``hazards``
+    accumulates per run; :meth:`end_run` puts them in the metrics as
+    dicts.
     """
 
     def __init__(self, problem) -> None:
         self.problem = problem
         self.hazards: List[Hazard] = []
-        self._gpu: Optional[int] = None
-        self._stage: Optional[_GpuStage] = None
-        self._superstep = -1
+        self.begin_run(None, None)
         self._safe: Dict[str, bool] = {
             name: comb is not None and comb.order_independent
             for name, comb in problem.state.arrays.items()
@@ -215,36 +205,41 @@ class BspSanitizer:
                 ds.arrays[name] = ShadowArray.wrap(arr, self, gpu, name)
         problem._sanitizer = self  # reachable from run_* convenience returns
 
-    # -- enactor protocol ---------------------------------------------------
-    def start_run(self) -> None:
+    # -- the observer hooks ------------------------------------------------
+    def begin_run(self, enactor, metrics) -> None:
         self.hazards.clear()
-        self._gpu = None
-        self._stage = None
+        self._gpu: Optional[int] = None
+        self._stage: Optional[_GpuStage] = None
         self._superstep = -1
+        #: array name -> gpu -> this superstep's merged written chunks
+        self._pending: Dict[str, Dict[int, List[np.ndarray]]] = {}
+        #: hazards already reported as instants
+        self._reported = 0
 
-    def begin_gpu(self, gpu: int, superstep: int) -> None:
+    def on_superstep_start(self, gpu, iteration, vt, frontier) -> None:
         self._gpu = gpu
         self._stage = _GpuStage()
-        self._superstep = superstep
+        self._superstep = iteration
 
-    def end_gpu(self) -> _GpuStage:
-        """Close the GPU's turn; return its stage for the barrier."""
+    def on_superstep_end(self, vt: float, eff) -> _GpuStage:
+        """Close the GPU's turn; return its stage for the merge."""
         stage = self._stage
         self._gpu = None
         self._stage = None
         return stage
 
-    def on_barrier(self, superstep: int, results) -> None:
-        """Merge the stages that ``results`` (the superstep's
-        ``GpuStepEffects``, in GPU-index order) carry in ``san`` —
-        reproducing the serial append order — and check logged writes
-        for replicated WW races."""
-        pending: Dict[str, Dict[int, List[np.ndarray]]] = {}
-        for eff in results:
-            stage = eff.san
-            self.hazards.extend(stage.hazards)
-            for name, chunks in stage.pending.items():
-                pending.setdefault(name, {})[eff.gpu] = chunks
+    def on_effects(self, eff, stage: _GpuStage) -> None:
+        """Merge one GPU's stage; the merge runs in GPU-index order,
+        which reproduces the serial append order."""
+        self.hazards.extend(stage.hazards)
+        for name, chunks in stage.pending.items():
+            self._pending.setdefault(name, {})[eff.gpu] = chunks
+
+    def on_barrier(self, enactor, iteration: int, rec) -> None:
+        """Check the superstep's logged writes for replicated WW races,
+        then emit every hazard it found as a ``sanitizer.hazard``
+        instant."""
+        pending, self._pending = self._pending, {}
         for name, per_gpu in pending.items():
             writers = {g: idx for g, idx in per_gpu.items() if idx}
             if len(writers) < 2:
@@ -272,7 +267,7 @@ class BspSanitizer:
                     hazard_id="SAN203",
                     name="unsafe-concurrent-write",
                     array=name,
-                    superstep=superstep,
+                    superstep=iteration,
                     gpus=tuple(sorted(writers)),
                     vertices=tuple(
                         int(v) for v in conflicted[:_SAMPLE]
@@ -287,9 +282,16 @@ class BspSanitizer:
                     extra={"combiner": desc},
                 )
             )
+        vt = enactor.machine.clock.now
+        for hz in self.hazards[self._reported:]:
+            enactor.emit(
+                "sanitizer.hazard", vt=vt, hazard=hz.hazard_id,
+                array=hz.array, superstep=hz.superstep,
+            )
+        self._reported = len(self.hazards)
 
-    def report(self) -> List[dict]:
-        return [h.to_dict() for h in self.hazards]
+    def end_run(self, metrics) -> None:
+        metrics.sanitizer_hazards = [h.to_dict() for h in self.hazards]
 
     # -- ShadowArray callbacks ---------------------------------------------
     def _on_read(self, arr: "ShadowArray", key) -> None:

@@ -21,7 +21,7 @@ pluggable policy:
   arrays — is written to the GPU's exchange segment where another
   process reads it and crosses the pipe as descriptors (as sizes
   otherwise: "Run protocol" below); the rest of its
-  :class:`GpuStepEffects` — staged tracer and sanitizer records
+  :class:`GpuStepEffects` — the observers' stages
   included — travels as a flat tuple with a small sidecar (stream
   horizons, memory accounting when it changed, fault consumption,
   declared per-GPU attribute mutations) that the parent replays at the
@@ -61,8 +61,8 @@ rebuild its replica in place with the code the parent runs
 rebuild.  Workers are re-forked only where that is required: for a
 supervised respawn-and-replay, after a worker error or a failed
 handshake, and when :func:`_fork_token` shows that something a worker
-captured at fork time and no message re-ships — fault plan, tracer,
-sanitizer, recorder, supervisor, recovery policy — differs from what
+captured at fork time and no message re-ships — fault plan,
+observers, supervision config, recovery policy — differs from what
 the parent now holds.
 
 **Run protocol.**  The parent does not lead every superstep: it grants
@@ -104,8 +104,8 @@ the rule, if anything reads their contents.
 
 The horizon is ``first`` — lockstep: one superstep per request, no
 mailbox, no barrier — under supervision, whose respawn-and-replay and
-digests work superstep by superstep.  An attached tracer or sanitizer
-changes nothing here: its staged records ride the
+digests work superstep by superstep.  Any other attached observer
+changes nothing here: its stages ride the
 :class:`GpuStepEffects` of every superstep the log holds.  Otherwise
 the horizon is the next superstep a
 checkpoint is due at, or ``max_iterations()`` — or, with a fault plan
@@ -217,12 +217,10 @@ class GpuStepEffects:
     retry_seconds: float = 0.0
     #: allocation failures survived by exact-fit regrown allocation
     oom_recoveries: int = 0
-    #: the tracer's records staged in this superstep
-    #: (``Tracer.end_gpu``), committed by the merge; None untraced
-    trace: Optional[list] = None
-    #: the sanitizer's stage of this superstep (``BspSanitizer.end_gpu``),
-    #: merged at the barrier; None unsanitized
-    san: object = None
+    #: each observer's stage of this superstep, in the enactor's
+    #: observer order (``Observer.on_superstep_end``), handed back at the
+    #: merge (``Observer.on_effects``); empty when nothing observes
+    stages: tuple = ()
 
 
 class ExecutionBackend:
@@ -325,14 +323,13 @@ def _fork_token(enactor, supervisor) -> tuple:
     A worker keeps the fault plan, the observers and the policies it
     was forked with for as long as it lives; ``begin_run`` compares this
     token with the one taken at the fork and re-forks on any difference
-    (a plan armed or edited, a tracer / sanitizer / recorder attached,
+    (a plan armed or edited, an observer attached or detached,
     supervision or the recovery policy changed between two ``enact()``).
     """
     inj = enactor.machine.faults
     return (
         inj, None if inj is None else inj.plan.to_json(),
-        enactor.tracer, enactor.sanitizer, enactor.recorder,
-        supervisor,
+        enactor._observers,
         None if supervisor is None else astuple(supervisor.config),
         astuple(enactor.recovery),
     )
@@ -1217,12 +1214,10 @@ class ProcessesBackend(ExecutionBackend):
                 loss = machine.faults.next_loss_at(iteration, gpu_indices)
                 if loss is not None:
                     horizon = min(horizon, loss)
-        tracer = enactor.tracer
-        if tracer is not None:
-            tracer.instant(
-                "backend.dispatch", backend=self.name,
-                supersteps=len(gpu_indices), workers=len(self._workers),
-            )
+        enactor.emit(
+            "backend.dispatch", backend=self.name,
+            supersteps=len(gpu_indices), workers=len(self._workers),
+        )
         payloads: Dict[int, tuple] = {}
         for w in range(len(self._workers)):
             if jobs[w]:
@@ -1297,12 +1292,10 @@ class ProcessesBackend(ExecutionBackend):
                 err = sup.integrity_error(g, iteration)
                 enactor.emit("worker.lost", vt=machine.clock.now, gpu=g,
                              iteration=iteration, reason="shm-integrity")
-                if enactor.recorder is not None:
-                    enactor.recorder.dump(
-                        "shm-integrity", error=err,
-                        heartbeats=self.heartbeat_ages(),
-                        faults=machine.faults,
-                    )
+                enactor.report_error(
+                    "shm-integrity", error=err,
+                    heartbeats=self.heartbeat_ages(), faults=machine.faults,
+                )
                 lost[g] = DeviceLostError(
                     str(err), gpu_id=g, iteration=iteration,
                     site="supervise.checksum",
@@ -1454,15 +1447,13 @@ class ProcessesBackend(ExecutionBackend):
         # values so RecoveryPolicy rolls back, reassigns onto the
         # survivors, and repartitions (the other workers rebuild their
         # replicas in the rehome that recovery triggers)
-        if enactor.recorder is not None:
-            # snapshot heartbeat ages *before* the worker is reaped —
-            # the stale slot is the whole story of a hang escalation
-            enactor.recorder.dump(
-                "supervisor-escalation", error=exc,
-                heartbeats=self.heartbeat_ages(),
-                faults=machine.faults,
-                worker=w, iteration=iteration,
-            )
+        # snapshot heartbeat ages *before* the worker is reaped — the
+        # stale slot is the whole story of a hang escalation
+        enactor.report_error(
+            "supervisor-escalation", error=exc,
+            heartbeats=self.heartbeat_ages(), faults=machine.faults,
+            worker=w, iteration=iteration,
+        )
         self._retire_worker(w)
         for g in wgpus:
             enactor.emit("worker.lost", vt=machine.clock.now, worker=w,

@@ -26,7 +26,7 @@ reports peak memory in the run metrics.
 from __future__ import annotations
 
 import functools
-from typing import List, Optional, Sequence, Type, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Type, Union
 
 import numpy as np
 
@@ -38,8 +38,7 @@ from ..errors import (
     ReproError,
     SimulationError,
 )
-from ..obs.recorder import FlightRecorder
-from ..obs.tracer import COMM_TRACK, Tracer
+from ..obs.tracer import COMM_TRACK
 from ..partition.base import reassign_onto_survivors
 from ..sim.machine import Machine
 from ..sim.memory import AllocationScheme, PreallocFusion
@@ -69,29 +68,41 @@ from .problem import ProblemBase
 from .stats import OpStats
 from .supervise import SupervisionConfig, WorkerSupervisor
 
+if TYPE_CHECKING:
+    from ..obs.recorder import FlightRecorder
+    from ..obs.tracer import Tracer
+
 __all__ = ["Enactor"]
 
 
-def _dump_on_repro_error(fn):
-    """Flight-recorder hook for ``enact``: a framework error escaping
-    the run triggers a crash dump before propagating.
+def _observed(fn):
+    """The observer plumbing of ``enact`` (docs/observability.md,
+    "Observers"): collect the run's observers into ``_observers`` in
+    hook order — supervisor, tracer, sanitizer, recorder — and hand a
+    framework error escaping the run to their ``on_error`` (the flight
+    recorder dumps a crash report) before it propagates.
 
-    A decorator (rather than code inside ``enact``) so ``enact``'s body
-    stays the superstep loop alone, and so the recorder can never alter
-    control flow — the exception is always re-raised as-is.
+    A decorator, so ``enact``'s body stays the superstep loop alone and
+    an observer can never alter control flow — the exception is always
+    re-raised as-is.  The tuple is rebuilt at every run (an observer
+    attached between runs takes part in the next) by a plain loop,
+    which makes no Python call.  Forked workers inherit it, and the
+    processes backend re-forks them when it changes.
     """
 
     @functools.wraps(fn)
     def wrapper(self, **reset_kwargs):
+        observers = ()
+        for obs in (self.supervisor, self.tracer, self.sanitizer,
+                    self.recorder):
+            if obs is not None:
+                observers += (obs,)
+        self._observers = observers
         try:
             return fn(self, **reset_kwargs)
         except ReproError as exc:
-            recorder = self.recorder
-            if recorder is not None:
-                recorder.dump(
-                    "enact-error", error=exc,
-                    faults=self.machine.faults,
-                )
+            self.report_error("enact-error", error=exc,
+                              faults=self.machine.faults)
             raise
 
     return wrapper
@@ -191,12 +202,8 @@ class Enactor:
         combines.  Results are unchanged; communication-bound primitives
         (DOBFS) get faster.
     sanitize:
-        Opt-in BSP race sanitizer (``repro.check.sanitizer``): wraps the
-        problem's slice arrays in shadow memory, attributes every access
-        to the executing virtual GPU, and reports contract hazards
-        (mid-superstep peer access, non-combinable write-write races) in
-        ``self.sanitizer.hazards`` and ``metrics.sanitizer_hazards``.
-        Off by default so benchmarks stay unperturbed.
+        Attach the BSP race sanitizer (``repro.check.sanitizer``), an
+        observer: docs/observability.md, "Observers".
     backend:
         Execution backend dispatching the per-GPU supersteps
         (``repro.core.backend``): ``"serial"`` (default) runs them in
@@ -214,34 +221,16 @@ class Enactor:
         :class:`~repro.core.checkpoint.RecoveryPolicy` knobs for retry /
         backoff / rollback limits (default: the documented defaults).
     tracer:
-        Opt-in :class:`~repro.obs.tracer.Tracer` (docs/observability.md):
-        records per-GPU spans on the virtual and wall clocks plus a
-        structured event stream.  A pure observer — traced runs are
-        bit-identical (results and metrics) to untraced runs on both
-        backends.  ``None`` (the default) costs one pointer check per
-        hook site and no Python call, the ``sim/faults.py`` discipline
-        (``tests/core/test_hot_path_guard.py`` holds the per-superstep
-        call budget); attached, it also makes the superstep's charge
-        ledger apply every charge as it is made (a span needs its op's
-        start time).
+        An optional :class:`~repro.obs.tracer.Tracer`, an observer:
+        docs/observability.md, "Observers".
     supervision:
-        A :class:`~repro.core.supervise.SupervisionConfig`
-        (``SupervisionConfig()`` for the defaults) enables the
-        real-process supervision layer (:mod:`repro.core.supervise`,
-        docs/robustness.md): heartbeats, adaptive per-superstep
-        deadlines, shm checksums, and the respawn-then-rollback
-        escalation policy for the processes backend's worker pool.
-        Requires ``backend="processes"``; incompatible with
-        ``sanitize=True``.
+        A :class:`~repro.core.supervise.SupervisionConfig` attaches the
+        worker supervisor (docs/robustness.md), an observer:
+        docs/observability.md, "Observers".  Requires
+        ``backend="processes"``; incompatible with ``sanitize=True``.
     flight_recorder:
-        Optional :class:`~repro.obs.recorder.FlightRecorder` — the
-        always-on crash-forensics tier (docs/observability.md).  Keeps
-        a bounded ring of recent events/superstep summaries and dumps
-        a crash report when the supervisor escalates a worker failure
-        or a :class:`~repro.errors.ReproError` escapes ``enact()``.
-        Like the tracer it is a pure observer behind a ``recorder is
-        None`` fast path; unlike the tracer its memory is O(capacity),
-        so production runs can leave it attached.
+        An optional :class:`~repro.obs.recorder.FlightRecorder`, an
+        observer: docs/observability.md, "Observers".
     """
 
     def __init__(
@@ -263,10 +252,10 @@ class Enactor:
         self._closed = False
         self.problem = problem
         self.machine: Machine = problem.machine
-        #: the observers; the backend and the supervisor reach them
-        #: through the enactor (:meth:`emit`)
         self.tracer = tracer
         self.recorder = flight_recorder
+        #: this run's observers, in hook order (:func:`_observed`)
+        self._observers: tuple = ()
         self._alloc_prefix = getattr(problem, "alloc_prefix", problem.name)
         self.iteration_cls = iteration_cls
         self.scheme = scheme or PreallocFusion()
@@ -461,7 +450,6 @@ class Enactor:
         machine = self.machine
         problem = self.problem
         n = machine.num_gpus
-        sanitizer = self.sanitizer
         tracer = self.tracer
         ctx = self._contexts[i]
         ctx.iteration = iteration
@@ -477,16 +465,9 @@ class Enactor:
             inj.begin_superstep(i, iteration)
             straggle = inj.straggler_factor(i, iteration)
         eff = GpuStepEffects(gpu=i)
-        if sanitizer is not None:
-            sanitizer.begin_gpu(i, iteration)
-        if tracer is not None:
-            tracer.begin_gpu(i, iteration)
-            _vt0 = compute.available_at
-            _wall0 = tracer.wall()
-            tracer.instant(
-                "superstep.begin", vt=_vt0, gpu=i, iteration=iteration,
-                frontier=int(frontier_in.size),
-            )
+        for obs in self._observers:
+            obs.on_superstep_start(i, iteration, compute.available_at,
+                                   frontier_in)
         ledger = _ChargeLedger(i, compute, machine.kernel_model, tracer)
         # per-iteration framework overhead (bookkeeping kernels,
         # driver API calls) — the 1-GPU part of Section V-B's l
@@ -668,20 +649,8 @@ class Enactor:
 
         eff.compute_seconds = compute_seconds
         eff.comm_seconds = comm_seconds
-        if tracer is not None:
-            _vt1 = compute.available_at
-            tracer.span(
-                "superstep", f"superstep {iteration}", _vt0, _vt1 - _vt0,
-                track=i, wall_start=_wall0, wall_dur=tracer.wall() - _wall0,
-                frontier=eff.frontier_size, edges=int(eff.edges_visited),
-            )
-            tracer.instant(
-                "superstep.end", vt=_vt1, gpu=i, iteration=iteration,
-                out=int(eff.frontier.size),
-            )
-            eff.trace = tracer.end_gpu()
-        if sanitizer is not None:
-            eff.san = sanitizer.end_gpu()
+        for obs in self._observers:
+            eff.stages += (obs.on_superstep_end(compute.available_at, eff),)
         return eff
 
     # ------------------------------------------------------------------
@@ -727,14 +696,22 @@ class Enactor:
         machine.barrier(tracer=self.tracer)
         return dur
 
-    def emit(self, type_: str, vt: float, **fields) -> None:
-        """Send one instant event to the tracer and the flight recorder,
-        whichever is attached.  The rollback, the checkpoint and the
-        processes backend's supervision report through it."""
-        if self.tracer is not None:
-            self.tracer.instant(type_, vt=vt, **fields)
-        if self.recorder is not None:
-            self.recorder.record(type_, vt=vt, **fields)
+    def emit(self, type_: str, vt: Optional[float] = None,
+             **fields) -> None:
+        """Send one instant event to every observer (the tracer and
+        the flight recorder record it).  The rollback, the checkpoint,
+        the sanitizer's hazards and the processes backend's dispatch
+        and supervision report through it."""
+        for obs in self._observers:
+            obs.instant(type_, vt=vt, **fields)
+
+    def report_error(self, reason: str, **fields) -> None:
+        """Send one failure to every observer's ``on_error`` (the
+        flight recorder dumps a crash report): an error escaping
+        ``enact()``, and the processes backend's shm-integrity failures
+        and supervisor escalations."""
+        for obs in self._observers:
+            obs.on_error(reason, **fields)
 
     def _recover_gpu_loss(
         self,
@@ -868,18 +845,18 @@ class Enactor:
         )
 
     # ------------------------------------------------------------------
-    @_dump_on_repro_error
+    @_observed
     def enact(self, **reset_kwargs) -> RunMetrics:
         """Run the primitive to convergence; returns the run's metrics."""
         problem = self.problem
         machine = self.machine
         n = machine.num_gpus
         iteration_obj = self.iteration_cls(problem)
-        sanitizer = self.sanitizer
+        observers = self._observers
         protected = (
             machine.faults is not None or self.checkpoint_every is not None
         )
-        if sanitizer is not None and protected:
+        if self.sanitizer is not None and protected:
             raise SimulationError(
                 "sanitize=True cannot be combined with fault injection or "
                 "checkpointing: shadow-memory wrappers do not survive a "
@@ -898,13 +875,13 @@ class Enactor:
             )
         init_frontiers = problem.reset(**reset_kwargs)
         machine.reset()
-        if self.supervisor is not None:
-            self.supervisor.begin_run()
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.begin_run(problem.name, n, self.backend.name)
-        if sanitizer is not None:
-            sanitizer.start_run()
+        metrics = RunMetrics(
+            num_gpus=n,
+            primitive=problem.name,
+            scale=machine.scale,
+        )
+        for obs in observers:
+            obs.begin_run(self, metrics)
         for g in machine.gpus:
             g.memory.reset_peak()
         # last: a backend with live workers ships them the per-run
@@ -915,15 +892,6 @@ class Enactor:
             np.asarray(f, dtype=np.int64) for f in init_frontiers
         ]
         inboxes: List[List[tuple]] = [[] for _ in range(n)]
-        metrics = RunMetrics(
-            num_gpus=n,
-            primitive=problem.name,
-            scale=machine.scale,
-        )
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.begin_run(problem.name, n, self.backend.name)
-            recorder.set_metrics(metrics)
         self._last_checkpoint = None
         if protected:
             # baseline checkpoint at "iteration -1": the post-reset state,
@@ -931,7 +899,6 @@ class Enactor:
             self._take_checkpoint(-1, frontiers, inboxes, metrics)
 
         iteration = 0
-        last_dirs: dict = {}
         while True:
             if iteration > iteration_obj.max_iterations():
                 raise ConvergenceError(
@@ -962,10 +929,10 @@ class Enactor:
 
             # merge staged cross-GPU effects in GPU-index order — the
             # exact mutation order of the old serial loop, so records,
-            # inbox ordering, traffic counters and the tracer's staged
-            # spans/events (committed here, before the barrier instant)
-            # are bit-identical no matter where the supersteps ran
-            switches: List[tuple] = []
+            # inbox ordering, traffic counters and the observers' stages
+            # (the tracer's spans and events are committed here, before
+            # the barrier instant) are bit-identical no matter where the
+            # supersteps ran
             for eff in results:
                 i = eff.gpu
                 if eff.comm_compute_items is not None:
@@ -974,13 +941,8 @@ class Enactor:
                 rec.edges_visited[i] = eff.edges_visited
                 rec.vertices_processed[i] = eff.vertices_processed
                 rec.direction = eff.direction or rec.direction
-                if tracer is not None:
-                    tracer.commit(eff.trace)
-                    if eff.direction:
-                        prev = last_dirs.get(i)
-                        last_dirs[i] = eff.direction
-                        if prev is not None and prev != eff.direction:
-                            switches.append((i, prev, eff.direction))
+                for obs, stage in zip(observers, eff.stages):
+                    obs.on_effects(eff, stage)
                 if eff.sends:
                     rec.items_sent[i] = eff.items_sent
                     rec.bytes_sent[i] = eff.bytes_sent
@@ -993,29 +955,12 @@ class Enactor:
                 metrics.oom_recoveries += eff.oom_recoveries
 
             inboxes, stop = self.barrier(
-                iteration, iteration_obj, results, frontiers, tracer
+                iteration, iteration_obj, results, frontiers, self.tracer
             )
-            if tracer is not None:
-                for g, before, after in switches:
-                    tracer.instant(
-                        "direction.switch", vt=machine.clock.now,
-                        gpu=g, iteration=iteration,
-                        before=before, after=after,
-                    )
-            if sanitizer is not None:
-                hazard_mark = len(sanitizer.hazards)
-                sanitizer.on_barrier(iteration, results)
-                if tracer is not None:
-                    for hz in sanitizer.hazards[hazard_mark:]:
-                        tracer.instant(
-                            "sanitizer.hazard", vt=machine.clock.now,
-                            hazard=hz.hazard_id, array=hz.array,
-                            superstep=hz.superstep,
-                        )
             rec.duration = machine.clock.now - iter_start
             metrics.iterations.append(rec)
-            if recorder is not None:
-                recorder.on_superstep(iteration, machine.clock.now, rec)
+            for obs in observers:
+                obs.on_barrier(self, iteration, rec)
             if stop:
                 self.backend.end_run(iteration)
                 break
@@ -1033,20 +978,8 @@ class Enactor:
         for i in self._alive:
             metrics.peak_memory[i] = machine.gpus[i].memory.peak
             metrics.num_reallocs += machine.gpus[i].memory.num_reallocs
-        if sanitizer is not None:
-            metrics.sanitizer_hazards = sanitizer.report()
-        if self.supervisor is not None:
-            sup = self.supervisor
-            metrics.worker_respawns = sup.worker_respawns
-            metrics.supersteps_replayed = sup.supersteps_replayed
-            metrics.hang_detections = sup.hang_detections
-            metrics.supervision_overhead_seconds = sup.overhead_seconds
-        if tracer is not None:
-            tracer.end_run(
-                vt=metrics.elapsed,
-                elapsed=metrics.elapsed,
-                supersteps=len(metrics.iterations),
-            )
+        for obs in observers:
+            obs.end_run(metrics)
         return metrics
 
     def _release_buffers(self) -> None:

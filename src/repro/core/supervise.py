@@ -71,6 +71,7 @@ from ..errors import (
     WorkerCrashError,
     WorkerHangError,
 )
+from .observer import Observer
 
 __all__ = [
     "SupervisionConfig",
@@ -329,12 +330,13 @@ def slice_checksum(data_slice) -> int:
 # the supervisor
 # ---------------------------------------------------------------------------
 
-class WorkerSupervisor:
+class WorkerSupervisor(Observer):
     """Policy + bookkeeping for supervising a real worker pool.
 
     Owned by the enactor (``Enactor(supervision=SupervisionConfig())``),
-    attached to the :class:`~repro.core.backend.ProcessesBackend`, which
-    consults it at every dispatch.  The supervisor itself never touches
+    which runs it as its first observer, and attached to the
+    :class:`~repro.core.backend.ProcessesBackend`, which consults it at
+    every dispatch.  The supervisor itself never touches
     pipes — the backend does the waiting via :func:`wait_for_reply` with
     the deadline/staleness parameters the supervisor computes — it owns
     the escalation *decisions*, the replay shadow, host-fault delivery,
@@ -344,6 +346,11 @@ class WorkerSupervisor:
 
     def __init__(self, config: SupervisionConfig):
         self.config = config
+        self.begin_run(None, None)
+
+    def begin_run(self, enactor, metrics) -> None:
+        """Reset per-run state (counters persist across rollbacks
+        within one run, not across runs)."""
         # counters mirrored into RunMetrics at run end
         self.worker_respawns = 0
         self.supersteps_replayed = 0
@@ -354,16 +361,11 @@ class WorkerSupervisor:
         self._failures: Dict[Tuple[int, int], int] = {}
         self._pending_corrupt: List = []
 
-    def begin_run(self) -> None:
-        """Reset per-run state (counters persist across rollbacks
-        within one run, not across runs)."""
-        self.worker_respawns = 0
-        self.supersteps_replayed = 0
-        self.hang_detections = 0
-        self.overhead_seconds = 0.0
-        self._ewma = None
-        self._failures = {}
-        self._pending_corrupt = []
+    def end_run(self, metrics) -> None:
+        metrics.worker_respawns = self.worker_respawns
+        metrics.supersteps_replayed = self.supersteps_replayed
+        metrics.hang_detections = self.hang_detections
+        metrics.supervision_overhead_seconds = self.overhead_seconds
 
     # -- deadlines -------------------------------------------------------
     def deadline(self) -> float:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_row_index
 
 from ..errors import GraphFormatError
 from ..types import ID32, IdConfig
@@ -365,13 +366,12 @@ class CsrRows:
         ``num_edges`` items, unless the view holds every edge."""
         if self.num_edges == self.cols64.size:
             return self.cols64
-        counts = self.out_degree()
-        rows = counts.nonzero()[0]
-        counts = counts[rows]
-        skip = self.starts64[rows] - (counts.cumsum() - counts)
-        base = skip.repeat(counts)
-        base += np.arange(self.num_edges, dtype=np.int64)
-        cols = self.cols64[base]
+        # the rows with edges only: an unhosted row has a whole row in
+        # ``offsets64`` (the gather of ``gather_neighbors``)
+        rows = self.out_degree().nonzero()[0]
+        cols = np.empty(self.num_edges, dtype=np.int64)
+        csr_row_index(rows.size, rows, self.offsets64, self.cols64,
+                      self.cols64, cols, cols)
         cols.setflags(write=False)
         return cols
 

@@ -8,13 +8,13 @@ ring of the most recent events plus a short window of per-superstep
 summaries, meant to be cheap enough to leave attached to every run.
 
 Appends never grow memory past the configured capacity — the deque's
-``maxlen`` drops the oldest entry in C — and every hook site follows
-the tracer's disabled-cost discipline: a plain attribute that is
-``None`` by default, guarded by a single ``if recorder is None`` check.
+``maxlen`` drops the oldest entry in C.  The recorder is an enactor
+observer (docs/observability.md, "Observers"): its ring holds every
+instant ``Enactor.emit`` sends and one ``superstep.end`` per superstep.
 
 When something goes wrong — the supervisor escalates a worker failure,
 a chaos cell fails, or a :class:`~repro.errors.ReproError` propagates
-out of ``enact()`` — :meth:`FlightRecorder.dump` snapshots the ring
+out of ``enact()`` — :meth:`FlightRecorder.on_error` snapshots the ring
 into a crash report: the last *k* superstep summaries, recent events,
 per-GPU worker heartbeat ages, the :class:`~repro.sim.metrics.RunMetrics`
 accumulated so far, and the fault plan's injection state.  The report
@@ -29,12 +29,13 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional
 
+from ..core.observer import Observer
 from .events import EVENT_SCHEMA_VERSION
 
 __all__ = ["FlightRecorder"]
 
 
-class FlightRecorder:
+class FlightRecorder(Observer):
     """Bounded ring buffer of recent run activity with crash dumps.
 
     Parameters
@@ -62,29 +63,28 @@ class FlightRecorder:
         self.num_gpus = 0
         self._wall0 = time.perf_counter()
 
-    # -- hooks (every caller guards with ``if recorder is None``) -------------
-    def begin_run(self, primitive: str, num_gpus: int,
-                  backend: str = "") -> None:
-        self.primitive = str(primitive)
-        self.backend = str(backend)
-        self.num_gpus = int(num_gpus)
-
-    def set_metrics(self, metrics) -> None:
-        """Remember the live RunMetrics so dumps can snapshot it."""
+    # -- the observer hooks ---------------------------------------------------
+    def begin_run(self, enactor, metrics) -> None:
+        """Remember the run and its live RunMetrics, which dumps
+        snapshot."""
+        self.primitive = str(metrics.primitive)
+        self.backend = str(enactor.backend.name)
+        self.num_gpus = int(metrics.num_gpus)
         self.metrics = metrics
 
-    def record(self, kind: str, vt: Optional[float] = None,
-               **fields) -> None:
+    def instant(self, type_: str, vt: Optional[float] = None,
+                **fields) -> None:
         """Append one event to the ring (drops the oldest at capacity)."""
-        rec: Dict[str, Any] = {"type": str(kind)}
+        rec: Dict[str, Any] = {"type": str(type_)}
         if vt is not None:
             rec["vt"] = float(vt)
         rec.update(fields)
         self.ring.append(rec)
         self.recorded += 1
 
-    def on_superstep(self, iteration: int, vt: float, rec) -> None:
+    def on_barrier(self, enactor, iteration: int, rec) -> None:
         """Keep a compact summary of one finished superstep."""
+        vt = enactor.machine.clock.now
         self.supersteps.append(
             {
                 "iteration": int(iteration),
@@ -95,15 +95,15 @@ class FlightRecorder:
                 "edges": int(sum(rec.edges_visited.values())),
             }
         )
-        self.record(
+        self.instant(
             "superstep.end", vt=vt, iteration=int(iteration),
             frontier=int(rec.frontier_size),
         )
 
     # -- crash reports --------------------------------------------------------
-    def dump(self, reason: str, error: Optional[BaseException] = None,
-             heartbeats: Optional[dict] = None, faults=None,
-             **extra) -> dict:
+    def on_error(self, reason: str, error: Optional[BaseException] = None,
+                 heartbeats: Optional[dict] = None, faults=None,
+                 **extra) -> dict:
         """Snapshot the ring into a crash report and return it.
 
         The report is shaped as a ``recorder.dump`` event record so it

@@ -13,26 +13,17 @@ track (:data:`COMM_TRACK`).  The tracer is a pure observer: it never
 launches work, never advances a stream, and never touches result
 arrays, so a traced run is bit-identical to an untraced one.
 
-Staging discipline: each GPU superstep is bracketed by
-:meth:`Tracer.begin_gpu` / :meth:`Tracer.end_gpu`.  Everything recorded
-inside the bracket is staged in a private list that ``end_gpu`` returns,
-and the enactor hands it on in that GPU's
-:class:`~repro.core.backend.GpuStepEffects` — the object that already
-stages every other cross-GPU effect of the superstep.  The enactor's
-merge commits the lists in GPU-index order (:meth:`Tracer.commit`), so
-the span and event streams are the same on every backend: a
-``processes`` worker's lists reach the parent inside the effects it
-ships.  A rolled-back superstep's effects are dropped, and its staged
-records with them, so event counts stay consistent with ``RunMetrics``
-recovery counters.
-
-Disabled-cost discipline (mirrors ``sim/faults.py``): every hook site in
-the framework holds a plain attribute that is ``None`` by default and
-guards the call with a single ``if tracer is None`` check.  The check
-costs no Python call, which is what keeps an untraced superstep inside
-``tests/core/test_hot_path_guard.py``'s per-superstep call budget and the
-benchmark's ``py_calls`` bound; an unguarded call fails at once, on
-``None``, in every untraced run.
+The tracer is an enactor observer (docs/observability.md,
+"Observers"): what a GPU's superstep records is staged between
+:meth:`Tracer.on_superstep_start` and :meth:`Tracer.on_superstep_end`,
+rides the GPU's ``GpuStepEffects.stages`` — out of a ``processes``
+worker too — and is committed by :meth:`Tracer.on_effects` in GPU-index
+order, so the span and event streams are the same on every backend and
+a rolled-back superstep's records are dropped with its effects.  Off
+the observer loops, the fine-grained hook sites (operators,
+communication, the machine) take the tracer as an argument that is
+``None`` untraced, behind one ``if tracer is None`` check: no Python
+call, so untraced runs keep their ``py_calls``.
 """
 
 from __future__ import annotations
@@ -40,6 +31,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+from ..core.observer import Observer
 
 __all__ = ["COMM_TRACK", "SUPERVISOR_TRACK", "Span", "Tracer"]
 
@@ -101,7 +94,7 @@ class Span:
         return rec
 
 
-class Tracer:
+class Tracer(Observer):
     """Collects :class:`Span` objects and structured events.
 
     Attach to a run by passing ``tracer=`` to the enactor (or the
@@ -125,6 +118,11 @@ class Tracer:
         self._record = self._commit
         self._gpu = 0
         self._iteration = -1
+        #: the open bracket's start on both clocks
+        self._turn = (0.0, 0.0)
+        #: gpu -> last traversal direction, and the merge's changes of it
+        self._last_dirs: Dict[int, str] = {}
+        self._switches: List[tuple] = []
         self._wall0 = time.perf_counter()
 
     # -- clocks ---------------------------------------------------------------
@@ -132,37 +130,73 @@ class Tracer:
         """Seconds of wall-clock time since the tracer was created."""
         return time.perf_counter() - self._wall0
 
-    # -- run / superstep brackets --------------------------------------------
-    def begin_run(self, primitive: str, num_gpus: int, backend: str = "") -> None:
+    # -- the observer hooks: run and superstep brackets ----------------------
+    def begin_run(self, enactor, metrics) -> None:
         # a run that raised mid-superstep never closed its bracket
         self._record = self._commit
-        self.primitive = str(primitive)
-        self.num_gpus = int(num_gpus)
-        self.backend = str(backend)
+        self._last_dirs = {}
+        self._switches = []
+        self.primitive = str(metrics.primitive)
+        self.num_gpus = int(metrics.num_gpus)
+        self.backend = str(enactor.backend.name)
+        self.instant("run.begin", vt=0.0, primitive=self.primitive,
+                     num_gpus=self.num_gpus, backend=self.backend)
+
+    def end_run(self, metrics) -> None:
         self.instant(
-            "run.begin",
-            vt=0.0,
-            primitive=self.primitive,
-            num_gpus=self.num_gpus,
-            backend=self.backend,
+            "run.end", vt=metrics.elapsed, elapsed=metrics.elapsed,
+            supersteps=len(metrics.iterations),
         )
 
-    def end_run(self, **fields) -> None:
-        self.instant("run.end", **fields)
-
-    def begin_gpu(self, gpu: int, iteration: int) -> None:
+    def on_superstep_start(self, gpu, iteration, vt, frontier) -> None:
         """Enter one GPU's superstep: stage what is recorded until
-        :meth:`end_gpu`."""
+        :meth:`on_superstep_end`, from its ``superstep.begin`` on."""
         self._staged = []
         self._record = self._staged.append
         self._gpu = int(gpu)
         self._iteration = int(iteration)
+        self._turn = (vt, self.wall())
+        self.instant(
+            "superstep.begin", vt=vt, gpu=gpu, iteration=iteration,
+            frontier=int(frontier.size),
+        )
 
-    def end_gpu(self) -> List[tuple]:
-        """Leave the superstep bracket; return what it staged, for the
-        GPU's ``GpuStepEffects`` to carry to the merge."""
+    def on_superstep_end(self, vt: float, eff) -> List[tuple]:
+        """Leave the bracket with its span and ``superstep.end``
+        instant; return what it staged."""
+        vt0, wall0 = self._turn
+        self.span(
+            "superstep", f"superstep {self._iteration}", vt0, vt - vt0,
+            track=self._gpu, wall_start=wall0, wall_dur=self.wall() - wall0,
+            frontier=eff.frontier_size, edges=int(eff.edges_visited),
+        )
+        self.instant(
+            "superstep.end", vt=vt, gpu=eff.gpu, iteration=self._iteration,
+            out=int(eff.frontier.size),
+        )
         self._record = self._commit
         return self._staged
+
+    def on_effects(self, eff, stage: List[tuple]) -> None:
+        """Commit one GPU's staged records (the merge runs in GPU-index
+        order) and note a change of its traversal direction."""
+        for entry in stage:
+            self._commit(entry)
+        if eff.direction:
+            prev = self._last_dirs.get(eff.gpu)
+            self._last_dirs[eff.gpu] = eff.direction
+            if prev is not None and prev != eff.direction:
+                self._switches.append((eff.gpu, prev, eff.direction))
+
+    def on_barrier(self, enactor, iteration: int, rec) -> None:
+        """One ``direction.switch`` instant per direction change the
+        merge noted."""
+        for gpu, before, after in self._switches:
+            self.instant(
+                "direction.switch", vt=enactor.machine.clock.now,
+                gpu=gpu, iteration=iteration, before=before, after=after,
+            )
+        self._switches = []
 
     # -- recording ------------------------------------------------------------
     def span(
@@ -221,13 +255,6 @@ class Tracer:
     def op_wall_sample(self, name: str, seconds: float) -> None:
         """Add one wall-clock sample to the per-operator aggregate."""
         self._record(("wall", name, float(seconds)))
-
-    # -- merge -------------------------------------------------------------
-    def commit(self, staged: List[tuple]) -> None:
-        """Commit one GPU's staged records; the enactor's merge calls
-        this in GPU-index order (deterministic)."""
-        for entry in staged:
-            self._commit(entry)
 
     def clear(self) -> None:
         """Forget everything recorded (benchmark repeats reuse one

@@ -3,8 +3,9 @@
 A tracer or the sanitizer stages its records in each superstep's
 ``GpuStepEffects``, so on ``processes`` the workers run ahead exactly as
 in an unobserved run: the parent sends as many pipe messages either way.
-Only supervision puts dispatch in lockstep.  The enactor is the tracer's
-only owner, so a ``Machine`` reused after a traced run keeps no tracer.
+Only supervision puts dispatch in lockstep.  Observers attached together
+record what each records alone.  The enactor is the tracer's only owner,
+so a ``Machine`` reused after a traced run keeps no tracer.
 """
 
 import json
@@ -15,7 +16,7 @@ import pytest
 
 from repro.core.supervise import SupervisionConfig
 from repro.graph.generators.road import generate_road
-from repro.obs import Tracer
+from repro.obs import FlightRecorder, Tracer
 from repro.primitives import run_bfs
 from repro.sim.machine import Machine
 
@@ -42,11 +43,18 @@ def parent_sends(monkeypatch):
     return sent
 
 
-def _run(graph, sent, machine=None, **kwargs):
+def _run(graph, sent, machine=None, backend="processes:2", **kwargs):
     sent[0] = 0
     labels, metrics, _ = run_bfs(graph, machine or Machine(4),
-                                 backend="processes:2", **kwargs)
+                                 backend=backend, **kwargs)
     return labels, metrics, sent[0]
+
+
+def _recorded(tracer, recorder):
+    """The tracer's stream on the virtual clock and the recorder's
+    ring and superstep window."""
+    return ([s.key() for s in tracer.spans], tracer.events,
+            list(recorder.ring), list(recorder.supersteps))
 
 
 @pytest.mark.parametrize("observer", ["tracer", "sanitize"])
@@ -64,6 +72,30 @@ def test_an_observer_keeps_the_unobserved_protocol(road, parent_sends,
     else:
         assert got_m.sanitizer_hazards == []
         got_m.sanitizer_hazards = None  # the one field sanitizing adds
+    assert json.dumps(got_m.to_dict()) == json.dumps(metrics.to_dict())
+
+
+@pytest.mark.parametrize("backend", ["serial", "processes:2"])
+def test_every_observer_at_once_records_what_each_does_alone(
+    road, parent_sends, backend
+):
+    labels, metrics, plain = _run(road, parent_sends, backend=backend)
+    alone = (Tracer(), FlightRecorder())
+    _run(road, parent_sends, backend=backend, tracer=alone[0])
+    _run(road, parent_sends, backend=backend, flight_recorder=alone[1])
+    _, sanitized, _ = _run(road, parent_sends, backend=backend,
+                           sanitize=True)
+    together = (Tracer(), FlightRecorder())
+    got, got_m, observed = _run(
+        road, parent_sends, backend=backend, tracer=together[0],
+        flight_recorder=together[1], sanitize=True,
+    )
+    assert observed == plain
+    np.testing.assert_array_equal(got, labels)
+    assert together[0].spans_of("superstep") and together[1].supersteps
+    assert _recorded(*together) == _recorded(*alone)
+    assert got_m.sanitizer_hazards == sanitized.sanitizer_hazards == []
+    got_m.sanitizer_hazards = None
     assert json.dumps(got_m.to_dict()) == json.dumps(metrics.to_dict())
 
 

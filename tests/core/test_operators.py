@@ -322,7 +322,9 @@ class TestGatherEqualsNumpyGather:
     @settings(max_examples=150, deadline=None)
     def test_property(self, degrees, width, value_dtype, view, seed, data):
         """Both sub-graph kinds, a frontier with repeats, zero-degree and
-        (for a row view) unhosted rows, and rows whose columns repeat."""
+        (for a row view) unhosted rows, and rows whose columns repeat.
+        A view holds no row, some rows or every row, and its packed
+        columns are the materialised CSR's column array."""
         rng = np.random.default_rng(seed)
         n = len(degrees)
         offsets = np.concatenate([[0], np.cumsum(degrees)])
@@ -331,7 +333,15 @@ class TestGatherEqualsNumpyGather:
         ids = IdConfig(width.vertex_dtype, width.size_dtype, value_dtype)
         graph = CsrGraph(n, offsets, cols, rng.random(cols.size) * 64,
                          ids=ids)
-        csr = graph.rows(rng.random(n) < 0.6) if view else graph
+        held = rng.random(n) < data.draw(st.sampled_from((0.0, 0.6, 1.0)))
+        csr = graph.rows(held) if view else graph
+        packed = csr.packed_cols64()
+        want = [cols[offsets[v]:offsets[v + 1]]
+                for v in range(n) if held[v] or not view]
+        np.testing.assert_array_equal(
+            packed, np.concatenate([np.empty(0, np.int64)] + want))
+        assert packed.dtype == np.int64
+        assert not (view and packed.flags.writeable)
         frontier = np.array(
             data.draw(st.lists(st.integers(0, n - 1), max_size=40)),
             dtype=width.vertex_dtype,

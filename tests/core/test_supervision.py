@@ -36,7 +36,7 @@ from repro.core.supervise import (
     worker_recv,
 )
 from repro.errors import SimulationError, WorkerCrashError, WorkerHangError
-from repro.obs import EventBus, Tracer
+from repro.obs import EventBus, FlightRecorder, Tracer
 from repro.primitives import (
     BFSIteration,
     BFSProblem,
@@ -191,6 +191,32 @@ class TestEscalationRollback:
         np.testing.assert_array_equal(ref, got)
         assert metrics.rollbacks >= 1
         assert metrics.worker_respawns == 0
+        assert _shm_leaks() == []
+
+
+    @pytest.mark.parametrize("kind,reason,error", [
+        (SHM_CORRUPT, "shm-integrity", "ShmIntegrityError"),
+        (WORKER_CRASH, "supervisor-escalation", "WorkerCrashError"),
+    ])
+    def test_each_failure_dumps_once(self, small_rmat, kind, reason, error):
+        """The flight recorder hears of a failure through its observer
+        ``on_error`` hook: one dump, with the failure's own reason and
+        fields.  A crash escalates only when it strikes the replacement
+        as well."""
+        recorder = FlightRecorder()
+        specs = [FaultSpec(kind, gpu=1, iteration=1)
+                 for _ in range(2 if kind == WORKER_CRASH else 1)]
+        _run_faulted("bfs", small_rmat, 2, specs, checkpoint_every=2,
+                     flight_recorder=recorder)
+        (dump,) = recorder.dumps
+        assert dump["reason"] == reason
+        assert dump["error"]["class"] == error
+        assert dump["error"]["gpu"] == (1 if kind == SHM_CORRUPT else None)
+        assert set(dump["heartbeat_ages"]) == {"0", "1"}
+        assert dump["pending_faults"]["planned"] == len(specs)
+        assert dump["metrics"]["primitive"] == "bfs"
+        if kind == WORKER_CRASH:
+            assert (dump["worker"], dump["iteration"]) == (1, 1)
         assert _shm_leaks() == []
 
 
@@ -390,12 +416,10 @@ class TestWaitPrimitives:
         sup = WorkerSupervisor(SupervisionConfig(
             deadline_factor=4.0, deadline_floor=0.0, ewma_alpha=0.5,
         ))
-        sup.begin_run()
         for _ in range(8):
             sup.observe(0.1)
         assert sup.deadline() == pytest.approx(0.4, rel=0.2)
         sup2 = WorkerSupervisor(SupervisionConfig())
-        sup2.begin_run()
         sup2.observe(0.001)
         # the floor keeps early, noisy estimates from false-positives
         assert sup2.deadline() >= sup2.config.deadline_floor

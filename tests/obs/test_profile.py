@@ -1,5 +1,6 @@
 """BSP term mapping and the per-operator hot-spot table."""
 
+from repro.core.backend import GpuStepEffects
 from repro.obs import COMM_TRACK, Tracer, profile_rows, render_profile, term_of_span
 from repro.primitives import run_bfs
 from repro.sim.machine import Machine
@@ -106,10 +107,11 @@ class TestEdgeCases:
         staged spans into the profile."""
         t = Tracer()
         t.span("op", "advance", 0.0, 1.0, track=0, iteration=0)
-        t.begin_gpu(0, iteration=1)
+        eff = GpuStepEffects(gpu=0)
+        t.on_superstep_start(0, 1, 1.0, eff.frontier)
         t.span("op", "advance", 1.0, 5.0)    # staged, then aborted
         t.op_wall_sample("advance", 9.0)     # staged wall sample too
-        t.end_gpu()                          # ... and never committed
+        t.on_superstep_end(6.0, eff)         # ... and never committed
         t.instant("recovery.rollback", vt=1.0, iteration=1)
         (row,) = profile_rows(t)
         assert row["virtual_s"] == 1.0

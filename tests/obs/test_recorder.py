@@ -1,6 +1,7 @@
 """Flight recorder: bounded ring, superstep window, and crash dumps."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,13 +10,14 @@ from repro.obs import FlightRecorder, validate_event
 from repro.primitives import run_bfs
 from repro.sim.faults import TRANSIENT_COMM, FaultPlan, FaultSpec
 from repro.sim.machine import Machine
+from repro.sim.metrics import RunMetrics
 
 
 class TestRing:
     def test_capacity_bounds_memory(self):
         r = FlightRecorder(capacity=4, keep_supersteps=2)
         for i in range(10):
-            r.record("barrier", vt=float(i), iteration=i)
+            r.instant("barrier", vt=float(i), iteration=i)
         assert r.recorded == 10
         assert len(r.ring) == 4
         # oldest entries dropped, newest kept, order preserved
@@ -23,8 +25,8 @@ class TestRing:
 
     def test_clear_resets_everything(self):
         r = FlightRecorder(capacity=4)
-        r.record("barrier", vt=1.0)
-        r.dump("test")
+        r.instant("barrier", vt=1.0)
+        r.on_error("test")
         r.clear()
         assert r.recorded == 0
         assert len(r.ring) == 0 and not r.dumps
@@ -34,9 +36,10 @@ class TestRing:
 class TestDump:
     def test_dump_is_a_valid_event(self):
         r = FlightRecorder(capacity=8)
-        r.begin_run("bfs", 2, backend="serial")
-        r.record("barrier", vt=1.0, iteration=0)
-        report = r.dump("unit-test")
+        r.begin_run(SimpleNamespace(backend=SimpleNamespace(name="serial")),
+                    RunMetrics(num_gpus=2, primitive="bfs"))
+        r.instant("barrier", vt=1.0, iteration=0)
+        report = r.on_error("unit-test")
         assert validate_event(report) == []
         assert report["type"] == "recorder.dump"
         assert report["schema_version"] == 2
@@ -48,8 +51,8 @@ class TestDump:
     def test_dump_captures_error_and_heartbeats(self):
         r = FlightRecorder()
         err = CommunicationError("link down", gpu_id=1, iteration=3)
-        report = r.dump("escalation", error=err,
-                        heartbeats={0: 0.5, 1: 12.0})
+        report = r.on_error("escalation", error=err,
+                            heartbeats={0: 0.5, 1: 12.0})
         assert report["error"]["class"] == "CommunicationError"
         assert report["error"]["gpu"] == 1
         assert report["error"]["iteration"] == 3
@@ -60,15 +63,15 @@ class TestDump:
         machine.arm_faults(FaultPlan([
             FaultSpec(TRANSIENT_COMM, gpu=0, iteration=0, count=2),
         ]))
-        report = FlightRecorder().dump("x", faults=machine.faults)
+        report = FlightRecorder().on_error("x", faults=machine.faults)
         assert report["pending_faults"]["planned"] == 1
         assert isinstance(report["pending_faults"]["injected"], dict)
 
     def test_dump_writes_path(self, tmp_path):
         path = tmp_path / "crash.json"
         r = FlightRecorder(path=str(path))
-        r.record("barrier", vt=1.0)
-        r.dump("boom")
+        r.instant("barrier", vt=1.0)
+        r.on_error("boom")
         on_disk = json.loads(path.read_text("utf-8"))
         assert on_disk["reason"] == "boom"
         assert on_disk["events"][0]["vt"] == 1.0

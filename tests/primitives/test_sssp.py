@@ -209,12 +209,13 @@ class TestRelaxEachVertexOnce:
                     for n in names:
                         ds[n][:] = start[n]
                     if sanitize:
-                        enactor.sanitizer.begin_gpu(gpu, 0)
+                        enactor.sanitizer.on_superstep_start(
+                            gpu, 0, 0.0, frontier)
                     try:
                         out, stats = core()
                     finally:
                         if sanitize:
-                            enactor.sanitizer.end_gpu()
+                            enactor.sanitizer.on_superstep_end(0.0, None)
                     return (out, [asdict(s) for s in stats],
                             {n: np.array(ds[n]) for n in names})
 
