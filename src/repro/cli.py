@@ -255,6 +255,7 @@ def _run_once(args, graph, scale, num_gpus, out=None, tracer=None,
         result, metrics, _ = runner(graph, machine, src=args.src, **kwargs)
     else:
         result, metrics, _ = runner(graph, machine, **kwargs)
+    metrics.dataset = args.dataset
     return result, metrics
 
 

@@ -12,8 +12,10 @@ and hooks use wherever *m* edge-length items are keyed by vertex IDs of
 a subgraph with *n* vertices: one scatter into a length-*n* scratch is
 O(n + m) with no comparison sort and no hash table — Gunrock's bitmask
 culling rather than a sort-based filter (docs/performance.md,
-"Linear-time keyed kernels").  They charge nothing: cost accounting
-stays with the operator entry points that call them.
+"Linear-time keyed kernels").  What a scatter changed is read back
+from the length-*n* array, never from the *m* items.  They charge
+nothing: cost accounting stays with the operator entry points that
+call them.
 """
 
 from __future__ import annotations
@@ -97,29 +99,21 @@ def member_mask(
 def segment_reduce_min(
     keys: np.ndarray, values: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """``out[k] = min(out[k], min of values with key k)``.
+    """``out[k] = min(out[k], min of values with key k)``; returns the
+    distinct keys whose value dropped, ascending.
 
     The deterministic equivalent of the GPU's ``atomicMin`` loop (the
     paper's ``Expand_Incoming_Kernel``, Appendix A, and SSSP's
-    relaxation).  Only the items that beat the current ``out[k]`` are
-    scattered — the others cannot change the minimum — and their keys
-    (duplicates included) are returned: exactly the vertices whose value
-    dropped.
-
-    Contract against ``np.minimum.at(out, keys, values)`` over all
-    items: ``out`` is equal under ``==`` and the returned keys are the
-    ones whose value dropped.  It is not always the same *bits*: a value
-    that merely equals ``out[k]`` is never stored, so ``-0.0`` offered to
-    a slot holding ``+0.0`` leaves ``+0.0`` where ``minimum.at`` stores
-    ``-0.0``.
+    relaxation).  Like Gunrock's, the changed set is read off the vertex
+    array the atomics wrote, not off the edge list: one
+    ``np.minimum.at`` over all items, then one length-*n* compare of
+    ``out`` with its copy from before.  O(n + m), with no edge-length
+    gather, compare or compression; ``out`` ends with exactly
+    ``np.minimum.at``'s bits.
     """
-    # index once, take many: the mask becomes an index list in one pass
-    # and both parallel arrays are gathered through it — a boolean-mask
-    # compression walks the edge list once per array, and slower
-    better = (values < out[keys]).nonzero()[0]
-    keys = keys.take(better)
-    np.minimum.at(out, keys, values.take(better))
-    return keys
+    before = out.copy()
+    np.minimum.at(out, keys, values)
+    return (out < before).nonzero()[0]
 
 
 def segment_reduce_sum(

@@ -176,7 +176,6 @@ def run_bfs(
     with Enactor(problem, BFSIteration, scheme=scheme,
                  **enactor_kwargs) as enactor:
         metrics = enactor.enact(src=src)
-    metrics.dataset = getattr(graph, "dataset_name", "")
     return problem.labels(), metrics, problem
 
 

@@ -78,11 +78,13 @@ def hook_rows(
     """The source side of a hook: each row ``v`` of ``rows`` takes the
     minimum of ``comp`` over its edges' destinations.
 
-    The same as ``segment_reduce_min(edge_src, comp[dst], comp)``, but
-    ``edge_src`` is ``repeat(arange(n), degree)``: the edges are already
-    grouped by row, so the minimum is one ``np.minimum.reduceat`` over
-    the rows of nonzero degree, whose edges start at ``row_first`` in
-    ``dst``.  Only the rows whose value dropped are written.
+    Leaves ``comp`` as ``segment_reduce_min(edge_src, comp[dst], comp)``
+    would, but ``edge_src`` is ``repeat(arange(n), degree)``: the edges
+    are already grouped by row, so the minimum is one
+    ``np.minimum.reduceat`` over the rows of nonzero degree, whose edges
+    start at ``row_first`` in ``dst``.  With one minimum per row there is
+    no scatter: only the rows whose value dropped are written, and
+    nothing is returned (the hook's caller diffs ``comp`` itself).
     """
     low = np.minimum.reduceat(comp[dst], row_first)
     drop = (low < comp[rows]).nonzero()[0]

@@ -128,9 +128,9 @@ class SSSPIteration(IterationBase):
         degrees = ends[frontier] - starts[frontier]
         cand += dist[frontier].repeat(degrees)
         # deterministic atomicMin: per-neighbor minimum candidate; the
-        # targets of the relaxations that beat the current distance are
-        # exactly the vertices whose distance drops
-        improved = dedup(segment_reduce_min(nbrs, cand, dist), num_vertices)
+        # vertices whose distance dropped, distinct and ascending, are
+        # the next frontier
+        improved = segment_reduce_min(nbrs, cand, dist)
         relax_stats = OpStats(
             name="relax",
             input_size=edges,

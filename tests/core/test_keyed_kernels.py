@@ -6,12 +6,11 @@ kernel here is compared with the NumPy idiom the hooks used before
 (``np.unique``, ``np.minimum.at`` / ``np.add.at`` over all items, stable
 ``argsort`` + ``searchsorted``) on hypothesis-drawn inputs that include
 duplicate keys, all-equal keys, ``±inf``, ties, ``n = 1`` and empty
-input.  Integer results and ``segment_reduce_sum``
-(which *is* ``np.add.at``) are held to the same bits; the float
-``segment_reduce_min`` to equality under ``==`` and the same dropped
-keys, which is its contract: it never stores a value that only equals
-the current one, so a ``-0.0`` offered to a ``+0.0`` slot is not written
-where ``np.minimum.at`` would write it.
+input.  Every result is held to the same bits as the idiom it
+replaced: ``segment_reduce_sum`` *is* ``np.add.at``, and
+``segment_reduce_min`` runs one ``np.minimum.at`` over all items, so
+its float results match to the last bit, signed zeros included, and its
+dropped keys are exactly the distinct keys whose value fell.
 """
 
 import numpy as np
@@ -118,7 +117,8 @@ def reduce_min_cases(draw):
 
 @SETTINGS
 @given(reduce_min_cases())
-# minimum.at stores the -0.0; the kernel keeps +0.0 (equal, not lower)
+# a -0.0 offered to a +0.0 slot: equal, so not dropped, but whatever
+# minimum.at stores the kernel stores too
 @example((np.array([0]), np.array([-0.0]), np.array([0.0])))
 def test_segment_reduce_min_equals_minimum_at(case):
     keys, vals, start = case
@@ -127,10 +127,12 @@ def test_segment_reduce_min_equals_minimum_at(case):
     got = start.copy()
     dropped = segment_reduce_min(keys, vals, got)
     assert got.dtype == want.dtype
-    np.testing.assert_array_equal(got, want)  # under ==: see module docs
-    # SSSP's old "which vertices improved": compare after with before
+    # the same bits: an integer view tells -0.0 from +0.0
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    # SSSP's next frontier: the distinct keys whose value fell, ascending
     improved = np.unique(keys[want[keys] < start[keys]])
-    np.testing.assert_array_equal(np.unique(dropped), improved)
+    assert dropped.dtype == improved.dtype
+    np.testing.assert_array_equal(dropped, improved)
 
 
 @SETTINGS

@@ -42,6 +42,18 @@ class TestRun:
         )
         assert code == 0
 
+    def test_run_names_its_dataset(self, tmp_path):
+        path = tmp_path / "metrics.prom"
+        code, text = run_cli(
+            "run", "sssp", "--dataset", "soc-LiveJournal1", "--gpus", "2",
+            "--metrics-out", str(path),
+        )
+        assert code == 0
+        assert "sssp on soc-LiveJournal1 " in text
+        body = path.read_text("utf-8")
+        assert ('repro_run_elapsed_virtual_seconds{primitive="sssp",'
+                'dataset="soc-LiveJournal1",gpus="2"}') in body
+
     def test_gteps_reported_for_traversal(self):
         _, text = run_cli(
             "run", "bfs", "--dataset", "soc-LiveJournal1", "--gpus", "2"
