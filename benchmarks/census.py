@@ -10,8 +10,8 @@ Sources (all by default):
 * ``examples`` — every ``examples/*.py``;
 * ``e2e``      — the four workloads of ``benchmarks/e2e/run.py``, short;
 * ``cli``      — every ``repro`` subcommand, with the ``run`` flags that
-  reach extra code (tracing and its exports, supervised ``processes``
-  with checkpoints, the sanitizer and an armed fault plan);
+  reach extra code (tracing and its exports, ``processes`` with
+  checkpoints, the sanitizer and an armed fault plan);
 * ``paper``    — ``pytest benchmarks --ignore=benchmarks/e2e``.
 
 Every Python process a source starts — pytest's subprocesses, the e2e
@@ -181,8 +181,7 @@ def commands(source: str, work: str) -> List[List[str]]:
                os.path.join(work, "bfs.events.jsonl"), "--profile",
                "--metrics-out", os.path.join(work, "bfs.prom"),
                "--flight-recorder", os.path.join(work, "bfs.crash.json")],
-        run + ["--backend", "processes", "--supervise",
-               "--checkpoint-every", "2"],
+        run + ["--backend", "processes", "--checkpoint-every", "2"],
         run + ["--sanitize"],
         repro + ["partition", "--dataset", "soc-LiveJournal1", "--gpus", "4"],
         repro + ["sweep", "bfs", "--dataset", "soc-LiveJournal1",

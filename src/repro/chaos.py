@@ -22,22 +22,6 @@ Fault kinds exercised per cell:
     repartitions the lost subgraph onto the survivors, and resumes
     degraded.
 
-The three *host-level* kinds strike real OS worker processes, so their
-cells always run the ``processes`` backend with supervision enabled
-(``Enactor(supervision=...)``, docs/robustness.md):
-
-``worker-crash``
-    One worker is SIGKILL'd at superstep 1 (respawn + replay must
-    complete bit-identically) and another is SIGKILL'd twice in the
-    same superstep (escalates to the rollback path and degrades onto
-    the survivors) — both escalation tiers in one cell.
-``worker-hang``
-    A worker is SIGSTOPped at superstep 1; the supervisor detects the
-    stale heartbeat, kills + respawns it, and replays the superstep.
-``shm-corrupt``
-    A byte is flipped in a non-owner shared-memory window; the
-    per-barrier checksum catches it and escalates to rollback.
-
 Use :func:`run_chaos_matrix` programmatically or
 ``python -m repro chaos`` from the command line.
 """
@@ -53,23 +37,12 @@ import numpy as np
 from .graph.build import add_random_weights
 from .graph.generators import generate_rmat
 from .primitives import RUNNERS
-from .sim.faults import (
-    GPU_LOSS,
-    OOM,
-    SHM_CORRUPT,
-    TRANSIENT_COMM,
-    WORKER_CRASH,
-    WORKER_HANG,
-    FaultPlan,
-    FaultSpec,
-)
+from .sim.faults import GPU_LOSS, OOM, TRANSIENT_COMM, FaultPlan, FaultSpec
 from .sim.machine import Machine
 from .sim.memory import FixedPrealloc, JustEnough
 
 __all__ = [
     "CHAOS_KINDS",
-    "HOST_CHAOS_KINDS",
-    "ALL_CHAOS_KINDS",
     "CHAOS_PRIMITIVES",
     "ChaosResult",
     "build_chaos_plan",
@@ -79,9 +52,6 @@ __all__ = [
 
 CHAOS_PRIMITIVES = ("bfs", "dobfs", "sssp", "cc", "bc", "pr")
 CHAOS_KINDS = (TRANSIENT_COMM, OOM, GPU_LOSS)
-#: real-process cells: forced onto the processes backend + supervision
-HOST_CHAOS_KINDS = (WORKER_CRASH, WORKER_HANG, SHM_CORRUPT)
-ALL_CHAOS_KINDS = CHAOS_KINDS + HOST_CHAOS_KINDS
 
 #: primitives whose recovered output must be bit-exact; the float-valued
 #: primitives (PR ranks, BC centrality) compare with allclose because a
@@ -116,48 +86,9 @@ def build_chaos_plan(kind: str, num_gpus: int) -> Tuple[FaultPlan, dict]:
             [FaultSpec(GPU_LOSS, gpu=num_gpus - 1, iteration=1)]
         )
         return plan, {"checkpoint_every": 2}
-    if kind == WORKER_CRASH:
-        # one single SIGKILL (respawn + replay, bit-identical) and one
-        # double SIGKILL in the same superstep (escalates to rollback):
-        # the injector consumes at most one host spec per GPU per take,
-        # so the duplicate spec strikes the freshly respawned worker
-        plan = FaultPlan(
-            [
-                FaultSpec(WORKER_CRASH, gpu=0, iteration=1),
-                FaultSpec(WORKER_CRASH, gpu=num_gpus - 1, iteration=1),
-                FaultSpec(WORKER_CRASH, gpu=num_gpus - 1, iteration=1),
-            ]
-        )
-        return plan, dict(_supervised_extra(), checkpoint_every=2)
-    if kind == WORKER_HANG:
-        plan = FaultPlan(
-            [FaultSpec(WORKER_HANG, gpu=num_gpus - 1, iteration=1)]
-        )
-        return plan, _supervised_extra()
-    if kind == SHM_CORRUPT:
-        plan = FaultPlan(
-            [FaultSpec(SHM_CORRUPT, gpu=num_gpus - 1, iteration=1)]
-        )
-        return plan, dict(_supervised_extra(), checkpoint_every=2)
     raise ValueError(
-        f"unknown chaos kind {kind!r}; expected {ALL_CHAOS_KINDS}"
+        f"unknown chaos kind {kind!r}; expected {CHAOS_KINDS}"
     )
-
-
-def _supervised_extra() -> dict:
-    """Enactor kwargs for the real-process cells: supervision with
-    detection tuned fast so SIGSTOP hangs surface in well under a
-    second instead of the production-grade default thresholds."""
-    from .core.supervise import SupervisionConfig
-
-    return {
-        "supervision": SupervisionConfig(
-            heartbeat_interval=0.02,
-            stale_factor=15.0,
-            deadline_floor=5.0,
-            poll_interval=0.02,
-        ),
-    }
 
 
 def _chaos_scheme(primitive: str, kind: str):
@@ -222,19 +153,13 @@ def run_chaos_case(
     rollbacks, and checkpoints must agree exactly, or the cell fails.
 
     Every faulted run carries a :class:`~repro.obs.recorder.FlightRecorder`
-    (the always-on tier this harness exists to exercise): supervisor
-    escalations dump a crash report mid-run, and a cell that *fails* —
-    exception, wrong result, or counter mismatch — dumps one on the way
-    out.  ``dump_path`` writes the latest dump there; the dump count is
-    reported as ``recovery["flight_dumps"]``.
+    (the always-on tier this harness exists to exercise): a cell that
+    *fails* — exception, wrong result, or counter mismatch — dumps a
+    crash report on the way out.  ``dump_path`` writes the latest dump
+    there; the dump count is reported as ``recovery["flight_dumps"]``.
     """
     graph, weighted = _inputs or _build_inputs(rmat_scale, edge_factor, seed)
     runner = RUNNERS[primitive]
-    if kind in HOST_CHAOS_KINDS:
-        # host-level faults strike real worker processes: these cells
-        # only exist on the processes backend (supervision is added to
-        # the faulted run by build_chaos_plan's extra kwargs)
-        backend = "processes"
     kwargs: dict = {"backend": backend}
     g = weighted if primitive == "sssp" else graph
     if primitive in ("bfs", "dobfs", "sssp", "bc"):
@@ -287,30 +212,19 @@ def run_chaos_case(
         "rollbacks": metrics.rollbacks,
         "checkpoints_taken": metrics.checkpoints_taken,
         "degraded_gpus": list(metrics.degraded_gpus),
-        "worker_respawns": metrics.worker_respawns,
-        "supersteps_replayed": metrics.supersteps_replayed,
-        "hang_detections": metrics.hang_detections,
         "injected": dict(machine.faults.injected),
     }
     recovered = {
         TRANSIENT_COMM: metrics.comm_retries > 0,
         OOM: metrics.oom_recoveries > 0,
         GPU_LOSS: metrics.rollbacks > 0,
-        # both escalation tiers must fire: respawn (single kill) and
-        # rollback (double kill on the same superstep)
-        WORKER_CRASH: metrics.worker_respawns > 0 and metrics.rollbacks > 0,
-        WORKER_HANG: (
-            metrics.hang_detections > 0 and metrics.worker_respawns > 0
-        ),
-        SHM_CORRUPT: metrics.rollbacks > 0,
     }[kind]
     event_mismatch = ""
     if tracer is not None:
         counts = {
             t: sum(1 for r in bus_records if r.get("type") == t)
             for t in ("recovery.retry", "recovery.oom-regrow",
-                      "recovery.rollback", "checkpoint",
-                      "worker.respawn", "heartbeat.stale")
+                      "recovery.rollback", "checkpoint")
         }
         recovery["events"] = counts
         expected = {
@@ -318,8 +232,6 @@ def run_chaos_case(
             "recovery.oom-regrow": metrics.oom_recoveries,
             "recovery.rollback": metrics.rollbacks,
             "checkpoint": metrics.checkpoints_taken,
-            "worker.respawn": metrics.worker_respawns,
-            "heartbeat.stale": metrics.hang_detections,
         }
         bad = {
             t: (counts[t], want)
@@ -366,8 +278,7 @@ def run_chaos_matrix(
 
     ``dump_dir`` (optional) collects each cell's flight-recorder crash
     dump as ``<dir>/<primitive>-<gpus>-<kind>-<backend>.dump.json``;
-    cells that never dump (clean recovery without escalation) leave no
-    file.
+    cells that recover cleanly never dump and leave no file.
     """
     inputs = _build_inputs(rmat_scale, edge_factor, seed)
     if dump_dir is not None:
@@ -376,11 +287,7 @@ def run_chaos_matrix(
     for primitive in primitives:
         for n in gpu_counts:
             for kind in kinds:
-                # host-level cells exist only on the processes backend
-                cell_backends = (
-                    ("processes",) if kind in HOST_CHAOS_KINDS else backends
-                )
-                for backend in cell_backends:
+                for backend in backends:
                     dump_path = None
                     if dump_dir is not None:
                         dump_path = os.path.join(

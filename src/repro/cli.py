@@ -78,19 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="execution backend: serial or processes[:N] "
                           "(results are bit-identical; only wall-clock "
                           "changes)")
-    run.add_argument("--supervise", action="store_true",
-                     help="wrap the processes backend in the worker "
-                          "supervisor: heartbeats, crash/hang detection, "
-                          "respawn + superstep replay, escalation to "
-                          "rollback (requires --backend processes)")
-    run.add_argument("--supervise-deadline-factor", type=float,
-                     metavar="X", default=None,
-                     help="superstep deadline as a multiple of the EWMA "
-                          "of observed superstep wall times (default: 16)")
-    run.add_argument("--supervise-deadline-floor", type=float,
-                     metavar="SECONDS", default=None,
-                     help="minimum superstep deadline in seconds "
-                          "(default: 10)")
     run.add_argument("--faults", metavar="PLAN.json",
                      help="arm a fault plan (see repro.sim.faults."
                           "FaultPlan) before the run")
@@ -111,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      dest="flight_recorder",
                      help="attach the always-on flight recorder (bounded "
                           "ring of recent events); a crash writes the "
-                          "dump — last supersteps, heartbeat ages, "
+                          "dump — last supersteps, recent events, "
                           "metrics snapshot — to OUT.json")
     run.add_argument("--metrics-out", metavar="FILE", dest="metrics_out",
                      help="write the run's metrics as an OpenMetrics/"
@@ -140,24 +127,20 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--primitives", nargs="+", default=None,
                        choices=["bfs", "dobfs", "sssp", "cc", "bc", "pr"])
     chaos.add_argument("--kinds", nargs="+", default=None,
-                       choices=["transient-comm", "oom", "gpu-loss",
-                                "worker-crash", "worker-hang",
-                                "shm-corrupt"])
+                       choices=["transient-comm", "oom", "gpu-loss"])
     chaos.add_argument("--backends", nargs="+", default=None,
                        choices=["serial", "processes"])
     chaos.add_argument("--rmat-scale", type=int, default=7)
     chaos.add_argument("--seed", type=int, default=3)
     chaos.add_argument("--smoke", action="store_true",
                        help="CI configuration: 2 GPUs, serial backend, "
-                            "all primitives and fault kinds (host-level "
-                            "kinds always run on the processes backend)")
+                            "all primitives and fault kinds")
     chaos.add_argument("--json", metavar="FILE", dest="json_out",
                        help="also write the per-cell results (recovery "
                             "counters, event cross-checks) as JSON")
     chaos.add_argument("--dump-dir", metavar="DIR", dest="dump_dir",
-                       help="write each cell's flight-recorder crash "
-                            "dump (escalations, cell failures) as "
-                            "DIR/<cell>.dump.json")
+                       help="write each failed cell's flight-recorder "
+                            "crash dump as DIR/<cell>.dump.json")
 
     trace = sub.add_parser(
         "trace",
@@ -235,15 +218,6 @@ def _run_once(args, graph, scale, num_gpus, out=None, tracer=None,
         kwargs["sanitize"] = True
     if getattr(args, "backend", "serial") != "serial":
         kwargs["backend"] = args.backend
-    if getattr(args, "supervise", False):
-        from .core.supervise import SupervisionConfig
-
-        overrides = {}
-        if getattr(args, "supervise_deadline_factor", None) is not None:
-            overrides["deadline_factor"] = args.supervise_deadline_factor
-        if getattr(args, "supervise_deadline_floor", None) is not None:
-            overrides["deadline_floor"] = args.supervise_deadline_floor
-        kwargs["supervision"] = SupervisionConfig(**overrides)
     if getattr(args, "faults", None):
         from .sim.faults import FaultPlan
 
@@ -313,16 +287,6 @@ def _cmd_run(args, out) -> int:
             f"{metrics.checkpoints_taken} checkpoints"
             + (f", degraded GPUs {metrics.degraded_gpus}"
                if metrics.degraded_gpus else ""),
-            file=out,
-        )
-    if (metrics.worker_respawns or metrics.hang_detections
-            or metrics.supersteps_replayed):
-        print(
-            f"supervision: {metrics.worker_respawns} worker respawns, "
-            f"{metrics.supersteps_replayed} supersteps replayed, "
-            f"{metrics.hang_detections} hang detections "
-            f"({metrics.supervision_overhead_seconds * 1e3:.1f} ms "
-            f"overhead)",
             file=out,
         )
     if tracer is not None:
@@ -507,11 +471,6 @@ def _cmd_trace(args, out) -> int:
             f"{name}×{n}" for name, n in sorted(summary["instants"].items())
         )
         print(f"instants: {inst}", file=out)
-    if summary.get("supervisor"):
-        sup = ", ".join(
-            f"{name}×{n}" for name, n in sorted(summary["supervisor"].items())
-        )
-        print(f"supervisor: {sup}", file=out)
     if summary.get("recovery"):
         rec = ", ".join(
             f"{name}×{n}" for name, n in sorted(summary["recovery"].items())

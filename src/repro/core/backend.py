@@ -58,12 +58,13 @@ the lost GPUs from their workers' buckets, reaps a worker left with
 none (its control-block slot is retired) and has every other worker
 rebuild its replica in place with the code the parent runs
 (:meth:`Enactor.rebuild_partition`), overlapped with the parent's own
-rebuild.  Workers are re-forked only where that is required: for a
-supervised respawn-and-replay, after a worker error or a failed
-handshake, and when :func:`_fork_token` shows that something a worker
-captured at fork time and no message re-ships — fault plan,
-observers, supervision config, recovery policy — differs from what
-the parent now holds.
+rebuild.  Workers are re-forked only where that is required: after a
+worker error or a failed handshake, and when :func:`_fork_token` shows
+that something a worker captured at fork time and no message re-ships
+— fault plan, observers, recovery policy — differs from what the
+parent now holds.  A worker that dies or wedges ends the run in a
+:class:`~repro.errors.SimulationError` and the pool is reaped; every
+wait on a worker is bounded (:mod:`repro.core.supervise`).
 
 **Run protocol.**  The parent does not lead every superstep: it grants
 each worker an *epoch*, ``("run", first, horizon, generations, attrs,
@@ -102,19 +103,16 @@ a superstep below the horizon, and a worker's view of a peer's frontier,
 get :class:`_SizeOnly` stand-ins: they carry a size and raise, naming
 the rule, if anything reads their contents.
 
-The horizon is ``first`` — lockstep: one superstep per request, no
-mailbox, no barrier — under supervision, whose respawn-and-replay and
-digests work superstep by superstep.  Any other attached observer
-changes nothing here: its stages ride the
-:class:`GpuStepEffects` of every superstep the log holds.  Otherwise
-the horizon is the next superstep a
-checkpoint is due at, or ``max_iterations()`` — or, with a fault plan
-armed, the superstep a pending GPU loss fires in
+The horizon is the next superstep a checkpoint is due at, or
+``max_iterations()`` — or, with a fault plan armed, the superstep a
+pending GPU loss fires in
 (:meth:`~repro.sim.faults.FaultInjector.next_loss_at`) if that comes
-first: outside supervision only a loss ends a superstep in a
-``DeviceLostError``, which the worker ships as that GPU's result — as
-every backend returns it — and the rollback it starts is the parent's.
-The other modelled faults are absorbed inside the superstep.
+first: only a loss ends a superstep in a ``DeviceLostError``, which
+the worker ships as that GPU's result — as every backend returns it —
+and the rollback it starts is the parent's.  The other modelled faults
+are absorbed inside the superstep.  An attached observer changes
+nothing here: its stages ride the :class:`GpuStepEffects` of every
+superstep the log holds.
 
 Superstep ``k`` reads exchange half ``(k - 1) % 2`` and writes half
 ``k % 2``, so a replayed superstep finds its inputs intact; a worker
@@ -129,8 +127,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import threading
-import time
 from collections import deque
 from dataclasses import astuple, dataclass, field, fields
 from typing import (
@@ -153,13 +149,7 @@ from ..errors import (
 )
 from .comm import Message
 from .shm import ControlBlock, ExchangeSegment, SliceManifest, _rewrap_like
-from .supervise import (
-    reap_worker,
-    slice_checksum,
-    wait_for_peers,
-    wait_for_reply,
-    worker_recv,
-)
+from .supervise import reap_worker, wait_for_peers, wait_for_reply, worker_recv
 
 __all__ = [
     "GpuStepEffects",
@@ -306,31 +296,19 @@ _EFF_FRONTIER = _EFF_FIELDS.index("frontier")
 _EFF_SENDS = _EFF_FIELDS.index("sends")
 
 
-def _heartbeat_loop(heartbeat, interval: float) -> None:
-    """Daemon-thread body: bump the shared heartbeat slot forever.
-
-    A SIGSTOPped or kernel-wedged worker stops bumping, which is how
-    the parent's staleness check distinguishes a hang from slow work.
-    """
-    while True:
-        heartbeat.value = time.monotonic()
-        time.sleep(interval)
-
-
-def _fork_token(enactor, supervisor) -> tuple:
+def _fork_token(enactor) -> tuple:
     """What a forked worker captures that no protocol message re-ships.
 
     A worker keeps the fault plan, the observers and the policies it
     was forked with for as long as it lives; ``begin_run`` compares this
     token with the one taken at the fork and re-forks on any difference
-    (a plan armed or edited, an observer attached or detached,
-    supervision or the recovery policy changed between two ``enact()``).
+    (a plan armed or edited, an observer attached or detached, or the
+    recovery policy changed between two ``enact()``).
     """
     inj = enactor.machine.faults
     return (
         inj, None if inj is None else inj.plan.to_json(),
         enactor._observers,
-        None if supervisor is None else astuple(supervisor.config),
         astuple(enactor.recovery),
     )
 
@@ -366,7 +344,7 @@ def _attach_slices(problem, manifest) -> None:
 
 
 def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest, exchange,
-                 barrier, heartbeat=None, sup_cfg=None):
+                 barrier):
     """Body of one forked worker: serve requests until "stop".
 
     The worker owns ``gpu_ids`` for the pool's lifetime (GPU affinity:
@@ -388,21 +366,10 @@ def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest, exchange,
     the abort word first, which releases any peer waiting for it at a
     barrier.  ``barrier`` is ``(control block, this worker's slot,
     whether to spin, parent pid)``.
-
-    Under supervision (``heartbeat``/``sup_cfg`` set) the worker also
-    runs a heartbeat thread and digests its slice windows and exchange
-    payload into each sidecar.
     """
     problem = enactor.problem
     control, parent_pid = barrier[0], barrier[3]
     _attach_slices(problem, manifest)
-    checksums = sup_cfg is not None and sup_cfg.shm_checksums
-    if heartbeat is not None:
-        interval = sup_cfg.heartbeat_interval if sup_cfg else 0.05
-        threading.Thread(
-            target=_heartbeat_loop, args=(heartbeat, interval),
-            daemon=True, name="repro-heartbeat",
-        ).start()
     #: gpu -> the accounting the parent is known to hold
     shipped: Dict[int, tuple] = {}
     while True:
@@ -423,7 +390,7 @@ def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest, exchange,
                 )
             else:
                 _worker_run(enactor, iteration_obj, exchange, barrier, msg,
-                            shipped, checksums, blobs)
+                            shipped, blobs)
             reply = ("ok", None, blobs)
         except EOFError:  # stopped mid-rehome, or the parent is gone
             break
@@ -489,7 +456,7 @@ def _worker_rehome(enactor, conn, parent_pid, msg, manifest, shipped):
 
 
 def _worker_run(enactor, iteration_obj, exchange, barrier, msg, shipped,
-                checksums, blobs) -> None:
+                blobs) -> None:
     """Serve one ``run`` request (module docs, "Run protocol"):
     supersteps ``first`` … ``horizon`` for this worker's GPUs.  Each
     superstep's pickled sidecars are appended to ``blobs`` as it
@@ -553,7 +520,7 @@ def _worker_run(enactor, iteration_obj, exchange, barrier, msg, shipped,
                 eff = exc
             effects[g] = eff
             sidecars.append(tuple(_build_sidecar(
-                enactor, g, eff, fault_snap, seg, write, shipped, checksums,
+                enactor, g, eff, fault_snap, seg, write, shipped,
                 frozenset() if at_horizon else kept,
             )))
         blob = pickle.dumps(sidecars, pickle.HIGHEST_PROTOCOL)
@@ -722,21 +689,10 @@ class _Sidecar(NamedTuple):
     faults: Optional[dict]
     #: entry ``[gpu]`` of each ``RunState.per_gpu`` attribute
     attrs: Optional[dict]
-    #: :func:`_slot_digest`, with ``shm_checksums`` on
-    digest: Optional[int]
-
-
-def _slot_digest(problem, seg, gpu_index: int, parity: int, used: int) -> int:
-    """The per-barrier integrity digest of one GPU: its slice windows,
-    then the exchange payload its superstep wrote."""
-    return seg.digest(
-        parity, used, slice_checksum(problem.data_slices[gpu_index])
-    )
 
 
 def _build_sidecar(enactor, gpu_index, eff, fault_snap, seg, parity,
-                   shipped, checksum: bool = False,
-                   kept=frozenset()) -> _Sidecar:
+                   shipped, kept=frozenset()) -> _Sidecar:
     """Collect one finished superstep's :class:`_Sidecar` in its
     worker, writing the effects' arrays that other processes read to
     the exchange segment (``kept``: :func:`_pack_effects`)."""
@@ -751,13 +707,12 @@ def _build_sidecar(enactor, gpu_index, eff, fault_snap, seg, parity,
     else:
         shipped[gpu_index] = acct
     mutable = problem.state.per_gpu
-    used = seg.used(parity)
     return _Sidecar(
         gpu=gpu_index,
         eff=eff,
         streams=tuple(s.available_at for s in gpu.streams.values()),
         generation=seg.generations()[parity],
-        used=used,
+        used=seg.used(parity),
         acct=acct,
         faults=(
             machine.faults.consumption_delta(fault_snap)
@@ -766,10 +721,6 @@ def _build_sidecar(enactor, gpu_index, eff, fault_snap, seg, parity,
         attrs=(
             {name: getattr(problem, name)[gpu_index] for name in mutable}
             if mutable else None
-        ),
-        digest=(
-            _slot_digest(problem, seg, gpu_index, parity, used)
-            if checksum else None
         ),
     )
 
@@ -811,10 +762,6 @@ class ProcessesBackend(ExecutionBackend):
         self._exchange: Optional[List[Optional[ExchangeSegment]]] = None
         #: closed exchange segments with a mapping some array still views
         self._unmapped: List[ExchangeSegment] = []
-        #: attached WorkerSupervisor, or None (set by the enactor when
-        #: supervision is enabled); consulted at every dispatch
-        self.supervisor = None
-        self._heartbeats: Optional[List] = None
         self._buckets: List[List[int]] = []
         #: :func:`_fork_token` at the time the pool was forked
         self._token: Optional[tuple] = None
@@ -829,8 +776,8 @@ class ProcessesBackend(ExecutionBackend):
         self._sent_attrs: List[Optional[bytes]] = []
         #: the pool's barrier words and mailboxes; lives and dies with it
         self._control: Optional[ControlBlock] = None
-        #: supersteps received and not yet served, oldest first: (the
-        #: workers' sidecar blobs, GPUs a supervisor gave up on)
+        #: supersteps received and not yet served, oldest first: the
+        #: workers' sidecar blobs of each
         self._log: deque = deque()
         #: last superstep of the epoch being served (-1: none open)
         self._horizon = -1
@@ -856,7 +803,7 @@ class ProcessesBackend(ExecutionBackend):
             return
         if (any(entry is None and bucket
                 for entry, bucket in zip(self._workers, self._buckets))
-                or _fork_token(enactor, self.supervisor) != self._token):
+                or _fork_token(enactor) != self._token):
             self._teardown_workers()
             return
         if self._handshake({
@@ -887,7 +834,6 @@ class ProcessesBackend(ExecutionBackend):
             self._buckets[w] = [g for g in bucket if g not in lost]
             if not self._buckets[w]:
                 self._reap_slot(w)
-                self._heartbeats[w] = None
                 self._control.retire(w)
         self._owner = {g: w for w, bucket in self._live_buckets() for g in bucket}
         for w, _ in self._live_buckets():
@@ -926,13 +872,11 @@ class ProcessesBackend(ExecutionBackend):
         every acknowledgement.  A worker that dies, wedges or fails in
         between leaves nothing in flight: the pool is torn down (the
         next dispatch forks a new one) and False returned."""
-        sent_at: Dict[int, float] = {}
         for w, msg in messages.items():
             self._send(w, msg)
-            sent_at[w] = time.monotonic()
-        for w, at in sent_at.items():
+        for w in messages:
             try:
-                reply = self._wait(w, at)
+                reply = self._wait(w)
             except (WorkerCrashError, WorkerHangError) as exc:
                 reply = ("error", exc)
             if reply[0] != "ok":
@@ -980,8 +924,7 @@ class ProcessesBackend(ExecutionBackend):
         self._exchange = None
 
     def _reap_timeout(self) -> float:
-        if self.supervisor is not None:
-            return self.supervisor.config.teardown_timeout
+        """Budget of each bounded join when reaping a worker, seconds."""
         return 10.0
 
     def _teardown_workers(self) -> None:
@@ -1000,7 +943,6 @@ class ProcessesBackend(ExecutionBackend):
             self._control.close()
             self._control = None
         self._workers = None
-        self._heartbeats = None
         self._owner = {}
 
     def _spawn(self, enactor, iteration_obj, gpu_indices) -> None:
@@ -1030,34 +972,24 @@ class ProcessesBackend(ExecutionBackend):
             self._owner[g] = k % width
         self._buckets = buckets
         self._workers = []
-        self._heartbeats = []
         self._sent_attrs = [None] * width
-        self._token = _fork_token(enactor, self.supervisor)
+        self._token = _fork_token(enactor)
         self._described.clear()
         self._primed = False
         self._forget_epoch()
         self._control = ControlBlock(width)
         for w in range(width):
             self._workers.append(None)
-            self._heartbeats.append(None)
             self._fork_worker(w, enactor, iteration_obj)
 
     def _fork_worker(self, w: int, enactor, iteration_obj) -> None:
-        """Fork (or re-fork) worker slot ``w`` for its fixed GPU bucket.
+        """Fork worker slot ``w`` for its fixed GPU bucket.
 
-        Used both by the initial spawn and by supervised respawn: the
-        new fork inherits the parent's pre-superstep state (sidecars
-        are only applied after all replies arrive), the run's iteration
+        The fork inherits the parent's state, the run's iteration
         object and the exchange mappings, and re-attaches the
-        shared-memory slices by name, so a replayed superstep runs
-        bit-identically to the first attempt.
+        shared-memory slices by name.
         """
         ctx = multiprocessing.get_context("fork")
-        heartbeat = None
-        sup_cfg = None
-        if self.supervisor is not None:
-            sup_cfg = self.supervisor.config
-            heartbeat = ctx.Value("d", time.monotonic(), lock=False)
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
             target=_worker_loop,
@@ -1067,15 +999,13 @@ class ProcessesBackend(ExecutionBackend):
                   self._manifest, self._exchange,
                   (self._control, w,
                    len(self._buckets) <= len(os.sched_getaffinity(0)),
-                   os.getpid()),
-                  heartbeat, sup_cfg),
+                   os.getpid())),
             daemon=True,
             name=f"repro-gpu-proc-{w}",
         )
         proc.start()
         child_conn.close()
         self._workers[w] = (proc, parent_conn)
-        self._heartbeats[w] = heartbeat
         # the fork knows the parent's checkpointed attributes as of now;
         # the next step re-sends them regardless
         self._sent_attrs[w] = None
@@ -1086,39 +1016,6 @@ class ProcessesBackend(ExecutionBackend):
         if entry is not None:
             reap_worker(entry[0], entry[1], timeout=self._reap_timeout())
             self._workers[w] = None
-
-    def _respawn_worker(self, w: int, enactor, iteration_obj) -> bool:
-        """Reap a failed worker and fork a replacement into its slot."""
-        self._reap_slot(w)
-        try:
-            self._fork_worker(w, enactor, iteration_obj)
-        except OSError:  # pragma: no cover - fork exhaustion
-            return False
-        return True
-
-    def _retire_worker(self, w: int) -> None:
-        """Reap worker ``w`` and leave its slot dead (escalation path:
-        its GPUs are lost, and the enactor's rollback retires the slot
-        in :meth:`rehome`)."""
-        self._reap_slot(w)
-        for g in self._buckets[w]:
-            self._owner.pop(g, None)
-
-    def heartbeat_ages(self) -> dict:
-        """Seconds since each live worker's last heartbeat write.
-
-        Crash-dump forensics: a slot whose age is far beyond the
-        supervision heartbeat interval was hung or dead at dump time.
-        Slots without a heartbeat (unsupervised or retired) are
-        omitted.
-        """
-        ages = {}
-        if self._heartbeats:
-            now = time.monotonic()
-            for w, hb in enumerate(self._heartbeats):
-                if hb is not None:
-                    ages[w] = now - hb.value
-        return ages
 
     # -- dispatch --------------------------------------------------------
     def _describe(self, gpu_index: int, parity: int, arr) -> tuple:
@@ -1201,19 +1098,16 @@ class ProcessesBackend(ExecutionBackend):
             attrs = pickle.dumps(
                 problem.snapshot_attrs(), pickle.HIGHEST_PROTOCOL
             )
-        # the parent leads every superstep under supervision; otherwise
         # the workers run ahead to the next superstep a checkpoint is
         # due at or a GPU can be lost at
-        horizon = iteration
-        if self.supervisor is None:
-            horizon = iteration_obj.max_iterations()
-            every = enactor.checkpoint_every
-            if every is not None:
-                horizon = min(horizon, iteration - iteration % every + every - 1)
-            if machine.faults is not None:
-                loss = machine.faults.next_loss_at(iteration, gpu_indices)
-                if loss is not None:
-                    horizon = min(horizon, loss)
+        horizon = iteration_obj.max_iterations()
+        every = enactor.checkpoint_every
+        if every is not None:
+            horizon = min(horizon, iteration - iteration % every + every - 1)
+        if machine.faults is not None:
+            loss = machine.faults.next_loss_at(iteration, gpu_indices)
+            if loss is not None:
+                horizon = min(horizon, loss)
         enactor.emit(
             "backend.dispatch", backend=self.name,
             supersteps=len(gpu_indices), workers=len(self._workers),
@@ -1230,33 +1124,19 @@ class ProcessesBackend(ExecutionBackend):
                     "run", iteration, horizon, generations,
                     attrs if changed else None, jobs[w],
                 )
-        sup = self.supervisor
-        shadow = None
-        if sup is not None:
-            sup.deliver_due_host_faults(self, enactor, iteration)
-            shadow = sup.capture_shadow(problem, gpu_indices)
-        sent_at: Dict[int, float] = {}
         for w, payload in payloads.items():
             self._send(w, payload)
-            sent_at[w] = time.monotonic()
         blobs: List[List[bytes]] = []
-        lost: Dict[int, DeviceLostError] = {}
         for w in payloads:
-            msg = self._collect(
-                enactor, iteration, iteration_obj, w, payloads[w],
-                jobs[w], shadow, sent_at, lost,
-            )
-            if msg is None:  # worker escalated to the rollback path
-                continue
+            msg = self._collect(iteration, w)
             blobs.append(msg[2])
             if msg[0] == "error" and self._failure is None:
                 self._failure = msg[1]
         if self._failure is not None:
             self._teardown_workers()
-        # an epoch is logged as far as every worker got; with every
-        # worker escalated the one superstep consists of ``lost`` alone
-        for j in range(min(map(len, blobs), default=1)):
-            self._log.append(([b[j] for b in blobs], lost))
+        # an epoch is logged as far as every worker got
+        for j in range(min(map(len, blobs))):
+            self._log.append([b[j] for b in blobs])
         self._horizon = horizon
 
     def _serve(self, enactor, iteration, gpu_indices):
@@ -1264,12 +1144,10 @@ class ProcessesBackend(ExecutionBackend):
         input: sidecars applied, effects with views for arrays — or,
         below the epoch's horizon, with :class:`_SizeOnly` stand-ins
         (module docs, "Run protocol")."""
-        blobs, lost = self._log.popleft()
+        blobs = self._log.popleft()
         at_horizon = iteration >= self._horizon
         if at_horizon:
             self._horizon = -1
-        machine = enactor.machine
-        problem = enactor.problem
         exchange = self._exchange
         write = iteration % 2
         replies: Dict[int, _Sidecar] = {
@@ -1279,27 +1157,6 @@ class ProcessesBackend(ExecutionBackend):
         for g, side in replies.items():
             # map what the worker wrote (a regrown half has a new name)
             exchange[g].sync(write, side.generation, side.used)
-        sup = self.supervisor
-        if sup is not None:
-            sup.deliver_pending_corruption(problem)
-            bad = sup.verify_digests(
-                {g: side.digest for g, side in replies.items()},
-                lambda g: _slot_digest(
-                    problem, exchange[g], g, write, replies[g].used
-                ),
-            )
-            for g in bad:
-                err = sup.integrity_error(g, iteration)
-                enactor.emit("worker.lost", vt=machine.clock.now, gpu=g,
-                             iteration=iteration, reason="shm-integrity")
-                enactor.report_error(
-                    "shm-integrity", error=err,
-                    heartbeats=self.heartbeat_ages(), faults=machine.faults,
-                )
-                lost[g] = DeviceLostError(
-                    str(err), gpu_id=g, iteration=iteration,
-                    site="supervise.checksum",
-                )
         # only the horizon superstep is known by descriptor: the next
         # dispatch starts from it
         self._described.clear()
@@ -1308,9 +1165,6 @@ class ProcessesBackend(ExecutionBackend):
         )
         results = []
         for g in gpu_indices:
-            if g in lost:
-                results.append(lost[g])
-                continue
             side = replies[g]
             self._apply_sidecar(enactor, g, side)
             eff = side.eff
@@ -1330,31 +1184,19 @@ class ProcessesBackend(ExecutionBackend):
         except (BrokenPipeError, OSError):
             pass
 
-    def _wait(self, w: int, sent_at: float):
-        """One bounded receive from worker ``w``.
-
-        Unsupervised, liveness alone bounds it — a dead worker raises
-        WorkerCrashError instead of deadlocking; supervised, the
-        adaptive deadline and heartbeat staleness apply as well.
-        """
-        sup = self.supervisor
+    def _wait(self, w: int):
+        """One bounded receive from worker ``w``: liveness bounds it — a
+        dead worker raises WorkerCrashError instead of deadlocking — and
+        an aborted epoch adds a deadline (:func:`wait_for_reply`)."""
         proc, conn = self._workers[w]
-        if sup is None:
-            return wait_for_reply(conn, proc, timeout=None,
-                                  poll_interval=0.05, aborted=self._aborted)
-        return wait_for_reply(
-            conn, proc,
-            timeout=max(0.1, sup.deadline() - (time.monotonic() - sent_at)),
-            poll_interval=sup.config.poll_interval,
-            heartbeat=self._heartbeats[w],
-            stale_after=sup.config.stale_after,
-        )
+        return wait_for_reply(conn, proc, timeout=None,
+                              poll_interval=0.05, aborted=self._aborted)
 
     def _aborted(self) -> bool:
-        """Polled while the parent waits on a silent worker of an
-        unsupervised pool.  A peer that died will never arrive at the
-        barrier: set the abort word for it, so whoever waits there
-        answers instead of sitting out its deadline."""
+        """Polled while the parent waits on a silent worker.  A peer
+        that died will never arrive at the barrier: set the abort word
+        for it, so whoever waits there answers instead of sitting out
+        its deadline."""
         control = self._control
         if not control.aborted and any(
             entry is not None and entry[0].exitcode is not None
@@ -1363,107 +1205,19 @@ class ProcessesBackend(ExecutionBackend):
             control.abort()
         return control.aborted
 
-    def _collect(self, enactor, iteration, iteration_obj, w, payload,
-                 wjobs, shadow, sent_at, lost):
-        """Bounded receive from worker ``w`` with escalation.
-
-        Returns the worker's reply message, or None after escalating
-        every GPU of the worker into ``lost``.
-        Unsupervised, liveness is still bounded — a dead worker, or one
-        that outstays an aborted epoch, raises SimulationError instead
-        of deadlocking — but there is no respawn or replay.
-        """
-        sup = self.supervisor
-        machine = enactor.machine
-        while True:
-            try:
-                msg = self._wait(w, sent_at[w])
-            except (WorkerCrashError, WorkerHangError) as exc:
-                if sup is None:
-                    self._teardown_workers()
-                    raise SimulationError(
-                        f"processes backend: worker {w} lost mid-superstep "
-                        f"({type(exc).__name__}: {exc})",
-                        iteration=iteration, site="backend.processes",
-                    ) from exc
-                if isinstance(exc, WorkerHangError):
-                    sup.hang_detections += 1
-                    enactor.emit("heartbeat.stale", vt=machine.clock.now,
-                                 worker=w, iteration=iteration,
-                                 stale=bool(exc.stale))
-                if self._handle_failure(enactor, iteration, iteration_obj,
-                                        w, payload, wjobs, shadow,
-                                        sent_at, lost, exc):
-                    continue
-                return None
-            if sup is not None:
-                sup.observe(time.monotonic() - sent_at[w])
-            return msg
-
-    def _handle_failure(self, enactor, iteration, iteration_obj, w,
-                        payload, wjobs, shadow, sent_at, lost,
-                        exc) -> bool:
-        """Escalation policy for one detected worker failure.
-
-        Returns True when the worker was respawned and the superstep
-        replayed (caller re-enters the bounded wait); False when the
-        failure escalated into the DeviceLostError rollback path.
-        """
-        sup = self.supervisor
-        machine = enactor.machine
-        t0 = time.perf_counter()
-        sup.record_failure(iteration, w)
-        wgpus = [job[0] for job in wjobs]
-        escalate = sup.should_escalate(iteration, w)
-        if not escalate:
-            # respawn path: make sure the old process is dead *before*
-            # restoring the windows (a SIGSTOPped worker briefly
-            # resumes during reaping and could scribble afterwards),
-            # then restore this worker's windows to their
-            # pre-superstep shadow (a dying worker may have written
-            # half a window), re-fork, replay the in-flight superstep.
-            # The payload is re-sent as is: its descriptors point into
-            # the exchange halves this superstep only reads
-            self._reap_slot(w)
-            sup.restore_shadow(enactor.problem, shadow, wgpus)
-            if self._respawn_worker(w, enactor, iteration_obj):
-                sup.worker_respawns += 1
-                sup.supersteps_replayed += len(wjobs)
-                enactor.emit("worker.respawn", vt=machine.clock.now,
-                             worker=w, iteration=iteration,
-                             supersteps=len(wjobs))
-                # a second due host fault on the same GPU (e.g. a
-                # crash-twice plan) strikes the replacement here;
-                # only_gpus keeps specs aimed at other workers pending
-                sup.deliver_due_host_faults(
-                    self, enactor, iteration, only_gpus=wgpus
-                )
-                self._send(w, payload)
-                sent_at[w] = time.monotonic()
-                sup.overhead_seconds += time.perf_counter() - t0
-                return True
-            escalate = True
-        # rollback path: convert the failure into DeviceLostError
-        # values so RecoveryPolicy rolls back, reassigns onto the
-        # survivors, and repartitions (the other workers rebuild their
-        # replicas in the rehome that recovery triggers)
-        # snapshot heartbeat ages *before* the worker is reaped — the
-        # stale slot is the whole story of a hang escalation
-        enactor.report_error(
-            "supervisor-escalation", error=exc,
-            heartbeats=self.heartbeat_ages(), faults=machine.faults,
-            worker=w, iteration=iteration,
-        )
-        self._retire_worker(w)
-        for g in wgpus:
-            enactor.emit("worker.lost", vt=machine.clock.now, worker=w,
-                         gpu=g, iteration=iteration)
-            lost[g] = DeviceLostError(
-                f"worker {w} unrecoverable ({type(exc).__name__}: {exc})",
-                gpu_id=g, iteration=iteration, site="supervise.escalate",
-            )
-        sup.overhead_seconds += time.perf_counter() - t0
-        return False
+    def _collect(self, iteration, w):
+        """Worker ``w``'s reply to an epoch grant.  A dead worker, or
+        one that outstays an aborted epoch, tears the pool down and
+        raises SimulationError instead of deadlocking."""
+        try:
+            return self._wait(w)
+        except (WorkerCrashError, WorkerHangError) as exc:
+            self._teardown_workers()
+            raise SimulationError(
+                f"processes backend: worker {w} lost mid-superstep "
+                f"({type(exc).__name__}: {exc})",
+                iteration=iteration, site="backend.processes",
+            ) from exc
 
     def _apply_sidecar(self, enactor, g, side) -> None:
         machine = enactor.machine

@@ -43,12 +43,7 @@ from ..partition.base import reassign_onto_survivors
 from ..sim.machine import Machine
 from ..sim.memory import AllocationScheme, PreallocFusion
 from ..sim.metrics import IterationRecord, RunMetrics
-from .backend import (
-    ExecutionBackend,
-    GpuStepEffects,
-    ProcessesBackend,
-    make_backend,
-)
+from .backend import ExecutionBackend, GpuStepEffects, make_backend
 from .checkpoint import (
     RecoveryPolicy,
     capture_checkpoint,
@@ -66,7 +61,6 @@ from .frontier import Frontier
 from .iteration import GpuContext, IterationBase
 from .problem import ProblemBase
 from .stats import OpStats
-from .supervise import SupervisionConfig, WorkerSupervisor
 
 if TYPE_CHECKING:
     from ..obs.recorder import FlightRecorder
@@ -78,7 +72,7 @@ __all__ = ["Enactor"]
 def _observed(fn):
     """The observer plumbing of ``enact`` (docs/observability.md,
     "Observers"): collect the run's observers into ``_observers`` in
-    hook order — supervisor, tracer, sanitizer, recorder — and hand a
+    hook order — tracer, sanitizer, recorder — and hand a
     framework error escaping the run to their ``on_error`` (the flight
     recorder dumps a crash report) before it propagates.
 
@@ -93,8 +87,7 @@ def _observed(fn):
     @functools.wraps(fn)
     def wrapper(self, **reset_kwargs):
         observers = ()
-        for obs in (self.supervisor, self.tracer, self.sanitizer,
-                    self.recorder):
+        for obs in (self.tracer, self.sanitizer, self.recorder):
             if obs is not None:
                 observers += (obs,)
         self._observers = observers
@@ -223,11 +216,6 @@ class Enactor:
     tracer:
         An optional :class:`~repro.obs.tracer.Tracer`, an observer:
         docs/observability.md, "Observers".
-    supervision:
-        A :class:`~repro.core.supervise.SupervisionConfig` attaches the
-        worker supervisor (docs/robustness.md), an observer:
-        docs/observability.md, "Observers".  Requires
-        ``backend="processes"``; incompatible with ``sanitize=True``.
     flight_recorder:
         An optional :class:`~repro.obs.recorder.FlightRecorder`, an
         observer: docs/observability.md, "Observers".
@@ -246,7 +234,6 @@ class Enactor:
         checkpoint_every: Optional[int] = None,
         recovery: Optional[RecoveryPolicy] = None,
         tracer: Optional[Tracer] = None,
-        supervision: Optional[SupervisionConfig] = None,
         flight_recorder: Optional[FlightRecorder] = None,
     ):
         self._closed = False
@@ -278,24 +265,6 @@ class Enactor:
 
         n = self.machine.num_gpus
         self.backend = make_backend(backend, num_gpus=n)
-        self.supervisor = None
-        if supervision is not None:
-            if not isinstance(self.backend, ProcessesBackend):
-                raise SimulationError(
-                    "supervision requires the processes backend: it "
-                    "watches real worker processes "
-                    f"(got backend={self.backend.name!r})",
-                    site="enactor.init",
-                )
-            if sanitize:
-                raise SimulationError(
-                    "sanitize=True cannot be combined with supervision: "
-                    "shadow-memory wrappers do not survive a shadow "
-                    "restore or worker respawn",
-                    site="enactor.init",
-                )
-            self.supervisor = WorkerSupervisor(supervision)
-            self.backend.supervisor = self.supervisor
         self._setup_buffers()
         self.backend.bind(self)
 
@@ -701,15 +670,14 @@ class Enactor:
         """Send one instant event to every observer (the tracer and
         the flight recorder record it).  The rollback, the checkpoint,
         the sanitizer's hazards and the processes backend's dispatch
-        and supervision report through it."""
+        report through it."""
         for obs in self._observers:
             obs.instant(type_, vt=vt, **fields)
 
     def report_error(self, reason: str, **fields) -> None:
         """Send one failure to every observer's ``on_error`` (the
         flight recorder dumps a crash report): an error escaping
-        ``enact()``, and the processes backend's shm-integrity failures
-        and supervisor escalations."""
+        ``enact()``."""
         for obs in self._observers:
             obs.on_error(reason, **fields)
 
@@ -795,8 +763,8 @@ class Enactor:
         (``on_restore``) and run the primitive's ``on_repartition``.
         The parent runs it in :meth:`_recover_gpu_loss`, and every
         surviving ``processes`` worker on its replica
-        (:meth:`ProcessesBackend.rehome`), where the arrays arrive in
-        shared memory."""
+        (:meth:`~repro.core.backend.ProcessesBackend.rehome`), where the
+        arrays arrive in shared memory."""
         machine = self.machine
         problem = self.problem
         for gpu in lost:
@@ -862,17 +830,6 @@ class Enactor:
                 "checkpointing: shadow-memory wrappers do not survive a "
                 "rollback/repartition", site="enactor.enact",
             )
-        if (
-            machine.faults is not None
-            and machine.faults.has_host_faults()
-            and self.supervisor is None
-        ):
-            raise SimulationError(
-                "fault plan contains host-level kinds (worker-crash / "
-                "worker-hang / shm-corrupt), which strike real worker "
-                "processes: they require the processes backend with "
-                "supervision", site="enactor.enact",
-            )
         init_frontiers = problem.reset(**reset_kwargs)
         machine.reset()
         metrics = RunMetrics(
@@ -910,10 +867,9 @@ class Enactor:
             iter_start = machine.clock.now
 
             # every superstep runs to completion on every backend; a
-            # device loss — virtual (injected) or escalated from a real
-            # worker failure by the supervisor — is the GPU's result
-            # value, so one superstep's losses are handled in a single
-            # rollback.  The scan for one makes no Python call
+            # device loss is the GPU's result value, so one superstep's
+            # losses are handled in a single rollback.  The scan for one
+            # makes no Python call
             results = self.backend.run_iteration(
                 self, iteration, iteration_obj, frontiers, inboxes,
                 self._alive,

@@ -1,8 +1,8 @@
 """The enactor's one observer protocol (docs/observability.md,
-"Observers"): the tracer, the BSP sanitizer, the flight recorder and
-the worker supervisor override these no-op hooks, and every observer
-site of the enactor loop is one plain ``for`` loop over the run's
-observers — empty, and so free of Python calls, when none is attached.
+"Observers"): the tracer, the BSP sanitizer and the flight recorder
+override these no-op hooks, and every observer site of the enactor
+loop is one plain ``for`` loop over the run's observers — empty, and so
+free of Python calls, when none is attached.
 """
 
 from __future__ import annotations

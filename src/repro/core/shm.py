@@ -60,7 +60,6 @@ import atexit
 import os
 import secrets
 import weakref
-import zlib
 from multiprocessing import shared_memory
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -501,12 +500,6 @@ class ExchangeSegment:
         arr.setflags(write=False)
         return arr
 
-    def digest(self, parity: int, used: int, start: int = 1) -> int:
-        """adler32 over the first ``used`` bytes of a half, continuing
-        from ``start`` — the exchange payload's share of the per-barrier
-        integrity digest."""
-        return zlib.adler32(self._segs[parity].buf[:used], start)
-
     # -- teardown --------------------------------------------------------
     def unlink(self) -> None:
         """Destroy every generation of both halves (owner only;
@@ -576,9 +569,9 @@ class ControlBlock:
 
     **Publication.**  :meth:`post` writes the payload, then generation
     and length, then the arrival counter; a peer that sees the counter
-    sees the rest.  Like the heartbeat word this leans on aligned
-    8-byte stores being atomic and visible in program order (x86-TSO;
-    elsewhere the interpreter's own synchronization is the fence).
+    sees the rest.  This leans on aligned 8-byte stores being atomic
+    and visible in program order (x86-TSO; elsewhere the interpreter's
+    own synchronization is the fence).
     """
 
     def __init__(self, workers: int):

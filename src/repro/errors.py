@@ -25,7 +25,6 @@ __all__ = [
     "CommunicationError",
     "WorkerCrashError",
     "WorkerHangError",
-    "ShmIntegrityError",
 ]
 
 
@@ -132,7 +131,7 @@ class CommunicationError(ReproError):
 class WorkerCrashError(ReproError):
     """A real worker process of the processes backend died.
 
-    Detected by the supervision layer (pipe EOF, readable process
+    Detected by the pool's bounded waits (pipe EOF, readable process
     sentinel, or a non-None ``Process.exitcode``) instead of blocking
     forever on an unbounded ``recv()``.  ``exitcode`` carries the OS
     exit status when known (negative = killed by that signal number,
@@ -148,24 +147,7 @@ class WorkerCrashError(ReproError):
 class WorkerHangError(ReproError):
     """A worker process stopped making progress without dying.
 
-    Raised when the worker's heartbeat goes stale (e.g. the process was
-    SIGSTOPped or is wedged in a non-Python loop) or when a superstep
-    exceeds its adaptive deadline (a multiple of the EWMA superstep
-    wall time, with a floor).  ``stale`` distinguishes the two causes.
-    """
-
-    def __init__(self, message: str = "", *args: object,
-                 stale: bool = False, **kwargs):
-        super().__init__(message, *args, **kwargs)
-        self.stale = stale
-
-
-class ShmIntegrityError(ReproError):
-    """A shared-memory slice window failed its per-barrier checksum.
-
-    The owning worker checksums its GPU's slice arrays at superstep end
-    and ships the digest in the effects sidecar; the parent recomputes
-    from its own mapping at the barrier.  A mismatch means some other
-    process scribbled on a window it does not own — the data cannot be
-    trusted, so the supervisor escalates straight to the rollback path.
+    Raised when a wait on a worker outlives its deadline — once the
+    pool's epoch is aborted, a worker that still does not reply within
+    ``BARRIER_TIMEOUT`` counts as wedged (:mod:`repro.core.supervise`).
     """

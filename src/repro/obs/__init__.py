@@ -39,7 +39,6 @@ from .events import (
     EVENT_SCHEMA_VERSION,
     EVENT_TYPES,
     RECOVERY_EVENT_TYPES,
-    SUPERVISION_EVENT_TYPES,
     EventBus,
     JsonlWriter,
     validate_event,
@@ -48,11 +47,10 @@ from .events import (
 from .metrics_export import to_openmetrics, write_openmetrics
 from .profile import profile_rows, render_profile, term_of_span
 from .recorder import FlightRecorder
-from .tracer import COMM_TRACK, SUPERVISOR_TRACK, Span, Tracer
+from .tracer import COMM_TRACK, Span, Tracer
 
 __all__ = [
     "COMM_TRACK",
-    "SUPERVISOR_TRACK",
     "Span",
     "Tracer",
     "EventBus",
@@ -60,7 +58,6 @@ __all__ = [
     "EVENT_SCHEMA_VERSION",
     "EVENT_TYPES",
     "RECOVERY_EVENT_TYPES",
-    "SUPERVISION_EVENT_TYPES",
     "validate_event",
     "validate_events_jsonl",
     "to_chrome_trace",

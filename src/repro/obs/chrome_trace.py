@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
-from .events import RECOVERY_EVENT_TYPES, SUPERVISION_EVENT_TYPES
-from .tracer import COMM_TRACK, SUPERVISOR_TRACK, Tracer
+from .events import RECOVERY_EVENT_TYPES
+from .tracer import COMM_TRACK, Tracer
 
 __all__ = [
     "to_chrome_trace",
@@ -45,7 +45,6 @@ INSTANT_TYPES = frozenset(
         "sanitizer.hazard",
         "mc.divergence",
     }
-    | SUPERVISION_EVENT_TYPES
 )
 
 #: instant names counted into the summarizer's checkpoint/recovery
@@ -71,7 +70,6 @@ def to_chrome_trace(tracer: Tracer) -> dict:
     """Build the Chrome ``trace_event`` JSON object for a traced run."""
     num_gpus = _num_tracks(tracer)
     comm_tid = num_gpus
-    sup_tid = num_gpus + 1
     events: List[dict] = []
 
     def meta(pid: int, tid: int, name: str, value: str) -> None:
@@ -86,17 +84,9 @@ def to_chrome_trace(tracer: Tracer) -> dict:
         meta(0, g, "thread_name", f"GPU {g}")
         meta(1, g, "thread_name", f"GPU {g} (wall)")
     meta(0, comm_tid, "thread_name", "comm")
-    if any(e.get("type") in SUPERVISION_EVENT_TYPES for e in tracer.events) \
-            or any(s.track == SUPERVISOR_TRACK for s in tracer.spans):
-        meta(0, sup_tid, "thread_name", "supervisor")
 
     for s in tracer.spans:
-        if s.track == COMM_TRACK:
-            tid = comm_tid
-        elif s.track == SUPERVISOR_TRACK:
-            tid = sup_tid
-        else:
-            tid = s.track
+        tid = comm_tid if s.track == COMM_TRACK else s.track
         events.append(
             {
                 "ph": "X",
@@ -128,12 +118,8 @@ def to_chrome_trace(tracer: Tracer) -> dict:
         if etype not in INSTANT_TYPES or "vt" not in e:
             continue
         gpu = e.get("gpu")
-        if etype in SUPERVISION_EVENT_TYPES:
-            tid = sup_tid
-        elif isinstance(gpu, int) and 0 <= gpu < num_gpus:
-            tid = gpu
-        else:
-            tid = comm_tid
+        tid = (gpu if isinstance(gpu, int) and 0 <= gpu < num_gpus
+               else comm_tid)
         events.append(
             {
                 "ph": "i",
@@ -259,11 +245,6 @@ def summarize_chrome_trace(trace) -> dict:
             instants[ev.get("name", "?")] = instants.get(ev.get("name", "?"), 0) + 1
             end_us = max(end_us, float(ev.get("ts", 0.0)))
     other = trace.get("otherData", {}) if isinstance(trace, dict) else {}
-    supervisor = {
-        name: count
-        for name, count in sorted(instants.items())
-        if name in SUPERVISION_EVENT_TYPES
-    }
     recovery = {
         name: count
         for name, count in sorted(instants.items())
@@ -276,7 +257,6 @@ def summarize_chrome_trace(trace) -> dict:
         "spans": span_count,
         "tracks": tracks,
         "instants": instants,
-        "supervisor": supervisor,
         "recovery": recovery,
         "end_ms": end_us / 1e3,
     }

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional
 from ..analysis.reporting import render_table
 from .events import EVENT_SCHEMA_VERSION
 from .profile import profile_rows, term_of_span
-from .tracer import COMM_TRACK, SUPERVISOR_TRACK, Span
+from .tracer import COMM_TRACK, Span
 
 __all__ = ["TraceData", "analyze_trace", "render_analysis"]
 
@@ -83,11 +83,11 @@ class TraceData:
 
         Inverts :func:`repro.obs.chrome_trace.to_chrome_trace` for the
         virtual-clock process (pid 0): complete events become
-        :class:`Span` objects (the ``comm``/``supervisor`` rows map
-        back to their negative track indices via the thread-name
-        metadata) and instants become event records.  Wall-clock data
-        (pid 1, per-op wall aggregates) is not round-tripped — it does
-        not participate in virtual-clock analysis.
+        :class:`Span` objects (the ``comm`` row maps back to its
+        negative track index via the thread-name metadata) and instants
+        become event records.  Wall-clock data (pid 1, per-op wall
+        aggregates) is not round-tripped — it does not participate in
+        virtual-clock analysis.
         """
         other = trace.get("otherData", {}) if isinstance(trace, dict) else {}
         events = trace.get("traceEvents", []) if isinstance(trace, dict) else []
@@ -110,8 +110,6 @@ class TraceData:
                 label = names.get(ev.get("tid"), "")
                 if label == "comm":
                     track = COMM_TRACK
-                elif label == "supervisor":
-                    track = SUPERVISOR_TRACK
                 else:
                     track = int(ev.get("tid", 0))
                 args = dict(ev.get("args") or {})
@@ -146,10 +144,8 @@ def _span_gpu(span) -> Optional[int]:
 
     Comm spans live on the shared comm row but are *launched* by their
     sending GPU's comm stream, so the H time belongs to the sender's
-    chain.  Supervisor-row spans belong to no GPU chain.
+    chain.
     """
-    if span.track == SUPERVISOR_TRACK:
-        return None
     if span.track == COMM_TRACK:
         src = span.args.get("src")
         return int(src) if src is not None else None

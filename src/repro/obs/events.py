@@ -17,7 +17,6 @@ __all__ = [
     "EVENT_SCHEMA_VERSION",
     "EVENT_TYPES",
     "RECOVERY_EVENT_TYPES",
-    "SUPERVISION_EVENT_TYPES",
     "EventBus",
     "JsonlWriter",
     "validate_event",
@@ -25,7 +24,7 @@ __all__ = [
 ]
 
 #: JSONL event schema version.  Version 1 was the implicit schema of
-#: PRs 4/9 (spans, barriers, recovery + supervision instants); version
+#: PRs 4/9 (spans, barriers, recovery and other instants); version
 #: 2 adds the observability *products* as first-class records —
 #: ``recorder.dump`` (flight-recorder crash reports) and
 #: ``analysis.report`` (critical-path analyzer output) — so derived
@@ -41,18 +40,6 @@ RECOVERY_EVENT_TYPES = frozenset(
         "recovery.oom-regrow",
         "recovery.gpu-loss",
         "recovery.rollback",
-    }
-)
-
-#: real-process supervision actions (processes backend with supervision);
-#: the chaos harness cross-checks worker.respawn against
-#: RunMetrics.worker_respawns and heartbeat.stale against
-#: RunMetrics.hang_detections
-SUPERVISION_EVENT_TYPES = frozenset(
-    {
-        "worker.respawn",
-        "worker.lost",
-        "heartbeat.stale",
     }
 )
 
@@ -78,7 +65,6 @@ EVENT_TYPES = frozenset(
         "analysis.report",
     }
     | RECOVERY_EVENT_TYPES
-    | SUPERVISION_EVENT_TYPES
 )
 
 #: fields that must be integers when present

@@ -4,7 +4,7 @@ Turns a :class:`~repro.sim.metrics.RunMetrics` into the standard
 `OpenMetrics text format <https://prometheus.io/docs/instrumenting/exposition_formats/>`_
 so a scrape target (or a CI artifact diff) can watch the reproduction
 like any other production service: run-level counters/gauges, the
-recovery and supervision counters the chaos machinery maintains, and
+recovery counters the chaos machinery maintains, and
 per-superstep gauges labeled by ``iteration`` and ``gpu``.
 
 Exposition is versioned in lock-step with the JSONL event schema

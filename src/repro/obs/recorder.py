@@ -12,11 +12,11 @@ Appends never grow memory past the configured capacity — the deque's
 observer (docs/observability.md, "Observers"): its ring holds every
 instant ``Enactor.emit`` sends and one ``superstep.end`` per superstep.
 
-When something goes wrong — the supervisor escalates a worker failure,
-a chaos cell fails, or a :class:`~repro.errors.ReproError` propagates
-out of ``enact()`` — :meth:`FlightRecorder.on_error` snapshots the ring
-into a crash report: the last *k* superstep summaries, recent events,
-per-GPU worker heartbeat ages, the :class:`~repro.sim.metrics.RunMetrics`
+When something goes wrong — a :class:`~repro.errors.ReproError`
+propagates out of ``enact()`` (on any backend, a lost ``processes``
+worker included) or a chaos cell fails — :meth:`FlightRecorder.on_error`
+snapshots the ring into a crash report: the last *k* superstep
+summaries, recent events, the :class:`~repro.sim.metrics.RunMetrics`
 accumulated so far, and the fault plan's injection state.  The report
 is a valid ``recorder.dump`` event record, written to ``path`` when one
 is configured and always kept on :attr:`FlightRecorder.dumps`.
@@ -102,14 +102,12 @@ class FlightRecorder(Observer):
 
     # -- crash reports --------------------------------------------------------
     def on_error(self, reason: str, error: Optional[BaseException] = None,
-                 heartbeats: Optional[dict] = None, faults=None,
-                 **extra) -> dict:
+                 faults=None, **extra) -> dict:
         """Snapshot the ring into a crash report and return it.
 
         The report is shaped as a ``recorder.dump`` event record so it
-        validates against the JSONL event schema.  ``heartbeats`` maps
-        worker slot -> seconds since the last heartbeat; ``faults`` is
-        the machine's :class:`~repro.sim.faults.FaultInjector` (its
+        validates against the JSONL event schema.  ``faults`` is the
+        machine's :class:`~repro.sim.faults.FaultInjector` (its
         injected counters and plan size are recorded, never the object).
         """
         report: Dict[str, Any] = {
@@ -132,10 +130,6 @@ class FlightRecorder(Observer):
                 "gpu": getattr(error, "gpu_id", None),
                 "iteration": getattr(error, "iteration", None),
                 "site": getattr(error, "site", None),
-            }
-        if heartbeats is not None:
-            report["heartbeat_ages"] = {
-                str(w): age for w, age in sorted(heartbeats.items())
             }
         if faults is not None:
             report["pending_faults"] = {

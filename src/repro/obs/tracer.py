@@ -34,14 +34,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.observer import Observer
 
-__all__ = ["COMM_TRACK", "SUPERVISOR_TRACK", "Span", "Tracer"]
+__all__ = ["COMM_TRACK", "Span", "Tracer"]
 
 #: track index of the shared communication row (real GPUs are 0..n-1)
 COMM_TRACK = -1
-
-#: track index of the worker-supervision row (processes backend,
-#: ``Enactor(supervision=...)``): respawn/lost/stale-heartbeat activity
-SUPERVISOR_TRACK = -2
 
 
 @dataclass

@@ -45,12 +45,7 @@ __all__ = [
     "OOM",
     "STRAGGLER",
     "GPU_LOSS",
-    "WORKER_CRASH",
-    "WORKER_HANG",
-    "SHM_CORRUPT",
     "FAULT_KINDS",
-    "HOST_FAULT_KINDS",
-    "ALL_FAULT_KINDS",
     "FaultSpec",
     "FaultPlan",
     "FaultInjector",
@@ -70,26 +65,6 @@ STRAGGLER = "straggler"
 GPU_LOSS = "gpu-loss"
 
 FAULT_KINDS = (TRANSIENT_COMM, OOM, STRAGGLER, GPU_LOSS)
-
-#: real worker process killed with SIGKILL mid-superstep (host-level:
-#: delivered to an actual OS process, processes backend + supervision
-#: only; the supervisor respawns the worker and replays the superstep)
-WORKER_CRASH = "worker-crash"
-#: real worker process SIGSTOPped so its heartbeat goes stale; the
-#: supervisor detects the hang, kills + respawns the worker, replays
-WORKER_HANG = "worker-hang"
-#: deliberate byte flip in a shared-memory slice window the injector
-#: does not own; caught by the per-barrier checksum, escalates to the
-#: DeviceLostError rollback path (the data cannot be trusted)
-SHM_CORRUPT = "shm-corrupt"
-
-#: host-level kinds strike real OS processes/segments, not the model;
-#: they require the processes backend with supervision enabled.  Kept
-#: out of FAULT_KINDS so virtual-plan generators and round-trip
-#: consumers keep their historical domain.
-HOST_FAULT_KINDS = (WORKER_CRASH, WORKER_HANG, SHM_CORRUPT)
-
-ALL_FAULT_KINDS = FAULT_KINDS + HOST_FAULT_KINDS
 
 
 @dataclass
@@ -113,10 +88,10 @@ class FaultSpec:
     dst: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ALL_FAULT_KINDS:
+        if self.kind not in FAULT_KINDS:
             raise SimulationError(
                 f"unknown fault kind {self.kind!r}; expected one of "
-                f"{ALL_FAULT_KINDS}"
+                f"{FAULT_KINDS}"
             )
         if self.gpu < 0 or self.iteration < 0:
             raise SimulationError(
@@ -272,12 +247,11 @@ class FaultInjector:
         self._oom: List[FaultSpec] = []
         self._loss: List[FaultSpec] = []
         self._stragglers: List[FaultSpec] = []
-        self._host: List[FaultSpec] = []
         self.reset()
 
     def reset(self) -> None:
         """Re-arm the plan from scratch (called by ``Machine.reset``)."""
-        self.injected = {k: 0 for k in ALL_FAULT_KINDS}
+        self.injected = {k: 0 for k in FAULT_KINDS}
         self._iter = {}
         # mutable [spec, remaining_failures] cells for transient faults
         self._comm = [[s, s.count] for s in self.plan.faults
@@ -286,39 +260,6 @@ class FaultInjector:
         self._loss = [s for s in self.plan.faults if s.kind == GPU_LOSS]
         self._stragglers = [s for s in self.plan.faults
                             if s.kind == STRAGGLER]
-        self._host = [s for s in self.plan.faults
-                      if s.kind in HOST_FAULT_KINDS]
-
-    def has_host_faults(self) -> bool:
-        """Whether the plan contains any host-level (real-process) kinds."""
-        return any(s.kind in HOST_FAULT_KINDS for s in self.plan.faults)
-
-    def take_due_host_faults(
-        self, iteration: int, only_gpus=None
-    ) -> List[FaultSpec]:
-        """Consume and return the host-level faults due at ``iteration``.
-
-        Host faults strike real OS processes, so they are consumed
-        *parent-side only* — the supervisor calls this before dispatch
-        (and again before a replay) and delivers the signals/corruption
-        itself.  At most one spec per GPU is consumed per call, so a
-        plan with two ``worker-crash`` specs on the same GPU kills the
-        worker once at dispatch and again at replay, exercising the
-        same-superstep-dies-twice escalation to rollback.  A replay
-        passes ``only_gpus`` (the respawned worker's bucket) so specs
-        aimed at other workers stay pending for their own handling.
-        """
-        taken: List[FaultSpec] = []
-        seen: set = set()
-        for spec in list(self._host):
-            if only_gpus is not None and spec.gpu not in only_gpus:
-                continue
-            if iteration >= spec.iteration and spec.gpu not in seen:
-                self._host.remove(spec)
-                seen.add(spec.gpu)
-                self._count(spec.kind)
-                taken.append(spec)
-        return taken
 
     # -- superstep bookkeeping ----------------------------------------------
     def begin_superstep(self, gpu: int, iteration: int) -> None:

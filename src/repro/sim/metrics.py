@@ -88,15 +88,15 @@ class RunMetrics:
     #: GPUs permanently lost during the run (degraded-mode set)
     degraded_gpus: List[int] = field(default_factory=list)
 
-    # -- real-process supervision (processes backend + supervision=) -----
-    #: worker processes respawned after a detected crash/hang
+    # -- retired worker-supervision counters ------------------------------
+    #: These four always read 0: the worker supervisor that counted
+    #: respawns, replayed supersteps, detected hangs and its own wall
+    #: overhead is gone.  They stay because :meth:`to_dict` (and with it
+    #: every committed ``metrics`` digest and the OpenMetrics keys)
+    #: includes them; dropping them is a declared schema change.
     worker_respawns: int = 0
-    #: per-GPU supersteps replayed after a respawn
     supersteps_replayed: int = 0
-    #: hangs detected (stale heartbeat or superstep deadline exceeded)
     hang_detections: int = 0
-    #: wall seconds of supervision overhead (shadow copies, checksums,
-    #: fault delivery, respawn handling) — wall-clock, not virtual time
     supervision_overhead_seconds: float = 0.0
 
     # -- BSP aggregates ---------------------------------------------------

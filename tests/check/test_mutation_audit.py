@@ -227,7 +227,7 @@ CATALOGUE: Tuple[Mutant, ...] = (
         ),
         rules=_rules(),
         tier1=(
-            "tests.core.test_supervision.TestWaitPrimitives"
+            "tests.core.test_epoch_failures.TestWaitPrimitives"
             "::test_reap_worker_kills_a_child_that_ignores_sigterm"
         ),
     ),

@@ -425,7 +425,7 @@ _MID_EPOCH_LOSS = {"bfs": (None, 2), "sssp": (None, 3), "pr": (8, 11)}
 def test_gpu_loss_mid_epoch_bit_identical_to_serial(
     primitive, small_rmat, weighted_rmat, monkeypatch
 ):
-    """A fault-armed, unsupervised run still runs epochs; a pending GPU
+    """A fault-armed run still runs epochs; a pending GPU
     loss cuts the grant short at the superstep it fires in.  The
     survivors rebuild in place, the run resumes from the checkpoint in
     a new grant, and everything equals serial."""

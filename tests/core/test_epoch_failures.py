@@ -5,17 +5,18 @@ another at a shared-memory barrier, so every way a worker can fail to
 arrive has to end the wait: a dead worker, a stopped one, one whose
 hook raised, and control hooks that do not decide the same thing in
 every process; and a barrier that reads contents where only sizes
-crossed must fail, not compute.  All of it on an *unsupervised* pool — supervised
-dispatch stays in lockstep (``test_supervision.py``).
+crossed must fail, not compute.  The bounded-wait helpers those
+paths rest on (``repro.core.supervise``) are tested alone at the end.
 
 Everything here runs real forked processes and real signals; every
-pool test also asserts that no worker and no ``/dev/shm`` name is left.
+test also asserts that no worker and no ``/dev/shm`` name is left.
 """
 
 import glob
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -25,8 +26,13 @@ from repro.core import supervise
 from repro.core.backend import ProcessesBackend
 from repro.core.enactor import Enactor
 from repro.core.shm import SHM_PREFIX, ControlBlock
-from repro.core.supervise import wait_for_peers
-from repro.errors import SimulationError
+from repro.core.supervise import (
+    reap_worker,
+    wait_for_peers,
+    wait_for_reply,
+    worker_recv,
+)
+from repro.errors import SimulationError, WorkerCrashError, WorkerHangError
 from repro.graph.generators import generate_road
 from repro.partition import make_partitioner
 from repro.primitives import BFSIteration, BFSProblem
@@ -232,7 +238,7 @@ def test_workers_that_disagree_among_themselves_time_out(road, fast_bounds):
         enactor.close()
 
 
-# -- the wait helper alone ----------------------------------------------------
+# -- the wait helpers alone ---------------------------------------------------
 
 @pytest.fixture
 def control():
@@ -271,3 +277,98 @@ def test_wait_for_peers_notices_an_orphaned_worker(control):
     mine = control.post(0, 0, b"a")
     with pytest.raises(EOFError):
         wait_for_peers(control, 0, mine, os.getppid() + 1, False, timeout=30.0)
+
+
+def _silent_child(conn):
+    conn.recv()  # wait for the go signal, then exit without replying
+
+
+def _sleepy_child(conn):
+    conn.recv()
+    time.sleep(60)
+
+
+def _sigterm_deaf_child(conn):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    conn.send("ready")
+    time.sleep(60)
+
+
+class TestWaitPrimitives:
+    """The parent's bounded waits on a worker, against real processes."""
+
+    def _spawn(self, target):
+        ctx = multiprocessing.get_context("fork")
+        parent, child = ctx.Pipe()
+        proc = ctx.Process(target=target, args=(child,), daemon=True)
+        proc.start()
+        child.close()
+        return proc, parent
+
+    def test_wait_for_reply_detects_death(self):
+        proc, conn = self._spawn(_silent_child)
+        conn.send("go")
+        t0 = time.monotonic()
+        with pytest.raises(WorkerCrashError):
+            wait_for_reply(conn, proc, timeout=None, poll_interval=0.02)
+        assert time.monotonic() - t0 < 10.0
+        reap_worker(proc, conn, timeout=0.2)
+
+    def test_wait_for_reply_deadline(self):
+        proc, conn = self._spawn(_sleepy_child)
+        conn.send("go")
+        with pytest.raises(WorkerHangError):
+            wait_for_reply(conn, proc, timeout=0.2, poll_interval=0.02)
+        reap_worker(proc, conn, timeout=0.2)
+        assert not proc.is_alive()
+
+    def test_reap_worker_handles_sigstopped_child(self):
+        """SIGSTOP ignores SIGTERM until resumed; the reap sequence
+        (SIGCONT + terminate, then SIGKILL) stays bounded anyway."""
+        proc, conn = self._spawn(_sleepy_child)
+        conn.send("go")
+        os.kill(proc.pid, signal.SIGSTOP)
+        t0 = time.monotonic()
+        reap_worker(proc, conn, timeout=0.2)
+        assert time.monotonic() - t0 < 5.0
+        assert not proc.is_alive()
+
+    def test_reap_worker_kills_a_child_that_ignores_sigterm(self):
+        """A worker that ignores SIGTERM is still reaped, by the SIGKILL
+        backstop.  The reap runs in a daemon thread, so an unbounded
+        wait fails this test instead of hanging the suite."""
+        proc, conn = self._spawn(_sigterm_deaf_child)
+        try:
+            assert conn.poll(5.0) and conn.recv() == "ready"
+            reaper = threading.Thread(
+                target=reap_worker, args=(proc, conn),
+                kwargs={"timeout": 0.2}, daemon=True,
+            )
+            reaper.start()
+            reaper.join(5.0)
+            assert not reaper.is_alive(), "reap_worker is still waiting"
+            assert proc.exitcode == -signal.SIGKILL
+        finally:
+            proc.kill()
+
+    def test_worker_recv_detects_orphaning_by_recorded_parent(
+        self, monkeypatch
+    ):
+        """An orphan is re-parented to whatever reaps orphans here —
+        pid 1, a subreaper, a container init — so the worker compares
+        against the pid recorded at fork, not against 1."""
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe()
+        try:
+            # re-parented to a subreaper that is not pid 1
+            monkeypatch.setattr(os, "getppid", lambda: 4242)
+            with pytest.raises(EOFError):
+                worker_recv(theirs, 1000, poll_interval=0.01)
+            # a live parent that happens to BE pid 1 (container init)
+            # is not an orphaning: the request still arrives
+            monkeypatch.setattr(os, "getppid", lambda: 1)
+            threading.Timer(0.05, ours.send, args=(("stop",),)).start()
+            assert worker_recv(theirs, 1, poll_interval=0.01) == ("stop",)
+        finally:
+            ours.close()
+            theirs.close()

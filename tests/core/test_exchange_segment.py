@@ -2,8 +2,8 @@
 descriptors into a per-GPU, double-buffered shared-memory segment.
 
 Covers the segment class on its own (round trips, regrowth, cleanup,
-a second process), the effects pack/unpack pair the step protocol is
-built from, and the integrity digest over the exchange payload.
+a second process) and the effects pack/unpack pair the step protocol is
+built from.
 """
 
 import glob
@@ -24,15 +24,9 @@ from repro.core.backend import (
     _unpack_effects,
 )
 from repro.core.comm import Message
-from repro.core.enactor import Enactor
 from repro.core.shm import SHM_PREFIX, ControlBlock, ExchangeSegment
-from repro.core.supervise import SupervisionConfig
 from repro.errors import SimulationError
-from repro.primitives import BFSIteration, BFSProblem, run_bfs
-from repro.sim.faults import SHM_CORRUPT, FaultPlan, FaultSpec
-from repro.sim.machine import Machine
 
-from .test_supervision import FAST
 
 def _mine():
     return glob.glob(f"/dev/shm/{SHM_PREFIX}-{os.getpid()}-x*")
@@ -340,66 +334,3 @@ def test_control_block_round_trip_across_regrowth():
     control.close()
     control.close()
     assert ours() == []
-
-
-def test_digest_covers_exactly_the_written_bytes(segment):
-    segment.put(0, np.arange(50, dtype=np.int64))
-    used = segment.used(0)
-    before = segment.digest(0, used, 17)
-    assert before == segment.digest(0, used, 17)
-    assert before != segment.digest(0, used, 18)
-    raw = segment.view((0, 0, 0, "|u1", segment.capacity(0)))
-    raw.setflags(write=True)
-    raw[used] ^= 0xFF  # past the fill mark: not part of the payload
-    assert segment.digest(0, used, 17) == before
-    raw[used // 2] ^= 0xFF
-    assert segment.digest(0, used, 17) != before
-    del raw
-
-
-def _corrupt_exchange(enactor, iteration):
-    """Re-aim ``shm-corrupt`` at the exchange: flip a byte of what the
-    victim GPU's worker just wrote instead of one in a slice window."""
-    backend, sup = enactor.backend, enactor.supervisor
-    struck = []
-
-    def deliver(_problem):
-        for spec in sup._pending_corrupt:
-            seg = backend._exchange[spec.gpu]
-            used = seg.used(iteration % 2)
-            assert used > 0, "nothing was written to corrupt"
-            raw = seg.view((spec.gpu, iteration % 2, 0, "|u1", used))
-            raw.setflags(write=True)
-            raw[used // 2] ^= 0xFF
-            struck.append(spec.gpu)
-        sup._pending_corrupt = []
-
-    sup.deliver_pending_corruption = deliver
-    return struck
-
-
-def test_corrupt_exchange_payload_is_caught_by_the_digest(small_rmat):
-    """With ``shm_checksums`` on, the per-barrier digest covers the
-    exchange payload: a flipped frontier/message byte fails the
-    barrier and rolls back to a correct finish."""
-    ref, _, _ = run_bfs(small_rmat, Machine(2), src=0)
-    machine = Machine(2)
-    machine.arm_faults(FaultPlan([FaultSpec(SHM_CORRUPT, gpu=1, iteration=1)]))
-    problem = BFSProblem(small_rmat, machine)
-    enactor = Enactor(
-        problem, BFSIteration, backend="processes", checkpoint_every=2,
-        supervision=SupervisionConfig(shm_checksums=True, **FAST),
-    )
-    struck = _corrupt_exchange(enactor, iteration=1)
-    try:
-        metrics = enactor.enact(src=0)
-        got = problem.labels()
-    finally:
-        enactor.close()
-    assert struck == [1]
-    assert metrics.rollbacks == 1
-    assert list(metrics.degraded_gpus) == [1]
-    assert metrics.worker_respawns == 0
-    np.testing.assert_array_equal(ref, got)
-    assert multiprocessing.active_children() == []
-    assert glob.glob(f"/dev/shm/{SHM_PREFIX}-*") == []

@@ -402,10 +402,10 @@ def test_parent_pipe_messages_stay_within_budget(monkeypatch):
     assert sum(calls.values()) / len(metrics.iterations) <= PIPE_MSGS_PER_SUPERSTEP
 
 
-# A fault plan no longer puts dispatch in lockstep (unsupervised): a
-# grant runs to the next due checkpoint or to the superstep a pending
-# GPU loss fires in, whichever comes first.  Lockstep cost a request and
-# a reply per worker per superstep: 274 messages on this run.
+# A fault plan does not put dispatch in lockstep: a grant runs to the
+# next due checkpoint or to the superstep a pending GPU loss fires in,
+# whichever comes first.  Lockstep cost a request and a reply per worker
+# per superstep: 274 messages on this run.
 
 def test_fault_armed_run_grants_one_epoch_per_checkpoint_interval(
     monkeypatch,

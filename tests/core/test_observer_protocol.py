@@ -3,9 +3,9 @@
 A tracer or the sanitizer stages its records in each superstep's
 ``GpuStepEffects``, so on ``processes`` the workers run ahead exactly as
 in an unobserved run: the parent sends as many pipe messages either way.
-Only supervision puts dispatch in lockstep.  Observers attached together
-record what each records alone.  The enactor is the tracer's only owner,
-so a ``Machine`` reused after a traced run keeps no tracer.
+Observers attached together record what each records alone.  The
+enactor is the tracer's only owner, so a ``Machine`` reused after a
+traced run keeps no tracer.
 """
 
 import json
@@ -14,7 +14,6 @@ import multiprocessing.connection
 import numpy as np
 import pytest
 
-from repro.core.supervise import SupervisionConfig
 from repro.graph.generators.road import generate_road
 from repro.obs import FlightRecorder, Tracer
 from repro.primitives import run_bfs
@@ -97,14 +96,6 @@ def test_every_observer_at_once_records_what_each_does_alone(
     assert got_m.sanitizer_hazards == sanitized.sanitizer_hazards == []
     got_m.sanitizer_hazards = None
     assert json.dumps(got_m.to_dict()) == json.dumps(metrics.to_dict())
-
-
-def test_supervision_alone_runs_in_lockstep(road, parent_sends):
-    _, metrics, plain = _run(road, parent_sends)
-    _, _, supervised = _run(road, parent_sends,
-                            supervision=SupervisionConfig())
-    # one request per worker and superstep
-    assert supervised >= 2 * len(metrics.iterations) > plain
 
 
 @pytest.mark.parametrize("backend", ["serial", "processes:2"])

@@ -88,8 +88,8 @@ class TestExport:
         )
         assert "GPU 0" in s["tracks"] and "comm" in s["tracks"]
         assert s["instants"].get("barrier")
-        # no faults, no supervision: both special buckets stay empty
-        assert s["supervisor"] == {} and s["recovery"] == {}
+        # no faults: the recovery bucket stays empty
+        assert s["recovery"] == {}
 
     def test_summary_recovery_bucket(self, small_rmat):
         """Recovery/checkpoint instants are pulled into their own
@@ -105,19 +105,6 @@ class TestExport:
         # every bucketed instant is also in the plain instant counts
         for name, count in s["recovery"].items():
             assert s["instants"][name] == count
-
-    def test_summary_supervisor_bucket(self, small_rmat):
-        tracer = _traced_bfs(small_rmat)
-        # supervision events come from the worker supervisor; synthesize
-        # the instants rather than spinning up real worker processes
-        tracer.instant("worker.respawn", vt=1.0, worker=1, gpu=1)
-        tracer.instant("heartbeat.stale", vt=1.5, worker=1)
-        s = summarize_chrome_trace(to_chrome_trace(tracer))
-        assert s["supervisor"] == {
-            "worker.respawn": 1, "heartbeat.stale": 1,
-        }
-        # supervision instants do not leak into the recovery bucket
-        assert "worker.respawn" not in s["recovery"]
 
 
 class TestValidation:

@@ -60,7 +60,7 @@ class TestSchemaV2:
     def test_recorder_dump_validates(self):
         assert validate_event({
             "type": "recorder.dump",
-            "reason": "supervisor-escalation",
+            "reason": "enact-error",
             "num_gpus": 2,
         }) == []
 

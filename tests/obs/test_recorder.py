@@ -48,15 +48,13 @@ class TestDump:
         assert report["events"][-1]["type"] == "barrier"
         assert report in r.dumps
 
-    def test_dump_captures_error_and_heartbeats(self):
+    def test_dump_captures_error(self):
         r = FlightRecorder()
         err = CommunicationError("link down", gpu_id=1, iteration=3)
-        report = r.on_error("escalation", error=err,
-                            heartbeats={0: 0.5, 1: 12.0})
+        report = r.on_error("enact-error", error=err)
         assert report["error"]["class"] == "CommunicationError"
         assert report["error"]["gpu"] == 1
         assert report["error"]["iteration"] == 3
-        assert report["heartbeat_ages"] == {"0": 0.5, "1": 12.0}
 
     def test_dump_captures_fault_plan_state(self):
         machine = Machine(2)
@@ -91,7 +89,10 @@ class TestLiveRuns:
         assert kept == [m.iteration for m in metrics.iterations[-3:]]
         assert r.metrics is metrics
 
-    def test_repro_error_out_of_enact_dumps(self, small_rmat):
+    @pytest.mark.parametrize("backend", ["serial", "processes:2"])
+    def test_repro_error_out_of_enact_dumps(self, small_rmat, backend):
+        """On ``processes`` the error is raised in a worker and re-raised
+        by the parent, whose enactor dumps it."""
         from repro.core.checkpoint import RecoveryPolicy
 
         r = FlightRecorder()
@@ -101,10 +102,12 @@ class TestLiveRuns:
         ]))
         with pytest.raises(CommunicationError):
             run_bfs(small_rmat, machine, src=0, flight_recorder=r,
-                    recovery=RecoveryPolicy(max_comm_retries=3))
+                    recovery=RecoveryPolicy(max_comm_retries=3),
+                    backend=backend)
         assert len(r.dumps) == 1
         report = r.dumps[0]
         assert report["reason"] == "enact-error"
+        assert report["backend"] == backend.partition(":")[0]
         assert report["error"]["class"] == "CommunicationError"
         assert report["pending_faults"]["planned"] == 1
         # the metrics accumulated up to the crash ride along

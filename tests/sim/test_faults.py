@@ -27,6 +27,14 @@ class TestFaultSpec:
         with pytest.raises(SimulationError):
             FaultSpec("meteor-strike", gpu=0, iteration=0)
 
+    def test_host_kind_rejected_naming_the_four_kinds(self):
+        """The host-level kinds went with the worker supervisor."""
+        with pytest.raises(SimulationError) as exc:
+            FaultSpec("worker-crash", 0, 1)
+        for kind in (TRANSIENT_COMM, OOM, STRAGGLER, GPU_LOSS):
+            assert kind in str(exc.value)
+        assert len(FAULT_KINDS) == 4
+
     def test_negative_fields_rejected(self):
         with pytest.raises(SimulationError):
             FaultSpec(TRANSIENT_COMM, gpu=-1, iteration=0)

@@ -95,6 +95,11 @@ class TestRun:
         with pytest.raises(SystemExit):
             run_cli("run", "bfs", "--kernels")
 
+    def test_supervise_flag_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "bfs", "--supervise")
+        assert exc.value.code == 2  # argparse: unrecognized arguments
+
 
 class TestPartition:
     def test_compares_three(self):
@@ -251,7 +256,7 @@ class TestTrace:
         assert "recovery.rollback×1" in line[0]
         assert "checkpoint×" in line[0]
         assert "checkpoint.capture×" in line[0]
-        # no supervision ran, so no supervisor summary line
+        # the worker supervisor and its summary line are gone
         assert "supervisor:" not in text
 
     def test_missing_file_exits_two(self):
