@@ -955,8 +955,7 @@ class ProcessesBackend(ExecutionBackend):
             # packaged remote part each hold at most every local vertex
             # once, so regrowth is left to duplicate-carrying frontiers
             # and to messages re-routed after a rollback
-            columns = (2 + problem.NUM_VERTEX_ASSOCIATES
-                       + problem.NUM_VALUE_ASSOCIATES)
+            columns = 2 + enactor._num_associates
             self._exchange = [
                 ExchangeSegment(
                     g, 8 * columns * problem.subgraphs[g].num_vertices + 4096

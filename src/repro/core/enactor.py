@@ -68,6 +68,9 @@ if TYPE_CHECKING:
 
 __all__ = ["Enactor"]
 
+#: what a superstep's effects hold until it sets their frontier
+_NO_FRONTIER = np.empty(0, dtype=np.int64)
+
 
 def _observed(fn):
     """The observer plumbing of ``enact`` (docs/observability.md,
@@ -111,15 +114,16 @@ class _ChargeLedger:
     have.  The superstep flushes once, before timing its sends; whatever
     reads the horizon earlier flushes first.  A traced span needs its
     op's start time, so with a tracer every charge is applied as it is
-    made — a traced ledger is empty between calls.
+    made — a traced ledger is empty between calls.  A GPU keeps one
+    ledger with its buffers; a superstep clears it and sets its tracer.
     """
 
-    __slots__ = ("gpu_index", "stream", "op_seconds", "tracer", "pending")
+    __slots__ = ("gpu_index", "stream", "price", "tracer", "pending")
 
     def __init__(self, gpu_index: int, stream, kernel_model, tracer):
         self.gpu_index = gpu_index
         self.stream = stream
-        self.op_seconds = kernel_model.op_seconds
+        self.price = kernel_model.price
         self.tracer = tracer
         self.pending: List[tuple] = []  # (duration, earliest_start, label)
 
@@ -138,15 +142,8 @@ class _ChargeLedger:
                scale: float = 1.0) -> float:
         """Charge operator stats; return their seconds.  ``scale`` is an
         injected-straggler slowdown (1.0 with no fault plan armed)."""
-        op_seconds = self.op_seconds
         pending = self.pending
-        total = 0.0
-        for s in stats:
-            dur = op_seconds(
-                s.streaming_bytes, s.random_bytes, s.launches, s.atomic_ops
-            ) * scale
-            pending.append((dur, earliest_start, s.name))
-            total += dur
+        total = self.price(stats, earliest_start, scale, pending)
         if self.tracer is not None:
             for s, op, end in zip(stats, pending, self.flush()):
                 self.tracer.op_span(self.gpu_index, s, end - op[0], op[0])
@@ -297,6 +294,12 @@ class Enactor:
             )
             for i in range(n)
         ]
+        self._ledgers: List[_ChargeLedger] = [_ChargeLedger(
+            i, ctx.gpu.compute, ctx.kernel_model, None
+        ) for i, ctx in enumerate(self._contexts)]
+        #: associate arrays per message, as declared (not hooks' lists)
+        self._num_associates = (problem.NUM_VERTEX_ASSOCIATES
+                                + problem.NUM_VALUE_ASSOCIATES)
         prefix = self._alloc_prefix
         for i in range(n):
             sub = problem.subgraphs[i]
@@ -318,11 +321,7 @@ class Enactor:
                 self._intermediate_names.append("")
             # communication staging buffers (send + receive), O(frontier)
             if n > 1 and pool is not None:
-                assoc = (
-                    1
-                    + problem.NUM_VERTEX_ASSOCIATES
-                    + problem.NUM_VALUE_ASSOCIATES
-                )
+                assoc = 1 + self._num_associates
                 pool.alloc(f"{prefix}.comm", 2 * cap * vb * assoc)
 
     # ------------------------------------------------------------------
@@ -433,11 +432,13 @@ class Enactor:
             inj.check_gpu_loss(i, iteration)
             inj.begin_superstep(i, iteration)
             straggle = inj.straggler_factor(i, iteration)
-        eff = GpuStepEffects(gpu=i)
+        eff = GpuStepEffects(i, _NO_FRONTIER)
         for obs in self._observers:
             obs.on_superstep_start(i, iteration, compute.available_at,
                                    frontier_in)
-        ledger = _ChargeLedger(i, compute, machine.kernel_model, tracer)
+        ledger = self._ledgers[i]
+        ledger.pending = []
+        ledger.tracer = tracer
         # per-iteration framework overhead (bookkeeping kernels,
         # driver API calls) — the 1-GPU part of Section V-B's l
         compute_seconds = ledger.add(
@@ -512,8 +513,10 @@ class Enactor:
         local_part = out
         if n > 1 and iteration_obj.communicates_this_iteration(iteration):
             ids_bytes = ctx.ids_bytes
-            va = iteration_obj.vertex_associate_arrays(ctx)
-            la = iteration_obj.value_associate_arrays(ctx)
+            if out.size or problem.communication == BROADCAST:
+                # an empty selective route calls no associate hook
+                va = iteration_obj.vertex_associate_arrays(ctx)
+                la = iteration_obj.value_associate_arrays(ctx)
             if problem.communication == BROADCAST:
                 msgs, pstats = make_broadcast_messages(
                     sub, out, n, va, la, ids_bytes=ids_bytes,
@@ -538,7 +541,7 @@ class Enactor:
                 route_stats = [sstats, pstats]
             else:
                 route_stats = route_empty_frontier(
-                    sub, len(va) + len(la), tracer
+                    sub, self._num_associates, tracer
                 )
             compute_seconds += ledger.charge(route_stats, 0.0, straggle)
         # the superstep's compute-stream charges, applied in the order

@@ -13,6 +13,9 @@ paper calls out, all reproduced here:
 
 The unfused path must materialize the advance output (the enactor sizes an
 ``intermediate`` buffer for it); the fused path never does.
+
+It is one function, as it is one kernel: one row gather, the label
+probe and claim, and one :class:`OpStats`.
 """
 
 from __future__ import annotations
@@ -23,9 +26,8 @@ import numpy as np
 
 from ...graph.csr import CsrGraph, CsrRows
 from ..stats import OpStats
-from .advance import advance_push
-from .compute import member_mask, segment_first
-from .filter import filter_unvisited
+from .advance import gather_neighbors
+from .compute import dedup, member_mask, segment_first
 
 __all__ = ["fused_advance_filter", "first_witness"]
 
@@ -69,30 +71,38 @@ def fused_advance_filter(
     (deterministic: first in gather order wins, matching the
     serialized-atomics tie-break of a GPU run re-executed for
     reproducibility).  A caller that marks no predecessors passes
-    ``witness=False`` and gets ``None``: the witness is not computed.
+    ``witness=False`` and gets ``None``: the per-edge sources are not
+    built and the witness is not computed.
     """
-    # the inner calls are NOT traced individually: one fused kernel means
-    # one wall-clock sample under the fused name
+    # one fused kernel means one wall-clock sample under the fused name
     _wall0 = tracer.wall() if tracer is not None else 0.0
-    # only the witness reads the per-edge source array
-    neighbors, sources, _, a_stats = advance_push(
-        csr, frontier, ids_bytes=ids_bytes, need_sources=witness
+    neighbors, sources, _ = gather_neighbors(
+        csr, frontier, need_sources=witness
     )
-    survivors, f_stats = filter_unvisited(
-        neighbors, labels, invalid_label, ids_bytes=ids_bytes
-    )
-    # recover one source witness per survivor: first occurrence
+    nf, edges = int(frontier.size), int(neighbors.size)
+    survivors = neighbors
+    if edges:
+        # label probe, then the atomic claim of each unvisited vertex
+        unvisited = (labels[neighbors] == invalid_label).nonzero()[0]
+        survivors = dedup(neighbors.take(unvisited), labels.shape[0])
+    n_out = int(survivors.size)
     w_sources = None
     if witness:
         w_sources = first_witness(
             neighbors, sources, survivors, labels.shape[0]
         )
-
-    stats = a_stats.merged_with(f_stats, fused=True)
-    stats.name = "advance+filter(fused)"
-    # fusion removes the intermediate write+read of the neighbor list
-    stats.streaming_bytes = max(
-        0.0, stats.streaming_bytes - 2 * neighbors.size * ids_bytes
+    size_bytes = csr.ids.size_bytes
+    # the advance's terms, then the filter's, as the unfused charges
+    # sum them: the same floats and types bit for bit
+    stats = OpStats(
+        name="advance+filter(fused)", input_size=nf, output_size=n_out,
+        edges_visited=edges, vertices_processed=nf + edges, launches=1,
+        streaming_bytes=max(0.0, (nf + edges) * ids_bytes
+                            + (edges + n_out) * ids_bytes
+                            - 2 * edges * ids_bytes),
+        random_bytes=2 * nf * size_bytes
+        + edges * (ids_bytes + 0.75 * size_bytes) + edges * ids_bytes,
+        atomic_ops=float(n_out),
     )
     if tracer is not None:
         tracer.op_wall_sample("advance+filter(fused)", tracer.wall() - _wall0)

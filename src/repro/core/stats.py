@@ -11,9 +11,8 @@ BSP counts (Table I).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
-__all__ = ["OpStats", "combine_stats"]
+__all__ = ["OpStats"]
 
 
 @dataclass
@@ -35,31 +34,3 @@ class OpStats:
     streaming_bytes: float = 0.0
     random_bytes: float = 0.0
     atomic_ops: float = 0.0
-
-    def merged_with(self, other: "OpStats", fused: bool = False) -> "OpStats":
-        """Combine two operator invocations (fusion drops a launch)."""
-        return OpStats(
-            name=f"{self.name}+{other.name}",
-            input_size=self.input_size,
-            output_size=other.output_size,
-            edges_visited=self.edges_visited + other.edges_visited,
-            vertices_processed=self.vertices_processed + other.vertices_processed,
-            launches=self.launches + (0 if fused else other.launches),
-            streaming_bytes=self.streaming_bytes + other.streaming_bytes,
-            random_bytes=self.random_bytes + other.random_bytes,
-            atomic_ops=self.atomic_ops + other.atomic_ops,
-        )
-
-
-def combine_stats(stats: List[OpStats]) -> OpStats:
-    """Fold a list of OpStats into totals (launches summed, not fused)."""
-    total = OpStats(name="total", launches=0)
-    for s in stats:
-        total.edges_visited += s.edges_visited
-        total.vertices_processed += s.vertices_processed
-        total.launches += s.launches
-        total.streaming_bytes += s.streaming_bytes
-        total.random_bytes += s.random_bytes
-        total.atomic_ops += s.atomic_ops
-        total.output_size = s.output_size
-    return total

@@ -14,6 +14,8 @@ model multiplies by the machine's workload ``scale`` (DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Iterable, List, Tuple
 
 from .device import DeviceSpec
 
@@ -43,21 +45,34 @@ class KernelModel:
         self._streaming_bw = spec.effective_bandwidth(False)
         self._random_bw = spec.effective_bandwidth(True)
 
-    def op_seconds(self, streaming_bytes: float, random_bytes: float,
-                   launches: int, atomic_ops: float) -> float:
-        """``kernel_time(...).total`` as a bare float: the one place the
-        cost formula lives.  The enactor prices every ``OpStats`` through
-        this positional form (no ``KernelCost`` per call) and
-        :meth:`kernel_time` reads its traffic term from it."""
-        t = 0.0
-        if streaming_bytes > 0:
-            t += (streaming_bytes * self.scale) / self._streaming_bw
-        if random_bytes > 0:
-            t += (random_bytes * self.scale) / self._random_bw
-        if atomic_ops > 0:
-            # model atomics as 8-byte random accesses at 1/4 efficiency
-            t += (atomic_ops * 8 * self.scale) / (self._random_bw * 0.25)
-        return launches * self._launch_overhead + t
+    def price(self, stats: Iterable, earliest_start: float, scale: float,
+              rows: List[Tuple[float, float, str]]) -> float:
+        """Price a group of kernels — ``OpStats``, or anything with their
+        cost fields — in list order: append a ``(duration,
+        earliest_start, name)`` row per kernel to ``rows`` (what
+        ``Stream.launch_many`` applies) and return the group's seconds,
+        summed from 0.0.  ``scale`` is a straggler's slowdown.  The one
+        place the cost formula lives: :meth:`kernel_time` reads it too.
+        """
+        k, launch = self.scale, self._launch_overhead
+        streaming_bw, random_bw = self._streaming_bw, self._random_bw
+        total = 0.0
+        for s in stats:
+            t = 0.0
+            nbytes = s.streaming_bytes
+            if nbytes > 0:
+                t += (nbytes * k) / streaming_bw
+            nbytes = s.random_bytes
+            if nbytes > 0:
+                t += (nbytes * k) / random_bw
+            atomics = s.atomic_ops
+            if atomics > 0:
+                # model atomics as 8-byte random accesses at 1/4 efficiency
+                t += (atomics * 8 * k) / (random_bw * 0.25)
+            dur = (s.launches * launch + t) * scale
+            rows.append((dur, earliest_start, s.name))
+            total += dur
+        return total
 
     def kernel_time(
         self,
@@ -82,11 +97,13 @@ class KernelModel:
             the cost that limits Bisson et al.'s atomic-heavy BFS,
             Section II-A).
         """
-        return KernelCost(
-            launch=launches * self._launch_overhead,
-            # zero launches leave exactly the traffic term (0.0 + t == t)
-            traffic=self.op_seconds(streaming_bytes, random_bytes, 0, atomic_ops),
-        )
+        # zero launches and no slowdown leave exactly the traffic term
+        traffic = self.price((SimpleNamespace(
+            name="", launches=0, streaming_bytes=streaming_bytes,
+            random_bytes=random_bytes, atomic_ops=atomic_ops,
+        ),), 0.0, 1.0, [])
+        return KernelCost(launch=launches * self._launch_overhead,
+                          traffic=traffic)
 
     def memcpy_time(self, nbytes: float) -> float:
         """Device-local copy (used by reallocation's malloc+copy)."""

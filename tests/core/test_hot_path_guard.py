@@ -228,21 +228,24 @@ def test_segment_reduce_min_never_masks_the_edge_list():
 #
 # A road grid is the workload of fixed costs: hundreds of supersteps of
 # frontiers a few vertices long, so what a GPU-superstep pays before it
-# does any work is most of the run.  The charge ledger prices every
-# OpStats through ``KernelModel.op_seconds`` and reaches the compute
-# stream once per GPU per superstep; empty frontiers are neither split
-# nor packaged.  This run measures 303.24 calls per 4-GPU superstep on
-# the one superstep path every run takes, armed or not (312.6 before
-# every push gathered its rows in one compiled call), and the call
-# budget sits below 303.24 plus one call per GPU-superstep, so a call
-# added to that path fails here.  The
-# cost-model budgets sit ~15 % above 3.1 ``op_seconds`` and 1.5
+# does any work is most of the run.  Each GPU keeps one charge ledger,
+# which prices a charge — a list of OpStats — with one
+# ``KernelModel.price`` call and reaches the compute stream once per
+# superstep; the fused advance+filter is one function that builds one
+# OpStats; empty frontiers are neither split nor packaged, and call no
+# associate hook.  This run measures 264.11 calls per 4-GPU superstep on
+# the one superstep path every run takes, armed or not (303.24 with a
+# pricing call per OpStats and the fused kernel calling the advance and
+# the filter, 312.6 before every push gathered its rows in one compiled
+# call), and the call budget sits below 264.11 plus one call per
+# GPU-superstep, so a call added to that path fails here.  The
+# cost-model budgets sit ~15 % above 2.1 charges and 1.5
 # ``launch_many`` per GPU-superstep (one flush, plus one per message
 # sent).  The loop before the ledger made 641 calls, and 4.6
 # ``Stream.launch`` per GPU-superstep under its 3.1 ``kernel_time``.
 
-PY_CALLS_PER_SUPERSTEP = 307
-COST_MODEL_CALLS_PER_GPU_SUPERSTEP = 3.6
+PY_CALLS_PER_SUPERSTEP = 268
+COST_MODEL_CALLS_PER_GPU_SUPERSTEP = 2.4
 STREAM_CALLS_PER_GPU_SUPERSTEP = 1.75
 
 
@@ -289,9 +292,10 @@ def test_superstep_fixed_cost_stays_within_budget():
     assert supersteps > 40, "not the many-small-supersteps regime"
     assert by_function[("enactor", "_gpu_superstep")] == gpu_supersteps
     assert total / supersteps <= PY_CALLS_PER_SUPERSTEP
-    # every OpStats is priced once (``kernel_time`` runs ``op_seconds``
-    # too, so this counts pricings through either entry)
-    cost_model = by_function[("kernel", "op_seconds")]
+    # one pricing call per charge (``kernel_time`` runs ``price`` too,
+    # so this counts pricings through either entry)
+    cost_model = by_function[("kernel", "price")]
+    assert cost_model == by_function[("enactor", "charge")]
     assert 0 < cost_model / gpu_supersteps <= COST_MODEL_CALLS_PER_GPU_SUPERSTEP
     # the stream is reached by one flush per GPU-superstep, plus one
     # launch per message sent (``launch`` runs ``launch_many``'s loop)
@@ -301,13 +305,13 @@ def test_superstep_fixed_cost_stays_within_budget():
 
 # CC's supersteps are few and heavy: each GPU hooks and jumps to a local
 # fixpoint, then min-combines the component IDs it receives.  This 4-GPU
-# R-MAT-10 run measures 752 calls per superstep (760 before the
-# destination-side hook read its drop off the component array); one
-# Python call per received vertex (the mutation audit's ``hot-loop``
-# mutant) reads 1 121.5.  The budget sits below 752 plus one call per
-# GPU-superstep.
+# R-MAT-10 run measures 736 calls per superstep (752 with a pricing call
+# per OpStats, 760 before the destination-side hook read its drop off
+# the component array); one Python call per received vertex (the
+# mutation audit's ``hot-loop`` mutant) reads 1 121.5.  The budget sits
+# below 736 plus one call per GPU-superstep.
 
-CC_PY_CALLS_PER_SUPERSTEP = 755
+CC_PY_CALLS_PER_SUPERSTEP = 739
 
 
 def test_cc_superstep_calls_stay_within_budget(small_rmat):
@@ -321,14 +325,14 @@ def test_cc_superstep_calls_stay_within_budget(small_rmat):
 
 # SSSP's supersteps relax the frontier's out-edges and min-combine the
 # distances received.  This warm 4-GPU run on the weighted R-MAT-10
-# measures 592.67 calls per superstep over its 9 supersteps (605.11
-# before the relaxation read its drop off the distance array, 608.22
-# before the push gathered its rows in one compiled call); one Python
-# call per received vertex in ``expand_incoming`` (CC's ``hot-loop``
-# mutant, moved into SSSP) reads 804.56.  The budget sits below 592.67
-# plus one call per GPU-superstep.
+# measures 568.56 calls per superstep over its 9 supersteps (592.67 with
+# a pricing call per OpStats, 605.11 before the relaxation read its drop
+# off the distance array, 608.22 before the push gathered its rows in
+# one compiled call); one Python call per received vertex in
+# ``expand_incoming`` (CC's ``hot-loop`` mutant, moved into SSSP) reads
+# 804.56.  The budget sits below 568.56 plus one call per GPU-superstep.
 
-SSSP_PY_CALLS_PER_SUPERSTEP = 596
+SSSP_PY_CALLS_PER_SUPERSTEP = 572
 
 
 def test_sssp_superstep_calls_stay_within_budget(weighted_rmat):
@@ -343,13 +347,14 @@ def test_sssp_superstep_calls_stay_within_budget(weighted_rmat):
 
 # PR's supersteps repeat one fixed plan: a rank update, one compiled
 # push over the plan, the stored route, and the border shares received
-# and atomicAdd-combined.  This 4-GPU R-MAT-10 run measures 645.95 calls
-# per superstep; the budget sits below that plus one call per
-# GPU-superstep.  The repeat + ``np.add.at`` push before it read 641.95:
-# ``np.ones`` for the kernel's unit entries is one call more per
-# GPU-superstep than the wrapper it replaced.
+# and atomicAdd-combined.  This 4-GPU R-MAT-10 run measures 626.2 calls
+# per superstep (645.95 with a pricing call per OpStats); the budget
+# sits below that plus one call per GPU-superstep.  The repeat +
+# ``np.add.at`` push before the compiled one read 641.95: ``np.ones``
+# for the kernel's unit entries is one call more per GPU-superstep than
+# the wrapper it replaced.
 
-PR_PY_CALLS_PER_SUPERSTEP = 649
+PR_PY_CALLS_PER_SUPERSTEP = 630
 
 
 def test_pr_superstep_calls_stay_within_budget(small_rmat):

@@ -1,5 +1,7 @@
 """Frontier operators: advance (push/pull), filter, fusion, compute."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,31 +194,91 @@ class TestFusion:
         assert sorted(out.tolist()) == [1, 2]
         assert np.all(srcs == 0)
 
-    def test_no_witness_same_survivors_and_stats(self, diamond, monkeypatch):
-        """``witness=False`` (BFS without predecessors) asks the advance
-        for no per-edge source array and changes nothing else."""
-        from repro.core.operators import fused as fused_mod
-
-        asked = []
-        real = fused_mod.advance_push
-
-        def spy(*args, **kwargs):
-            asked.append(kwargs.get("need_sources", True))
-            out = real(*args, **kwargs)
-            assert (out[1] is None) == (not asked[-1])
-            return out
-
-        monkeypatch.setattr(fused_mod, "advance_push", spy)
-        labels = np.full(4, -1, np.int64)
-        labels[0] = 0
-        with_w = fused_advance_filter(diamond, np.array([0, 0]), labels, -1)
-        without = fused_advance_filter(
-            diamond, np.array([0, 0]), labels, -1, witness=False
+    @given(
+        degrees=st.lists(st.integers(0, 12), min_size=1, max_size=30),
+        width=st.sampled_from((ID32, ID64)),
+        view=st.booleans(),
+        witness=st.booleans(),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_advance_then_filter(
+        self, degrees, width, view, witness, seed, data
+    ):
+        """One fused kernel is ``advance_push`` -> ``filter_unvisited``
+        -> ``first_witness`` with the two charges added field by field,
+        one launch, less the neighbor list's streaming write+read: the
+        same survivors and witnesses and every stats field equal, floats
+        to the bit.  Without a witness no per-edge source array is
+        built (no ``repeat``).  Both sub-graph kinds, both ID widths,
+        empty frontiers, repeats, zero-degree and unhosted rows."""
+        rng = np.random.default_rng(seed)
+        n = len(degrees)
+        offsets = np.concatenate([[0], np.cumsum(degrees)])
+        cols = rng.integers(0, n, int(offsets[-1]))
+        ids = IdConfig(width.vertex_dtype, width.size_dtype, np.float32)
+        graph = CsrGraph(n, offsets, cols, ids=ids)
+        held = rng.random(n) < data.draw(st.sampled_from((0.0, 0.6, 1.0)))
+        csr = graph.rows(held) if view else graph
+        frontier = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), max_size=40)),
+            dtype=width.vertex_dtype,
         )
-        assert asked == [True, False]
-        assert np.array_equal(without[0], with_w[0])
-        assert without[1] is None
-        assert without[2] == with_w[2]
+        labels = np.where(rng.random(n) < 0.4, 1, -1).astype(np.int64)
+        ids_bytes = ids.vertex_bytes
+
+        nbrs, srcs, _, a = advance_push(
+            csr, frontier, ids_bytes=ids_bytes, need_sources=witness
+        )
+        want_out, f = filter_unvisited(nbrs, labels, -1, ids_bytes=ids_bytes)
+        want_src = (first_witness(nbrs, srcs, want_out, n)
+                    if witness else None)
+        want = OpStats(
+            name="advance+filter(fused)",
+            input_size=a.input_size,
+            output_size=f.output_size,
+            edges_visited=a.edges_visited + f.edges_visited,
+            vertices_processed=a.vertices_processed + f.vertices_processed,
+            launches=a.launches,
+            streaming_bytes=max(
+                0.0,
+                a.streaming_bytes + f.streaming_bytes
+                - 2 * nbrs.size * ids_bytes,
+            ),
+            random_bytes=a.random_bytes + f.random_bytes,
+            atomic_ops=a.atomic_ops + f.atomic_ops,
+        )
+
+        repeats = []
+
+        def profiler(frame, event, arg):
+            if event == "c_call" and arg.__name__ == "repeat":
+                repeats.append(frame.f_code.co_name)
+
+        sys.setprofile(profiler)
+        try:
+            out, w_src, stats = fused_advance_filter(
+                csr, frontier, labels, -1, ids_bytes=ids_bytes,
+                witness=witness,
+            )
+        finally:
+            sys.setprofile(None)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, want_out)
+        # the profiler sees the one repeat a witness needs
+        assert repeats == (["gather_neighbors"] if witness else [])
+        if witness:
+            np.testing.assert_array_equal(w_src, want_src)
+        else:
+            assert w_src is None
+        for name in vars(want):
+            got_v, want_v = getattr(stats, name), getattr(want, name)
+            assert type(got_v) is type(want_v), name
+            if isinstance(want_v, float):
+                assert got_v.hex() == want_v.hex(), name
+            else:
+                assert got_v == want_v, name
 
     def test_fewer_launches_and_bytes(self, diamond):
         labels = np.full(4, -1, np.int64)

@@ -1,6 +1,6 @@
 """The batched cost-model primitives against the per-call forms.
 
-``KernelModel.op_seconds`` and ``Stream.launch_many`` are what the
+``KernelModel.price`` and ``Stream.launch_many`` are what the
 enactor's per-superstep charge ledger is built from.  They must not move
 the virtual clock by a bit, so each is compared — ``==`` on floats, no
 tolerance — with the formulation it replaced, written out here as the
@@ -11,6 +11,7 @@ reference: the per-call cost formula reading the device spec, and one
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.stats import OpStats
 from repro.errors import SimulationError
 from repro.sim.device import K40, K80_HALF, P100
 from repro.sim.kernel import KernelModel
@@ -39,29 +40,50 @@ def _reference_total(spec, scale, streaming, random, launches, atomics):
     return launch + t
 
 
+_KERNELS = st.lists(
+    st.builds(
+        OpStats,
+        name=st.sampled_from(["advance", "filter", "split", "package"]),
+        launches=st.integers(0, 4),
+        streaming_bytes=_BYTES, random_bytes=_BYTES, atomic_ops=_BYTES,
+    ),
+    max_size=5,
+)
+
+
 @SETTINGS
 @given(
     spec=_SPECS,
     scale=st.sampled_from([1.0, 1024.0, 3.5]),
     slowdown=st.floats(min_value=1.0, max_value=8.0, allow_nan=False),
-    streaming=_BYTES, random=_BYTES, atomics=_BYTES,
-    launches=st.integers(0, 4),
+    earliest_start=_SECONDS,
+    stats=_KERNELS,
 )
-def test_op_seconds_equals_kernel_time_total(
-    spec, scale, slowdown, streaming, random, atomics, launches
+def test_price_equals_kernel_time_total(
+    spec, scale, slowdown, earliest_start, stats
 ):
+    """One pricing call per group: a row per kernel, each
+    ``kernel_time(...).total`` times the straggler slowdown, and the
+    group's seconds summed from 0.0 in list order."""
     km = KernelModel(spec, scale)
-    want = _reference_total(spec, km.scale, streaming, random, launches,
-                            atomics)
-    cost = km.kernel_time(
-        streaming_bytes=streaming, random_bytes=random,
-        launches=launches, atomic_ops=atomics,
-    )
-    got = km.op_seconds(streaming, random, launches, atomics)
-    assert got == cost.total == want
-    assert cost.launch == launches * spec.kernel_launch_overhead
-    # the straggler multiplier is applied to the total, as ever
-    assert got * slowdown == want * slowdown
+    rows = [(9.0, 9.0, "earlier")]  # rows are appended, never replaced
+    got = km.price(stats, earliest_start, slowdown, rows)
+    want_rows, want = [(9.0, 9.0, "earlier")], 0.0
+    for s in stats:
+        ref = _reference_total(spec, km.scale, s.streaming_bytes,
+                               s.random_bytes, s.launches, s.atomic_ops)
+        cost = km.kernel_time(
+            streaming_bytes=s.streaming_bytes, random_bytes=s.random_bytes,
+            launches=s.launches, atomic_ops=s.atomic_ops,
+        )
+        assert cost.total == ref
+        assert cost.launch == s.launches * spec.kernel_launch_overhead
+        want_rows.append((cost.total * slowdown, earliest_start, s.name))
+        want += cost.total * slowdown
+    assert rows == want_rows
+    assert got == want
+    if not stats:
+        assert got == 0.0 and rows == [(9.0, 9.0, "earlier")]
 
 
 _OPS = st.lists(

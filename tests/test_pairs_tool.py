@@ -1,6 +1,7 @@
 """``benchmarks/pairs.py``: the verdict each metric of a pairs run gets."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -57,3 +58,26 @@ def test_table_has_a_row_per_workload_and_metric():
     assert len(rows) == 2 + 2
     assert "| w1 | m |" in rows[2] and "-30.0%" in rows[2] and "gain" in rows[2]
     assert "10/0/0" in rows[2] and "0/10/0" in rows[3]
+
+
+_BENCH_FILES = sorted(_PATH.parent.parent.glob("BENCH_*.json"))
+
+
+@pytest.mark.parametrize("path", _BENCH_FILES, ids=lambda p: p.name)
+def test_committed_bench_file_recomputes(path):
+    """Every committed ``BENCH_<n>.json`` is what ``pairs.py`` writes:
+    its schema, its PR number, ``pairs`` runs per side of every metric,
+    and each verdict and win count as ``compare`` gives them from the
+    stored runs and bound."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["schema"] == pairs.SCHEMA
+    assert doc["pr"] == path.stem.removeprefix("BENCH_")
+    assert doc["workloads"]
+    for workload, metrics in doc["workloads"].items():
+        for name, stored in metrics.items():
+            parent, change = stored["parent"]["runs"], stored["change"]["runs"]
+            assert len(parent) == len(change) == doc["pairs"], (workload, name)
+            again = pairs.compare(parent, change, stored["better"],
+                                  stored["bound"])
+            for key in ("verdict", "wins", "ties", "losses"):
+                assert again[key] == stored[key], (workload, name, key)

@@ -92,37 +92,3 @@ class TestErrorHierarchy:
 
     def test_repro_error_not_builtin(self):
         assert not issubclass(errors.ReproError, (ValueError, TypeError))
-
-
-class TestOpStats:
-    def test_merge_fused_drops_launch(self):
-        from repro.core.stats import OpStats
-
-        a = OpStats(name="a", launches=1, edges_visited=10,
-                    streaming_bytes=100)
-        b = OpStats(name="b", launches=1, vertices_processed=5,
-                    random_bytes=50)
-        fused = a.merged_with(b, fused=True)
-        assert fused.launches == 1
-        assert fused.edges_visited == 10
-        assert fused.vertices_processed == 5
-        assert fused.streaming_bytes == 100
-        assert fused.random_bytes == 50
-
-    def test_merge_unfused_keeps_launches(self):
-        from repro.core.stats import OpStats
-
-        a = OpStats(launches=2)
-        b = OpStats(launches=3)
-        assert a.merged_with(b, fused=False).launches == 5
-
-    def test_combine_stats(self):
-        from repro.core.stats import OpStats, combine_stats
-
-        total = combine_stats(
-            [OpStats(launches=1, edges_visited=3, atomic_ops=2.0),
-             OpStats(launches=2, edges_visited=4)]
-        )
-        assert total.launches == 3
-        assert total.edges_visited == 7
-        assert total.atomic_ops == 2.0
