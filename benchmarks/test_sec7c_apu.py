@@ -6,16 +6,17 @@ Gunrock's performance and efficiency are only half of Daga's.  Although
 the APU provides the GPU with direct access to the main memory, its
 overall limited bandwidth bottlenecks its performance."
 
-The crossover is the interesting part: the discrete GPU's bandwidth wins
-whenever frontiers are large; the APU's near-zero per-iteration latency
-wins on high-diameter road networks.
+Each row prints our simulated 1xK40 BFS on the stand-in graph beside
+the paper's Gunrock ÷ APU ratio.  The APU's rates are the paper's
+reported figures, and the repository holds neither them nor the paper's
+own Gunrock rate per graph: every row is "reported, not reproduced".
 """
 
 import pytest
 
 from conftest import emit_report
+from repro.analysis.gteps import traversal_gteps
 from repro.analysis.reporting import render_table
-from repro.baselines.apu import apu_hybrid_bfs
 from repro.graph import datasets
 from repro.primitives import run_bfs
 from repro.sim.machine import Machine
@@ -31,39 +32,37 @@ POWER_LAW = [
     "rmat_n21_256",
     "coPapersCiteseer",
 ]
+#: paper's Gunrock ÷ APU rate
+PAPER_POWER_LAW = "5-10x"
+PAPER_ROAD = "0.5x"
 
 
-def _pair(ds_name):
+def _ours(ds_name):
     g = datasets.load(ds_name)
     scale = datasets.machine_scale(ds_name)
-    apu = apu_hybrid_bfs(g, 1, scale=scale).elapsed
-    _, metrics, _ = run_bfs(g, Machine(1, scale=scale), src=1)
-    return apu, metrics.elapsed
+    labels, metrics, _ = run_bfs(g, Machine(1, scale=scale), src=1)
+    return metrics.elapsed, traversal_gteps(g, labels, metrics)
 
 
 @pytest.mark.benchmark(group="sec7c")
 def test_sec7c_apu_comparison(benchmark):
     rows = []
-    ratios = {}
     for ds in POWER_LAW + ["road-grid"]:
-        apu, ours = _pair(ds)
-        ratios[ds] = apu / ours
+        seconds, gteps = _ours(ds)
+        paper = PAPER_ROAD if ds == "road-grid" else PAPER_POWER_LAW
         rows.append(
-            [ds, f"{apu * 1e3:.3f}", f"{ours * 1e3:.3f}",
-             f"{ratios[ds]:.1f}x"]
+            [ds, f"{seconds * 1e3:.3f}", f"{gteps:.2f}", paper,
+             "reported, not reproduced"]
         )
     emit_report(
         "sec7c_apu",
         render_table(
-            ["graph", "APU ms", "K40 ms", "our advantage"],
+            ["graph", "ours K40 ms", "ours GTEPS", "paper Gunrock/APU",
+             "status"],
             rows,
-            title="Sec VII-C: 1x K40 vs Hybrid++(APU) BFS",
+            title="Sec VII-C: 1x K40 BFS, ours (simulated) beside the "
+            "paper's reported ratio to Hybrid++(APU)",
         ),
     )
-    # 3-12x faster on power-law graphs (paper: 5-10x)
-    for ds in POWER_LAW:
-        assert 2.0 < ratios[ds] < 15.0, (ds, ratios[ds])
-    # ...but the road network flips: the APU wins (paper: we get ~0.5x)
-    assert ratios["road-grid"] < 1.0, ratios["road-grid"]
 
-    benchmark(lambda: _pair("soc-LiveJournal1"))
+    benchmark(lambda: _ours("soc-LiveJournal1"))

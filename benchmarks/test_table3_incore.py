@@ -1,12 +1,16 @@
 """Table III — comparison with previous in-core GPU BFS systems.
 
-Each row pits our framework against a prior system's *strategy model*
-(see ``repro.baselines``) on the stand-in for the graph that system
-highlighted, at the paper's GPU counts.  The paper's qualitative result:
-Gunrock wins every in-core comparison at equal GPU count — by 2-5x over
-Enterprise, ~2.7x over B40C's mGPU BFS, >4x over Medusa-era engines and
-the atomic-heavy 2-D partitioned codes — except the 64-GPU-cluster
-Friendster row (0.90x), which a single node cannot match.
+The paper sets Gunrock's multi-GPU BFS/DOBFS beside the rates the other
+systems published for their highlighted graphs, and reports each row as
+Gunrock ÷ theirs: 2-5x over Enterprise, ~2.7x over B40C's mGPU BFS,
+1.23x over Medusa, 4-24x over the atomic-heavy 2-D partitioned cluster
+codes, and 1.41x against a 64-GPU Fu et al. cluster.
+
+Each row here prints our simulated rate on the stand-in for that graph,
+on one node of at most six GPUs, beside the paper's ratio.
+The other systems' rates are the paper's reported figures, not runs of
+ours, and the repository does not hold the paper's own Gunrock rate for
+any of these rows: every row is "reported, not reproduced".
 """
 
 import pytest
@@ -14,12 +18,25 @@ import pytest
 from conftest import emit_report
 from repro.analysis.gteps import traversal_gteps
 from repro.analysis.reporting import render_table
-from repro.baselines import b40c_bfs, enterprise_dobfs, medusa_bfs, twod_bfs
 from repro.graph import datasets
 from repro.primitives import run_bfs, run_dobfs
 from repro.sim.machine import Machine
 
 SRC = 1
+
+#: (system, graph, their GPUs, our GPUs, our primitive,
+#:  paper's Gunrock ÷ theirs)
+ROWS = [
+    ("Enterprise 2xK40", "kron_n24_32", 2, 2, "dobfs", 5.18),
+    ("Enterprise 4xK40", "kron_n24_32", 4, 4, "dobfs", 3.76),
+    ("B40C 4xK40 (merrill rmat)", "rmat_2Mv_128Me", 4, 4, "dobfs", 2.67),
+    ("Medusa 4GPU", "coPapersCiteseer", 4, 4, "bfs", 1.23),
+    ("Bisson cluster 4GPU", "com-orkut", 4, 4, "bfs", 5.33),
+    ("Bernaschi cluster 4GPU", "kron_n23_16", 4, 4, "bfs", 23.7),
+    ("Bernaschi cluster 16GPU", "kron_n25_16", 16, 6, "dobfs", 9.69),
+    ("Fu cluster 2x2GPU", "kron_n23_32", 4, 4, "bfs", 4.43),
+    ("Fu cluster 64GPU", "kron_n25_32", 64, 4, "dobfs", 1.41),
+]
 
 
 def _ours(prim, ds_name, num_gpus):
@@ -30,68 +47,24 @@ def _ours(prim, ds_name, num_gpus):
     return traversal_gteps(g, labels, metrics)
 
 
-def _theirs(fn, ds_name, num_gpus, **kw):
-    g = datasets.load(ds_name)
-    scale = datasets.machine_scale(ds_name)
-    r = fn(g, SRC, num_gpus=num_gpus, scale=scale, **kw)
-    return r.gteps(g.num_edges)
-
-
 @pytest.mark.benchmark(group="table3")
 def test_table3_incore_comparisons(benchmark):
     rows = []
-
-    from repro.sim.interconnect import LinkSpec
-
-    cluster = LinkSpec("cluster-net", 5e9, 15e-6)
-    cases = [
-        # (label, baseline fn, kwargs, dataset, their_gpus, our_gpus,
-        #  our primitive, paper speedup, we_must_win)
-        ("Enterprise 2xK40", enterprise_dobfs, {}, "kron_n24_32", 2, 2,
-         "dobfs", 5.18, True),
-        ("Enterprise 4xK40", enterprise_dobfs, {}, "kron_n24_32", 4, 4,
-         "dobfs", 3.76, True),
-        ("B40C 4xK40 (merrill rmat)", b40c_bfs, {}, "rmat_2Mv_128Me", 4, 4,
-         "dobfs", 2.67, True),
-        ("Medusa 4GPU", medusa_bfs, {}, "coPapersCiteseer", 4, 4, "bfs",
-         1.23, True),
-        ("Bisson cluster 4GPU", twod_bfs,
-         {"atomic_heavy": True, "inter_node_link": cluster}, "com-orkut",
-         4, 4, "bfs", 5.33, True),
-        ("Bernaschi cluster 4GPU", twod_bfs,
-         {"atomic_heavy": True, "inter_node_link": cluster}, "kron_n23_16",
-         4, 4, "bfs", 23.7, True),
-        ("Bernaschi cluster 16GPU", twod_bfs,
-         {"atomic_heavy": True, "inter_node_link": cluster}, "kron_n25_16",
-         16, 6, "dobfs", 9.69, True),
-        ("Fu cluster 2x2GPU", twod_bfs, {"inter_node_link": cluster},
-         "kron_n23_32", 4, 4, "bfs", 4.43, True),
-        # a 64-GPU cluster vs our 4 GPUs: near parity in the paper too
-        ("Fu cluster 64GPU", twod_bfs, {"inter_node_link": cluster},
-         "kron_n25_32", 64, 4, "dobfs", 1.41, False),
-    ]
-
-    for label, fn, kw, ds, their_n, our_n, prim, paper, must_win in cases:
+    for system, ds, their_n, our_n, prim, paper in ROWS:
         ours = _ours(prim, ds, our_n)
-        theirs = _theirs(fn, ds, their_n, **kw)
-        speedup = ours / theirs
         rows.append(
-            [label, ds, f"{theirs:.1f}", f"{ours:.1f}", f"{speedup:.2f}",
-             f"{paper:.2f}"]
+            [system, ds, str(their_n), f"{our_n} {prim}", f"{ours:.1f}",
+             f"{paper:.2f}x", "reported, not reproduced"]
         )
-        if must_win:
-            # the paper's qualitative claim: we win every same-scale row
-            assert speedup > 1.0, f"{label}: {speedup}"
-        else:
-            assert speedup > 0.5, f"{label}: {speedup}"
 
     emit_report(
         "table3_incore",
         render_table(
-            ["system", "graph", "theirs GTEPS", "ours GTEPS", "speedup",
-             "paper"],
+            ["system", "graph", "their GPUs", "ours", "ours GTEPS",
+             "paper Gunrock/theirs", "status"],
             rows,
-            title="Table III: in-core BFS/DOBFS comparisons",
+            title="Table III: in-core BFS/DOBFS, ours (simulated) beside "
+            "the paper's reported ratios",
         ),
     )
 

@@ -1,18 +1,10 @@
-"""Prior-system strategy models and serial reference oracles.
+"""Serial reference oracles that every primitive is validated against.
 
-``reference`` holds the validation oracles; the remaining modules model
-the strategies of the systems compared in Tables III and IV on the same
-virtual hardware constants as the framework.
+The prior systems of the paper's Tables III and IV appear only as the
+figures the paper reports (``benchmarks/test_table3_incore.py``,
+``benchmarks/test_table4_outofcore.py``); nothing here models them.
 """
 
-from .apu import apu_hybrid_bfs
-from .b40c_bfs import b40c_bfs
-from .common import BaselineMachine, BaselineResult
-from .enterprise import enterprise_dobfs
-from .frog import frog_color_graph, frog_run
-from .graphmap import graphmap_run
-from .graphreduce import graphreduce_run
-from .medusa import medusa_bfs
 from .reference import (
     bc_reference,
     bfs_reference,
@@ -20,22 +12,8 @@ from .reference import (
     pagerank_reference,
     sssp_reference,
 )
-from .totem import totem_run
-from .twod_bfs import twod_bfs
 
 __all__ = [
-    "BaselineResult",
-    "BaselineMachine",
-    "apu_hybrid_bfs",
-    "b40c_bfs",
-    "enterprise_dobfs",
-    "medusa_bfs",
-    "twod_bfs",
-    "graphreduce_run",
-    "graphmap_run",
-    "frog_run",
-    "frog_color_graph",
-    "totem_run",
     "bfs_reference",
     "sssp_reference",
     "cc_reference",

@@ -88,7 +88,7 @@ def split_frontier(
     frontier = np.asarray(frontier)
     if frontier.dtype != np.int64:
         # enactor-fed frontiers arrive already int64; only detached
-        # callers (tests, baselines) pay this copy
+        # callers (tests) pay this copy
         frontier = frontier.astype(np.int64)
     items = frontier.size
     gpu_id = sub.gpu_id

@@ -28,7 +28,7 @@ class Frontier:
         Pool allocation name (unique per device).
     pool:
         The owning device's memory pool; ``None`` detaches the frontier
-        from memory accounting (used by baselines and unit tests).
+        from memory accounting (a lost GPU's frontiers; unit tests).
     item_bytes:
         Bytes per queue slot (vertex ID width).
     capacity:

@@ -26,7 +26,7 @@ from .events import EVENT_SCHEMA_VERSION
 __all__ = ["to_openmetrics", "write_openmetrics"]
 
 #: RunMetrics.to_dict schema the per-iteration gauges mirror
-_METRICS_SCHEMA_VERSION = 2
+_METRICS_SCHEMA_VERSION = 3
 
 
 def _escape(value) -> str:
@@ -104,26 +104,22 @@ def to_openmetrics(metrics) -> str:
                        gpu=g), peak)
 
     family("repro_recovery_actions_total", "counter",
-           "Recovery/supervision actions by kind (chaos machinery).")
+           "Recovery actions by kind (chaos machinery).")
     for kind, value in (
         ("comm_retries", metrics.comm_retries),
         ("oom_recoveries", metrics.oom_recoveries),
         ("checkpoints_taken", metrics.checkpoints_taken),
         ("rollbacks", metrics.rollbacks),
-        ("worker_respawns", metrics.worker_respawns),
-        ("supersteps_replayed", metrics.supersteps_replayed),
-        ("hang_detections", metrics.hang_detections),
     ):
         sample("repro_recovery_actions_total",
                _labels(primitive=metrics.primitive,
                        gpus=metrics.num_gpus, kind=kind), value)
     family("repro_recovery_seconds", "gauge",
-           "Virtual/wall seconds spent on recovery by kind.")
+           "Virtual seconds spent on recovery by kind.")
     for kind, value in (
         ("retry", metrics.retry_seconds),
         ("checkpoint", metrics.checkpoint_seconds),
         ("restore", metrics.restore_seconds),
-        ("supervision_overhead", metrics.supervision_overhead_seconds),
     ):
         sample("repro_recovery_seconds",
                _labels(primitive=metrics.primitive,

@@ -88,17 +88,6 @@ class RunMetrics:
     #: GPUs permanently lost during the run (degraded-mode set)
     degraded_gpus: List[int] = field(default_factory=list)
 
-    # -- retired worker-supervision counters ------------------------------
-    #: These four always read 0: the worker supervisor that counted
-    #: respawns, replayed supersteps, detected hangs and its own wall
-    #: overhead is gone.  They stay because :meth:`to_dict` (and with it
-    #: every committed ``metrics`` digest and the OpenMetrics keys)
-    #: includes them; dropping them is a declared schema change.
-    worker_respawns: int = 0
-    supersteps_replayed: int = 0
-    hang_detections: int = 0
-    supervision_overhead_seconds: float = 0.0
-
     # -- BSP aggregates ---------------------------------------------------
     @property
     def supersteps(self) -> int:
@@ -176,7 +165,7 @@ class RunMetrics:
     def to_dict(self) -> dict:
         """JSON-serializable trace of the whole run (per-iteration)."""
         return {
-            "schema_version": 2,
+            "schema_version": 3,
             "primitive": self.primitive,
             "dataset": self.dataset,
             "num_gpus": self.num_gpus,
@@ -199,11 +188,6 @@ class RunMetrics:
                 "rollbacks": self.rollbacks,
                 "restore_seconds": self.restore_seconds,
                 "degraded_gpus": list(self.degraded_gpus),
-                "worker_respawns": self.worker_respawns,
-                "supersteps_replayed": self.supersteps_replayed,
-                "hang_detections": self.hang_detections,
-                "supervision_overhead_seconds":
-                    self.supervision_overhead_seconds,
             },
             "iterations": [
                 {

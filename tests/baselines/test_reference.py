@@ -122,3 +122,22 @@ class TestPagerankReference:
 
     def test_empty_graph(self):
         assert pagerank_reference(from_edges(0, [])).size == 0
+
+    def test_matches_direct_solve(self):
+        # two triangles joined by a bridge and a chord: no degree-0 vertex
+        g = from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5),
+                           (5, 3), (1, 4)])
+        d, threshold = 0.85, 1e-6
+        n = g.num_vertices
+        adj = np.zeros((n, n))
+        for u in range(n):
+            adj[u, g.neighbors(u)] = 1.0
+        assert adj.sum(axis=1).min() > 0
+        push = adj.T / adj.sum(axis=1)  # column-stochastic Aᵀ·D⁻¹
+        exact = np.linalg.solve(np.eye(n) - d * push, (1 - d) * np.ones(n))
+        ranks = pagerank_reference(g, damping=d, threshold=threshold)
+        # the iteration contracts by d in L1 and stops once every rank
+        # moves less than `threshold` of itself, so its L1 distance to
+        # the fixed point is at most d / (1 - d) * threshold * |ranks|
+        bound = d / (1 - d) * threshold * ranks.sum()
+        assert np.abs(ranks - exact).sum() <= bound
