@@ -10,8 +10,9 @@ Run:  python examples/timeline_visualization.py
 """
 
 from repro import datasets
-from repro.analysis.timeline import busy_fraction, enable_timeline, render_timeline
+from repro.analysis.timeline import busy_fraction, render_timeline
 from repro.core.enactor import Enactor
+from repro.obs import Tracer
 from repro.primitives.dobfs import DOBFSIteration, DOBFSProblem
 from repro.sim.machine import Machine
 
@@ -20,17 +21,18 @@ DATASET = "rmat_n21_256"
 
 def run(overlap: bool) -> None:
     machine = Machine(3, scale=datasets.machine_scale(DATASET))
-    enable_timeline(machine)
+    tracer = Tracer()
     problem = DOBFSProblem(datasets.load(DATASET), machine)
     metrics = Enactor(
-        problem, DOBFSIteration, overlap_communication=overlap
+        problem, DOBFSIteration, overlap_communication=overlap,
+        tracer=tracer,
     ).enact(src=1)
     mode = "overlap" if overlap else "strict barrier"
     print(f"--- DOBFS on {DATASET}, 3 GPUs, {mode}: "
           f"{metrics.elapsed * 1e3:.3f} ms ---")
-    print(render_timeline(machine, width=96))
-    fracs = busy_fraction(machine)
-    comm = busy_fraction(machine, "comm")
+    print(render_timeline(tracer, width=96))
+    fracs = busy_fraction(tracer)
+    comm = busy_fraction(tracer, "comm")
     print("busy fractions: " + "  ".join(
         f"gpu{g}: compute {fracs[g]:.0%} / comm {comm[g]:.0%}"
         for g in sorted(fracs)

@@ -3,7 +3,7 @@
 from .bsp import BspTerms, Table1Row, decompose, table1_check
 from .gteps import traversal_gteps, traversed_edges
 from .reporting import fmt, render_series, render_table
-from .timeline import busy_fraction, enable_timeline, render_timeline
+from .timeline import busy_fraction, render_timeline
 from .validate import (
     assert_valid,
     validate_bfs,
@@ -41,7 +41,6 @@ __all__ = [
     "validate_cc",
     "validate_pagerank",
     "assert_valid",
-    "enable_timeline",
     "render_timeline",
     "busy_fraction",
 ]

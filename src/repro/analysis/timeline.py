@@ -1,83 +1,82 @@
 """Execution timeline rendering (virtual-time Gantt charts).
 
-The virtual streams can record every operation they execute
-(``Stream.record_history``); this module turns those records into an
-ASCII timeline per GPU/stream, making the BSP structure — compute bursts,
+A view of a run's :class:`~repro.obs.tracer.Tracer`: each GPU's compute
+row is its ``op`` spans and its comm row the ``comm`` spans it sent
+(``src``), so a traced run on any backend renders as an ASCII timeline
+per GPU/stream, making the BSP structure — compute bursts,
 communication overlap, barrier gaps — directly visible.  Used by the
 scaling examples and handy when debugging a new primitive's cost model.
 
 Usage::
 
-    enable_timeline(machine)
-    Enactor(problem, Iteration).enact(src=0)
-    print(render_timeline(machine, width=100))
+    tracer = Tracer()
+    Enactor(problem, Iteration, tracer=tracer).enact(src=0)
+    print(render_timeline(tracer, width=100))
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..sim.machine import Machine
+from ..obs.tracer import Tracer
 
-__all__ = ["enable_timeline", "clear_timeline", "render_timeline", "busy_fraction"]
+__all__ = ["render_timeline", "busy_fraction"]
 
-
-def enable_timeline(machine: Machine) -> None:
-    """Turn on operation recording for every stream of the machine."""
-    for gpu in machine.gpus:
-        for stream in gpu.streams.values():
-            stream.record_history = True
-            stream.history.clear()
+#: the rows of one GPU, in the order they render
+_STREAMS = ("comm", "compute")
 
 
-def clear_timeline(machine: Machine) -> None:
-    """Drop recorded history without disabling recording."""
-    for gpu in machine.gpus:
-        for stream in gpu.streams.values():
-            stream.history.clear()
+def _rows(tracer: Tracer) -> Tuple[int, Dict[tuple, List[tuple]]]:
+    """The GPU count and ``(gpu, stream) -> [(start, end)]`` of a
+    tracer's op and comm spans."""
+    rows: Dict[tuple, List[tuple]] = {}
+    num_gpus = tracer.num_gpus
+    for s in tracer.spans:
+        if s.cat == "op":
+            key = (s.track, "compute")
+        elif s.cat == "comm":
+            key = (int(s.args["src"]), "comm")
+        else:
+            continue
+        rows.setdefault(key, []).append((s.vt_start, s.vt_start + s.vt_dur))
+        num_gpus = max(num_gpus, key[0] + 1)
+    return num_gpus, rows
 
 
-def _horizon(machine: Machine) -> float:
-    end = 0.0
-    for gpu in machine.gpus:
-        for stream in gpu.streams.values():
-            for _s, e, _l in stream.history:
-                end = max(end, e)
-    return end
+def _horizon(rows: Dict[tuple, List[tuple]]) -> float:
+    return max((e for row in rows.values() for _s, e in row), default=0.0)
 
 
-def busy_fraction(machine: Machine, stream_name: str = "compute") -> dict:
+def busy_fraction(tracer: Tracer, stream_name: str = "compute") -> dict:
     """Per-GPU fraction of the run each stream spent busy.
 
     Low compute busy-fractions on multi-GPU runs are the visual signature
     of latency-bound workloads (the road-network story of Section V-B).
     """
-    end = _horizon(machine)
+    num_gpus, rows = _rows(tracer)
+    end = _horizon(rows)
     out = {}
-    for gpu in machine.gpus:
-        stream = gpu.streams.get(stream_name)
-        if stream is None or end <= 0:
-            out[gpu.device_id] = 0.0
-            continue
-        busy = sum(e - s for s, e, _ in stream.history)
-        out[gpu.device_id] = busy / end
+    for g in range(num_gpus):
+        row = rows.get((g, stream_name), [])
+        out[g] = sum(e - s for s, e in row) / end if end > 0 else 0.0
     return out
 
 
 def render_timeline(
-    machine: Machine,
+    tracer: Tracer,
     width: int = 100,
     start: float = 0.0,
     end: Optional[float] = None,
 ) -> str:
-    """Render every stream's history as one text row per stream.
+    """Render every stream's spans as one text row per stream.
 
     Each column is a time bucket; a cell shows ``#`` when the stream was
     busy most of that bucket, ``+`` when partially busy, ``.`` when idle.
     """
     if width < 10:
         raise ValueError("width must be at least 10")
-    end = end if end is not None else _horizon(machine)
+    num_gpus, rows = _rows(tracer)
+    end = end if end is not None else _horizon(rows)
     if end <= start:
         return "(empty timeline)"
     span = end - start
@@ -86,10 +85,10 @@ def render_timeline(
         f"timeline: {start * 1e3:.3f} ms .. {end * 1e3:.3f} ms "
         f"({dt * 1e6:.1f} us/column)"
     ]
-    for gpu in machine.gpus:
-        for name, stream in sorted(gpu.streams.items()):
+    for g in range(num_gpus):
+        for name in _STREAMS:
             buckets = [0.0] * width
-            for s, e, _label in stream.history:
+            for s, e in rows.get((g, name), ()):
                 s = max(s, start)
                 e = min(e, end)
                 if e <= s:
@@ -105,5 +104,5 @@ def render_timeline(
                 "#" if frac >= 0.5 * dt else ("+" if frac > 0 else ".")
                 for frac in buckets
             )
-            lines.append(f"gpu{gpu.device_id}.{name:<8s} |{row}|")
+            lines.append(f"gpu{g}.{name:<8s} |{row}|")
     return "\n".join(lines)

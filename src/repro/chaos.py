@@ -28,6 +28,7 @@ Use :func:`run_chaos_matrix` programmatically or
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -36,6 +37,7 @@ import numpy as np
 
 from .graph.build import add_random_weights
 from .graph.generators import generate_rmat
+from .obs import Tracer
 from .primitives import RUNNERS
 from .sim.faults import GPU_LOSS, OOM, TRANSIENT_COMM, FaultPlan, FaultSpec
 from .sim.machine import Machine
@@ -127,6 +129,14 @@ class ChaosResult:
         )
 
 
+def _write_dump(tracer: Tracer, path: Optional[str]) -> None:
+    """Write the tracer's latest crash dump to ``path``, if one is set."""
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(tracer.dumps[-1], fh, indent=2, sort_keys=True,
+                      default=str)
+
+
 def _build_inputs(rmat_scale: int, edge_factor: int, seed: int):
     graph = generate_rmat(rmat_scale, edge_factor, seed=seed)
     weighted = add_random_weights(graph, 1, 64, seed=2)
@@ -141,22 +151,19 @@ def run_chaos_case(
     rmat_scale: int = 7,
     edge_factor: int = 8,
     seed: int = 3,
-    check_events: bool = True,
     dump_path: Optional[str] = None,
     _inputs=None,
 ) -> ChaosResult:
     """Run one chaos cell and compare against the fault-free reference.
 
-    With ``check_events`` (the default) the faulted run is traced through
-    an in-memory event bus and every recovery event count is asserted
-    against the matching ``RunMetrics`` counter — retries, OOM regrows,
-    rollbacks, and checkpoints must agree exactly, or the cell fails.
-
-    Every faulted run carries a :class:`~repro.obs.recorder.FlightRecorder`
-    (the always-on tier this harness exists to exercise): a cell that
-    *fails* — exception, wrong result, or counter mismatch — dumps a
-    crash report on the way out.  ``dump_path`` writes the latest dump
-    there; the dump count is reported as ``recovery["flight_dumps"]``.
+    The faulted run is traced, and every recovery event count in the
+    tracer is asserted against the matching ``RunMetrics`` counter —
+    retries, OOM regrows, rollbacks, and checkpoints must agree exactly,
+    or the cell fails.  A cell that *fails* — exception, wrong result,
+    or counter mismatch — takes the tracer's crash report on the way
+    out (:meth:`~repro.obs.tracer.Tracer.on_error`).  ``dump_path``
+    receives the latest dump; the dump count is reported as
+    ``recovery["flight_dumps"]``.
     """
     graph, weighted = _inputs or _build_inputs(rmat_scale, edge_factor, seed)
     runner = RUNNERS[primitive]
@@ -175,31 +182,21 @@ def run_chaos_case(
     plan, extra = build_chaos_plan(kind, num_gpus)
     machine = Machine(num_gpus)
     machine.arm_faults(plan)
-    tracer = None
-    bus_records: List[dict] = []
-    if check_events:
-        from .obs import EventBus, Tracer
-
-        bus = EventBus()
-        bus.subscribe(bus_records.append)
-        tracer = Tracer(bus=bus)
-        extra = dict(extra, tracer=tracer)
-    from .obs import FlightRecorder
-
-    recorder = FlightRecorder(path=dump_path)
-    extra = dict(extra, flight_recorder=recorder)
+    tracer = Tracer()
     try:
-        out, metrics, _ = runner(g, machine, **kwargs, **extra)
+        out, metrics, _ = runner(g, machine, **kwargs, **extra,
+                                 tracer=tracer)
     except Exception as exc:  # noqa: BLE001 - a cell reports, not raises
-        if not recorder.dumps:
+        if not tracer.dumps:
             # enact()'s own hook only covers ReproError; anything else
             # (or an error before enact) still deserves forensics
-            recorder.on_error("cell-exception", error=exc,
-                              faults=machine.faults)
+            tracer.on_error("cell-exception", error=exc,
+                            faults=machine.faults)
+        _write_dump(tracer, dump_path)
         return ChaosResult(
             primitive, num_gpus, kind, backend, ok=False,
             detail=f"{type(exc).__name__}: {exc}",
-            recovery={"flight_dumps": len(recorder.dumps)},
+            recovery={"flight_dumps": len(tracer.dumps)},
         )
 
     if primitive in EXACT_PRIMITIVES:
@@ -219,33 +216,28 @@ def run_chaos_case(
         OOM: metrics.oom_recoveries > 0,
         GPU_LOSS: metrics.rollbacks > 0,
     }[kind]
+    expected = {
+        "recovery.retry": metrics.comm_retries,
+        "recovery.oom-regrow": metrics.oom_recoveries,
+        "recovery.rollback": metrics.rollbacks,
+        "checkpoint": metrics.checkpoints_taken,
+    }
+    counts = {t: tracer.count(t) for t in expected}
+    recovery["events"] = counts
+    bad = {
+        t: (counts[t], want)
+        for t, want in expected.items()
+        if counts[t] != want
+    }
     event_mismatch = ""
-    if tracer is not None:
-        counts = {
-            t: sum(1 for r in bus_records if r.get("type") == t)
-            for t in ("recovery.retry", "recovery.oom-regrow",
-                      "recovery.rollback", "checkpoint")
-        }
-        recovery["events"] = counts
-        expected = {
-            "recovery.retry": metrics.comm_retries,
-            "recovery.oom-regrow": metrics.oom_recoveries,
-            "recovery.rollback": metrics.rollbacks,
-            "checkpoint": metrics.checkpoints_taken,
-        }
-        bad = {
-            t: (counts[t], want)
-            for t, want in expected.items()
-            if counts[t] != want
-        }
-        if bad:
-            event_mismatch = (
-                "recovery events disagree with RunMetrics counters: "
-                + ", ".join(
-                    f"{t} emitted {got} but counter says {want}"
-                    for t, (got, want) in sorted(bad.items())
-                )
+    if bad:
+        event_mismatch = (
+            "recovery events disagree with RunMetrics counters: "
+            + ", ".join(
+                f"{t} emitted {got} but counter says {want}"
+                for t, (got, want) in sorted(bad.items())
             )
+        )
     if not same:
         detail = "result differs from fault-free reference"
     elif not recovered:
@@ -254,9 +246,10 @@ def run_chaos_case(
         detail = event_mismatch
     ok = same and recovered and not event_mismatch
     if not ok:
-        recorder.on_error("cell-failure", faults=machine.faults,
-                          detail=detail)
-    recovery["flight_dumps"] = len(recorder.dumps)
+        tracer.on_error("cell-failure", faults=machine.faults,
+                        detail=detail)
+        _write_dump(tracer, dump_path)
+    recovery["flight_dumps"] = len(tracer.dumps)
     return ChaosResult(
         primitive, num_gpus, kind, backend,
         ok=ok, detail=detail, recovery=recovery,
@@ -276,9 +269,9 @@ def run_chaos_matrix(
 ) -> List[ChaosResult]:
     """The full chaos matrix; returns one :class:`ChaosResult` per cell.
 
-    ``dump_dir`` (optional) collects each cell's flight-recorder crash
-    dump as ``<dir>/<primitive>-<gpus>-<kind>-<backend>.dump.json``;
-    cells that recover cleanly never dump and leave no file.
+    ``dump_dir`` (optional) collects each failed cell's crash dump as
+    ``<dir>/<primitive>-<gpus>-<kind>-<backend>.dump.json``; cells that
+    recover cleanly never dump and leave no file.
     """
     inputs = _build_inputs(rmat_scale, edge_factor, seed)
     if dump_dir is not None:

@@ -29,13 +29,15 @@ Commands
     GPU/path, barrier slack attributed into W/H/C/S, stragglers, load
     imbalance, and zero-comm / perfect-balance what-if estimates
     (``docs/observability.md``).  ``run`` also accepts
-    ``--flight-recorder OUT.json`` to arm the always-on crash
-    recorder and ``--metrics-out FILE`` for OpenMetrics exposition.
+    ``--flight-recorder OUT.json`` to write the tracer's crash dump
+    when the run fails, and ``--metrics-out FILE`` to write its
+    RunMetrics as JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -96,13 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
                           "onto the BSP W/H/C/S terms")
     run.add_argument("--flight-recorder", metavar="OUT.json",
                      dest="flight_recorder",
-                     help="attach the always-on flight recorder (bounded "
-                          "ring of recent events); a crash writes the "
-                          "dump — last supersteps, recent events, "
-                          "metrics snapshot — to OUT.json")
+                     help="trace the run; a crash writes the tracer's "
+                          "dump — recent events, the metrics so far, "
+                          "the error and the fault-plan state — to "
+                          "OUT.json")
     run.add_argument("--metrics-out", metavar="FILE", dest="metrics_out",
-                     help="write the run's metrics as an OpenMetrics/"
-                          "Prometheus text exposition")
+                     help="write the run's metrics (RunMetrics.to_dict) "
+                          "as JSON")
 
     part = sub.add_parser("partition", help="compare partitioners")
     part.add_argument("--dataset", default="soc-orkut")
@@ -139,8 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also write the per-cell results (recovery "
                             "counters, event cross-checks) as JSON")
     chaos.add_argument("--dump-dir", metavar="DIR", dest="dump_dir",
-                       help="write each failed cell's flight-recorder "
-                            "crash dump as DIR/<cell>.dump.json")
+                       help="write each failed cell's crash dump as "
+                            "DIR/<cell>.dump.json")
 
     trace = sub.add_parser(
         "trace",
@@ -201,8 +203,7 @@ def _prepare(args):
     return graph, scale
 
 
-def _run_once(args, graph, scale, num_gpus, out=None, tracer=None,
-              recorder=None):
+def _run_once(args, graph, scale, num_gpus, out=None, tracer=None):
     from .primitives import RUNNERS
 
     spec = SPECS[getattr(args, "gpu_model", "k40")]
@@ -210,8 +211,6 @@ def _run_once(args, graph, scale, num_gpus, out=None, tracer=None,
     kwargs = {}
     if tracer is not None:
         kwargs["tracer"] = tracer
-    if recorder is not None:
-        kwargs["flight_recorder"] = recorder
     if getattr(args, "partitioner", "random") != "random":
         kwargs["partitioner"] = make_partitioner(args.partitioner, args.seed)
     if getattr(args, "sanitize", False):
@@ -237,25 +236,21 @@ def _cmd_run(args, out) -> int:
     graph, scale = _prepare(args)
     tracer = None
     writer = None
-    if args.trace or args.events or args.profile:
-        from .obs import EventBus, JsonlWriter, Tracer
+    if (args.trace or args.events or args.profile
+            or args.flight_recorder):
+        from .obs import JsonlWriter, Tracer
 
-        bus = None
         if args.events:
             writer = JsonlWriter(args.events)
-            bus = EventBus()
-            bus.subscribe(writer)
-        tracer = Tracer(bus=bus)
-    recorder = None
-    if getattr(args, "flight_recorder", None):
-        from .obs import FlightRecorder
-
-        recorder = FlightRecorder(path=args.flight_recorder)
+        tracer = Tracer(sink=writer)
     try:
         result, metrics = _run_once(args, graph, scale, args.gpus,
-                                    tracer=tracer, recorder=recorder)
+                                    tracer=tracer)
     except Exception:
-        if recorder is not None and recorder.dumps:
+        if args.flight_recorder and tracer.dumps:
+            with open(args.flight_recorder, "w", encoding="utf-8") as fh:
+                json.dump(tracer.dumps[-1], fh, indent=2, sort_keys=True,
+                          default=str)
             print(
                 f"flight recorder: wrote crash dump {args.flight_recorder}",
                 file=sys.stderr,
@@ -302,18 +297,15 @@ def _cmd_run(args, out) -> int:
             from .obs import render_profile
 
             print(render_profile(tracer), file=out)
-    if recorder is not None:
+    if args.flight_recorder:
         print(
-            f"flight recorder: {recorder.recorded} events recorded, "
-            f"{len(recorder.ring)} in ring (capacity {recorder.capacity}), "
-            f"{len(recorder.dumps)} dump(s)",
+            f"flight recorder: {len(tracer.events)} events recorded, "
+            f"{len(tracer.dumps)} dump(s)",
             file=out,
         )
-    if getattr(args, "metrics_out", None):
-        from .obs import write_openmetrics
-
-        write_openmetrics(metrics, args.metrics_out)
-        print(f"wrote {args.metrics_out} (OpenMetrics)", file=out)
+    if args.metrics_out:
+        metrics.save_json(args.metrics_out)
+        print(f"wrote {args.metrics_out} (RunMetrics JSON)", file=out)
     if metrics.sanitizer_hazards is not None:
         hazards = metrics.sanitizer_hazards
         if hazards:
@@ -412,8 +404,6 @@ def _cmd_chaos(args, out) -> int:
         file=out,
     )
     if args.json_out:
-        import json as _json
-
         doc = {
             "cells": [
                 {
@@ -431,7 +421,7 @@ def _cmd_chaos(args, out) -> int:
             "total": len(results),
         }
         with open(args.json_out, "w", encoding="utf-8") as fh:
-            _json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(doc, fh, indent=2, sort_keys=True)
         print(f"wrote {args.json_out}", file=out)
     if failed:
         print(f"chaos: {len(failed)} cell(s) failed", file=sys.stderr)
@@ -495,8 +485,8 @@ def _cmd_trace(args, out) -> int:
 
 def _cmd_analyze(args, out) -> int:
     from .obs import (
-        TraceData,
         analyze_trace,
+        from_chrome_trace,
         load_chrome_trace,
         render_analysis,
         validate_chrome_trace,
@@ -513,11 +503,9 @@ def _cmd_analyze(args, out) -> int:
             print(f"analyze: {p}", file=sys.stderr)
         print(f"analyze: {len(problems)} problem(s)", file=sys.stderr)
         return 1
-    report = analyze_trace(TraceData.from_chrome_trace(trace))
+    report = analyze_trace(from_chrome_trace(trace))
     if args.as_json:
-        import json as _json
-
-        print(_json.dumps(report, indent=2, sort_keys=True), file=out)
+        print(json.dumps(report, indent=2, sort_keys=True), file=out)
     else:
         print(
             render_analysis(report, top=args.top, what_if=args.what_if),

@@ -63,7 +63,6 @@ from .problem import ProblemBase
 from .stats import OpStats
 
 if TYPE_CHECKING:
-    from ..obs.recorder import FlightRecorder
     from ..obs.tracer import Tracer
 
 __all__ = ["Enactor"]
@@ -75,9 +74,9 @@ _NO_FRONTIER = np.empty(0, dtype=np.int64)
 def _observed(fn):
     """The observer plumbing of ``enact`` (docs/observability.md,
     "Observers"): collect the run's observers into ``_observers`` in
-    hook order — tracer, sanitizer, recorder — and hand a
-    framework error escaping the run to their ``on_error`` (the flight
-    recorder dumps a crash report) before it propagates.
+    hook order — tracer, sanitizer — and hand a framework error
+    escaping the run to their ``on_error`` (the tracer takes a crash
+    report) before it propagates.
 
     A decorator, so ``enact``'s body stays the superstep loop alone and
     an observer can never alter control flow — the exception is always
@@ -90,7 +89,7 @@ def _observed(fn):
     @functools.wraps(fn)
     def wrapper(self, **reset_kwargs):
         observers = ()
-        for obs in (self.tracer, self.sanitizer, self.recorder):
+        for obs in (self.tracer, self.sanitizer):
             if obs is not None:
                 observers += (obs,)
         self._observers = observers
@@ -211,11 +210,8 @@ class Enactor:
         :class:`~repro.core.checkpoint.RecoveryPolicy` knobs for retry /
         backoff / rollback limits (default: the documented defaults).
     tracer:
-        An optional :class:`~repro.obs.tracer.Tracer`, an observer:
-        docs/observability.md, "Observers".
-    flight_recorder:
-        An optional :class:`~repro.obs.recorder.FlightRecorder`, an
-        observer: docs/observability.md, "Observers".
+        An optional :class:`~repro.obs.tracer.Tracer`, the run's
+        recorder and an observer: docs/observability.md, "Observers".
     """
 
     def __init__(
@@ -231,13 +227,11 @@ class Enactor:
         checkpoint_every: Optional[int] = None,
         recovery: Optional[RecoveryPolicy] = None,
         tracer: Optional[Tracer] = None,
-        flight_recorder: Optional[FlightRecorder] = None,
     ):
         self._closed = False
         self.problem = problem
         self.machine: Machine = problem.machine
         self.tracer = tracer
-        self.recorder = flight_recorder
         #: this run's observers, in hook order (:func:`_observed`)
         self._observers: tuple = ()
         self._alloc_prefix = getattr(problem, "alloc_prefix", problem.name)
@@ -670,17 +664,15 @@ class Enactor:
 
     def emit(self, type_: str, vt: Optional[float] = None,
              **fields) -> None:
-        """Send one instant event to every observer (the tracer and
-        the flight recorder record it).  The rollback, the checkpoint,
-        the sanitizer's hazards and the processes backend's dispatch
-        report through it."""
+        """Send one instant event to every observer (the tracer records
+        it).  The rollback, the checkpoint, the sanitizer's hazards and
+        the processes backend's dispatch report through it."""
         for obs in self._observers:
             obs.instant(type_, vt=vt, **fields)
 
     def report_error(self, reason: str, **fields) -> None:
         """Send one failure to every observer's ``on_error`` (the
-        flight recorder dumps a crash report): an error escaping
-        ``enact()``."""
+        tracer takes a crash report): an error escaping ``enact()``."""
         for obs in self._observers:
             obs.on_error(reason, **fields)
 

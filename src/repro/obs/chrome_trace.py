@@ -12,6 +12,9 @@ Layout:
   visible.
 
 Open the file at https://ui.perfetto.dev (or ``chrome://tracing``).
+:func:`from_chrome_trace` rebuilds a :class:`~repro.obs.tracer.Tracer`
+from such a file, so ``repro analyze trace.json`` works offline on CI
+artifacts.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ import json
 from typing import Dict, List
 
 from .events import RECOVERY_EVENT_TYPES
-from .tracer import COMM_TRACK, Tracer
+from .tracer import COMM_TRACK, Span, Tracer
 
 __all__ = [
     "to_chrome_trace",
+    "from_chrome_trace",
     "export_chrome_trace",
     "load_chrome_trace",
     "validate_chrome_trace",
@@ -43,7 +47,6 @@ INSTANT_TYPES = frozenset(
         "recovery.rollback",
         "recovery.restore-routed",
         "sanitizer.hazard",
-        "mc.divergence",
     }
 )
 
@@ -142,6 +145,60 @@ def to_chrome_trace(tracer: Tracer) -> dict:
             "num_gpus": num_gpus,
         },
     }
+
+
+def from_chrome_trace(trace: dict) -> Tracer:
+    """Rebuild a tracer's spans and events from a Chrome-trace object.
+
+    Inverts :func:`to_chrome_trace` for the virtual-clock process
+    (pid 0): complete events become :class:`Span` objects (the ``comm``
+    row maps back to :data:`COMM_TRACK` via the thread-name metadata)
+    and instants become event records.  Wall-clock data (pid 1, per-op
+    wall aggregates) is not round-tripped — it does not take part in
+    virtual-clock analysis.
+    """
+    other = trace.get("otherData", {}) if isinstance(trace, dict) else {}
+    events = trace.get("traceEvents", []) if isinstance(trace, dict) else []
+    names: Dict[int, str] = {}
+    for ev in events:
+        if isinstance(ev, dict) and ev.get("ph") == "M" \
+                and ev.get("name") == "thread_name" \
+                and ev.get("pid") == 0:
+            names[ev.get("tid")] = ev.get("args", {}).get("name", "")
+    tracer = Tracer()
+    tracer.primitive = other.get("primitive", "")
+    tracer.backend = other.get("backend", "")
+    tracer.num_gpus = int(other.get("num_gpus", 0) or 0)
+    for ev in events:
+        if not isinstance(ev, dict) or ev.get("pid") != 0:
+            continue
+        ph = ev.get("ph")
+        if ph == "X":
+            if names.get(ev.get("tid"), "") == "comm":
+                track = COMM_TRACK
+            else:
+                track = int(ev.get("tid", 0))
+            args = dict(ev.get("args") or {})
+            iteration = args.pop("iteration", -1)
+            tracer.spans.append(
+                Span(
+                    name=str(ev.get("name", "")),
+                    cat=str(ev.get("cat", "")),
+                    track=track,
+                    iteration=int(iteration),
+                    vt_start=float(ev.get("ts", 0.0)) / _US,
+                    vt_dur=float(ev.get("dur", 0.0)) / _US,
+                    args=args,
+                )
+            )
+        elif ph == "i":
+            rec = {
+                "type": str(ev.get("name", "")),
+                "vt": float(ev.get("ts", 0.0)) / _US,
+            }
+            rec.update(ev.get("args") or {})
+            tracer.events.append(rec)
+    return tracer
 
 
 def export_chrome_trace(tracer: Tracer, path) -> dict:

@@ -26,9 +26,10 @@ Two counterfactuals bound what a schedule change could win:
 * **perfect-balance** — replay with each superstep's busy time spread
   evenly over its active GPUs (an ideal partitioner).
 
-``analyze_trace`` accepts a live :class:`repro.obs.tracer.Tracer` or a
-:class:`TraceData` reconstructed from an exported Chrome trace file, so
-``repro analyze trace.json`` works offline on CI artifacts.
+``analyze_trace`` takes a :class:`repro.obs.tracer.Tracer` — a live one,
+or one :func:`repro.obs.chrome_trace.from_chrome_trace` rebuilt from an
+exported file, so ``repro analyze trace.json`` works offline on CI
+artifacts.
 """
 
 from __future__ import annotations
@@ -39,104 +40,11 @@ from typing import Dict, List, Optional
 from ..analysis.reporting import render_table
 from .events import EVENT_SCHEMA_VERSION
 from .profile import profile_rows, term_of_span
-from .tracer import COMM_TRACK, Span
+from .tracer import COMM_TRACK, Span, Tracer
 
-__all__ = ["TraceData", "analyze_trace", "render_analysis"]
+__all__ = ["analyze_trace", "render_analysis"]
 
 _TERMS = ("W", "H", "C", "S")
-
-
-class TraceData:
-    """Offline stand-in for a :class:`~repro.obs.tracer.Tracer`.
-
-    Duck-types the read side the profiler and analyzer consume
-    (``spans``, ``events``, ``events_of``, ``op_wall``, ``primitive``,
-    ``backend``, ``num_gpus``) without any recording machinery, so an
-    exported Chrome trace can be analyzed long after the run died.
-    """
-
-    def __init__(self, spans=None, events=None, op_wall=None,
-                 primitive: str = "", backend: str = "", num_gpus: int = 0):
-        self.spans: List[Span] = list(spans or [])
-        self.events: List[dict] = list(events or [])
-        self.op_wall: Dict[str, list] = dict(op_wall or {})
-        self.primitive = primitive
-        self.backend = backend
-        self.num_gpus = int(num_gpus)
-
-    @classmethod
-    def from_tracer(cls, tracer) -> "TraceData":
-        """Zero-copy view of a live tracer's recorded data."""
-        data = cls(
-            primitive=tracer.primitive,
-            backend=tracer.backend,
-            num_gpus=tracer.num_gpus,
-        )
-        data.spans = tracer.spans
-        data.events = tracer.events
-        data.op_wall = tracer.op_wall
-        return data
-
-    @classmethod
-    def from_chrome_trace(cls, trace: dict) -> "TraceData":
-        """Rebuild spans/events from a Chrome-trace JSON object.
-
-        Inverts :func:`repro.obs.chrome_trace.to_chrome_trace` for the
-        virtual-clock process (pid 0): complete events become
-        :class:`Span` objects (the ``comm`` row maps back to its
-        negative track index via the thread-name metadata) and instants
-        become event records.  Wall-clock data (pid 1, per-op wall
-        aggregates) is not round-tripped — it does not participate in
-        virtual-clock analysis.
-        """
-        other = trace.get("otherData", {}) if isinstance(trace, dict) else {}
-        events = trace.get("traceEvents", []) if isinstance(trace, dict) else []
-        names: Dict[int, str] = {}
-        for ev in events:
-            if isinstance(ev, dict) and ev.get("ph") == "M" \
-                    and ev.get("name") == "thread_name" \
-                    and ev.get("pid") == 0:
-                names[ev.get("tid")] = ev.get("args", {}).get("name", "")
-        data = cls(
-            primitive=other.get("primitive", ""),
-            backend=other.get("backend", ""),
-            num_gpus=int(other.get("num_gpus", 0) or 0),
-        )
-        for ev in events:
-            if not isinstance(ev, dict) or ev.get("pid") != 0:
-                continue
-            ph = ev.get("ph")
-            if ph == "X":
-                label = names.get(ev.get("tid"), "")
-                if label == "comm":
-                    track = COMM_TRACK
-                else:
-                    track = int(ev.get("tid", 0))
-                args = dict(ev.get("args") or {})
-                iteration = args.pop("iteration", -1)
-                data.spans.append(
-                    Span(
-                        name=str(ev.get("name", "")),
-                        cat=str(ev.get("cat", "")),
-                        track=track,
-                        iteration=int(iteration),
-                        vt_start=float(ev.get("ts", 0.0)) / 1e6,
-                        vt_dur=float(ev.get("dur", 0.0)) / 1e6,
-                        args=args,
-                    )
-                )
-            elif ph == "i":
-                rec = {
-                    "type": str(ev.get("name", "")),
-                    "vt": float(ev.get("ts", 0.0)) / 1e6,
-                }
-                rec.update(ev.get("args") or {})
-                data.events.append(rec)
-        return data
-
-    # -- Tracer-compatible views ----------------------------------------------
-    def events_of(self, type_: str) -> List[dict]:
-        return [e for e in self.events if e.get("type") == type_]
 
 
 def _span_gpu(span) -> Optional[int]:
@@ -156,23 +64,19 @@ def _zero_buckets() -> Dict[str, float]:
     return {t: 0.0 for t in _TERMS}
 
 
-def analyze_trace(source) -> dict:
+def analyze_trace(tracer: Tracer) -> dict:
     """Critical-path/slack/what-if report for a traced run.
 
-    ``source`` is a live tracer or a :class:`TraceData`.  The returned
-    dict doubles as a valid ``analysis.report`` event record (it has a
-    ``"type"`` and validates under
+    The returned dict doubles as a valid ``analysis.report`` event
+    record (it has a ``"type"`` and validates under
     :func:`repro.obs.events.validate_event`), so it can ride the same
     JSONL pipeline as the raw events it was computed from.
     """
-    data = source if isinstance(source, TraceData) \
-        else TraceData.from_tracer(source)
-
     # Run-level W/H/C/S totals come from the profiler itself — same
     # rows, same summation order as render_profile's legend — so the
     # analyzer reconciles with ``repro run --profile`` exactly, not
     # merely within float tolerance.
-    rows = profile_rows(data)
+    rows = profile_rows(tracer)
     terms = _zero_buckets()
     for r in rows:
         terms[r["term"]] += r["virtual_s"]
@@ -180,7 +84,7 @@ def analyze_trace(source) -> dict:
 
     sync_total = 0.0
     sync_count = 0
-    for e in data.events_of("barrier"):
+    for e in tracer.events_of("barrier"):
         sync_total += float(e.get("sync", 0.0))
         sync_count += 1
 
@@ -188,7 +92,7 @@ def analyze_trace(source) -> dict:
     by_iter: Dict[int, List[Span]] = {}
     unattributed = _zero_buckets()  # iteration < 0 or GPU-less spans
     elapsed = 0.0
-    for s in data.spans:
+    for s in tracer.spans:
         elapsed = max(elapsed, s.vt_start + s.vt_dur)
         if s.cat == "superstep":
             continue
@@ -196,7 +100,7 @@ def analyze_trace(source) -> dict:
             unattributed[term_of_span(s)] += s.vt_dur
             continue
         by_iter.setdefault(s.iteration, []).append(s)
-    for e in data.events:
+    for e in tracer.events:
         vt = e.get("vt")
         if isinstance(vt, (int, float)) and not isinstance(vt, bool):
             elapsed = max(elapsed, float(vt))
@@ -305,9 +209,9 @@ def analyze_trace(source) -> dict:
     report = {
         "type": "analysis.report",
         "schema_version": EVENT_SCHEMA_VERSION,
-        "primitive": data.primitive,
-        "backend": data.backend,
-        "num_gpus": data.num_gpus,
+        "primitive": tracer.primitive,
+        "backend": tracer.backend,
+        "num_gpus": tracer.num_gpus,
         "supersteps": n_steps,
         "elapsed_s": elapsed,
         "critical_path_s": critical_path_s,

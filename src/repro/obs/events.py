@@ -1,4 +1,4 @@
-"""Structured event bus + JSONL sink for the tracer.
+"""The tracer's event schema and its JSONL sink.
 
 Every record is a flat JSON object with a ``"type"`` drawn from
 :data:`EVENT_TYPES` and, where the event has a position on the virtual
@@ -11,13 +11,12 @@ the ``repro trace`` subcommand).
 from __future__ import annotations
 
 import json
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
     "EVENT_TYPES",
     "RECOVERY_EVENT_TYPES",
-    "EventBus",
     "JsonlWriter",
     "validate_event",
     "validate_events_jsonl",
@@ -26,11 +25,9 @@ __all__ = [
 #: JSONL event schema version.  Version 1 was the implicit schema of
 #: PRs 4/9 (spans, barriers, recovery and other instants); version
 #: 2 adds the observability *products* as first-class records —
-#: ``recorder.dump`` (flight-recorder crash reports) and
+#: ``recorder.dump`` (the tracer's crash reports) and
 #: ``analysis.report`` (critical-path analyzer output) — so derived
-#: artifacts can ride the same stream they were computed from.  The
-#: OpenMetrics exposition (``repro.obs.metrics_export``) advertises
-#: this constant in its ``repro_schema_info`` metric.
+#: artifacts can ride the same stream they were computed from.
 EVENT_SCHEMA_VERSION = 2
 
 #: recovery actions the chaos harness cross-checks against RunMetrics
@@ -71,25 +68,8 @@ EVENT_TYPES = frozenset(
 _INT_FIELDS = ("gpu", "iteration", "src", "dst", "num_gpus", "worker")
 
 
-class EventBus:
-    """Minimal synchronous pub/sub fan-out for tracer records."""
-
-    def __init__(self):
-        self._subscribers: List[Callable[[dict], None]] = []
-
-    def subscribe(self, fn: Callable[[dict], None]) -> None:
-        self._subscribers.append(fn)
-
-    def unsubscribe(self, fn: Callable[[dict], None]) -> None:
-        self._subscribers.remove(fn)
-
-    def emit(self, record: dict) -> None:
-        for fn in self._subscribers:
-            fn(record)
-
-
 class JsonlWriter:
-    """Event-bus subscriber writing one JSON object per line."""
+    """A tracer ``sink`` writing one JSON object per line."""
 
     def __init__(self, path):
         self.path = path

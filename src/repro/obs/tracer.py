@@ -24,20 +24,29 @@ the observer loops, the fine-grained hook sites (operators,
 communication, the machine) take the tracer as an argument that is
 ``None`` untraced, behind one ``if tracer is None`` check: no Python
 call, so untraced runs keep their ``py_calls``.
+
+The tracer is the run's one recorder: the Chrome trace, the JSONL event
+stream (a ``sink`` callable), the profile, the critical-path report,
+the timeline and the crash dump (:meth:`Tracer.on_error`) are all views
+of what it recorded.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.observer import Observer
+from .events import EVENT_SCHEMA_VERSION
 
-__all__ = ["COMM_TRACK", "Span", "Tracer"]
+__all__ = ["COMM_TRACK", "DUMP_EVENTS", "Span", "Tracer"]
 
 #: track index of the shared communication row (real GPUs are 0..n-1)
 COMM_TRACK = -1
+
+#: how many trailing events a crash dump carries
+DUMP_EVENTS = 4096
 
 
 @dataclass
@@ -72,7 +81,7 @@ class Span:
         )
 
     def to_record(self) -> dict:
-        """Event-bus (JSONL) representation."""
+        """JSONL event representation."""
         rec: Dict[str, Any] = {
             "type": "span",
             "cat": self.cat,
@@ -94,14 +103,19 @@ class Tracer(Observer):
     """Collects :class:`Span` objects and structured events.
 
     Attach to a run by passing ``tracer=`` to the enactor (or the
-    ``run_*`` convenience runners); attach a
-    :class:`repro.obs.events.EventBus` to stream records out as JSONL.
+    ``run_*`` convenience runners).  ``sink`` is called with each
+    committed record, in commit order — a
+    :class:`repro.obs.events.JsonlWriter` streams them out as JSONL.
     """
 
-    def __init__(self, bus=None):
-        self.bus = bus
+    def __init__(self, sink: Optional[Callable[[dict], None]] = None):
+        self.sink = sink
         self.spans: List[Span] = []
         self.events: List[dict] = []
+        #: crash reports :meth:`on_error` took, oldest first
+        self.dumps: List[dict] = []
+        #: the live RunMetrics of the current (or last) run
+        self.metrics = None
         #: wall-clock per-operator aggregate: name -> [calls, seconds]
         self.op_wall: Dict[str, List[float]] = {}
         self.primitive = ""
@@ -132,6 +146,7 @@ class Tracer(Observer):
         self._record = self._commit
         self._last_dirs = {}
         self._switches = []
+        self.metrics = metrics
         self.primitive = str(metrics.primitive)
         self.num_gpus = int(metrics.num_gpus)
         self.backend = str(enactor.backend.name)
@@ -193,6 +208,47 @@ class Tracer(Observer):
                 gpu=gpu, iteration=iteration, before=before, after=after,
             )
         self._switches = []
+
+    def on_error(self, reason: str, error: Optional[BaseException] = None,
+                 faults=None, **extra) -> dict:
+        """Take a crash report, keep it on :attr:`dumps` and return it.
+
+        The report is a ``recorder.dump`` event record: the last
+        :data:`DUMP_EVENTS` committed events, the live RunMetrics (its
+        per-superstep records included), the error and the state of the
+        machine's :class:`~repro.sim.faults.FaultInjector` (its injected
+        counters and plan size, never the object).  The caller writes
+        it to a file, if it wants one.
+        """
+        report: Dict[str, Any] = {
+            "type": "recorder.dump",
+            "schema_version": EVENT_SCHEMA_VERSION,
+            "reason": str(reason),
+            "primitive": self.primitive,
+            "backend": self.backend,
+            "num_gpus": self.num_gpus,
+            "wall_s": self.wall(),
+            "recorded": len(self.events),
+            "events": self.events[-DUMP_EVENTS:],
+        }
+        if error is not None:
+            report["error"] = {
+                "class": type(error).__name__,
+                "message": str(error),
+                "gpu": getattr(error, "gpu_id", None),
+                "iteration": getattr(error, "iteration", None),
+                "site": getattr(error, "site", None),
+            }
+        if faults is not None:
+            report["pending_faults"] = {
+                "injected": dict(faults.injected),
+                "planned": len(faults.plan.faults),
+            }
+        if self.metrics is not None:
+            report["metrics"] = self.metrics.to_dict()
+        report.update(extra)
+        self.dumps.append(report)
+        return report
 
     # -- recording ------------------------------------------------------------
     def span(
@@ -259,6 +315,8 @@ class Tracer(Observer):
         self.spans.clear()
         self.events.clear()
         self.op_wall.clear()
+        self.dumps.clear()
+        self.metrics = None
 
     # -- views ----------------------------------------------------------------
     def spans_of(self, cat: str) -> List[Span]:
@@ -277,12 +335,12 @@ class Tracer(Observer):
         kind, item = entry[0], entry[1]
         if kind == "span":
             self.spans.append(item)
-            if self.bus is not None:
-                self.bus.emit(item.to_record())
+            if self.sink is not None:
+                self.sink(item.to_record())
         elif kind == "event":
             self.events.append(item)
-            if self.bus is not None:
-                self.bus.emit(item)
+            if self.sink is not None:
+                self.sink(item)
         else:
             ent = self.op_wall.setdefault(item, [0, 0.0])
             ent[0] += 1

@@ -15,7 +15,7 @@ scheduling discipline on virtual time:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..errors import SimulationError
@@ -37,9 +37,6 @@ class Stream:
 
     name: str
     available_at: float = 0.0
-    #: (start, end, label) of every operation launched, for introspection.
-    history: List[Tuple[float, float, str]] = field(default_factory=list)
-    record_history: bool = False
 
     def launch(self, duration: float, earliest_start: float = 0.0,
                label: str = "") -> Event:
@@ -61,14 +58,12 @@ class Stream:
         have: the ops before it stay applied."""
         horizon = self.available_at
         ends = [0.0] * len(ops)
-        for k, (duration, earliest_start, label) in enumerate(ops):
+        for k, (duration, earliest_start, _) in enumerate(ops):
             if duration < 0:
                 raise SimulationError(f"negative duration: {duration}")
             # max(horizon, earliest_start)
             start = earliest_start if earliest_start > horizon else horizon
             self.available_at = horizon = ends[k] = start + duration
-            if self.record_history:
-                self.history.append((start, horizon, label))
         return ends
 
     def wait_event(self, event: Event) -> None:
@@ -81,4 +76,3 @@ class Stream:
 
     def reset(self) -> None:
         self.available_at = 0.0
-        self.history.clear()

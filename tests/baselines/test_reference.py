@@ -82,9 +82,13 @@ class TestBcReference:
     def test_single_source_matches_networkx_total(self, small_social):
         nx = pytest.importorskip("networkx")
         G = to_nx(small_social)
-        # full BC summed over sources (scaled): spot check with small graph
-        sub_nodes = list(range(64))
-        H = G.subgraph(sub_nodes)
+        for s in (0, 5, 100):
+            theirs = nx.betweenness_centrality_subset(
+                G, sources=[s], targets=list(G), normalized=False
+            )
+            # networkx halves the dependency on an undirected graph
+            want = 2 * np.array([theirs[v] for v in range(len(theirs))])
+            assert np.allclose(bc_reference(small_social, source=s), want)
 
     def test_path_dependency(self, path_graph):
         d = bc_reference(path_graph, source=0)

@@ -1,8 +1,8 @@
 """Deliberately broken BFS runs trip the sanitizer: three
 dynamically-broken variants must each raise their hazard class
 (SAN201/SAN202/SAN203), with the same report on every backend, and
-the tracer and the flight recorder attached beside it get one
-``sanitizer.hazard`` instant per hazard.
+the tracer attached beside it gets one ``sanitizer.hazard`` instant
+per hazard.
 """
 
 import pytest
@@ -10,7 +10,7 @@ import pytest
 from repro.core import RunState, combine
 from repro.core.enactor import Enactor
 from repro.graph.generators.rmat import generate_rmat
-from repro.obs import FlightRecorder, Tracer
+from repro.obs import Tracer
 from repro.primitives.bfs import BFSIteration, BFSProblem
 from repro.sim.machine import Machine
 
@@ -57,17 +57,14 @@ class TestSanitizerFlagsBrokenRuns:
         reports = {}
         for backend in ("serial", "processes:2"):
             problem = problem_cls(graph, Machine(4))
-            tracer, recorder = Tracer(), FlightRecorder()
+            tracer = Tracer()
             with Enactor(problem, iteration_cls, sanitize=True,
-                         backend=backend, tracer=tracer,
-                         flight_recorder=recorder) as enactor:
+                         backend=backend, tracer=tracer) as enactor:
                 reports[backend] = enactor.enact(src=0).sanitizer_hazards
             want = [(h["hazard_id"], h["array"], h["superstep"])
                     for h in reports[backend]]
-            for events in (tracer.events, recorder.ring):
-                assert [(e["hazard"], e["array"], e["superstep"])
-                        for e in events
-                        if e["type"] == "sanitizer.hazard"] == want
+            assert [(e["hazard"], e["array"], e["superstep"])
+                    for e in tracer.events_of("sanitizer.hazard")] == want
         assert reports["processes:2"] == reports["serial"]
         return reports["serial"]
 

@@ -3,8 +3,9 @@
 ``_ChargeLedger`` prices a superstep's compute-stream charges as they
 are made and applies them with one flush.  Against the loop it replaced
 — ``kernel_time(...).total * scale`` and a ``Stream.launch`` per
-``OpStats`` — it must return the same seconds, leave the same horizon
-and history, and (traced) emit the same spans, bit for bit.
+``OpStats`` — it must return the same seconds, the same completion
+times and the same horizon, and (traced) emit the same spans, bit for
+bit.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -40,14 +41,15 @@ _CALLS = st.lists(
 
 
 def _per_launch(stream, km, calls, scale):
-    """The replaced loop: returns each call's seconds and every op's
-    ``(name, start, duration)``."""
-    totals, spans = [], []
+    """The replaced loop: returns each call's seconds, every op's
+    ``(name, start, duration)`` and every op's completion time."""
+    totals, spans, ends = [], [], []
     for call in calls:
         if call[0] == "add":
             ev = stream.launch(call[1], label="framework")
             totals.append(call[1])
             spans.append(("framework", ev.timestamp - call[1], call[1]))
+            ends.append(ev.timestamp)
             continue
         total = 0.0
         for s in call[1]:
@@ -59,8 +61,9 @@ def _per_launch(stream, km, calls, scale):
             ev = stream.launch(dur, earliest_start=call[2], label=s.name)
             total += dur
             spans.append((s.name, ev.timestamp - dur, dur))
+            ends.append(ev.timestamp)
         totals.append(total)
-    return totals, spans
+    return totals, spans, ends
 
 
 def _through_ledger(ledger, calls, scale):
@@ -76,18 +79,17 @@ def _through_ledger(ledger, calls, scale):
        scale=st.floats(min_value=1.0, max_value=4.0, allow_nan=False))
 def test_one_flush_equals_a_launch_per_charge(calls, horizon, scale):
     km = KernelModel(K40, 1024.0)
-    want_stream = Stream("w", available_at=horizon, record_history=True)
-    want_totals, _ = _per_launch(want_stream, km, calls, scale)
+    want_stream = Stream("w", available_at=horizon)
+    want_totals, _, want_ends = _per_launch(want_stream, km, calls, scale)
 
-    stream = Stream("s", available_at=horizon, record_history=True)
+    stream = Stream("s", available_at=horizon)
     ledger = _ChargeLedger(0, stream, km, None)
     assert _through_ledger(ledger, calls, scale) == want_totals
     # nothing reaches the stream before the flush ...
-    assert stream.available_at == horizon and stream.history == []
-    ledger.flush()
+    assert stream.available_at == horizon
     # ... and the flush leaves what a launch per charge would have
+    assert ledger.flush() == want_ends
     assert stream.available_at == want_stream.available_at
-    assert stream.history == want_stream.history
     assert ledger.flush() == []  # flushed charges are not applied twice
 
 
@@ -98,11 +100,11 @@ def test_traced_ledger_applies_each_charge_as_it_is_made(
     calls, horizon, scale
 ):
     km = KernelModel(K40, 1024.0)
-    want_stream = Stream("w", available_at=horizon, record_history=True)
-    want_totals, want_spans = _per_launch(want_stream, km, calls, scale)
+    want_stream = Stream("w", available_at=horizon)
+    want_totals, want_spans, _ = _per_launch(want_stream, km, calls, scale)
 
     tracer = Tracer()
-    stream = Stream("s", available_at=horizon, record_history=True)
+    stream = Stream("s", available_at=horizon)
     ledger = _ChargeLedger(3, stream, km, tracer)
     got_totals = []
     for call in calls:
@@ -110,6 +112,5 @@ def test_traced_ledger_applies_each_charge_as_it_is_made(
         assert ledger.pending == []  # a span needed the op's start
     assert got_totals == want_totals
     assert stream.available_at == want_stream.available_at
-    assert stream.history == want_stream.history
     assert [(s.name, s.vt_start, s.vt_dur) for s in tracer.spans] == want_spans
     assert all(s.track == 3 and s.cat == "op" for s in tracer.spans)

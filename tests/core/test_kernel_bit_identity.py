@@ -46,7 +46,7 @@ from repro import primitives
 from repro.core.enactor import Enactor
 from repro.graph.build import add_random_weights
 from repro.graph.generators import generate_rmat, generate_road
-from repro.obs import EventBus, Tracer
+from repro.obs import Tracer
 from repro.partition import make_partitioner
 from repro.sim import FixedPrealloc, Machine
 from repro.types import IdConfig
@@ -145,9 +145,7 @@ def run_case(graphs, graph_name, variant, num_gpus, backend,
         opts["scheme"] = FixedPrealloc(frontier_factor=1.05)
     records = []
     if traced:
-        bus = EventBus()
-        bus.subscribe(records.append)
-        opts["tracer"] = Tracer(bus=bus)
+        opts["tracer"] = Tracer(sink=records.append)
     with Enactor(problem, iteration_cls, backend=backend, **opts) as enactor:
         metrics = enactor.enact(**ekw)
     digest = _digest([getattr(problem, a)() for a in accessors], metrics)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.graph.generators.road import generate_road
-from repro.obs import FlightRecorder, Tracer
+from repro.obs import Tracer
 from repro.primitives import run_bfs
 from repro.sim.machine import Machine
 
@@ -49,11 +49,9 @@ def _run(graph, sent, machine=None, backend="processes:2", **kwargs):
     return labels, metrics, sent[0]
 
 
-def _recorded(tracer, recorder):
-    """The tracer's stream on the virtual clock and the recorder's
-    ring and superstep window."""
-    return ([s.key() for s in tracer.spans], tracer.events,
-            list(recorder.ring), list(recorder.supersteps))
+def _recorded(tracer):
+    """The tracer's stream on the virtual clock."""
+    return [s.key() for s in tracer.spans], tracer.events
 
 
 @pytest.mark.parametrize("observer", ["tracer", "sanitize"])
@@ -79,20 +77,19 @@ def test_every_observer_at_once_records_what_each_does_alone(
     road, parent_sends, backend
 ):
     labels, metrics, plain = _run(road, parent_sends, backend=backend)
-    alone = (Tracer(), FlightRecorder())
-    _run(road, parent_sends, backend=backend, tracer=alone[0])
-    _run(road, parent_sends, backend=backend, flight_recorder=alone[1])
+    alone = Tracer()
+    _run(road, parent_sends, backend=backend, tracer=alone)
     _, sanitized, _ = _run(road, parent_sends, backend=backend,
                            sanitize=True)
-    together = (Tracer(), FlightRecorder())
+    together = Tracer()
     got, got_m, observed = _run(
-        road, parent_sends, backend=backend, tracer=together[0],
-        flight_recorder=together[1], sanitize=True,
+        road, parent_sends, backend=backend, tracer=together,
+        sanitize=True,
     )
     assert observed == plain
     np.testing.assert_array_equal(got, labels)
-    assert together[0].spans_of("superstep") and together[1].supersteps
-    assert _recorded(*together) == _recorded(*alone)
+    assert together.spans_of("superstep")
+    assert _recorded(together) == _recorded(alone)
     assert got_m.sanitizer_hazards == sanitized.sanitizer_hazards == []
     got_m.sanitizer_hazards = None
     assert json.dumps(got_m.to_dict()) == json.dumps(metrics.to_dict())

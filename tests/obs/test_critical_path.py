@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.obs import (
     COMM_TRACK,
-    TraceData,
     Tracer,
     analyze_trace,
+    from_chrome_trace,
     profile_rows,
     render_analysis,
     to_chrome_trace,
@@ -113,8 +113,7 @@ class TestWhatIf:
 class TestChromeRoundtrip:
     def test_offline_analysis_matches_live(self, traced_run, report):
         tracer, _ = traced_run
-        data = TraceData.from_chrome_trace(to_chrome_trace(tracer))
-        offline = analyze_trace(data)
+        offline = analyze_trace(from_chrome_trace(to_chrome_trace(tracer)))
         assert offline["supersteps"] == report["supersteps"]
         assert offline["critical_path_s"] == pytest.approx(
             report["critical_path_s"], abs=1e-9
@@ -128,7 +127,7 @@ class TestChromeRoundtrip:
 
 class TestDegenerateInputs:
     def test_empty_trace(self):
-        report = analyze_trace(TraceData())
+        report = analyze_trace(Tracer())
         assert report["supersteps"] == 0
         assert report["critical_path_s"] == 0.0
         assert report["slack_s"] == 0.0

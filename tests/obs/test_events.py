@@ -4,7 +4,6 @@ import json
 
 from repro.obs import (
     EVENT_SCHEMA_VERSION,
-    EventBus,
     JsonlWriter,
     Tracer,
     validate_event,
@@ -79,12 +78,9 @@ class TestSchemaV2:
 class TestJsonlRoundTrip:
     def test_traced_run_writes_valid_jsonl(self, small_rmat, tmp_path):
         path = tmp_path / "events.jsonl"
-        bus = EventBus()
         with JsonlWriter(path) as writer:
-            bus.subscribe(writer)
-            tracer = Tracer(bus=bus)
+            tracer = Tracer(sink=writer)
             run_bfs(small_rmat, Machine(2), src=0, tracer=tracer)
-            bus.unsubscribe(writer)
         assert writer.count > 0
         assert validate_events_jsonl(path) == []
         lines = [json.loads(l) for l in path.read_text("utf-8").splitlines()]

@@ -1,46 +1,14 @@
-"""OpenMetrics exposition of RunMetrics."""
+"""A run's one metrics serialisation: ``RunMetrics.to_dict``, written by
+``RunMetrics.save_json`` (and so by ``repro run --metrics-out``)."""
 
-from repro.obs import to_openmetrics, write_openmetrics
+import json
+
 from repro.primitives import run_bfs
 from repro.sim.faults import GPU_LOSS, FaultPlan, FaultSpec
 from repro.sim.machine import Machine
-from repro.sim.metrics import RunMetrics
-
-
-def _families(text):
-    return {
-        line.split()[2]
-        for line in text.splitlines()
-        if line.startswith("# TYPE ")
-    }
 
 
 class TestExposition:
-    def test_run_exposes_all_families(self, small_rmat):
-        _, metrics, _ = run_bfs(small_rmat, Machine(2), src=0)
-        text = to_openmetrics(metrics)
-        assert text.endswith("# EOF\n")
-        assert _families(text) >= {
-            "repro_schema_info",
-            "repro_run_elapsed_virtual_seconds",
-            "repro_run_supersteps",
-            "repro_run_edges_visited_total",
-            "repro_run_items_sent_total",
-            "repro_run_load_imbalance_ratio",
-            "repro_gpu_peak_memory_bytes",
-            "repro_recovery_actions_total",
-            "repro_recovery_seconds",
-            "repro_superstep_duration_virtual_seconds",
-            "repro_superstep_gpu_compute_virtual_seconds",
-            "repro_superstep_gpu_comm_virtual_seconds",
-        }
-        # schema advertised in lock-step with the event stream
-        assert 'event_schema="2"' in text
-        # per-GPU and per-superstep labels present
-        assert 'gpu="1"' in text
-        assert 'iteration="0"' in text
-        assert 'kind="rollbacks"' in text
-
     def test_recovery_counters_surface(self, small_rmat):
         machine = Machine(2)
         machine.arm_faults(
@@ -48,23 +16,13 @@ class TestExposition:
         )
         _, metrics, _ = run_bfs(small_rmat, machine, src=0,
                                 checkpoint_every=2)
-        text = to_openmetrics(metrics)
-        rollback_lines = [
-            line for line in text.splitlines()
-            if line.startswith("repro_recovery_actions_total")
-            and 'kind="rollbacks"' in line
-        ]
-        assert rollback_lines and rollback_lines[0].endswith(" 1")
-
-    def test_label_values_escaped(self):
-        metrics = RunMetrics(num_gpus=1, primitive="bfs",
-                             dataset='we"ird\nname')
-        text = to_openmetrics(metrics)
-        assert 'dataset="we\\"ird\\nname"' in text
-        assert text.endswith("# EOF\n")
+        recovery = metrics.to_dict()["recovery"]
+        assert recovery["rollbacks"] == 1
+        assert recovery["degraded_gpus"] == [1]
+        assert recovery["checkpoints_taken"] == metrics.checkpoints_taken
 
     def test_write_roundtrip(self, small_rmat, tmp_path):
         _, metrics, _ = run_bfs(small_rmat, Machine(2), src=0)
-        path = tmp_path / "metrics.prom"
-        text = write_openmetrics(metrics, path)
-        assert path.read_text("utf-8") == text
+        path = tmp_path / "metrics.json"
+        metrics.save_json(path)
+        assert json.loads(path.read_text("utf-8")) == metrics.to_dict()

@@ -1,12 +1,14 @@
-"""Flight recorder: bounded ring, superstep window, and crash dumps."""
+"""The tracer as the run's recorder: crash dumps from what it recorded."""
 
 import json
 from types import SimpleNamespace
 
 import pytest
 
+from repro.cli import main
 from repro.errors import CommunicationError
-from repro.obs import FlightRecorder, validate_event
+from repro.obs import Tracer, validate_event
+from repro.obs.tracer import DUMP_EVENTS
 from repro.primitives import run_bfs
 from repro.sim.faults import TRANSIENT_COMM, FaultPlan, FaultSpec
 from repro.sim.machine import Machine
@@ -14,44 +16,47 @@ from repro.sim.metrics import RunMetrics
 
 
 class TestRing:
-    def test_capacity_bounds_memory(self):
-        r = FlightRecorder(capacity=4, keep_supersteps=2)
-        for i in range(10):
-            r.instant("barrier", vt=float(i), iteration=i)
-        assert r.recorded == 10
-        assert len(r.ring) == 4
-        # oldest entries dropped, newest kept, order preserved
-        assert [e["vt"] for e in r.ring] == [6.0, 7.0, 8.0, 9.0]
-
     def test_clear_resets_everything(self):
-        r = FlightRecorder(capacity=4)
-        r.instant("barrier", vt=1.0)
-        r.on_error("test")
-        r.clear()
-        assert r.recorded == 0
-        assert len(r.ring) == 0 and not r.dumps
-        assert r.metrics is None
+        t = Tracer()
+        t.begin_run(SimpleNamespace(backend=SimpleNamespace(name="serial")),
+                    RunMetrics(num_gpus=2, primitive="bfs"))
+        t.instant("barrier", vt=1.0)
+        t.on_error("test")
+        t.clear()
+        assert not t.events and not t.dumps
+        assert t.metrics is None
+
+    def test_dump_keeps_the_last_events(self):
+        t = Tracer()
+        for i in range(DUMP_EVENTS + 10):
+            t.instant("barrier", vt=float(i), iteration=i)
+        report = t.on_error("x")
+        assert report["recorded"] == DUMP_EVENTS + 10
+        assert len(report["events"]) == DUMP_EVENTS
+        # oldest entries left out, newest kept, order preserved
+        assert report["events"][0]["vt"] == 10.0
+        assert report["events"][-1]["vt"] == float(DUMP_EVENTS + 9)
 
 
 class TestDump:
     def test_dump_is_a_valid_event(self):
-        r = FlightRecorder(capacity=8)
-        r.begin_run(SimpleNamespace(backend=SimpleNamespace(name="serial")),
+        t = Tracer()
+        t.begin_run(SimpleNamespace(backend=SimpleNamespace(name="serial")),
                     RunMetrics(num_gpus=2, primitive="bfs"))
-        r.instant("barrier", vt=1.0, iteration=0)
-        report = r.on_error("unit-test")
+        t.instant("barrier", vt=1.0, iteration=0)
+        report = t.on_error("unit-test")
         assert validate_event(report) == []
         assert report["type"] == "recorder.dump"
         assert report["schema_version"] == 2
         assert report["reason"] == "unit-test"
         assert report["primitive"] == "bfs"
         assert report["events"][-1]["type"] == "barrier"
-        assert report in r.dumps
+        assert report in t.dumps
 
     def test_dump_captures_error(self):
-        r = FlightRecorder()
+        t = Tracer()
         err = CommunicationError("link down", gpu_id=1, iteration=3)
-        report = r.on_error("enact-error", error=err)
+        report = t.on_error("enact-error", error=err)
         assert report["error"]["class"] == "CommunicationError"
         assert report["error"]["gpu"] == 1
         assert report["error"]["iteration"] == 3
@@ -61,33 +66,42 @@ class TestDump:
         machine.arm_faults(FaultPlan([
             FaultSpec(TRANSIENT_COMM, gpu=0, iteration=0, count=2),
         ]))
-        report = FlightRecorder().on_error("x", faults=machine.faults)
+        report = Tracer().on_error("x", faults=machine.faults)
         assert report["pending_faults"]["planned"] == 1
         assert isinstance(report["pending_faults"]["injected"], dict)
 
-    def test_dump_writes_path(self, tmp_path):
+    def test_dump_writes_path(self, tmp_path, capsys):
+        """``run --flight-recorder`` writes the dump of a failed run."""
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"faults": [{
+            "kind": "transient-comm", "gpu": 0, "iteration": 0,
+            "count": 50,
+        }]}), encoding="utf-8")
         path = tmp_path / "crash.json"
-        r = FlightRecorder(path=str(path))
-        r.instant("barrier", vt=1.0)
-        r.on_error("boom")
+        code = main([
+            "run", "bfs", "--dataset", "soc-LiveJournal1", "--gpus", "2",
+            "--faults", str(plan), "--flight-recorder", str(path),
+        ])
+        assert code == 1
+        assert "wrote crash dump" in capsys.readouterr().err
         on_disk = json.loads(path.read_text("utf-8"))
-        assert on_disk["reason"] == "boom"
-        assert on_disk["events"][0]["vt"] == 1.0
+        assert on_disk["reason"] == "enact-error"
+        assert on_disk["error"]["class"] == "CommunicationError"
+        assert on_disk["events"][0]["type"] == "run.begin"
+        assert validate_event(on_disk) == []
 
 
 class TestLiveRuns:
     def test_clean_run_records_supersteps(self, small_rmat):
-        r = FlightRecorder(keep_supersteps=3)
-        _, metrics, _ = run_bfs(small_rmat, Machine(2), src=0,
-                                flight_recorder=r)
-        assert not r.dumps
-        assert r.primitive == "bfs" and r.num_gpus == 2
-        assert r.recorded >= len(metrics.iterations)
-        # the window holds the *last* k summaries
-        assert len(r.supersteps) == 3
-        kept = [s["iteration"] for s in r.supersteps]
-        assert kept == [m.iteration for m in metrics.iterations[-3:]]
-        assert r.metrics is metrics
+        t = Tracer()
+        _, metrics, _ = run_bfs(small_rmat, Machine(2), src=0, tracer=t)
+        assert not t.dumps
+        assert t.primitive == "bfs" and t.num_gpus == 2
+        assert t.metrics is metrics
+        # a dump carries every superstep's record, not a window of them
+        report = t.on_error("x")
+        assert [s["iteration"] for s in report["metrics"]["iterations"]] \
+            == [m.iteration for m in metrics.iterations]
 
     @pytest.mark.parametrize("backend", ["serial", "processes:2"])
     def test_repro_error_out_of_enact_dumps(self, small_rmat, backend):
@@ -95,17 +109,17 @@ class TestLiveRuns:
         by the parent, whose enactor dumps it."""
         from repro.core.checkpoint import RecoveryPolicy
 
-        r = FlightRecorder()
+        t = Tracer()
         machine = Machine(2)
         machine.arm_faults(FaultPlan([
             FaultSpec(TRANSIENT_COMM, gpu=0, iteration=0, count=50),
         ]))
         with pytest.raises(CommunicationError):
-            run_bfs(small_rmat, machine, src=0, flight_recorder=r,
+            run_bfs(small_rmat, machine, src=0, tracer=t,
                     recovery=RecoveryPolicy(max_comm_retries=3),
                     backend=backend)
-        assert len(r.dumps) == 1
-        report = r.dumps[0]
+        assert len(t.dumps) == 1
+        report = t.dumps[0]
         assert report["reason"] == "enact-error"
         assert report["backend"] == backend.partition(":")[0]
         assert report["error"]["class"] == "CommunicationError"

@@ -3,7 +3,7 @@
 from types import SimpleNamespace
 
 from repro.core.backend import GpuStepEffects
-from repro.obs import COMM_TRACK, EventBus, Tracer
+from repro.obs import COMM_TRACK, Tracer
 from repro.sim.metrics import RunMetrics
 
 
@@ -83,11 +83,9 @@ class TestBarrierMerge:
 
 
 class TestBusAndViews:
-    def test_bus_receives_committed_records_only(self):
+    def test_sink_receives_committed_records_only(self):
         seen = []
-        bus = EventBus()
-        bus.subscribe(seen.append)
-        t = Tracer(bus=bus)
+        t = Tracer(sink=seen.append)
         eff = _open_turn(t, 0)
         t.span("op", "advance", 0.0, 1.0)
         staged = t.on_superstep_end(1.0, eff)
@@ -96,7 +94,6 @@ class TestBusAndViews:
         assert [r["type"] for r in seen] == [
             "superstep.begin", "span", "span", "superstep.end",
         ]
-        bus.unsubscribe(seen.append)
 
     def test_begin_run_closes_a_bracket_left_open(self):
         t = Tracer()

@@ -96,24 +96,22 @@ def _sequential(stream, ops):
     """One ``max``/add per op: what ``launch`` did before it shared
     ``launch_many``'s loop."""
     ends = []
-    for duration, earliest_start, label in ops:
+    for duration, earliest_start, _ in ops:
         if duration < 0:
             raise SimulationError(f"negative duration: {duration}")
         start = max(stream.available_at, earliest_start)
         end = start + duration
         stream.available_at = end
-        if stream.record_history:
-            stream.history.append((start, end, label))
         ends.append(end)
     return ends
 
 
 @SETTINGS
-@given(ops=_OPS, horizon=_SECONDS, record=st.booleans())
-def test_launch_many_equals_sequential_launch(ops, horizon, record):
-    batched = Stream("b", available_at=horizon, record_history=record)
-    single = Stream("s", available_at=horizon, record_history=record)
-    reference = Stream("r", available_at=horizon, record_history=record)
+@given(ops=_OPS, horizon=_SECONDS)
+def test_launch_many_equals_sequential_launch(ops, horizon):
+    batched = Stream("b", available_at=horizon)
+    single = Stream("s", available_at=horizon)
+    reference = Stream("r", available_at=horizon)
     ends = batched.launch_many(ops)
     events = [single.launch(d, earliest_start=es, label=lb)
               for d, es, lb in ops]
@@ -122,8 +120,6 @@ def test_launch_many_equals_sequential_launch(ops, horizon, record):
     assert [e.label for e in events] == [lb for _, _, lb in ops]
     assert (batched.available_at == single.available_at
             == reference.available_at)
-    assert batched.history == single.history == reference.history
-    assert bool(batched.history) == (record and bool(ops))
 
 
 @SETTINGS
@@ -131,19 +127,20 @@ def test_launch_many_equals_sequential_launch(ops, horizon, record):
 def test_launch_many_raises_where_a_launch_would(ops, bad_at, horizon):
     bad_at = min(bad_at, len(ops))
     ops = ops[:bad_at] + [(-1.0, 0.0, "bad")] + ops[bad_at:]
-    batched = Stream("b", available_at=horizon, record_history=True)
-    reference = Stream("r", available_at=horizon, record_history=True)
+    batched = Stream("b", available_at=horizon)
+    reference = Stream("r", available_at=horizon)
+    prefix = Stream("p", available_at=horizon)
     with pytest.raises(SimulationError, match="negative duration"):
         batched.launch_many(ops)
     with pytest.raises(SimulationError, match="negative duration"):
         _sequential(reference, ops)
     # the ops before the bad one stay applied, nothing after it is
-    assert batched.available_at == reference.available_at
-    assert batched.history == reference.history
-    assert len(batched.history) == bad_at
+    prefix.launch_many(ops[:bad_at])
+    assert (batched.available_at == reference.available_at
+            == prefix.available_at)
 
 
 def test_launch_many_of_nothing_is_a_no_op():
-    s = Stream("s", available_at=2.5, record_history=True)
+    s = Stream("s", available_at=2.5)
     assert s.launch_many([]) == []
-    assert s.available_at == 2.5 and s.history == []
+    assert s.available_at == 2.5

@@ -84,20 +84,15 @@ class TestStream:
         with pytest.raises(SimulationError):
             Stream("s").launch(-1.0)
 
-    def test_history_recording(self):
-        s = Stream("s", record_history=True)
-        s.launch(1.0, label="k1")
-        s.launch(2.0, label="k2")
-        assert s.history == [(0.0, 1.0, "k1"), (1.0, 3.0, "k2")]
-
-    def test_history_off_by_default(self):
+    def test_launches_return_completion_times(self):
         s = Stream("s")
-        s.launch(1.0, label="k1")
-        assert s.history == []
+        ends = [s.launch(1.0, label="k1").timestamp,
+                s.launch(2.0, label="k2").timestamp]
+        assert ends == [1.0, 3.0]
+        assert s.available_at == 3.0
 
     def test_reset(self):
-        s = Stream("s", record_history=True)
+        s = Stream("s")
         s.launch(1.0)
         s.reset()
         assert s.available_at == 0.0
-        assert s.history == []

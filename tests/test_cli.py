@@ -1,10 +1,12 @@
 """CLI: every command produces sane output and exit code 0."""
 
 import io
+import json
 
 import pytest
 
 from repro.cli import main
+from repro.sim.metrics import RunMetrics
 
 
 def run_cli(*argv):
@@ -43,16 +45,16 @@ class TestRun:
         assert code == 0
 
     def test_run_names_its_dataset(self, tmp_path):
-        path = tmp_path / "metrics.prom"
+        path = tmp_path / "metrics.json"
         code, text = run_cli(
             "run", "sssp", "--dataset", "soc-LiveJournal1", "--gpus", "2",
             "--metrics-out", str(path),
         )
         assert code == 0
         assert "sssp on soc-LiveJournal1 " in text
-        body = path.read_text("utf-8")
-        assert ('repro_run_elapsed_virtual_seconds{primitive="sssp",'
-                'dataset="soc-LiveJournal1",gpus="2"}') in body
+        body = json.loads(path.read_text("utf-8"))
+        assert (body["primitive"], body["dataset"], body["num_gpus"]) \
+            == ("sssp", "soc-LiveJournal1", 2)
 
     def test_gteps_reported_for_traversal(self):
         _, text = run_cli(
@@ -99,6 +101,41 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             run_cli("run", "bfs", "--supervise")
         assert exc.value.code == 2  # argparse: unrecognized arguments
+
+    def test_clean_run_writes_no_crash_dump(self, tmp_path):
+        dump = tmp_path / "crash.json"
+        code, text = run_cli(
+            "run", "bfs", "--dataset", "soc-LiveJournal1", "--gpus", "2",
+            "--flight-recorder", str(dump),
+        )
+        assert code == 0
+        assert "flight recorder:" in text
+        assert "events recorded" in text
+        # a clean run never writes the crash dump
+        assert not dump.exists()
+
+    def test_metrics_out_writes_run_metrics_json(self, tmp_path,
+                                                 monkeypatch):
+        """The file is the run's ``RunMetrics.to_dict()``, nothing else."""
+        saved = []
+        save_json = RunMetrics.save_json
+
+        def spy(self, path):
+            saved.append(self)
+            save_json(self, path)
+
+        monkeypatch.setattr(RunMetrics, "save_json", spy)
+        path = tmp_path / "metrics.json"
+        code, text = run_cli(
+            "run", "bfs", "--dataset", "soc-LiveJournal1", "--gpus", "2",
+            "--metrics-out", str(path),
+        )
+        assert code == 0
+        assert f"wrote {path}" in text
+        (metrics,) = saved
+        body = json.loads(path.read_text("utf-8"))
+        assert body == metrics.to_dict()
+        assert body["schema_version"] == 3
 
 
 class TestPartition:
@@ -304,29 +341,3 @@ class TestAnalyze:
         bad.write_text(json.dumps({"traceEvents": []}), "utf-8")
         code, _ = run_cli("analyze", str(bad))
         assert code == 1
-
-
-class TestFlightRecorderFlag:
-    def test_clean_run_reports_ring_stats(self, tmp_path):
-        dump = tmp_path / "crash.json"
-        code, text = run_cli(
-            "run", "bfs", "--dataset", "soc-LiveJournal1", "--gpus", "2",
-            "--flight-recorder", str(dump),
-        )
-        assert code == 0
-        assert "flight recorder:" in text
-        assert "events recorded" in text
-        # a clean run never writes the crash dump
-        assert not dump.exists()
-
-    def test_metrics_out_writes_openmetrics(self, tmp_path):
-        path = tmp_path / "metrics.prom"
-        code, text = run_cli(
-            "run", "bfs", "--dataset", "soc-LiveJournal1", "--gpus", "2",
-            "--metrics-out", str(path),
-        )
-        assert code == 0
-        assert "(OpenMetrics)" in text
-        body = path.read_text("utf-8")
-        assert body.endswith("# EOF\n")
-        assert "repro_run_elapsed_virtual_seconds" in body
