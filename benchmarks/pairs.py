@@ -4,6 +4,7 @@
     python3 benchmarks/pairs.py --parent <checkout> --change <checkout>
                                 --pairs 10 --pr 24 [--out BENCH_24.json]
                                 [--workload W] [--seconds S]
+    python3 benchmarks/pairs.py --trajectory [--dir DIR]
 
 Pair *i* runs ``benchmarks/e2e/run.py --seed i`` once in each checkout —
 the parent first in odd pairs, the change first in even ones, so drift
@@ -25,13 +26,21 @@ the pairs the change won, lost and tied, the bound from
 
 Both checkouts are run as they are: this file measures, it builds
 nothing and changes nothing in either.
+
+``--trajectory`` runs nothing: it reads every ``BENCH_<n>.json`` in
+``DIR`` (default: the repository root), in PR order, and prints per
+workload each end-to-end metric's change-side median and verdict, one
+row per file — what changed from one PR to the next, from the committed
+files alone.  A file at another schema is an error.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -125,17 +134,72 @@ def table(doc: dict) -> str:
     return "\n".join(lines)
 
 
+def load_committed(directory: str) -> List[dict]:
+    """Every ``BENCH_<n>.json`` in ``directory``, in PR order; raises
+    ``ValueError`` on a file at another schema."""
+    docs = []
+    for path in glob.glob(os.path.join(directory, "BENCH_*.json")):
+        match = re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(path))
+        if match is None:
+            continue
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc.get("schema") != SCHEMA:
+            raise ValueError(f"{path}: schema {doc.get('schema')!r}, "
+                             f"expected {SCHEMA}")
+        docs.append((int(match.group(1)), doc))
+    return [doc for _, doc in sorted(docs, key=lambda item: item[0])]
+
+
+def trajectory(docs: Sequence[dict]) -> str:
+    """Per workload, a Markdown table: one row per file (PR), one
+    column per end-to-end metric, each cell the change-side median and
+    its verdict."""
+    workloads: Dict[str, List[str]] = {}
+    for doc in docs:
+        for workload, metrics in doc["workloads"].items():
+            names = workloads.setdefault(workload, [])
+            names += [name for name in metrics if name not in names]
+    out: List[str] = []
+    for workload, names in workloads.items():
+        out += [f"### {workload}", "",
+                "| PR | " + " | ".join(names) + " |",
+                "|---" * (len(names) + 1) + "|"]
+        for doc in docs:
+            metrics = doc["workloads"].get(workload)
+            if metrics is None:
+                continue
+            cells = [
+                f"{metrics[name]['change']['median']:.4g} "
+                f"{metrics[name]['verdict']}" if name in metrics else "—"
+                for name in names
+            ]
+            out.append(f"| {doc['pr']} | " + " | ".join(cells) + " |")
+        out.append("")
+    return "\n".join(out)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True)
-    parser.add_argument("--change", required=True)
+    parser.add_argument("--trajectory", action="store_true",
+                        help="print the committed files' medians and "
+                        "verdicts; run nothing")
+    parser.add_argument("--dir", default=os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))))
+    parser.add_argument("--parent")
+    parser.add_argument("--change")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--pr", required=True,
-                        help="names the output: BENCH_<pr>.json")
+    parser.add_argument("--pr", help="names the output: BENCH_<pr>.json")
     parser.add_argument("--out", default=None)
     parser.add_argument("--workload", default=None)
     parser.add_argument("--seconds", type=float, default=None)
     args = parser.parse_args(argv)
+    if args.trajectory:
+        print(trajectory(load_committed(args.dir)))
+        return 0
+    if not (args.parent and args.change and args.pr):
+        parser.error("--parent, --change and --pr are required "
+                     "without --trajectory")
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
     with open(os.path.join(sides["change"], "BENCHMARK.json"),

@@ -124,15 +124,16 @@ class _ChargeLedger:
         self.stream = stream
         self.price = kernel_model.price
         self.tracer = tracer
-        self.pending: List[tuple] = []  # (duration, earliest_start, label)
+        self.pending: List[tuple] = []  # (duration, earliest_start)
 
-    def add(self, duration: float, label: str, **span_args) -> float:
-        """Charge framework work (bookkeeping, reallocation)."""
-        self.pending.append((duration, 0.0, label))
+    def add(self, duration: float, name: str, **span_args) -> float:
+        """Charge framework work (bookkeeping, reallocation); ``name``
+        names its traced span."""
+        self.pending.append((duration, 0.0))
         if self.tracer is not None:
             end = self.flush()[-1]
             self.tracer.span(
-                "op", label, end - duration, duration,
+                "op", name, end - duration, duration,
                 track=self.gpu_index, **span_args,
             )
         return duration
@@ -239,6 +240,9 @@ class Enactor:
         self.scheme = scheme or PreallocFusion()
         self.comm_volume_scale = comm_volume_scale
         self.comm_latency_scale = comm_latency_scale
+        ids = problem.graph.ids
+        #: logical wire bytes of a sent vertex ID and of a sent value
+        self._wire_bytes = (ids.vertex_bytes, ids.value_bytes)
         self.overlap_communication = overlap_communication
         if checkpoint_every is not None and checkpoint_every < 1:
             raise SimulationError(
@@ -364,31 +368,31 @@ class Enactor:
         under ``recovery.retry_oom``."""
         return self.machine.faults is not None and self.recovery.retry_oom
 
-    def _regrow_frontier(
-        self, ledger: _ChargeLedger, frontier_obj: Frontier,
-        data: np.ndarray, eff: GpuStepEffects,
-    ) -> int:
-        """Recover a :meth:`Frontier.set` whose growth failed.
+    def _grow_frontier(
+        self, ledger: _ChargeLedger, frontier_obj: Frontier, size: int,
+        eff: GpuStepEffects,
+    ) -> float:
+        """Grow a frontier buffer that ``size`` items outgrew; return
+        the reallocation's charged seconds.
 
-        The transient allocation failure was consumed by the first
-        raise; the recovery regrows the buffer at exact fit (no slack —
-        the conservative choice under memory pressure) and re-applies
-        the set.  Returns grown slots for cost charging.
+        The superstep calls this only when ``size`` exceeds the
+        buffer's capacity, so a superstep whose frontiers fit makes no
+        call into :class:`Frontier` at all.  An injected allocation
+        failure is consumed by the first raise; the recovery regrows the
+        buffer at exact fit (no slack — the conservative choice under
+        memory pressure).
         """
-        needed = max(int(data.size), 1)
-        grown = max(needed - frontier_obj.capacity, 0)
-        if frontier_obj.pool is not None:
-            frontier_obj.pool.realloc(
-                frontier_obj.name,
-                needed * frontier_obj.item_bytes,
-                preserve=False,
-            )
-        frontier_obj.capacity = max(frontier_obj.capacity, needed)
-        frontier_obj.grow_events += 1
-        frontier_obj.set(data)
-        eff.oom_recoveries += 1
-        ledger.trace_oom_regrow(frontier_obj.name)
-        return grown
+        try:
+            grown = frontier_obj.fit(size)
+        except DeviceMemoryError:
+            if not self._retries_oom():
+                raise
+            grown = frontier_obj.fit(size, slack=1.0)
+            eff.oom_recoveries += 1
+            ledger.trace_oom_regrow(frontier_obj.name)
+        return self._charge_frontier_growth(
+            ledger, grown, frontier_obj.item_bytes
+        )
 
     # ------------------------------------------------------------------
     def _gpu_superstep(
@@ -418,7 +422,8 @@ class Enactor:
         ctx.tracer = tracer
         gpu = ctx.gpu
         sub = ctx.sub
-        compute = gpu.compute
+        ledger = self._ledgers[i]
+        compute = ledger.stream
         inj = machine.faults
         straggle = 1.0
         if inj is not None:
@@ -430,7 +435,6 @@ class Enactor:
         for obs in self._observers:
             obs.on_superstep_start(i, iteration, compute.available_at,
                                    frontier_in)
-        ledger = self._ledgers[i]
         ledger.pending = []
         ledger.tracer = tracer
         # per-iteration framework overhead (bookkeeping kernels,
@@ -446,11 +450,11 @@ class Enactor:
             verts, stats = iteration_obj.expand_incoming(ctx, msg)
             if stats:
                 compute_seconds += ledger.charge(stats, arrival, straggle)
-            combined_items += msg.num_items
+            combined_items += msg.vertices.size
             if tracer is not None:
                 tracer.instant(
                     "comm.combine", vt=arrival, gpu=i, src=msg.src_gpu,
-                    items=int(msg.num_items),
+                    items=int(msg.vertices.size),
                     accepted=int(verts.size),
                 )
             if verts.size:
@@ -464,18 +468,10 @@ class Enactor:
             frontier = extra_parts[0]
         else:
             frontier = np.concatenate([frontier_in] + extra_parts)
-        eff.frontier_size = int(frontier.size)
+        eff.frontier_size = size = frontier.size
         fin = self.frontiers_in[i]
-        try:
-            grown = fin.set(frontier)
-        except DeviceMemoryError:
-            if not self._retries_oom():
-                raise
-            grown = self._regrow_frontier(ledger, fin, frontier, eff)
-        if grown > 0:
-            compute_seconds += self._charge_frontier_growth(
-                ledger, grown, fin.item_bytes
-            )
+        if size > fin.capacity:
+            compute_seconds += self._grow_frontier(ledger, fin, size, eff)
 
         # --- 2. single-GPU core --------------------------------
         out, core_stats = iteration_obj.full_queue_core(ctx, frontier)
@@ -490,22 +486,16 @@ class Enactor:
             eff.edges_visited = edges
             eff.vertices_processed = vertices
         fout = self.frontiers_out[i]
-        try:
-            grown = fout.set(out)
-        except DeviceMemoryError:
-            if not self._retries_oom():
-                raise
-            grown = self._regrow_frontier(ledger, fout, out, eff)
-        if grown > 0:
-            compute_seconds += self._charge_frontier_growth(
-                ledger, grown, fout.item_bytes
+        if out.size > fout.capacity:
+            compute_seconds += self._grow_frontier(
+                ledger, fout, out.size, eff
             )
         eff.direction = iteration_obj.direction_of(i)
 
         # --- 3. split / package / push -------------------------
         msgs: Sequence = ()
         local_part = out
-        if n > 1 and iteration_obj.communicates_this_iteration(iteration):
+        if n > 1:
             ids_bytes = ctx.ids_bytes
             if out.size or problem.communication == BROADCAST:
                 # an empty selective route calls no associate hook
@@ -544,27 +534,30 @@ class Enactor:
         send_ready = compute.available_at
         comm_seconds = 0.0
         if msgs:
-            # empty sub-frontiers send no payload; the
-            # frontier-length handshake is part of the barrier's
-            # synchronization latency, not a tracked message
+            # a sent vertex carries its ID and one entry of each
+            # associate array packaged: Message.nbytes, per item
+            vertex_bytes, value_bytes = self._wire_bytes
+            per_item = vertex_bytes * (1 + len(va)) + value_bytes * len(la)
+            volume_scale = self.comm_volume_scale
+            latency_scale = self.comm_latency_scale
+            transfer_cost = machine.interconnect.transfer_cost
+            launch = gpu.streams["comm"].launch
             lost = machine.lost_gpus
-            msgs = [
-                m for m in msgs
-                if m.vertices.size > 0 and m.dst_gpu not in lost
-            ]
-            ids = problem.graph.ids
-            comm = gpu.comm
             for msg in msgs:
-                nbytes = int(msg.nbytes(ids) * self.comm_volume_scale)
+                dst = msg.dst_gpu
+                items = msg.vertices.size
+                if not items or dst in lost:
+                    # empty sub-frontiers send no payload; the
+                    # frontier-length handshake is part of the barrier's
+                    # synchronization latency, not a tracked message
+                    continue
+                nbytes = int(items * per_item * volume_scale)
                 start_at = send_ready
                 attempt = 0
                 while True:
                     try:
-                        dur = machine.interconnect.transfer_cost(
-                            i,
-                            msg.dst_gpu,
-                            nbytes,
-                            latency_scale=self.comm_latency_scale,
+                        dur = transfer_cost(
+                            i, dst, nbytes, latency_scale=latency_scale,
                             iteration=iteration, tracer=tracer,
                         )
                         break
@@ -580,36 +573,27 @@ class Enactor:
                             * (2 ** (attempt - 1)),
                             self.recovery.comm_backoff_cap,
                         )
-                        bev = comm.launch(
-                            backoff,
-                            earliest_start=start_at,
-                            label=f"retry->{msg.dst_gpu}",
-                        )
-                        start_at = bev.timestamp
+                        start_at = launch(backoff, start_at)
                         comm_seconds += backoff
                         eff.comm_retries += 1
                         eff.retry_seconds += backoff
                         if tracer is not None:
                             tracer.instant(
-                                "recovery.retry", vt=bev.timestamp,
-                                gpu=i, dst=msg.dst_gpu,
+                                "recovery.retry", vt=start_at,
+                                gpu=i, dst=dst,
                                 attempt=attempt, backoff=backoff,
                             )
-                ev = comm.launch(
-                    dur,
-                    earliest_start=start_at,
-                    label=f"send->{msg.dst_gpu}",
-                )
+                arrival = launch(dur, start_at)
                 comm_seconds += dur
                 if tracer is not None:
                     tracer.span(
-                        "comm", "send", ev.timestamp - dur, dur,
-                        track=COMM_TRACK, src=i, dst=msg.dst_gpu,
-                        items=int(msg.num_items), nbytes=nbytes,
+                        "comm", "send", arrival - dur, dur,
+                        track=COMM_TRACK, src=i, dst=dst,
+                        items=items, nbytes=nbytes,
                     )
-                eff.sends.append((msg.dst_gpu, ev.timestamp, msg))
+                eff.sends.append((dst, arrival, msg))
                 eff.transfer_nbytes.append(nbytes)
-                eff.items_sent += msg.num_items
+                eff.items_sent += items
                 eff.bytes_sent += nbytes
         eff.frontier = local_part
 
@@ -638,7 +622,7 @@ class Enactor:
             tracer=self.tracer,
         )
         self._last_checkpoint = ckpt
-        dur = self._host_round_trip(ckpt.nbytes, "checkpoint")
+        dur = self._host_round_trip(ckpt.nbytes)
         metrics.checkpoints_taken += 1
         metrics.checkpoint_bytes += ckpt.nbytes
         metrics.checkpoint_seconds += dur
@@ -647,7 +631,7 @@ class Enactor:
             nbytes=int(ckpt.nbytes), seconds=dur,
         )
 
-    def _host_round_trip(self, nbytes: int, label: str) -> float:
+    def _host_round_trip(self, nbytes: int) -> float:
         """Move a snapshot of ``nbytes`` across the host link — every
         surviving GPU its share, in parallel on its comm stream — then
         synchronize everyone in a full barrier.  Returns one share's
@@ -658,7 +642,7 @@ class Enactor:
         share = nbytes / max(len(alive), 1)
         dur = host.latency + share * machine.interconnect.scale / host.bandwidth
         for g in alive:
-            machine.gpus[g].comm.launch(dur, label=label)
+            machine.gpus[g].comm.launch(dur)
         machine.barrier(tracer=self.tracer)
         return dur
 
@@ -732,7 +716,7 @@ class Enactor:
         # survivors re-read the snapshot over the host link; the barrier
         # then resumes everyone at a common post-restore time (the clock
         # never rewinds — rollback costs time, it does not undo it)
-        self._host_round_trip(ckpt.nbytes, "restore")
+        self._host_round_trip(ckpt.nbytes)
         now = machine.clock.now
         inboxes: List[List[tuple]] = [[] for _ in range(n)]
         for msg in messages:
@@ -897,8 +881,9 @@ class Enactor:
                 if eff.sends:
                     rec.items_sent[i] = eff.items_sent
                     rec.bytes_sent[i] = eff.bytes_sent
-                for nbytes in eff.transfer_nbytes:
-                    machine.interconnect.record_transfer(nbytes)
+                    machine.interconnect.record_transfers(
+                        eff.transfer_nbytes
+                    )
                 rec.compute_time[i] = eff.compute_seconds
                 rec.comm_time[i] = eff.comm_seconds
                 metrics.comm_retries += eff.comm_retries

@@ -97,10 +97,6 @@ class IterationBase:
         return []
 
     # -- optional hooks -------------------------------------------------------
-    def communicates_this_iteration(self, iteration: int) -> bool:
-        """Whether the end of this iteration exchanges frontiers at all."""
-        return True
-
     def should_stop(
         self,
         iteration: int,

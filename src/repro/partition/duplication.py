@@ -27,7 +27,7 @@ The device is charged for a materialised sub-graph either way
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -90,6 +90,9 @@ class SubGraph:
     _hosted_cols64: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _row_plan: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.owner_keys is None:
@@ -124,6 +127,24 @@ class SubGraph:
         if cols is None:
             cols = self._hosted_cols64 = self.csr.packed_cols64()
         return cols
+
+    @property
+    def row_plan(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(degree, rows, row_first)``: every local vertex's
+        out-degree, the rows with edges, and where each of those rows'
+        edges start in :attr:`hosted_cols64` — how CC's hooking walks
+        the packed columns row by row.  Read-only, built at first use
+        and kept beside :attr:`hosted_cols64`, on the same terms: once
+        per sub-graph, shared by every problem on the partition."""
+        plan = self._row_plan
+        if plan is None:
+            degree = self.csr.out_degree()
+            rows = degree.nonzero()[0]
+            row_first = (degree.cumsum() - degree).take(rows)
+            for arr in (degree, rows, row_first):
+                arr.setflags(write=False)
+            plan = self._row_plan = (degree, rows, row_first)
+        return plan
 
     def memory_bytes(self) -> int:
         """Logical bytes of the subgraph structure on the device."""

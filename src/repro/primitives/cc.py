@@ -103,9 +103,7 @@ class CCIteration(IterationBase):
         if frontier.size == 0:
             # nothing changed locally or remotely: already at fixpoint
             return np.empty(0, dtype=np.int64), stats
-        degree = ctx.sub.csr.out_degree()
-        rows = degree.nonzero()[0]
-        row_first = (degree.cumsum() - degree).take(rows)
+        degree, rows, row_first = ctx.sub.row_plan
 
         before = comp.copy()
         passes = 0
@@ -119,7 +117,7 @@ class CCIteration(IterationBase):
             # pointer jumping to full compression
             jumps = 0
             while True:
-                jumped = comp[comp]
+                jumped = comp.take(comp)
                 jumps += 1
                 if np.array_equal(jumped, comp):
                     break

@@ -17,7 +17,7 @@ paper's minimal-workload experiment (Section V-B).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Set
+from typing import Optional, Sequence, Set
 
 from ..errors import CommunicationError
 
@@ -127,7 +127,7 @@ class Interconnect:
 
         Pure — no counters are touched, so per-GPU superstep workers may
         call it concurrently and stage the traffic for
-        :meth:`record_transfer` at the barrier.  Zero-byte messages still
+        :meth:`record_transfers` at the barrier.  Zero-byte messages still
         pay latency (the frontier-length exchange each iteration is such
         a message).  ``latency_scale`` supports the paper's Section V-A
         sensitivity experiment (latency inflated 10x showed "no
@@ -147,7 +147,15 @@ class Interconnect:
             )
         if self.faults is not None:
             self.faults.check_comm(src, dst, iteration)
-        lk = self.link(src, dst)
+        lost, n = self.lost_gpus, self.num_gpus
+        if (0 <= src < n and 0 <= dst < n and src != dst
+                and (not lost or (src not in lost and dst not in lost))):
+            # a live, in-range pair: link()'s choice, made inline
+            group = self.peer_group_size
+            lk = (self.peer_link if src // group == dst // group
+                  else self.host_link)
+        else:
+            lk = self.link(src, dst)  # raises the endpoint's error
         if tracer is not None:
             # observation only: staged in the sending GPU's superstep
             tracer.instant(
@@ -161,6 +169,16 @@ class Interconnect:
         counters (scaled, with the same per-message rounding as ever)."""
         self.total_bytes += int(nbytes * self.scale)
         self.total_messages += 1
+
+    def record_transfers(self, sizes: Sequence[int]) -> None:
+        """:meth:`record_transfer` for each of ``sizes``, in order — one
+        sending GPU's superstep, recorded at the barrier."""
+        scale = self.scale
+        total = self.total_bytes
+        for nbytes in sizes:
+            total += int(nbytes * scale)
+        self.total_bytes = total
+        self.total_messages += len(sizes)
 
     def transfer_time(
         self, src: int, dst: int, nbytes: int, latency_scale: float = 1.0

@@ -46,10 +46,10 @@ class KernelModel:
         self._random_bw = spec.effective_bandwidth(True)
 
     def price(self, stats: Iterable, earliest_start: float, scale: float,
-              rows: List[Tuple[float, float, str]]) -> float:
+              rows: List[Tuple[float, float]]) -> float:
         """Price a group of kernels — ``OpStats``, or anything with their
         cost fields — in list order: append a ``(duration,
-        earliest_start, name)`` row per kernel to ``rows`` (what
+        earliest_start)`` row per kernel to ``rows`` (what
         ``Stream.launch_many`` applies) and return the group's seconds,
         summed from 0.0.  ``scale`` is a straggler's slowdown.  The one
         place the cost formula lives: :meth:`kernel_time` reads it too.
@@ -70,7 +70,7 @@ class KernelModel:
                 # model atomics as 8-byte random accesses at 1/4 efficiency
                 t += (atomics * 8 * k) / (random_bw * 0.25)
             dur = (s.launches * launch + t) * scale
-            rows.append((dur, earliest_start, s.name))
+            rows.append((dur, earliest_start))
             total += dur
         return total
 
@@ -99,7 +99,7 @@ class KernelModel:
         """
         # zero launches and no slowdown leave exactly the traffic term
         traffic = self.price((SimpleNamespace(
-            name="", launches=0, streaming_bytes=streaming_bytes,
+            launches=0, streaming_bytes=streaming_bytes,
             random_bytes=random_bytes, atomic_ops=atomic_ops,
         ),), 0.0, 1.0, [])
         return KernelCost(launch=launches * self._launch_overhead,

@@ -28,7 +28,6 @@ class Event:
     """A point on the virtual timeline (analogue of ``cudaEvent_t``)."""
 
     timestamp: float
-    label: str = ""
 
 
 @dataclass
@@ -38,27 +37,33 @@ class Stream:
     name: str
     available_at: float = 0.0
 
-    def launch(self, duration: float, earliest_start: float = 0.0,
-               label: str = "") -> Event:
-        """Enqueue work of ``duration`` seconds; return its completion event.
+    def launch(self, duration: float, earliest_start: float = 0.0) -> float:
+        """Enqueue work of ``duration`` seconds; return its completion
+        time.
 
         ``earliest_start`` expresses data dependencies (e.g. an incoming
         transfer); the work cannot begin before both the stream is free and
-        the dependency is satisfied.
+        the dependency is satisfied.  One op of :meth:`launch_many`'s
+        recurrence, with the same arithmetic.
         """
-        end = self.launch_many(((duration, earliest_start, label),))[0]
-        return Event(end, label)
+        if duration < 0:
+            raise SimulationError(f"negative duration: {duration}")
+        horizon = self.available_at
+        # max(horizon, earliest_start)
+        start = earliest_start if earliest_start > horizon else horizon
+        self.available_at = end = start + duration
+        return end
 
     def launch_many(
-        self, ops: Sequence[Tuple[float, float, str]]
+        self, ops: Sequence[Tuple[float, float]]
     ) -> List[float]:
-        """:meth:`launch` for a ledger of ``(duration, earliest_start,
-        label)`` ops, in order; returns their completion times.  A
-        negative duration raises where a sequence of launches would
-        have: the ops before it stay applied."""
+        """:meth:`launch` for a ledger of ``(duration, earliest_start)``
+        ops, in order; returns their completion times.  A negative
+        duration raises where a sequence of launches would have: the ops
+        before it stay applied."""
         horizon = self.available_at
         ends = [0.0] * len(ops)
-        for k, (duration, earliest_start, _) in enumerate(ops):
+        for k, (duration, earliest_start) in enumerate(ops):
             if duration < 0:
                 raise SimulationError(f"negative duration: {duration}")
             # max(horizon, earliest_start)
@@ -70,9 +75,9 @@ class Stream:
         """``cudaStreamWaitEvent``: future work waits for ``event``."""
         self.available_at = max(self.available_at, event.timestamp)
 
-    def record_event(self, label: str = "") -> Event:
+    def record_event(self) -> Event:
         """``cudaEventRecord``: an event that fires when the queue drains."""
-        return Event(self.available_at, label)
+        return Event(self.available_at)
 
     def reset(self) -> None:
         self.available_at = 0.0

@@ -46,10 +46,10 @@ def _per_launch(stream, km, calls, scale):
     totals, spans, ends = [], [], []
     for call in calls:
         if call[0] == "add":
-            ev = stream.launch(call[1], label="framework")
+            end = stream.launch(call[1])
             totals.append(call[1])
-            spans.append(("framework", ev.timestamp - call[1], call[1]))
-            ends.append(ev.timestamp)
+            spans.append(("framework", end - call[1], call[1]))
+            ends.append(end)
             continue
         total = 0.0
         for s in call[1]:
@@ -58,10 +58,10 @@ def _per_launch(stream, km, calls, scale):
                 random_bytes=s.random_bytes,
                 launches=s.launches, atomic_ops=s.atomic_ops,
             ).total * scale
-            ev = stream.launch(dur, earliest_start=call[2], label=s.name)
+            end = stream.launch(dur, earliest_start=call[2])
             total += dur
-            spans.append((s.name, ev.timestamp - dur, dur))
-            ends.append(ev.timestamp)
+            spans.append((s.name, end - dur, dur))
+            ends.append(end)
         totals.append(total)
     return totals, spans, ends
 

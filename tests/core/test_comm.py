@@ -230,6 +230,55 @@ class TestMessageSizing:
     def test_num_items(self):
         assert Message(0, 1, np.arange(7)).num_items == 7
 
+    @pytest.mark.parametrize("case", ["sssp+preds", "sssp+preds/64", "bc",
+                                      "cc"])
+    def test_enactor_sizes_each_send_as_nbytes(self, case, monkeypatch):
+        """The enactor sizes a sent message from bytes per item, worked
+        out once per GPU-superstep; every size must be the message's
+        ``nbytes`` times the volume scale, for vertex and value
+        associates and both ID widths."""
+        from repro.core.enactor import Enactor
+        from repro.graph.build import add_random_weights
+        from repro.graph.generators import generate_rmat
+        from repro.primitives import (
+            BCIteration, BCProblem, CCIteration, CCProblem, SSSPIteration,
+            SSSPProblem,
+        )
+        from repro.sim.machine import Machine
+        from repro.types import IdConfig
+
+        ids = IdConfig(np.int64, np.int64) if case.endswith("/64") else ID32
+        graph = generate_rmat(9, 8, seed=11, ids=ids)
+        if case.startswith("sssp"):
+            problem = SSSPProblem(add_random_weights(graph, 1, 64, seed=3),
+                                  Machine(4), mark_predecessors=True)
+            iteration, kwargs = SSSPIteration, {"src": 0}
+        elif case == "bc":
+            problem, iteration, kwargs = (BCProblem(graph, Machine(4)),
+                                          BCIteration, {"src": 0})
+        else:
+            problem, iteration, kwargs = (CCProblem(graph, Machine(4)),
+                                          CCIteration, {})
+        effects = []
+        superstep = Enactor._gpu_superstep
+
+        def spied(self, *args):
+            eff = superstep(self, *args)
+            effects.append(eff)
+            return eff
+
+        monkeypatch.setattr(Enactor, "_gpu_superstep", spied)
+        with Enactor(problem, iteration, comm_volume_scale=1.7) as enactor:
+            enactor.enact(**kwargs)
+        sizes = [(nbytes, msg) for eff in effects
+                 for (_, _, msg), nbytes in zip(eff.sends,
+                                                eff.transfer_nbytes)]
+        assert sizes, "nothing was sent"
+        assert any(msg.vertex_associates or msg.value_associates
+                   for _, msg in sizes)
+        for nbytes, msg in sizes:
+            assert nbytes == int(msg.nbytes(problem.graph.ids) * 1.7)
+
 
 # -- the int64 contract ---------------------------------------------------------
 #

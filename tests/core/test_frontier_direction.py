@@ -1,6 +1,5 @@
 """Frontier buffers and the DOBFS direction state machine."""
 
-import numpy as np
 import pytest
 
 from repro.core.direction import BACKWARD, FORWARD, DirectionState
@@ -10,16 +9,10 @@ from repro.sim.memory import MemoryPool
 
 
 class TestFrontier:
-    def test_set_and_read(self):
-        f = Frontier("f", None, 4, 8)
-        f.set(np.array([3, 1, 4]))
-        assert f.size == 3
-        assert f.data.tolist() == [3, 1, 4]
-
     def test_grows_when_needed(self):
         pool = MemoryPool(10_000)
         f = Frontier("f", pool, 4, 2)
-        grown = f.set(np.arange(10))
+        grown = f.fit(10)
         assert grown > 0
         assert f.capacity >= 10
         assert f.grow_events == 1
@@ -27,13 +20,14 @@ class TestFrontier:
 
     def test_no_growth_within_capacity(self):
         f = Frontier("f", None, 4, 16)
-        assert f.set(np.arange(10)) == 0
+        assert f.fit(10) == 0
+        assert f.fit(16) == 0
         assert f.grow_events == 0
 
     def test_overflow_without_growth_raises(self):
         f = Frontier("f", None, 4, 2)
         with pytest.raises(SimulationError):
-            f.set(np.arange(5), allow_grow=False)
+            f.fit(5, allow_grow=False)
 
     def test_pool_accounting(self):
         pool = MemoryPool(10_000)
@@ -45,15 +39,8 @@ class TestFrontier:
     def test_growth_headroom(self):
         """Growth allocates 25% slack to amortize reallocations."""
         f = Frontier("f", None, 4, 1)
-        f.set(np.arange(100))
-        assert f.capacity >= 125
-
-    def test_clear(self):
-        f = Frontier("f", None, 4, 4)
-        f.set(np.array([1]))
-        f.clear()
-        assert f.size == 0
-        assert len(f) == 0
+        assert f.fit(100) == 124
+        assert f.capacity == 125
 
     def test_oom_propagates(self):
         from repro.errors import DeviceMemoryError
@@ -61,7 +48,10 @@ class TestFrontier:
         pool = MemoryPool(100)
         f = Frontier("f", pool, 4, 10)
         with pytest.raises(DeviceMemoryError):
-            f.set(np.arange(1000))
+            f.fit(1000)
+        # a failed reallocation leaves the buffer as it was
+        assert f.capacity == 10 and f.grow_events == 0
+        assert pool.in_use == 40
 
 
 class TestDirectionState:

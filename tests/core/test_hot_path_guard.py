@@ -233,18 +233,24 @@ def test_segment_reduce_min_never_masks_the_edge_list():
 # ``KernelModel.price`` call and reaches the compute stream once per
 # superstep; the fused advance+filter is one function that builds one
 # OpStats; empty frontiers are neither split nor packaged, and call no
-# associate hook.  This run measures 264.11 calls per 4-GPU superstep on
-# the one superstep path every run takes, armed or not (303.24 with a
-# pricing call per OpStats and the fused kernel calling the advance and
-# the filter, 312.6 before every push gathered its rows in one compiled
-# call), and the call budget sits below 264.11 plus one call per
-# GPU-superstep, so a call added to that path fails here.  The
-# cost-model budgets sit ~15 % above 2.1 charges and 1.5
-# ``launch_many`` per GPU-superstep (one flush, plus one per message
-# sent).  The loop before the ledger made 641 calls, and 4.6
-# ``Stream.launch`` per GPU-superstep under its 3.1 ``kernel_time``.
+# associate hook.  A sent message is sized from the bytes per item of
+# the associates packaged, priced by one ``transfer_cost`` call (which
+# picks a live pair's link inline) and launched by one ``Stream.launch``
+# (a float back, no event); the barrier records a GPU's traffic with one
+# ``record_transfers``; a frontier buffer is reached only when it grows.
+# This run measures 220.41 calls per 4-GPU superstep on the one
+# superstep path every run takes, armed or not (263.98 with a
+# ``Message.nbytes``, a ``link`` and an ``Event`` per message, a
+# ``record_transfer`` per message and two ``Frontier.set`` per
+# GPU-superstep; 303.24 with a pricing call per OpStats and the fused
+# kernel calling the advance and the filter; 641 before the ledger),
+# and the call budget sits below 220.41 plus one call per GPU-superstep,
+# so a call added to that path fails here.  The cost-model budget sits
+# ~15 % above 2.1 charges per GPU-superstep; the stream budget ~15 %
+# above its 1.52 entries per GPU-superstep: one ``launch_many`` (the
+# flush) plus 0.52 ``launch`` (one per message sent).
 
-PY_CALLS_PER_SUPERSTEP = 268
+PY_CALLS_PER_SUPERSTEP = 224
 COST_MODEL_CALLS_PER_GPU_SUPERSTEP = 2.4
 STREAM_CALLS_PER_GPU_SUPERSTEP = 1.75
 
@@ -273,6 +279,10 @@ def _calls_by_function(fn):
     return result, total, by_function
 
 
+def _frontier_calls(by_function) -> int:
+    return sum(v for (stem, _), v in by_function.items() if stem == "frontier")
+
+
 def test_superstep_fixed_cost_stays_within_budget():
     from repro.graph.generators import generate_road
     from repro.partition import make_partitioner
@@ -287,6 +297,7 @@ def test_superstep_fixed_cost_stays_within_budget():
         metrics, total, by_function = _calls_by_function(
             lambda: enactor.enact(src=0)
         )
+        sent = enactor.machine.interconnect.total_messages
     supersteps = len(metrics.iterations)
     gpu_supersteps = 4 * supersteps
     assert supersteps > 40, "not the many-small-supersteps regime"
@@ -297,21 +308,51 @@ def test_superstep_fixed_cost_stays_within_budget():
     cost_model = by_function[("kernel", "price")]
     assert cost_model == by_function[("enactor", "charge")]
     assert 0 < cost_model / gpu_supersteps <= COST_MODEL_CALLS_PER_GPU_SUPERSTEP
-    # the stream is reached by one flush per GPU-superstep, plus one
-    # launch per message sent (``launch`` runs ``launch_many``'s loop)
-    stream = by_function[("stream", "launch_many")]
-    assert 1 <= stream / gpu_supersteps <= STREAM_CALLS_PER_GPU_SUPERSTEP
+    # the compute stream is reached by one flush per GPU-superstep, the
+    # comm stream by one launch per message sent
+    assert sent > 0
+    assert by_function[("stream", "launch_many")] == gpu_supersteps
+    assert by_function[("stream", "launch")] == sent
+    stream = by_function[("stream", "launch_many")] + sent
+    assert stream / gpu_supersteps <= STREAM_CALLS_PER_GPU_SUPERSTEP
+    # a message is sized, priced, launched and recorded in the
+    # superstep's own loops: one pricing call each, nothing per item
+    assert by_function[("interconnect", "transfer_cost")] == sent
+    assert by_function[("interconnect", "link")] == 0
+    assert by_function[("comm", "nbytes")] == 0
+    assert by_function[("interconnect", "record_transfer")] == 0
+    assert 0 < by_function[("interconnect", "record_transfers")] <= sent
+    # no frontier outgrew its buffer, so no buffer was reached
+    assert _frontier_calls(by_function) == 0
+
+
+def test_frontier_buffers_are_reached_only_when_they_grow(small_rmat):
+    from repro.sim.memory import JustEnough
+
+    problem = BFSProblem(small_rmat, Machine(4))
+    with Enactor(problem, BFSIteration, scheme=JustEnough()) as enactor:
+        _, _, by_function = _calls_by_function(lambda: enactor.enact(src=0))
+        grown = sum(f.grow_events for f in enactor.frontiers_in
+                    + enactor.frontiers_out)
+        # warm: every buffer already fits the run
+        _, _, warm = _calls_by_function(lambda: enactor.enact(src=0))
+    assert grown > 0, "nothing outgrew a just-enough buffer"
+    assert by_function[("frontier", "fit")] == grown
+    assert _frontier_calls(by_function) == grown
+    assert _frontier_calls(warm) == 0
 
 
 # CC's supersteps are few and heavy: each GPU hooks and jumps to a local
 # fixpoint, then min-combines the component IDs it receives.  This 4-GPU
-# R-MAT-10 run measures 736 calls per superstep (752 with a pricing call
-# per OpStats, 760 before the destination-side hook read its drop off
-# the component array); one Python call per received vertex (the
-# mutation audit's ``hot-loop`` mutant) reads 1 121.5.  The budget sits
-# below 736 plus one call per GPU-superstep.
+# R-MAT-10 run measures 641.5 calls per superstep (732 with the send
+# path's per-message calls, the frontier buffers' contents and the row
+# plan rebuilt per GPU-superstep; 752 with a pricing call per OpStats,
+# 760 before the destination-side hook read its drop off the component
+# array); one Python call per received vertex (the mutation audit's
+# ``hot-loop`` mutant) reads 1 011.  The budget sits below 641.5
+# plus one call per GPU-superstep.
 
-CC_PY_CALLS_PER_SUPERSTEP = 739
+CC_PY_CALLS_PER_SUPERSTEP = 645
 
 
 def test_cc_superstep_calls_stay_within_budget(small_rmat):
@@ -325,14 +366,15 @@ def test_cc_superstep_calls_stay_within_budget(small_rmat):
 
 # SSSP's supersteps relax the frontier's out-edges and min-combine the
 # distances received.  This warm 4-GPU run on the weighted R-MAT-10
-# measures 568.56 calls per superstep over its 9 supersteps (592.67 with
-# a pricing call per OpStats, 605.11 before the relaxation read its drop
-# off the distance array, 608.22 before the push gathered its rows in
-# one compiled call); one Python call per received vertex in
+# measures 451 calls per superstep over its 9 supersteps (567.67 with
+# the send path's per-message calls and the frontier buffers' contents,
+# 592.67 with a pricing call per OpStats, 605.11 before the relaxation
+# read its drop off the distance array, 608.22 before the push gathered
+# its rows in one compiled call); one Python call per received vertex in
 # ``expand_incoming`` (CC's ``hot-loop`` mutant, moved into SSSP) reads
-# 804.56.  The budget sits below 568.56 plus one call per GPU-superstep.
+# 662.89.  The budget sits below 451 plus one call per GPU-superstep.
 
-SSSP_PY_CALLS_PER_SUPERSTEP = 572
+SSSP_PY_CALLS_PER_SUPERSTEP = 455
 
 
 def test_sssp_superstep_calls_stay_within_budget(weighted_rmat):
@@ -347,14 +389,15 @@ def test_sssp_superstep_calls_stay_within_budget(weighted_rmat):
 
 # PR's supersteps repeat one fixed plan: a rank update, one compiled
 # push over the plan, the stored route, and the border shares received
-# and atomicAdd-combined.  This 4-GPU R-MAT-10 run measures 626.2 calls
-# per superstep (645.95 with a pricing call per OpStats); the budget
-# sits below that plus one call per GPU-superstep.  The repeat +
-# ``np.add.at`` push before the compiled one read 641.95: ``np.ones``
-# for the kernel's unit entries is one call more per GPU-superstep than
-# the wrapper it replaced.
+# and atomicAdd-combined.  This 4-GPU R-MAT-10 run measures 466.4 calls
+# per superstep (625.8 with the send path's per-message calls — twelve
+# messages a superstep — and the frontier buffers' contents, 645.95 with
+# a pricing call per OpStats); the budget sits below that plus one call
+# per GPU-superstep.  The repeat + ``np.add.at`` push before the
+# compiled one read 641.95: ``np.ones`` for the kernel's unit entries is
+# one call more per GPU-superstep than the wrapper it replaced.
 
-PR_PY_CALLS_PER_SUPERSTEP = 630
+PR_PY_CALLS_PER_SUPERSTEP = 470
 
 
 def test_pr_superstep_calls_stay_within_budget(small_rmat):

@@ -71,11 +71,6 @@ class TestDefaults:
         assert not it.should_stop(3, [1, 0], 0)
         assert not it.should_stop(3, [0, 0], 2)  # mail in flight
 
-    def test_communicates_every_iteration(self):
-        it = self._iteration()
-        assert it.communicates_this_iteration(0)
-        assert it.communicates_this_iteration(100)
-
     def test_direction_default_empty(self):
         assert self._iteration().direction_of(0) == ""
 

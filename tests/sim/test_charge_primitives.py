@@ -66,9 +66,9 @@ def test_price_equals_kernel_time_total(
     ``kernel_time(...).total`` times the straggler slowdown, and the
     group's seconds summed from 0.0 in list order."""
     km = KernelModel(spec, scale)
-    rows = [(9.0, 9.0, "earlier")]  # rows are appended, never replaced
+    rows = [(9.0, 9.0)]  # rows are appended, never replaced
     got = km.price(stats, earliest_start, slowdown, rows)
-    want_rows, want = [(9.0, 9.0, "earlier")], 0.0
+    want_rows, want = [(9.0, 9.0)], 0.0
     for s in stats:
         ref = _reference_total(spec, km.scale, s.streaming_bytes,
                                s.random_bytes, s.launches, s.atomic_ops)
@@ -78,25 +78,24 @@ def test_price_equals_kernel_time_total(
         )
         assert cost.total == ref
         assert cost.launch == s.launches * spec.kernel_launch_overhead
-        want_rows.append((cost.total * slowdown, earliest_start, s.name))
+        want_rows.append((cost.total * slowdown, earliest_start))
         want += cost.total * slowdown
     assert rows == want_rows
     assert got == want
     if not stats:
-        assert got == 0.0 and rows == [(9.0, 9.0, "earlier")]
+        assert got == 0.0 and rows == [(9.0, 9.0)]
 
 
 _OPS = st.lists(
-    st.tuples(_SECONDS, _SECONDS, st.sampled_from(["", "advance", "split"])),
+    st.tuples(_SECONDS, _SECONDS),
     max_size=12,
 )
 
 
 def _sequential(stream, ops):
-    """One ``max``/add per op: what ``launch`` did before it shared
-    ``launch_many``'s loop."""
+    """One ``max``/add per op, written out as the reference."""
     ends = []
-    for duration, earliest_start, _ in ops:
+    for duration, earliest_start in ops:
         if duration < 0:
             raise SimulationError(f"negative duration: {duration}")
         start = max(stream.available_at, earliest_start)
@@ -113,11 +112,9 @@ def test_launch_many_equals_sequential_launch(ops, horizon):
     single = Stream("s", available_at=horizon)
     reference = Stream("r", available_at=horizon)
     ends = batched.launch_many(ops)
-    events = [single.launch(d, earliest_start=es, label=lb)
-              for d, es, lb in ops]
+    launched = [single.launch(d, earliest_start=es) for d, es in ops]
     want = _sequential(reference, ops)
-    assert ends == [e.timestamp for e in events] == want
-    assert [e.label for e in events] == [lb for _, _, lb in ops]
+    assert ends == launched == want
     assert (batched.available_at == single.available_at
             == reference.available_at)
 
@@ -126,7 +123,7 @@ def test_launch_many_equals_sequential_launch(ops, horizon):
 @given(ops=_OPS, bad_at=st.integers(0, 12), horizon=_SECONDS)
 def test_launch_many_raises_where_a_launch_would(ops, bad_at, horizon):
     bad_at = min(bad_at, len(ops))
-    ops = ops[:bad_at] + [(-1.0, 0.0, "bad")] + ops[bad_at:]
+    ops = ops[:bad_at] + [(-1.0, 0.0)] + ops[bad_at:]
     batched = Stream("b", available_at=horizon)
     reference = Stream("r", available_at=horizon)
     prefix = Stream("p", available_at=horizon)

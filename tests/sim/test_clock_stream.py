@@ -42,28 +42,23 @@ class TestClock:
 class TestStream:
     def test_fifo_ordering(self):
         s = Stream("s")
-        e1 = s.launch(1.0)
-        e2 = s.launch(2.0)
-        assert e1.timestamp == 1.0
-        assert e2.timestamp == 3.0
+        assert s.launch(1.0) == 1.0
+        assert s.launch(2.0) == 3.0
 
     def test_earliest_start_dependency(self):
         s = Stream("s")
-        e = s.launch(1.0, earliest_start=5.0)
-        assert e.timestamp == 6.0
+        assert s.launch(1.0, earliest_start=5.0) == 6.0
 
     def test_earliest_start_no_op_when_busy(self):
         s = Stream("s")
         s.launch(10.0)
-        e = s.launch(1.0, earliest_start=3.0)
-        assert e.timestamp == 11.0
+        assert s.launch(1.0, earliest_start=3.0) == 11.0
 
     def test_wait_event(self):
         a, b = Stream("a"), Stream("b")
-        e = a.launch(4.0)
-        b.wait_event(e)
-        e2 = b.launch(1.0)
-        assert e2.timestamp == 5.0
+        a.launch(4.0)
+        b.wait_event(a.record_event())
+        assert b.launch(1.0) == 5.0
 
     def test_wait_event_does_not_rewind(self):
         s = Stream("s")
@@ -78,7 +73,7 @@ class TestStream:
 
     def test_zero_duration(self):
         s = Stream("s")
-        assert s.launch(0.0).timestamp == 0.0
+        assert s.launch(0.0) == 0.0
 
     def test_negative_duration_rejected(self):
         with pytest.raises(SimulationError):
@@ -86,8 +81,7 @@ class TestStream:
 
     def test_launches_return_completion_times(self):
         s = Stream("s")
-        ends = [s.launch(1.0, label="k1").timestamp,
-                s.launch(2.0, label="k2").timestamp]
+        ends = [s.launch(1.0), s.launch(2.0)]
         assert ends == [1.0, 3.0]
         assert s.available_at == 3.0
 

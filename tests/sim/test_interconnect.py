@@ -1,6 +1,7 @@
 """Interconnect: links, peer groups, transfer timing, sync latency."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import CommunicationError
 from repro.sim.interconnect import (
@@ -9,6 +10,7 @@ from repro.sim.interconnect import (
     PCIE3_PEER,
     Interconnect,
 )
+from repro.sim.machine import Machine
 
 
 class TestLinks:
@@ -78,6 +80,74 @@ class TestTransferTime:
         pci = Interconnect(2).transfer_time(0, 1, 10**6)
         nv = Interconnect(2, peer_link=NVLINK).transfer_time(0, 1, 10**6)
         assert nv < pci
+
+
+class TestRecordTransfers:
+    """The barrier records a sending GPU's superstep with one
+    ``record_transfers`` call; the counters must read what one
+    ``record_transfer`` per message leaves, per-message rounding
+    included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 2**40), max_size=12),
+        scale=st.sampled_from([1.0, 64.0, 3.7, 0.3, 1e-3]),
+        before=st.lists(st.integers(0, 2**20), max_size=3),
+    )
+    def test_equals_one_record_per_item(self, sizes, scale, before):
+        batched = Interconnect(2, scale=scale)
+        single = Interconnect(2, scale=scale)
+        for ic in (batched, single):
+            for nbytes in before:  # counters that already hold traffic
+                ic.record_transfer(nbytes)
+        batched.record_transfers(sizes)
+        for nbytes in sizes:
+            single.record_transfer(nbytes)
+        assert batched.total_bytes == single.total_bytes
+        assert batched.total_messages == single.total_messages
+        assert type(batched.total_bytes) is int
+
+
+class TestTransferCostEndpoints:
+    """``transfer_cost`` picks the link inline for a live, in-range
+    pair; every other pair still goes through ``link`` and raises its
+    error."""
+
+    @staticmethod
+    def _same_error(ic, src, dst):
+        with pytest.raises(CommunicationError) as got:
+            ic.transfer_cost(src, dst, 64)
+        with pytest.raises(CommunicationError) as want:
+            ic.link(src, dst)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert (got.value.gpu_id, got.value.site) == (
+            want.value.gpu_id, want.value.site)
+
+    @pytest.mark.parametrize("src,dst", [(0, 4), (4, 0), (-1, 1), (1, -1),
+                                         (2, 2), (0, 0)])
+    def test_out_of_range_or_self_raises_links_error(self, src, dst):
+        self._same_error(Interconnect(4), src, dst)
+
+    def test_lost_endpoint_raises_links_error(self):
+        machine = Machine(4)
+        machine.lose_gpu(2)
+        ic = machine.interconnect
+        for src, dst in [(0, 2), (2, 1), (2, 3)]:
+            self._same_error(ic, src, dst)
+        # the survivors still talk, over the link ``link`` picks
+        assert ic.transfer_cost(0, 1, 10**6) == (
+            ic.link(0, 1).latency + 10**6 * ic.scale / ic.link(0, 1).bandwidth)
+
+    def test_inline_choice_is_links_choice(self):
+        ic = Interconnect(6, peer_group_size=4, scale=3.0)
+        for src in range(6):
+            for dst in range(6):
+                if src == dst:
+                    continue
+                lk = ic.link(src, dst)
+                assert ic.transfer_cost(src, dst, 12345, latency_scale=2.0) \
+                    == lk.latency * 2.0 + 12345 * 3.0 / lk.bandwidth
 
 
 class TestSyncLatency:

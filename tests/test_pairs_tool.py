@@ -81,3 +81,44 @@ def test_committed_bench_file_recomputes(path):
                                   stored["bound"])
             for key in ("verdict", "wins", "ties", "losses"):
                 assert again[key] == stored[key], (workload, name, key)
+
+
+def test_trajectory_reads_every_committed_file(capsys):
+    root = _PATH.parent.parent
+    committed = sorted(root.glob("BENCH_*.json"))
+    assert committed, "no committed BENCH_<n>.json"
+    docs = pairs.load_committed(str(root))  # raises at another schema
+    assert len(docs) == len(committed)
+    numbers = [int(doc["pr"]) for doc in docs]
+    assert numbers == sorted(numbers)
+    assert pairs.main(["--trajectory", "--dir", str(root)]) == 0
+    out = capsys.readouterr().out
+    sections = {
+        block.split("\n", 1)[0]: block
+        for block in out.split("### ")[1:]
+    }
+    verdicts = ("gain", "worse", "unresolved", "level")
+    for doc in docs:
+        for workload, metrics in doc["workloads"].items():
+            rows = [line for line in sections[workload].splitlines()
+                    if line.startswith(f"| {doc['pr']} |")]
+            assert len(rows) == 1
+            cells = rows[0].strip("| ").split(" | ")[1:]
+            assert len(cells) >= len(metrics)
+            for cell in cells:
+                assert cell == "—" or cell.split(" ")[1] in verdicts
+
+
+def test_trajectory_rejects_a_file_at_another_schema(tmp_path):
+    doc = {"schema": pairs.SCHEMA, "pr": "7", "workloads": {"w": {
+        "m": pairs.compare(PARENT, _shifted(0.7), "lower", 0.25)}}}
+    (tmp_path / "BENCH_7.json").write_text(json.dumps(doc))
+    (tmp_path / "BENCH_12.json").write_text(json.dumps({**doc, "pr": "12"}))
+    assert [d["pr"] for d in pairs.load_committed(str(tmp_path))] == [
+        "7", "12"]
+    table = pairs.trajectory(pairs.load_committed(str(tmp_path)))
+    assert "| 7 | 0.7 gain |" in table and "| 12 | 0.7 gain |" in table
+    (tmp_path / "BENCH_13.json").write_text(
+        json.dumps({**doc, "schema": pairs.SCHEMA + 1}))
+    with pytest.raises(ValueError, match="schema"):
+        pairs.load_committed(str(tmp_path))

@@ -281,9 +281,9 @@ class TestSimInvariants:
         s = Stream("s")
         last = 0.0
         for d in durations:
-            ev = s.launch(d)
-            assert ev.timestamp >= last
-            last = ev.timestamp
+            end = s.launch(d)
+            assert end >= last
+            last = end
 
     @given(
         st.integers(1, 10**6),
